@@ -4,9 +4,9 @@ Three sections, all doubling as coarse differential checks (non-zero exit
 on any disagreement), so CI smoke runs fail the build on layout
 regressions:
 
-* recursive vs iterative vs vectorized enumeration over shared
-  ``MatchingContext``s (bit-identical ``#enum``/match counts across all
-  three engines are the contract);
+* iterative vs vectorized enumeration over shared ``MatchingContext``s
+  (bit-identical ``#enum``/match counts across both engines are the
+  contract);
 * graph construction — the vectorized CSR constructor against a
   replica of the old per-vertex-object build (Python set churn, one
   ndarray + frozenset per vertex);
@@ -38,7 +38,7 @@ from repro.matching import (
     RIOrderer,
 )
 
-STRATEGIES = ("recursive", "iterative", "vectorized")
+STRATEGIES = ("iterative", "vectorized")
 
 
 def _workloads(quick: bool):
@@ -90,20 +90,17 @@ def bench_workload(name: str, data: Graph, count: int, size: int) -> bool:
             f"{elapsed:6.2f}s  {enum_total / max(elapsed, 1e-9) / 1e3:8.1f}k steps/s"
         )
 
-    rec = totals["recursive"]
-    agree = True
-    for strategy in STRATEGIES[1:]:
-        row = totals[strategy]
+    base, row = totals["iterative"], totals["vectorized"]
+    print(
+        f"  {name:<18} speedup(vectorized) = "
+        f"{base[2] / max(row[2], 1e-9):.2f}x vs iterative"
+    )
+    agree = row[:2] == base[:2]
+    if not agree:
         print(
-            f"  {name:<18} speedup({strategy}) = "
-            f"{rec[2] / max(row[2], 1e-9):.2f}x vs recursive"
+            f"  {name}: ENGINE DISAGREEMENT "
+            f"iterative={base[:2]} vectorized={row[:2]}"
         )
-        if row[:2] != rec[:2]:
-            print(
-                f"  {name}: ENGINE DISAGREEMENT "
-                f"recursive={rec[:2]} {strategy}={row[:2]}"
-            )
-            agree = False
     return agree
 
 
@@ -123,7 +120,7 @@ def bench_deep_path(quick: bool) -> bool:
     print(
         f"  deep-path({depth})   iterative  "
         f"#enum={result.num_enumerations:>10,}  matches={result.num_matches:>9,}  "
-        f"{elapsed:6.2f}s  (recursive engine: RecursionError)"
+        f"{elapsed:6.2f}s"
     )
     return result.num_matches == 1
 
@@ -255,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    print("enumeration micro-benchmark (recursive vs iterative vs vectorized)")
+    print("enumeration micro-benchmark (iterative vs vectorized)")
     engines_ok = True
     for name, data, count, size in _workloads(args.quick):
         engines_ok &= bench_workload(name, data, count, size)

@@ -9,22 +9,14 @@ Every speed PR regenerates the committed baseline under
 profile against it, failing on output drift (match counts / ``#enum``)
 or on a wall-clock regression beyond the tolerance.
 
-The harness also carries its own differential **self-check**: the
-enumeration hot path (the buffered galloping kernels of
-:mod:`repro.matching.kernels`) is raced against a faithful replica of
-the pre-kernel ``_local_candidates`` loop (``np.intersect1d`` +
-``arr[~used[arr]]`` + ``tolist()`` per node) over the same contexts and
-orders.  The two must agree bit-for-bit on match counts and ``#enum``,
-and the kernel path must win on enumeration wall-clock — a regression
-in either fails the run.
-
-Schema 4 adds the **backend** scenario: the frontier-batched vectorized
-engine raced against the iterative default over the same plans, gated
-on bit-identical match sequences and ``#enum`` (unsharded and
-per-shard) plus a wall-clock win, with the speedup and peak
-batch-scratch bytes recorded.  ``REPRO_BENCH_ENUM_STRATEGY`` selects
-the backend the workload/sharded scenarios run with (bit-identity makes
-the baseline's counts backend-independent).
+The **backend** scenario races the frontier-batched vectorized engine
+against the iterative default over the same plans, gated on
+bit-identical match sequences and ``#enum`` (unsharded and per-shard)
+plus a wall-clock win, with the speedup and peak batch-scratch bytes
+recorded.  ``REPRO_BENCH_ENUM_STRATEGY`` selects the backend the
+workload/sharded scenarios run with (bit-identity makes the baseline's
+counts backend-independent).  ``--compare`` refuses a baseline recorded
+under another report schema.
 
 Not collected by pytest (no ``test_`` prefix) — run it directly::
 
@@ -50,10 +42,9 @@ from repro.bench.calibrate import calibrate
 from repro.datasets import load_dataset, query_workload
 from repro.graphs.canonical import canonical_form, relabel_graph
 from repro.matching import Enumerator
-from repro.matching.enumeration_iter import _bind_depths, intersect_sorted
 from repro.service import PlanCache
 
-SCHEMA = 4
+SCHEMA = 5
 
 #: (dataset, query size, total workload queries) per profile.  Small
 #: graphs keep the quick profile CI-sized; the full profile adds the
@@ -83,105 +74,6 @@ SHARDED_OVERHEAD_TOLERANCE = 0.15
 # reference load, so a baseline recorded on one machine transfers to
 # runners of a different speed; same scale as the serving baselines.
 _calibrate = calibrate
-
-
-def _backward_positions(query, order: list[int]) -> list[list[int]]:
-    """Backward-neighbour positions per position in ``order``."""
-    position = {u: i for i, u in enumerate(order)}
-    return [
-        sorted(position[int(v)] for v in query.neighbors(u) if position[int(v)] < i)
-        for i, u in enumerate(order)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Pre-kernel replica: the old allocating _local_candidates + driver loop
-# ---------------------------------------------------------------------------
-def _replica_bind(context, order, backward):
-    """The pre-kernel per-depth binding (no scratch buffers)."""
-    base_arrays = [context.candidates.array(u) for u in order]
-    bindings = [
-        [context.space.edge_flat(order[b], u) for b in backward[i]]
-        for i, u in enumerate(order)
-    ]
-    return base_arrays, bindings
-
-
-def _replica_local_candidates(depth, backward, base_arrays, bindings, images, used):
-    """Faithful replica of the pre-kernel loop: allocates per node."""
-    backs = backward[depth]
-    if not backs:
-        arr = base_arrays[depth]
-    elif len(backs) == 1:
-        positions, offsets, concat = bindings[depth][0]
-        p = positions[images[backs[0]]]
-        arr = concat[offsets[p] : offsets[p + 1]]
-    else:
-        arrays = []
-        for (positions, offsets, concat), b in zip(bindings[depth], backs):
-            p = positions[images[b]]
-            arrays.append(concat[offsets[p] : offsets[p + 1]])
-        arrays.sort(key=len)
-        arr = arrays[0]
-        for other in arrays[1:]:
-            if not arr.size:
-                break
-            arr = intersect_sorted(arr, other)
-    if arr.size:
-        arr = arr[~used[arr]]
-    return arr.tolist()
-
-
-def _replica_enumerate(context, order, backward, match_limit):
-    """The pre-kernel batch driver (counters only, no deadline)."""
-    n = len(order)
-    last = n - 1
-    used = np.zeros(context.data.num_vertices, dtype=bool)
-    base_arrays, bindings = _replica_bind(context, order, backward)
-    cand_stack = [[]] * n
-    pos_stack = [0] * n
-    images = [0] * n
-    found = 0
-    enum = 1
-    depth = 0
-    cand_stack[0] = _replica_local_candidates(
-        0, backward, base_arrays, bindings, images, used
-    )
-    pos_stack[0] = 0
-    while depth >= 0:
-        cands = cand_stack[depth]
-        pos = pos_stack[depth]
-        if pos >= len(cands):
-            depth -= 1
-            if depth >= 0:
-                used[images[depth]] = False
-            continue
-        pos_stack[depth] = pos + 1
-        v = cands[pos]
-        enum += 1
-        images[depth] = v
-        if depth == last:
-            found += 1
-            if match_limit is not None and found >= match_limit:
-                break
-            continue
-        used[v] = True
-        depth += 1
-        cand_stack[depth] = _replica_local_candidates(
-            depth, backward, base_arrays, bindings, images, used
-        )
-        pos_stack[depth] = 0
-    return found, enum
-
-
-def _kernel_enumerate(context, order, backward, match_limit):
-    """The shipped hot path, deadline-free like the replica above."""
-    from repro.matching.enumeration_iter import enumerate_iterative
-
-    found, enum, _, _, _ = enumerate_iterative(
-        context, order, backward, match_limit, None, 2048, False
-    )
-    return found, enum
 
 
 # ---------------------------------------------------------------------------
@@ -239,68 +131,8 @@ def bench_end_to_end(workloads, repeats: int, enum_strategy: str) -> list[dict]:
     return rows
 
 
-def bench_selfcheck(workloads, repeats: int) -> dict:
-    """Race the kernel hot path against the pre-kernel replica.
-
-    Same contexts, same orders, bit-identical counters required; the
-    kernel must win on aggregate enumeration wall-clock.
-    """
-    instances = []
-    peak_scratch = 0
-    for dataset, size, count in workloads:
-        data = load_dataset(dataset)
-        matcher = Matcher(
-            data, filter="gql", orderer="ri",
-            match_limit=MATCH_LIMIT, time_limit=TIME_LIMIT,
-        )
-        for query in query_workload(dataset, size=size, count=count, data=data).eval:
-            plan = matcher.plan(query)
-            if not plan.matchable:
-                continue
-            order = list(plan.order)
-            backward = _backward_positions(query, order)
-            instances.append((plan.context, order, backward))
-            _, _, scratch = _bind_depths(plan.context, order, backward)
-            peak_scratch = max(peak_scratch, scratch.nbytes())
-
-    timings = {}
-    outputs = {}
-    for name, runner in (("replica", _replica_enumerate), ("kernel", _kernel_enumerate)):
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            out = [
-                runner(context, order, backward, MATCH_LIMIT)
-                for context, order, backward in instances
-            ]
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        timings[name] = best
-        outputs[name] = out
-    agree = outputs["replica"] == outputs["kernel"]
-    speedup = timings["replica"] / max(timings["kernel"], 1e-9)
-    print(
-        f"  self-check          replica={timings['replica'] * 1e3:7.1f}ms  "
-        f"kernel={timings['kernel'] * 1e3:7.1f}ms  speedup={speedup:5.2f}x  "
-        f"scratch-peak={peak_scratch / 1024:,.1f}KiB  "
-        f"{'outputs agree' if agree else 'OUTPUT DISAGREEMENT'}"
-    )
-    if not agree:
-        for i, (r, k) in enumerate(zip(outputs["replica"], outputs["kernel"])):
-            if r != k:
-                print(f"    instance {i}: replica={r} kernel={k}")
-    return {
-        "replica_enum_time_s": round(timings["replica"], 6),
-        "kernel_enum_time_s": round(timings["kernel"], 6),
-        "speedup": round(speedup, 3),
-        "peak_scratch_bytes": int(peak_scratch),
-        "outputs_agree": agree,
-        "instances": len(instances),
-    }
-
-
 def bench_backend(workloads, repeats: int) -> dict:
-    """Frontier-batched backend vs the iterative default (schema 4).
+    """Frontier-batched backend vs the iterative default.
 
     Two gates.  **Identity**: on every workload query the vectorized
     backend must reproduce the iterative engine's match *sequences* and
@@ -589,6 +421,13 @@ def compare_against_baseline(report: dict, baseline: dict, tolerance: float) -> 
     runner; improvements always pass.
     """
     ok = True
+    if baseline.get("schema") != report["schema"]:
+        print(
+            f"  compare: PROFILE MISMATCH on schema: "
+            f"{baseline.get('schema')!r} -> {report['schema']!r} "
+            "(re-record the baseline with this script's --output)"
+        )
+        ok = False
     base_rows = {
         (r["dataset"], r["query_size"]): r for r in baseline.get("workloads", [])
     }
@@ -673,8 +512,6 @@ def main(argv: list[str] | None = None) -> int:
         f"enumerator={enum_strategy!r})"
     )
     rows = bench_end_to_end(workloads, repeats, enum_strategy)
-    print("kernel self-check (buffered galloping vs pre-kernel replica)")
-    selfcheck = bench_selfcheck(workloads, repeats)
     print("backend scenario (frontier-batched vectorized vs iterative)")
     backend = bench_backend(workloads, repeats)
     print("repeated-workload scenario (cold planning vs plan-cache hits)")
@@ -687,7 +524,6 @@ def main(argv: list[str] | None = None) -> int:
         "quick": bool(args.quick),
         "enum_strategy": enum_strategy,
         "workloads": rows,
-        "selfcheck": selfcheck,
         "backend": backend,
         "plan_cache": plan_cache,
         "sharded": sharded,
@@ -702,15 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"report written to {out_path}")
 
-    ok = selfcheck["outputs_agree"]
-    if not ok:
-        print("SELF-CHECK FAILED: kernel and replica outputs disagree")
-    if selfcheck["speedup"] < 1.0:
-        print(
-            "SELF-CHECK FAILED: kernel path slower than pre-kernel replica "
-            f"({selfcheck['speedup']:.2f}x)"
-        )
-        ok = False
+    ok = True
     if not backend["agree"]:
         print(
             "BACKEND FAILED: vectorized output differs from iterative "

@@ -9,8 +9,11 @@ defaults below are sized for a complete suite run in tens of minutes on a
 laptop.  For paper-scale runs use the ``repro-bench`` CLI with larger
 ``--queries`` / ``--epochs`` / ``--time-limit``.
 
-Each experiment's printed tables are also written to ``results/<id>.txt``
-so the regenerated figures survive pytest's output capture.
+Each experiment's printed tables are also written to ``<id>.txt`` so the
+regenerated figures survive pytest's output capture — into a pytest temp
+directory by default, because most tables carry wall-clock columns and a
+test run must not rewrite tracked files.  ``REPRO_RESULTS_DIR=results``
+is the one deliberate way to regenerate the committed ``results/``.
 """
 
 from __future__ import annotations
@@ -68,15 +71,17 @@ def harness() -> Harness:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    path = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
+def results_dir(tmp_path_factory) -> Path:
+    if "REPRO_RESULTS_DIR" not in os.environ:
+        return tmp_path_factory.mktemp("results")
+    path = Path(os.environ["REPRO_RESULTS_DIR"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 @pytest.fixture()
 def record(results_dir):
-    """Run an experiment, echo its tables, and tee them to results/."""
+    """Run an experiment, echo its tables, and tee them to ``results_dir``."""
 
     def _record(name: str, fn, *args, **kwargs):
         buffer = io.StringIO()

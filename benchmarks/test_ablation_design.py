@@ -1,18 +1,14 @@
 """Design-choice ablations beyond the paper's Fig. 7.
 
-Three choices DESIGN.md calls out:
+Two choices DESIGN.md calls out:
 
 1. PPO vs plain REINFORCE (the paper's Sec. III-H discussion),
-2. the reward squashing ``f_enum`` (absolute log-gap vs log-ratio),
-3. candidate-space-indexed vs direct local-candidate computation in the
-   shared enumerator (CECI/DP-iso auxiliary structure).
+2. the reward squashing ``f_enum`` (absolute log-gap vs log-ratio).
 
-(1) and (2) compare end-to-end order quality; (3) must leave the match
-set and ``#enum`` untouched and only change constants.
+Both compare end-to-end order quality.
 """
 
 import math
-import time
 
 from repro.bench.reporting import print_table
 from repro.core import RLQVOTrainer
@@ -74,71 +70,3 @@ def test_algorithm_and_reward_ablation(benchmark, harness, record):
         lambda: record("ablation_design", run), rounds=1, iterations=1
     )
     assert all(math.isfinite(v) and v >= 0 for v in payload.values())
-
-
-def test_candidate_space_preserves_semantics(benchmark, harness, record):
-    """CS-indexed / iterative enumeration: identical matches and ``#enum``.
-
-    The ablation pins ``strategy="recursive"`` for the direct/CS-indexed
-    pair — ``use_candidate_space`` only exists on the recursive engine —
-    and adds the default iterative engine as a third column so the
-    production path is differential-tested at bench scale too.
-    """
-
-    def run():
-        dataset = "yeast"
-        data = load_dataset(dataset)
-        stats = dataset_stats(dataset)
-        workload = harness.workload(dataset, 8)
-        gql = GQLFilter()
-        plain = Enumerator(match_limit=None, time_limit=5.0, strategy="recursive")
-        indexed = Enumerator(
-            match_limit=None, time_limit=5.0, strategy="recursive",
-            use_candidate_space=True,
-        )
-        iterative = Enumerator(match_limit=None, time_limit=5.0)
-        rows = []
-        payload = []
-        for i, query in enumerate(workload.eval):
-            candidates = gql.filter(query, data, stats)
-            if candidates.has_empty():
-                continue
-            order = RIOrderer().order(query, data, candidates, stats)
-            t0 = time.perf_counter()
-            a = plain.run(query, data, candidates, order)
-            t_plain = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            b = indexed.run(query, data, candidates, order)
-            t_indexed = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            c = iterative.run(query, data, candidates, order)
-            t_iter = time.perf_counter() - t0
-            payload.append(
-                {
-                    "matches_equal": a.num_matches == b.num_matches
-                    == c.num_matches,
-                    "enum_equal": a.num_enumerations == b.num_enumerations
-                    == c.num_enumerations,
-                    "t_plain": t_plain,
-                    "t_indexed": t_indexed,
-                    "t_iterative": t_iter,
-                }
-            )
-            rows.append(
-                [i, a.num_matches, a.num_enumerations,
-                 f"{t_plain * 1e3:.1f}ms", f"{t_indexed * 1e3:.1f}ms",
-                 f"{t_iter * 1e3:.1f}ms"]
-            )
-        print_table(
-            ["q", "matches", "#enum", "direct", "cs-indexed", "iterative"],
-            rows,
-            title="Ablation — candidate-space enumeration (yeast Q8)",
-        )
-        return payload
-
-    payload = benchmark.pedantic(
-        lambda: record("ablation_candidate_space", run), rounds=1, iterations=1
-    )
-    assert payload
-    assert all(entry["matches_equal"] for entry in payload)
-    assert all(entry["enum_equal"] for entry in payload)

@@ -14,13 +14,26 @@ to the same ``main`` functions the ``python -m`` invocations use:
 ``repro-server``     :func:`repro.server.cli.main`
 ``repro-loadtest``   :func:`repro.server.loadgen.main`
 ===================  ==========================================
+
+The version is not written here: it is read from
+``src/repro/__init__.py`` (``repro.__version__``), the one place it is
+declared.
 """
+
+import re
+from pathlib import Path
 
 from setuptools import find_packages, setup
 
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
 setup(
     name="repro-subgraph-matching",
-    version="0.8.0",
+    version=VERSION,
     description=(
         "Reproduction of the RL-based query-vertex-ordering model for "
         "subgraph matching (ICDE 2022), with serving and benchmarking tiers"

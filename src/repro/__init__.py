@@ -39,9 +39,7 @@ from repro.matching import (
     CandidateSets,
     Enumerator,
     GQLFilter,
-    IterativeEnumerator,
     MatchingContext,
-    MatchingEngine,
     MatchResult,
     MatchStream,
     Orderer,
@@ -66,7 +64,6 @@ __all__ = [
     "GQLFilter",
     "Graph",
     "GraphStats",
-    "IterativeEnumerator",
     "MatchRequest",
     "MatchResponse",
     "MatchResult",
@@ -74,7 +71,6 @@ __all__ = [
     "MatchStream",
     "Matcher",
     "MatchingContext",
-    "MatchingEngine",
     "Orderer",
     "PlanCache",
     "QueryPlan",

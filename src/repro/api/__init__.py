@@ -1,20 +1,20 @@
 """repro.api — the documented entry point: prepare once, query many.
 
-The low-level pipeline (``GQLFilter`` + ``Orderer`` + ``Enumerator`` +
-``MatchingEngine``) recomputes data-graph-side state on every run.  This
-package wraps it in a service-shaped facade: a :class:`Matcher` binds one
-data graph — statistics, label/degree indices and (for the learned
-orderer) the trained model are loaded exactly once, at construction —
-and then answers any number of queries through four verbs:
+The low-level components (``GQLFilter`` + ``Orderer`` + ``Enumerator``)
+are composed in exactly one place, a service-shaped facade: a
+:class:`Matcher` binds one data graph — statistics, label/degree indices
+and (for the learned orderer) the trained model are loaded exactly once,
+at construction — and then answers any number of queries through four
+verbs:
 
 * :meth:`Matcher.plan` — Phases (1)–(2): a frozen, serializable
   :class:`QueryPlan` (component names, matching order, candidate counts,
   timings, static cost estimate, candidate-space footprint);
 * :meth:`Matcher.execute` — Phase (3) on a plan, a full ``MatchResult``;
 * :meth:`Matcher.match` / :meth:`Matcher.match_many` — both phases, one
-  query or a workload, bit-identical to ``MatchingEngine.run`` on match
+  query or a workload, bit-identical to ``plan`` + ``execute`` on match
   sequences and ``#enum``;
-* :meth:`Matcher.stream` — lazy embeddings from the iterative engine,
+* :meth:`Matcher.stream` — lazy embeddings from the configured engine,
   stopping after ``limit`` matches without finishing the search.
 
 Components are chosen by plain strings through the

@@ -1,19 +1,17 @@
 """The prepare-once / query-many :class:`Matcher` facade.
 
-``MatchingEngine`` composes the pipeline per *call*: every ``run`` is
-handed the data graph again and recomputes whatever data-graph-side
-state the components need.  A production deployment answers many queries
-against **one** large data graph, so :class:`Matcher` inverts the
-binding: the data graph, its :class:`~repro.graphs.stats.GraphStats`,
-the resolved components and (for the learned orderer) the loaded RL
-model are all fixed at construction, and every subsequent call pays only
-per-query work.
+A production deployment answers many queries against **one** large data
+graph, so :class:`Matcher` — the one composition of the filter → order →
+enumerate pipeline (Algorithm 1) — binds the data-graph side once: the
+data graph, its :class:`~repro.graphs.stats.GraphStats`, the resolved
+components and (for the learned orderer) the loaded RL model are all
+fixed at construction, and every subsequent call pays only per-query
+work.
 
 The phase split is explicit: :meth:`Matcher.plan` runs Phases (1)–(2)
 and returns a frozen :class:`~repro.api.plan.QueryPlan`;
 :meth:`Matcher.execute` runs Phase (3) on a plan;
-:meth:`Matcher.match` composes both and is bit-identical to
-``MatchingEngine.run`` on match sequences and ``#enum``;
+:meth:`Matcher.match` composes both;
 :meth:`Matcher.match_many` batches a workload; :meth:`Matcher.stream`
 lazily yields embeddings and stops after ``limit`` matches without
 finishing the search.  Components are named by plain strings resolved
@@ -271,11 +269,11 @@ class Matcher:
     ) -> QueryPlan:
         """Run filtering and ordering; return a frozen :class:`QueryPlan`.
 
-        Mirrors the engine's phase accounting exactly: the per-edge
-        candidate index is built here (billed to ``filter_time``) when
-        the enumerator consumes it, and a query with an empty candidate
-        set short-circuits to the identity order without billing the
-        ordering phase.
+        Phase accounting: the per-edge candidate index is built here,
+        exactly once per query, and billed to ``filter_time`` like every
+        other Phase (1) artifact; a query with an empty candidate set
+        short-circuits to the identity order without running (or
+        billing) the ordering phase.
 
         With a :attr:`plan_cache` attached (and no explicit ``rng`` —
         sampled orders are never cached), this consults the cache first;
@@ -379,7 +377,7 @@ class Matcher:
         context = MatchingContext(query, self.data, candidates, self.stats)
         if candidates.has_empty():
             # No embedding can exist; the identity order stands in for
-            # the never-computed φ, exactly as in MatchingEngine.run.
+            # the never-computed φ and the ordering phase is billed 0.
             t1 = time.perf_counter()
             return QueryPlan(
                 query=query,
@@ -403,10 +401,11 @@ class Matcher:
             and query.num_vertices > 0
             and query.is_connected()
         )
-        if self.enumerator.needs_space and not sharding:
-            # Phase (1) artifact: billed to filter_time, like the engine.
-            # Sharded plans enumerate per shard, so the *global* index is
-            # never needed — each shard builds (and bills) its own.
+        if not sharding:
+            # Phase (1) artifact: built once here, billed to filter_time,
+            # then shared by the orderer and the enumerator.  Sharded
+            # plans enumerate per shard, so the *global* index is never
+            # needed — each shard builds (and bills) its own.
             context.ensure_space()
         t1 = time.perf_counter()
         order = self.orderer.order_context(context, rng)
@@ -429,8 +428,8 @@ class Matcher:
             orderer_name=self.orderer_name,
             enumerator_name=self.enumerator_name,
             # Per-shard Phase (1) work (filters, halos, spaces) is Phase
-            # (1) work: billed into filter_time, like the engine bills
-            # the candidate-space build.
+            # (1) work: billed into filter_time, like the unsharded
+            # candidate-space build.
             filter_time=(t1 - t0) + shard_filter_time,
             order_time=t2 - t1,
             build_time=time.perf_counter() - t0,
@@ -454,7 +453,6 @@ class Matcher:
             root,
             ecc,
             self.candidate_filter,
-            self.enumerator.needs_space,
         )
         shard_plans = []
         for run, (lo, hi) in zip(runs, self.sharded.ranges):
@@ -560,7 +558,7 @@ class Matcher:
         return MatchingContext(plan.query, self.data, candidates, self.stats)
 
     def _shard_runs_for(
-        self, plan: QueryPlan, context: MatchingContext, needs_space: bool
+        self, plan: QueryPlan, context: MatchingContext
     ) -> "list[ShardRun] | None":
         """Live (or deterministically rebuilt) shard runs of a sharded plan.
 
@@ -595,7 +593,6 @@ class Matcher:
             root,
             ecc,
             self.candidate_filter,
-            needs_space,
         )
 
     def execute(
@@ -628,7 +625,7 @@ class Matcher:
         if context.candidates.has_empty():
             empty = EnumerationResult(0, 0, 0.0, False, False, ())
             return MatchResult(plan.order, empty, plan.filter_time, plan.order_time)
-        runs = self._shard_runs_for(plan, context, engine.needs_space)
+        runs = self._shard_runs_for(plan, context)
         if runs is not None:
             return self._execute_sharded(plan, engine, runs, executor)
         enumeration = engine.run_context(context, plan.order)
@@ -723,7 +720,7 @@ class Matcher:
 
         Plans the query, then returns a
         :class:`~repro.matching.enumeration.MatchStream` over the
-        iterative engine: embeddings arrive one at a time (tuples
+        configured engine: embeddings arrive one at a time (tuples
         indexed by query vertex), the search suspends between matches,
         and ``limit=k`` stops after the k-th match without completing
         the search — with ``#enum`` identical to a batch run under
@@ -750,7 +747,7 @@ class Matcher:
         if context.candidates.has_empty():
             return MatchStream.empty(context)
         match_limit = engine.match_limit if limit is None else limit
-        runs = self._shard_runs_for(plan, context, engine.needs_space)
+        runs = self._shard_runs_for(plan, context)
         if runs is not None:
             return ShardedMatchStream(engine, runs, plan.order, match_limit)
         return engine.stream_context(context, plan.order, match_limit)

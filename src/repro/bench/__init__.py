@@ -8,7 +8,6 @@ from repro.bench.harness import (
     BenchSettings,
     Harness,
     QueryOutcome,
-    method_engine,
     method_matcher,
 )
 from repro.bench.profiling import QueryProfile, profile_query, profile_workload
@@ -32,7 +31,6 @@ __all__ = [
     "format_seconds",
     "format_table",
     "geometric_mean",
-    "method_engine",
     "method_matcher",
     "percentile_series",
     "print_table",

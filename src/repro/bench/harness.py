@@ -41,7 +41,7 @@ from repro.datasets.workloads import QueryWorkload, query_workload
 from repro.errors import DatasetError
 from repro.graphs.graph import Graph
 from repro.matching.candidates import CandidateFilter
-from repro.matching.engine import MatchingEngine, MatchResult
+from repro.matching.engine import MatchResult
 from repro.matching.enumeration import Enumerator
 from repro.matching.filters import CFLFilter, DPisoFilter, GQLFilter, LDFFilter
 from repro.matching.ordering import (
@@ -59,7 +59,6 @@ __all__ = [
     "QueryOutcome",
     "Harness",
     "METHODS",
-    "method_engine",
     "method_matcher",
 ]
 
@@ -99,10 +98,9 @@ class BenchSettings:
     hidden_dim: int = 64
     num_gnn_layers: int = 2
     seed: int = 0
-    #: Enumeration engine used across the suite ("iterative",
-    #: "recursive" or "vectorized"); the recursive oracle is exposed so
-    #: regressions can be bisected to the engine, and the vectorized
-    #: backend is selectable so CI can race it over the same workloads.
+    #: Enumeration engine used across the suite ("iterative" or
+    #: "vectorized"); selectable so CI can race the vectorized backend
+    #: over the same workloads.
     enum_strategy: str = "iterative"
 
     def __post_init__(self) -> None:
@@ -170,17 +168,6 @@ class QueryOutcome:
     charged_time: float
 
 
-def method_engine(
-    method: str, enumerator: Enumerator, orderer: Orderer | None = None
-) -> MatchingEngine:
-    """Build the matching engine for a registry method.
-
-    ``rlqvo`` needs its trained ``orderer`` passed explicitly.
-    """
-    candidate_filter, resolved_orderer = _method_components(method, orderer)
-    return MatchingEngine(candidate_filter, resolved_orderer, enumerator)
-
-
 def method_matcher(
     method: str,
     data: Graph,
@@ -190,31 +177,24 @@ def method_matcher(
 ) -> Matcher:
     """Prepare-once facade for a registry method over one data graph.
 
-    The :class:`~repro.api.matcher.Matcher` equivalent of
-    :func:`method_engine`: the returned matcher has all data-graph-side
-    state (stats, components, the trained ``rlqvo`` orderer) bound at
-    construction, so a whole workload can be answered against it.
+    The returned :class:`~repro.api.matcher.Matcher` has all
+    data-graph-side state (stats, components, the trained ``rlqvo``
+    orderer — which must be passed explicitly) bound at construction,
+    so a whole workload can be answered against it.
     """
-    candidate_filter, resolved_orderer = _method_components(method, orderer)
-    return Matcher(
-        data, filter=candidate_filter, orderer=resolved_orderer,
-        enumerator=enumerator, stats=stats,
-    )
-
-
-def _method_components(
-    method: str, orderer: Orderer | None
-) -> tuple[CandidateFilter, Orderer]:
-    """Resolve a method name to (filter, orderer) instances — the single
-    dispatch shared by :func:`method_engine` and :func:`method_matcher`."""
     if method == "rlqvo":
         if orderer is None:
             raise DatasetError("method 'rlqvo' needs a trained orderer")
-        return GQLFilter(), orderer
-    if method not in METHODS:
+        candidate_filter: CandidateFilter = GQLFilter()
+    elif method in METHODS:
+        filter_cls, orderer_cls = METHODS[method]
+        candidate_filter, orderer = filter_cls(), orderer_cls()
+    else:
         raise DatasetError(f"unknown method {method!r}; options: {sorted(METHODS)}")
-    filter_cls, orderer_cls = METHODS[method]
-    return filter_cls(), orderer_cls()
+    return Matcher(
+        data, filter=candidate_filter, orderer=orderer,
+        enumerator=enumerator, stats=stats,
+    )
 
 
 class Harness:

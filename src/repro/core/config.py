@@ -47,11 +47,9 @@ class RLQVOConfig:
         (:data:`repro.matching.enumeration.DEFAULT_TIME_LIMIT`).
     enum_strategy:
         Enumeration engine used for reward rollouts: ``"iterative"``
-        (default, depth-independent), ``"recursive"`` (the original
-        engine, kept as a differential-testing oracle) or
-        ``"vectorized"`` (the frontier-batched numpy backend —
-        bit-identical rewards, fewer interpreter steps on
-        enumeration-heavy rollouts).
+        (default, depth-independent) or ``"vectorized"`` (the
+        frontier-batched numpy backend — bit-identical rewards, fewer
+        interpreter steps on enumeration-heavy rollouts).
     use_entropy_reward / use_validity_reward:
         Toggles for the NoEnt / NoVal ablations.
     seed:

@@ -13,10 +13,10 @@ integers.  Adjacency is stored as a single contiguous CSR pair
 ``(indptr, indices)`` of int64 arrays — the canonical representation the
 whole matching stack (filters, :class:`CandidateSpace`, the iterative
 enumerator) consumes.  Per-vertex neighbour lists are zero-copy slices of
-``indices``; the frozenset views used by the recursive oracle engine's
-O(1) membership tests are derived lazily, per vertex, on first access, so
-pipelines that never touch the recursive paths never pay for the Python
-object churn.
+``indices``; the frozenset views behind :meth:`Graph.neighbor_set`'s
+O(1) membership tests (orderer heuristics, the set-based filters) are
+derived lazily, per vertex, on first access, so CSR-only pipelines never
+pay for the Python object churn.
 
 Construction is vectorized: edges are normalized and de-duplicated with
 one ``np.unique`` over an encoded edge-key array instead of Python set
@@ -177,8 +177,8 @@ class Graph:
         self._num_edges = int(indices.size) // 2
         self._degrees = np.diff(indptr)
         self._degrees.setflags(write=False)
-        # Lazy views: frozenset neighbourhoods (recursive-engine membership
-        # tests) and the tuple-of-tuples edge list.
+        # Lazy views: frozenset neighbourhoods (O(1) membership tests)
+        # and the tuple-of-tuples edge list.
         self._neighbor_sets: list[frozenset[int] | None] | None = None
         self._edge_list: tuple[tuple[int, int], ...] | None = None
 
@@ -269,8 +269,8 @@ class Graph:
     def neighbor_set(self, v: int) -> frozenset[int]:
         """Neighbours of ``v`` as a frozenset (O(1) membership).
 
-        Materialized lazily, one vertex at a time: only the recursive
-        oracle engine and a few heuristics take this path, so CSR-only
+        Materialized lazily, one vertex at a time: only the orderer
+        heuristics and the set-based filters take this path, so CSR-only
         pipelines never build the sets.
         """
         sets = self._neighbor_sets

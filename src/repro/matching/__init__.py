@@ -1,4 +1,4 @@
-"""Subgraph matching substrate: filters, orderings, enumeration, engine.
+"""Subgraph matching substrate: filters, orderings, enumeration.
 
 Data flows through one CSR-flat storage chain: :class:`repro.graphs.Graph`
 holds adjacency as contiguous ``(indptr, indices)`` int64 buffers, the
@@ -8,10 +8,10 @@ as flat ``(offsets, concat_indices)`` buffers plus dense position maps.
 
 :class:`MatchingContext` bundles those Phase (1) artifacts — query, data,
 candidates, candidate space — into the object that travels through the
-pipeline: :meth:`MatchingEngine.run` builds it once per query (the space
-build is billed to ``filter_time``), hands it to the orderer via
-:meth:`Orderer.order_context` and to the enumerator via
-:meth:`Enumerator.run_context`.  Callers that enumerate one instance many
+pipeline: :meth:`repro.api.Matcher.plan` builds it once per query (the
+space build is billed to ``filter_time``), hands it to the orderer via
+:meth:`Orderer.order_context`, and :meth:`repro.api.Matcher.execute`
+hands it to the enumerator via :meth:`Enumerator.run_context`.  Callers that enumerate one instance many
 times (reward rollouts, optimal-order sweeps, profiling) construct a
 context themselves and reuse it; the positional ``Enumerator.run``
 signature remains as a one-shot convenience.
@@ -21,13 +21,12 @@ from repro.matching.bipartite import has_semi_perfect_matching, hopcroft_karp
 from repro.matching.candidate_space import CandidateSpace
 from repro.matching.candidates import CandidateFilter, CandidateSets
 from repro.matching.context import MatchingContext
-from repro.matching.engine import MatchingEngine, MatchResult
+from repro.matching.engine import MatchResult
 from repro.matching.enumeration import (
     DEFAULT_TIME_LIMIT,
     ENUMERATION_STRATEGIES,
     EnumerationResult,
     Enumerator,
-    IterativeEnumerator,
     MatchStream,
 )
 from repro.matching.enumeration_iter import intersect_sorted
@@ -78,14 +77,12 @@ __all__ = [
     "EnumerationResult",
     "Enumerator",
     "FILTERS",
-    "IterativeEnumerator",
     "GQLFilter",
     "GQLOrderer",
     "LDFFilter",
     "MatchResult",
     "MatchStream",
     "MatchingContext",
-    "MatchingEngine",
     "NLFFilter",
     "ORDERERS",
     "OptimalOrderer",

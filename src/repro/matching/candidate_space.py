@@ -18,14 +18,10 @@ ndarray objects on real data graphs.
 Building the index is fully vectorized over the data graph's CSR arrays:
 the neighbourhoods of all candidates are gathered in one shot and
 filtered against ``C(u')`` with a single ``searchsorted`` membership
-test.  The frozenset views used by the recursive engine's membership
-tests are derived lazily, one edge direction at a time, on first access —
-a build that only ever feeds the iterative engine never pays for them.
+test.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
@@ -35,7 +31,6 @@ from repro.matching.candidates import CandidateSets
 
 __all__ = ["CandidateSpace"]
 
-_EMPTY: frozenset[int] = frozenset()
 _EMPTY_ARRAY = np.empty(0, dtype=np.int64)
 _EMPTY_ARRAY.setflags(write=False)
 
@@ -51,7 +46,7 @@ class CandidateSpace:
         Complete candidate sets from any filter.
     """
 
-    __slots__ = ("query", "data", "candidates", "_positions", "_flat", "_set_views")
+    __slots__ = ("query", "data", "candidates", "_positions", "_flat")
 
     def __init__(self, query: Graph, data: Graph, candidates: CandidateSets):
         if candidates.num_query_vertices != query.num_vertices:
@@ -64,8 +59,6 @@ class CandidateSpace:
         self._positions: dict[int, np.ndarray] = {}
         #: (u, u') -> (offsets, concat_indices) flat adjacency buffers.
         self._flat: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        #: Lazily derived frozenset views, one direction at a time.
-        self._set_views: dict[tuple[int, int], dict[int, frozenset[int]]] = {}
         indptr, indices = data.csr
         for u, u_prime in query.edges():
             self._flat[(u, u_prime)] = self._build_direction(
@@ -156,71 +149,14 @@ class CandidateSpace:
         offsets, concat = flat
         return concat[offsets[p] : offsets[p + 1]]
 
-    def edge_candidates(self, u: int, u_prime: int, v: int) -> frozenset[int]:
-        """:meth:`edge_candidates_array` as a frozenset (lazy view)."""
-        direction = self._sets_for((u, u_prime))
-        if direction is None:
-            raise FilterError(f"({u}, {u_prime}) is not a query edge")
-        return direction.get(v, _EMPTY)
-
-    def _sets_for(
-        self, key: tuple[int, int]
-    ) -> dict[int, frozenset[int]] | None:
-        """Frozenset view of one edge direction (built on first use)."""
-        sets = self._set_views.get(key)
-        if sets is None:
-            flat = self._flat.get(key)
-            if flat is None:
-                return None
-            offsets, concat = flat
-            source = self.candidates.array(key[0]).tolist()
-            bounds = offsets.tolist()
-            values = concat.tolist()
-            sets = {
-                v: frozenset(values[bounds[p] : bounds[p + 1]])
-                for p, v in enumerate(source)
-            }
-            self._set_views[key] = sets
-        return sets
-
-    def local_candidates(
-        self, u: int, mapped: list[tuple[int, int]]
-    ) -> frozenset[int]:
-        """Candidates of ``u`` adjacent to every mapped backward neighbour.
-
-        ``mapped`` lists ``(backward query vertex, its image)`` pairs.
-        With no backward neighbours this is the full candidate set.
-        """
-        if not mapped:
-            return self.candidates.get(u)
-        # Intersect the per-edge adjacency sets, smallest first.
-        sets = [
-            self.edge_candidates(u_prime, u, image) for u_prime, image in mapped
-        ]
-        sets.sort(key=len)
-        result = sets[0]
-        for s in sets[1:]:
-            if not result:
-                break
-            result = result & s
-        return result
-
     def memory_bytes(self) -> int:
-        """Index footprint: flat buffers, position maps, and lazy views.
-
-        Each canonical buffer is counted exactly once; frozenset views
-        are counted via their actual object sizes when (and only when)
-        they have been materialized — no double-charging the same
-        adjacency entries at 8 bytes twice.
-        """
+        """Index footprint: flat buffers plus position maps, each once."""
         total = sum(
             offsets.nbytes + concat.nbytes for offsets, concat in self._flat.values()
         )
-        total += sum(positions.nbytes for positions in self._positions.values())
-        for direction in self._set_views.values():
-            total += sys.getsizeof(direction)
-            total += sum(sys.getsizeof(adjacent) for adjacent in direction.values())
-        return total
+        return total + sum(
+            positions.nbytes for positions in self._positions.values()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         pairs = sum(offsets.size - 1 for offsets, _ in self._flat.values())

@@ -36,8 +36,8 @@ class CandidateSets:
     """Per-query-vertex candidate sets ``C(u)``.
 
     Canonically stores each ``C(u)`` as a sorted int64 array; the
-    frozenset view (membership tests in the recursive engine) is
-    materialized lazily per vertex.
+    frozenset view (membership tests in the set-based filters and
+    orderers) is materialized lazily per vertex.
     """
 
     __slots__ = ("_arrays", "_sets")

@@ -8,14 +8,14 @@ privately, which made "how many times was Phase (1) paid?" depend on
 cache hits.  :class:`MatchingContext` makes the sharing explicit: it
 bundles the query, the data graph, the candidate sets and the (lazily
 or eagerly built) candidate space into one object that
-:class:`~repro.matching.engine.MatchingEngine`, the orderers, both
-enumeration engines, the RL reward rollouts and the benchmark harness
-all pass around.
+:class:`~repro.api.matcher.Matcher`, the orderers, both enumeration
+engines, the RL reward rollouts and the benchmark harness all pass
+around.
 
-``MatchingEngine.run`` builds the space exactly once, inside the
-filtering phase (so it is billed to ``filter_time``, as the paper bills
-all Phase (1) work); standalone callers that construct a context
-directly get the space on first use of :attr:`MatchingContext.space`.
+``Matcher.plan`` builds the space exactly once, inside the filtering
+phase (so it is billed to ``filter_time``, as the paper bills all
+Phase (1) work); standalone callers that construct a context directly
+get the space on first use of :attr:`MatchingContext.space`.
 
 Concurrency: once built, a context is read-only — both enumeration
 engines and the orderers treat the candidate arrays and the per-edge

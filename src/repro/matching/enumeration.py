@@ -7,7 +7,8 @@ local candidate set (Line 6): candidates of ``u`` adjacent to the images
 of all backward neighbours ``N^φ_+(u)`` and not already used
 (injectivity).
 
-Two engines implement the procedure:
+Two engines implement the procedure, selected by
+``Enumerator(strategy=...)``:
 
 * ``strategy="iterative"`` (the default) — an explicit-stack DFS over
   per-depth cursors into sorted numpy candidate arrays, with local
@@ -15,37 +16,37 @@ Two engines implement the procedure:
   :class:`~repro.matching.candidate_space.CandidateSpace` flat per-edge
   index (see :mod:`repro.matching.enumeration_iter`).  It uses O(1)
   Python stack frames regardless of query depth, so deep path queries
-  that used to die with :class:`RecursionError` now enumerate fine, and
-  the flat loop sheds most of the per-call interpreter overhead.
-* ``strategy="recursive"`` — the original one-frame-per-vertex
-  recursion.  It is kept as the *differential-testing oracle*: both
-  engines visit candidates in ascending vertex order, so match
-  sequences and ``#enum`` are bit-identical (including under
-  ``match_limit`` truncation), and the equivalence tests compare them
-  on random instances.  Note its depth is bounded by
-  ``sys.getrecursionlimit()`` — it is not for production paths.
+  enumerate fine, and the flat loop sheds most of the per-call
+  interpreter overhead.
 * ``strategy="vectorized"`` — the frontier-batched backend
   (:mod:`repro.matching.enumeration_batch`): the same DFS above the
   three deepest depths, with everything below a depth-``n-3`` node
   expanded as chunked numpy batches (bulk segment gathers, vectorized
-  membership and injectivity masks).  Match sequences and ``#enum``
-  stay bit-identical to the other engines; it trades batch-scratch
-  memory (bounded by the chunk width) for several-fold fewer
-  interpreter steps on enumeration-heavy queries.
+  membership and injectivity masks).  It trades batch-scratch memory
+  (bounded by the chunk width) for several-fold fewer interpreter steps
+  on enumeration-heavy queries.
+
+Both visit candidates in ascending vertex order, so match sequences and
+``#enum`` are bit-identical (including under ``match_limit``
+truncation).  The differential suites pin both against a plain
+one-frame-per-vertex recursion over raw adjacency — Algorithm 2 as
+written, independent of the candidate space — which lives under
+``tests/`` (``tests/recursive_oracle.py``); nothing in ``src/`` can
+select it.
 
 Shared Phase (1) artifacts (candidates + the per-edge index) travel in a
 :class:`~repro.matching.context.MatchingContext`: callers that run many
-enumerations over one instance (the matching engine, reward rollouts,
+enumerations over one instance (the ``Matcher`` facade, reward rollouts,
 the optimal-order sweep, profiling) build the context once and call
 :meth:`Enumerator.run_context`, so the candidate space is constructed
 exactly once per instance instead of being re-derived behind a private
 LRU cache.  The positional :meth:`Enumerator.run` signature remains as a
 convenience that wraps a fresh context.
 
-``#enum`` counts the extension steps of the procedure (for the
-recursive engine, its recursive calls) — the paper's order-quality
-metric (Def. II.6).  The enumerator honours a match limit (the paper
-caps runs at the first 10^5 matches) and a wall-clock deadline
+``#enum`` counts the extension steps of the procedure (the recursive
+calls of Algorithm 2) — the paper's order-quality metric (Def. II.6).
+The enumerator honours a match limit (the paper caps runs at the first
+10^5 matches) and a wall-clock deadline
 (:data:`DEFAULT_TIME_LIMIT`, the paper's 500 s cap, unless overridden),
 reporting both in the result.
 """
@@ -78,7 +79,6 @@ __all__ = [
     "ENUMERATION_STRATEGIES",
     "EnumerationResult",
     "Enumerator",
-    "IterativeEnumerator",
     "MatchStream",
 ]
 
@@ -87,8 +87,16 @@ __all__ = [
 #: explicitly for an unlimited run.
 DEFAULT_TIME_LIMIT: float = 500.0
 
+#: strategy -> (batch driver, lazy generator): the one table
+#: :meth:`Enumerator.run_context` and :meth:`Enumerator.stream_context`
+#: both dispatch through.
+_DRIVERS: dict[str, tuple[Callable, Callable]] = {
+    "iterative": (enumerate_iterative, enumerate_lazy),
+    "vectorized": (enumerate_vectorized, enumerate_lazy_vectorized),
+}
+
 #: Engine implementations selectable via ``Enumerator(strategy=...)``.
-ENUMERATION_STRATEGIES: tuple[str, ...] = ("iterative", "recursive", "vectorized")
+ENUMERATION_STRATEGIES: tuple[str, ...] = tuple(_DRIVERS)
 
 
 @dataclass(frozen=True)
@@ -125,12 +133,8 @@ class EnumerationResult:
         return not (self.timed_out or self.limit_reached)
 
 
-class _Stop(Exception):
-    """Internal: unwinds the recursion when a limit or deadline fires."""
-
-
 class MatchStream:
-    """Lazy embedding stream over the iterative engine.
+    """Lazy embedding stream over an engine's lazy generator.
 
     Iterating yields embeddings one at a time, as tuples indexed by query
     vertex (``m[u]`` is the image of ``u``) — the same tuples, in the
@@ -288,16 +292,11 @@ class Enumerator:
         Whether to materialize embeddings (off for pure counting runs).
     check_every:
         Deadline check cadence, in extension steps.
-    use_candidate_space:
-        Recursive engine only: compute local candidates from the
-        per-edge index instead of raw adjacency scans.  The iterative
-        engine always uses the index.
     strategy:
-        ``"iterative"`` (default, depth-independent), ``"recursive"``
-        (the original engine, kept as the differential-testing oracle)
-        or ``"vectorized"`` (the frontier-batched numpy backend —
-        bit-identical output, fewer interpreter steps, batch-scratch
-        memory bounded by the chunk width).
+        ``"iterative"`` (default, depth-independent) or ``"vectorized"``
+        (the frontier-batched numpy backend — bit-identical output,
+        fewer interpreter steps, batch-scratch memory bounded by the
+        chunk width).
     """
 
     def __init__(
@@ -306,7 +305,6 @@ class Enumerator:
         time_limit: float | None = DEFAULT_TIME_LIMIT,
         record_matches: bool = False,
         check_every: int = 2048,
-        use_candidate_space: bool = False,
         strategy: str = "iterative",
     ):
         if match_limit is not None and match_limit < 1:
@@ -321,11 +319,6 @@ class Enumerator:
         self.time_limit = time_limit
         self.record_matches = record_matches
         self.check_every = max(1, check_every)
-        #: Recursive engine: precompute a CECI/DP-iso-style per-edge
-        #: candidate index and use it for local-candidate computation.
-        #: Same match set and #enum; trades index build time for cheaper
-        #: recursion steps.
-        self.use_candidate_space = use_candidate_space
         self.strategy = strategy
         # Per-thread ScratchBuffers for the vectorized batch driver:
         # reused across synchronous run_context calls on one thread
@@ -347,15 +340,6 @@ class Enumerator:
         """
         scratch = getattr(self._thread_state, "scratch", None)
         return 0 if scratch is None else scratch.peak_nbytes
-
-    @property
-    def needs_space(self) -> bool:
-        """Whether this engine consumes the per-edge candidate index.
-
-        The matching engine uses this to decide whether Phase (1) should
-        pre-build :class:`CandidateSpace` (billed to ``filter_time``).
-        """
-        return self.strategy in ("iterative", "vectorized") or self.use_candidate_space
 
     def run(
         self,
@@ -403,11 +387,39 @@ class Enumerator:
             matches = ((),) if self.record_matches else ()
             return EnumerationResult(1, 1, 0.0, False, False, matches)
 
-        if self.strategy == "iterative":
-            return self._run_iterative(context, order, backward, start_time)
+        deadline = (
+            start_time + self.time_limit if self.time_limit is not None else None
+        )
+        batch_fn, _ = _DRIVERS[self.strategy]
+        options = {}
         if self.strategy == "vectorized":
-            return self._run_vectorized(context, order, backward, start_time)
-        return self._run_recursive(context, order, backward, start_time)
+            # One ScratchBuffers per thread, rebound per query (geometric
+            # growth, never shrinks).  Safe because the batch driver fully
+            # consumes its chunk generator before returning — no user code
+            # runs while the scratch is live.
+            scratch = getattr(self._thread_state, "scratch", None)
+            if scratch is None:
+                scratch = ScratchBuffers([])
+                self._thread_state.scratch = scratch
+            options["scratch"] = scratch
+        found, enum, timed_out, limited, matches = batch_fn(
+            context,
+            order,
+            backward,
+            self.match_limit,
+            deadline,
+            self.check_every,
+            self.record_matches,
+            **options,
+        )
+        return EnumerationResult(
+            num_matches=found,
+            num_enumerations=enum,
+            elapsed=time.perf_counter() - start_time,
+            timed_out=timed_out,
+            limit_reached=limited,
+            matches=tuple(matches),
+        )
 
     def stream_context(
         self,
@@ -424,26 +436,15 @@ class Enumerator:
         of the search.  ``match_limit`` overrides the enumerator's own
         limit for this stream (pass ``None`` for find-all); the
         enumerator's ``time_limit`` applies as an absolute wall-clock
-        deadline from stream creation.  The iterative and vectorized
-        engines can suspend (the latter computes chunks ahead of the
-        pulls but publishes exact per-match counters); the recursive
-        oracle raises.
+        deadline from stream creation.  Both engines can suspend (the
+        vectorized one computes chunks ahead of the pulls but publishes
+        exact per-match counters).
         """
-        if self.strategy not in ("iterative", "vectorized"):
-            raise EnumerationError(
-                "streaming needs the iterative or vectorized engine; "
-                f"this enumerator uses strategy={self.strategy!r}"
-            )
         if match_limit == "default":
             match_limit = self.match_limit
         if match_limit is not None and match_limit < 1:
             raise EnumerationError("match_limit must be >= 1 or None")
         order, backward = self._prepare_order(context, order)
-        lazy_engine = (
-            enumerate_lazy_vectorized
-            if self.strategy == "vectorized"
-            else enumerate_lazy
-        )
         return MatchStream(
             context,
             order,
@@ -451,213 +452,5 @@ class Enumerator:
             match_limit,
             self.time_limit,
             self.check_every,
-            lazy_engine=lazy_engine,
+            lazy_engine=_DRIVERS[self.strategy][1],
         )
-
-    # ------------------------------------------------------------------
-    # Iterative engine (default)
-    # ------------------------------------------------------------------
-    def _run_iterative(
-        self,
-        context: MatchingContext,
-        order: list[int],
-        backward: list[list[int]],
-        start_time: float,
-    ) -> EnumerationResult:
-        deadline = (
-            start_time + self.time_limit if self.time_limit is not None else None
-        )
-        found, enum, timed_out, limited, matches = enumerate_iterative(
-            context,
-            order,
-            backward,
-            self.match_limit,
-            deadline,
-            self.check_every,
-            self.record_matches,
-        )
-        elapsed = time.perf_counter() - start_time
-        return EnumerationResult(
-            num_matches=found,
-            num_enumerations=enum,
-            elapsed=elapsed,
-            timed_out=timed_out,
-            limit_reached=limited,
-            matches=tuple(matches),
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorized frontier-batched engine
-    # ------------------------------------------------------------------
-    def _run_vectorized(
-        self,
-        context: MatchingContext,
-        order: list[int],
-        backward: list[list[int]],
-        start_time: float,
-    ) -> EnumerationResult:
-        deadline = (
-            start_time + self.time_limit if self.time_limit is not None else None
-        )
-        # One ScratchBuffers per thread, rebound per query (geometric
-        # growth, never shrinks).  Safe because the batch driver fully
-        # consumes its chunk generator before returning — no user code
-        # runs while the scratch is live.
-        scratch = getattr(self._thread_state, "scratch", None)
-        if scratch is None:
-            scratch = ScratchBuffers([])
-            self._thread_state.scratch = scratch
-        found, enum, timed_out, limited, matches = enumerate_vectorized(
-            context,
-            order,
-            backward,
-            self.match_limit,
-            deadline,
-            self.check_every,
-            self.record_matches,
-            scratch=scratch,
-        )
-        elapsed = time.perf_counter() - start_time
-        return EnumerationResult(
-            num_matches=found,
-            num_enumerations=enum,
-            elapsed=elapsed,
-            timed_out=timed_out,
-            limit_reached=limited,
-            matches=tuple(matches),
-        )
-
-    # ------------------------------------------------------------------
-    # Recursive engine (differential-testing oracle)
-    # ------------------------------------------------------------------
-    def _run_recursive(
-        self,
-        context: MatchingContext,
-        order: list[int],
-        backward: list[list[int]],
-        start_time: float,
-    ) -> EnumerationResult:
-        query, data, candidates = context.query, context.data, context.candidates
-        n = query.num_vertices
-        cand_sets = [candidates.get(u) for u in order]
-        cand_arrays = [candidates.array(u) for u in order]
-        neighbor_set = data.neighbor_set
-        neighbors = data.neighbors
-        degree = data.degree
-        candidate_space = context.space if self.use_candidate_space else None
-
-        images: list[int] = [-1] * n
-        used: set[int] = set()
-        matches: list[tuple[int, ...]] = []
-        state = {"enum": 0, "found": 0, "timed_out": False, "limited": False}
-        deadline = (
-            start_time + self.time_limit if self.time_limit is not None else None
-        )
-        match_limit = self.match_limit
-        check_every = self.check_every
-        record = self.record_matches
-
-        def recurse(i: int) -> None:
-            state["enum"] += 1
-            if deadline is not None and state["enum"] % check_every == 0:
-                if time.perf_counter() > deadline:
-                    state["timed_out"] = True
-                    raise _Stop
-            if i == n:
-                state["found"] += 1
-                if record:
-                    by_query_vertex = [0] * n
-                    for pos, u in enumerate(order):
-                        by_query_vertex[u] = images[pos]
-                    matches.append(tuple(by_query_vertex))
-                if match_limit is not None and state["found"] >= match_limit:
-                    state["limited"] = True
-                    raise _Stop
-                return
-
-            backs = backward[i]
-            if not backs:
-                # No mapped backward neighbour: iterate the candidate array.
-                for v in cand_arrays[i]:
-                    v = int(v)
-                    if v in used:
-                        continue
-                    images[i] = v
-                    used.add(v)
-                    recurse(i + 1)
-                    used.discard(v)
-                images[i] = -1
-                return
-
-            if candidate_space is not None:
-                # CECI/DP-iso path: intersect precomputed per-edge
-                # candidate adjacency lists.
-                u = order[i]
-                mapped = [(order[b], images[b]) for b in backs]
-                for v in candidate_space.local_candidates(u, mapped):
-                    if v in used:
-                        continue
-                    images[i] = v
-                    used.add(v)
-                    recurse(i + 1)
-                    used.discard(v)
-                images[i] = -1
-                return
-
-            # Local candidates: neighbours of the lowest-degree backward
-            # image, filtered by candidate membership, other adjacencies
-            # and injectivity (Line 6 of Algorithm 2).
-            imgs = [images[b] for b in backs]
-            pivot_idx = 0
-            if len(imgs) > 1:
-                pivot_idx = min(range(len(imgs)), key=lambda k: degree(imgs[k]))
-            pivot = imgs[pivot_idx]
-            others = imgs[:pivot_idx] + imgs[pivot_idx + 1 :]
-            cset = cand_sets[i]
-            for v in neighbors(pivot):
-                v = int(v)
-                if v not in cset or v in used:
-                    continue
-                ok = True
-                for w in others:
-                    if v not in neighbor_set(w):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                images[i] = v
-                used.add(v)
-                recurse(i + 1)
-                used.discard(v)
-            images[i] = -1
-
-        try:
-            recurse(0)
-        except _Stop:
-            pass
-        elapsed = time.perf_counter() - start_time
-        return EnumerationResult(
-            num_matches=state["found"],
-            num_enumerations=state["enum"],
-            elapsed=elapsed,
-            timed_out=state["timed_out"],
-            limit_reached=state["limited"],
-            matches=tuple(matches),
-        )
-
-
-class IterativeEnumerator(Enumerator):
-    """The array-based engine, pinned to ``strategy="iterative"``.
-
-    A convenience alias for call sites that want the depth-independent
-    engine explicitly; behaviour is exactly ``Enumerator(...)`` with the
-    default strategy, and all other parameters pass through unchanged.
-    """
-
-    def __init__(self, *args, **kwargs):
-        if "strategy" in kwargs:
-            raise EnumerationError(
-                "IterativeEnumerator pins strategy='iterative'; "
-                "use Enumerator(strategy=...) to choose an engine"
-            )
-        super().__init__(*args, strategy="iterative", **kwargs)

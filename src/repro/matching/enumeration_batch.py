@@ -35,7 +35,8 @@ and which is the ``s``-th survivor of the frontier therefore carries
 per-node engines, where a used vertex is skipped *before* it counts.
 This makes match sequences and ``#enum`` — including under
 ``match_limit`` truncation, which cuts mid-chunk using the per-survivor
-enum vector — bit-identical to ``"iterative"`` and ``"recursive"``.
+enum vector — bit-identical to ``"iterative"`` (and to the recursive
+oracle the test suite pins both engines against).
 
 Timeout checks keep the per-node engines' cadence contract (a check
 whenever ``#enum`` crosses a multiple of ``check_every``) but fire at

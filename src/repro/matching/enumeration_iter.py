@@ -1,11 +1,11 @@
 """Iterative, array-based enumeration core (explicit stack, no recursion).
 
-The recursive engine in :mod:`repro.matching.enumeration` spends one
-Python stack frame per query vertex, so a query path longer than the
-interpreter's recursion limit raises :class:`RecursionError` before the
-search even gets going.  This module holds the flat replacement: a DFS
-driven by per-depth cursors into *sorted numpy candidate arrays*, in the
-style of LIVE's and NeuSO's index-driven enumeration loops.
+Algorithm 2 written as a recursion spends one Python stack frame per
+query vertex, so a query path longer than the interpreter's recursion
+limit raises :class:`RecursionError` before the search even gets going.
+This module holds the flat production form: a DFS driven by per-depth
+cursors into *sorted numpy candidate arrays*, in the style of LIVE's
+and NeuSO's index-driven enumeration loops.
 
 Local candidates at depth ``i`` are computed by the buffered galloping
 kernels of :mod:`repro.matching.kernels` over the
@@ -24,10 +24,11 @@ The DFS allocates nothing per node, and its cursors walk the numpy
 views directly (no ``tolist()``).
 
 The traversal visits candidates in ascending vertex order — exactly the
-order the recursive engine's sorted adjacency scans produce — so the two
-engines yield *identical* match sequences and identical ``#enum``
-counts, including under ``match_limit`` truncation.  That equivalence is
-what lets the recursive engine serve as a differential-testing oracle.
+order a plain recursion over sorted adjacency scans produces — so it
+yields *identical* match sequences and identical ``#enum`` counts,
+including under ``match_limit`` truncation.  That equivalence is what
+lets the recursive oracle under ``tests/`` (``recursive_oracle.py``)
+pin this engine differentially.
 """
 
 from __future__ import annotations
@@ -191,13 +192,13 @@ def enumerate_iterative(
     Parameters mirror one :meth:`Enumerator.run` invocation after its
     shared validation: ``context`` carries the instance (its
     :class:`CandidateSpace` is built on first access when the engine
-    runs standalone; the matching engine pre-builds it in Phase (1)),
+    runs standalone; ``Matcher.plan`` pre-builds it in Phase (1)),
     ``backward`` lists backward-neighbour *positions* per position in
     ``order``, and ``deadline`` is an absolute ``time.perf_counter``
     timestamp.
 
     Returns ``(num_matches, num_enumerations, timed_out, limit_reached,
-    matches)`` with ``#enum`` counted exactly as the recursive engine
+    matches)`` with ``#enum`` counted exactly as Algorithm 2's recursion
     counts calls: one for the root plus one per extension attempt.
     """
     n = len(order)
@@ -215,7 +216,7 @@ def enumerate_iterative(
     timed_out = limited = False
     perf_counter = time.perf_counter
 
-    # Root "call" (recurse(0) in the recursive engine).
+    # Root "call" (recurse(0) in Algorithm 2's recursion).
     enum = 1
     if deadline is not None and enum % check_every == 0 and perf_counter() > deadline:
         return 0, enum, True, False, matches

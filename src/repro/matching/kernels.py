@@ -26,7 +26,7 @@ Depths with zero or one backward neighbour need no kernel at all: their
 local candidate list is a zero-copy *view* (the base candidate array,
 or one ``(offsets, concat)`` slice of the flat per-edge index), and the
 DFS driver applies injectivity per visit — one bool probe against the
-dense ``used`` map, exactly the recursive engine's check, with used
+dense ``used`` map, exactly Algorithm 2's injectivity check, with used
 vertices skipped before they count towards ``#enum``.  ``used`` is
 constant while one depth's sibling loop runs, so per-visit probing and
 list-build-time filtering admit the same candidates in the same order.

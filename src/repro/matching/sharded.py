@@ -32,7 +32,7 @@ and Phase (3) once per shard, against each shard's small local graph:
    truncation, where the merged prefix equals the unsharded prefix.
 
 ``#enum`` is reported *per shard* (and summed): each shard's count obeys
-the iterative/recursive bit-identity invariant on its own context, but
+the cross-engine bit-identity invariant on its own context, but
 the sum exceeds the unsharded ``#enum`` by the replicated root steps and
 any cross-shard halo exploration — sharding trades bounded per-shard
 memory for a little repeated work, it does not change what is found.
@@ -111,15 +111,14 @@ def build_shard_runs(
     root: int,
     ecc: int,
     candidate_filter: CandidateFilter,
-    needs_space: bool,
 ) -> list[ShardRun]:
     """Materialize every shard and run Phase (1) on each local graph.
 
     Returns one :class:`ShardRun` per ownership range, in shard order.
     ``candidates`` are the *global* Phase (1) sets (they seed the
     closures); ``ecc`` is the eccentricity of ``root`` in ``query``.
-    The candidate-space build (when ``needs_space``) is billed into the
-    run's ``filter_time``, mirroring the unsharded engine's billing.
+    The candidate-space build is billed into the run's ``filter_time``,
+    mirroring the unsharded pipeline's billing.
     """
     allowed = candidate_union_mask(sharded.source.num_vertices, candidates)
     root_global = candidates.array(root)
@@ -140,7 +139,7 @@ def build_shard_runs(
         # Root ownership: only owned seeds may root an embedding here.
         local_candidates = local_candidates.restricted(root, shard.to_local(seeds))
         context = MatchingContext(query, shard.graph, local_candidates)
-        if needs_space and not local_candidates.has_empty():
+        if not local_candidates.has_empty():
             context.ensure_space()
         runs.append(
             ShardRun(shard, context, int(seeds.size), time.perf_counter() - t0)

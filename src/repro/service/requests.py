@@ -174,10 +174,11 @@ class MatchRequest:
         this request (plans cache separately per orderer).
     enumerator:
         Enumeration-backend name overriding the dataset's configured
-        engine for this request (``"iterative"``, ``"recursive"`` or
-        ``"vectorized"``).  Backends are bit-identical on matches and
-        ``#enum``, so the override changes only the latency/memory
-        profile — plans are shared across backends.
+        engine for this request (``"iterative"`` or ``"vectorized"``;
+        anything else is a ``validation`` error).  Backends are
+        bit-identical on matches and ``#enum``, so the override changes
+        only the latency/memory profile — plans are shared across
+        backends.
     record_matches:
         Materialize embeddings into :attr:`MatchResponse.matches`.
     stream:

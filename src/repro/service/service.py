@@ -360,7 +360,6 @@ class MatchService:
             time_limit=time_limit,
             record_matches=record,
             check_every=base.check_every,
-            use_candidate_space=base.use_candidate_space,
             strategy=strategy,
         )
 

@@ -21,8 +21,8 @@ class TestResolution:
     def test_known_names_resolve_to_instances(self):
         assert isinstance(make_filter("gql"), GQLFilter)
         assert isinstance(make_orderer("ri"), RIOrderer)
-        enum = make_enumerator("recursive", match_limit=7)
-        assert enum.strategy == "recursive" and enum.match_limit == 7
+        enum = make_enumerator("vectorized", match_limit=7)
+        assert enum.strategy == "vectorized" and enum.match_limit == 7
 
     def test_instances_pass_through_unchanged(self):
         orderer = RandomOrderer(seed=3)
@@ -108,7 +108,7 @@ class TestInventory:
         assert set(inventory) == {"filter", "orderer", "enumerator"}
         assert "gql" in inventory["filter"]
         assert "rlqvo" in inventory["orderer"]
-        assert set(inventory["enumerator"]) >= {"iterative", "recursive"}
+        assert inventory["enumerator"] == ("iterative", "vectorized")
 
     def test_names_are_sorted_and_iterable(self):
         names = filter_registry.names()

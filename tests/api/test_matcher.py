@@ -1,25 +1,22 @@
-"""Matcher facade tests: bit-identity with the engine, streaming, amortization.
+"""Matcher facade tests: bit-identity with the oracle, streaming, amortization.
 
 The acceptance bar for the facade: every path through it —
 ``match``, ``match_many``, ``plan``+``execute``, ``stream`` — must
-reproduce ``MatchingEngine.run`` *bit-identically* on match sequences
-and ``#enum``, and one prepared ``Matcher`` must answer a whole
-workload while paying data-graph-side setup exactly once.
+agree *bit-identically* on match sequences and ``#enum`` with each other
+and with the manual filter → order → recursive-oracle composition, and
+one prepared ``Matcher`` must answer a whole workload while paying
+data-graph-side setup exactly once.
 """
 
 import numpy as np
 import pytest
+from recursive_oracle import RecursiveOracle
 
 import repro.graphs.stats as stats_module
-from repro import (
-    Enumerator,
-    GQLFilter,
-    Matcher,
-    MatchingEngine,
-    RIOrderer,
-)
-from repro.errors import EnumerationError, ModelError, ReproError
+from repro import Enumerator, GQLFilter, Matcher, RIOrderer
+from repro.errors import ModelError, ReproError
 from repro.graphs import Graph, GraphStats, erdos_renyi, extract_query
+from repro.matching import EnumerationResult, LDFFilter
 
 
 def _instances(seed: int, count: int, data_n: int = 60):
@@ -31,50 +28,64 @@ def _instances(seed: int, count: int, data_n: int = 60):
     return data, queries
 
 
-def _engine(**kwargs):
-    return MatchingEngine(
-        GQLFilter(), RIOrderer(), Enumerator(record_matches=True, **kwargs)
-    )
+def _reference(query, data, match_limit=None):
+    """The pipeline composed by hand over the recursive oracle.
+
+    GQL filter → RI order → Algorithm 2's plain recursion; returns
+    ``(order, EnumerationResult)``, with the identity order and an empty
+    result when some candidate set is empty.
+    """
+    candidates = GQLFilter().filter(query, data)
+    if candidates.has_empty():
+        empty = EnumerationResult(0, 0, 0.0, False, False, ())
+        return tuple(range(query.num_vertices)), empty
+    order = RIOrderer().order(query, data, candidates)
+    oracle = RecursiveOracle(match_limit=match_limit, record_matches=True)
+    return tuple(order), oracle.run(query, data, candidates, order)
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", range(8))
-    def test_match_equals_engine_run(self, seed):
+    def test_match_equals_plan_execute_and_oracle(self, seed):
         data, queries = _instances(seed, 6)
         matcher = Matcher(data, filter="gql", orderer="ri",
                           match_limit=None, record_matches=True)
-        engine = _engine(match_limit=None)
         for query in queries:
-            via_facade = matcher.match(query)
-            via_engine = engine.run(query, data)
-            assert via_facade.order == via_engine.order
-            assert via_facade.num_enumerations == via_engine.num_enumerations
+            via_match = matcher.match(query)
+            via_phases = matcher.execute(matcher.plan(query))
+            order, oracle = _reference(query, data)
+            assert via_match.order == via_phases.order == order
             assert (
-                via_facade.enumeration.matches == via_engine.enumeration.matches
+                via_match.num_enumerations
+                == via_phases.num_enumerations
+                == oracle.num_enumerations
+            )
+            assert (
+                via_match.enumeration.matches
+                == via_phases.enumeration.matches
+                == oracle.matches
             )
 
     def test_match_many_equals_per_query_runs(self):
         data, queries = _instances(3, 12)
         matcher = Matcher(data, filter="gql", orderer="ri",
                           match_limit=None, record_matches=True)
-        engine = _engine(match_limit=None)
         batched = matcher.match_many(queries)
         assert len(batched) == len(queries)
         for query, result in zip(queries, batched):
-            oracle = engine.run(query, data)
-            assert result.enumeration.matches == oracle.enumeration.matches
+            _, oracle = _reference(query, data)
+            assert result.enumeration.matches == oracle.matches
             assert result.num_enumerations == oracle.num_enumerations
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_stream_unlimited_equals_engine_run(self, seed):
+    def test_stream_unlimited_equals_oracle(self, seed):
         data, queries = _instances(seed + 100, 4)
         matcher = Matcher(data, filter="gql", orderer="ri", match_limit=None)
-        engine = _engine(match_limit=None)
         for query in queries:
-            oracle = engine.run(query, data)
+            _, oracle = _reference(query, data)
             stream = matcher.stream(query, limit=None)
             collected = tuple(stream)
-            assert collected == oracle.enumeration.matches
+            assert collected == oracle.matches
             assert stream.num_matches == oracle.num_matches
             assert stream.num_enumerations == oracle.num_enumerations
             assert stream.exhausted and not stream.timed_out
@@ -119,19 +130,107 @@ class TestBitIdentity:
             return
         pytest.skip("no query with >= 2 matches")
 
-    def test_unmatchable_query_short_circuits_like_the_engine(self):
+    def test_unmatchable_query_short_circuits(self):
         data, _ = _instances(0, 1)
         impossible = Graph([max(data.distinct_labels()) + 3], [])
         matcher = Matcher(data, filter="gql", orderer="ri")
-        engine = _engine()
-        via_facade = matcher.match(impossible)
-        via_engine = engine.run(impossible, data)
-        assert via_facade.num_matches == via_engine.num_matches == 0
-        assert via_facade.num_enumerations == via_engine.num_enumerations == 0
-        assert via_facade.order == via_engine.order
+        via_match = matcher.match(impossible)
+        via_phases = matcher.execute(matcher.plan(impossible))
+        order, oracle = _reference(impossible, data)
+        assert via_match.num_matches == via_phases.num_matches == 0
+        assert via_match.num_enumerations == via_phases.num_enumerations == 0
+        assert oracle.num_matches == 0
+        assert via_match.order == via_phases.order == order
+        assert via_match.solved
         stream = matcher.stream(impossible)
         assert list(stream) == []
         assert stream.num_enumerations == 0
+
+
+class TestPipelineContract:
+    """Algorithm 1's phase contract, pinned on the one pipeline facade."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        data = erdos_renyi(50, 140, 2, seed=31)
+        return extract_query(data, 5, np.random.default_rng(6)), data
+
+    def test_full_pipeline(self, instance):
+        query, data = instance
+        result = Matcher(data, filter="gql", orderer="ri", match_limit=None).match(
+            query
+        )
+        assert result.solved
+        assert result.num_matches > 0
+        assert sorted(result.order) == list(range(query.num_vertices))
+
+    def test_phase_timings_compose_total(self, instance):
+        query, data = instance
+        result = Matcher(data, filter="gql", orderer="ri").match(query)
+        assert result.filter_time >= 0
+        assert result.order_time >= 0
+        assert result.total_time == pytest.approx(
+            result.filter_time + result.order_time + result.enum_time
+        )
+
+    def test_equivalent_to_manual_composition(self, instance):
+        query, data = instance
+        via_facade = Matcher(
+            data, filter="gql", orderer="ri", match_limit=None
+        ).match(query)
+        candidates = GQLFilter().filter(query, data)
+        order = RIOrderer().order(query, data, candidates)
+        direct = Enumerator(match_limit=None).run(query, data, candidates, order)
+        assert via_facade.num_matches == direct.num_matches
+
+    def test_default_limits_are_the_paper_caps(self, instance):
+        _, data = instance
+        matcher = Matcher(data)
+        assert matcher.enumerator.match_limit == 100_000
+        assert matcher.enumerator.time_limit == 500.0
+
+    def test_different_filters_same_match_count(self, instance):
+        query, data = instance
+        counts = {
+            Matcher(data, filter=name, orderer="ri", match_limit=None)
+            .match(query)
+            .num_matches
+            for name in ("ldf", "gql")
+        }
+        assert len(counts) == 1
+
+    def test_empty_candidates_skip_ordering_and_bill_it_zero(self, instance):
+        _, data = instance
+        impossible = Graph([123, 123], [(0, 1)])
+
+        class ExplodingOrderer(RIOrderer):
+            """Fails the test if the ordering phase runs at all."""
+
+            def order(self, *args, **kwargs):
+                raise AssertionError("orderer must not run on empty candidates")
+
+        matcher = Matcher(data, filter=LDFFilter(), orderer=ExplodingOrderer())
+        plan = matcher.plan(impossible)
+        assert not plan.matchable
+        assert plan.order_time == 0.0
+        result = matcher.execute(plan)
+        assert result.num_matches == 0 and result.num_enumerations == 0
+        assert result.order == tuple(range(impossible.num_vertices))
+        assert result.order_time == 0.0
+        assert result.solved
+
+    def test_orderer_exception_propagates(self, instance):
+        query, data = instance
+
+        class BrokenOrderer(RIOrderer):
+            def order(self, *args, **kwargs):
+                raise RuntimeError("orderer blew up")
+
+        matcher = Matcher(data, filter="gql", orderer=BrokenOrderer())
+        with pytest.raises(RuntimeError, match="orderer blew up"):
+            matcher.plan(query)
+        with pytest.raises(RuntimeError, match="orderer blew up"):
+            matcher.match(query)
 
 
 class TestPrepareOnceQueryMany:
@@ -190,12 +289,6 @@ class TestValidation:
         plan = Matcher(data_a).plan(queries[0])
         with pytest.raises(ModelError):
             Matcher(data_b).execute(plan)
-
-    def test_recursive_enumerator_cannot_stream(self):
-        data, queries = _instances(4, 1)
-        matcher = Matcher(data, enumerator="recursive")
-        with pytest.raises(EnumerationError, match="iterative"):
-            matcher.stream(queries[0])
 
 
 class TestRLIntegration:

@@ -12,7 +12,7 @@ root step at creation; these tests pin both.
 
 import numpy as np
 
-from repro import Enumerator, GQLFilter, Matcher, MatchingEngine, RIOrderer
+from repro import Matcher
 from repro.graphs import Graph, erdos_renyi, extract_query
 
 
@@ -42,10 +42,9 @@ class TestEarlyClose:
     def test_close_between_pulls_matches_batch_accounting(self):
         data, query = _instance(3)
         matcher = Matcher(data, filter="gql", orderer="ri", match_limit=None)
-        engine = MatchingEngine(
-            GQLFilter(), RIOrderer(), Enumerator(match_limit=2)
+        oracle = Matcher(data, filter="gql", orderer="ri", match_limit=2).match(
+            query
         )
-        oracle = engine.run(query, data)
         assert oracle.num_matches >= 2, "fixture must have at least two matches"
         stream = matcher.stream(query, limit=None)
         next(stream)

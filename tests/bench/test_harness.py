@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.bench import BenchSettings, Harness, METHODS, method_engine
+from repro.bench import BenchSettings, Harness, METHODS, method_matcher
 from repro.errors import DatasetError
+from repro.graphs import erdos_renyi
 from repro.matching import Enumerator, GQLFilter, LDFFilter, RIOrderer
 from repro.matching.ordering import QSIOrderer
 
@@ -46,23 +47,29 @@ class TestMethodRegistry:
     def test_paper_baselines_registered(self):
         assert set(METHODS) == {"qsi", "ri", "vf2pp", "gql", "cfl", "veq", "hybrid"}
 
-    def test_hybrid_composition_matches_paper(self):
-        engine = method_engine("hybrid", Enumerator())
-        assert isinstance(engine.candidate_filter, GQLFilter)
-        assert isinstance(engine.orderer, RIOrderer)
+    @pytest.fixture(scope="class")
+    def data(self):
+        return erdos_renyi(20, 40, 2, seed=0)
 
-    def test_qsi_composition(self):
-        engine = method_engine("qsi", Enumerator())
-        assert isinstance(engine.candidate_filter, LDFFilter)
-        assert isinstance(engine.orderer, QSIOrderer)
+    def test_hybrid_composition_matches_paper(self, data):
+        enumerator = Enumerator()
+        matcher = method_matcher("hybrid", data, enumerator)
+        assert isinstance(matcher.candidate_filter, GQLFilter)
+        assert isinstance(matcher.orderer, RIOrderer)
+        assert matcher.enumerator is enumerator
 
-    def test_unknown_method_rejected(self):
+    def test_qsi_composition(self, data):
+        matcher = method_matcher("qsi", data, Enumerator())
+        assert isinstance(matcher.candidate_filter, LDFFilter)
+        assert isinstance(matcher.orderer, QSIOrderer)
+
+    def test_unknown_method_rejected(self, data):
         with pytest.raises(DatasetError):
-            method_engine("magic", Enumerator())
+            method_matcher("magic", data, Enumerator())
 
-    def test_rlqvo_requires_orderer(self):
+    def test_rlqvo_requires_orderer(self, data):
         with pytest.raises(DatasetError):
-            method_engine("rlqvo", Enumerator())
+            method_matcher("rlqvo", data, Enumerator())
 
 
 class TestHarnessEvaluate:

@@ -10,14 +10,9 @@ import pytest
 
 from repro.core import RLQVOConfig, RLQVOTrainer, load_model, save_model
 from repro.core.orderer import RLQVOOrderer
+from repro import Matcher
 from repro.graphs import GraphStats, check_order, chung_lu, generate_query_set
-from repro.matching import (
-    Enumerator,
-    GQLFilter,
-    MatchingEngine,
-    RandomOrderer,
-    RIOrderer,
-)
+from repro.matching import Enumerator, GQLFilter, RandomOrderer, RIOrderer
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +88,13 @@ class TestTrainedPipeline:
         assert totals["rlqvo"] < totals["random"]
         assert totals["rlqvo"] <= 2 * totals["ri"]
 
-    def test_engine_integration(self, world):
+    def test_facade_integration(self, world):
         data, stats, trainer, _, eval_queries = world
-        engine = MatchingEngine(
-            GQLFilter(), trainer.make_orderer(), Enumerator(match_limit=500)
+        matcher = Matcher(
+            data, filter="gql", orderer=trainer.make_orderer(),
+            match_limit=500, stats=stats,
         )
-        result = engine.run(eval_queries[0], data, stats)
+        result = matcher.match(eval_queries[0])
         assert result.order_time > 0
         assert sorted(result.order) == list(range(6))
 

@@ -9,7 +9,7 @@
 
 import pytest
 
-from repro.bench.harness import METHODS, method_engine
+from repro.bench.harness import METHODS, method_matcher
 from repro.core import RLQVOConfig, RLQVOTrainer
 from repro.graphs import GraphStats, chung_lu, generate_query_set
 from repro.matching import Enumerator, GQLFilter, OptimalOrderer
@@ -49,10 +49,11 @@ class TestSharedEnumerationPremise:
         for query in queries[:3]:
             counts = set()
             for name in METHODS:
-                engine = method_engine(
-                    name, Enumerator(match_limit=None, time_limit=5.0)
+                matcher = method_matcher(
+                    name, data, Enumerator(match_limit=None, time_limit=5.0),
+                    stats=stats,
                 )
-                counts.add(engine.run(query, data, stats).num_matches)
+                counts.add(matcher.match(query).num_matches)
             assert len(counts) == 1, f"methods disagree: {counts}"
 
 

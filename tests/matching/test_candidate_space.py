@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from recursive_oracle import RecursiveOracle
 
 from repro.errors import FilterError
 from repro.graphs import Graph, erdos_renyi, extract_query
@@ -28,8 +29,9 @@ class TestCandidateSpace:
         cs = CandidateSpace(query, data, candidates)
         for u, u_prime in query.edges():
             for v in candidates.get(u):
-                adjacent = cs.edge_candidates(u, u_prime, v)
-                assert adjacent <= candidates.get(u_prime)
+                adjacent = cs.edge_candidates_array(u, u_prime, v).tolist()
+                assert adjacent == sorted(adjacent)
+                assert set(adjacent) <= candidates.get(u_prime)
                 for w in adjacent:
                     assert data.has_edge(v, w)
                 # Completeness of the index within candidate sets:
@@ -51,32 +53,9 @@ class TestCandidateSpace:
         ]
         if non_edges:
             with pytest.raises(FilterError):
-                cs.edge_candidates(*non_edges[0], 0)
-
-    def test_local_candidates_match_direct_computation(self, instance):
-        query, data, candidates = instance
-        cs = CandidateSpace(query, data, candidates)
-        # Pick a query vertex with >= 2 neighbours and simulate a partial
-        # mapping of those neighbours.
-        u = max(query.vertices(), key=query.degree)
-        nbrs = [int(x) for x in query.neighbors(u)][:2]
-        images = []
-        for u_prime in nbrs:
-            pool = sorted(candidates.get(u_prime))
-            images.append(pool[0])
-        mapped = list(zip(nbrs, images))
-        via_cs = cs.local_candidates(u, mapped)
-        direct = {
-            v
-            for v in candidates.get(u)
-            if all(data.has_edge(v, img) for _, img in mapped)
-        }
-        assert set(via_cs) == direct
-
-    def test_local_candidates_no_backward(self, instance):
-        query, data, candidates = instance
-        cs = CandidateSpace(query, data, candidates)
-        assert cs.local_candidates(0, []) == candidates.get(0)
+                cs.edge_candidates_array(*non_edges[0], 0)
+            with pytest.raises(FilterError):
+                cs.edge_flat(*non_edges[0])
 
     def test_arity_mismatch_rejected(self, instance):
         query, data, _ = instance
@@ -93,13 +72,15 @@ class TestEnumeratorIntegration:
     def test_same_matches_and_enum_count(self, instance):
         query, data, candidates = instance
         order = RIOrderer().order(query, data, candidates)
-        plain = Enumerator(match_limit=None, record_matches=True).run(
+        # Space-indexed production engine vs the oracle's raw adjacency
+        # scans: same sequence, same #enum.
+        plain = RecursiveOracle(match_limit=None, record_matches=True).run(
             query, data, candidates, order
         )
-        indexed = Enumerator(
-            match_limit=None, record_matches=True, use_candidate_space=True
-        ).run(query, data, candidates, order)
-        assert set(plain.matches) == set(indexed.matches)
+        indexed = Enumerator(match_limit=None, record_matches=True).run(
+            query, data, candidates, order
+        )
+        assert plain.matches == indexed.matches
         assert plain.num_enumerations == indexed.num_enumerations
 
     def test_limits_still_honoured(self, instance):
@@ -107,9 +88,9 @@ class TestEnumeratorIntegration:
         order = RIOrderer().order(query, data, candidates)
         full = Enumerator(match_limit=None).run(query, data, candidates, order)
         if full.num_matches >= 2:
-            capped = Enumerator(
-                match_limit=full.num_matches // 2, use_candidate_space=True
-            ).run(query, data, candidates, order)
+            capped = Enumerator(match_limit=full.num_matches // 2).run(
+                query, data, candidates, order
+            )
             assert capped.limit_reached
 
     def test_triangle_automorphisms(self):
@@ -117,7 +98,5 @@ class TestEnumeratorIntegration:
         from repro.matching import LDFFilter
 
         candidates = LDFFilter().filter(tri, tri)
-        result = Enumerator(match_limit=None, use_candidate_space=True).run(
-            tri, tri, candidates, [0, 1, 2]
-        )
+        result = Enumerator(match_limit=None).run(tri, tri, candidates, [0, 1, 2])
         assert result.num_matches == 6

@@ -1,11 +1,13 @@
-"""MatchingContext tests: single Phase (1) space build, engine billing,
-and recursive-vs-iterative equivalence on the shared-context path."""
+"""MatchingContext tests: single Phase (1) space build, facade billing,
+and oracle-vs-iterative equivalence on the shared-context path."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recursive_oracle import RecursiveOracle
 
+from repro import Matcher
 from repro.errors import FilterError
 from repro.matching import (
     CandidateSets,
@@ -14,7 +16,6 @@ from repro.matching import (
     GQLFilter,
     LDFFilter,
     MatchingContext,
-    MatchingEngine,
     RIOrderer,
 )
 from repro.graphs import Graph, erdos_renyi, extract_query
@@ -58,7 +59,7 @@ class TestMatchingContext:
         with pytest.raises(FilterError):
             MatchingContext(query, data, CandidateSets([[0]]))
 
-    def test_engine_builds_space_exactly_once(self, monkeypatch):
+    def test_matcher_builds_space_exactly_once(self, monkeypatch):
         query, data, _ = _instance(2)
         builds = []
         original = CandidateSpace.__init__
@@ -68,31 +69,16 @@ class TestMatchingContext:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(CandidateSpace, "__init__", counting_init)
-        engine = MatchingEngine(GQLFilter(), RIOrderer(), Enumerator(match_limit=None))
-        result = engine.run(query, data)
+        matcher = Matcher(data, filter="gql", orderer="ri", match_limit=None)
+        plan = matcher.plan(query)
+        assert len(builds) == 1  # built in Phase (1) ...
+        result = matcher.execute(plan)
         assert result.solved
-        assert len(builds) == 1
-
-    def test_engine_skips_space_for_plain_recursive(self, monkeypatch):
-        query, data, _ = _instance(3)
-        builds = []
-        original = CandidateSpace.__init__
-
-        def counting_init(self, *args, **kwargs):
-            builds.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(CandidateSpace, "__init__", counting_init)
-        engine = MatchingEngine(
-            GQLFilter(),
-            RIOrderer(),
-            Enumerator(match_limit=None, strategy="recursive"),
-        )
-        engine.run(query, data)
-        assert builds == []
+        assert matcher.execute(plan).num_matches == result.num_matches
+        assert len(builds) == 1  # ... and shared by every execution
 
     def test_space_build_billed_to_filter_phase(self):
-        # The engine pre-builds the space before the Phase (1) timestamp,
+        # plan() pre-builds the space before the Phase (1) timestamp,
         # so the enumerator must see an already-built context.
         query, data, _ = _instance(4)
         seen = {}
@@ -102,10 +88,14 @@ class TestMatchingContext:
                 seen["has_space"] = context.has_space
                 return super().run_context(context, order)
 
-        engine = MatchingEngine(GQLFilter(), RIOrderer(), SpyEnumerator())
-        result = engine.run(query, data)
+        matcher = Matcher(
+            data, filter=GQLFilter(), orderer=RIOrderer(), enumerator=SpyEnumerator()
+        )
+        plan = matcher.plan(query)
+        assert plan.context.has_space and plan.candidate_space_bytes > 0
+        result = matcher.execute(plan)
         assert seen["has_space"] is True
-        assert result.filter_time > 0
+        assert result.filter_time == plan.filter_time > 0
 
     def test_empty_candidates_short_circuit_builds_no_space(self, monkeypatch):
         _, data, _ = _instance(5)
@@ -118,8 +108,9 @@ class TestMatchingContext:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(CandidateSpace, "__init__", counting_init)
-        engine = MatchingEngine(LDFFilter(), RIOrderer())
-        result = engine.run(impossible, data)
+        result = Matcher(data, filter=LDFFilter(), orderer=RIOrderer()).match(
+            impossible
+        )
         assert result.num_matches == 0
         assert builds == []
 
@@ -127,7 +118,7 @@ class TestMatchingContext:
 class TestEngineEquivalenceOnContext:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), query_size=st.integers(2, 6))
-    def test_recursive_vs_iterative_bit_identical(self, seed, query_size):
+    def test_oracle_vs_iterative_bit_identical(self, seed, query_size):
         query, data, candidates = _instance(seed % 97, query_size)
         if candidates.has_empty():
             return
@@ -136,8 +127,8 @@ class TestEngineEquivalenceOnContext:
         iterative = Enumerator(
             strategy="iterative", match_limit=None, record_matches=True
         ).run_context(context, order)
-        oracle = Enumerator(
-            strategy="recursive", match_limit=None, record_matches=True
+        oracle = RecursiveOracle(
+            match_limit=None, record_matches=True
         ).run_context(context, order)
         assert iterative.num_matches == oracle.num_matches
         assert iterative.num_enumerations == oracle.num_enumerations

@@ -7,6 +7,7 @@ products), isolated query vertices, or one-vertex queries.
 
 import networkx as nx
 import pytest
+from recursive_oracle import RecursiveOracle
 
 from repro.graphs import Graph, erdos_renyi
 from repro.matching import (
@@ -71,13 +72,16 @@ class TestDisconnectedQueries:
             assert verify_all(query, data, result.matches) == []
 
     def test_candidate_space_handles_disconnection(self, query, data):
+        # The production engine always enumerates over the candidate
+        # space; the oracle scans raw adjacency.
         candidates = LDFFilter().filter(query, data)
         order = RIOrderer().order(query, data, candidates)
-        plain = Enumerator(match_limit=None).run(query, data, candidates, order)
-        indexed = Enumerator(match_limit=None, use_candidate_space=True).run(
+        indexed = Enumerator(match_limit=None).run(query, data, candidates, order)
+        plain = RecursiveOracle(match_limit=None).run(
             query, data, candidates, order
         )
         assert plain.num_matches == indexed.num_matches
+        assert plain.num_enumerations == indexed.num_enumerations
 
 
 class TestDegenerateQueries:

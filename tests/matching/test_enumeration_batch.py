@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recursive_oracle import RecursiveOracle
 
 from repro import Matcher
 from repro.graphs import Graph, erdos_renyi, extract_query
@@ -40,13 +41,18 @@ def _random_instance(seed: int):
     return query, data, candidates, order
 
 
+def _engine(strategy: str, **kwargs):
+    """The named production engine, or the test-only recursive oracle."""
+    if strategy == "recursive":
+        return RecursiveOracle(**kwargs)
+    return Enumerator(strategy=strategy, **kwargs)
+
+
 def _run(strategy: str, instance, **kwargs):
     query, data, candidates, order = instance
     kwargs.setdefault("match_limit", None)
     kwargs.setdefault("record_matches", True)
-    return Enumerator(strategy=strategy, **kwargs).run(
-        query, data, candidates, order
-    )
+    return _engine(strategy, **kwargs).run(query, data, candidates, order)
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +125,7 @@ def test_empty_candidate_query(strategy):
     data = Graph([0, 0, 1], [(0, 1), (1, 2)])
     query = Graph([0, 2], [(0, 1)])  # label 2 has no data vertex
     candidates = GQLFilter().filter(query, data)
-    result = Enumerator(strategy=strategy, record_matches=True).run(
+    result = _engine(strategy, record_matches=True).run(
         query, data, candidates, [0, 1]
     )
     assert result.num_matches == 0
@@ -131,9 +137,9 @@ def test_single_vertex_query_matches_iterative():
     query = Graph([int(data.label(0))], [])
     candidates = GQLFilter().filter(query, data)
     results = {
-        name: Enumerator(
-            strategy=name, match_limit=None, record_matches=True
-        ).run(query, data, candidates, [0])
+        name: _engine(name, match_limit=None, record_matches=True).run(
+            query, data, candidates, [0]
+        )
         for name in ENGINES
     }
     oracle = results["recursive"]

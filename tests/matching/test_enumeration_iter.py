@@ -1,17 +1,18 @@
 """Differential tests: iterative engine vs the recursive oracle.
 
-The iterative engine must preserve the recursive engine's semantics
-bit-for-bit: same match sequences, same ``#enum``, same limit behaviour.
-These tests compare the two on randomly generated query/data pairs and
-pin the structural fix — a path query deeper than the interpreter's
-recursion limit enumerates fine iteratively while the recursive oracle
-dies with :class:`RecursionError`.
+The iterative engine must preserve the semantics of Algorithm 2's plain
+recursion (``tests/recursive_oracle.py``) bit-for-bit: same match
+sequences, same ``#enum``, same limit behaviour.  These tests compare
+the two on randomly generated query/data pairs and pin the structural
+property — a path query deeper than the interpreter's recursion limit
+enumerates fine iteratively.
 """
 
 import sys
 
 import numpy as np
 import pytest
+from recursive_oracle import RecursiveOracle
 
 from repro.errors import EnumerationError
 from repro.graphs import Graph, erdos_renyi, extract_query
@@ -19,7 +20,6 @@ from repro.matching import (
     CandidateSets,
     Enumerator,
     GQLFilter,
-    IterativeEnumerator,
     RIOrderer,
     intersect_sorted,
 )
@@ -39,7 +39,7 @@ def _random_instance(seed: int):
 
 def _engines(**kwargs):
     return (
-        Enumerator(strategy="recursive", **kwargs),
+        RecursiveOracle(**kwargs),
         Enumerator(strategy="iterative", **kwargs),
     )
 
@@ -88,20 +88,6 @@ class TestEquivalence:
             assert result.num_enumerations == oracle.num_enumerations
             assert result.matches == oracle.matches
 
-    def test_matches_recursive_candidate_space_variant(self):
-        query, data, candidates, order = _random_instance(3)
-        indexed = Enumerator(
-            strategy="recursive", match_limit=None,
-            record_matches=True, use_candidate_space=True,
-        ).run(query, data, candidates, order)
-        result = Enumerator(
-            strategy="iterative", match_limit=None, record_matches=True
-        ).run(query, data, candidates, order)
-        # The recursive index path iterates frozensets, so only the match
-        # *sets* (and #enum) are comparable, not the sequences.
-        assert set(result.matches) == set(indexed.matches)
-        assert result.num_enumerations == indexed.num_enumerations
-
 
 class TestDeepQueries:
     def _deep_path(self):
@@ -121,13 +107,6 @@ class TestDeepQueries:
         assert result.num_enumerations == path.num_vertices + 1
         assert result.complete
 
-    def test_recursive_oracle_crashes_on_deep_path(self):
-        path, candidates, order = self._deep_path()
-        with pytest.raises(RecursionError):
-            Enumerator(strategy="recursive", match_limit=None).run(
-                path, path, candidates, order
-            )
-
 
 class TestEdgeCases:
     def test_empty_query_records_only_on_request(self):
@@ -144,18 +123,6 @@ class TestEdgeCases:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(EnumerationError):
             Enumerator(strategy="compiled")
-
-    def test_iterative_alias_class(self):
-        query, data, candidates, order = _random_instance(7)
-        alias = IterativeEnumerator(match_limit=None, record_matches=True)
-        assert alias.strategy == "iterative"
-        direct = Enumerator(
-            strategy="iterative", match_limit=None, record_matches=True
-        )
-        via_alias = alias.run(query, data, candidates, order)
-        via_default = direct.run(query, data, candidates, order)
-        assert via_alias.matches == via_default.matches
-        assert via_alias.num_enumerations == via_default.num_enumerations
 
     def test_default_time_limit_is_paper_cap(self):
         from repro.matching import DEFAULT_TIME_LIMIT

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recursive_oracle import RecursiveOracle
 
 from repro.graphs import erdos_renyi, extract_query
 from repro.matching import Enumerator, GQLFilter, RIOrderer
@@ -146,9 +147,9 @@ class TestKernelEngineBitIdentity:
         query = extract_query(data, query_size, rng)
         candidates = GQLFilter().filter(query, data)
         order = RIOrderer().order(query, data, candidates)
-        oracle = Enumerator(
-            strategy="recursive", match_limit=None, record_matches=True
-        ).run(query, data, candidates, order)
+        oracle = RecursiveOracle(match_limit=None, record_matches=True).run(
+            query, data, candidates, order
+        )
         result = Enumerator(
             strategy="iterative", match_limit=None, record_matches=True
         ).run(query, data, candidates, order)
@@ -169,9 +170,9 @@ class TestKernelEngineBitIdentity:
         if full.num_matches < 2:
             pytest.skip("needs at least two matches to truncate")
         limit = max(1, full.num_matches // 2)
-        oracle = Enumerator(
-            strategy="recursive", match_limit=limit, record_matches=True
-        ).run(query, data, candidates, order)
+        oracle = RecursiveOracle(match_limit=limit, record_matches=True).run(
+            query, data, candidates, order
+        )
         result = Enumerator(
             strategy="iterative", match_limit=limit, record_matches=True
         ).run(query, data, candidates, order)

@@ -6,13 +6,15 @@ both balancing modes, the sharded pipeline must reproduce the unsharded
 engine's exact match sequence — not just the same set — including under
 ``match_limit`` truncation and through the streaming surface.  On top of
 that, each shard's context must preserve the repo's core invariant that
-the iterative and recursive engines agree bit-identically on ``#enum``.
+the iterative engine and the recursive oracle agree bit-identically on
+``#enum``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from recursive_oracle import RecursiveOracle
 
 from repro import Matcher
 from repro.graphs import Graph, ShardedGraph, erdos_renyi, extract_query
@@ -126,7 +128,7 @@ def _shard_runs(data, query, shards):
     ecc = query_eccentricity(query, root)
     sharded = ShardedGraph(data, shards)
     return (
-        build_shard_runs(query, sharded, candidates, root, ecc, gql, True),
+        build_shard_runs(query, sharded, candidates, root, ecc, gql),
         tuple(int(u) for u in order),
     )
 
@@ -134,11 +136,12 @@ def _shard_runs(data, query, shards):
 @pytest.mark.parametrize("seed", range(4))
 def test_per_shard_enum_is_engine_agnostic(seed):
     # Definition II.6's #enum must stay bit-identical between the
-    # iterative and recursive engines on every shard's local context.
+    # iterative engine and the recursive oracle on every shard's local
+    # context.
     data, query = _random_instance(seed)
     runs, order = _shard_runs(data, query, 4)
     iterative = Enumerator(strategy="iterative", record_matches=True, match_limit=None)
-    recursive = Enumerator(strategy="recursive", record_matches=True, match_limit=None)
+    recursive = RecursiveOracle(record_matches=True, match_limit=None)
     live = [r for r in runs if r.context is not None]
     assert live, "expected at least one seeded shard"
     for run in live:

@@ -3,6 +3,9 @@
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,16 @@ PACKAGES = [
     "repro.service",
 ]
 
+#: Names retired with the selectable recursive engine and the second
+#: pipeline facade; listed so they cannot drift back into a facade.
+RETIRED_EXPORTS = [
+    ("repro", "MatchingEngine"),
+    ("repro", "IterativeEnumerator"),
+    ("repro.matching", "MatchingEngine"),
+    ("repro.matching", "IterativeEnumerator"),
+    ("repro.bench", "method_engine"),
+]
+
 
 def iter_modules():
     for package_name in PACKAGES:
@@ -41,10 +54,23 @@ class TestExports:
 
     def test_top_level_version(self):
         assert repro.__version__ == "1.0.0"
+        # setup.py reads the same string: one version, not two.
+        root = Path(__file__).resolve().parent.parent
+        packaged = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.split()[-1]
+        assert packaged == repro.__version__
+
+    @pytest.mark.parametrize("package_name,name", RETIRED_EXPORTS)
+    def test_retired_names_stay_unexported(self, package_name, name):
+        package = importlib.import_module(package_name)
+        assert not hasattr(package, name)
+        assert name not in package.__all__
 
     def test_core_classes_reachable_from_top_level(self):
         for name in (
-            "Graph", "MatchingEngine", "Enumerator", "GQLFilter",
+            "Graph", "Matcher", "Enumerator", "GQLFilter",
             "RLQVOConfig", "RLQVOTrainer", "RLQVOOrderer", "load_dataset",
         ):
             assert hasattr(repro, name)
@@ -111,10 +137,11 @@ class TestDocumentation:
     def test_public_methods_documented_on_key_classes(self):
         from repro.core import PolicyNetwork, RLQVOTrainer
         from repro.graphs import Graph
-        from repro.matching import Enumerator, MatchingEngine
+        from repro.api import Matcher
+        from repro.matching import Enumerator
 
         missing = []
-        for cls in (Graph, Enumerator, MatchingEngine, PolicyNetwork, RLQVOTrainer):
+        for cls in (Graph, Enumerator, Matcher, PolicyNetwork, RLQVOTrainer):
             for name, member in inspect.getmembers(cls, inspect.isfunction):
                 if name.startswith("_"):
                     continue
