@@ -7,32 +7,33 @@ local candidate set (Line 6): candidates of ``u`` adjacent to the images
 of all backward neighbours ``N^φ_+(u)`` and not already used
 (injectivity).
 
-Two engines implement the procedure, selected by
-``Enumerator(strategy=...)``:
+One explicit-stack DFS implements the procedure —
+:func:`~repro.matching.enumeration_iter.walk_prefixes`, per-depth
+cursors into sorted numpy candidate arrays, with local candidates
+computed by sorted-array intersection against the
+:class:`~repro.matching.candidate_space.CandidateSpace` flat per-edge
+index.  It uses O(1) Python stack frames regardless of query depth, so
+deep path queries enumerate fine.  ``Enumerator(strategy=...)`` picks
+how many positions of the order that walk binds (its ``stop``) and what
+expands the rest:
 
-* ``strategy="iterative"`` (the default) — an explicit-stack DFS over
-  per-depth cursors into sorted numpy candidate arrays, with local
-  candidates computed by sorted-array intersection against the
-  :class:`~repro.matching.candidate_space.CandidateSpace` flat per-edge
-  index (see :mod:`repro.matching.enumeration_iter`).  It uses O(1)
-  Python stack frames regardless of query depth, so deep path queries
-  enumerate fine, and the flat loop sheds most of the per-call
-  interpreter overhead.
-* ``strategy="vectorized"`` — the frontier-batched backend
-  (:mod:`repro.matching.enumeration_batch`): the same DFS above the
-  three deepest depths, with everything below a depth-``n-3`` node
-  expanded as chunked numpy batches (bulk segment gathers, vectorized
-  membership and injectivity masks).  It trades batch-scratch memory
-  (bounded by the chunk width) for several-fold fewer interpreter steps
-  on enumeration-heavy queries.
+* ``strategy="iterative"`` (the default) — ``stop = n``: the walk binds
+  every position, one interpreter step per ``#enum`` step, and each
+  prefix it yields is a match.
+* ``strategy="vectorized"`` — ``stop = max(n - 3, 0)``: everything below
+  a depth-``n-3`` prefix is expanded by the bulk frontier of
+  :mod:`repro.matching.enumeration_batch` as chunked numpy batches
+  (bulk segment gathers, vectorized membership and injectivity masks).
+  It trades batch-scratch memory (bounded by the chunk width) for
+  several-fold fewer interpreter steps on enumeration-heavy queries.
 
 Both visit candidates in ascending vertex order, so match sequences and
 ``#enum`` are bit-identical (including under ``match_limit``
-truncation).  The differential suites pin both against a plain
-one-frame-per-vertex recursion over raw adjacency — Algorithm 2 as
-written, independent of the candidate space — which lives under
-``tests/`` (``tests/recursive_oracle.py``); nothing in ``src/`` can
-select it.
+truncation).  The differential suites pin both, and the walk itself at
+every ``stop``, against a plain one-frame-per-vertex recursion over raw
+adjacency — Algorithm 2 as written, independent of the candidate space —
+which lives under ``tests/`` (``tests/recursive_oracle.py``); nothing in
+``src/`` can select it.
 
 Shared Phase (1) artifacts (candidates + the per-edge index) travel in a
 :class:`~repro.matching.context.MatchingContext`: callers that run many
@@ -87,9 +88,9 @@ __all__ = [
 #: explicitly for an unlimited run.
 DEFAULT_TIME_LIMIT: float = 500.0
 
-#: strategy -> (batch driver, lazy generator): the one table
-#: :meth:`Enumerator.run_context` and :meth:`Enumerator.stream_context`
-#: both dispatch through.
+#: strategy -> (batch driver, lazy generator), each a consumer of the
+#: one ``walk_prefixes`` DFS: the one table :meth:`Enumerator.run_context`
+#: and :meth:`Enumerator.stream_context` both dispatch through.
 _DRIVERS: dict[str, tuple[Callable, Callable]] = {
     "iterative": (enumerate_iterative, enumerate_lazy),
     "vectorized": (enumerate_vectorized, enumerate_lazy_vectorized),

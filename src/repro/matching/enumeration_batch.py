@@ -1,15 +1,17 @@
-"""Frontier-batched vectorized enumeration (the ``"vectorized"`` backend).
+"""Bulk frontier for the three deepest levels (the ``"vectorized"`` strategy).
 
-The iterative engine spends one Python interpreter iteration per
-``#enum`` step.  Profiling the bench workloads shows where those steps
-live: ~78% of all extension attempts happen at the deepest depth, ~98%
-at the deepest two, ~99.7% at the deepest three, and the average
-subtree hanging off one depth-``n-3`` node is ~400 steps wide.  This
-module exploits exactly that shape: a plain explicit-stack DFS (shared
-helpers with :mod:`repro.matching.enumeration_iter`) walks depths
-``0 .. n-4``, and everything below a depth-``n-3`` node — the *parent*
-level ``A = n-3``, the *row* level ``B = n-2``, and the *leaf* level
-``C = n-1`` — is expanded as one batched frontier:
+At ``stop = n`` the one DFS
+(:func:`~repro.matching.enumeration_iter.walk_prefixes`) spends one
+Python interpreter iteration per ``#enum`` step.  Profiling the bench
+workloads shows where those steps live: ~78% of all extension attempts
+happen at the deepest depth, ~98% at the deepest two, ~99.7% at the
+deepest three, and the average subtree hanging off one depth-``n-3``
+node is ~400 steps wide.  This module exploits exactly that shape.  It
+holds no DFS of its own: it runs the same walk at
+``stop = max(n - 3, 0)``, and under each prefix the walk yields,
+everything below — the *parent* level ``A = n-3``, the *row* level
+``B = n-2``, and the *leaf* level ``C = n-1`` — is expanded as one
+batched frontier, its steps charged to the walk's counters:
 
 * every valid parent's row segment is materialized in one
   :func:`~repro.matching.kernels.gather_segments_into` call over the
@@ -31,17 +33,18 @@ leaf charges one step, all interleaved in DFS order.  A survivor whose
 parent has (frontier-local) index ``i``, whose row has flat index ``r``
 and which is the ``s``-th survivor of the frontier therefore carries
 ``enum_start + (i+1) + (r+1) + (s+1)``; vertices skipped by any filter
-(membership, ``used``, in-batch ancestors) never charge, matching both
-per-node engines, where a used vertex is skipped *before* it counts.
+(membership, ``used``, in-batch ancestors) never charge, matching the
+per-node walk, where a used vertex is skipped *before* it counts.
 This makes match sequences and ``#enum`` — including under
 ``match_limit`` truncation, which cuts mid-chunk using the per-survivor
 enum vector — bit-identical to ``"iterative"`` (and to the recursive
-oracle the test suite pins both engines against).
+oracle the test suite pins both strategies against).
 
-Timeout checks keep the per-node engines' cadence contract (a check
+Timeout checks keep the per-node walk's cadence contract (a check
 whenever ``#enum`` crosses a multiple of ``check_every``) but fire at
-chunk granularity; timeout *outcomes* are wall-clock-dependent in every
-engine, so only the flag, not the truncation point, is comparable.
+chunk granularity inside the frontier; timeout *outcomes* are
+wall-clock-dependent at every ``stop``, so only the flag, not the
+truncation point, is comparable.
 
 :func:`enumerate_vectorized` mirrors :func:`enumerate_iterative`'s
 signature and return; :func:`enumerate_lazy_vectorized` is the
@@ -58,11 +61,11 @@ import numpy as np
 
 from repro.matching.context import MatchingContext
 from repro.matching.enumeration_iter import (
-    _EMPTY,
     EnumerationCounters,
     _bind_depths,
     _local_candidates,
     intersect_sorted,
+    walk_prefixes,
 )
 from repro.matching.kernels import (
     ScratchBuffers,
@@ -132,8 +135,9 @@ class _FrontierBinding:
       nothing); one shared list is tiled across rows.
     """
 
-    __slots__ = ("pa", "rb", "lc", "has_parent", "b_var", "b_fixed",
-                 "c_kind", "c_gen", "c_parent", "c_fixed")
+    __slots__ = (
+        "pa", "rb", "lc", "b_var", "b_fixed", "c_kind", "c_gen", "c_parent", "c_fixed"
+    )
 
     def __init__(
         self,
@@ -145,7 +149,6 @@ class _FrontierBinding:
         self.pa = pa = n - 3
         self.rb = rb = n - 2
         self.lc = lc = n - 1
-        self.has_parent = pa >= 0
         self.b_var = None
         self.b_fixed: list[tuple[tuple, int]] = []
         for j, pos in enumerate(backward[rb]):
@@ -197,432 +200,274 @@ def _enumerate_chunks(
     """
     n = len(order)
     perf_counter = time.perf_counter
-    enum = 1
-    try:
-        # Root "call", with the per-node engines' exact check cadence.
-        if (
-            deadline is not None
-            and enum % check_every == 0
-            and perf_counter() > deadline
-        ):
-            flags.timed_out = True
-            return
-        used = np.zeros(context.data.num_vertices, dtype=bool)
-        base_arrays, bindings, scratch = _bind_depths(
-            context, order, backward, scratch
-        )
+    search = _bind_depths(context, order, backward, scratch)
+    images, used = search.images, search.used
+    base_arrays, scratch = search.base_arrays, search.scratch
+    # The one DFS binds everything above the frontier; this consumer
+    # charges what it expands below each prefix straight into ``flags``,
+    # which the walk re-reads when it resumes.
+    walk = walk_prefixes(search, backward, deadline, check_every, flags, max(n - 3, 0))
 
-        if n == 1:
-            # Every root candidate is a match; used is empty and there
-            # are no backward edges, so the whole query is one bulk op.
-            base = base_arrays[0]
+    if n == 1:
+        # Every root candidate is a match; used is empty and there
+        # are no backward edges, so the whole query is one bulk op.
+        base = base_arrays[0]
+        for _ in walk:
             for lo in range(0, base.size, FRONTIER_CHUNK):
                 vals = base[lo : lo + FRONTIER_CHUNK]
-                senum = enum + 1 + np.arange(vals.size, dtype=np.int64)
+                senum = np.arange(vals.size, dtype=np.int64)
+                senum += flags.num_enumerations + 1
                 matrix = None
                 if need_matrix:
                     matrix = vals.astype(np.int64).reshape(-1, 1)
-                enum += vals.size
+                flags.num_enumerations += vals.size
                 yield matrix, senum
-            return
+        return
 
-        fb = _FrontierBinding(order, backward, bindings)
-        pa, rb, lc = fb.pa, fb.rb, fb.lc
-        has_parent = fb.has_parent
-        has_prefix = n >= 4  # any depths (hence `used` marks) above the frontier
-        images = [0] * n
+    fb = _FrontierBinding(order, backward, search.bindings)
+    pa, rb, lc = fb.pa, fb.rb, fb.lc
+    has_prefix = n >= 4  # any depths (hence `used` marks) above the frontier
 
-        def frontier(W: np.ndarray | None) -> Iterator:
-            """Bulk-expand levels (A, B, C) under the current prefix."""
-            nonlocal enum
-            enum_start = enum
-            next_check = (enum // check_every + 1) * check_every
-            parents_done = 0
-            rows_done = 0
-            survs_done = 0
+    def frontier(W: np.ndarray | None) -> Iterator:
+        """Bulk-expand levels (A, B, C) under the current prefix."""
+        enum = enum_start = flags.num_enumerations
+        next_check = (enum // check_every + 1) * check_every
+        parents_done = 0
+        rows_done = 0
+        survs_done = 0
 
-            b_fixed_segs = [
-                _segment(binding, images[pos]) for binding, pos in fb.b_fixed
-            ]
-            c_fixed_segs = [
-                _segment(binding, images[pos]) for binding, pos in fb.c_fixed
-            ]
-            fc_list = None
-            if fb.c_kind == "fixed":
-                fc_list = _fixed_list(
-                    c_fixed_segs, base_arrays[lc], used, has_prefix
-                )
+        b_fixed_segs = [_segment(binding, images[pos]) for binding, pos in fb.b_fixed]
+        c_fixed_segs = [_segment(binding, images[pos]) for binding, pos in fb.c_fixed]
+        if fb.c_kind == "fixed":
+            fc_list = _fixed_list(c_fixed_segs, base_arrays[lc], used, has_prefix)
+            F_c = fc_list.size
 
-            # ---- parent groups -------------------------------------------------
-            if W is not None:
-                W_valid = W[~used[W]] if has_prefix else W
-                nW = W_valid.size
-                if nW == 0:
-                    return
-                if fb.b_var is not None:
-                    positions, offsets, concat_b = fb.b_var
-                    p = positions[W_valid]
-                    b_starts = offsets[p]
-                    b_lens = offsets[p + 1] - b_starts
-                    b_cum = np.cumsum(b_lens)
-                else:
-                    fb_list = _fixed_list(
-                        b_fixed_segs, base_arrays[rb], used, has_prefix
-                    )
-                    per_group = max(1, FRONTIER_CHUNK // max(fb_list.size, 1))
-                groups = []
-                g0 = 0
-                while g0 < nW:
-                    if fb.b_var is not None:
-                        base_off = int(b_cum[g0 - 1]) if g0 else 0
-                        g1 = int(
-                            np.searchsorted(
-                                b_cum, base_off + FRONTIER_CHUNK, side="right"
-                            )
-                        )
-                        g1 = min(max(g1, g0 + 1), nW)
-                    else:
-                        g1 = min(g0 + per_group, nW)
-                    groups.append((g0, g1))
-                    g0 = g1
+        # ---- parent groups -------------------------------------------------
+        if W is not None:
+            W_valid = W[~used[W]] if has_prefix else W
+            nW = W_valid.size
+            if nW == 0:
+                return
+            if fb.b_var is not None:
+                positions, offsets, concat_b = fb.b_var
+                p = positions[W_valid]
+                b_starts = offsets[p]
+                b_lens = offsets[p + 1] - b_starts
+                b_cum = np.cumsum(b_lens)
             else:
-                # n == 2: the row level is the root — no backward edges,
-                # no prefix, every base candidate is a valid row.
-                groups = [(0, 0)]
+                fb_list = _fixed_list(b_fixed_segs, base_arrays[rb], used, has_prefix)
+                per_group = max(1, FRONTIER_CHUNK // max(fb_list.size, 1))
+            groups = []
+            g0 = 0
+            while g0 < nW:
+                if fb.b_var is not None:
+                    base_off = int(b_cum[g0 - 1]) if g0 else 0
+                    g1 = int(
+                        np.searchsorted(b_cum, base_off + FRONTIER_CHUNK, side="right")
+                    )
+                    g1 = min(max(g1, g0 + 1), nW)
+                else:
+                    g1 = min(g0 + per_group, nW)
+                groups.append((g0, g1))
+                g0 = g1
+        else:
+            # n == 2: the row level is the root — no backward edges,
+            # no prefix, every base candidate is a valid row.
+            groups = [(0, 0)]
 
-            for g0, g1 in groups:
-                # ---- row stage: flat (value, parent) row list ----------------
-                if W is None:
-                    v_flat = base_arrays[rb]
-                    parent_flat = None
-                    k = v_flat.size
-                    wimg = None
-                elif fb.b_var is not None:
-                    W_grp = W_valid[g0:g1]
+        for g0, g1 in groups:
+            # ---- row stage: flat (value, parent) row list ----------------
+            k = 0
+            v_flat = parent_flat = wimg = None
+            if W is None:
+                v_flat = base_arrays[rb]
+                k = v_flat.size
+            else:
+                W_grp = W_valid[g0:g1]
+                nWg = g1 - g0
+                if fb.b_var is not None:
                     lens_g = b_lens[g0:g1]
                     total = int(lens_g.sum())
-                    k = 0
-                    v_flat = parent_flat = wimg = None
-                    if total:
-                        buf = scratch.batch("b_vals", total)
-                        gather_segments_into(
-                            concat_b, b_starts[g0:g1], lens_g, buf
-                        )
-                        vals = buf[:total]
-                        parent_local = np.repeat(
-                            np.arange(g1 - g0, dtype=np.int64), lens_g
-                        )
-                        m = scratch.batch("b_mask", total, np.bool_)[:total]
+                else:
+                    lens_g = fb_list.size  # every parent tiles the one list
+                    total = nWg * lens_g
+                if total:
+                    vals = scratch.batch("b_vals", total)[:total]
+                    parent_local = np.repeat(np.arange(nWg, dtype=np.int64), lens_g)
+                    m = scratch.batch("b_mask", total, np.bool_)[:total]
+                    if fb.b_var is not None:
+                        gather_segments_into(concat_b, b_starts[g0:g1], lens_g, vals)
                         first = True
                         for seg in b_fixed_segs:
-                            batch_membership_into(
-                                vals, seg, m, accumulate=not first
-                            )
+                            batch_membership_into(vals, seg, m, accumulate=not first)
                             first = False
                         if first:
                             m[:] = True
-                        if has_prefix:
-                            tmp = scratch.batch("b_tmp", total, np.bool_)
-                            batch_unused_into(vals, used, m, tmp)
                         t = scratch.batch("b_tmp", total, np.bool_)[:total]
+                        if has_prefix:
+                            batch_unused_into(vals, used, m, t)
                         np.not_equal(vals, W_grp[parent_local], out=t)
                         np.logical_and(m, t, out=m)
-                        k = int(np.count_nonzero(m))
-                        if k:
-                            vbuf = scratch.batch("b_keep_v", k)
-                            pbuf = scratch.batch("b_keep_p", k)
-                            vals.compress(m, out=vbuf[:k])
-                            parent_local.compress(m, out=pbuf[:k])
-                            v_flat = vbuf[:k]
-                            parent_flat = pbuf[:k]
-                            wimg = W_grp[parent_flat]
-                else:
-                    W_grp = W_valid[g0:g1]
-                    nWg = g1 - g0
-                    F = fb_list.size
-                    total = nWg * F
-                    k = 0
-                    v_flat = parent_flat = wimg = None
-                    if total:
-                        buf = scratch.batch("b_vals", total)
-                        v2 = buf[:total].reshape(nWg, F)
+                    else:
+                        # The shared list is already prefix-filtered, so
+                        # only a row's own parent can still collide.
+                        v2 = vals.reshape(nWg, lens_g)
                         v2[:] = fb_list
-                        vals = buf[:total]
-                        parent_local = np.repeat(
-                            np.arange(nWg, dtype=np.int64), F
-                        )
-                        m = scratch.batch("b_mask", total, np.bool_)[:total]
-                        np.not_equal(v2, W_grp[:, None], out=m.reshape(nWg, F))
-                        k = int(np.count_nonzero(m))
-                        if k:
-                            vbuf = scratch.batch("b_keep_v", k)
-                            pbuf = scratch.batch("b_keep_p", k)
-                            vals.compress(m, out=vbuf[:k])
-                            parent_local.compress(m, out=pbuf[:k])
-                            v_flat = vbuf[:k]
-                            parent_flat = pbuf[:k]
-                            wimg = W_grp[parent_flat]
+                        np.not_equal(v2, W_grp[:, None], out=m.reshape(nWg, lens_g))
+                    k = int(np.count_nonzero(m))
+                    if k:
+                        v_flat = scratch.batch("b_keep_v", k)[:k]
+                        parent_flat = scratch.batch("b_keep_p", k)[:k]
+                        vals.compress(m, out=v_flat)
+                        parent_local.compress(m, out=parent_flat)
+                        wimg = W_grp[parent_flat]
 
-                if k:
-                    # Absolute DFS charge carried by each row: parents
-                    # visited up to and including its own (+1 each) plus
-                    # rows visited up to and including itself.
-                    if parent_flat is not None:
-                        row_charge = (
-                            parent_flat
-                            + np.arange(k, dtype=np.int64)
-                            + (parents_done + rows_done + 2)
-                        )
-                    else:
-                        row_charge = np.arange(k, dtype=np.int64) + (
-                            rows_done + 1
-                        )
+            if k:
+                # Absolute DFS charge carried by each row: parents
+                # visited up to and including its own (+1 each) plus
+                # rows visited up to and including itself.
+                row_charge = np.arange(k, dtype=np.int64)
+                if parent_flat is not None:
+                    row_charge += parent_flat + (parents_done + rows_done + 2)
+                else:
+                    row_charge += rows_done + 1
 
-                    # ---- leaf stage, chunked ---------------------------------
-                    if fb.c_kind == "B":
-                        positions, offsets, concat_c = fb.c_gen
-                        pc = positions[v_flat]
-                        c_starts = offsets[pc]
-                        c_lens = offsets[pc + 1] - c_starts
-                    elif fb.c_kind == "A":
-                        positions, offsets, concat_c = fb.c_gen
-                        pc = positions[wimg]
-                        c_starts = offsets[pc]
-                        c_lens = offsets[pc + 1] - c_starts
-                    else:
-                        concat_c = None
-                        F_c = fc_list.size
-                        c_lens = None
-
-                    if fb.c_kind == "fixed":
-                        row_step = max(1, FRONTIER_CHUNK // max(F_c, 1))
-                        bounds = list(range(0, k, row_step)) + [k]
-                    else:
-                        c_cum = np.cumsum(c_lens)
-                        bounds = [0]
-                        while bounds[-1] < k:
-                            r0 = bounds[-1]
-                            base_off = int(c_cum[r0 - 1]) if r0 else 0
-                            r1 = int(
-                                np.searchsorted(
-                                    c_cum,
-                                    base_off + FRONTIER_CHUNK,
-                                    side="right",
-                                )
+                # ---- leaf stage, chunked ---------------------------------
+                if fb.c_kind == "fixed":
+                    row_step = max(1, FRONTIER_CHUNK // max(F_c, 1))
+                    bounds = list(range(0, k, row_step)) + [k]
+                else:
+                    # Leaf segments hang off the row ("B") or, failing a
+                    # query edge to it, off the parent ("A").
+                    positions, offsets, concat_c = fb.c_gen
+                    pc = positions[v_flat if fb.c_kind == "B" else wimg]
+                    c_starts = offsets[pc]
+                    c_lens = offsets[pc + 1] - c_starts
+                    c_cum = np.cumsum(c_lens)
+                    bounds = [0]
+                    while bounds[-1] < k:
+                        r0 = bounds[-1]
+                        base_off = int(c_cum[r0 - 1]) if r0 else 0
+                        r1 = int(
+                            np.searchsorted(
+                                c_cum, base_off + FRONTIER_CHUNK, side="right"
                             )
-                            bounds.append(min(max(r1, r0 + 1), k))
-
-                    for bi in range(len(bounds) - 1):
-                        r0, r1 = bounds[bi], bounds[bi + 1]
-                        if r1 <= r0:
-                            continue
-                        if fb.c_kind == "fixed":
-                            nr = r1 - r0
-                            ctotal = nr * F_c
-                            if ctotal:
-                                cbuf = scratch.batch("c_vals", ctotal)
-                                c2 = cbuf[:ctotal].reshape(nr, F_c)
-                                c2[:] = fc_list
-                                cvals = cbuf[:ctotal]
-                                row_of = np.repeat(
-                                    np.arange(nr, dtype=np.int64), F_c
-                                )
-                                cm = scratch.batch(
-                                    "c_mask", ctotal, np.bool_
-                                )[:ctotal]
-                                cm[:] = True
-                        else:
-                            base_off = int(c_cum[r0 - 1]) if r0 else 0
-                            ctotal = int(c_cum[r1 - 1]) - base_off
-                            if ctotal:
-                                lens_c = c_lens[r0:r1]
-                                cbuf = scratch.batch("c_vals", ctotal)
-                                gather_segments_into(
-                                    concat_c, c_starts[r0:r1], lens_c, cbuf
-                                )
-                                cvals = cbuf[:ctotal]
-                                row_of = np.repeat(
-                                    np.arange(r1 - r0, dtype=np.int64), lens_c
-                                )
-                                cm = scratch.batch(
-                                    "c_mask", ctotal, np.bool_
-                                )[:ctotal]
-                                first = True
-                                for seg in c_fixed_segs:
-                                    batch_membership_into(
-                                        cvals, seg, cm, accumulate=not first
-                                    )
-                                    first = False
-                                if fb.c_parent is not None:
-                                    # Leaf binds to both in-batch levels:
-                                    # sweep the parent-side constraint one
-                                    # parent at a time — rows (hence
-                                    # values) are parent-contiguous.
-                                    pos_a, offs_a, concat_a = fb.c_parent
-                                    pf = parent_flat[r0:r1]
-                                    cuts = np.flatnonzero(np.diff(pf)) + 1
-                                    row_b = np.concatenate(
-                                        ([0], cuts, [r1 - r0])
-                                    )
-                                    voffs = np.concatenate(
-                                        ([0], np.cumsum(lens_c))
-                                    )
-                                    for gi in range(row_b.size - 1):
-                                        ra = int(row_b[gi])
-                                        rz = int(row_b[gi + 1])
-                                        if rz <= ra:
-                                            continue
-                                        w = int(W_grp[pf[ra]])
-                                        pw = pos_a[w]
-                                        seg = concat_a[
-                                            offs_a[pw] : offs_a[pw + 1]
-                                        ]
-                                        lo = int(voffs[ra])
-                                        hi = int(voffs[rz])
-                                        batch_membership_into(
-                                            cvals[lo:hi],
-                                            seg,
-                                            cm[lo:hi],
-                                            accumulate=not first,
-                                        )
-                                    first = False
-                                if first:
-                                    cm[:] = True
-
-                        if ctotal:
-                            ctmp = scratch.batch("c_tmp", ctotal, np.bool_)
-                            if has_prefix and fb.c_kind != "fixed":
-                                batch_unused_into(cvals, used, cm, ctmp)
-                            t = ctmp[:ctotal]
-                            if wimg is not None:
-                                np.not_equal(
-                                    cvals, wimg[r0:r1][row_of], out=t
-                                )
-                                np.logical_and(cm, t, out=cm)
-                            np.not_equal(cvals, v_flat[r0:r1][row_of], out=t)
-                            np.logical_and(cm, t, out=cm)
-
-                            sidx = np.flatnonzero(cm)
-                            s = sidx.size
-                            if s:
-                                r_of_s = row_of[sidx]
-                                senum = (
-                                    row_charge[r0:r1][r_of_s]
-                                    + (enum_start + survs_done + 1)
-                                    + np.arange(s, dtype=np.int64)
-                                )
-                                matrix = None
-                                if need_matrix:
-                                    matrix = np.empty((s, n), dtype=np.int64)
-                                    for d in range(max(pa, 0)):
-                                        matrix[:, order[d]] = images[d]
-                                    if wimg is not None:
-                                        matrix[:, order[pa]] = wimg[r0:r1][
-                                            r_of_s
-                                        ]
-                                    matrix[:, order[rb]] = v_flat[r0:r1][
-                                        r_of_s
-                                    ]
-                                    matrix[:, order[lc]] = cvals[sidx]
-                                survs_done += s
-                                yield matrix, senum
-
-                        # Consistent DFS position after this chunk: all
-                        # parents up to the last touched row, all rows
-                        # up to r1, all survivors so far.
-                        if parent_flat is not None:
-                            parents_part = parents_done + int(
-                                parent_flat[r1 - 1]
-                            ) + 1
-                        elif W is not None:
-                            parents_part = parents_done
-                        else:
-                            parents_part = 0
-                        enum = (
-                            enum_start
-                            + parents_part
-                            + (rows_done + r1)
-                            + survs_done
                         )
-                        if deadline is not None and enum >= next_check:
-                            next_check = (
-                                enum // check_every + 1
-                            ) * check_every
-                            if perf_counter() > deadline:
-                                flags.timed_out = True
-                                return
+                        bounds.append(min(max(r1, r0 + 1), k))
 
-                if W is not None:
-                    parents_done += g1 - g0
-                rows_done += k
-                enum = enum_start + parents_done + rows_done + survs_done
-                if deadline is not None and enum >= next_check:
-                    next_check = (enum // check_every + 1) * check_every
-                    if perf_counter() > deadline:
-                        flags.timed_out = True
-                        return
+                for r0, r1 in zip(bounds, bounds[1:]):
+                    nr = r1 - r0
+                    if fb.c_kind == "fixed":
+                        lens_c = F_c
+                        ctotal = nr * F_c
+                    else:
+                        lens_c = c_lens[r0:r1]
+                        base_off = int(c_cum[r0 - 1]) if r0 else 0
+                        ctotal = int(c_cum[r1 - 1]) - base_off
+                    if ctotal:
+                        cvals = scratch.batch("c_vals", ctotal)[:ctotal]
+                        row_of = np.repeat(np.arange(nr, dtype=np.int64), lens_c)
+                        cm = scratch.batch("c_mask", ctotal, np.bool_)[:ctotal]
+                        t = scratch.batch("c_tmp", ctotal, np.bool_)[:ctotal]
+                        if fb.c_kind == "fixed":
+                            cvals.reshape(nr, F_c)[:] = fc_list
+                            cm[:] = True
+                        else:
+                            gather_segments_into(
+                                concat_c, c_starts[r0:r1], lens_c, cvals
+                            )
+                            first = True
+                            for seg in c_fixed_segs:
+                                batch_membership_into(
+                                    cvals, seg, cm, accumulate=not first
+                                )
+                                first = False
+                            if fb.c_parent is not None:
+                                # Leaf binds to both in-batch levels:
+                                # sweep the parent-side constraint one
+                                # parent at a time — rows (hence
+                                # values) are parent-contiguous.
+                                pos_a, offs_a, concat_a = fb.c_parent
+                                pf = parent_flat[r0:r1]
+                                cuts = np.flatnonzero(np.diff(pf)) + 1
+                                row_b = np.concatenate(([0], cuts, [nr]))
+                                voffs = np.concatenate(([0], np.cumsum(lens_c)))
+                                for gi in range(row_b.size - 1):
+                                    ra = int(row_b[gi])
+                                    rz = int(row_b[gi + 1])
+                                    if rz <= ra:
+                                        continue
+                                    w = int(W_grp[pf[ra]])
+                                    pw = pos_a[w]
+                                    seg = concat_a[offs_a[pw] : offs_a[pw + 1]]
+                                    lo = int(voffs[ra])
+                                    hi = int(voffs[rz])
+                                    batch_membership_into(
+                                        cvals[lo:hi],
+                                        seg,
+                                        cm[lo:hi],
+                                        accumulate=not first,
+                                    )
+                                first = False
+                            if first:
+                                cm[:] = True
+                            if has_prefix:
+                                batch_unused_into(cvals, used, cm, t)
+                        if wimg is not None:
+                            np.not_equal(cvals, wimg[r0:r1][row_of], out=t)
+                            np.logical_and(cm, t, out=cm)
+                        np.not_equal(cvals, v_flat[r0:r1][row_of], out=t)
+                        np.logical_and(cm, t, out=cm)
 
-        if n == 2:
-            yield from frontier(None)
-            return
-        if n == 3:
-            W = _local_candidates(
-                0, backward, base_arrays, bindings, images, used, scratch
-            )
-            yield from frontier(W)
-            return
+                        sidx = np.flatnonzero(cm)
+                        s = sidx.size
+                        if s:
+                            r_of_s = row_of[sidx]
+                            senum = (
+                                row_charge[r0:r1][r_of_s]
+                                + (enum_start + survs_done + 1)
+                                + np.arange(s, dtype=np.int64)
+                            )
+                            matrix = None
+                            if need_matrix:
+                                matrix = np.empty((s, n), dtype=np.int64)
+                                for d in range(max(pa, 0)):
+                                    matrix[:, order[d]] = images[d]
+                                if wimg is not None:
+                                    matrix[:, order[pa]] = wimg[r0:r1][r_of_s]
+                                matrix[:, order[rb]] = v_flat[r0:r1][r_of_s]
+                                matrix[:, order[lc]] = cvals[sidx]
+                            survs_done += s
+                            yield matrix, senum
 
-        # ---- upper DFS over depths 0 .. pa-1 (n >= 4) --------------------
-        top = pa - 1
-        cand_stack: list[np.ndarray] = [_EMPTY] * pa
-        len_stack: list[int] = [0] * pa
-        pos_stack: list[int] = [0] * pa
-        depth = 0
-        arr = _local_candidates(
-            0, backward, base_arrays, bindings, images, used, scratch
-        )
-        cand_stack[0] = arr
-        len_stack[0] = arr.size
-        pos_stack[0] = 0
-        while depth >= 0:
-            pos = pos_stack[depth]
-            if pos >= len_stack[depth]:
-                depth -= 1
-                if depth >= 0:
-                    used[images[depth]] = False
-                continue
-            pos_stack[depth] = pos + 1
-            v = cand_stack[depth].item(pos)
-            if used[v]:
-                continue
-            enum += 1
-            if (
-                deadline is not None
-                and enum % check_every == 0
-                and perf_counter() > deadline
-            ):
-                flags.timed_out = True
-                return
-            images[depth] = v
-            used[v] = True
-            if depth == top:
-                W = _local_candidates(
-                    pa, backward, base_arrays, bindings, images, used, scratch
-                )
-                yield from frontier(W)
-                used[v] = False
-                if flags.timed_out:
+                    # Consistent DFS position after this chunk: all
+                    # parents up to the last touched row, all rows
+                    # up to r1, all survivors so far.
+                    parents_part = 0
+                    if parent_flat is not None:
+                        parents_part = parents_done + int(parent_flat[r1 - 1]) + 1
+                    enum = enum_start + parents_part + (rows_done + r1) + survs_done
+                    flags.num_enumerations = enum
+                    if deadline is not None and enum >= next_check:
+                        next_check = (enum // check_every + 1) * check_every
+                        if perf_counter() > deadline:
+                            flags.timed_out = True
+                            return
+
+            if W is not None:
+                parents_done += g1 - g0
+            rows_done += k
+            enum = enum_start + parents_done + rows_done + survs_done
+            flags.num_enumerations = enum
+            if deadline is not None and enum >= next_check:
+                next_check = (enum // check_every + 1) * check_every
+                if perf_counter() > deadline:
+                    flags.timed_out = True
                     return
-                continue
-            depth += 1
-            arr = _local_candidates(
-                depth, backward, base_arrays, bindings, images, used, scratch
-            )
-            cand_stack[depth] = arr
-            len_stack[depth] = arr.size
-            pos_stack[depth] = 0
-    finally:
-        flags.num_enumerations = enum
+
+    for _ in walk:
+        # n == 2 has no parent level: the row level is the root.
+        yield from frontier(_local_candidates(search, backward, pa) if n >= 3 else None)
 
 
 def enumerate_vectorized(
@@ -695,17 +540,14 @@ def enumerate_lazy_vectorized(
     inner = _enumerate_chunks(
         context, order, backward, deadline, check_every, flags, True, None
     )
-    exhausted = False
     try:
         for matrix, senum in inner:
-            enums = senum.tolist()
-            rows = matrix.tolist()
-            for j, row in enumerate(rows):
-                counters.num_enumerations = enums[j]
+            for enum, row in zip(senum.tolist(), matrix.tolist()):
+                counters.num_enumerations = enum
                 yield tuple(row)
-        exhausted = True
+        # Only a walk that ran to its end (or its deadline) has charged
+        # steps past the last match; a close() between pulls skips this.
+        counters.num_enumerations = flags.num_enumerations
     finally:
         inner.close()
-        if exhausted:
-            counters.num_enumerations = flags.num_enumerations
         counters.timed_out = flags.timed_out

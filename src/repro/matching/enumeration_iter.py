@@ -1,11 +1,16 @@
-"""Iterative, array-based enumeration core (explicit stack, no recursion).
+"""The one explicit-stack DFS of Algorithm 2: :func:`walk_prefixes`.
 
 Algorithm 2 written as a recursion spends one Python stack frame per
 query vertex, so a query path longer than the interpreter's recursion
 limit raises :class:`RecursionError` before the search even gets going.
-This module holds the flat production form: a DFS driven by per-depth
-cursors into *sorted numpy candidate arrays*, in the style of LIVE's
-and NeuSO's index-driven enumeration loops.
+This module holds the flat production form, written exactly once: a DFS
+driven by per-depth cursors into *sorted numpy candidate arrays*, in the
+style of LIVE's and NeuSO's index-driven enumeration loops.
+:func:`walk_prefixes` binds the first ``stop`` positions of the order
+and suspends once per bound prefix, so a strategy is one integer:
+``"iterative"`` is ``stop = n`` (every prefix is a match), and
+``"vectorized"`` is ``stop = max(n - 3, 0)`` with the bulk frontier of
+:mod:`repro.matching.enumeration_batch` underneath.
 
 Local candidates at depth ``i`` are computed by the buffered galloping
 kernels of :mod:`repro.matching.kernels` over the
@@ -28,13 +33,14 @@ order a plain recursion over sorted adjacency scans produces — so it
 yields *identical* match sequences and identical ``#enum`` counts,
 including under ``match_limit`` truncation.  That equivalence is what
 lets the recursive oracle under ``tests/`` (``recursive_oracle.py``)
-pin this engine differentially.
+pin the walk differentially, at every ``stop``.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +51,12 @@ from repro.matching.kernels import (
     intersect_unused_into,
 )
 
-__all__ = ["EnumerationCounters", "intersect_sorted", "enumerate_iterative", "enumerate_lazy"]
+__all__ = [
+    "EnumerationCounters",
+    "intersect_sorted",
+    "enumerate_iterative",
+    "enumerate_lazy",
+]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -83,16 +94,26 @@ def _max_segment(offsets: np.ndarray) -> int:
     return int(np.max(offsets[1:] - offsets[:-1]))
 
 
+@dataclass(slots=True)
+class _Search:
+    """Bound state of one walk: ``images[p]`` is the data vertex bound at
+    position ``p``, ``used`` the dense injectivity map, the rest the
+    per-depth artifacts of :func:`_bind_depths`.  The walk and whatever
+    expands the levels below its prefixes share this one object."""
+
+    images: list[int]
+    used: np.ndarray
+    base_arrays: list[np.ndarray]
+    bindings: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]
+    scratch: ScratchBuffers
+
+
 def _bind_depths(
     context: MatchingContext,
     order: Sequence[int],
     backward: Sequence[Sequence[int]],
     scratch: ScratchBuffers | None = None,
-) -> tuple[
-    list[np.ndarray],
-    list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
-    ScratchBuffers,
-]:
+) -> _Search:
     """Pre-bind, per depth, the base candidate array and the flat
     ``(positions, offsets, concat)`` triple of every backward neighbour's
     edge direction, so that at runtime resolving one adjacency list is
@@ -111,56 +132,53 @@ def _bind_depths(
         [space.edge_flat(order[b], u) for b in backward[i]]
         for i, u in enumerate(order)
     ]
-    capacities = [
-        min(_max_segment(offsets) for _, offsets, _ in bindings[i])
-        if len(backward[i]) > 1
-        else 0
-        for i in range(len(order))
-    ]
+    capacities = [0] * len(order)
+    for i, backs in enumerate(backward):
+        if len(backs) > 1:
+            capacities[i] = min(_max_segment(offsets) for _, offsets, _ in bindings[i])
     if scratch is None:
-        return base_arrays, bindings, ScratchBuffers(capacities)
-    return base_arrays, bindings, scratch.ensure_depths(capacities)
+        scratch = ScratchBuffers(capacities)
+    else:
+        scratch.ensure_depths(capacities)
+    used = np.zeros(context.data.num_vertices, dtype=bool)
+    return _Search([0] * len(order), used, base_arrays, bindings, scratch)
 
 
 def _local_candidates(
-    depth: int,
-    backward: Sequence[Sequence[int]],
-    base_arrays: list[np.ndarray],
-    bindings: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
-    images: list[int],
-    used: np.ndarray,
-    scratch: ScratchBuffers,
+    search: _Search, backward: Sequence[Sequence[int]], depth: int
 ) -> np.ndarray:
-    """Local candidate list at ``depth`` (Line 6 of Algorithm 2), shared
-    by the batch and the generator drivers so their visit order — and
-    therefore match sequences and ``#enum`` — cannot drift apart.
+    """Local candidate list at ``depth`` (Line 6 of Algorithm 2) under
+    the prefix currently bound in ``search.images`` — the one definition
+    the walk and the bulk frontier both extend a prefix with, so their
+    visit order (hence match sequences and ``#enum``) cannot drift apart.
 
-    Returns a sorted array the driver's cursor walks directly: a
-    zero-copy view (the base candidate array, or one slice of the flat
-    per-edge index) when the depth has at most one backward neighbour,
-    or a view of ``scratch.cand[depth]`` holding the smallest-first
-    ping-pong intersection when it has several.  Injectivity: the
-    multi-neighbour path fuses the ``used`` mask into its final write;
-    the view paths leave it to the driver's per-visit probe.  ``used``
-    is constant while this depth's sibling loop runs, so both filter
-    points admit the same candidates — used vertices never count
-    towards ``#enum`` in either engine.
+    Returns a sorted array a cursor walks directly: a zero-copy view
+    (the base candidate array, or one slice of the flat per-edge index)
+    when the depth has at most one backward neighbour, or a view of
+    ``scratch.cand[depth]`` holding the smallest-first ping-pong
+    intersection when it has several.  Injectivity: the multi-neighbour
+    path fuses the ``used`` mask into its final write; the view paths
+    leave it to the caller's per-visit probe.  ``used`` is constant
+    while this depth's sibling loop runs, so both filter points admit
+    the same candidates — used vertices never count towards ``#enum``.
     """
     backs = backward[depth]
     if not backs:
-        return base_arrays[depth]
+        return search.base_arrays[depth]
+    images = search.images
     if len(backs) == 1:
-        positions, offsets, concat = bindings[depth][0]
+        positions, offsets, concat = search.bindings[depth][0]
         p = positions[images[backs[0]]]
         return concat[offsets[p] : offsets[p + 1]]
     arrays = []
-    for (positions, offsets, concat), b in zip(bindings[depth], backs):
+    for (positions, offsets, concat), b in zip(search.bindings[depth], backs):
         p = positions[images[b]]
         arrays.append(concat[offsets[p] : offsets[p + 1]])
     arrays.sort(key=len)
     # Intersect smallest-first through the two ping-pong buffers; the
     # last intersection fuses the injectivity filter and writes straight
     # into this depth's candidate buffer.
+    scratch = search.scratch
     arr = arrays[0]
     tmp, spare = scratch.tmp_a, scratch.tmp_b
     for other in arrays[1:-1]:
@@ -173,9 +191,146 @@ def _local_candidates(
         return _EMPTY
     out = scratch.cand[depth]
     length = intersect_unused_into(
-        arr, arrays[-1], used, out, scratch.mask, scratch.mask2
+        arr, arrays[-1], search.used, out, scratch.mask, scratch.mask2
     )
     return out[:length]
+
+
+class EnumerationCounters:
+    """Mutable side-channel between :func:`walk_prefixes` and its consumer.
+
+    A suspended generator cannot return counters, so the walk publishes
+    them here instead.  The contract: the fields are current whenever
+    the *started* walk has just yielded, returned, raised, or been
+    closed — it refreshes ``num_enumerations`` before every yield and,
+    via ``try/finally``, on every way out of the frame, including a
+    ``close()`` between pulls.  The channel runs both ways: while the
+    walk is suspended a consumer adds the steps it takes *below* the
+    prefix to ``num_enumerations`` and sets ``timed_out`` if its own
+    deadline check fires; the walk re-reads both on resume.  A generator
+    that is closed before its first pull never ran at all, so it cannot
+    refresh anything; :class:`~repro.matching.enumeration.MatchStream`
+    covers that window by pre-charging the root step at stream creation.
+    """
+
+    __slots__ = ("num_enumerations", "timed_out")
+
+    def __init__(self) -> None:
+        self.num_enumerations = 0
+        self.timed_out = False
+
+
+def walk_prefixes(
+    search: _Search,
+    backward: Sequence[Sequence[int]],
+    deadline: float | None,
+    check_every: int,
+    counters: EnumerationCounters,
+    stop: int,
+) -> Iterator[None]:
+    """The explicit-stack DFS over positions ``0 .. stop-1``.
+
+    Yields (nothing — the state is ``search``) once per valid partial
+    embedding of the first ``stop`` positions, in DFS lexicographic
+    order; ``stop == 0`` yields exactly once, after the root charge, and
+    ``stop == n`` makes every prefix a match.  While the walk is
+    suspended ``search.images[:stop]`` is the prefix and, below a proper
+    prefix, ``search.used`` marks exactly its images.
+
+    ``#enum`` is counted exactly as Algorithm 2's recursion counts
+    calls: one for the root plus one per extension attempt; see
+    :class:`EnumerationCounters` for how it is published and how a
+    consumer charges its own steps or stops the walk.  There is
+    deliberately no match limit here: truncation is the consumer's move
+    (stop iterating / ``close()``), which keeps one definition of "stop
+    after the k-th match".  ``deadline`` is absolute
+    ``time.perf_counter`` time, checked whenever ``#enum`` reaches a
+    multiple of ``check_every``, so wall clock a consumer spends between
+    pulls counts against it too.
+    """
+    images = search.images
+    used = search.used
+    last = stop - 1
+    # A proper, non-empty prefix has levels below it that must not reuse
+    # its deepest image; a full match has nothing below, so the hot
+    # stop == n walk skips that mark/unmark pair.
+    shield = 0 < stop < len(images)
+    # Per-depth frames: the local candidate array (a view — see
+    # _local_candidates) and a cursor into it.
+    cand_stack: list[np.ndarray] = [_EMPTY] * stop
+    len_stack: list[int] = [0] * stop
+    pos_stack: list[int] = [0] * stop
+    perf_counter = time.perf_counter
+    enum = 0
+    depth = -1
+    try:
+        while True:
+            # One "call" of Algorithm 2's recursion: the root (depth -1)
+            # or the extension attempt that just bound images[depth].
+            enum += 1
+            if (
+                deadline is not None
+                and enum % check_every == 0
+                and perf_counter() > deadline
+            ):
+                counters.timed_out = True
+                return
+            if depth == last:
+                if shield:
+                    used[v] = True
+                counters.num_enumerations = enum
+                try:
+                    yield
+                finally:
+                    # Also on a close() between pulls, so the outer
+                    # refresh below cannot un-charge the consumer's steps.
+                    enum = counters.num_enumerations
+                if counters.timed_out:
+                    return
+                if shield:
+                    used[v] = False
+            else:
+                if depth >= 0:
+                    used[v] = True
+                depth += 1
+                arr = _local_candidates(search, backward, depth)
+                cand_stack[depth] = arr
+                len_stack[depth] = arr.size
+                pos_stack[depth] = 0
+            # Advance to the next unused candidate, backtracking out of
+            # exhausted frames; falling off the root ends the walk.
+            while depth >= 0:
+                pos = pos_stack[depth]
+                if pos >= len_stack[depth]:
+                    # Frame exhausted: free the parent's image.
+                    depth -= 1
+                    if depth >= 0:
+                        used[images[depth]] = False
+                    continue
+                pos_stack[depth] = pos + 1
+                v = cand_stack[depth].item(pos)
+                if used[v]:
+                    # Injectivity probe for the zero-copy candidate
+                    # views; an already-mapped vertex is skipped before
+                    # it counts, exactly as a pre-filtered list never
+                    # contains it.
+                    continue
+                images[depth] = v
+                break
+            else:
+                return
+    finally:
+        # One refresh on every way out — normal exhaustion, timeout,
+        # GeneratorExit from a close() between pulls, or an exception —
+        # so the published counters can never go stale.
+        counters.num_enumerations = enum
+
+
+def _positions_by_vertex(order: Sequence[int]) -> list[int]:
+    """``where[u]`` is the position of query vertex ``u`` in ``order``,
+    so ``tuple(map(images.__getitem__, where))`` is the embedding indexed
+    by query vertex — the shape both delivery modes hand out."""
+    return sorted(range(len(order)), key=order.__getitem__)
 
 
 def enumerate_iterative(
@@ -187,7 +342,8 @@ def enumerate_iterative(
     check_every: int,
     record: bool,
 ) -> tuple[int, int, bool, bool, list[tuple[int, ...]]]:
-    """Run the explicit-stack DFS; returns raw counters, not a result.
+    """Batch ``"iterative"``: drain the ``stop = n`` walk; returns raw
+    counters, not a result.
 
     Parameters mirror one :meth:`Enumerator.run` invocation after its
     shared validation: ``context`` carries the instance (its
@@ -198,100 +354,26 @@ def enumerate_iterative(
     timestamp.
 
     Returns ``(num_matches, num_enumerations, timed_out, limit_reached,
-    matches)`` with ``#enum`` counted exactly as Algorithm 2's recursion
-    counts calls: one for the root plus one per extension attempt.
+    matches)``; ``match_limit`` abandons the walk right after the k-th
+    match, so ``#enum`` is the search explored up to it.
     """
-    n = len(order)
-    last = n - 1
-    used = np.zeros(context.data.num_vertices, dtype=bool)
-    base_arrays, bindings, scratch = _bind_depths(context, order, backward)
-    # Per-depth frames: the local candidate array (a view — see
-    # _local_candidates) and a cursor into it.
-    cand_stack: list[np.ndarray] = [_EMPTY] * n
-    len_stack: list[int] = [0] * n
-    pos_stack: list[int] = [0] * n
-    images: list[int] = [0] * n
+    search = _bind_depths(context, order, backward)
+    counters = EnumerationCounters()
+    walk = walk_prefixes(search, backward, deadline, check_every, counters, len(order))
+    image_at, where = search.images.__getitem__, _positions_by_vertex(order)
     matches: list[tuple[int, ...]] = []
     found = 0
-    timed_out = limited = False
-    perf_counter = time.perf_counter
-
-    # Root "call" (recurse(0) in Algorithm 2's recursion).
-    enum = 1
-    if deadline is not None and enum % check_every == 0 and perf_counter() > deadline:
-        return 0, enum, True, False, matches
-    depth = 0
-    arr = _local_candidates(0, backward, base_arrays, bindings, images, used, scratch)
-    cand_stack[0] = arr
-    len_stack[0] = arr.size
-    pos_stack[0] = 0
-
-    while depth >= 0:
-        pos = pos_stack[depth]
-        if pos >= len_stack[depth]:
-            # Frame exhausted: backtrack and free the parent's image.
-            depth -= 1
-            if depth >= 0:
-                used[images[depth]] = False
-            continue
-        pos_stack[depth] = pos + 1
-        v = cand_stack[depth].item(pos)
-        if used[v]:
-            # Injectivity probe for the zero-copy candidate views; an
-            # already-mapped vertex is skipped before it counts, exactly
-            # as a pre-filtered list never contains it.
-            continue
-        enum += 1
-        if (
-            deadline is not None
-            and enum % check_every == 0
-            and perf_counter() > deadline
-        ):
-            timed_out = True
+    limited = False
+    for _ in walk:
+        found += 1
+        if record:
+            matches.append(tuple(map(image_at, where)))
+        if match_limit is not None and found >= match_limit:
+            # The walk published #enum before suspending, so abandoning
+            # it mid-search reports exactly the k-th match's count.
+            limited = True
             break
-        images[depth] = v
-        if depth == last:
-            found += 1
-            if record:
-                by_query_vertex = [0] * n
-                for p in range(n):
-                    by_query_vertex[order[p]] = images[p]
-                matches.append(tuple(by_query_vertex))
-            if match_limit is not None and found >= match_limit:
-                limited = True
-                break
-            continue
-        used[v] = True
-        depth += 1
-        arr = _local_candidates(
-            depth, backward, base_arrays, bindings, images, used, scratch
-        )
-        cand_stack[depth] = arr
-        len_stack[depth] = arr.size
-        pos_stack[depth] = 0
-
-    return found, enum, timed_out, limited, matches
-
-
-class EnumerationCounters:
-    """Mutable side-channel for :func:`enumerate_lazy`.
-
-    A suspended generator cannot return counters, so the lazy driver
-    publishes them here instead.  The contract: the fields are current
-    whenever the *started* generator has just yielded, returned, raised,
-    or been closed — the driver refreshes ``num_enumerations`` before
-    every yield and, via ``try/finally``, on every way out of the frame,
-    including a ``close()`` between pulls.  A generator that is closed
-    before its first pull never ran at all, so it cannot refresh
-    anything; :class:`~repro.matching.enumeration.MatchStream` covers
-    that window by pre-charging the root step at stream creation.
-    """
-
-    __slots__ = ("num_enumerations", "timed_out")
-
-    def __init__(self) -> None:
-        self.num_enumerations = 0
-        self.timed_out = False
+    return found, counters.num_enumerations, counters.timed_out, limited, matches
 
 
 def enumerate_lazy(
@@ -302,88 +384,18 @@ def enumerate_lazy(
     check_every: int,
     counters: EnumerationCounters,
 ) -> Iterator[tuple[int, ...]]:
-    """Generator twin of :func:`enumerate_iterative`: yields embeddings.
+    """Lazy ``"iterative"``: ride the ``stop = n`` walk, yielding each
+    match as a tuple indexed by query vertex.
 
-    Runs the same explicit-stack DFS over the same per-depth bindings and
-    :func:`_local_candidates`, but suspends at every match instead of
-    accumulating, yielding the embedding as a tuple indexed by query
-    vertex.  The DFS state lives in the suspended generator frame, so a
-    consumer that stops after ``k`` matches pays only the search explored
-    up to the ``k``-th match — exactly the ``#enum`` the batch driver
-    reports under ``match_limit=k``.
-
-    There is deliberately no match limit here: truncation is the
-    consumer's move (stop iterating / ``close()`` the generator), which
-    keeps one definition of "stop after the k-th match" for both drivers.
-    ``counters`` is refreshed before every yield and — via the
-    ``try/finally`` — on every exit from the frame: exhaustion, timeout,
-    an exception, or a ``close()`` between pulls.  ``deadline`` is
-    absolute ``time.perf_counter`` time, so wall clock the *consumer*
-    spends between pulls counts against it too.
+    The DFS state lives in the suspended walk, so a consumer that stops
+    after ``k`` matches pays only the search explored up to the ``k``-th
+    match — exactly the ``#enum`` :func:`enumerate_iterative` reports
+    under ``match_limit=k``.  ``counters`` carries the walk's own
+    contract through unchanged (current after every yield and on every
+    exit, including a ``close()`` between pulls).
     """
-    n = len(order)
-    last = n - 1
-    used = np.zeros(context.data.num_vertices, dtype=bool)
-    base_arrays, bindings, scratch = _bind_depths(context, order, backward)
-    cand_stack: list[np.ndarray] = [_EMPTY] * n
-    len_stack: list[int] = [0] * n
-    pos_stack: list[int] = [0] * n
-    images: list[int] = [0] * n
-    perf_counter = time.perf_counter
-
-    enum = 1
-    try:
-        counters.num_enumerations = enum
-        if deadline is not None and enum % check_every == 0 and perf_counter() > deadline:
-            counters.timed_out = True
-            return
-        depth = 0
-        arr = _local_candidates(
-            0, backward, base_arrays, bindings, images, used, scratch
-        )
-        cand_stack[0] = arr
-        len_stack[0] = arr.size
-        pos_stack[0] = 0
-
-        while depth >= 0:
-            pos = pos_stack[depth]
-            if pos >= len_stack[depth]:
-                depth -= 1
-                if depth >= 0:
-                    used[images[depth]] = False
-                continue
-            pos_stack[depth] = pos + 1
-            v = cand_stack[depth].item(pos)
-            if used[v]:
-                # Injectivity probe for the zero-copy candidate views;
-                # skipped vertices never count towards #enum.
-                continue
-            enum += 1
-            if (
-                deadline is not None
-                and enum % check_every == 0
-                and perf_counter() > deadline
-            ):
-                counters.timed_out = True
-                return
-            images[depth] = v
-            if depth == last:
-                by_query_vertex = [0] * n
-                for p in range(n):
-                    by_query_vertex[order[p]] = images[p]
-                counters.num_enumerations = enum
-                yield tuple(by_query_vertex)
-                continue
-            used[v] = True
-            depth += 1
-            arr = _local_candidates(
-                depth, backward, base_arrays, bindings, images, used, scratch
-            )
-            cand_stack[depth] = arr
-            len_stack[depth] = arr.size
-            pos_stack[depth] = 0
-    finally:
-        # One refresh on every way out — normal exhaustion, timeout,
-        # GeneratorExit from a close() between pulls, or an exception —
-        # so the published counters can never go stale.
-        counters.num_enumerations = enum
+    search = _bind_depths(context, order, backward)
+    walk = walk_prefixes(search, backward, deadline, check_every, counters, len(order))
+    image_at, where = search.images.__getitem__, _positions_by_vertex(order)
+    for _ in walk:
+        yield tuple(map(image_at, where))

@@ -79,7 +79,7 @@ import numpy as np
 from repro.bench.calibrate import calibrate
 from repro.datasets import load_dataset, query_workload
 from repro.service.requests import MatchRequest
-from repro.service.service import STATS_SCHEMA_VERSION
+from repro.service.service import STATS_SCHEMA_VERSION, _percentile
 
 __all__ = [
     "main",
@@ -110,14 +110,6 @@ DEFAULT_TIME_LIMIT = 30.0
 # ``repro.bench.calibrate`` — so serving and matching baselines
 # normalize on one machine-speed scale.
 _calibrate = calibrate
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[rank]
 
 
 def _build_request_bodies(
@@ -174,30 +166,6 @@ def _await_healthy(host: str, port: int, *, timeout: float = 30.0) -> dict:
     )
 
 
-class _Outcome:
-    """Mutable per-run collector shared by the client workers."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.latencies: list[float] = []
-        self.errors = 0
-        self.statuses: dict[int, int] = {}
-        self.matches = 0
-        self.enumerations = 0
-        self.cache_hits = 0
-
-    def record(self, status: int, latency: float, payload: dict | None) -> None:
-        with self.lock:
-            self.latencies.append(latency)
-            self.statuses[status] = self.statuses.get(status, 0) + 1
-            if status != 200 or payload is None or payload.get("error"):
-                self.errors += 1
-                return
-            self.matches += int(payload.get("num_matches", 0))
-            self.enumerations += int(payload.get("num_enumerations", 0))
-            self.cache_hits += bool(payload.get("cache_hit"))
-
-
 def _issue(
     conn: http.client.HTTPConnection, body: bytes
 ) -> tuple[int, dict | None, str | None]:
@@ -245,6 +213,87 @@ def check_stats_schema(stats: dict, source: str) -> None:
         )
 
 
+def _poisson_offsets(rate: float, count: int, seed: int) -> np.ndarray:
+    """Open-model schedule: seeded Poisson arrival offsets, in seconds
+    from the run's start, fixed before the first request fires."""
+    return np.cumsum(np.random.default_rng(seed).exponential(1.0 / rate, count))
+
+
+def _drive(
+    host: str, port: int, entries: list[dict], *,
+    requests: int, clients: int, offsets=None, timeout: float,
+) -> tuple[list[dict], float]:
+    """The one client loop every scenario drives its traffic through.
+
+    ``clients`` workers over persistent connections pull request indices
+    off a shared counter; request ``i`` always carries
+    ``entries[i % len(entries)]["body"]``, so any interleaving serves
+    the same multiset of queries.  Closed loop (``offsets is None``):
+    each worker issues back-to-back and latency runs from the send.
+    Open loop: request ``i`` fires at ``t0 + offsets[i]`` regardless of
+    completions and latency runs from that *scheduled* arrival, so
+    queueing delay shows up instead of being absorbed.
+
+    Returns one sample per request, in request order — status (0 for a
+    transport failure), stable error ``code``, ``Retry-After``, outputs
+    — plus the wall; every scenario aggregates from these.
+    """
+    samples: list[dict | None] = [None] * requests
+    counter = iter(range(requests))
+    counter_lock = threading.Lock()
+    t0 = time.perf_counter()
+
+    def worker() -> None:
+        conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        try:
+            while True:
+                with counter_lock:
+                    index = next(counter, None)
+                if index is None:
+                    return
+                entry = entries[index % len(entries)]
+                if offsets is not None:
+                    issued = t0 + float(offsets[index])
+                    delay = issued - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
+                else:
+                    issued = time.perf_counter()
+                try:
+                    status, payload, retry_after = _issue(conn, entry["body"])
+                except (ConnectionError, http.client.HTTPException, OSError):
+                    status, payload, retry_after = 0, None, None
+                latency = time.perf_counter() - issued
+                if not isinstance(payload, dict):
+                    payload = {"error": "no JSON object in the response"}
+                samples[index] = {
+                    "tag": entry.get("tag"),
+                    "tier": entry.get("tier"),
+                    "status": status,
+                    "latency_s": round(latency, 6),
+                    "code": payload.get("code"),
+                    "error": payload.get("error"),
+                    "retry_after": retry_after,
+                    "num_matches": payload.get("num_matches"),
+                    "num_enumerations": payload.get("num_enumerations"),
+                    "timed_out": bool(payload.get("timed_out")),
+                    "cache_hit": bool(payload.get("cache_hit")),
+                }
+        finally:
+            conn.close()
+
+    threads = [
+        threading.Thread(target=worker, name=f"loadgen-{i}", daemon=True)
+        for i in range(max(1, clients))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    wall = time.perf_counter() - t0
+    return [s for s in samples if s is not None], wall
+
+
 def run_load(
     host: str,
     port: int,
@@ -265,53 +314,16 @@ def run_load(
     """
     if mode not in ("closed", "open"):
         raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
-    outcome = _Outcome()
-    counter = iter(range(requests))
-    counter_lock = threading.Lock()
-    # Open-model schedule: seeded Poisson arrivals, fixed before t0.
-    offsets = (
-        np.cumsum(np.random.default_rng(seed).exponential(1.0 / rate, requests))
-        if mode == "open"
-        else None
+    samples, wall = _drive(
+        host, port, [{"body": body} for body in bodies],
+        requests=requests, clients=clients, timeout=timeout,
+        offsets=_poisson_offsets(rate, requests, seed) if mode == "open" else None,
     )
-    t0 = time.perf_counter()
-
-    def worker() -> None:
-        conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        try:
-            while True:
-                with counter_lock:
-                    index = next(counter, None)
-                if index is None:
-                    return
-                if offsets is not None:
-                    scheduled = t0 + float(offsets[index])
-                    delay = scheduled - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-                    issued = scheduled
-                else:
-                    issued = time.perf_counter()
-                try:
-                    status, payload, _ = _issue(conn, bodies[index % len(bodies)])
-                except (ConnectionError, http.client.HTTPException, OSError):
-                    outcome.record(0, time.perf_counter() - issued, None)
-                    continue
-                outcome.record(status, time.perf_counter() - issued, payload)
-        finally:
-            conn.close()
-
-    threads = [
-        threading.Thread(target=worker, name=f"loadgen-{i}", daemon=True)
-        for i in range(max(1, clients))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - t0
-
-    window = sorted(outcome.latencies)
+    window = sorted(s["latency_s"] for s in samples)
+    served = [s for s in samples if s["status"] == 200 and not s["error"]]
+    statuses: dict[int, int] = {}
+    for sample in samples:
+        statuses[sample["status"]] = statuses.get(sample["status"], 0) + 1
     return {
         "mode": mode,
         "requests": requests,
@@ -319,16 +331,16 @@ def run_load(
         "rate_rps": float(rate) if mode == "open" else None,
         "wall_s": round(wall, 6),
         "throughput_rps": round(len(window) / max(wall, 1e-9), 2),
-        "errors": outcome.errors,
-        "statuses": {str(k): v for k, v in sorted(outcome.statuses.items())},
+        "errors": len(samples) - len(served),
+        "statuses": {str(k): v for k, v in sorted(statuses.items())},
         "latency_p50_s": round(_percentile(window, 0.50), 6),
         "latency_p95_s": round(_percentile(window, 0.95), 6),
         "latency_p99_s": round(_percentile(window, 0.99), 6),
         "totals": {
-            "matches": outcome.matches,
-            "num_enumerations": outcome.enumerations,
+            "matches": sum(int(s["num_matches"] or 0) for s in served),
+            "num_enumerations": sum(int(s["num_enumerations"] or 0) for s in served),
         },
-        "cache_hits": outcome.cache_hits,
+        "cache_hits": sum(s["cache_hit"] for s in served),
     }
 
 
@@ -439,71 +451,6 @@ def _build_overload_entries(
     return entries
 
 
-def _run_samples(
-    host: str, port: int, entries: list[dict], *,
-    rate: float, seed: int, clients: int, timeout: float = 120.0,
-) -> list[dict]:
-    """Open-model run returning one sample dict per request slot.
-
-    Same seeded-Poisson schedule and measured-from-scheduled-arrival
-    convention as :func:`run_load` ``--mode open``, but keeping every
-    response individually (status, stable error ``code``,
-    ``Retry-After``, outputs) instead of aggregating — the overload
-    gate needs per-request evidence, not percentiles alone.
-    """
-    samples: list[dict | None] = [None] * len(entries)
-    counter = iter(range(len(entries)))
-    counter_lock = threading.Lock()
-    offsets = np.cumsum(
-        np.random.default_rng(seed).exponential(1.0 / rate, len(entries))
-    )
-    t0 = time.perf_counter()
-
-    def worker() -> None:
-        conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        try:
-            while True:
-                with counter_lock:
-                    index = next(counter, None)
-                if index is None:
-                    return
-                scheduled = t0 + float(offsets[index])
-                delay = scheduled - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                entry = entries[index]
-                try:
-                    status, payload, retry_after = _issue(conn, entry["body"])
-                except (ConnectionError, http.client.HTTPException, OSError):
-                    status, payload, retry_after = 0, None, None
-                latency = time.perf_counter() - scheduled
-                payload = payload if isinstance(payload, dict) else {}
-                samples[index] = {
-                    "tag": entry["tag"],
-                    "tier": entry["tier"],
-                    "status": status,
-                    "latency_s": round(latency, 6),
-                    "code": payload.get("code"),
-                    "error": payload.get("error"),
-                    "retry_after": retry_after,
-                    "num_matches": payload.get("num_matches"),
-                    "num_enumerations": payload.get("num_enumerations"),
-                    "timed_out": bool(payload.get("timed_out")),
-                }
-        finally:
-            conn.close()
-
-    threads = [
-        threading.Thread(target=worker, name=f"overload-{i}", daemon=True)
-        for i in range(max(1, clients))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return [s for s in samples if s is not None]
-
-
 def _tier_percentiles(samples: list[dict], tier: str) -> dict:
     """Latency summary over a tier's *served* (HTTP 200) samples."""
     latencies = sorted(
@@ -609,8 +556,10 @@ def run_overload(
             with BackgroundServer(service, **server_kwargs) as background:
                 host, port = background.address
                 _await_healthy(host, port)
-                legs[leg] = _run_samples(
-                    host, port, entries, rate=rate, seed=seed, clients=clients,
+                legs[leg], _ = _drive(
+                    host, port, entries,
+                    requests=len(entries), clients=clients, timeout=120.0,
+                    offsets=_poisson_offsets(rate, len(entries), seed),
                 )
                 if leg == "scheduled":
                     scheduler_stats = _http_get_json(
@@ -750,60 +699,6 @@ def _required_ab_speedup(cpus: int) -> float:
     return 0.0
 
 
-def _run_closed_samples(
-    host: str, port: int, entries: list[dict], *,
-    requests: int, clients: int, timeout: float = 120.0,
-) -> tuple[list[dict], float]:
-    """Closed-loop run keeping one sample per request, plus the wall.
-
-    Request ``i`` carries ``entries[i % len]`` — the same deterministic
-    cycle as :func:`run_load` — but per-request outputs are kept so the
-    executor A/B can compare leg outputs tag-by-tag.
-    """
-    samples: list[dict | None] = [None] * requests
-    counter = iter(range(requests))
-    counter_lock = threading.Lock()
-    t0 = time.perf_counter()
-
-    def worker() -> None:
-        conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        try:
-            while True:
-                with counter_lock:
-                    index = next(counter, None)
-                if index is None:
-                    return
-                entry = entries[index % len(entries)]
-                issued = time.perf_counter()
-                try:
-                    status, payload, _ = _issue(conn, entry["body"])
-                except (ConnectionError, http.client.HTTPException, OSError):
-                    status, payload = 0, None
-                payload = payload if isinstance(payload, dict) else {}
-                samples[index] = {
-                    "tag": entry["tag"],
-                    "status": status,
-                    "latency_s": round(time.perf_counter() - issued, 6),
-                    "code": payload.get("code"),
-                    "num_matches": payload.get("num_matches"),
-                    "num_enumerations": payload.get("num_enumerations"),
-                    "timed_out": bool(payload.get("timed_out")),
-                }
-        finally:
-            conn.close()
-
-    threads = [
-        threading.Thread(target=worker, name=f"ab-{i}", daemon=True)
-        for i in range(max(1, clients))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - t0
-    return [s for s in samples if s is not None], wall
-
-
 def run_executor_ab(
     dataset: str = "citeseer",
     *,
@@ -882,12 +777,13 @@ def run_executor_ab(
             ) as background:
                 host, port = background.address
                 _await_healthy(host, port, timeout=60.0)
-                _run_closed_samples(
+                _drive(
                     host, port, entries,
-                    requests=warmup_requests, clients=workers,
+                    requests=warmup_requests, clients=workers, timeout=120.0,
                 )
-                legs[executor], walls[executor] = _run_closed_samples(
-                    host, port, entries, requests=requests, clients=clients,
+                legs[executor], walls[executor] = _drive(
+                    host, port, entries,
+                    requests=requests, clients=clients, timeout=120.0,
                 )
         finally:
             service.close()

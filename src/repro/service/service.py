@@ -407,7 +407,7 @@ class MatchService:
 
         record = request.record_matches or request.stream
         engine = self._derived_enumerator(matcher.enumerator, request, record)
-        shard_outcomes = None
+        shard_outcomes = ()
         if request.stream:
             stream = matcher.stream_plan(plan, enumerator=engine)
             matches = tuple(cform.to_original(m) for m in stream)
@@ -426,22 +426,12 @@ class MatchService:
                 if record
                 else ()
             )
-            shard_outcomes = result.shards
+            shard_outcomes = result.shards or ()
         total_time = time.perf_counter() - t_start
-        with self._lock:
-            self._requests += 1
-            if not cache_hit:
-                self._filter_time += plan.filter_time
-                self._order_time += plan.order_time
-            self._enum_time += enum_time
-            if shard_outcomes:
-                for shard_outcome in shard_outcomes:
-                    key = f"{request.dataset}/{shard_outcome.shard_id}"
-                    self._shard_enum_time[key] = (
-                        self._shard_enum_time.get(key, 0.0)
-                        + shard_outcome.elapsed
-                    )
-            self._latencies.append(total_time)
+        self._meter(
+            cache_hit, plan.filter_time, plan.order_time, enum_time, total_time,
+            [(f"{request.dataset}/{s.shard_id}", s.elapsed) for s in shard_outcomes],
+        )
         return MatchResponse(
             dataset=request.dataset,
             # cform's fingerprint, not the plan's lazy property: on the
@@ -467,22 +457,40 @@ class MatchService:
         with self._lock:
             self._errors += 1
 
+    def _meter(
+        self, cache_hit, filter_time, order_time, enum_time, total_time, shard_times=()
+    ) -> None:
+        """Count one served request — the one stats update every serving
+        path (direct, streamed, worker process) goes through.
+
+        Planning seconds are added only when the request actually
+        planned (its cache lookup missed); enumeration seconds and the
+        latency ring always; ``shard_times`` are
+        ``("<dataset>/<shard_id>", seconds)`` pairs from a sharded plan.
+        """
+        with self._lock:
+            self._requests += 1
+            if not cache_hit:
+                self._filter_time += filter_time
+                self._order_time += order_time
+            self._enum_time += enum_time
+            for key, seconds in shard_times:
+                self._shard_enum_time[key] = (
+                    self._shard_enum_time.get(key, 0.0) + seconds
+                )
+            self._latencies.append(total_time)
+
     def _record_remote(self, response: MatchResponse) -> None:
         """Meter one response served by a worker *process*.
 
         The worker's private service counted the request in its own
         stats, which die with it — the parent re-records the response
-        here with the same semantics as :meth:`submit`: planning time
-        only when the worker actually planned (its cache missed),
-        enumeration time and latency always.
+        here with the same semantics as :meth:`submit`.
         """
-        with self._lock:
-            self._requests += 1
-            if not response.cache_hit:
-                self._filter_time += response.filter_time
-                self._order_time += response.order_time
-            self._enum_time += response.enum_time
-            self._latencies.append(response.total_time)
+        self._meter(
+            response.cache_hit, response.filter_time, response.order_time,
+            response.enum_time, response.total_time,
+        )
 
     def submit_scheduled(self, request: MatchRequest):
         """Admit one request through the cost-aware scheduler.
@@ -594,24 +602,19 @@ class MatchService:
         suspendable streaming engine, translating each embedding back
         through the canonical mapping as it is pulled — first-``k``
         consumers never pay for the ``k+1``-th match.  The request is
-        metered like :meth:`submit`: counted immediately, with
-        enumeration time and latency recorded when the stream finishes
+        metered like :meth:`submit`, once, when the stream finishes
         (exhausted or closed).
         """
         t_start = time.perf_counter()
         matcher = self.catalog.matcher(dataset, orderer)
         cform, plan, cache_hit = self._plan_canonical(matcher, query)
         stream = matcher.stream_plan(plan, limit=limit)
-        with self._lock:
-            self._requests += 1
-            if not cache_hit:
-                self._filter_time += plan.filter_time
-                self._order_time += plan.order_time
 
         def finalize(outcome) -> None:
-            with self._lock:
-                self._enum_time += outcome.elapsed
-                self._latencies.append(time.perf_counter() - t_start)
+            self._meter(
+                cache_hit, plan.filter_time, plan.order_time,
+                outcome.elapsed, time.perf_counter() - t_start,
+            )
 
         return _RemappedStream(stream, cform, finalize)
 
