@@ -10,9 +10,9 @@ regressions:
 * graph construction — the vectorized CSR constructor against a
   replica of the old per-vertex-object build (Python set churn, one
   ndarray + frozenset per vertex);
-* LDF/NLF filtering — the vectorized mask implementations against
-  replicas of the old per-vertex Python loops (identical candidate
-  arrays are the contract).
+* LDF/NLF/GQL filtering — the array implementations against replicas
+  of the old per-vertex Python loops (identical candidate arrays are
+  the contract).
 
 Not collected by pytest (no ``test_`` prefix) — run it directly::
 
@@ -37,6 +37,7 @@ from repro.matching import (
     NLFFilter,
     RIOrderer,
 )
+from repro.matching.bipartite import has_semi_perfect_matching
 
 STRATEGIES = ("iterative", "vectorized")
 
@@ -187,8 +188,49 @@ def _baseline_nlf(query: Graph, data: Graph) -> list[list[int]]:
     return sets
 
 
+def _baseline_gql(query: Graph, data: Graph, rounds: int = 3) -> list[list[int]]:
+    """Replica of the pre-array GQL filter: Counter profiles, set
+    candidates, one Hopcroft–Karp call per ``(u, v)`` per round."""
+
+    def profile(graph: Graph, v: int) -> Counter:
+        return Counter([graph.label(v)] + graph.neighbor_labels(v))
+
+    sets: list[set[int]] = []
+    for u in query.vertices():
+        need = profile(query, u)
+        sets.append(
+            {
+                int(v)
+                for v in data.vertices_with_label(query.label(u))
+                if data.degree(int(v)) >= query.degree(u)
+                and not need - profile(data, int(v))
+            }
+        )
+    for _ in range(rounds):
+        changed = False
+        for u in query.vertices():
+            query_nbrs = query.neighbors(u).tolist()
+            if not query_nbrs:
+                continue
+            removals = []
+            for v in sets[u]:
+                data_nbrs = data.neighbors(v).tolist()
+                adjacency = [
+                    [i for i, w in enumerate(data_nbrs) if w in sets[u_prime]]
+                    for u_prime in query_nbrs
+                ]
+                if not has_semi_perfect_matching(adjacency, len(data_nbrs)):
+                    removals.append(v)
+            if removals:
+                sets[u].difference_update(removals)
+                changed = True
+        if not changed:
+            break
+    return [sorted(s) for s in sets]
+
+
 def bench_construction_and_filters(quick: bool) -> bool:
-    """Time CSR construction + LDF/NLF against the per-vertex baselines.
+    """Time CSR construction + LDF/NLF/GQL against the per-vertex baselines.
 
     The correctness gate is strict equality of filter outputs; speedups
     are reported per column so layout regressions show up in CI logs.
@@ -200,7 +242,8 @@ def bench_construction_and_filters(quick: bool) -> bool:
     rng = np.random.default_rng(17)
     queries = [extract_query(data, 8, rng) for _ in range(4 if quick else 10)]
     # One stats object across the workload, like the engine pipeline —
-    # this is what lets NLF's per-label counts amortize across queries.
+    # this is what lets the label-neighbour index NLF and GQL read
+    # amortize across queries.
     stats = GraphStats(data)
 
     ok = True
@@ -221,6 +264,7 @@ def bench_construction_and_filters(quick: bool) -> bool:
     for name, flt, baseline in (
         ("ldf-filter", LDFFilter(), _baseline_ldf),
         ("nlf-filter", NLFFilter(), _baseline_nlf),
+        ("gql-filter", GQLFilter(), _baseline_gql),
     ):
         start = time.perf_counter()
         expected = [baseline(q, data) for q in queries]

@@ -2,9 +2,10 @@
 
 Paper shape: incremental training saves ~two orders of magnitude of
 training time at negligible query-time cost; the pretrained-only model is
-noticeably worse.  We assert the training-time ordering (incremental <
-full + incremental's own budget; pretrained cheapest) and that every
-regime yields a working orderer.
+noticeably worse.  Training time is reported, not asserted — the
+ordering the paper draws follows from the epochs each regime runs, and
+those are what this test pins, together with every regime yielding an
+orderer that evaluates the whole query set.
 """
 
 import math
@@ -20,21 +21,23 @@ def test_fig9_incremental_training(benchmark, harness, record):
         rounds=1,
         iterations=1,
     )
+    settings = harness.settings
     for dataset in _DATASETS:
         regimes = payload[dataset]
+        eval_queries = len(harness.workload(dataset).eval)
         assert set(regimes) == {"full", "incremental", "pretrained"}
         for regime, info in regimes.items():
             assert math.isfinite(info["query_time"]), (dataset, regime)
             assert info["train_time"] > 0
-        # Incremental = pretraining + a few extra epochs: it always costs
-        # more than pretrained alone and (at equal epoch budgets) its
-        # fine-tune phase is much cheaper than full training from scratch.
+            assert info["queries"] == eval_queries
+            assert 0 <= info["solved"] <= info["queries"]
+            assert info["num_enumerations"] >= info["queries"]
+        # Incremental = pretraining + the fine-tune epochs: it always costs
+        # more than pretrained alone, and what it adds is
+        # ``incremental_epochs`` against full training's ``train_epochs``.
+        assert regimes["full"]["train_epochs"] == settings.train_epochs
+        assert regimes["pretrained"]["train_epochs"] == settings.train_epochs
         assert (
-            regimes["incremental"]["train_time"]
-            > regimes["pretrained"]["train_time"]
+            regimes["incremental"]["train_epochs"]
+            == settings.train_epochs + settings.incremental_epochs
         )
-        incr_extra = (
-            regimes["incremental"]["train_time"]
-            - regimes["pretrained"]["train_time"]
-        )
-        assert incr_extra < regimes["full"]["train_time"], dataset

@@ -419,7 +419,9 @@ def fig9(
     Three regimes per dataset (Sec. IV-F): (1) full training on the
     default set, (2) full training on a smaller set + few incremental
     epochs on the default set, (3) the smaller-set model applied as-is.
-    Reports both query processing time and training time.
+    Reports both query processing time and training time, and beside
+    them the counts that do not depend on the host: epochs trained,
+    queries evaluated and solved, and total ``#enum``.
     """
     settings = harness.settings
     payload: dict[str, dict] = {}
@@ -437,6 +439,7 @@ def fig9(
         regimes["full"] = {
             "orderer": trainer.make_orderer(),
             "train_time": hist.total_time,
+            "train_epochs": len(hist.epochs),
         }
 
         # (2)+(3) pretrain on the smaller set, then fine-tune
@@ -447,6 +450,7 @@ def fig9(
         regimes["pretrained"] = {
             "orderer": trainer2.make_orderer(),
             "train_time": pre_hist.total_time,
+            "train_epochs": len(pre_hist.epochs),
         }
         incr_hist = trainer2.train(
             list(target_wl.train), epochs=settings.incremental_epochs
@@ -454,6 +458,7 @@ def fig9(
         regimes["incremental"] = {
             "orderer": trainer2.make_orderer(),
             "train_time": pre_hist.total_time + incr_hist.total_time,
+            "train_epochs": len(pre_hist.epochs) + len(incr_hist.epochs),
         }
 
         result = {}
@@ -464,6 +469,10 @@ def fig9(
             result[regime] = {
                 "query_time": _mean_charged(outcomes),
                 "train_time": regimes[regime]["train_time"],
+                "train_epochs": regimes[regime]["train_epochs"],
+                "queries": len(outcomes),
+                "solved": sum(o.solved for o in outcomes),
+                "num_enumerations": sum(o.num_enumerations for o in outcomes),
             }
         payload[dataset] = result
 

@@ -2,14 +2,13 @@
 
 The paper's feature vector (Sec. III-C) and several baseline orderers need
 data-graph-wide statistics: label frequencies, counts of vertices whose
-degree exceeds a threshold, and neighbourhood label profiles.  Computing
+degree exceeds a threshold, and per-label neighbour counts.  Computing
 these lazily per query would make ordering O(|V(G)|); :class:`GraphStats`
 precomputes them once per data graph.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import cached_property
 
 import numpy as np
@@ -17,10 +16,6 @@ import numpy as np
 from repro.graphs.graph import Graph
 
 __all__ = ["GraphStats", "degree_histogram", "label_histogram"]
-
-#: Upper bound on cached per-label neighbour-count arrays (each is one
-#: int32 per data vertex; stats objects are process-lifetime).
-_LABEL_COUNT_CACHE_SIZE = 64
 
 
 def degree_histogram(graph: Graph) -> dict[int, int]:
@@ -91,51 +86,57 @@ class GraphStats:
         return {}
 
     @cached_property
-    def _neighbor_label_count_cache(self) -> "OrderedDict[int, np.ndarray]":
-        return OrderedDict()
+    def _label_neighbor_index(self) -> dict[tuple[int, int], np.ndarray]:
+        """``(lab, k) -> sorted vertices with at least k lab-labeled neighbours``.
 
-    def neighbor_label_counts(self, lab: int) -> np.ndarray:
-        """Per-vertex count of ``lab``-labeled neighbours, cached per label.
-
-        The NLF filter's per-label rule reads this; caching here means one
-        ``np.bincount`` over the CSR arrays per (data graph, label), shared
-        across every query filtered against the same :class:`GraphStats`.
-        Counts are stored as int32 (bounded by the max degree) and the
-        cache holds at most :data:`_LABEL_COUNT_CACHE_SIZE` labels — stats
-        objects live for the whole process, so per-label arrays on a
-        many-labeled custom dataset must not accrete without bound.
-        """
-        lab = int(lab)
-        cache = self._neighbor_label_count_cache
-        counts = cache.get(lab)
-        if counts is None:
-            # The edge-slot source/label arrays are derived transiently per
-            # miss (same O(2|E|) order as the bincount itself) rather than
-            # cached: stats objects are process-lifetime and two resident
-            # 2|E| arrays would dwarf the bounded count cache they feed.
-            g = self.graph
-            src = np.repeat(np.arange(g.num_vertices, dtype=np.int64), g.degrees)
-            mask = g.labels[g.indices] == lab
-            counts = np.bincount(
-                src[mask], minlength=g.num_vertices
-            ).astype(np.int32, copy=False)
-            cache[lab] = counts
-            if len(cache) > _LABEL_COUNT_CACHE_SIZE:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(lab)
-        return counts
-
-    @cached_property
-    def profiles(self) -> list[tuple[int, ...]]:
-        """GQL profile of each data vertex.
-
-        The profile of ``v`` is the lexicographically sorted multiset of
-        labels of ``v`` and its neighbours (Sec. II-C, candidate generation
-        of Hybrid).
+        Every edge slot ``(v, w)`` contributes exactly one entry — ``v``
+        under ``(L(w), k)`` where ``w`` is ``v``'s k-th ``L(w)``-labeled
+        neighbour — so the index is one ``2|E|``-entry vertex array cut
+        into slices, whatever the number of labels.  It is built once per
+        data graph and only read afterwards, so any number of threads
+        filtering against one :class:`GraphStats` share it without a lock
+        and nothing is ever evicted.
         """
         g = self.graph
-        return [
-            tuple(sorted([g.label(v)] + g.neighbor_labels(v)))
-            for v in g.vertices()
-        ]
+        if g.indices.size == 0:
+            return {}
+        num_labels = int(g.labels.max()) + 1
+        owner = np.repeat(np.arange(g.num_vertices, dtype=np.int64), g.degrees)
+        pairs, counts = np.unique(
+            owner * num_labels + g.labels[g.indices], return_counts=True
+        )
+        # One row per edge slot: the (vertex, label) pair with count c
+        # expands to ranks 1..c.
+        vertex, label = np.divmod(np.repeat(pairs, counts), num_labels)
+        first = np.cumsum(counts) - counts
+        rank = np.arange(vertex.size, dtype=np.int64) - np.repeat(first, counts) + 1
+        group = label * (int(counts.max()) + 1) + rank
+        # Rows are vertex-ascending; a stable sort keeps them so per group.
+        by_group = np.argsort(group, kind="stable")
+        vertex = vertex[by_group]
+        vertex.setflags(write=False)
+        starts = np.flatnonzero(np.diff(group[by_group], prepend=-1))
+        bounds = np.append(starts, vertex.size).tolist()
+        heads = by_group[starts]
+        keys = zip(label[heads].tolist(), rank[heads].tolist())
+        return {
+            key: vertex[lo:hi] for key, lo, hi in zip(keys, bounds[:-1], bounds[1:])
+        }
+
+    def with_label_neighbors(
+        self, vertices: np.ndarray, lab: int, at_least: int
+    ) -> np.ndarray:
+        """The members of sorted ``vertices`` with ``>= at_least`` ``lab``-neighbours.
+
+        This is the NLF rule for one required label, as a sorted-array
+        intersection against one slice of the label-neighbour index — no
+        per-vertex count array is materialized.  Order is preserved, so a
+        chain of calls keeps a candidate array sorted and duplicate-free.
+        """
+        if at_least <= 0 or vertices.size == 0:
+            return vertices
+        having = self._label_neighbor_index.get((int(lab), int(at_least)))
+        if having is None:
+            return vertices[:0]
+        at = having.searchsorted(vertices)
+        return vertices[having.take(at, mode="clip") == vertices]

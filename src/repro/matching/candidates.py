@@ -10,8 +10,9 @@ for subgraph isomorphism.
 The canonical representation of each ``C(u)`` is a sorted, duplicate-free
 int64 array — the form every CSR-flat consumer (:class:`CandidateSpace`,
 the iterative enumerator, the vectorized filters) works on directly.  The
-frozenset views used by set-based call sites are derived lazily, one
-query vertex at a time, so array-only pipelines never build them.
+frozenset views (the CFL / DP-iso filters start from them) are derived
+lazily, one query vertex at a time, so array-only pipelines never build
+them.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class CandidateSets:
     """Per-query-vertex candidate sets ``C(u)``.
 
     Canonically stores each ``C(u)`` as a sorted int64 array; the
-    frozenset view (membership tests in the set-based filters and
-    orderers) is materialized lazily per vertex.
+    frozenset view (the CFL / DP-iso filters' starting sets) is
+    materialized lazily per vertex.
     """
 
     __slots__ = ("_arrays", "_sets")

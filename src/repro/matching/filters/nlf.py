@@ -5,12 +5,11 @@ number of ``l``-labeled neighbours of ``v`` is at least the number of
 ``l``-labeled neighbours of ``u``.  Any embedding maps ``N(u)`` injectively
 into ``N(v)`` preserving labels, so the rule is complete.
 
-The per-label neighbour counts come from
-:meth:`GraphStats.neighbor_label_counts` — one ``np.bincount`` over the
-data graph's CSR arrays per *required* label, cached on the stats object
-so a whole query workload against one data graph pays each label's scan
-once.  The per-query-vertex rule is then a chain of vectorized masks over
-the LDF survivors — no per-candidate Counter comparisons.
+Each required ``(label, count)`` is one call to
+:meth:`GraphStats.with_label_neighbors` — a sorted-array intersection of
+the LDF survivors with the data vertices having at least ``count``
+neighbours of that label, read from an index built once per data graph.
+No per-candidate Counter comparisons, no per-label count array.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ class NLFFilter(CandidateFilter):
                 query.labels[query.neighbors(u)], return_counts=True
             )
             for lab, cnt in zip(need_labels.tolist(), need_counts.tolist()):
-                if survivors.size == 0:
-                    break
-                counts = stats.neighbor_label_counts(lab)
-                keep = np.flatnonzero(counts[survivors] >= cnt)
-                survivors = survivors[keep]
+                survivors = stats.with_label_neighbors(survivors, lab, cnt)
             arrays.append(survivors)
         return CandidateSets.from_arrays(arrays)

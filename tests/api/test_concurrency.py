@@ -20,9 +20,12 @@ N_THREADS = 8
 ROUNDS = 3
 
 
-@pytest.fixture(scope="module")
-def data():
-    return erdos_renyi(180, 620, 3, seed=31)
+@pytest.fixture(scope="module", params=[3, 96], ids=["3-labels", "96-labels"])
+def data(request):
+    # 96 labels: every gql plan reads the shared GraphStats label-neighbour
+    # index, and more labels than the 64-entry count cache it replaced
+    # could hold without evicting under another thread's read.
+    return erdos_renyi(180, 620, request.param, seed=31)
 
 
 @pytest.fixture(scope="module")
