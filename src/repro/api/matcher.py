@@ -663,15 +663,12 @@ class Matcher:
         total_found = sum(res.num_matches for _, res in results)
         limit = engine.match_limit
         t_merge = time.perf_counter()
-        merged: tuple[tuple[int, ...], ...] = ()
+        merged = ()
         if engine.record_matches:
             per_shard = [remap_matches(res.matches, run.shard) for run, res in results]
-            merged_list = merge_shard_matches(per_shard, plan.order)
-            if limit is not None and len(merged_list) > limit:
-                # Each shard was budgeted the full limit, so the merged
-                # lex-smallest prefix equals the unsharded truncation.
-                merged_list = merged_list[:limit]
-            merged = tuple(merged_list)
+            # Each shard was budgeted the full limit, so the merged
+            # lex-smallest prefix equals the unsharded truncation.
+            merged = merge_shard_matches(per_shard, plan.order)[:limit]
         merge_time = time.perf_counter() - t_merge
         enumeration = EnumerationResult(
             num_matches=total_found if limit is None else min(total_found, limit),

@@ -98,6 +98,9 @@ def main(argv: list[str] | None = None) -> int:
             f"Δ#enum-reward={epoch_stats.mean_enum_reward:+6.2f} "
             f"used={epoch_stats.queries_used} "
             f"skipped={epoch_stats.queries_skipped} "
+            f"ratio={epoch_stats.mean_ratio:.3f} "
+            f"clip={epoch_stats.clip_fraction:.2f} "
+            f"steps={epoch_stats.num_steps} "
             f"({epoch_stats.elapsed:.1f}s)"
         )
 

@@ -68,6 +68,14 @@ class EpochStats:
     #: Total #enum of the *greedy* policy on the training queries after
     #: this epoch's update (0 when best-checkpoint tracking is off).
     greedy_enum_total: int = 0
+    #: PPO's view of its own last pass over the epoch's batch: the mean
+    #: probability ratio π_new/π_old, the share of steps whose ratio left
+    #: the clip range, and the steps in the batch.  ``"reinforce"`` and
+    #: ``"actor_critic"`` have no ratio: they report 1.0 / 0.0 and their
+    #: own step count.
+    mean_ratio: float = 1.0
+    clip_fraction: float = 0.0
+    num_steps: int = 0
 
 
 @dataclass
@@ -266,6 +274,9 @@ class RLQVOTrainer:
                 queries_skipped=skipped,
                 elapsed=time.perf_counter() - t0,
                 greedy_enum_total=greedy_total,
+                mean_ratio=getattr(ppo_stats, "mean_ratio", 1.0),
+                clip_fraction=getattr(ppo_stats, "clip_fraction", 0.0),
+                num_steps=ppo_stats.num_steps,
             )
             history.epochs.append(stats)
             if log_fn is not None:

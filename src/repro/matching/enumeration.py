@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 from repro.errors import EnumerationError
 from repro.graphs.graph import Graph
 from repro.graphs.validation import check_order
+from repro.matching.block import MatchBlock
 from repro.matching.candidates import CandidateSets
 from repro.matching.context import MatchingContext
 from repro.matching.enumeration_batch import (
@@ -117,8 +118,14 @@ class EnumerationResult:
     limit_reached:
         Whether the match limit fired.
     matches:
-        The embeddings as tuples indexed by *query vertex id* (``m[u]`` is
-        the image of ``u``), recorded only when requested.
+        The embeddings, recorded only when requested.  Stored as one
+        read-only ``(k, n)`` int64 array — a
+        :class:`~repro.matching.block.MatchBlock`, which whatever the
+        constructor is given (an array, or a tuple/list of per-match
+        sequences) is turned into — and read as the immutable sequence
+        of tuples indexed by *query vertex id* it stands for (``m[u]``
+        is the image of ``u``): those tuples are derived from the array
+        on first use, not stored beside it.
     """
 
     num_matches: int
@@ -126,7 +133,10 @@ class EnumerationResult:
     elapsed: float
     timed_out: bool
     limit_reached: bool
-    matches: tuple[tuple[int, ...], ...] = field(default=())
+    matches: MatchBlock = field(default=())
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matches", MatchBlock(self.matches))
 
     @property
     def complete(self) -> bool:
@@ -419,7 +429,7 @@ class Enumerator:
             elapsed=time.perf_counter() - start_time,
             timed_out=timed_out,
             limit_reached=limited,
-            matches=tuple(matches),
+            matches=matches,
         )
 
     def stream_context(

@@ -479,13 +479,16 @@ def enumerate_vectorized(
     check_every: int,
     record: bool,
     scratch: ScratchBuffers | None = None,
-) -> tuple[int, int, bool, bool, list[tuple[int, ...]]]:
+) -> tuple[int, int, bool, bool, np.ndarray]:
     """Batch driver; signature and return mirror ``enumerate_iterative``.
 
     Consumes the chunked core and applies ``match_limit`` exactly: a
     limit hit mid-chunk truncates using the per-survivor enum vector,
     so the reported ``#enum`` is the value the per-node DFS would have
-    stopped at.  ``scratch`` optionally reuses one
+    stopped at.  The recorded matches are the chunks' ``(s, n)``
+    matrices themselves — already indexed ``[match, query vertex]`` —
+    concatenated into one ``(k, n)`` int64 array (``k = 0`` unless
+    ``record``) and returned as that.  ``scratch`` optionally reuses one
     :class:`ScratchBuffers` across queries (the caller must not share
     it between concurrent runs).
     """
@@ -513,10 +516,10 @@ def enumerate_vectorized(
             parts.append(matrix)
     if final_enum is None:
         final_enum = flags.num_enumerations
-    matches: list[tuple[int, ...]] = []
-    if record and parts:
-        stacked = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        matches = [tuple(row) for row in stacked.tolist()]
+    if not parts:
+        matches = np.empty((0, len(order)), dtype=np.int64)
+    else:
+        matches = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return found, final_enum, flags.timed_out, limited, matches
 
 

@@ -327,9 +327,10 @@ def walk_prefixes(
 
 
 def _positions_by_vertex(order: Sequence[int]) -> list[int]:
-    """``where[u]`` is the position of query vertex ``u`` in ``order``,
-    so ``tuple(map(images.__getitem__, where))`` is the embedding indexed
-    by query vertex — the shape both delivery modes hand out."""
+    """``where[u]`` is the position of query vertex ``u`` in ``order``:
+    indexing images-by-position with it (one embedding, or every column
+    of a block of them) gives the embedding indexed by query vertex —
+    the shape both delivery modes hand out."""
     return sorted(range(len(order)), key=order.__getitem__)
 
 
@@ -341,7 +342,7 @@ def enumerate_iterative(
     deadline: float | None,
     check_every: int,
     record: bool,
-) -> tuple[int, int, bool, bool, list[tuple[int, ...]]]:
+) -> tuple[int, int, bool, bool, np.ndarray]:
     """Batch ``"iterative"``: drain the ``stop = n`` walk; returns raw
     counters, not a result.
 
@@ -355,24 +356,31 @@ def enumerate_iterative(
 
     Returns ``(num_matches, num_enumerations, timed_out, limit_reached,
     matches)``; ``match_limit`` abandons the walk right after the k-th
-    match, so ``#enum`` is the search explored up to it.
+    match, so ``#enum`` is the search explored up to it.  ``matches`` is
+    one ``(k, n)`` int64 array indexed ``[match, query vertex]``
+    (``k = 0`` unless ``record``): the walk appends each match's images
+    *by position* to one flat list, and the list becomes the array — and
+    its columns move from positions to query vertices — once, after the
+    walk.  No tuple is built per match.
     """
     search = _bind_depths(context, order, backward)
     counters = EnumerationCounters()
     walk = walk_prefixes(search, backward, deadline, check_every, counters, len(order))
-    image_at, where = search.images.__getitem__, _positions_by_vertex(order)
-    matches: list[tuple[int, ...]] = []
+    images = search.images
+    flat: list[int] = []
     found = 0
     limited = False
     for _ in walk:
         found += 1
         if record:
-            matches.append(tuple(map(image_at, where)))
+            flat.extend(images)
         if match_limit is not None and found >= match_limit:
             # The walk published #enum before suspending, so abandoning
             # it mid-search reports exactly the k-th match's count.
             limited = True
             break
+    by_position = np.fromiter(flat, np.int64, len(flat)).reshape(-1, len(order))
+    matches = by_position[:, _positions_by_vertex(order)]
     return found, counters.num_enumerations, counters.timed_out, limited, matches
 
 

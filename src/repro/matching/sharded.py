@@ -26,7 +26,7 @@ and Phase (3) once per shard, against each shard's small local graph:
 4. **Merge.**  Both engines emit matches in lexicographic order of the
    image tuple along φ; the monotone local→global id map preserves that
    order per shard, and ownership ranges are contiguous and ascending,
-   so shard sequences are disjoint ascending runs.  The k-way merge of
+   so shard sequences are disjoint ascending runs.  The merge of
    :func:`merge_shard_matches` therefore reproduces the unsharded
    engine's exact match sequence — including under ``match_limit``
    truncation, where the merged prefix equals the unsharded prefix.
@@ -40,7 +40,6 @@ memory for a little repeated work, it does not change what is found.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 
@@ -49,6 +48,7 @@ import numpy as np
 from repro.graphs.graph import Graph
 from repro.graphs.partition import GraphShard, ShardedGraph, khop_closure
 from repro.graphs.stats import GraphStats
+from repro.matching.block import MatchBlock
 from repro.matching.candidates import CandidateFilter, CandidateSets
 from repro.matching.context import MatchingContext
 
@@ -147,33 +147,34 @@ def build_shard_runs(
     return runs
 
 
-def remap_matches(
-    matches: tuple[tuple[int, ...], ...], shard: GraphShard
-) -> list[tuple[int, ...]]:
-    """Translate local-id embeddings into global ids (one gather)."""
-    if not matches:
-        return []
-    arr = shard.to_global[np.asarray(matches, dtype=np.int64)]
-    return [tuple(int(v) for v in row) for row in arr]
+def remap_matches(matches, shard: GraphShard) -> MatchBlock:
+    """Translate local-id embeddings into global ids (one gather).
+
+    ``matches`` is a shard run's :class:`MatchBlock` (or anything one
+    can be built from); so is what comes back.
+    """
+    return MatchBlock(shard.to_global[MatchBlock(matches).array])
 
 
-def merge_shard_matches(
-    per_shard: list[list[tuple[int, ...]]], order: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """K-way merge of per-shard match lists into the canonical sequence.
+def merge_shard_matches(per_shard: list, order: tuple[int, ...]) -> MatchBlock:
+    """Merge per-shard blocks of matches into the canonical sequence.
 
     The sort key is the image tuple along ``order`` — the lexicographic
-    emission order of both engines.  With contiguous ascending ownership
-    ranges the shard runs are already disjoint ascending blocks, so this
-    degenerates to concatenation; the merge keeps the canonical-sequence
-    guarantee independent of the range layout.
+    emission order of both engines: the blocks are concatenated and put
+    in that order by one stable ``np.lexsort`` over the columns of
+    ``order``.  With contiguous ascending ownership ranges the shard
+    runs are already disjoint ascending blocks and the sort moves
+    nothing; sorting regardless keeps the canonical-sequence guarantee
+    independent of the range layout.
     """
-    positions = [int(u) for u in order]
-
-    def key(match: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(match[u] for u in positions)
-
-    return list(heapq.merge(*per_shard, key=key))
+    arrays = [MatchBlock(block).array for block in per_shard]
+    arrays = [array for array in arrays if len(array)]
+    if len(arrays) < 2:
+        return MatchBlock(arrays[0] if arrays else ())
+    stacked = np.concatenate(arrays)
+    # lexsort's *last* key is the primary one.
+    rank = np.lexsort([stacked[:, int(u)] for u in reversed(order)])
+    return MatchBlock(stacked[rank])
 
 
 class ShardedMatchStream:

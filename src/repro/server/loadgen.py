@@ -1042,7 +1042,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
 
     self_host = args.self_host or args.url is None
-    background = None
+    background = service = None
     if self_host:
         # Imported lazily: a remote-target run needs no service stack.
         from repro.server.http import BackgroundServer
@@ -1128,6 +1128,10 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if background is not None:
             background.__exit__(None, None, None)
+        if service is not None:
+            # Stops the scheduler and the process pool: a pool left
+            # running respawns workers while the interpreter exits.
+            service.close()
 
     report = {
         "schema": SCHEMA,

@@ -33,6 +33,7 @@ from typing import Any
 from repro.api.plan import graph_from_payload, graph_payload
 from repro.errors import ReproError
 from repro.graphs.graph import Graph
+from repro.matching.block import MatchBlock
 
 __all__ = [
     "ERROR_HTTP_STATUS",
@@ -292,7 +293,13 @@ class MatchResponse:
         The enumeration outcome (Def. II.5–II.6 semantics).
     matches:
         Embeddings indexed by the client's query vertex ids; populated
-        only when the request asked for matches.
+        only when the request asked for matches.  Stored as one
+        read-only ``(k, n)`` int64 array
+        (:class:`~repro.matching.block.MatchBlock` — the constructor
+        turns an array or a tuple/list of per-match sequences into one)
+        that :meth:`to_dict` encodes with a single ``tolist()``; read,
+        it is the immutable sequence of tuples of ``int`` it stands
+        for, derived from the array on first use.
     filter_time / order_time:
         Planning cost *recorded on the plan* — on a cache hit this is
         the historical, once-paid cost, not new work.
@@ -323,7 +330,7 @@ class MatchResponse:
     num_enumerations: int
     timed_out: bool
     limit_reached: bool
-    matches: tuple[tuple[int, ...], ...]
+    matches: MatchBlock
     filter_time: float
     order_time: float
     enum_time: float
@@ -335,6 +342,9 @@ class MatchResponse:
     attempts: int = 1
     degraded: bool = False
     executor: str | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matches", MatchBlock(self.matches))
 
     @classmethod
     def failure(
@@ -392,7 +402,7 @@ class MatchResponse:
             "num_enumerations": int(self.num_enumerations),
             "timed_out": bool(self.timed_out),
             "limit_reached": bool(self.limit_reached),
-            "matches": [[int(v) for v in m] for m in self.matches],
+            "matches": self.matches.tolist(),
             "filter_time": float(self.filter_time),
             "order_time": float(self.order_time),
             "enum_time": float(self.enum_time),
@@ -424,9 +434,7 @@ class MatchResponse:
                 num_enumerations=int(payload["num_enumerations"]),
                 timed_out=bool(payload["timed_out"]),
                 limit_reached=bool(payload["limit_reached"]),
-                matches=tuple(
-                    tuple(int(v) for v in m) for m in payload["matches"]
-                ),
+                matches=payload["matches"],
                 filter_time=float(payload["filter_time"]),
                 order_time=float(payload["order_time"]),
                 enum_time=float(payload["enum_time"]),
@@ -439,5 +447,5 @@ class MatchResponse:
                 degraded=bool(payload.get("degraded", False)),
                 executor=payload.get("executor"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ReproError(f"malformed match-response payload: {exc}") from exc

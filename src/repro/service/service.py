@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from repro.errors import CanonicalizationError, ReproError
 from repro.graphs.canonical import CanonicalForm, canonical_form
 from repro.graphs.graph import Graph
+from repro.matching.block import MatchBlock
 from repro.matching.enumeration import Enumerator, MatchStream
 from repro.service.cache import DEFAULT_CACHE_BYTES, CacheStats, PlanCache
 from repro.service.catalog import DatasetCatalog
@@ -390,7 +391,11 @@ class MatchService:
         The full path: resolve the dataset's matcher, canonicalize the
         query, plan through the shared cache (hits skip Phases (1)–(2)),
         execute under the request's limits, and translate order and
-        embeddings back into the client's vertex numbering.
+        embeddings back into the client's vertex numbering — the
+        embeddings all at once, as one column gather over the recorded
+        :class:`~repro.matching.block.MatchBlock` (batch and
+        ``stream=True`` alike; only the lazy :meth:`stream` route
+        translates per item).
 
         Queries are canonicalized exactly, which bounds them at
         :data:`~repro.graphs.canonical.MAX_CANONICAL_VERTICES` vertices
@@ -410,9 +415,8 @@ class MatchService:
         shard_outcomes = ()
         if request.stream:
             stream = matcher.stream_plan(plan, enumerator=engine)
-            matches = tuple(cform.to_original(m) for m in stream)
+            matches = MatchBlock(list(stream))
             outcome = stream.result()
-            enum_time = outcome.elapsed
         else:
             result = matcher.execute(
                 plan,
@@ -420,13 +424,12 @@ class MatchService:
                 executor=self._shard_pool() if plan.sharded else None,
             )
             outcome = result.enumeration
-            enum_time = outcome.elapsed
-            matches = (
-                tuple(cform.to_original(m) for m in outcome.matches)
-                if record
-                else ()
-            )
+            matches = outcome.matches
             shard_outcomes = result.shards or ()
+        enum_time = outcome.elapsed
+        # The id remap result[u] = match[mapping[u]], for every
+        # embedding of the block at once.
+        matches = matches.gather(cform.mapping)
         total_time = time.perf_counter() - t_start
         self._meter(
             cache_hit, plan.filter_time, plan.order_time, enum_time, total_time,

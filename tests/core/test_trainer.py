@@ -58,6 +58,27 @@ class TestTraining:
         trainer.train(train_queries, epochs=2, log_fn=seen.append)
         assert [s.epoch for s in seen] == [0, 1]
 
+    def test_ppo_diagnostics_reach_the_epoch_stats(self, trainer, train_queries):
+        # PPOTrainer.update computes these every epoch; the trainer used
+        # to keep only the loss.
+        history = trainer.train(train_queries, epochs=2)
+        for stats in history.epochs:
+            assert 0.0 <= stats.clip_fraction <= 1.0
+            assert stats.num_steps > 0
+            assert stats.mean_ratio > 0.0
+
+    @pytest.mark.parametrize("algorithm", ["reinforce", "actor_critic"])
+    def test_ratio_free_algorithms_report_neutral_diagnostics(
+        self, data_graph, data_stats, train_queries, algorithm
+    ):
+        config = RLQVOConfig(
+            epochs=1, hidden_dim=8, train_match_limit=200, algorithm=algorithm
+        )
+        trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
+        (stats,) = trainer.train(train_queries, epochs=1).epochs
+        assert (stats.mean_ratio, stats.clip_fraction) == (1.0, 0.0)
+        assert stats.num_steps > 0
+
 
 class TestIncrementalTraining:
     def test_two_phase_histories(self, data_graph, data_stats):

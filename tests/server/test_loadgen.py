@@ -236,6 +236,37 @@ class TestCli:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("failing", [None, "_await_healthy", "check_stats_schema"])
+    def test_self_hosted_service_is_closed_on_every_way_out(
+        self, tmp_path, monkeypatch, failing
+    ):
+        # A self-hosted service left open keeps its scheduler and
+        # process pool alive into interpreter shutdown (the pool's
+        # monitor respawns workers there: spawn_main tracebacks after
+        # the report).  main() must close it after the measured run and
+        # on the early `return 1` paths alike.
+        closed = []
+        real_close = MatchService.close
+
+        def recording_close(service):
+            closed.append(service)
+            real_close(service)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(MatchService, "close", recording_close)
+        if failing is not None:
+            monkeypatch.setattr(loadgen, failing, fail)
+        code = loadgen.main([
+            "--self-host", "--dataset", "citeseer", "--scheduler-executor", "thread",
+            "--queries", "2", "--requests", "4", "--clients", "2",
+            "--match-limit", "200", "--output", str(tmp_path / "out.json"),
+        ])
+        assert code == (0 if failing is None else 1)
+        assert len(closed) == 1
+        assert closed[0].scheduler is not None
+
 
 def test_calibration_load_matches_bench_matching():
     """Both gates must normalize on the *same* reference load.
