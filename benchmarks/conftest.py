@@ -52,7 +52,6 @@ def bench_settings() -> BenchSettings:
         "match_limit",
         "train_epochs",
         "seed",
-        "enum_strategy",
     ):
         env_value = getattr(env, field)
         if env_value != getattr(BenchSettings(), field):

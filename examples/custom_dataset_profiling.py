@@ -21,7 +21,6 @@ Usage::
 
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -58,15 +57,10 @@ def main() -> None:
 
     # Prepare once; plan each query once.  The plan *is* the profile:
     # counts, estimated cost, candidate-space bytes and build time all
-    # ride on it — nothing is re-measured afterwards.  The enumerator
-    # backend is selectable the same way the benchmark suite selects it,
-    # and the header names the one that actually ran so A/B profiles
-    # stay unambiguous.
-    backend = os.environ.get("REPRO_BENCH_ENUM_STRATEGY", "iterative")
-    matcher = Matcher(data, filter="gql", orderer="ri", enumerator=backend,
+    # ride on it — nothing is re-measured afterwards.
+    matcher = Matcher(data, filter="gql", orderer="ri",
                       match_limit=5_000, time_limit=2.0, stats=stats)
     plans = [matcher.plan(q) for q in queries]
-    print(f"profiling with enumerator backend: {matcher.enumerator_name!r}\n")
 
     print(f"{'q':>3} | {'|C| min..max':>12} | {'est. cost':>10} | "
           f"{'#enum (ri/gql/random)':>24} | {'CS space':>9} | {'plan':>7} | sensitivity")

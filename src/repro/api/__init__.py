@@ -17,10 +17,11 @@ verbs:
 * :meth:`Matcher.stream` — lazy embeddings from the configured engine,
   stopping after ``limit`` matches without finishing the search.
 
-Components are chosen by plain strings through the
-:mod:`repro.api.registry` (``filter="gql"``, ``orderer="ri"``,
-``enumerator="iterative"``, ...), so configs and serialized plans carry
-names, not objects; instances are accepted anywhere a name is.
+Filters and orderers are chosen by plain strings through the
+:mod:`repro.api.registry` (``filter="gql"``, ``orderer="ri"``, ...), so
+configs and serialized plans carry names, not objects; instances are
+accepted anywhere a name is.  There is one enumeration engine; plans
+record it as ``"iterative"``.
 
 Example
 -------
@@ -45,13 +46,11 @@ from repro.api.plan import QueryPlan, ShardPlan
 from repro.api.registry import (
     ComponentRegistry,
     available_components,
-    enumerator_registry,
     filter_registry,
     make_enumerator,
     make_filter,
     make_orderer,
     orderer_registry,
-    register_enumerator,
     register_filter,
     register_orderer,
 )
@@ -62,13 +61,11 @@ __all__ = [
     "QueryPlan",
     "ShardPlan",
     "available_components",
-    "enumerator_registry",
     "filter_registry",
     "make_enumerator",
     "make_filter",
     "make_orderer",
     "orderer_registry",
-    "register_enumerator",
     "register_filter",
     "register_orderer",
 ]

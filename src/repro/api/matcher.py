@@ -86,17 +86,22 @@ class Matcher:
         disconnected queries fall back to the unsharded path (their
         halo depth is unbounded), recorded as ``shard_plans=None`` on
         the plan.
-    filter / orderer / enumerator:
+    filter / orderer:
         Registry names (see :func:`repro.api.registry.available_components`)
         or already-constructed component instances.  All names are
         validated here, at construction — an unknown name raises a
         :class:`~repro.errors.RegistryError` listing the valid choices.
         ``orderer="rl"`` (alias of ``"rlqvo"``) additionally needs
         ``model=``.
+    enumerator:
+        An already-configured
+        :class:`~repro.matching.enumeration.Enumerator` to run Phase (3) on,
+        or the one engine's name (nothing to select — the default).
     match_limit / time_limit / record_matches / check_every:
-        Enumerator settings, forwarded to the enumerator factory when
-        ``enumerator`` is a name (an instance keeps its own settings).
-        Defaults mirror the paper's caps (10^5 matches, 500 s).
+        Enumerator settings, used to build the engine when
+        ``enumerator`` is not an instance (an instance keeps its own
+        settings).  Defaults mirror the paper's caps (10^5 matches,
+        500 s).
     stats:
         Precomputed :class:`GraphStats` of ``data`` to share across
         matchers; computed here (once) when omitted.
@@ -183,7 +188,7 @@ class Matcher:
         self.orderer_name = getattr(
             self.orderer, "name", type(self.orderer).__name__
         )
-        self.enumerator_name = self.enumerator.strategy
+        self.enumerator_name = self.enumerator.name
         self.plan_cache = plan_cache
         self._cache_scope = cache_scope
 
@@ -602,10 +607,10 @@ class Matcher:
 
         The result's filter/order timings are the ones recorded on the
         plan, so repeated executions of one plan keep reporting the true
-        (once-paid) planning cost.  ``enumerator`` (a registry name or
-        instance) overrides this matcher's engine for one execution —
-        how the service applies per-request match/time limits to shared
-        cached plans without re-planning.
+        (once-paid) planning cost.  ``enumerator`` (an instance)
+        replaces this matcher's engine for one execution — how the
+        service applies per-request match/time limits to shared cached
+        plans without re-planning.
 
         Sharded plans fan out one enumeration per seeded shard —
         through ``executor`` (any ``Executor``-shaped object with

@@ -1,15 +1,17 @@
 """String-keyed registries for the pipeline's pluggable components.
 
-The paper's framework (Algorithm 1) is a composition of three swappable
-pieces — a candidate filter, an orderer and an enumeration engine — and
-everything that persists a pipeline choice (``RLQVOConfig``,
-``BenchSettings``, CLI flags, serialized :class:`~repro.api.plan.QueryPlan`
-payloads) wants to spell that choice as a *plain string*, not a Python
-object.  This module owns the name → factory mapping: one
-:class:`ComponentRegistry` per component kind, seeded from the matching
-layer's ``FILTERS`` / ``ORDERERS`` tables and the enumeration strategies,
-and open for extension via :func:`register_filter`,
-:func:`register_orderer` and :func:`register_enumerator`.
+The paper's framework (Algorithm 1) is a composition of a candidate
+filter, an orderer and an enumeration engine, and everything that
+persists a pipeline choice (``RLQVOConfig``, ``BenchSettings``, CLI
+flags, serialized :class:`~repro.api.plan.QueryPlan` payloads) wants to
+spell that choice as a *plain string*, not a Python object.  This module
+owns the name → factory mapping: one :class:`ComponentRegistry` each for
+filters and orderers, seeded from the matching layer's ``FILTERS`` /
+``ORDERERS`` tables and open for extension via :func:`register_filter`
+and :func:`register_orderer`.  The enumeration engine is not swappable —
+there is one, and it has a name only so plans and configs can record it
+— so :func:`make_enumerator` takes that name or an instance and there is
+nothing to register.
 
 Resolution is strict and early: an unknown name raises
 :class:`~repro.errors.RegistryError` (a :class:`~repro.errors.ReproError`)
@@ -31,20 +33,18 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Mapping
 
 from repro.errors import RegistryError
-from repro.matching.enumeration import ENUMERATION_STRATEGIES, Enumerator
+from repro.matching.enumeration import Enumerator
 from repro.matching.filters import FILTERS
 from repro.matching.ordering import ORDERERS
 
 __all__ = [
     "ComponentRegistry",
     "available_components",
-    "enumerator_registry",
     "filter_registry",
     "make_enumerator",
     "make_filter",
     "make_orderer",
     "orderer_registry",
-    "register_enumerator",
     "register_filter",
     "register_orderer",
 ]
@@ -56,8 +56,8 @@ class ComponentRegistry:
     Parameters
     ----------
     kind:
-        Human-readable component kind (``"filter"``, ``"orderer"``,
-        ``"enumerator"``) used in error messages.
+        Human-readable component kind (``"filter"``, ``"orderer"``)
+        used in error messages.
     base_cls:
         Class (or tuple of classes) an already-constructed instance must
         be to pass through :meth:`resolve` unchanged.
@@ -168,8 +168,8 @@ def _make_rlqvo(*, policy=None, feature_builder=None, **kwargs):
     return RLQVOOrderer(policy, feature_builder, **kwargs)
 
 
-def _build_registries() -> tuple[ComponentRegistry, ComponentRegistry, ComponentRegistry]:
-    """Seed the three registries from the matching layer's tables."""
+def _build_registries() -> tuple[ComponentRegistry, ComponentRegistry]:
+    """Seed the two registries from the matching layer's tables."""
     from repro.matching.candidates import CandidateFilter
     from repro.matching.ordering.base import Orderer
 
@@ -182,23 +182,12 @@ def _build_registries() -> tuple[ComponentRegistry, ComponentRegistry, Component
         orderers.register(name, cls)
     orderers.register("rlqvo", _make_rlqvo)
     orderers.alias("rl", "rlqvo")
-
-    enumerators = ComponentRegistry("enumerator", Enumerator)
-    for strategy in ENUMERATION_STRATEGIES:
-        enumerators.register(
-            strategy,
-            # Bind per-strategy: a plain lambda would close over the loop
-            # variable and every name would build the last strategy.
-            lambda strategy=strategy, **kwargs: Enumerator(
-                strategy=strategy, **kwargs
-            ),
-        )
-    return filters, orderers, enumerators
+    return filters, orderers
 
 
 #: Process-wide registries — the single source of truth for what a
 #: pipeline-component *string* means anywhere in the library.
-filter_registry, orderer_registry, enumerator_registry = _build_registries()
+filter_registry, orderer_registry = _build_registries()
 
 
 def register_filter(name: str, factory: Callable, overwrite: bool = False) -> Callable:
@@ -209,13 +198,6 @@ def register_filter(name: str, factory: Callable, overwrite: bool = False) -> Ca
 def register_orderer(name: str, factory: Callable, overwrite: bool = False) -> Callable:
     """Register an orderer factory under ``name``."""
     return orderer_registry.register(name, factory, overwrite)
-
-
-def register_enumerator(
-    name: str, factory: Callable, overwrite: bool = False
-) -> Callable:
-    """Register an enumerator factory under ``name``."""
-    return enumerator_registry.register(name, factory, overwrite)
 
 
 def make_filter(spec, **kwargs):
@@ -229,8 +211,21 @@ def make_orderer(spec, **kwargs):
 
 
 def make_enumerator(spec, **kwargs):
-    """Resolve an enumerator name-or-instance via :data:`enumerator_registry`."""
-    return enumerator_registry.resolve(spec, **kwargs)
+    """Resolve an enumerator name-or-instance: an :class:`Enumerator`
+    passes through unchanged, the one engine's name builds
+    ``Enumerator(**kwargs)``, anything else is a :class:`RegistryError`."""
+    if isinstance(spec, Enumerator):
+        return spec
+    if isinstance(spec, str):
+        if spec == Enumerator.name:
+            return Enumerator(**kwargs)
+        raise RegistryError(
+            f"unknown enumerator {spec!r}; valid choices: {Enumerator.name}"
+        )
+    raise RegistryError(
+        f"enumerator must be the name {Enumerator.name!r} or an instance, "
+        f"got {type(spec).__name__!r}"
+    )
 
 
 def available_components() -> Mapping[str, tuple[str, ...]]:
@@ -238,5 +233,5 @@ def available_components() -> Mapping[str, tuple[str, ...]]:
     return {
         "filter": filter_registry.names(),
         "orderer": orderer_registry.names(),
-        "enumerator": enumerator_registry.names(),
+        "enumerator": (Enumerator.name,),
     }

@@ -17,7 +17,6 @@ import time
 
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.harness import BenchSettings, Harness
-from repro.matching.enumeration import ENUMERATION_STRATEGIES
 
 __all__ = ["main"]
 
@@ -40,10 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--match-limit", type=str, help="match cap or 'none'")
     parser.add_argument("--seed", type=int, help="workload / training seed")
-    parser.add_argument(
-        "--enum-strategy", choices=list(ENUMERATION_STRATEGIES),
-        help="enumeration engine (default: iterative)",
-    )
     return parser
 
 
@@ -62,8 +57,6 @@ def _settings_from_args(args: argparse.Namespace) -> BenchSettings:
         )
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.enum_strategy is not None:
-        updates["enum_strategy"] = args.enum_strategy
     if updates:
         from dataclasses import replace
 

@@ -240,7 +240,6 @@ def fig6(
     enumerator = Enumerator(
         match_limit=match_limit,
         time_limit=settings.time_limit,
-        strategy=settings.enum_strategy,
     )
     payload: dict[str, dict] = {}
     for dataset in datasets:

@@ -84,7 +84,7 @@ class BenchSettings:
     Environment overrides (read by :meth:`from_env`):
     ``REPRO_BENCH_QUERIES``, ``REPRO_BENCH_TIME_LIMIT``,
     ``REPRO_BENCH_MATCH_LIMIT``, ``REPRO_BENCH_EPOCHS``,
-    ``REPRO_BENCH_SEED``, ``REPRO_BENCH_ENUM_STRATEGY``.
+    ``REPRO_BENCH_SEED``.
     """
 
     query_count: int = 16
@@ -98,20 +98,6 @@ class BenchSettings:
     hidden_dim: int = 64
     num_gnn_layers: int = 2
     seed: int = 0
-    #: Enumeration engine used across the suite ("iterative" or
-    #: "vectorized"); selectable so CI can race the vectorized backend
-    #: over the same workloads.
-    enum_strategy: str = "iterative"
-
-    def __post_init__(self) -> None:
-        """Fail fast on a bad engine name (e.g. a typo'd env override)."""
-        from repro.matching.enumeration import ENUMERATION_STRATEGIES
-
-        if self.enum_strategy not in ENUMERATION_STRATEGIES:
-            raise DatasetError(
-                f"unknown enum_strategy {self.enum_strategy!r}; "
-                f"options: {ENUMERATION_STRATEGIES}"
-            )
 
     @staticmethod
     def from_env() -> "BenchSettings":
@@ -122,7 +108,6 @@ class BenchSettings:
             "REPRO_BENCH_TIME_LIMIT": ("time_limit", float),
             "REPRO_BENCH_EPOCHS": ("train_epochs", int),
             "REPRO_BENCH_SEED": ("seed", int),
-            "REPRO_BENCH_ENUM_STRATEGY": ("enum_strategy", str),
         }
         for env, (attr, cast) in mapping.items():
             if env in os.environ:
@@ -142,7 +127,6 @@ class BenchSettings:
             train_match_limit=self.train_match_limit,
             train_time_limit=self.train_time_limit,
             rollouts_per_query=self.rollouts_per_query,
-            enum_strategy=self.enum_strategy,
             seed=self.seed,
         )
         base.update(overrides)
@@ -276,7 +260,6 @@ class Harness:
             match_limit=match_limit,
             time_limit=self.settings.time_limit,
             record_matches=False,
-            strategy=self.settings.enum_strategy,
         )
         data = load_dataset(dataset)
         stats = dataset_stats(dataset)

@@ -8,7 +8,6 @@ candidate statistics, the estimated search-space size, and the measured
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.api.matcher import Matcher
@@ -40,11 +39,6 @@ class QueryProfile:
     #: measurement runs (0 when ``measure=False`` — the index is never
     #: built for estimate-only profiles).
     candidate_space_bytes: int = 0
-    #: Enumerator backend the measurement runs actually used (one of
-    #: :data:`repro.matching.ENUMERATION_STRATEGIES`); ``None`` for
-    #: estimate-only profiles, which never enumerate.  A/B profile runs
-    #: are ambiguous without it.
-    enum_strategy: str | None = None
 
     @property
     def order_sensitivity(self) -> float:
@@ -63,21 +57,12 @@ def profile_query(
     measure: bool = True,
     match_limit: int | None = 10_000,
     time_limit: float | None = 2.0,
-    enum_strategy: str | None = None,
 ) -> QueryProfile:
-    """Profile one query's difficulty against ``data``.
-
-    ``enum_strategy`` defaults to ``REPRO_BENCH_ENUM_STRATEGY`` (else
-    ``"iterative"``) so profiles use the same engine as the benchmark
-    suite they explain.
-    """
-    if enum_strategy is None:
-        enum_strategy = os.environ.get("REPRO_BENCH_ENUM_STRATEGY", "iterative")
+    """Profile one query's difficulty against ``data``."""
     candidate_filter = candidate_filter if candidate_filter is not None else GQLFilter()
 
     measured: dict[str, int] = {}
     space_bytes = 0
-    ran_strategy: str | None = None
     if measure and query.num_vertices:
         # Facade path: one plan carries the candidate counts, the RI
         # reference order, the cost estimate and the candidate-space
@@ -87,19 +72,12 @@ def profile_query(
             data,
             filter=candidate_filter,
             orderer="ri",
-            enumerator=Enumerator(
-                match_limit=match_limit,
-                time_limit=time_limit,
-                strategy=enum_strategy,
-            ),
+            enumerator=Enumerator(match_limit=match_limit, time_limit=time_limit),
             stats=stats,
         )
         plan = matcher.plan(query)
         sizes = plan.candidate_counts
         estimated = plan.estimated_cost
-        # Report what actually ran, not what was asked for: the facade
-        # normalizes the strategy name, so read it back off the matcher.
-        ran_strategy = matcher.enumerator.strategy
         if plan.matchable:
             measured["ri"] = matcher.execute(plan).num_enumerations
             for orderer in (GQLOrderer(), RandomOrderer(seed=0)):
@@ -125,7 +103,6 @@ def profile_query(
         estimated_cost=estimated,
         measured_enum=measured,
         candidate_space_bytes=space_bytes,
-        enum_strategy=ran_strategy,
     )
 
 

@@ -19,7 +19,6 @@ import sys
 import time
 
 from repro.core.config import RLQVOConfig
-from repro.matching.enumeration import ENUMERATION_STRATEGIES
 from repro.core.model_io import save_model
 from repro.core.trainer import RLQVOTrainer
 from repro.datasets.registry import DATASETS, dataset_stats, load_dataset
@@ -54,11 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-rollout enumeration deadline (s); the paper's full-scale "
         "runs use 500",
     )
-    parser.add_argument(
-        "--enum-strategy", default="iterative",
-        choices=list(ENUMERATION_STRATEGIES),
-        help="enumeration engine for reward rollouts",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--incremental-from", type=int, metavar="SIZE",
@@ -84,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         algorithm=args.algorithm,
         train_match_limit=args.train_match_limit,
         train_time_limit=args.train_time_limit,
-        enum_strategy=args.enum_strategy,
         seed=args.seed,
     )
     data = load_dataset(args.dataset)
@@ -100,6 +93,9 @@ def main(argv: list[str] | None = None) -> int:
             f"skipped={epoch_stats.queries_skipped} "
             f"ratio={epoch_stats.mean_ratio:.3f} "
             f"clip={epoch_stats.clip_fraction:.2f} "
+            f"kl={epoch_stats.approx_kl:+.4f} "
+            f"H={epoch_stats.entropy:.3f} "
+            f"|g|={epoch_stats.grad_norm:.2f} "
             f"steps={epoch_stats.num_steps} "
             f"({epoch_stats.elapsed:.1f}s)"
         )

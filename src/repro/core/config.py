@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.api.registry import available_components
 from repro.errors import ModelError
-from repro.matching.enumeration import DEFAULT_TIME_LIMIT, ENUMERATION_STRATEGIES
+from repro.matching.enumeration import DEFAULT_TIME_LIMIT
 from repro.rl.reward import RewardConfig
 
 __all__ = ["RLQVOConfig"]
@@ -46,10 +47,10 @@ class RLQVOConfig:
         500 s wall-clock limit during training
         (:data:`repro.matching.enumeration.DEFAULT_TIME_LIMIT`).
     enum_strategy:
-        Enumeration engine used for reward rollouts: ``"iterative"``
-        (default, depth-independent) or ``"vectorized"`` (the
-        frontier-batched numpy backend — bit-identical rewards, fewer
-        interpreter steps on enumeration-heavy rollouts).
+        Name of the enumeration engine reward rollouts run on.  There is
+        one engine, so this has one legal value and selects nothing; it
+        is still a field only because the end-to-end benchmark's trace
+        mode reads it, and it goes when that mirror does (ROADMAP A(i)).
     use_entropy_reward / use_validity_reward:
         Toggles for the NoEnt / NoVal ablations.
     seed:
@@ -107,10 +108,10 @@ class RLQVOConfig:
             raise ModelError("rollouts_per_query must be >= 1")
         if self.algorithm not in ("ppo", "reinforce", "actor_critic"):
             raise ModelError(f"unknown algorithm {self.algorithm!r}")
-        if self.enum_strategy not in ENUMERATION_STRATEGIES:
+        engines = available_components()["enumerator"]
+        if self.enum_strategy not in engines:
             raise ModelError(
-                f"unknown enum_strategy {self.enum_strategy!r}; "
-                f"options: {ENUMERATION_STRATEGIES}"
+                f"unknown enum_strategy {self.enum_strategy!r}; options: {engines}"
             )
 
     def effective_reward(self) -> RewardConfig:

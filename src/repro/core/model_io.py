@@ -39,6 +39,10 @@ def load_model(directory: str | os.PathLike[str]) -> PolicyNetwork:
         raise ModelError(f"no saved model under {directory}")
     raw = json.loads(config_path.read_text())
     raw["reward"] = RewardConfig(**raw["reward"])
+    # Which engine computed the training rewards says nothing about the
+    # policy (they were bit-identical), and a checkpoint saved when
+    # there were two may name the one that no longer exists.
+    raw.pop("enum_strategy", None)
     config = RLQVOConfig(**raw)
     policy = PolicyNetwork(config)
     load_module(policy, weights_path)

@@ -70,12 +70,17 @@ class EpochStats:
     greedy_enum_total: int = 0
     #: PPO's view of its own last pass over the epoch's batch: the mean
     #: probability ratio π_new/π_old, the share of steps whose ratio left
-    #: the clip range, and the steps in the batch.  ``"reinforce"`` and
-    #: ``"actor_critic"`` have no ratio: they report 1.0 / 0.0 and their
-    #: own step count.
+    #: the clip range, the steps in the batch, the sample estimate
+    #: mean(−log ρ) of KL(π_old ‖ π_new), the mean entropy of the masked
+    #: policy and the global gradient norm before clipping.
+    #: ``"reinforce"`` and ``"actor_critic"`` report their own step count
+    #: and the neutral 1.0 / 0.0 for the rest.
     mean_ratio: float = 1.0
     clip_fraction: float = 0.0
     num_steps: int = 0
+    approx_kl: float = 0.0
+    entropy: float = 0.0
+    grad_norm: float = 0.0
 
 
 @dataclass
@@ -135,7 +140,6 @@ class RLQVOTrainer:
             match_limit=self.config.train_match_limit,
             time_limit=self.config.train_time_limit,
             record_matches=False,
-            strategy=self.config.enum_strategy,
         )
         # One facade instance for all reward rollouts: data-graph-side
         # state (stats, filter, baseline orderer, enumerator) is bound
@@ -277,6 +281,9 @@ class RLQVOTrainer:
                 mean_ratio=getattr(ppo_stats, "mean_ratio", 1.0),
                 clip_fraction=getattr(ppo_stats, "clip_fraction", 0.0),
                 num_steps=ppo_stats.num_steps,
+                approx_kl=getattr(ppo_stats, "approx_kl", 0.0),
+                entropy=getattr(ppo_stats, "entropy", 0.0),
+                grad_norm=getattr(ppo_stats, "grad_norm", 0.0),
             )
             history.epochs.append(stats)
             if log_fn is not None:

@@ -24,7 +24,6 @@ from repro.matching.context import MatchingContext
 from repro.matching.engine import MatchResult
 from repro.matching.enumeration import (
     DEFAULT_TIME_LIMIT,
-    ENUMERATION_STRATEGIES,
     EnumerationResult,
     Enumerator,
     MatchStream,
@@ -73,7 +72,6 @@ __all__ = [
     "CandidateSpace",
     "DEFAULT_TIME_LIMIT",
     "DPisoFilter",
-    "ENUMERATION_STRATEGIES",
     "EnumerationResult",
     "Enumerator",
     "FILTERS",

@@ -2,7 +2,7 @@
 
 The paper's output is the embedding set (Def. II.5), and a batch run
 that records it holds ``k`` embeddings of an ``n``-vertex query — up to
-10^5 of them.  Both engines produce that set as numbers in arrays, and
+10^5 of them.  The engine produces that set as numbers in arrays, and
 the serving path only ever moves it: re-index the columns into the
 client's vertex numbering, merge shard results, hand nested lists to
 ``json.dumps``.  None of that needs a Python object per embedding, let

@@ -13,24 +13,20 @@ cursors into sorted numpy candidate arrays, with local candidates
 computed by sorted-array intersection against the
 :class:`~repro.matching.candidate_space.CandidateSpace` flat per-edge
 index.  It uses O(1) Python stack frames regardless of query depth, so
-deep path queries enumerate fine.  ``Enumerator(strategy=...)`` picks
-how many positions of the order that walk binds (its ``stop``) and what
-expands the rest:
+deep path queries enumerate fine.  There is one engine and nothing to
+choose: a batch run (:meth:`Enumerator.run_context`) drains the walk
+through :func:`~repro.matching.enumeration_batch.enumerate_batch`, which
+lets the walk hand a frame at position ``n-3`` to the bulk frontier —
+chunked numpy batches over the three deepest levels — exactly when the
+frame is wide enough to pay for the call, and a stream
+(:meth:`Enumerator.stream_context`) rides the same walk per node, so a
+consumer pays only up to its last pull.
 
-* ``strategy="iterative"`` (the default) — ``stop = n``: the walk binds
-  every position, one interpreter step per ``#enum`` step, and each
-  prefix it yields is a match.
-* ``strategy="vectorized"`` — ``stop = max(n - 3, 0)``: everything below
-  a depth-``n-3`` prefix is expanded by the bulk frontier of
-  :mod:`repro.matching.enumeration_batch` as chunked numpy batches
-  (bulk segment gathers, vectorized membership and injectivity masks).
-  It trades batch-scratch memory (bounded by the chunk width) for
-  several-fold fewer interpreter steps on enumeration-heavy queries.
-
-Both visit candidates in ascending vertex order, so match sequences and
-``#enum`` are bit-identical (including under ``match_limit``
-truncation).  The differential suites pin both, and the walk itself at
-every ``stop``, against a plain one-frame-per-vertex recursion over raw
+Every path visits candidates in ascending vertex order, so match
+sequences and ``#enum`` are bit-identical (including under
+``match_limit`` truncation) whichever frames go to the frontier.  The
+differential suites pin that — every frame taken, none taken, and the
+default — against a plain one-frame-per-vertex recursion over raw
 adjacency — Algorithm 2 as written, independent of the candidate space —
 which lives under ``tests/`` (``tests/recursive_oracle.py``); nothing in
 ``src/`` can select it.
@@ -56,7 +52,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import EnumerationError
@@ -65,20 +61,12 @@ from repro.graphs.validation import check_order
 from repro.matching.block import MatchBlock
 from repro.matching.candidates import CandidateSets
 from repro.matching.context import MatchingContext
-from repro.matching.enumeration_batch import (
-    enumerate_lazy_vectorized,
-    enumerate_vectorized,
-)
-from repro.matching.enumeration_iter import (
-    EnumerationCounters,
-    enumerate_iterative,
-    enumerate_lazy,
-)
+from repro.matching.enumeration_batch import enumerate_batch
+from repro.matching.enumeration_iter import EnumerationCounters, enumerate_lazy
 from repro.matching.kernels import ScratchBuffers
 
 __all__ = [
     "DEFAULT_TIME_LIMIT",
-    "ENUMERATION_STRATEGIES",
     "EnumerationResult",
     "Enumerator",
     "MatchStream",
@@ -88,17 +76,6 @@ __all__ = [
 #: report ``timed_out`` instead of hanging.  Pass ``time_limit=None``
 #: explicitly for an unlimited run.
 DEFAULT_TIME_LIMIT: float = 500.0
-
-#: strategy -> (batch driver, lazy generator), each a consumer of the
-#: one ``walk_prefixes`` DFS: the one table :meth:`Enumerator.run_context`
-#: and :meth:`Enumerator.stream_context` both dispatch through.
-_DRIVERS: dict[str, tuple[Callable, Callable]] = {
-    "iterative": (enumerate_iterative, enumerate_lazy),
-    "vectorized": (enumerate_vectorized, enumerate_lazy_vectorized),
-}
-
-#: Engine implementations selectable via ``Enumerator(strategy=...)``.
-ENUMERATION_STRATEGIES: tuple[str, ...] = tuple(_DRIVERS)
 
 
 @dataclass(frozen=True)
@@ -145,7 +122,7 @@ class EnumerationResult:
 
 
 class MatchStream:
-    """Lazy embedding stream over an engine's lazy generator.
+    """Lazy embedding stream over the engine's lazy generator.
 
     Iterating yields embeddings one at a time, as tuples indexed by query
     vertex (``m[u]`` is the image of ``u``) — the same tuples, in the
@@ -179,7 +156,6 @@ class MatchStream:
         match_limit: int | None,
         time_limit: float | None,
         check_every: int,
-        lazy_engine: Callable = enumerate_lazy,
     ):
         self._match_limit = match_limit
         self._start = time.perf_counter()
@@ -195,7 +171,7 @@ class MatchStream:
             self._counters.num_enumerations = 1
         else:
             deadline = self._start + time_limit if time_limit is not None else None
-            self._gen = lazy_engine(
+            self._gen = enumerate_lazy(
                 context, order, backward, deadline, check_every, self._counters
             )
             # Pre-charge the root step: the generator body only runs on
@@ -290,7 +266,7 @@ class MatchStream:
 
 
 class Enumerator:
-    """Backtracking enumerator with limits and selectable engine.
+    """Backtracking enumerator with limits.
 
     Parameters
     ----------
@@ -303,12 +279,15 @@ class Enumerator:
         Whether to materialize embeddings (off for pure counting runs).
     check_every:
         Deadline check cadence, in extension steps.
-    strategy:
-        ``"iterative"`` (default, depth-independent) or ``"vectorized"``
-        (the frontier-batched numpy backend — bit-identical output,
-        fewer interpreter steps, batch-scratch memory bounded by the
-        chunk width).
+
+    There is no engine to select: the one explicit-stack DFS decides per
+    frame, from the frame's own width, whether the bulk frontier expands
+    it (see :mod:`repro.matching.enumeration_batch`).  :attr:`name` is
+    what plans and registries call that engine.
     """
+
+    #: The engine's registry name, recorded on plans as provenance.
+    name = "iterative"
 
     def __init__(
         self,
@@ -316,22 +295,16 @@ class Enumerator:
         time_limit: float | None = DEFAULT_TIME_LIMIT,
         record_matches: bool = False,
         check_every: int = 2048,
-        strategy: str = "iterative",
     ):
         if match_limit is not None and match_limit < 1:
             raise EnumerationError("match_limit must be >= 1 or None")
         if time_limit is not None and time_limit <= 0:
             raise EnumerationError("time_limit must be positive or None")
-        if strategy not in ENUMERATION_STRATEGIES:
-            raise EnumerationError(
-                f"unknown strategy {strategy!r}; options: {ENUMERATION_STRATEGIES}"
-            )
         self.match_limit = match_limit
         self.time_limit = time_limit
         self.record_matches = record_matches
         self.check_every = max(1, check_every)
-        self.strategy = strategy
-        # Per-thread ScratchBuffers for the vectorized batch driver:
+        # Per-thread ScratchBuffers for the batch driver:
         # reused across synchronous run_context calls on one thread
         # (streams always bind fresh scratch — a suspended stream holds
         # its buffers across pulls, so sharing would corrupt it).  This
@@ -343,10 +316,11 @@ class Enumerator:
     def peak_scratch_bytes(self) -> int:
         """High-water batch-scratch footprint on the calling thread.
 
-        Covers the vectorized engine's per-thread
+        Covers the batch driver's per-thread
         :class:`~repro.matching.kernels.ScratchBuffers` (per-depth
-        candidate arrays plus the named batch buffers); 0 until this
-        thread's first vectorized run.  Monotone across a thread's
+        candidate arrays plus the frontier's named batch buffers, which
+        exist only once a frame was wide enough to be taken); 0 until a
+        run on this thread needed any.  Monotone across a thread's
         lifetime — buffers grow geometrically and never shrink.
         """
         scratch = getattr(self._thread_state, "scratch", None)
@@ -401,19 +375,15 @@ class Enumerator:
         deadline = (
             start_time + self.time_limit if self.time_limit is not None else None
         )
-        batch_fn, _ = _DRIVERS[self.strategy]
-        options = {}
-        if self.strategy == "vectorized":
-            # One ScratchBuffers per thread, rebound per query (geometric
-            # growth, never shrinks).  Safe because the batch driver fully
-            # consumes its chunk generator before returning — no user code
-            # runs while the scratch is live.
-            scratch = getattr(self._thread_state, "scratch", None)
-            if scratch is None:
-                scratch = ScratchBuffers([])
-                self._thread_state.scratch = scratch
-            options["scratch"] = scratch
-        found, enum, timed_out, limited, matches = batch_fn(
+        # One ScratchBuffers per thread, rebound per query (geometric
+        # growth, never shrinks).  Safe because the batch driver drains
+        # the walk before returning — no user code runs while the
+        # scratch is live.
+        scratch = getattr(self._thread_state, "scratch", None)
+        if scratch is None:
+            scratch = ScratchBuffers([])
+            self._thread_state.scratch = scratch
+        found, enum, timed_out, limited, matches = enumerate_batch(
             context,
             order,
             backward,
@@ -421,7 +391,7 @@ class Enumerator:
             deadline,
             self.check_every,
             self.record_matches,
-            **options,
+            scratch,
         )
         return EnumerationResult(
             num_matches=found,
@@ -442,14 +412,14 @@ class Enumerator:
 
         The stream yields embeddings in exactly the sequence a batch
         :meth:`run_context` with ``record_matches=True`` would collect,
-        driving the same DFS core, but suspends between matches — so a
+        driving the same DFS, but suspends between matches — so a
         consumer that stops after ``k`` matches never pays for the rest
-        of the search.  ``match_limit`` overrides the enumerator's own
-        limit for this stream (pass ``None`` for find-all); the
-        enumerator's ``time_limit`` applies as an absolute wall-clock
-        deadline from stream creation.  Both engines can suspend (the
-        vectorized one computes chunks ahead of the pulls but publishes
-        exact per-match counters).
+        of the search (which is why a stream never hands a frame to the
+        bulk frontier: that computes whole subtrees ahead of the pulls).
+        ``match_limit`` overrides the enumerator's own limit for this
+        stream (pass ``None`` for find-all); the enumerator's
+        ``time_limit`` applies as an absolute wall-clock deadline from
+        stream creation.
         """
         if match_limit == "default":
             match_limit = self.match_limit
@@ -457,11 +427,5 @@ class Enumerator:
             raise EnumerationError("match_limit must be >= 1 or None")
         order, backward = self._prepare_order(context, order)
         return MatchStream(
-            context,
-            order,
-            backward,
-            match_limit,
-            self.time_limit,
-            self.check_every,
-            lazy_engine=_DRIVERS[self.strategy][1],
+            context, order, backward, match_limit, self.time_limit, self.check_every
         )

@@ -6,11 +6,12 @@ limit raises :class:`RecursionError` before the search even gets going.
 This module holds the flat production form, written exactly once: a DFS
 driven by per-depth cursors into *sorted numpy candidate arrays*, in the
 style of LIVE's and NeuSO's index-driven enumeration loops.
-:func:`walk_prefixes` binds the first ``stop`` positions of the order
-and suspends once per bound prefix, so a strategy is one integer:
-``"iterative"`` is ``stop = n`` (every prefix is a match), and
-``"vectorized"`` is ``stop = max(n - 3, 0)`` with the bulk frontier of
-:mod:`repro.matching.enumeration_batch` underneath.
+:func:`walk_prefixes` binds every position of the order and suspends
+once per match.  It has no mode: its one other suspension point is the
+moment it opens a frame at the depth a batch consumer named, and only
+when that frame holds enough candidates to be worth handing over — the
+bulk frontier of :mod:`repro.matching.enumeration_batch` then expands
+everything below it, and the walk carries on with the next prefix.
 
 Local candidates at depth ``i`` are computed by the buffered galloping
 kernels of :mod:`repro.matching.kernels` over the
@@ -33,7 +34,7 @@ order a plain recursion over sorted adjacency scans produces — so it
 yields *identical* match sequences and identical ``#enum`` counts,
 including under ``match_limit`` truncation.  That equivalence is what
 lets the recursive oracle under ``tests/`` (``recursive_oracle.py``)
-pin the walk differentially, at every ``stop``.
+pin the walk differentially, whichever frames a consumer takes.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from repro.matching.kernels import (
 __all__ = [
     "EnumerationCounters",
     "intersect_sorted",
-    "enumerate_iterative",
     "enumerate_lazy",
 ]
 
@@ -204,13 +204,13 @@ class EnumerationCounters:
     the *started* walk has just yielded, returned, raised, or been
     closed — it refreshes ``num_enumerations`` before every yield and,
     via ``try/finally``, on every way out of the frame, including a
-    ``close()`` between pulls.  The channel runs both ways: while the
-    walk is suspended a consumer adds the steps it takes *below* the
-    prefix to ``num_enumerations`` and sets ``timed_out`` if its own
-    deadline check fires; the walk re-reads both on resume.  A generator
-    that is closed before its first pull never ran at all, so it cannot
-    refresh anything; :class:`~repro.matching.enumeration.MatchStream`
-    covers that window by pre-charging the root step at stream creation.
+    ``close()`` between pulls.  The channel runs both ways: a consumer
+    that was handed a frame adds the steps it takes *below* the prefix
+    to ``num_enumerations`` and sets ``timed_out`` if its own deadline
+    check fires; the walk re-reads both on resume.  A generator that is
+    closed before its first pull never ran at all, so it cannot refresh
+    anything; :class:`~repro.matching.enumeration.MatchStream` covers
+    that window by pre-charging the root step at stream creation.
     """
 
     __slots__ = ("num_enumerations", "timed_out")
@@ -226,40 +226,44 @@ def walk_prefixes(
     deadline: float | None,
     check_every: int,
     counters: EnumerationCounters,
-    stop: int,
-) -> Iterator[None]:
-    """The explicit-stack DFS over positions ``0 .. stop-1``.
+    frame_depth: int = -1,
+    min_parents: int = 0,
+) -> Iterator[np.ndarray | None]:
+    """The explicit-stack DFS over every position of the order.
 
-    Yields (nothing — the state is ``search``) once per valid partial
-    embedding of the first ``stop`` positions, in DFS lexicographic
-    order; ``stop == 0`` yields exactly once, after the root charge, and
-    ``stop == n`` makes every prefix a match.  While the walk is
-    suspended ``search.images[:stop]`` is the prefix and, below a proper
-    prefix, ``search.used`` marks exactly its images.
+    Yields ``None`` once per match, in DFS lexicographic order, with the
+    match in ``search.images`` (by position).  The one other suspension
+    point: when the walk opens the frame at position ``frame_depth`` and
+    its local candidate array holds at least ``min_parents`` entries, it
+    yields *that array* instead of walking it.  The frame is then the
+    consumer's — ``search.images[:frame_depth]`` is the prefix,
+    ``search.used`` marks exactly its images, and every embedding below
+    is the consumer's to find and to charge — and the walk treats it as
+    exhausted when it resumes.  A smaller frame is walked per node
+    without suspending, so a frame that is not handed over costs one
+    integer comparison; the default ``frame_depth`` is no frame's depth,
+    so a consumer that names none only ever sees matches.
 
     ``#enum`` is counted exactly as Algorithm 2's recursion counts
     calls: one for the root plus one per extension attempt; see
-    :class:`EnumerationCounters` for how it is published and how a
-    consumer charges its own steps or stops the walk.  There is
-    deliberately no match limit here: truncation is the consumer's move
-    (stop iterating / ``close()``), which keeps one definition of "stop
-    after the k-th match".  ``deadline`` is absolute
+    :class:`EnumerationCounters` for how it is published and how the
+    consumer of a frame charges its own steps or stops the walk.  There
+    is deliberately no match limit here: truncation is the consumer's
+    move (stop iterating / ``close()``), which keeps one definition of
+    "stop after the k-th match".  ``deadline`` is absolute
     ``time.perf_counter`` time, checked whenever ``#enum`` reaches a
     multiple of ``check_every``, so wall clock a consumer spends between
     pulls counts against it too.
     """
     images = search.images
     used = search.used
-    last = stop - 1
-    # A proper, non-empty prefix has levels below it that must not reuse
-    # its deepest image; a full match has nothing below, so the hot
-    # stop == n walk skips that mark/unmark pair.
-    shield = 0 < stop < len(images)
+    n = len(images)
+    last = n - 1
     # Per-depth frames: the local candidate array (a view — see
     # _local_candidates) and a cursor into it.
-    cand_stack: list[np.ndarray] = [_EMPTY] * stop
-    len_stack: list[int] = [0] * stop
-    pos_stack: list[int] = [0] * stop
+    cand_stack: list[np.ndarray] = [_EMPTY] * n
+    len_stack: list[int] = [0] * n
+    pos_stack: list[int] = [0] * n
     perf_counter = time.perf_counter
     enum = 0
     depth = -1
@@ -276,26 +280,28 @@ def walk_prefixes(
                 counters.timed_out = True
                 return
             if depth == last:
-                if shield:
-                    used[v] = True
                 counters.num_enumerations = enum
-                try:
-                    yield
-                finally:
-                    # Also on a close() between pulls, so the outer
-                    # refresh below cannot un-charge the consumer's steps.
-                    enum = counters.num_enumerations
-                if counters.timed_out:
-                    return
-                if shield:
-                    used[v] = False
+                yield None
             else:
                 if depth >= 0:
                     used[v] = True
                 depth += 1
                 arr = _local_candidates(search, backward, depth)
+                size = arr.size
+                if depth == frame_depth and size >= min_parents:
+                    counters.num_enumerations = enum
+                    try:
+                        yield arr
+                    finally:
+                        # Also on a close() mid-frame, so the outer
+                        # refresh below cannot un-charge the consumer's
+                        # steps.
+                        enum = counters.num_enumerations
+                    if counters.timed_out:
+                        return
+                    size = 0
                 cand_stack[depth] = arr
-                len_stack[depth] = arr.size
+                len_stack[depth] = size
                 pos_stack[depth] = 0
             # Advance to the next unused candidate, backtracking out of
             # exhausted frames; falling off the root ends the walk.
@@ -334,56 +340,6 @@ def _positions_by_vertex(order: Sequence[int]) -> list[int]:
     return sorted(range(len(order)), key=order.__getitem__)
 
 
-def enumerate_iterative(
-    context: MatchingContext,
-    order: Sequence[int],
-    backward: Sequence[Sequence[int]],
-    match_limit: int | None,
-    deadline: float | None,
-    check_every: int,
-    record: bool,
-) -> tuple[int, int, bool, bool, np.ndarray]:
-    """Batch ``"iterative"``: drain the ``stop = n`` walk; returns raw
-    counters, not a result.
-
-    Parameters mirror one :meth:`Enumerator.run` invocation after its
-    shared validation: ``context`` carries the instance (its
-    :class:`CandidateSpace` is built on first access when the engine
-    runs standalone; ``Matcher.plan`` pre-builds it in Phase (1)),
-    ``backward`` lists backward-neighbour *positions* per position in
-    ``order``, and ``deadline`` is an absolute ``time.perf_counter``
-    timestamp.
-
-    Returns ``(num_matches, num_enumerations, timed_out, limit_reached,
-    matches)``; ``match_limit`` abandons the walk right after the k-th
-    match, so ``#enum`` is the search explored up to it.  ``matches`` is
-    one ``(k, n)`` int64 array indexed ``[match, query vertex]``
-    (``k = 0`` unless ``record``): the walk appends each match's images
-    *by position* to one flat list, and the list becomes the array — and
-    its columns move from positions to query vertices — once, after the
-    walk.  No tuple is built per match.
-    """
-    search = _bind_depths(context, order, backward)
-    counters = EnumerationCounters()
-    walk = walk_prefixes(search, backward, deadline, check_every, counters, len(order))
-    images = search.images
-    flat: list[int] = []
-    found = 0
-    limited = False
-    for _ in walk:
-        found += 1
-        if record:
-            flat.extend(images)
-        if match_limit is not None and found >= match_limit:
-            # The walk published #enum before suspending, so abandoning
-            # it mid-search reports exactly the k-th match's count.
-            limited = True
-            break
-    by_position = np.fromiter(flat, np.int64, len(flat)).reshape(-1, len(order))
-    matches = by_position[:, _positions_by_vertex(order)]
-    return found, counters.num_enumerations, counters.timed_out, limited, matches
-
-
 def enumerate_lazy(
     context: MatchingContext,
     order: Sequence[int],
@@ -392,18 +348,28 @@ def enumerate_lazy(
     check_every: int,
     counters: EnumerationCounters,
 ) -> Iterator[tuple[int, ...]]:
-    """Lazy ``"iterative"``: ride the ``stop = n`` walk, yielding each
-    match as a tuple indexed by query vertex.
+    """The lazy generator: ride the walk, yielding each match as a tuple
+    indexed by query vertex.
 
-    The DFS state lives in the suspended walk, so a consumer that stops
-    after ``k`` matches pays only the search explored up to the ``k``-th
-    match — exactly the ``#enum`` :func:`enumerate_iterative` reports
+    Parameters mirror one :meth:`Enumerator.stream_context` invocation
+    after its shared validation: ``context`` carries the instance (its
+    :class:`CandidateSpace` is built on first access when the engine
+    runs standalone; ``Matcher.plan`` pre-builds it in Phase (1)),
+    ``backward`` lists backward-neighbour *positions* per position in
+    ``order``, and ``deadline`` is an absolute ``time.perf_counter``
+    timestamp.
+
+    The DFS state lives in the suspended walk, and no frame is ever
+    taken in bulk — a frontier computes whole subtrees ahead of the
+    pulls — so a consumer that stops after ``k`` matches pays only the
+    search explored up to the ``k``-th match: exactly the ``#enum``
+    :func:`~repro.matching.enumeration_batch.enumerate_batch` reports
     under ``match_limit=k``.  ``counters`` carries the walk's own
     contract through unchanged (current after every yield and on every
     exit, including a ``close()`` between pulls).
     """
     search = _bind_depths(context, order, backward)
-    walk = walk_prefixes(search, backward, deadline, check_every, counters, len(order))
+    walk = walk_prefixes(search, backward, deadline, check_every, counters)
     image_at, where = search.images.__getitem__, _positions_by_vertex(order)
     for _ in walk:
         yield tuple(map(image_at, where))

@@ -1,6 +1,6 @@
 """Allocation-free set-intersection kernels for the DFS hot path.
 
-The iterative enumeration engine computes one local candidate list per
+The enumeration engine computes one local candidate list per
 extension attempt — millions of times per query on real workloads.  The
 pre-kernel loop allocated on every single node: ``np.intersect1d`` built
 (and sorted) a fresh result array, the injectivity filter
@@ -38,7 +38,7 @@ are per depth, ping-pong temporaries alternate).  The DFS cursors walk
 the numpy views/buffers directly — the per-node ``tolist()``
 materialization is gone entirely.
 
-The frontier-batched backend (``enumeration_batch.py``) adds three
+The bulk frontier (``enumeration_batch.py``) adds three
 batched kernels on top: :func:`gather_segments_into` concatenates many
 ``(offsets, concat)`` segments into one flat batch in a single gather,
 :func:`batch_membership_into` is the batched form of one
@@ -166,7 +166,7 @@ def gather_segments_into(
 ) -> int:
     """Concatenate ``concat[starts[i] : starts[i] + lens[i]]`` for all ``i``.
 
-    The batched segment gather of the frontier backend: one
+    The batched segment gather of the bulk frontier: one
     ``np.take`` materializes every row's adjacency segment of a flat
     ``(offsets, concat)`` edge binding into ``out`` back to back,
     replacing one Python-level slice per row.  ``starts`` / ``lens``
@@ -241,7 +241,7 @@ def batch_unused_into(
 
 
 class ScratchBuffers:
-    """Per-query scratch for the iterative DFS, sized once in binding.
+    """Per-query scratch for the DFS, sized once in binding.
 
     ``cand[i]`` is depth ``i``'s candidate buffer: when depth ``i`` has
     two or more backward neighbours, its intersected candidate list
@@ -261,7 +261,7 @@ class ScratchBuffers:
     capacities, growing geometrically and never shrinking, so a
     ``Matcher`` serving queries of varying sizes touches the allocator
     a bounded number of times instead of once per query.  The
-    frontier-batched backend additionally draws named growable batch
+    bulk frontier additionally draws named growable batch
     buffers from :meth:`batch`; ``peak_nbytes`` reports the high-water
     footprint across everything, which is how the bench makes the
     batch-width memory cost visible.
@@ -308,7 +308,7 @@ class ScratchBuffers:
     def batch(self, name: str, size: int, dtype: type = np.int64) -> np.ndarray:
         """Return the named growable batch buffer with ≥ ``size`` capacity.
 
-        Batch buffers back the frontier backend's flat ``(B, k)``
+        Batch buffers back the bulk frontier's flat ``(B, k)``
         scratch (candidate values, row indices, masks).  Growth is
         geometric with a floor, so a frontier loop over thousands of
         chunks reallocates a handful of times at most.  The caller

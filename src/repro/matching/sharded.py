@@ -23,7 +23,7 @@ and Phase (3) once per shard, against each shard's small local graph:
    root column is restricted to the shard's seeds.  Completeness is
    relative to the graph the filter runs on, and every owned embedding
    exists in the local graph — so no needed vertex is pruned.
-4. **Merge.**  Both engines emit matches in lexicographic order of the
+4. **Merge.**  The engine emits matches in lexicographic order of the
    image tuple along φ; the monotone local→global id map preserves that
    order per shard, and ownership ranges are contiguous and ascending,
    so shard sequences are disjoint ascending runs.  The merge of
@@ -160,7 +160,7 @@ def merge_shard_matches(per_shard: list, order: tuple[int, ...]) -> MatchBlock:
     """Merge per-shard blocks of matches into the canonical sequence.
 
     The sort key is the image tuple along ``order`` — the lexicographic
-    emission order of both engines: the blocks are concatenated and put
+    emission order of the engine: the blocks are concatenated and put
     in that order by one stable ``np.lexsort`` over the columns of
     ``order``.  With contiguous ascending ownership ranges the shard
     runs are already disjoint ascending blocks and the sort moves

@@ -47,7 +47,7 @@ def catalog_spec(
     through the process-cached :func:`repro.datasets.load_dataset`);
     explicit in-memory graphs ship as
     :func:`~repro.api.plan.graph_payload` dicts.  Component overrides
-    (filter/orderer/enumerator/limits/shards) travel verbatim.
+    (filter/orderer/limits/shards) travel verbatim.
 
     Entries carrying a live in-memory ``model`` are refused with a
     ``validation`` :class:`~repro.service.requests.ServiceError`:
@@ -67,7 +67,6 @@ def catalog_spec(
         spec: dict = {
             "filter": entry.filter,
             "orderer": entry.orderer,
-            "enumerator": entry.enumerator,
             "match_limit": entry.match_limit,
             "time_limit": entry.time_limit,
             "shards": entry.shards,
@@ -101,7 +100,6 @@ def _build_service(spec: dict):
             data=graph,
             filter=dataset["filter"],
             orderer=dataset["orderer"],
-            enumerator=dataset["enumerator"],
             match_limit=dataset["match_limit"],
             time_limit=dataset["time_limit"],
             shards=dataset["shards"],

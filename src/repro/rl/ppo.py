@@ -27,12 +27,21 @@ __all__ = ["PPOStats", "PPOTrainer"]
 
 @dataclass(frozen=True)
 class PPOStats:
-    """Diagnostics of one PPO update call."""
+    """Diagnostics of one PPO update call (its last pass over the batch).
+
+    ``approx_kl`` is the sample estimate ``mean(−log ρ)`` of
+    ``KL(π_θ' ‖ π_θ)`` over the batch's steps, ``entropy`` the mean
+    Shannon entropy of the masked policy at those steps, and
+    ``grad_norm`` the global gradient norm *before* clipping.
+    """
 
     loss: float
     mean_ratio: float
     clip_fraction: float
     num_steps: int
+    approx_kl: float = 0.0
+    entropy: float = 0.0
+    grad_norm: float = 0.0
 
 
 class PPOTrainer:
@@ -97,6 +106,7 @@ class PPOTrainer:
     def _one_pass(self, trajectories: list[Trajectory]) -> PPOStats:
         terms: list[Tensor] = []
         ratios: list[float] = []
+        entropies: list[float] = []
         clipped = 0
         low, high = 1.0 - self.clip_epsilon, 1.0 + self.clip_epsilon
         advantages = self._advantages(trajectories)
@@ -115,6 +125,7 @@ class PPOTrainer:
                 terms.append(surrogate)
                 r = float(ratio.data.reshape(-1)[0])
                 ratios.append(r)
+                entropies.append(float(out.entropy.data))
                 if r < low or r > high:
                     clipped += 1
 
@@ -130,8 +141,7 @@ class PPOTrainer:
 
         self.optimizer.zero_grad()
         loss.backward()
-        if self.max_grad_norm is not None:
-            self._clip_gradients()
+        grad_norm = self._clip_gradients()
         self.optimizer.step()
 
         return PPOStats(
@@ -139,17 +149,22 @@ class PPOTrainer:
             mean_ratio=float(np.mean(ratios)),
             clip_fraction=clipped / len(terms),
             num_steps=len(terms),
+            approx_kl=float(-np.mean(np.log(np.maximum(ratios, 1e-12)))),
+            entropy=float(np.mean(entropies)),
+            grad_norm=grad_norm,
         )
 
-    def _clip_gradients(self) -> None:
-        """Global-norm gradient clipping for training stability."""
+    def _clip_gradients(self) -> float:
+        """Global-norm gradient clipping for training stability; returns
+        the norm before clipping (``max_grad_norm=None`` only measures)."""
         total = 0.0
         for p in self.optimizer.parameters:
             if p.grad is not None:
                 total += float((p.grad**2).sum())
         norm = total**0.5
-        if norm > self.max_grad_norm and norm > 0:
+        if self.max_grad_norm is not None and norm > self.max_grad_norm and norm > 0:
             scale = self.max_grad_norm / norm
             for p in self.optimizer.parameters:
                 if p.grad is not None:
                     p.grad *= scale
+        return norm

@@ -14,7 +14,7 @@ Routes
     One :class:`~repro.service.requests.MatchRequest` JSON body in, one
     :class:`~repro.service.requests.MatchResponse` JSON body out.  The
     request's per-call overrides (``match_limit`` / ``time_limit`` /
-    ``orderer`` / ``enumerator``) apply exactly as in direct
+    ``orderer``) apply exactly as in direct
     :meth:`~repro.service.service.MatchService.submit` calls.
 ``POST /match/stream``
     Same request schema, chunked NDJSON response: one

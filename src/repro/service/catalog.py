@@ -16,8 +16,8 @@ Entries come from three places, mixable freely:
 * explicit graphs — ``DatasetCatalog({"prod": my_graph})`` serves an
   in-memory graph under a name of your choosing;
 * per-dataset component overrides — an entry may pin its own filter /
-  orderer / enumerator / limits / trained model, e.g. a learned orderer
-  for one dataset and RI for the rest.
+  orderer / limits / trained model, e.g. a learned orderer for one
+  dataset and RI for the rest.
 
 Per-request orderer overrides construct a *variant* matcher that shares
 the base entry's data graph and statistics (only the orderer differs),
@@ -49,7 +49,8 @@ class CatalogEntry:
     ``data`` may be ``None`` for registry datasets (loaded through
     :func:`repro.datasets.load_dataset` on first use).  The component
     and limit fields mirror :class:`~repro.api.matcher.Matcher`'s
-    constructor; ``model`` feeds the learned orderer.  ``shards`` (with
+    constructor (the enumeration engine is not among them: there is
+    one); ``model`` feeds the learned orderer.  ``shards`` (with
     ``shard_mode``) turns on partitioned matching for the dataset: the
     constructed matcher wraps the data graph in a
     :class:`~repro.graphs.partition.ShardedGraph` and the service fans
@@ -60,7 +61,6 @@ class CatalogEntry:
     data: Graph | None = None
     filter: str = "gql"
     orderer: str = "ri"
-    enumerator: str = "iterative"
     match_limit: int | None = 100_000
     time_limit: float | None = DEFAULT_TIME_LIMIT
     model: object = None
@@ -270,7 +270,6 @@ class DatasetCatalog:
             data,
             filter=entry.filter,
             orderer=chosen,
-            enumerator=entry.enumerator,
             shards=entry.shards if orderer is None else None,
             shard_mode=entry.shard_mode,
             match_limit=entry.match_limit,

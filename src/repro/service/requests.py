@@ -173,13 +173,6 @@ class MatchRequest:
     orderer:
         Registry name overriding the dataset's configured orderer for
         this request (plans cache separately per orderer).
-    enumerator:
-        Enumeration-backend name overriding the dataset's configured
-        engine for this request (``"iterative"`` or ``"vectorized"``;
-        anything else is a ``validation`` error).  Backends are
-        bit-identical on matches and ``#enum``, so the override changes
-        only the latency/memory profile — plans are shared across
-        backends.
     record_matches:
         Materialize embeddings into :attr:`MatchResponse.matches`.
     stream:
@@ -210,7 +203,6 @@ class MatchRequest:
     match_limit: Any = UNSET
     time_limit: Any = UNSET
     orderer: str | None = None
-    enumerator: str | None = None
     record_matches: bool = False
     stream: bool = False
     tag: str | None = None
@@ -227,8 +219,6 @@ class MatchRequest:
             payload["time_limit"] = self.time_limit
         if self.orderer is not None:
             payload["orderer"] = self.orderer
-        if self.enumerator is not None:
-            payload["enumerator"] = self.enumerator
         if self.record_matches:
             payload["record_matches"] = True
         if self.stream:
@@ -250,7 +240,11 @@ class MatchRequest:
         Absent limit keys mean :data:`UNSET` (dataset defaults); an
         explicit JSON ``null`` means unlimited, mirroring ``None``.
         Absent scheduling keys take the cost-free defaults, so payloads
-        written by pre-scheduler clients parse unchanged.
+        written by pre-scheduler clients parse unchanged.  Unknown keys
+        are ignored — among them ``"enumerator"``, which older clients
+        (and requests an older process journaled) may still carry from
+        when there was a backend to choose; the outcome never depended
+        on it.
         """
         try:
             deadline_s = payload.get("deadline_s")
@@ -260,7 +254,6 @@ class MatchRequest:
                 match_limit=payload.get("match_limit", UNSET),
                 time_limit=payload.get("time_limit", UNSET),
                 orderer=payload.get("orderer"),
-                enumerator=payload.get("enumerator"),
                 record_matches=bool(payload.get("record_matches", False)),
                 stream=bool(payload.get("stream", False)),
                 tag=payload.get("tag"),

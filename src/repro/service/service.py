@@ -335,10 +335,7 @@ class MatchService:
 
         Returns ``None`` when the dataset's configured enumerator
         already fits — the common case, which keeps cache-hit requests
-        allocation-free on the planning side.  A backend override
-        (``request.enumerator``) is safe on shared cached plans because
-        every backend is bit-identical on matches and ``#enum`` — only
-        the latency/memory profile changes.
+        allocation-free on the planning side.
         """
         match_limit = (
             base.match_limit if request.match_limit is UNSET else request.match_limit
@@ -346,14 +343,10 @@ class MatchService:
         time_limit = (
             base.time_limit if request.time_limit is UNSET else request.time_limit
         )
-        strategy = (
-            base.strategy if request.enumerator is None else request.enumerator
-        )
         if (
             match_limit == base.match_limit
             and time_limit == base.time_limit
             and record == base.record_matches
-            and strategy == base.strategy
         ):
             return None
         return Enumerator(
@@ -361,7 +354,6 @@ class MatchService:
             time_limit=time_limit,
             record_matches=record,
             check_every=base.check_every,
-            strategy=strategy,
         )
 
     @staticmethod

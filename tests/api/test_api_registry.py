@@ -4,7 +4,6 @@ import pytest
 
 from repro.api import (
     available_components,
-    enumerator_registry,
     filter_registry,
     make_enumerator,
     make_filter,
@@ -21,8 +20,8 @@ class TestResolution:
     def test_known_names_resolve_to_instances(self):
         assert isinstance(make_filter("gql"), GQLFilter)
         assert isinstance(make_orderer("ri"), RIOrderer)
-        enum = make_enumerator("vectorized", match_limit=7)
-        assert enum.strategy == "vectorized" and enum.match_limit == 7
+        enum = make_enumerator("iterative", match_limit=7)
+        assert isinstance(enum, Enumerator) and enum.match_limit == 7
 
     def test_instances_pass_through_unchanged(self):
         orderer = RandomOrderer(seed=3)
@@ -49,13 +48,7 @@ class TestResolution:
         # sorted, comma-joined canonical names — both so users can scan
         # it and so downstream surfaces (the service catalog) can match
         # the style.  Pin it for every registry kind.
-        from repro.api.registry import (
-            enumerator_registry,
-            filter_registry,
-            orderer_registry,
-        )
-
-        for registry in (filter_registry, orderer_registry, enumerator_registry):
+        for registry in (filter_registry, orderer_registry):
             with pytest.raises(ReproError) as exc_info:
                 registry.canonical("definitely-not-registered")
             message = str(exc_info.value)
@@ -68,6 +61,8 @@ class TestResolution:
             make_orderer(42)
         with pytest.raises(RegistryError):
             make_filter(RIOrderer())  # an orderer is not a filter
+        with pytest.raises(RegistryError, match="'iterative' or an instance"):
+            make_enumerator(42)
 
     def test_rl_alias_resolves_to_rlqvo(self):
         assert orderer_registry.canonical("rl") == "rlqvo"
@@ -108,9 +103,9 @@ class TestInventory:
         assert set(inventory) == {"filter", "orderer", "enumerator"}
         assert "gql" in inventory["filter"]
         assert "rlqvo" in inventory["orderer"]
-        assert inventory["enumerator"] == ("iterative", "vectorized")
+        assert inventory["enumerator"] == ("iterative",)
 
     def test_names_are_sorted_and_iterable(self):
         names = filter_registry.names()
         assert list(names) == sorted(names)
-        assert list(iter(enumerator_registry)) == list(enumerator_registry.names())
+        assert list(iter(orderer_registry)) == list(orderer_registry.names())

@@ -56,3 +56,15 @@ class TestSaveLoad:
         loaded = load_model(tmp_path / "m")
         assert loaded.config.reward.beta_val == 0.9
         assert loaded.config.reward.gamma == 0.8
+
+    def test_checkpoint_naming_a_retired_engine_still_loads(self, tmp_path):
+        # Saved by `repro-train --enum-strategy vectorized` when that
+        # existed; the field never described the policy.
+        import json
+
+        save_model(PolicyNetwork(RLQVOConfig(hidden_dim=8)), tmp_path / "m")
+        path = tmp_path / "m" / "config.json"
+        path.write_text(
+            json.dumps(dict(json.loads(path.read_text()), enum_strategy="vectorized"))
+        )
+        assert load_model(tmp_path / "m").config.hidden_dim == 8

@@ -1,5 +1,7 @@
 """Tests for the RL-QVO training loop."""
 
+import math
+
 import pytest
 
 from repro.core import RLQVOConfig, RLQVOTrainer
@@ -66,6 +68,9 @@ class TestTraining:
             assert 0.0 <= stats.clip_fraction <= 1.0
             assert stats.num_steps > 0
             assert stats.mean_ratio > 0.0
+            assert stats.entropy >= 0.0
+            assert stats.grad_norm > 0.0
+            assert math.isfinite(stats.approx_kl)
 
     @pytest.mark.parametrize("algorithm", ["reinforce", "actor_critic"])
     def test_ratio_free_algorithms_report_neutral_diagnostics(
@@ -77,6 +82,7 @@ class TestTraining:
         trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
         (stats,) = trainer.train(train_queries, epochs=1).epochs
         assert (stats.mean_ratio, stats.clip_fraction) == (1.0, 0.0)
+        assert (stats.approx_kl, stats.entropy, stats.grad_norm) == (0.0, 0.0, 0.0)
         assert stats.num_steps > 0
 
 

@@ -1,32 +1,34 @@
-"""``"recursive"`` is not an engine name anywhere it can be typed.
+"""Neither retired engine name is selectable anywhere it can be typed.
 
-The recursive enumerator is a test-only oracle (``tests/
-recursive_oracle.py``); every production selection point must reject the
-name through its ordinary validation path, naming the two valid engines.
+There is one enumeration engine.  ``"recursive"`` is a test-only oracle
+(``tests/recursive_oracle.py``) and ``"vectorized"`` was a user-set
+choice between two bit-identical consumers of the one DFS, which the
+walk now makes per frame.  Every selection point that still takes a
+name rejects both through its ordinary validation path, naming the one
+choice; every selection point that only existed to carry the choice is
+gone (a ``TypeError`` / an unknown CLI argument / an ignored environment
+variable).  The wire is the exception, on purpose: an ``"enumerator"``
+key is ignored like any other unknown key, so old clients and journaled
+requests keep working — the outcome never depended on it.
 """
 
 import http.client
 import json
+import time
 
 import numpy as np
 import pytest
 
 from repro import Enumerator, Matcher, MatchRequest, MatchService, RLQVOConfig
-from repro.api import enumerator_registry, make_enumerator
+from repro.api import make_enumerator
 from repro.bench import BenchSettings, profile_query
 from repro.bench.cli import main as bench_main
 from repro.core.cli import main as train_main
-from repro.errors import (
-    DatasetError,
-    EnumerationError,
-    ModelError,
-    RegistryError,
-    ReproError,
-)
+from repro.errors import ModelError, RegistryError
 from repro.graphs import erdos_renyi, extract_query
+from repro.procpool import DurableQueue
 from repro.server import BackgroundServer
-from repro.service import CatalogEntry, DatasetCatalog
-from repro.service.requests import error_code_for
+from repro.service import CatalogEntry, SchedulerConfig
 
 DATA = erdos_renyi(40, 120, 2, seed=5)
 QUERY = extract_query(DATA, 4, np.random.default_rng(5))
@@ -35,90 +37,121 @@ QUERY = extract_query(DATA, 4, np.random.default_rng(5))
 MATCHER = Matcher(DATA)
 PLAN = MATCHER.plan(QUERY)
 
-
-def _bench_env(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_ENUM_STRATEGY", "recursive")
-    return BenchSettings.from_env()
-
-
-def _catalog_entry(_):
-    entry = CatalogEntry(name="tiny", data=DATA, enumerator="recursive")
-    return DatasetCatalog({"tiny": entry}).matcher("tiny")
-
+RETIRED = ("recursive", "vectorized")
 
 #: selection point -> (the error its validation path raises, the attempt).
 SELECTION_POINTS = {
-    "Enumerator(strategy=)": (
-        EnumerationError, lambda _: Enumerator(strategy="recursive")),
-    "make_enumerator": (RegistryError, lambda _: make_enumerator("recursive")),
-    "enumerator_registry": (
-        RegistryError, lambda _: enumerator_registry.create("recursive")),
+    "make_enumerator": (RegistryError, make_enumerator),
     "Matcher(enumerator=)": (
-        RegistryError, lambda _: Matcher(DATA, enumerator="recursive")),
+        RegistryError, lambda name: Matcher(DATA, enumerator=name)),
     "Matcher.execute(enumerator=)": (
-        RegistryError, lambda _: MATCHER.execute(PLAN, enumerator="recursive")),
+        RegistryError, lambda name: MATCHER.execute(PLAN, enumerator=name)),
     "Matcher.stream_plan(enumerator=)": (
-        RegistryError, lambda _: MATCHER.stream_plan(PLAN, enumerator="recursive")),
-    "CatalogEntry.enumerator": (RegistryError, _catalog_entry),
+        RegistryError, lambda name: MATCHER.stream_plan(PLAN, enumerator=name)),
     "RLQVOConfig.enum_strategy": (
-        ModelError, lambda _: RLQVOConfig(enum_strategy="recursive")),
-    "BenchSettings.enum_strategy": (
-        DatasetError, lambda _: BenchSettings(enum_strategy="recursive")),
-    "REPRO_BENCH_ENUM_STRATEGY": (DatasetError, _bench_env),
-    "profile_query(enum_strategy=)": (
-        EnumerationError,
-        lambda _: profile_query(QUERY, DATA, enum_strategy="recursive")),
+        ModelError, lambda name: RLQVOConfig(enum_strategy=name)),
+}
+
+#: Places that used to carry the choice and no longer take it at all.
+REMOVED_PARAMETERS = {
+    "Enumerator(strategy=)": lambda name: Enumerator(strategy=name),
+    "MatchRequest(enumerator=)": lambda name: MatchRequest(
+        "tiny", QUERY, enumerator=name),
+    "CatalogEntry(enumerator=)": lambda name: CatalogEntry(
+        name="tiny", data=DATA, enumerator=name),
+    "BenchSettings(enum_strategy=)": lambda name: BenchSettings(enum_strategy=name),
+    "profile_query(enum_strategy=)": lambda name: profile_query(
+        QUERY, DATA, enum_strategy=name),
 }
 
 
+@pytest.mark.parametrize("name", RETIRED)
 @pytest.mark.parametrize("site", SELECTION_POINTS)
-def test_in_process_selection_points_reject_recursive(site, monkeypatch):
+def test_in_process_selection_points_reject_recursive(site, name):
     error, select = SELECTION_POINTS[site]
     with pytest.raises(error) as exc_info:
-        select(monkeypatch)
+        select(name)
     message = str(exc_info.value)
-    assert "recursive" in message
-    assert "iterative" in message and "vectorized" in message
+    assert name in message
+    # The one choice is named; the other retired name is not offered.
+    assert "iterative" in message
+    assert all(other not in message for other in RETIRED if other != name)
 
 
-def test_service_submit_is_a_validation_error():
-    service = MatchService(catalog={"tiny": DATA})
-    request = MatchRequest("tiny", QUERY, enumerator="recursive")
-    with pytest.raises(ReproError) as exc_info:
-        service.submit(request)
-    assert error_code_for(exc_info.value) == "validation"
-    (captured,) = service.submit_many([request])
-    assert captured.error_code == "validation"
-    assert "vectorized" in captured.error
+@pytest.mark.parametrize("name", RETIRED)
+@pytest.mark.parametrize("site", REMOVED_PARAMETERS)
+def test_removed_parameters_are_type_errors(site, name):
+    with pytest.raises(TypeError):
+        REMOVED_PARAMETERS[site](name)
 
 
-def test_http_match_is_a_400_envelope():
-    service = MatchService(catalog={"tiny": DATA})
-    body = json.dumps(MatchRequest("tiny", QUERY, enumerator="recursive").to_dict())
-    with BackgroundServer(service) as background:
-        conn = http.client.HTTPConnection(*background.address, timeout=30)
-        try:
-            conn.request("POST", "/match", body=body)
-            response = conn.getresponse()
-            payload = json.loads(response.read())
-        finally:
-            conn.close()
-    assert response.status == 400
-    assert payload["code"] == "validation"
-    assert "iterative" in payload["error"] and "vectorized" in payload["error"]
+def test_bench_environment_variable_is_not_read(monkeypatch):
+    settings, profile = BenchSettings.from_env(), profile_query(QUERY, DATA)
+    monkeypatch.setenv("REPRO_BENCH_ENUM_STRATEGY", "vectorized")
+    assert BenchSettings.from_env() == settings
+    assert profile_query(QUERY, DATA) == profile
+
+
+def _post_match(background, payload: dict) -> tuple[int, dict]:
+    conn = http.client.HTTPConnection(*background.address, timeout=30)
+    try:
+        conn.request("POST", "/match", body=json.dumps(payload))
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_wire_ignores_an_enumerator_key(name):
+    plain = MatchRequest("tiny", QUERY, record_matches=True).to_dict()
+    assert "enumerator" not in plain
+    keyed = dict(plain, enumerator=name)
+    assert MatchRequest.from_dict(keyed) == MatchRequest.from_dict(plain)
+    with BackgroundServer(MatchService(catalog={"tiny": DATA})) as background:
+        status, expected = _post_match(background, plain)
+        assert status == 200
+        status, served = _post_match(background, keyed)
+    assert status == 200
+    assert served["num_matches"] == expected["num_matches"] > 0
+    for field in ("num_enumerations", "order", "matches", "limit_reached"):
+        assert served[field] == expected[field]
+
+
+def test_journaled_request_with_an_enumerator_key_replays(tmp_path):
+    journal = tmp_path / "journal.sqlite"
+    payload = dict(MatchRequest("tiny", QUERY).to_dict(), enumerator="vectorized")
+    with DurableQueue(journal) as queue:
+        queue.record(payload, tenant="acme", cost=1.0)
+    service = MatchService(
+        catalog={"tiny": DATA},
+        scheduler=SchedulerConfig(
+            workers=1, durable_path=str(journal), retry_degrade=False
+        ),
+    )
+    try:
+        deadline = time.time() + 60
+        while True:
+            sched = service.stats().to_dict()["scheduler"]
+            if sched["durable"]["pending"] == 0:
+                break
+            assert time.time() < deadline, sched
+            time.sleep(0.05)
+        assert (sched["recovered"], sched["completed"], sched["errors"]) == (1, 1, 0)
+    finally:
+        service.close()
 
 
 @pytest.mark.parametrize(
     "main,argv",
     [
-        (train_main, ["citeseer", "--enum-strategy", "recursive"]),
-        (bench_main, ["table3", "--enum-strategy", "recursive"]),
+        (train_main, ["citeseer", "--enum-strategy", "vectorized"]),
+        (bench_main, ["table3", "--enum-strategy", "vectorized"]),
     ],
     ids=["repro-train", "repro-bench"],
 )
-def test_cli_flags_reject_recursive_and_print_the_choices(main, argv, capsys):
+def test_cli_flag_is_an_unknown_argument(main, argv, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
     assert exc_info.value.code != 0
-    usage = capsys.readouterr().err
-    assert "'iterative', 'vectorized'" in usage
+    assert "unrecognized arguments: --enum-strategy" in capsys.readouterr().err

@@ -125,7 +125,7 @@ class TestEngineEquivalenceOnContext:
         order = RIOrderer().order(query, data, candidates)
         context = MatchingContext(query, data, candidates)
         iterative = Enumerator(
-            strategy="iterative", match_limit=None, record_matches=True
+            match_limit=None, record_matches=True
         ).run_context(context, order)
         oracle = RecursiveOracle(
             match_limit=None, record_matches=True

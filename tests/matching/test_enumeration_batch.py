@@ -1,17 +1,23 @@
-"""Differential tests: the frontier-batched vectorized engine.
+"""Differential tests: the one engine, whichever frames it takes in bulk.
 
-The vectorized backend (:mod:`repro.matching.enumeration_batch`) must
-preserve the iterative engine's semantics bit-for-bit — same match
-sequences, same ``#enum``, same limit behaviour — and the iterative
-engine is itself pinned to the recursive oracle, so the three-way
-comparison here closes the loop.  The suite also pins the
+The batch driver (:mod:`repro.matching.enumeration_batch`) walks most of
+the search per node and hands a frame at position ``n-3`` to the bulk
+frontier when the frame is wide enough.  Which frames those are must
+never show: match sequences, ``#enum``, ``timed_out`` and
+``limit_reached`` are pinned to the recursive oracle with every frame
+taken, with none taken, and at the shipped threshold (``MODES``, see
+``frontier_modes.py``) — plus runs that provably mix both paths, the
+only place the recorded order could break.  The suite also pins the
 batch-scratch growth contract: one :class:`ScratchBuffers` per thread,
 geometric growth across queries of different sizes (no quadratic
 re-allocation), ``peak_scratch_bytes`` monotone.
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
+from frontier_modes import MODES, frames_seen, frontier_mode
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from recursive_oracle import RecursiveOracle
@@ -26,8 +32,6 @@ from repro.matching import (
     ScratchBuffers,
 )
 
-ENGINES = ("recursive", "iterative", "vectorized")
-
 
 def _random_instance(seed: int):
     rng = np.random.default_rng(seed)
@@ -35,53 +39,55 @@ def _random_instance(seed: int):
     m = int(rng.integers(n, 3 * n))
     num_labels = int(rng.integers(1, 4))
     data = erdos_renyi(n, m, num_labels, seed=seed)
-    query = extract_query(data, int(rng.integers(2, 8)), rng)
+    query = extract_query(data, int(rng.integers(1, 8)), rng)
     candidates = GQLFilter().filter(query, data)
     order = RIOrderer().order(query, data, candidates)
     return query, data, candidates, order
 
 
-def _engine(strategy: str, **kwargs):
-    """The named production engine, or the test-only recursive oracle."""
-    if strategy == "recursive":
-        return RecursiveOracle(**kwargs)
-    return Enumerator(strategy=strategy, **kwargs)
+def _oracle(instance, match_limit=None):
+    return RecursiveOracle(match_limit=match_limit, record_matches=True).run(*instance)
 
 
-def _run(strategy: str, instance, **kwargs):
-    query, data, candidates, order = instance
+def _run(mode, instance, **kwargs):
     kwargs.setdefault("match_limit", None)
     kwargs.setdefault("record_matches", True)
-    return _engine(strategy, **kwargs).run(query, data, candidates, order)
+    kwargs.setdefault("time_limit", None)
+    with frontier_mode(mode):
+        return Enumerator(**kwargs).run(*instance)
+
+
+def _assert_equals_oracle(instance, match_limit=None, modes=MODES):
+    """Recorded and count-only, under every mode, against the oracle."""
+    oracle = _oracle(instance, match_limit)
+    for mode in modes:
+        recorded = _run(mode, instance, match_limit=match_limit)
+        counted = _run(mode, instance, match_limit=match_limit, record_matches=False)
+        # Sequences, not merely sets: candidates are visited in
+        # ascending vertex order whoever expands them.
+        assert recorded.matches == oracle.matches, mode
+        assert counted.matches == ()
+        for result in (recorded, counted):
+            assert result.num_matches == oracle.num_matches, mode
+            assert result.num_enumerations == oracle.num_enumerations, mode
+            assert result.limit_reached == oracle.limit_reached, mode
+            assert not result.timed_out
+    return oracle
 
 
 # ----------------------------------------------------------------------
-# Three-way bit-identity
+# Bit-identity with the oracle under every mode
 # ----------------------------------------------------------------------
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
 def test_three_way_bit_identity_find_all(seed):
-    instance = _random_instance(seed)
-    results = {name: _run(name, instance) for name in ENGINES}
-    oracle = results["recursive"]
-    for name in ("iterative", "vectorized"):
-        result = results[name]
-        # Sequences, not merely sets: all engines visit candidates in
-        # ascending vertex order.
-        assert result.matches == oracle.matches, name
-        assert result.num_enumerations == oracle.num_enumerations, name
-        assert result.complete == oracle.complete, name
+    _assert_equals_oracle(_random_instance(seed))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 100_000), st.sampled_from([1, 2, 3, 17, 500]))
 def test_match_limit_truncation(seed, limit):
-    instance = _random_instance(seed)
-    it = _run("iterative", instance, match_limit=limit)
-    vec = _run("vectorized", instance, match_limit=limit)
-    assert vec.matches == it.matches
-    assert vec.num_enumerations == it.num_enumerations
-    assert vec.limit_reached == it.limit_reached
+    _assert_equals_oracle(_random_instance(seed), match_limit=limit)
 
 
 @settings(max_examples=15, deadline=None)
@@ -89,45 +95,92 @@ def test_match_limit_truncation(seed, limit):
 def test_arbitrary_orders(seed):
     query, data, candidates, _ = _random_instance(seed)
     rng = np.random.default_rng(seed + 1)
+    # Not necessarily connected: levels without backward neighbours
+    # (base-array frames, fixed-list frontier levels) are walked too.
     order = [int(u) for u in rng.permutation(query.num_vertices)]
-    instance = (query, data, candidates, order)
     # Capped: random orders can explode the search space.
-    it = _run("iterative", instance, match_limit=2_000)
-    vec = _run("vectorized", instance, match_limit=2_000)
-    assert vec.matches == it.matches
-    assert vec.num_enumerations == it.num_enumerations
-    assert vec.limit_reached == it.limit_reached
+    _assert_equals_oracle((query, data, candidates, order), match_limit=2_000)
+
+
+# ----------------------------------------------------------------------
+# Runs that mix both paths
+# ----------------------------------------------------------------------
+def _mixed_instance(seed: int):
+    """One label, a few hundred embeddings, ``n-3`` frames of very
+    different widths."""
+    data = erdos_renyi(30, 75, 1, seed=seed)
+    query = extract_query(data, 6, np.random.default_rng(seed))
+    candidates = GQLFilter().filter(query, data)
+    order = RIOrderer().order(query, data, candidates)
+    return query, data, candidates, order
+
+
+def _mixing_threshold(instance) -> tuple[int, list[int]]:
+    """A ``FRONTIER_MIN_STEPS`` under which this instance's run finds
+    some matches in frames taken in bulk and some per node; with it,
+    the ``#matches`` of each bulk chunk of that run."""
+    total = _oracle(instance).num_matches
+    for exponent in range(1, 24):
+        with frames_seen() as taken:
+            _run(1 << exponent, instance)
+        chunks = [size for frame in taken for size in frame]
+        if 0 < sum(chunks) < total:
+            return 1 << exponent, chunks
+    raise AssertionError("no threshold splits this instance's matches")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_mixed_run_records_in_dfs_order(seed):
+    # Per-node matches are buffered in a flat list and bulk chunks
+    # arrive as matrices; only a run that produces both can get their
+    # interleaving wrong.
+    instance = _mixed_instance(seed)
+    threshold, chunks = _mixing_threshold(instance)
+    oracle = _assert_equals_oracle(instance, modes=MODES + (threshold,))
+    assert len(chunks) > 1 and oracle.num_matches > 100
+
+
+def test_match_limit_at_every_position_of_a_mixed_run():
+    # Every limit from 1 to the total: the sweep cuts between two
+    # per-node matches, inside a bulk chunk, exactly on a chunk's last
+    # survivor and on the first match after one.
+    instance = _mixed_instance(0)
+    threshold, chunks = _mixing_threshold(instance)
+    full = _oracle(instance)
+    assert max(chunks) >= 3 and sum(chunks) <= full.num_matches - 2
+    for limit in range(1, full.num_matches + 1):
+        cut = _assert_equals_oracle(instance, limit, modes=MODES + (threshold,))
+        assert cut.matches == full.matches[:limit] and cut.limit_reached
 
 
 # ----------------------------------------------------------------------
 # Limits, degenerate shapes
 # ----------------------------------------------------------------------
 def test_time_limit_expiry_reported():
-    # A dense instance with an already-expired deadline: both engines
-    # must notice and report timed_out.  The truncation point is
-    # wall-clock nondeterministic, so only the flag is comparable.
+    # A dense instance with an already-expired deadline: the engine
+    # must notice and report timed_out whoever is expanding.  The
+    # truncation point is wall-clock nondeterministic, so only the flag
+    # is comparable.
     data = erdos_renyi(40, 500, 1, seed=0)
     rng = np.random.default_rng(0)
     query = extract_query(data, 6, rng)
     candidates = GQLFilter().filter(query, data)
     order = RIOrderer().order(query, data, candidates)
-    for strategy in ("iterative", "vectorized"):
-        result = Enumerator(
-            strategy=strategy, match_limit=None,
-            time_limit=1e-9, check_every=1,
-        ).run(query, data, candidates, order)
-        assert result.timed_out, strategy
-        assert not result.complete, strategy
+    for mode in MODES:
+        result = _run(
+            mode, (query, data, candidates, order), time_limit=1e-9, check_every=1
+        )
+        assert result.timed_out, mode
+        assert not result.complete, mode
 
 
-@pytest.mark.parametrize("strategy", ENGINES)
-def test_empty_candidate_query(strategy):
+@pytest.mark.parametrize("mode", ("recursive",) + MODES)
+def test_empty_candidate_query(mode):
     data = Graph([0, 0, 1], [(0, 1), (1, 2)])
     query = Graph([0, 2], [(0, 1)])  # label 2 has no data vertex
     candidates = GQLFilter().filter(query, data)
-    result = _engine(strategy, record_matches=True).run(
-        query, data, candidates, [0, 1]
-    )
+    instance = (query, data, candidates, [0, 1])
+    result = _oracle(instance) if mode == "recursive" else _run(mode, instance)
     assert result.num_matches == 0
     assert result.matches == ()
 
@@ -136,33 +189,26 @@ def test_single_vertex_query_matches_iterative():
     data = erdos_renyi(20, 40, 2, seed=3)
     query = Graph([int(data.label(0))], [])
     candidates = GQLFilter().filter(query, data)
-    results = {
-        name: _engine(name, match_limit=None, record_matches=True).run(
-            query, data, candidates, [0]
-        )
-        for name in ENGINES
-    }
-    oracle = results["recursive"]
+    oracle = _assert_equals_oracle((query, data, candidates, [0]))
     assert oracle.num_matches > 0
-    for name in ("iterative", "vectorized"):
-        assert results[name].matches == oracle.matches
-        assert results[name].num_enumerations == oracle.num_enumerations
 
 
-@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("size", [1, 2, 3])
 def test_shallow_queries_use_reduced_frontier(size):
-    # n == 2 and n == 3 exercise the no-upper-DFS paths of the batch
-    # engine (no parent level / no prefix); pin them explicitly.
+    # What is left of the frontier on a shallow query: at n == 3 the
+    # frame is the root's and there is no prefix above it; n < 3 has no
+    # position n-3, so nothing is ever handed over.
     data = erdos_renyi(30, 90, 2, seed=size)
     rng = np.random.default_rng(size)
     query = extract_query(data, size, rng)
     candidates = GQLFilter().filter(query, data)
     order = RIOrderer().order(query, data, candidates)
     instance = (query, data, candidates, order)
-    it = _run("iterative", instance)
-    vec = _run("vectorized", instance)
-    assert vec.matches == it.matches
-    assert vec.num_enumerations == it.num_enumerations
+    oracle = _assert_equals_oracle(instance)
+    assert oracle.num_matches > 0
+    with frames_seen() as taken:
+        _run("vectorized", instance)
+    assert len(taken) == (1 if size == 3 else 0)
 
 
 # ----------------------------------------------------------------------
@@ -171,43 +217,45 @@ def test_shallow_queries_use_reduced_frontier(size):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 100_000), st.integers(1, 9))
 def test_stream_prefix_equality_after_early_close(seed, k):
-    query, data, candidates, order = _random_instance(seed)
+    # A stream never hands a frame over — it must pay only up to its
+    # last pull — so its prefix and counters equal a batch run capped at
+    # the number of matches pulled, whichever frames that run took.
+    instance = _random_instance(seed)
+    query, data, candidates, order = instance
     context = MatchingContext(query, data, candidates)
-    it_stream = Enumerator(
-        strategy="iterative", time_limit=None
-    ).stream_context(context, order, match_limit=None)
-    vec_stream = Enumerator(
-        strategy="vectorized", time_limit=None
-    ).stream_context(context, order, match_limit=None)
-    it_prefix = [m for m, _ in zip(it_stream, range(k))]
-    vec_prefix = [m for m, _ in zip(vec_stream, range(k))]
-    it_stream.close()
-    vec_stream.close()
-    assert vec_prefix == it_prefix
+    with frontier_mode("vectorized"), frames_seen() as taken:
+        stream = Enumerator(time_limit=None).stream_context(
+            context, order, match_limit=None
+        )
+        prefix = list(islice(stream, k))
+        stream.close()
+    assert not taken
+    # A stream that ran dry before its k-th pull searched everything.
+    oracle = _assert_equals_oracle(instance, k if len(prefix) == k else None)
+    assert tuple(prefix) == oracle.matches
     # Counters at close() land wherever the last yield left them; the
     # per-match accounting is exact, so they must agree.
-    assert vec_stream.num_enumerations == it_stream.num_enumerations
-    assert vec_stream.num_matches == it_stream.num_matches
+    assert stream.num_enumerations == oracle.num_enumerations
+    assert stream.num_matches == oracle.num_matches
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 100_000), st.sampled_from([1, 3, None]))
 def test_stream_result_equals_batch_run(seed, limit):
-    query, data, candidates, order = _random_instance(seed)
+    instance = _random_instance(seed)
+    query, data, candidates, order = instance
     context = MatchingContext(query, data, candidates)
-    stream = Enumerator(
-        strategy="vectorized", time_limit=None
-    ).stream_context(context, order, match_limit=limit)
+    stream = Enumerator(time_limit=None).stream_context(
+        context, order, match_limit=limit
+    )
     streamed = list(stream)
     result = stream.result()
-    batch = Enumerator(
-        strategy="vectorized", match_limit=limit,
-        time_limit=None, record_matches=True,
-    ).run_context(context, order)
-    assert tuple(streamed) == batch.matches
-    assert result.num_matches == batch.num_matches
-    assert result.num_enumerations == batch.num_enumerations
-    assert result.limit_reached == batch.limit_reached
+    for mode in MODES:
+        batch = _run(mode, instance, match_limit=limit)
+        assert tuple(streamed) == batch.matches
+        assert result.num_matches == batch.num_matches
+        assert result.num_enumerations == batch.num_enumerations
+        assert result.limit_reached == batch.limit_reached
 
 
 # ----------------------------------------------------------------------
@@ -219,33 +267,31 @@ def test_sharded_vectorized_equals_unsharded_iterative(seed, shards):
     rng = np.random.default_rng(seed)
     data = erdos_renyi(50, 140, 3, seed=seed)
     query = extract_query(data, int(rng.integers(3, 6)), rng)
-    oracle = Matcher(
-        data, filter="gql", orderer="ri", enumerator="iterative",
-        match_limit=None, record_matches=True,
-    ).match(query)
-    sharded = Matcher(
-        data, filter="gql", orderer="ri", enumerator="vectorized",
-        shards=shards, match_limit=None, record_matches=True,
-    ).match(query)
-    # Merged per-shard vectorized sequences reproduce the global
-    # unsharded iterative emission order exactly.
-    assert sharded.enumeration.matches == oracle.enumeration.matches
-    assert sharded.num_matches == oracle.num_matches
-    # Per-shard #enum agrees engine-to-engine (each shard is its own
-    # bit-identical enumeration).
-    sharded_it = Matcher(
-        data, filter="gql", orderer="ri", enumerator="iterative",
-        shards=shards, match_limit=None, record_matches=True,
-    ).match(query)
-    assert sharded.num_enumerations == sharded_it.num_enumerations
-    if sharded.shards is not None and sharded_it.shards is not None:
+
+    def match(mode, **sharding):
+        with frontier_mode(mode):
+            return Matcher(
+                data, filter="gql", orderer="ri", match_limit=None,
+                record_matches=True, **sharding,
+            ).match(query)
+
+    unsharded = match("iterative")
+    per_mode = {mode: match(mode, shards=shards) for mode in MODES}
+    for mode, sharded in per_mode.items():
+        # Merged per-shard sequences reproduce the global unsharded
+        # emission order exactly, whichever frames each shard took.
+        assert sharded.enumeration.matches == unsharded.enumeration.matches, mode
+        assert sharded.num_matches == unsharded.num_matches, mode
+        # Per-shard #enum agrees mode-to-mode (each shard is its own
+        # bit-identical enumeration).
+        assert sharded.num_enumerations == per_mode["iterative"].num_enumerations
         assert [
             (o.shard_id, o.num_matches, o.num_enumerations)
-            for o in sharded.shards
+            for o in sharded.shards or ()
         ] == [
             (o.shard_id, o.num_matches, o.num_enumerations)
-            for o in sharded_it.shards
-        ]
+            for o in per_mode["iterative"].shards or ()
+        ], mode
 
 
 # ----------------------------------------------------------------------
@@ -277,40 +323,39 @@ class TestScratchGrowth:
 
     def test_peak_monotone_and_reuse_across_queries(self):
         # One Matcher, alternating small and large queries: the
-        # vectorized engine's thread-local scratch must be reused (peak
-        # monotone, never reset) rather than rebuilt per query.
+        # engine's thread-local scratch must be reused (peak monotone,
+        # never reset) rather than rebuilt per query.  Every frame is
+        # taken, so the frontier's batch buffers are part of the peak.
         data = erdos_renyi(60, 200, 2, seed=9)
-        matcher = Matcher(
-            data, filter="gql", orderer="ri", enumerator="vectorized",
-            match_limit=10_000,
-        )
+        matcher = Matcher(data, filter="gql", orderer="ri", match_limit=10_000)
         rng = np.random.default_rng(9)
         small = extract_query(data, 3, rng)
         large = extract_query(data, 7, rng)
         peaks = []
-        for query in (small, large, small, large):
-            matcher.match(query)
-            peaks.append(matcher.enumerator.peak_scratch_bytes)
+        with frontier_mode("vectorized"):
+            for query in (small, large, small, large):
+                matcher.match(query)
+                peaks.append(matcher.enumerator.peak_scratch_bytes)
         assert peaks[0] > 0
         assert peaks == sorted(peaks)  # monotone across queries
         # Re-running the large query must not grow the buffers again.
         assert peaks[3] == peaks[1] or peaks[3] == peaks[2]
 
-    def test_run_results_unaffected_by_scratch_reuse(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_results_unaffected_by_scratch_reuse(self, mode):
         # The same Enumerator instance (one thread-local scratch) across
         # differently-sized queries stays bit-identical to fresh runs.
         data = erdos_renyi(40, 120, 2, seed=5)
         rng = np.random.default_rng(5)
         queries = [extract_query(data, s, rng) for s in (6, 3, 7, 2)]
-        shared = Enumerator(
-            strategy="vectorized", match_limit=None, record_matches=True
-        )
-        for query in queries:
-            candidates = GQLFilter().filter(query, data)
-            order = RIOrderer().order(query, data, candidates)
-            reused = shared.run(query, data, candidates, order)
-            fresh = Enumerator(
-                strategy="vectorized", match_limit=None, record_matches=True
-            ).run(query, data, candidates, order)
-            assert reused.matches == fresh.matches
-            assert reused.num_enumerations == fresh.num_enumerations
+        shared = Enumerator(match_limit=None, record_matches=True)
+        with frontier_mode(mode):
+            for query in queries:
+                candidates = GQLFilter().filter(query, data)
+                order = RIOrderer().order(query, data, candidates)
+                reused = shared.run(query, data, candidates, order)
+                fresh = Enumerator(match_limit=None, record_matches=True).run(
+                    query, data, candidates, order
+                )
+                assert reused.matches == fresh.matches
+                assert reused.num_enumerations == fresh.num_enumerations

@@ -1,11 +1,12 @@
-"""Differential tests: iterative engine vs the recursive oracle.
+"""Differential tests: the engine as shipped vs the recursive oracle.
 
-The iterative engine must preserve the semantics of Algorithm 2's plain
-recursion (``tests/recursive_oracle.py``) bit-for-bit: same match
+The explicit-stack engine must preserve the semantics of Algorithm 2's
+plain recursion (``tests/recursive_oracle.py``) bit-for-bit: same match
 sequences, same ``#enum``, same limit behaviour.  These tests compare
-the two on randomly generated query/data pairs and pin the structural
-property — a path query deeper than the interpreter's recursion limit
-enumerates fine iteratively.
+the two on randomly generated query/data pairs at the default frontier
+threshold (``test_enumeration_batch.py`` forces it both ways) and pin
+the structural property — a path query deeper than the interpreter's
+recursion limit enumerates fine iteratively.
 """
 
 import sys
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 from recursive_oracle import RecursiveOracle
 
-from repro.errors import EnumerationError
 from repro.graphs import Graph, erdos_renyi, extract_query
 from repro.matching import (
     CandidateSets,
@@ -40,7 +40,7 @@ def _random_instance(seed: int):
 def _engines(**kwargs):
     return (
         RecursiveOracle(**kwargs),
-        Enumerator(strategy="iterative", **kwargs),
+        Enumerator(**kwargs),
     )
 
 
@@ -61,7 +61,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("seed", range(0, 25, 5))
     def test_same_truncation_under_match_limit(self, seed):
         query, data, candidates, order = _random_instance(seed)
-        full = Enumerator(strategy="iterative", match_limit=None).run(
+        full = Enumerator(match_limit=None).run(
             query, data, candidates, order
         )
         if full.num_matches < 2:
@@ -99,7 +99,7 @@ class TestDeepQueries:
 
     def test_iterative_engine_survives_deep_path(self):
         path, candidates, order = self._deep_path()
-        result = Enumerator(strategy="iterative", match_limit=None).run(
+        result = Enumerator(match_limit=None).run(
             path, path, candidates, order
         )
         assert result.num_matches == 1
@@ -121,7 +121,8 @@ class TestEdgeCases:
         assert recording.matches == ((),)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(EnumerationError):
+        # There is no strategy to name: the parameter itself is gone.
+        with pytest.raises(TypeError):
             Enumerator(strategy="compiled")
 
     def test_default_time_limit_is_paper_cap(self):
@@ -133,7 +134,7 @@ class TestEdgeCases:
         from repro.matching import MatchingContext
 
         query, data, candidates, order = _random_instance(11)
-        enumerator = Enumerator(strategy="iterative", match_limit=None)
+        enumerator = Enumerator(match_limit=None)
         context = MatchingContext(query, data, candidates)
         first = enumerator.run_context(context, order)
         space = context.space

@@ -151,7 +151,7 @@ class TestKernelEngineBitIdentity:
             query, data, candidates, order
         )
         result = Enumerator(
-            strategy="iterative", match_limit=None, record_matches=True
+            match_limit=None, record_matches=True
         ).run(query, data, candidates, order)
         assert result.num_matches == oracle.num_matches
         assert result.num_enumerations == oracle.num_enumerations
@@ -164,7 +164,7 @@ class TestKernelEngineBitIdentity:
         query = extract_query(data, 5, rng)
         candidates = GQLFilter().filter(query, data)
         order = RIOrderer().order(query, data, candidates)
-        full = Enumerator(strategy="iterative", match_limit=None).run(
+        full = Enumerator(match_limit=None).run(
             query, data, candidates, order
         )
         if full.num_matches < 2:
@@ -174,7 +174,7 @@ class TestKernelEngineBitIdentity:
             query, data, candidates, order
         )
         result = Enumerator(
-            strategy="iterative", match_limit=limit, record_matches=True
+            match_limit=limit, record_matches=True
         ).run(query, data, candidates, order)
         assert result.matches == oracle.matches
         assert result.num_enumerations == oracle.num_enumerations

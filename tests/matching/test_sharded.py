@@ -140,7 +140,7 @@ def test_per_shard_enum_is_engine_agnostic(seed):
     # context.
     data, query = _random_instance(seed)
     runs, order = _shard_runs(data, query, 4)
-    iterative = Enumerator(strategy="iterative", record_matches=True, match_limit=None)
+    iterative = Enumerator(record_matches=True, match_limit=None)
     recursive = RecursiveOracle(record_matches=True, match_limit=None)
     live = [r for r in runs if r.context is not None]
     assert live, "expected at least one seeded shard"

@@ -71,9 +71,12 @@ class TestRoutes:
 
     def test_per_request_overrides_apply(self, served, query):
         _, background = served
-        body = MatchRequest(
-            "tiny", query, match_limit=1, enumerator="vectorized"
-        ).to_dict()
+        # "enumerator" is a key older clients still send; like any
+        # unknown key it is ignored.
+        body = dict(
+            MatchRequest("tiny", query, match_limit=1).to_dict(),
+            enumerator="vectorized",
+        )
         status, payload = request_json(background, "POST", "/match", body)
         assert status == 200
         assert payload["num_matches"] == 1 and payload["limit_reached"]

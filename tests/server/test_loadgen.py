@@ -1,8 +1,6 @@
 """Tests for the closed-loop load harness and its CI gate."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +9,6 @@ from repro.graphs import erdos_renyi, extract_query
 from repro.server import BackgroundServer
 from repro.server import loadgen
 from repro.service import MatchRequest, MatchService
-
-REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -268,20 +264,10 @@ class TestCli:
         assert closed[0].scheduler is not None
 
 
-def test_calibration_load_matches_bench_matching():
-    """Both gates must normalize on the *same* reference load.
-
-    Serving and matching baselines divide by this number; if the two
-    callers stopped sharing one definition, cross-benchmark comparisons
-    would silently break.  Since ``repro.bench.calibrate`` became the
-    single home, identity (not AST equality) is the contract.
-    """
+def test_calibration_load_is_the_shared_definition():
+    """The serving gate normalizes on ``repro.bench.calibrate``'s
+    reference load, the single home of that definition (the matching
+    benchmark divided by it too, until its wall-clock budgets went)."""
     from repro.bench.calibrate import calibrate
 
-    spec = importlib.util.spec_from_file_location(
-        "bench_matching", REPO / "benchmarks" / "bench_matching.py"
-    )
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    assert bench._calibrate is calibrate
     assert loadgen._calibrate is calibrate

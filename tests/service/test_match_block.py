@@ -7,7 +7,7 @@ used to run, ``oracle_body`` the per-int ``[[int(v) for v in m] ...]``
 encoder ``MatchResponse.to_dict`` used to run.  The block path must be
 indistinguishable from them: equal tuples of Python ``int``s out of
 ``.matches``, byte-equal JSON on the wire, on every execution path and
-under both enumeration strategies.
+whichever frames the engine expands in bulk.
 """
 
 import http.client
@@ -15,6 +15,7 @@ import json
 
 import numpy as np
 import pytest
+from frontier_modes import MODES, frontier_mode
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from recursive_oracle import RecursiveOracle
@@ -154,9 +155,12 @@ def test_strategies_record_equal_blocks(seed, limit):
     lazy = Enumerator(match_limit=limit).stream_context(context, order)
     tuples = tuple(lazy)
     blocks = []
-    for strategy in ("iterative", "vectorized"):
-        engine = Enumerator(match_limit=limit, record_matches=True, strategy=strategy)
-        result = engine.run_context(context, order)
+    for mode in MODES:
+        with frontier_mode(mode):
+            result = Enumerator(match_limit=limit, record_matches=True).run_context(
+                context, order
+            )
+            counted = Enumerator(match_limit=limit).run_context(context, order)
         block = result.matches
         assert isinstance(block, MatchBlock)
         assert block == tuples and block == expected.matches
@@ -167,15 +171,14 @@ def test_strategies_record_equal_blocks(seed, limit):
         assert result.limit_reached == expected.limit_reached
         with pytest.raises(ValueError, match="read-only"):
             block.array[:] = 0
-        counting = Enumerator(match_limit=limit, strategy=strategy)
-        assert counting.run_context(context, order).matches == ()
+        assert counted.matches == ()
         blocks.append(block)
-    assert np.array_equal(blocks[0].array, blocks[1].array)
+    assert all(np.array_equal(blocks[0].array, block.array) for block in blocks)
 
 
 def test_match_limit_cutting_inside_a_leaf_chunk():
-    # One vectorized leaf chunk holds every match of this instance, so
-    # any limit below the total cuts mid-chunk.
+    # Taken in bulk, the root frame's one leaf chunk holds every match of
+    # this instance, so any limit below the total cuts mid-chunk.
     data = erdos_renyi(30, 120, 1, seed=4)
     query = Graph([0, 0, 0], [(0, 1), (1, 2)])
     candidates = GQLFilter().filter(query, data)
@@ -184,14 +187,16 @@ def test_match_limit_cutting_inside_a_leaf_chunk():
     full = Enumerator(match_limit=None, record_matches=True).run_context(context, order)
     assert full.num_matches > 50
     for limit in (1, 7, full.num_matches - 1):
-        cut = [
-            Enumerator(
-                match_limit=limit, record_matches=True, strategy=strategy
-            ).run_context(context, order)
-            for strategy in ("iterative", "vectorized")
-        ]
-        assert cut[0].matches == cut[1].matches == full.matches[:limit]
-        assert cut[0].num_enumerations == cut[1].num_enumerations
+        cut = []
+        for mode in MODES:
+            with frontier_mode(mode):
+                cut.append(
+                    Enumerator(match_limit=limit, record_matches=True).run_context(
+                        context, order
+                    )
+                )
+        assert all(r.matches == full.matches[:limit] for r in cut)
+        assert len({r.num_enumerations for r in cut}) == 1
         assert all(r.limit_reached and len(r.matches) == limit for r in cut)
 
 
@@ -255,17 +260,16 @@ def carried_back(matches, permutation):
     name=st.sampled_from(sorted(BASE_QUERIES)),
     path=st.sampled_from(["record", "stream", "many", "scheduled"]),
     limit=st.sampled_from([None, 1, 37]),
-    enumerator=st.sampled_from([None, "vectorized"]),
     data_=st.data(),
 )
 def test_submit_returns_the_per_match_embeddings_on_every_path(
-    data, service, threaded, name, path, limit, enumerator, data_
+    data, service, threaded, name, path, limit, data_
 ):
     base = BASE_QUERIES[name]
     permutation = data_.draw(st.permutations(range(base.num_vertices)))
     query = relabel_graph(base, permutation)
     request = MatchRequest(
-        "tiny", query, match_limit=limit, enumerator=enumerator,
+        "tiny", query, match_limit=limit,
         record_matches=path != "stream", stream=path == "stream",
     )
     response = serve(threaded if path == "scheduled" else service, request, path)

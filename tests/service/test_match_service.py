@@ -102,29 +102,6 @@ class TestSubmit:
         assert streamed.matches == batch.matches
         assert streamed.num_enumerations == batch.num_enumerations
 
-    def test_per_request_enumerator_override(self, service, queries):
-        default = service.submit(
-            MatchRequest("tiny", queries[3], record_matches=True)
-        )
-        vectorized = service.submit(
-            MatchRequest(
-                "tiny", queries[3], enumerator="vectorized", record_matches=True
-            )
-        )
-        assert default.ok and vectorized.ok
-        # Backends are bit-identical, and the cached plan is shared —
-        # the backend override never forces a re-plan.
-        assert outcome(vectorized) == outcome(default)
-        assert vectorized.cache_hit
-        streamed = service.submit(
-            MatchRequest(
-                "tiny", queries[3], enumerator="vectorized",
-                match_limit=3, stream=True,
-            )
-        )
-        assert streamed.ok
-        assert streamed.matches == vectorized.matches[:3]
-
     def test_canonicalization_budget_fallback_serves_uncached(
         self, data, service, queries, monkeypatch
     ):

@@ -26,14 +26,18 @@ PACKAGES = [
     "repro.service",
 ]
 
-#: Names retired with the selectable recursive engine and the second
-#: pipeline facade; listed so they cannot drift back into a facade.
+#: Names retired with the selectable recursive engine, the second
+#: pipeline facade and the user-set choice of enumeration backend;
+#: listed so they cannot drift back into a facade.
 RETIRED_EXPORTS = [
     ("repro", "MatchingEngine"),
     ("repro", "IterativeEnumerator"),
     ("repro.matching", "MatchingEngine"),
     ("repro.matching", "IterativeEnumerator"),
     ("repro.bench", "method_engine"),
+    ("repro.matching", "ENUMERATION_STRATEGIES"),
+    ("repro.api", "register_enumerator"),
+    ("repro.api", "enumerator_registry"),
 ]
 
 
