@@ -10,13 +10,18 @@ Examples
 
     repro-train yeast --size 8 --queries 12 --epochs 20 --out models/yeast-q8
     repro-train dblp --incremental-from 8 --epochs 30
+    repro-train yeast --size 8 --eval-queries 6 --log-jsonl train.jsonl
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import json
 import sys
 import time
+from functools import partial
 
 from repro.core.config import RLQVOConfig
 from repro.core.model_io import save_model
@@ -53,6 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-rollout enumeration deadline (s); the paper's full-scale "
         "runs use 500",
     )
+    parser.add_argument(
+        "--eval-queries", type=int, default=0, metavar="N",
+        help="after every epoch, report the greedy policy's #enum / RI's on "
+        "the last N queries of the workload's held-out half",
+    )
+    parser.add_argument(
+        "--log-jsonl", metavar="PATH",
+        help="write one JSON object per epoch (every EpochStats field plus "
+        "the name of the workload trained on); the file is overwritten",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--incremental-from", type=int, metavar="SIZE",
@@ -84,7 +99,20 @@ def main(argv: list[str] | None = None) -> int:
     stats = dataset_stats(args.dataset)
     trainer = RLQVOTrainer(data, config, stats=stats)
 
-    def log(epoch_stats) -> None:
+    target = query_workload(
+        args.dataset, size, count=args.queries, seed=args.seed, data=data
+    )
+    if not 0 <= args.eval_queries <= len(target.eval):
+        raise SystemExit(
+            f"--eval-queries must be in [0, {len(target.eval)}] "
+            f"(the held-out half of --queries {args.queries})"
+        )
+    held_out = list(target.eval[len(target.eval) - args.eval_queries:]) or None
+
+    def log(workload_name, epoch_stats) -> None:
+        heldout = (
+            f"{epoch_stats.heldout_ratio:.3f}" if epoch_stats.heldout_enum else "-"
+        )
         print(
             f"epoch {epoch_stats.epoch:>3}: "
             f"return={epoch_stats.mean_return:+8.2f} "
@@ -97,30 +125,43 @@ def main(argv: list[str] | None = None) -> int:
             f"H={epoch_stats.entropy:.3f} "
             f"|g|={epoch_stats.grad_norm:.2f} "
             f"steps={epoch_stats.num_steps} "
+            f"passes={epoch_stats.passes} "
+            f"heldout={heldout} "
             f"({epoch_stats.elapsed:.1f}s)"
         )
+        if sink is not None:
+            # Epoch numbers restart with each ``train`` call; the
+            # workload name tells a pretraining line from a fine-tune one.
+            line = {"workload": workload_name, **dataclasses.asdict(epoch_stats)}
+            sink.write(json.dumps(line) + "\n")
 
     start = time.perf_counter()
-    if args.incremental_from is not None:
-        pre = query_workload(
-            args.dataset, args.incremental_from, count=args.queries,
-            seed=args.seed, data=data,
-        )
-        target = query_workload(
-            args.dataset, size, count=args.queries, seed=args.seed, data=data
-        )
-        print(f"pretraining on {pre.name} ({len(pre.train)} queries)")
-        trainer.train(list(pre.train), log_fn=log)
-        print(f"incremental fine-tune on {target.name}")
-        trainer.train(
-            list(target.train), epochs=config.incremental_epochs, log_fn=log
-        )
-    else:
-        workload = query_workload(
-            args.dataset, size, count=args.queries, seed=args.seed, data=data
-        )
-        print(f"training on {workload.name} ({len(workload.train)} queries)")
-        trainer.train(list(workload.train), log_fn=log)
+    with (
+        open(args.log_jsonl, "w", encoding="utf-8", buffering=1)
+        if args.log_jsonl
+        else contextlib.nullcontext()
+    ) as sink:
+        if args.incremental_from is not None:
+            pre = query_workload(
+                args.dataset, args.incremental_from, count=args.queries,
+                seed=args.seed, data=data,
+            )
+            print(f"pretraining on {pre.name} ({len(pre.train)} queries)")
+            trainer.train(
+                list(pre.train), log_fn=partial(log, pre.name),
+                eval_queries=held_out,
+            )
+            print(f"incremental fine-tune on {target.name}")
+            trainer.train(
+                list(target.train), epochs=config.incremental_epochs,
+                log_fn=partial(log, target.name), eval_queries=held_out,
+            )
+        else:
+            print(f"training on {target.name} ({len(target.train)} queries)")
+            trainer.train(
+                list(target.train), log_fn=partial(log, target.name),
+                eval_queries=held_out,
+            )
 
     save_model(trainer.policy, out_dir)
     print(

@@ -36,6 +36,11 @@ class RLQVOConfig:
         Feature scaling factors (paper: all 1).
     learning_rate / dropout / epochs / incremental_epochs:
         Training-loop settings (paper: 1e-3 / 0.2 / 100 / 10).
+        ``dropout`` acts only on a ``PolicyNetwork.forward`` a caller
+        makes in ``train()`` mode: sampling, every update routine and
+        the orderer evaluate the policy in evaluation mode (see
+        :mod:`repro.rl.rollout`), so no training run draws a mask.  The
+        field stays because saved ``config.json`` files carry it.
     clip_epsilon:
         PPO ratio clip ``ε`` (Eq. 6).
     updates_per_epoch:
@@ -80,10 +85,10 @@ class RLQVOConfig:
     #: "reinforce" (the plain alternative discussed in Sec. III-H) or
     #: "actor_critic" (the value-function family Sec. III-A rejects).
     algorithm: str = "ppo"
-    #: After each epoch, evaluate the policy greedily on the training
-    #: queries and keep the best checkpoint.  Useful with large training
-    #: sets; with very few training queries it can select an overfit
-    #: epoch, so it is opt-in.
+    #: After each epoch, evaluate the policy greedily and keep the best
+    #: checkpoint: on the held-out ``eval_queries`` passed to ``train``
+    #: when there are any, else on the training queries — where, with
+    #: very few of them, it can select an overfit epoch, so it is opt-in.
     track_best_policy: bool = False
     train_match_limit: int | None = 100_000
     train_time_limit: float | None = DEFAULT_TIME_LIMIT

@@ -11,10 +11,17 @@ Seven dimensions per query vertex ``u``:
 7. ``1(u ∈ φ_{t-1})`` — ordered indicator.
 
 Dims 1–5 are static per (query, data) pair; 6–7 are updated per MDP step.
-The RL-QVO-RIF ablation replaces 1–5 with fixed random values.
+The RL-QVO-RIF ablation replaces 1–5 with random values fixed per query.
+
+Nothing here is cached: a builder lives as long as a serving process
+and sees queries that are freed as soon as they are answered, so the
+static columns are a function of the query's content and recomputed per
+call (a loop over the query's vertices).
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -38,20 +45,23 @@ class FeatureBuilder:
         self.stats = stats if stats is not None else GraphStats(data)
         if self.stats.graph is not data:
             raise ModelError("GraphStats does not belong to the given data graph")
-        self._static_cache: dict[int, np.ndarray] = {}
-        self._rif_rng = np.random.default_rng(config.seed + 7919)
 
     def static_features(self, query: Graph) -> np.ndarray:
         """The five static feature columns for every vertex of ``query``."""
-        cached = self._static_cache.get(id(query))
-        if cached is not None:
-            return cached
         n = query.num_vertices
         cfg = self.config
         out = np.zeros((n, 5))
         if cfg.feature_mode == "random":
-            # RL-QVO-RIF: random input features, fixed per query.
-            out = self._rif_rng.random((n, 5))
+            # RL-QVO-RIF: random input features, fixed per query — the
+            # draw is seeded by the query's content (labels + CSR), so
+            # equal queries get equal features in any call order and in
+            # any process (``hash(query)`` is salted per interpreter).
+            digest = hashlib.blake2b(
+                b"".join(a.tobytes() for a in (query.labels, *query.csr)),
+                digest_size=8,
+            ).digest()
+            seed = [cfg.seed + 7919, int.from_bytes(digest, "little")]
+            out = np.random.default_rng(seed).random((n, 5))
         else:
             nv = max(self.data.num_vertices, 1)
             for u in range(n):
@@ -64,7 +74,6 @@ class FeatureBuilder:
                     nv * cfg.alpha_l
                 )
         out.setflags(write=False)
-        self._static_cache[id(query)] = out
         return out
 
     def step_features(

@@ -52,7 +52,6 @@ class RLQVOOrderer(Orderer):
         self.sample = sample
         self._rng = np.random.default_rng(seed)
         self.policy.eval()
-        self._ctx_cache: dict[int, GraphContext] = {}
 
     def order(
         self,
@@ -67,10 +66,9 @@ class RLQVOOrderer(Orderer):
                 "RLQVOOrderer was trained against a different data graph"
             )
         rng = rng if rng is not None else self._rng
-        ctx = self._ctx_cache.get(id(query))
-        if ctx is None:
-            ctx = GraphContext.from_graph(query)
-            self._ctx_cache[id(query)] = ctx
+        # Built per call: an orderer outlives the queries it serves, so
+        # nothing here may be remembered under a query's address.
+        ctx = GraphContext.from_graph(query)
 
         env = OrderingEnv(query)
         state = env.reset()

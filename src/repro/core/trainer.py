@@ -9,6 +9,13 @@ Per epoch:
    enumeration exceeds the time limit are skipped, as in Sec. IV-A);
 4. attach decayed step rewards (Eq. 1–2) and run the clipped PPO update.
 
+**Mode contract.**  The policy is a deterministic function of θ wherever
+training evaluates it: ``collect_trajectory`` and ``self.ppo.update``
+both run it in evaluation mode (:func:`repro.rl.rollout.sampling_mode`),
+so the update scores a step exactly the way it was sampled and PPO's
+ratio is 1 on the first pass over a batch.  The trainer never switches
+the policy's mode itself.
+
 :meth:`RLQVOTrainer.incremental_train` implements Sec. III-F: full
 training on a cheaper query set, then a few fine-tuning epochs on the
 target set — the configuration the paper's headline numbers use.
@@ -66,7 +73,8 @@ class EpochStats:
     queries_skipped: int
     elapsed: float
     #: Total #enum of the *greedy* policy on the training queries after
-    #: this epoch's update (0 when best-checkpoint tracking is off).
+    #: this epoch's update (0 when best-checkpoint tracking is off, or
+    #: when it selects on ``eval_queries`` instead).
     greedy_enum_total: int = 0
     #: PPO's view of its own last pass over the epoch's batch: the mean
     #: probability ratio π_new/π_old, the share of steps whose ratio left
@@ -81,6 +89,32 @@ class EpochStats:
     approx_kl: float = 0.0
     entropy: float = 0.0
     grad_norm: float = 0.0
+    #: Update passes run and the first pass's ``mean_ratio`` (θ = θ′
+    #: there, so anything but 1.0 means sampling and update disagree
+    #: about the policy).
+    passes: int = 0
+    first_pass_ratio: float = 1.0
+    #: Seconds this epoch spent collecting rollouts (the policy's rolls
+    #: plus their reward enumerations) and in the update call.
+    time_sample: float = 0.0
+    time_train: float = 0.0
+    #: Total #enum of the greedy policy on ``eval_queries`` and its ratio
+    #: to RI's total on the same queries (0 / 0.0 without ``eval_queries``).
+    heldout_enum: int = 0
+    heldout_ratio: float = 0.0
+
+
+class _Timer:
+    """Adds up the wall-clock seconds of the ``with`` blocks it guards."""
+
+    def __init__(self) -> None:
+        self.total = 0.0
+
+    def __enter__(self) -> None:
+        self._started = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        self.total += time.perf_counter() - self._started
 
 
 @dataclass
@@ -97,7 +131,13 @@ class TrainingHistory:
 
 
 class RLQVOTrainer:
-    """End-to-end trainer binding policy, data graph and matching pipeline."""
+    """End-to-end trainer binding policy, data graph and matching pipeline.
+
+    Mode contract: sampling and the update both evaluate the policy in
+    evaluation mode (see the module docstring); ``train`` leaves
+    ``policy.training`` alone, and ``EpochStats.first_pass_ratio`` is
+    1.0 on every epoch because of it.
+    """
 
     def __init__(
         self,
@@ -152,10 +192,13 @@ class RLQVOTrainer:
             stats=self.stats,
         )
         # Per-query caches (keyed by object identity; query sets are reused
-        # across epochs).  The QueryPlan carries the candidate sets, the
-        # baseline (RI) order and the shared CandidateSpace, so every
-        # reward rollout of a query reuses one per-edge index instead of
-        # rebuilding it.
+        # across epochs).  An address identifies a query only while the
+        # query is alive: these dicts are safe because ``train`` holds
+        # its ``queries`` / ``eval_queries`` lists for as long as it reads
+        # them, and nothing on a serving path may be keyed this way.  The
+        # QueryPlan carries the candidate sets, the baseline (RI) order
+        # and the shared CandidateSpace, so every reward rollout of a
+        # query reuses one per-edge index instead of rebuilding it.
         self._plans: dict[int, QueryPlan] = {}
         self._baseline_enum: dict[int, int | None] = {}
         self._contexts: dict[int, GraphContext] = {}
@@ -192,8 +235,16 @@ class RLQVOTrainer:
         queries: list[Graph],
         epochs: int | None = None,
         log_fn=None,
+        eval_queries: list[Graph] | None = None,
     ) -> TrainingHistory:
-        """Run PPO training; returns per-epoch statistics."""
+        """Run PPO training; returns per-epoch statistics.
+
+        With ``eval_queries`` (a non-empty held-out set), every epoch
+        also reports the greedy policy's ``#enum`` there against RI's,
+        and ``track_best_policy`` selects on that set instead of the
+        training set.  Evaluation is greedy and draws nothing: weights
+        and the sampling stream are the same with or without it.
+        """
         if not queries:
             raise TrainingError("no training queries supplied")
         epochs = self.config.epochs if epochs is None else epochs
@@ -205,6 +256,7 @@ class RLQVOTrainer:
 
         for epoch in range(epochs):
             t0 = time.perf_counter()
+            sample_timer, train_timer = _Timer(), _Timer()
             sampling_policy = self.policy.clone().eval()
             trajectories = []
             returns, enum_rewards = [], []
@@ -218,10 +270,11 @@ class RLQVOTrainer:
                     continue
                 used_any = False
                 for _ in range(self.config.rollouts_per_query):
-                    trajectory = collect_trajectory(
-                        sampling_policy, query, self.feature_builder, self._rng, ctx
-                    )
-                    run = self._matcher.execute(plan.with_order(trajectory.order))
+                    with sample_timer:
+                        trajectory = collect_trajectory(
+                            sampling_policy, query, self.feature_builder, self._rng, ctx
+                        )
+                        run = self._matcher.execute(plan.with_order(trajectory.order))
                     if not run.solved:
                         continue  # Sec. IV-A: skip over-limit rollouts
                     used_any = True
@@ -253,14 +306,21 @@ class RLQVOTrainer:
                 if not used_any:
                     skipped += 1
 
-            self.policy.train()
-            ppo_stats = self.ppo.update(trajectories)
+            with train_timer:
+                ppo_stats = self.ppo.update(trajectories)
 
-            greedy_total = 0
-            if self.config.track_best_policy:
+            greedy_total = heldout_enum = 0
+            heldout_ratio = 0.0
+            if eval_queries:
+                heldout_enum = self._greedy_enum_total(eval_queries)
+                ri_total = sum(self._prepare(q)[1] or 0 for q in eval_queries)
+                heldout_ratio = heldout_enum / ri_total if ri_total else 0.0
+            elif self.config.track_best_policy:
                 greedy_total = self._greedy_enum_total(queries)
-                if best_total is None or greedy_total < best_total:
-                    best_total = greedy_total
+            if self.config.track_best_policy:
+                selection = heldout_enum if eval_queries else greedy_total
+                if best_total is None or selection < best_total:
+                    best_total = selection
                     best_state = self.policy.state_dict()
 
             stats = EpochStats(
@@ -284,6 +344,12 @@ class RLQVOTrainer:
                 approx_kl=getattr(ppo_stats, "approx_kl", 0.0),
                 entropy=getattr(ppo_stats, "entropy", 0.0),
                 grad_norm=getattr(ppo_stats, "grad_norm", 0.0),
+                passes=getattr(ppo_stats, "passes", 1),
+                first_pass_ratio=getattr(ppo_stats, "first_pass_ratio", 1.0),
+                time_sample=sample_timer.total,
+                time_train=train_timer.total,
+                heldout_enum=heldout_enum,
+                heldout_ratio=heldout_ratio,
             )
             history.epochs.append(stats)
             if log_fn is not None:
@@ -295,7 +361,8 @@ class RLQVOTrainer:
         return history
 
     def _greedy_enum_total(self, queries: list[Graph]) -> int:
-        """Total #enum of the greedy policy over the training queries."""
+        """Total #enum of the greedy policy over ``queries`` (those RI
+        solves within the training limits)."""
         orderer = self.make_orderer()
         total = 0
         for query in queries:
@@ -306,7 +373,6 @@ class RLQVOTrainer:
             run = self._matcher.execute(plan.with_order(order))
             total += run.num_enumerations
             plan.release_space()
-        self.policy.train()  # make_orderer switched the policy to eval
         return total
 
     def incremental_train(

@@ -11,7 +11,12 @@ from repro.rl.reward import (
     step_rewards,
     validity_reward,
 )
-from repro.rl.rollout import Trajectory, TrajectoryStep, collect_trajectory
+from repro.rl.rollout import (
+    Trajectory,
+    TrajectoryStep,
+    collect_trajectory,
+    sampling_mode,
+)
 
 __all__ = [
     "ActorCriticStats",
@@ -28,6 +33,7 @@ __all__ = [
     "collect_trajectory",
     "discounted_return",
     "enumeration_reward",
+    "sampling_mode",
     "step_rewards",
     "validity_reward",
 ]

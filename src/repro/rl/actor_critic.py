@@ -22,7 +22,7 @@ from repro.errors import TrainingError
 from repro.nn.layers import Linear
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
-from repro.rl.rollout import Trajectory
+from repro.rl.rollout import Trajectory, sampling_mode
 
 __all__ = ["ActorCriticStats", "ActorCriticTrainer"]
 
@@ -36,13 +36,17 @@ class ActorCriticStats:
     critic_loss: float
     mean_value: float
     num_steps: int
+    #: Mean ``log π_θ(a_t|s_t)`` over the batch, scored in the sampling
+    #: mode: equals ``mean(log old_prob)`` on the first pass.
+    mean_logprob: float = 0.0
 
 
 class ActorCriticTrainer:
     """Advantage actor–critic over ordering trajectories.
 
     API-compatible with :class:`~repro.rl.ppo.PPOTrainer`
-    (``update(trajectories)`` with per-step decayed rewards attached).
+    (``update(trajectories)`` with per-step decayed rewards attached),
+    and like it scores steps in the mode they were sampled in.
     """
 
     def __init__(
@@ -75,14 +79,16 @@ class ActorCriticTrainer:
     def update(self, trajectories: list[Trajectory]) -> ActorCriticStats:
         """Run ``updates_per_batch`` actor–critic steps on the batch."""
         last = ActorCriticStats(0.0, 0.0, 0.0, 0.0, 0)
-        for _ in range(self.updates_per_batch):
-            last = self._one_pass(trajectories)
+        with sampling_mode(self.policy):
+            for _ in range(self.updates_per_batch):
+                last = self._one_pass(trajectories)
         return last
 
     def _one_pass(self, trajectories: list[Trajectory]) -> ActorCriticStats:
         actor_terms: list[Tensor] = []
         critic_terms: list[Tensor] = []
         values: list[float] = []
+        logprobs: list[float] = []
 
         for trajectory in trajectories:
             if len(trajectory.rewards) != len(trajectory.steps):
@@ -103,6 +109,7 @@ class ActorCriticTrainer:
                 diff = value - reward
                 critic_terms.append(diff * diff)
                 values.append(float(value.data[0]))
+                logprobs.append(float(logp.data.reshape(-1)[0]))
 
         if not actor_terms:
             return ActorCriticStats(0.0, 0.0, 0.0, 0.0, 0)
@@ -128,6 +135,7 @@ class ActorCriticTrainer:
             critic_loss=float(critic_loss.data),
             mean_value=float(np.mean(values)),
             num_steps=len(actor_terms),
+            mean_logprob=float(np.mean(logprobs)),
         )
 
     def _clip_gradients(self) -> None:

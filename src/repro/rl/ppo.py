@@ -9,18 +9,22 @@ time, each update maximizes::
 where ``ρ_t = π_θ(a_t|s_t) / π_θ'(a_t|s_t)`` and ``r_t`` is the step's
 decayed reward ``γ^t R_t`` (Eq. 1–2, summed over the training batch per
 Eq. 5).  We run gradient *ascent* by minimizing ``−J`` with Adam.
+
+``π_θ`` is evaluated under :func:`repro.rl.rollout.sampling_mode`, the
+mode ``π_θ'`` was sampled in, so ``ρ_t = 1`` exactly on the first pass
+over a batch (θ = θ′) and moves only with the gradient steps after it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.errors import TrainingError
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
-from repro.rl.rollout import Trajectory
+from repro.rl.rollout import Trajectory, sampling_mode
 
 __all__ = ["PPOStats", "PPOTrainer"]
 
@@ -33,6 +37,8 @@ class PPOStats:
     ``KL(π_θ' ‖ π_θ)`` over the batch's steps, ``entropy`` the mean
     Shannon entropy of the masked policy at those steps, and
     ``grad_norm`` the global gradient norm *before* clipping.
+    ``passes`` counts the passes run and ``first_pass_ratio`` is the
+    first one's ``mean_ratio`` (1.0 by the mode contract).
     """
 
     loss: float
@@ -42,10 +48,17 @@ class PPOStats:
     approx_kl: float = 0.0
     entropy: float = 0.0
     grad_norm: float = 0.0
+    passes: int = 0
+    first_pass_ratio: float = 1.0
 
 
 class PPOTrainer:
-    """Clipped-surrogate PPO updates over collected trajectories."""
+    """Clipped-surrogate PPO updates over collected trajectories.
+
+    Steps are scored in the mode they were sampled in
+    (:func:`~repro.rl.rollout.sampling_mode`); the policy's own
+    ``training`` flag is left as the caller set it.
+    """
 
     def __init__(
         self,
@@ -73,10 +86,15 @@ class PPOTrainer:
 
     def update(self, trajectories: list[Trajectory]) -> PPOStats:
         """Run ``updates_per_batch`` gradient steps on the batch."""
-        last = PPOStats(0.0, 1.0, 0.0, 0)
-        for _ in range(self.updates_per_batch):
-            last = self._one_pass(trajectories)
-        return last
+        with sampling_mode(self.policy):
+            first = last = self._one_pass(trajectories)
+            for _ in range(self.updates_per_batch - 1):
+                last = self._one_pass(trajectories)
+        return replace(
+            last,
+            passes=self.updates_per_batch,
+            first_pass_ratio=first.mean_ratio,
+        )
 
     def _advantages(self, trajectories: list[Trajectory]) -> dict[int, list[float]]:
         """Per-trajectory step advantages, optionally batch-normalized."""
@@ -117,7 +135,8 @@ class PPOTrainer:
                     step.features, trajectory.ctx, step.action_mask
                 )
                 prob = out.probs.index_select([step.action])
-                ratio = prob * (1.0 / max(step.old_prob, 1e-12))
+                # A true division: x / x is exactly 1.0, x * (1 / x) is not.
+                ratio = prob / max(step.old_prob, 1e-12)
                 reward = advantages[id(trajectory)][k]
                 surrogate = (ratio * reward).minimum(
                     ratio.clip(low, high) * reward

@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
-from repro.rl.rollout import Trajectory
+from repro.rl.rollout import Trajectory, sampling_mode
 
 __all__ = ["ReinforceStats", "ReinforceTrainer"]
 
@@ -37,7 +37,8 @@ class ReinforceTrainer:
 
     API-compatible with :class:`~repro.rl.ppo.PPOTrainer` so it can be
     swapped into :class:`~repro.core.trainer.RLQVOTrainer` for the
-    algorithm ablation (``RLQVOConfig(algorithm="reinforce")``).
+    algorithm ablation (``RLQVOConfig(algorithm="reinforce")``), and
+    like it scores steps in the mode they were sampled in.
     """
 
     def __init__(
@@ -63,8 +64,9 @@ class ReinforceTrainer:
         is biased; the default is a single pass.
         """
         last = ReinforceStats(0.0, 0.0, 0)
-        for _ in range(self.updates_per_batch):
-            last = self._one_pass(trajectories)
+        with sampling_mode(self.policy):
+            for _ in range(self.updates_per_batch):
+                last = self._one_pass(trajectories)
         return last
 
     def _one_pass(self, trajectories: list[Trajectory]) -> ReinforceStats:

@@ -5,10 +5,20 @@ probabilities under the *current* policy: the per-step feature matrices,
 action masks, chosen actions and the sampling policy's probabilities.
 Validity flags and entropies (step-wise reward inputs) are captured at
 collection time from the sampling policy's outputs.
+
+**Mode contract.**  A step's recorded ``old_prob`` and the probability
+an update recomputes for it must be the same function of θ, or the
+probability ratio is noise before any gradient step.  Samples are
+therefore drawn under :func:`sampling_mode` — evaluation mode, dropout
+the identity — and every update routine in this package scores steps
+under the same context manager, whatever mode the caller left the
+policy in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +28,24 @@ from repro.nn.gnn import GraphContext
 from repro.nn.tensor import no_grad
 from repro.rl.env import OrderingEnv
 
-__all__ = ["TrajectoryStep", "Trajectory", "collect_trajectory"]
+__all__ = ["TrajectoryStep", "Trajectory", "collect_trajectory", "sampling_mode"]
+
+
+@contextmanager
+def sampling_mode(policy) -> Iterator[None]:
+    """Evaluate ``policy`` the way samples are drawn: in evaluation mode.
+
+    The caller's mode is restored on exit; a duck-typed policy without a
+    ``training`` flag has no mode to switch.
+    """
+    was_training = getattr(policy, "training", False)
+    if was_training:
+        policy.eval()
+    try:
+        yield
+    finally:
+        if was_training:
+            policy.train()
 
 
 @dataclass(frozen=True)
@@ -65,7 +92,7 @@ def collect_trajectory(
     ``policy`` is duck-typed (``forward(features, ctx, mask) ->
     PolicyOutput``); singleton action spaces are taken without a forward
     pass, as the paper prescribes (Sec. III-D, "directly selects the only
-    candidate").
+    candidate").  The policy is consulted under :func:`sampling_mode`.
     """
     ctx = ctx if ctx is not None else GraphContext.from_graph(query)
     env = OrderingEnv(query)
@@ -90,7 +117,7 @@ def collect_trajectory(
                 computed=False,
             )
         else:
-            with no_grad():
+            with sampling_mode(policy), no_grad():
                 out = policy.forward(features, ctx, state.action_mask)
             p = out.probs.data
             if greedy:

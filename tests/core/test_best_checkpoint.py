@@ -52,15 +52,32 @@ class TestBestCheckpoint:
         measured = trainer._greedy_enum_total(queries)
         assert measured == best
 
-    def test_policy_left_in_train_mode_during_training(self, setup):
+    def test_greedy_evaluation_does_not_change_training(self, setup):
+        # The per-epoch greedy evaluation (which wraps the policy in an
+        # orderer, i.e. switches it to eval mode) must not steer what is
+        # learned: same losses with tracking on and off.
         data, stats, queries = setup
+
+        def losses(track):
+            config = RLQVOConfig(
+                epochs=3, hidden_dim=16, train_match_limit=300,
+                train_time_limit=2.0, track_best_policy=track,
+            )
+            history = RLQVOTrainer(data, config, stats=stats).train(queries)
+            return [e.loss for e in history.epochs]
+
+        assert losses(True) == losses(False)
+
+    def test_selects_on_the_held_out_set_when_given(self, setup):
+        data, stats, queries = setup
+        held_out = generate_query_set(data, 5, 4, seed=56)
         config = RLQVOConfig(
-            epochs=1,
-            hidden_dim=16,
-            train_match_limit=300,
-            train_time_limit=2.0,
-            track_best_policy=True,
+            epochs=4, hidden_dim=16, train_match_limit=300,
+            train_time_limit=2.0, track_best_policy=True, seed=3,
         )
         trainer = RLQVOTrainer(data, config, stats=stats)
-        trainer.train(queries)
-        assert trainer.policy.training  # greedy eval must not leave eval mode
+        history = trainer.train(queries, eval_queries=held_out)
+        # The training set is no longer evaluated, let alone selected on.
+        assert all(e.greedy_enum_total == 0 for e in history.epochs)
+        best = min(e.heldout_enum for e in history.epochs)
+        assert trainer._greedy_enum_total(held_out) == best

@@ -1,5 +1,7 @@
 """Tests for the training and benchmark CLIs."""
 
+import json
+
 import pytest
 
 from repro.core.cli import main as train_main
@@ -46,6 +48,71 @@ class TestTrainCLI:
         )
         assert code == 0
         assert load_model(out).config.algorithm == "reinforce"
+
+    def test_held_out_evaluation_and_jsonl_log(self, tmp_path, capsys):
+        log = tmp_path / "train.jsonl"
+        code = train_main(
+            [
+                "citeseer",
+                "--size", "4",
+                "--queries", "6",
+                "--epochs", "2",
+                "--hidden-dim", "8",
+                "--train-match-limit", "100",
+                "--train-time-limit", "0.3",
+                "--eval-queries", "2",
+                "--log-jsonl", str(log),
+                "--out", str(tmp_path / "model"),
+            ]
+        )
+        assert code == 0
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [line["epoch"] for line in lines] == [0, 1]
+        for line in lines:
+            assert line["first_pass_ratio"] == 1.0
+            assert line["workload"] == "Q4"
+            assert line["passes"] == 2
+            assert line["heldout_enum"] > 0
+            assert line["time_sample"] > 0 and line["time_train"] > 0
+        captured = capsys.readouterr().out
+        assert "passes=2" in captured
+        assert f"heldout={lines[0]['heldout_ratio']:.3f}" in captured
+
+    def test_jsonl_log_is_overwritten_and_names_each_phase(self, tmp_path):
+        log = tmp_path / "train.jsonl"
+        log.write_text('{"epoch": 99}\n')  # a previous run's file
+        train_main(
+            [
+                "citeseer", "--size", "8", "--incremental-from", "4",
+                "--queries", "4", "--epochs", "2", "--hidden-dim", "8",
+                "--train-match-limit", "100", "--train-time-limit", "0.3",
+                "--log-jsonl", str(log), "--out", str(tmp_path / "model"),
+            ]
+        )
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(line["workload"], line["epoch"]) for line in lines[:3]] == [
+            ("Q4", 0), ("Q4", 1), ("Q8", 0),
+        ]
+        assert {line["workload"] for line in lines[2:]} == {"Q8"}
+
+    def test_epoch_line_without_held_out_set(self, tmp_path, capsys):
+        train_main(
+            [
+                "citeseer", "--size", "4", "--queries", "4", "--epochs", "1",
+                "--hidden-dim", "8", "--train-match-limit", "100",
+                "--out", str(tmp_path / "model"),
+            ]
+        )
+        assert "heldout=- " in capsys.readouterr().out
+
+    def test_eval_queries_beyond_the_held_out_half_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="--eval-queries"):
+            train_main(
+                [
+                    "citeseer", "--size", "4", "--queries", "4",
+                    "--eval-queries", "3", "--out", str(tmp_path / "model"),
+                ]
+            )
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):

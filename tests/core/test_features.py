@@ -45,11 +45,19 @@ class TestStaticFeatures:
         assert static[0, 3] == pytest.approx(3 / (4 * 4.0))
         assert static[0, 4] == pytest.approx(3 / (4 * 8.0))
 
-    def test_static_features_cached_per_query(self, builder_setup):
+    def test_static_features_follow_content_not_identity(self, builder_setup):
+        # No cache: equal queries give equal (read-only) columns, and a
+        # new query that happens to reuse a freed one's address gets its
+        # own — nothing is remembered under id(query).
         data, config, stats = builder_setup
         builder = FeatureBuilder(data, config, stats)
-        query = Graph([0, 0], [(0, 1)])
-        assert builder.static_features(query) is builder.static_features(query)
+        first = builder.static_features(Graph([0, 0], [(0, 1)]))
+        again = builder.static_features(Graph([0, 0], [(0, 1)]))
+        assert np.array_equal(first, again)
+        assert not first.flags.writeable
+        assert not any(
+            isinstance(value, dict) for value in vars(builder).values()
+        )
 
     def test_random_feature_mode(self, builder_setup):
         data, _, stats = builder_setup
@@ -59,8 +67,17 @@ class TestStaticFeatures:
         static = builder.static_features(query)
         assert static.shape == (2, 5)
         assert (0 <= static).all() and (static <= 1).all()
-        # Fixed per query (cached), so reproducible within a run.
-        assert builder.static_features(query) is static
+        # Fixed per query: a function of the query's content, not of how
+        # many queries the builder saw before it.
+        other = Graph([0, 0, 0], [(0, 1), (1, 2)])
+        fresh = FeatureBuilder(data, config, stats)
+        fresh.static_features(other)
+        assert np.array_equal(fresh.static_features(Graph([0, 0], [(0, 1)])), static)
+        assert np.array_equal(builder.static_features(query), static)
+        assert not np.array_equal(builder.static_features(other)[:2], static)
+        # ... and of the model seed.
+        reseeded = FeatureBuilder(data, RLQVOConfig(feature_mode="random", seed=1), stats)
+        assert not np.array_equal(reseeded.static_features(query), static)
 
 
 class TestStepFeatures:

@@ -1,10 +1,12 @@
 """Tests for the RL-QVO orderer wrapper."""
 
+import gc
+
 import pytest
 
 from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig, RLQVOOrderer
 from repro.errors import ModelError
-from repro.graphs import Graph, check_order, erdos_renyi
+from repro.graphs import Graph, check_order, erdos_renyi, generate_query_set
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,32 @@ class TestRLQVOOrderer:
         assert policy.training
         RLQVOOrderer(policy, FeatureBuilder(data_graph, config, data_stats))
         assert not policy.training
+
+    def test_transient_queries_are_ordered_on_their_own_content(
+        self, data_graph, data_stats
+    ):
+        # A serving process orders queries that are freed right after:
+        # CPython hands their addresses to later queries, so anything
+        # remembered under id(query) would order one request with
+        # another's context (ROADMAP D(vi)).
+        config = RLQVOConfig(hidden_dim=16, seed=0)
+        policy = PolicyNetwork(config)
+        builder = FeatureBuilder(data_graph, config, data_stats)
+        shared = RLQVOOrderer(policy, builder)
+        for seed in range(300):
+            query = generate_query_set(data_graph, 8, 1, seed=seed)[0]
+            expected = RLQVOOrderer(policy, builder).order(
+                Graph(query.labels, query.edges())
+            )
+            assert shared.order(query) == expected
+            del query
+        gc.collect()
+        retained = [
+            value for holder in (shared, builder)
+            for value in vars(holder).values()
+            if isinstance(value, (dict, list, set))
+        ]
+        assert retained == []
 
     def test_wrong_data_graph_rejected(self, orderer_setup):
         orderer, _ = orderer_setup

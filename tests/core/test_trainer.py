@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import RLQVOConfig, RLQVOTrainer
@@ -72,6 +73,45 @@ class TestTraining:
             assert stats.grad_norm > 0.0
             assert math.isfinite(stats.approx_kl)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.2, 0.5])
+    def test_first_pass_ratio_is_exactly_one(
+        self, data_graph, data_stats, train_queries, dropout
+    ):
+        # updates_per_epoch=1 makes the reported pass the first one, where
+        # θ = θ′: the update must score each step exactly as it was
+        # sampled, whatever the configured dropout (ROADMAP D(i)).
+        config = RLQVOConfig(
+            hidden_dim=16, train_match_limit=500, train_time_limit=2.0,
+            seed=5, dropout=dropout, updates_per_epoch=1,
+        )
+        trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
+        for stats in trainer.train(train_queries, epochs=3).epochs:
+            assert stats.num_steps > 0
+            assert stats.mean_ratio == 1.0
+            assert stats.clip_fraction == 0.0
+            assert stats.approx_kl == 0.0
+            assert (stats.passes, stats.first_pass_ratio) == (1, 1.0)
+
+    def test_dropout_setting_does_not_change_training(
+        self, data_graph, data_stats, train_queries
+    ):
+        # No training run draws a mask, so the field is inert here.
+        def weights(dropout):
+            config = RLQVOConfig(
+                hidden_dim=16, train_match_limit=500, seed=5, dropout=dropout
+            )
+            trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
+            trainer.train(train_queries, epochs=2)
+            return trainer.policy.state_dict()
+
+        plain, masked = weights(0.0), weights(0.5)
+        assert all(np.array_equal(plain[k], masked[k]) for k in plain)
+
+    def test_timers_reach_the_epoch_stats(self, trainer, train_queries):
+        (stats,) = trainer.train(train_queries, epochs=1).epochs
+        assert stats.time_sample > 0.0 and stats.time_train > 0.0
+        assert stats.time_sample + stats.time_train < stats.elapsed
+
     @pytest.mark.parametrize("algorithm", ["reinforce", "actor_critic"])
     def test_ratio_free_algorithms_report_neutral_diagnostics(
         self, data_graph, data_stats, train_queries, algorithm
@@ -84,6 +124,74 @@ class TestTraining:
         assert (stats.mean_ratio, stats.clip_fraction) == (1.0, 0.0)
         assert (stats.approx_kl, stats.entropy, stats.grad_norm) == (0.0, 0.0, 0.0)
         assert stats.num_steps > 0
+        assert (stats.passes, stats.first_pass_ratio) == (1, 1.0)
+
+
+class TestHeldOutEvaluation:
+    @pytest.fixture(scope="class")
+    def held_out(self, data_graph):
+        return generate_query_set(data_graph, 5, 4, seed=78)
+
+    def _run(self, data_graph, data_stats, train_queries, **kwargs):
+        config = RLQVOConfig(
+            hidden_dim=16, train_match_limit=500, train_time_limit=2.0, seed=5
+        )
+        trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
+        history = trainer.train(train_queries, epochs=3, **kwargs)
+        return trainer, history
+
+    def test_reports_greedy_enum_against_ri(
+        self, data_graph, data_stats, train_queries, held_out
+    ):
+        trainer, history = self._run(
+            data_graph, data_stats, train_queries, eval_queries=held_out
+        )
+        ri_total = sum(trainer._prepare(q)[1] for q in held_out)
+        assert ri_total > 0
+        for stats in history.epochs:
+            assert stats.heldout_enum > 0
+            assert stats.heldout_ratio == stats.heldout_enum / ri_total
+        # The last epoch's figure is the final policy's.
+        assert trainer._greedy_enum_total(held_out) == history.epochs[-1].heldout_enum
+
+    def test_evaluating_changes_neither_weights_nor_rng_stream(
+        self, data_graph, data_stats, train_queries, held_out
+    ):
+        # The gated #enum must not depend on whether someone evaluates.
+        plain, plain_history = self._run(data_graph, data_stats, train_queries)
+        watched, watched_history = self._run(
+            data_graph, data_stats, train_queries, eval_queries=held_out
+        )
+        a, b = plain.policy.state_dict(), watched.policy.state_dict()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert (
+            plain._rng.bit_generator.state == watched._rng.bit_generator.state
+        )
+        assert [s.loss for s in plain_history.epochs] == [
+            s.loss for s in watched_history.epochs
+        ]
+        assert all(s.heldout_enum == 0 for s in plain_history.epochs)
+
+    def test_empty_held_out_set_is_no_held_out_set(
+        self, data_graph, data_stats, train_queries
+    ):
+        # [] must not select on a total of 0 (which epoch 0 would win).
+        def run(eval_queries):
+            config = RLQVOConfig(
+                hidden_dim=16, train_match_limit=500, train_time_limit=2.0,
+                seed=5, track_best_policy=True,
+            )
+            trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
+            history = trainer.train(train_queries, epochs=3, eval_queries=eval_queries)
+            return trainer.policy.state_dict(), history
+
+        (none_w, none_h), (empty_w, empty_h) = run(None), run([])
+        assert all(np.array_equal(none_w[k], empty_w[k]) for k in none_w)
+        assert [s.greedy_enum_total for s in empty_h.epochs] == [
+            s.greedy_enum_total for s in none_h.epochs
+        ]
+        assert all(s.greedy_enum_total > 0 for s in empty_h.epochs)
+        assert all(s.heldout_enum == 0 for s in empty_h.epochs)
 
 
 class TestIncrementalTraining:

@@ -76,3 +76,37 @@ class TestOrderingOverhead:
             start = time.perf_counter()
             orderer.order(query, data, candidates, stats)
             assert time.perf_counter() - start < 0.1
+
+
+class TestTrainingHelps:
+    """The regression ROADMAP D found: at the end-to-end benchmark's
+    budget the learned order was *worse than the untrained policy's*,
+    because PPO's update scored steps under fresh dropout masks the
+    sampler never drew.  Counts only, so the test repeats exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ten_epochs_beat_the_untrained_policy_on_held_out_queries(self, seed):
+        from repro import Matcher
+        from repro.datasets import dataset_stats, load_dataset, query_workload
+
+        data, stats = load_dataset("yeast"), dataset_stats("yeast")
+        # benchmarks/e2e/wl_rlqvo.py's pool: 12 training queries, then
+        # the held-out sequence (its first 40 here).
+        pool = query_workload("yeast", 16, count=52, seed=0, data=data).all_queries
+        train, held_out = list(pool[:12]), pool[12:]
+
+        def held_out_enum(orderer) -> int:
+            matcher = Matcher(
+                data, filter="gql", orderer=orderer, stats=stats,
+                match_limit=200, time_limit=20.0,
+            )
+            return sum(matcher.match(q).num_enumerations for q in held_out)
+
+        config = RLQVOConfig(
+            epochs=10, train_match_limit=200, train_time_limit=2.0, seed=seed
+        )
+        trainer = RLQVOTrainer(data, config, stats=stats)
+        untrained = held_out_enum(trainer.make_orderer())
+        history = trainer.train(train)
+        assert all(e.first_pass_ratio == 1.0 for e in history.epochs)
+        assert held_out_enum(trainer.make_orderer()) < untrained

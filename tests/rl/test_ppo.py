@@ -3,24 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
 from repro.errors import TrainingError
 from repro.nn.tensor import no_grad
-from repro.rl import PPOTrainer, collect_trajectory
+from repro.rl import PPOTrainer, sampling_mode
 
 
 @pytest.fixture()
-def setup(data_graph, data_stats, queries, rng):
-    config = RLQVOConfig(hidden_dim=16, seed=0, dropout=0.0)
-    policy = PolicyNetwork(config)
-    builder = FeatureBuilder(data_graph, config, data_stats)
-    trajectories = []
-    sampler = policy.clone().eval()
-    for query in queries[:3]:
-        trajectory = collect_trajectory(sampler, query, builder, rng)
-        trajectory.rewards = [1.0] * len(trajectory.steps)
-        trajectories.append(trajectory)
-    return policy, trajectories
+def setup(sampled_batch):
+    return sampled_batch()
 
 
 class TestPPOUpdate:
@@ -38,13 +28,17 @@ class TestPPOUpdate:
         assert any(not np.allclose(before[k], after[k]) for k in before)
         assert stats.num_steps > 0
 
-    def test_first_pass_ratios_are_one(self, setup):
-        policy, trajectories = setup
-        policy.eval()  # disable dropout so ratios are exactly reproducible
-        trainer = PPOTrainer(policy, updates_per_batch=1)
-        stats = trainer.update(trajectories)
-        assert stats.mean_ratio == pytest.approx(1.0, abs=1e-9)
-        assert stats.clip_fraction == 0.0
+    def test_first_pass_ratios_are_one(self, sampled_batch):
+        # θ = θ′ on the first pass: a bare trainer on a policy left in
+        # train() mode must score every step exactly as it was sampled.
+        for dropout in (0.0, 0.2, 0.5):
+            policy, trajectories = sampled_batch(dropout=dropout)
+            stats = PPOTrainer(policy, updates_per_batch=1).update(trajectories)
+            assert stats.mean_ratio == 1.0
+            assert stats.clip_fraction == 0.0
+            assert stats.approx_kl == 0.0
+            assert (stats.passes, stats.first_pass_ratio) == (1, 1.0)
+            assert policy.training  # the caller's mode is handed back
 
     @staticmethod
     def _surrogate(policy, trajectories) -> float:
@@ -52,7 +46,7 @@ class TestPPOUpdate:
         total = 0.0
         for trajectory in trajectories:
             for t, step in trajectory.policy_steps():
-                with no_grad():
+                with sampling_mode(policy), no_grad():
                     out = policy.forward(
                         step.features, trajectory.ctx, step.action_mask
                     )
@@ -62,7 +56,6 @@ class TestPPOUpdate:
 
     def test_positive_rewards_increase_surrogate(self, setup):
         policy, trajectories = setup
-        policy.eval()
         before = self._surrogate(policy, trajectories)
         trainer = PPOTrainer(
             policy,
@@ -77,7 +70,6 @@ class TestPPOUpdate:
         # With negative rewards the maximizer pushes taken-action
         # probabilities *down*; the surrogate still ascends.
         policy, trajectories = setup
-        policy.eval()
         for trajectory in trajectories:
             trajectory.rewards = [-1.0] * len(trajectory.steps)
         before = self._surrogate(policy, trajectories)
@@ -93,7 +85,6 @@ class TestPPOUpdate:
         # Advantage normalization centres a constant-reward batch at zero,
         # so the update degenerates to a no-op (no learning signal).
         policy, trajectories = setup
-        policy.eval()
         before = {k: v.copy() for k, v in policy.state_dict().items()}
         PPOTrainer(
             policy, learning_rate=1e-2, updates_per_batch=1,
@@ -107,7 +98,6 @@ class TestPPOUpdate:
         # Mixed rewards survive normalization and produce a finite,
         # non-trivial parameter update.
         policy, trajectories = setup
-        policy.eval()
         for trajectory in trajectories:
             n = len(trajectory.steps)
             trajectory.rewards = [1.0 if i % 2 == 0 else -1.0 for i in range(n)]
@@ -141,6 +131,17 @@ class TestPPOUpdate:
         trainer.update(trajectories)
         for p in policy.parameters():
             assert np.isfinite(p.data).all()
+
+
+class TestPasses:
+    def test_reports_passes_and_the_first_pass_ratio(self, setup):
+        policy, trajectories = setup
+        stats = PPOTrainer(
+            policy, learning_rate=1e-2, updates_per_batch=3
+        ).update(trajectories)
+        # The diagnostics are the last pass's; the first pass ran at θ = θ′.
+        assert (stats.passes, stats.first_pass_ratio) == (3, 1.0)
+        assert stats.mean_ratio != 1.0
 
 
 class TestValidation:
