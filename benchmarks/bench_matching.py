@@ -14,9 +14,8 @@ baseline recorded on another machine was not decidable (it failed on
 the unchanged parent in two runs of three), so performance claims go
 through ``benchmarks/e2e/compare.py`` over alternating runs instead.
 What this script does gate is what repeats exactly — counts against the
-baseline, every warm plan a cache hit (and cheaper than planning cold),
-every sharded run agreeing with the unsharded one.  ``--compare``
-refuses a baseline recorded under another report schema.
+baseline, every warm plan a cache hit (and cheaper than planning cold).
+``--compare`` refuses a baseline recorded under another report schema.
 
 Not collected by pytest (no ``test_`` prefix) — run it directly::
 
@@ -40,7 +39,7 @@ from repro.datasets import load_dataset, query_workload
 from repro.graphs.canonical import canonical_form, relabel_graph
 from repro.service import PlanCache
 
-SCHEMA = 6
+SCHEMA = 7
 
 #: (dataset, query size, total workload queries) per profile.  Small
 #: graphs keep the quick profile CI-sized; the full profile adds the
@@ -55,10 +54,6 @@ FULL_WORKLOADS = (
 
 MATCH_LIMIT = 100_000
 TIME_LIMIT = 60.0
-
-#: Shard counts for the partitioned-matching scenario; 1 measures the
-#: pure partitioning overhead, 4 the memory win.
-SHARD_COUNTS = (1, 2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -116,75 +111,6 @@ def bench_end_to_end(workloads, repeats: int) -> list[dict]:
             f"cs-peak={peak_bytes / 1024:,.0f}KiB  "
             f"scratch-peak={row['peak_scratch_bytes'] / 1024:,.0f}KiB"
         )
-    return rows
-
-
-def bench_sharded(workloads, repeats: int) -> list[dict]:
-    """Partitioned matching vs the single-shard oracle.
-
-    For each workload and shard count: per-query match-count agreement
-    with the unsharded run (the sequence-level bit-identity is pinned by
-    the tier-1 suite; counts are the honest check at benchmark scale),
-    the peak *per-shard* candidate-space footprint — the figure a
-    placement scheduler sizes a worker by — and the enumeration
-    wall-clock ratio against unsharded, merge bookkeeping included.
-    """
-    rows = []
-    for dataset, size, count in workloads:
-        data = load_dataset(dataset)
-        queries = query_workload(dataset, size=size, count=count, data=data).eval
-        base = Matcher(
-            data, filter="gql", orderer="ri",
-            match_limit=MATCH_LIMIT, time_limit=TIME_LIMIT,
-        )
-        base_plans = [base.plan(q) for q in queries]
-        base_peak = max((p.candidate_space_bytes for p in base_plans), default=0)
-        base_best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            base_results = [base.execute(p) for p in base_plans]
-            elapsed = time.perf_counter() - start
-            base_best = elapsed if base_best is None else min(base_best, elapsed)
-        base_counts = [r.num_matches for r in base_results]
-        for shards in SHARD_COUNTS:
-            matcher = Matcher(
-                data, filter="gql", orderer="ri", shards=shards,
-                match_limit=MATCH_LIMIT, time_limit=TIME_LIMIT,
-            )
-            plans = [matcher.plan(q) for q in queries]
-            peak = max((p.peak_shard_space_bytes for p in plans), default=0)
-            best = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                results = [matcher.execute(p) for p in plans]
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            agree = [r.num_matches for r in results] == base_counts
-            merge_time = sum(r.merge_time for r in results)
-            ratio = best / max(base_best, 1e-9)
-            row = {
-                "dataset": dataset,
-                "query_size": size,
-                "shards": shards,
-                "agree": agree,
-                "matches": sum(r.num_matches for r in results),
-                "num_enumerations": sum(r.num_enumerations for r in results),
-                "enum_time_s": round(best, 6),
-                "unsharded_enum_time_s": round(base_best, 6),
-                "vs_unsharded": round(ratio, 3),
-                "merge_time_s": round(merge_time, 6),
-                "peak_shard_space_bytes": int(peak),
-                "unsharded_space_bytes": int(base_peak),
-            }
-            rows.append(row)
-            print(
-                f"  {dataset:<10} shards={shards}  "
-                f"enum={best * 1e3:7.1f}ms ({ratio:5.2f}x unsharded)  "
-                f"merge={merge_time * 1e3:5.1f}ms  "
-                f"shard-peak={peak / 1024:7.1f}KiB "
-                f"(vs {base_peak / 1024:7.1f}KiB)  "
-                f"{'counts agree' if agree else 'COUNT DISAGREEMENT'}"
-            )
     return rows
 
 
@@ -335,15 +261,12 @@ def main(argv: list[str] | None = None) -> int:
     rows = bench_end_to_end(workloads, repeats)
     print("repeated-workload scenario (cold planning vs plan-cache hits)")
     plan_cache = bench_plan_cache(workloads, repeats)
-    print("partitioned-matching scenario (edge-cut shards vs single shard)")
-    sharded = bench_sharded(workloads, repeats)
 
     report = {
         "schema": SCHEMA,
         "quick": bool(args.quick),
         "workloads": rows,
         "plan_cache": plan_cache,
-        "sharded": sharded,
         "totals": {
             "matches": sum(r["matches"] for r in rows),
             "num_enumerations": sum(r["num_enumerations"] for r in rows),
@@ -363,9 +286,6 @@ def main(argv: list[str] | None = None) -> int:
             "PLAN-CACHE FAILED: cache-hit planning slower than cold planning "
             f"({plan_cache['speedup']:.2f}x)"
         )
-        ok = False
-    if not all(row["agree"] for row in sharded):
-        print("SHARDED FAILED: match counts disagree with the unsharded run")
         ok = False
     if args.compare is not None:
         baseline = json.loads(Path(args.compare).read_text())

@@ -79,17 +79,6 @@ SENTINELS: dict[str, list[str]] = {
         r"flat CandidateSpace footprint across the workload",
         r"most order-sensitive query: \d+(\.\d+)?x spread",
     ],
-    "sharded_matching.py": [
-        r"partitioned matching on Graph\(",
-        r"layout: 4 degree-balanced shards, ownership ranges \[0,\d+\)",
-        r"query \| matches \| agree \| unsharded space \| peak shard space \| x smaller",
-        r"q0 \| +\d+ \| +yes \|",
-        r"q3 \| +\d+ \| +yes \|",
-        r"per-shard detail \(last query\):",
-        r"s0 \| +\d+ \| +\d+ \| +\d+ \| +\d+ \| +\d+",
-        r"merge: \d+ per-shard matches -> \d+ global",
-        r"all queries: sharded matches identical to unsharded: True",
-    ],
     "service_workload.py": [
         r"service catalog: citeseer, yeast",
         r"request +\| dataset +\| +matches \| +#enum \| cached",

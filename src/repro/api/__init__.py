@@ -42,7 +42,7 @@ True
 """
 
 from repro.api.matcher import Matcher
-from repro.api.plan import QueryPlan, ShardPlan
+from repro.api.plan import QueryPlan
 from repro.api.registry import (
     ComponentRegistry,
     available_components,
@@ -59,7 +59,6 @@ __all__ = [
     "ComponentRegistry",
     "Matcher",
     "QueryPlan",
-    "ShardPlan",
     "available_components",
     "filter_registry",
     "make_enumerator",

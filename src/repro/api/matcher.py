@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.api.plan import QueryPlan, ShardPlan
+from repro.api.plan import QueryPlan
 from repro.api.registry import (
     make_enumerator,
     make_filter,
@@ -43,19 +43,10 @@ from repro.errors import (
 )
 from repro.graphs.canonical import MAX_CANONICAL_VERTICES, canonical_fingerprint
 from repro.graphs.graph import Graph
-from repro.graphs.partition import ShardedGraph, query_eccentricity
 from repro.graphs.stats import GraphStats
 from repro.matching.context import MatchingContext
 from repro.matching.cost import estimate_order_cost
 from repro.matching.engine import MatchResult
-from repro.matching.sharded import (
-    ShardOutcome,
-    ShardRun,
-    ShardedMatchStream,
-    build_shard_runs,
-    merge_shard_matches,
-    remap_matches,
-)
 from repro.matching.enumeration import (
     DEFAULT_TIME_LIMIT,
     EnumerationResult,
@@ -74,18 +65,7 @@ class Matcher:
     Parameters
     ----------
     data:
-        The data graph every query matches against — a plain
-        :class:`Graph`, or a :class:`~repro.graphs.partition.
-        ShardedGraph` to enable partitioned matching (``shards=N`` is
-        the convenience spelling over a plain graph).  Sharded matching
-        fans Phases (1) and (3) out per ownership range with halo
-        replication and a root-ownership rule, and merges per-shard
-        results into the canonical global match sequence; matches and
-        counts equal the unsharded run's (per-shard ``#enum`` is
-        reported in :attr:`MatchResult.shards`).  Empty and
-        disconnected queries fall back to the unsharded path (their
-        halo depth is unbounded), recorded as ``shard_plans=None`` on
-        the plan.
+        The data graph every query matches against.
     filter / orderer:
         Registry names (see :func:`repro.api.registry.available_components`)
         or already-constructed component instances.  All names are
@@ -140,13 +120,11 @@ class Matcher:
 
     def __init__(
         self,
-        data: Graph | ShardedGraph,
+        data: Graph,
         filter="gql",
         orderer="ri",
         enumerator="iterative",
         *,
-        shards: int | None = None,
-        shard_mode: str = "range",
         match_limit: int | None = 100_000,
         time_limit: float | None = DEFAULT_TIME_LIMIT,
         record_matches: bool = False,
@@ -157,18 +135,7 @@ class Matcher:
         plan_cache: "PlanCache | None" = None,
         cache_scope: str | None = None,
     ):
-        if isinstance(data, ShardedGraph):
-            if shards is not None:
-                raise RegistryError(
-                    "pass either a ShardedGraph or shards=N, not both"
-                )
-            self.sharded: ShardedGraph | None = data
-            self.data = data.source
-        else:
-            self.sharded = (
-                ShardedGraph(data, shards, shard_mode) if shards is not None else None
-            )
-            self.data = data
+        self.data = data
         # Amortized data-graph-side state: statistics are computed once
         # here and shared by every plan/match call (and across matchers,
         # when the caller passes them in).
@@ -248,22 +215,14 @@ class Matcher:
             self._cache_scope = f"data:{hash(self.data) & (2**64 - 1):016x}"
         return self._cache_scope
 
-    def _cache_key(self, fingerprint: str) -> tuple[str, str, str, str, str]:
-        """Cache key: scope, shard layout, plan-shaping component names.
+    def _cache_key(self, fingerprint: str) -> tuple[str, str, str, str]:
+        """Cache key: scope, plan-shaping component names, fingerprint.
 
-        The layout token keeps fingerprint reuse sound across sharding
-        configurations — a sharded plan's contexts are per-shard and
-        must never serve an unsharded matcher, or one with a different
-        layout.  The scope stays first: :meth:`PlanCache.
-        invalidate_scope` matches on ``key[0]``.
+        The scope stays first: :meth:`PlanCache.invalidate_scope`
+        matches on ``key[0]``.
         """
-        if self.sharded is None:
-            layout = "unsharded"
-        else:
-            layout = f"shards={self.sharded.num_shards}:{self.sharded.mode}"
         return (
             self.cache_scope,
-            layout,
             self.filter_name,
             self.orderer_name,
             fingerprint,
@@ -344,29 +303,15 @@ class Matcher:
         The recorded order (Phase (2) — the expensive, possibly learned
         part) is reused verbatim; only the deterministic filter arrays
         are rebuilt, so execution is bit-identical to the cold plan that
-        was originally persisted.  When the plan is sharded and this
-        matcher runs the same layout, the per-shard contexts are rebuilt
-        too (otherwise the detached shard summaries are kept and
-        execution falls back to the global context, unsharded).  Returns
-        ``None`` — caller plans cold — when the persisted plan is
-        incompatible with this matcher (e.g. a different filter).
+        was originally persisted.  Returns ``None`` — caller plans cold —
+        when the persisted plan is incompatible with this matcher (e.g.
+        a different filter).
         """
         try:
             context = self._attached_context(plan)
-            shard_plans = plan.shard_plans
-            if (
-                plan.shard_layout is not None
-                and self.sharded is not None
-                and self.sharded.layout == plan.shard_layout
-            ):
-                shard_plans = self._build_shard_plans(
-                    plan.query, context.candidates, plan.order
-                )
         except ReproError:
             return None
-        attached = dataclasses.replace(
-            plan, context=context, shard_plans=shard_plans
-        )
+        attached = dataclasses.replace(plan, context=context)
         if "fingerprint" in plan.__dict__:
             attached.__dict__["fingerprint"] = plan.__dict__["fingerprint"]
         # Promote memory-only: the durable row is already this payload.
@@ -398,33 +343,13 @@ class Matcher:
                 candidate_space_bytes=0,
                 context=context,
             )
-        # Sharding applies to non-empty *connected* queries: the halo
-        # depth is the root's eccentricity, which a disconnected query
-        # leaves unbounded.  Fallbacks plan (and execute) unsharded.
-        sharding = (
-            self.sharded is not None
-            and query.num_vertices > 0
-            and query.is_connected()
-        )
-        if not sharding:
-            # Phase (1) artifact: built once here, billed to filter_time,
-            # then shared by the orderer and the enumerator.  Sharded
-            # plans enumerate per shard, so the *global* index is never
-            # needed — each shard builds (and bills) its own.
-            context.ensure_space()
+        # Phase (1) artifact: built once here, billed to filter_time,
+        # then shared by the orderer and the enumerator.
+        context.ensure_space()
         t1 = time.perf_counter()
         order = self.orderer.order_context(context, rng)
         t2 = time.perf_counter()
-        shard_plans = None
-        shard_filter_time = 0.0
-        if sharding:
-            shard_plans = self._build_shard_plans(query, candidates, order)
-            shard_filter_time = sum(sp.filter_time for sp in shard_plans)
         estimated = estimate_order_cost(query, self.data, candidates, order)
-        if shard_plans is not None:
-            space_bytes = sum(sp.candidate_space_bytes for sp in shard_plans)
-        else:
-            space_bytes = context.space.memory_bytes() if context.has_space else 0
         return QueryPlan(
             query=query,
             order=tuple(int(u) for u in order),
@@ -432,67 +357,13 @@ class Matcher:
             filter_name=self.filter_name,
             orderer_name=self.orderer_name,
             enumerator_name=self.enumerator_name,
-            # Per-shard Phase (1) work (filters, halos, spaces) is Phase
-            # (1) work: billed into filter_time, like the unsharded
-            # candidate-space build.
-            filter_time=(t1 - t0) + shard_filter_time,
+            filter_time=t1 - t0,
             order_time=t2 - t1,
             build_time=time.perf_counter() - t0,
             estimated_cost=estimated,
-            candidate_space_bytes=space_bytes,
+            candidate_space_bytes=context.space.memory_bytes(),
             context=context,
-            shard_layout=self.sharded.layout if shard_plans is not None else None,
-            shard_plans=shard_plans,
         )
-
-    def _build_shard_plans(
-        self, query: Graph, candidates, order
-    ) -> tuple[ShardPlan, ...]:
-        """Materialize shards and their Phase (1) contexts for a plan."""
-        root = int(order[0])
-        ecc = query_eccentricity(query, root)
-        runs = build_shard_runs(
-            query,
-            self.sharded,
-            candidates,
-            root,
-            ecc,
-            self.candidate_filter,
-        )
-        shard_plans = []
-        for run, (lo, hi) in zip(runs, self.sharded.ranges):
-            if run.context is None:
-                shard_plans.append(
-                    ShardPlan(
-                        shard_id=len(shard_plans),
-                        owned=(lo, hi),
-                        num_vertices=0,
-                        halo=0,
-                        root_candidates=0,
-                        candidate_counts=(),
-                        filter_time=run.filter_time,
-                        candidate_space_bytes=0,
-                    )
-                )
-                continue
-            ctx = run.context
-            shard_plans.append(
-                ShardPlan(
-                    shard_id=run.shard.shard_id,
-                    owned=(lo, hi),
-                    num_vertices=run.shard.num_vertices,
-                    halo=run.shard.halo_size,
-                    root_candidates=run.root_candidates,
-                    candidate_counts=tuple(ctx.candidates.sizes()),
-                    filter_time=run.filter_time,
-                    candidate_space_bytes=(
-                        ctx.space.memory_bytes() if ctx.has_space else 0
-                    ),
-                    context=ctx,
-                    shard=run.shard,
-                )
-            )
-        return tuple(shard_plans)
 
     def replan(
         self,
@@ -506,9 +377,7 @@ class Matcher:
         shares the original's context (candidates and candidate space
         are *not* rebuilt), records the new orderer's name, order timing
         and cost estimate, and keeps the original filter timing — the
-        cheap way to compare orderings on one query.  A sharded plan's
-        shard state is dropped (it was built for the original root);
-        the replanned copy executes unsharded.
+        cheap way to compare orderings on one query.
         """
         orderer = make_orderer(orderer)
         if not plan.matchable:
@@ -526,8 +395,6 @@ class Matcher:
             orderer_name=getattr(orderer, "name", type(orderer).__name__),
             order_time=order_time,
             estimated_cost=estimated,
-            shard_layout=None,
-            shard_plans=None,
         )
 
     # ------------------------------------------------------------------
@@ -562,47 +429,7 @@ class Matcher:
         )
         return MatchingContext(plan.query, self.data, candidates, self.stats)
 
-    def _shard_runs_for(
-        self, plan: QueryPlan, context: MatchingContext
-    ) -> "list[ShardRun] | None":
-        """Live (or deterministically rebuilt) shard runs of a sharded plan.
-
-        Plans fresh from :meth:`plan` carry live per-shard contexts;
-        deserialized ones rebuild them from the recorded layout — the
-        filter is deterministic, so the rebuilt shards (and everything
-        downstream) are identical.  Returns ``None`` when this matcher
-        cannot honour the plan's layout (unsharded matcher, or a
-        different shard spec): execution then falls back to the global
-        context, which finds the same matches unsharded.
-        """
-        if plan.shard_plans is None:
-            return None
-        if all(
-            sp.context is not None or sp.root_candidates == 0
-            for sp in plan.shard_plans
-        ):
-            return [
-                ShardRun(sp.shard, sp.context, sp.root_candidates, sp.filter_time)
-                for sp in plan.shard_plans
-            ]
-        if self.sharded is None or self.sharded.layout != plan.shard_layout:
-            return None
-        root = int(plan.order[0])
-        ecc = query_eccentricity(plan.query, root)
-        if ecc is None:
-            return None
-        return build_shard_runs(
-            plan.query,
-            self.sharded,
-            context.candidates,
-            root,
-            ecc,
-            self.candidate_filter,
-        )
-
-    def execute(
-        self, plan: QueryPlan, enumerator=None, executor=None
-    ) -> MatchResult:
+    def execute(self, plan: QueryPlan, enumerator=None) -> MatchResult:
         """Run the enumeration phase of a plan; a full :class:`MatchResult`.
 
         The result's filter/order timings are the ones recorded on the
@@ -611,86 +438,14 @@ class Matcher:
         replaces this matcher's engine for one execution — how the
         service applies per-request match/time limits to shared cached
         plans without re-planning.
-
-        Sharded plans fan out one enumeration per seeded shard —
-        through ``executor`` (any ``Executor``-shaped object with
-        ``map``; the service passes its shard pool) or serially when
-        ``None`` — then merge the per-shard sequences into the canonical
-        global order.  The merged matches and ``num_matches`` are
-        bit-identical to the unsharded run (including under
-        ``match_limit``, where the merged prefix equals the unsharded
-        prefix); the aggregate ``#enum`` is the *sum* of per-shard work
-        (each shard re-pays its root steps), itemized in
-        :attr:`MatchResult.shards`.  Serial and pooled fan-out are
-        bit-identical — every shard runs under the engine's full limits
-        either way.
         """
         engine = self.enumerator if enumerator is None else make_enumerator(enumerator)
         context = self._attached_context(plan)
         if context.candidates.has_empty():
             empty = EnumerationResult(0, 0, 0.0, False, False, ())
             return MatchResult(plan.order, empty, plan.filter_time, plan.order_time)
-        runs = self._shard_runs_for(plan, context)
-        if runs is not None:
-            return self._execute_sharded(plan, engine, runs, executor)
         enumeration = engine.run_context(context, plan.order)
         return MatchResult(plan.order, enumeration, plan.filter_time, plan.order_time)
-
-    def _execute_sharded(
-        self, plan: QueryPlan, engine, runs: "list[ShardRun]", executor
-    ) -> MatchResult:
-        """Fan Phase (3) out over shards and merge the results."""
-        t_start = time.perf_counter()
-        live = [
-            run
-            for run in runs
-            if run.context is not None and not run.context.candidates.has_empty()
-        ]
-
-        def run_one(run: ShardRun):
-            return run, engine.run_context(run.context, plan.order)
-
-        if executor is None or len(live) <= 1:
-            results = [run_one(run) for run in live]
-        else:
-            results = list(executor.map(run_one, live))
-        outcomes = tuple(
-            ShardOutcome(
-                shard_id=run.shard.shard_id,
-                num_matches=res.num_matches,
-                num_enumerations=res.num_enumerations,
-                elapsed=res.elapsed,
-                timed_out=res.timed_out,
-                limit_reached=res.limit_reached,
-            )
-            for run, res in results
-        )
-        total_found = sum(res.num_matches for _, res in results)
-        limit = engine.match_limit
-        t_merge = time.perf_counter()
-        merged = ()
-        if engine.record_matches:
-            per_shard = [remap_matches(res.matches, run.shard) for run, res in results]
-            # Each shard was budgeted the full limit, so the merged
-            # lex-smallest prefix equals the unsharded truncation.
-            merged = merge_shard_matches(per_shard, plan.order)[:limit]
-        merge_time = time.perf_counter() - t_merge
-        enumeration = EnumerationResult(
-            num_matches=total_found if limit is None else min(total_found, limit),
-            num_enumerations=sum(res.num_enumerations for _, res in results),
-            elapsed=time.perf_counter() - t_start,
-            timed_out=any(res.timed_out for _, res in results),
-            limit_reached=limit is not None and total_found >= limit,
-            matches=merged,
-        )
-        return MatchResult(
-            plan.order,
-            enumeration,
-            plan.filter_time,
-            plan.order_time,
-            shards=outcomes,
-            merge_time=merge_time,
-        )
 
     def match(
         self, query: Graph, rng: np.random.Generator | None = None
@@ -738,20 +493,13 @@ class Matcher:
         """:meth:`stream` over an already-built plan.
 
         ``enumerator`` overrides the engine for this stream, exactly as
-        in :meth:`execute`.  Sharded plans stream shard by shard in
-        ownership order — which *is* the canonical global sequence —
-        through a :class:`~repro.matching.sharded.ShardedMatchStream`;
-        the yielded matches are bit-identical to the unsharded stream,
-        and a global ``limit`` stops without paying for later shards.
+        in :meth:`execute`.
         """
         engine = self.enumerator if enumerator is None else make_enumerator(enumerator)
         context = self._attached_context(plan)
         if context.candidates.has_empty():
             return MatchStream.empty(context)
         match_limit = engine.match_limit if limit is None else limit
-        runs = self._shard_runs_for(plan, context)
-        if runs is not None:
-            return ShardedMatchStream(engine, runs, plan.order, match_limit)
         return engine.stream_context(context, plan.order, match_limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -31,12 +31,12 @@ from repro.graphs.graph import Graph
 from repro.matching.context import MatchingContext
 from repro.matching.cost import estimate_order_cost
 
-__all__ = ["QueryPlan", "ShardPlan", "graph_payload", "graph_from_payload"]
+__all__ = ["QueryPlan", "graph_payload", "graph_from_payload"]
 
 #: Schema tag for serialized plans, bumped on incompatible layout changes.
-#: Version 2 adds the optional sharding block (``shard_layout`` +
-#: per-shard summaries); version-1 payloads still load (they simply have
-#: no shards).
+#: Version 2 payloads may carry optional partitioned-matching blocks that
+#: nothing writes any more; :meth:`QueryPlan.from_dict` ignores them, so
+#: version-1 and version-2 payloads load alike.
 PLAN_SCHEMA_VERSION = 2
 
 #: Older payload versions :meth:`QueryPlan.from_dict` still accepts.
@@ -61,61 +61,6 @@ def graph_from_payload(payload: dict) -> Graph:
         payload["labels"],
         [(int(a), int(b)) for a, b in payload["edges"]],
     )
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Frozen Phase (1) summary for one shard of a sharded plan.
-
-    ``owned`` is the shard's global ownership range ``[lo, hi)``;
-    ``root_candidates`` counts its seeds — owned members of the global
-    root candidate set (zero means the shard can root no embedding and
-    is skipped by execution).  ``context`` carries the live per-shard
-    Phase (1) artifacts and ``shard`` the materialized
-    :class:`~repro.graphs.partition.GraphShard`; both are ``None`` on
-    deserialized plans (execution rebuilds them deterministically) and
-    on seedless shards.
-    """
-
-    shard_id: int
-    owned: tuple[int, int]
-    num_vertices: int
-    halo: int
-    root_candidates: int
-    candidate_counts: tuple[int, ...]
-    filter_time: float
-    candidate_space_bytes: int
-    context: MatchingContext | None = field(
-        default=None, repr=False, compare=False
-    )
-    shard: object = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        """JSON-compatible summary (context and shard do not travel)."""
-        return {
-            "shard_id": int(self.shard_id),
-            "owned": [int(self.owned[0]), int(self.owned[1])],
-            "num_vertices": int(self.num_vertices),
-            "halo": int(self.halo),
-            "root_candidates": int(self.root_candidates),
-            "candidate_counts": [int(c) for c in self.candidate_counts],
-            "filter_time": float(self.filter_time),
-            "candidate_space_bytes": int(self.candidate_space_bytes),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardPlan":
-        """Rebuild a (detached) shard summary from :meth:`to_dict`."""
-        return cls(
-            shard_id=int(payload["shard_id"]),
-            owned=(int(payload["owned"][0]), int(payload["owned"][1])),
-            num_vertices=int(payload["num_vertices"]),
-            halo=int(payload["halo"]),
-            root_candidates=int(payload["root_candidates"]),
-            candidate_counts=tuple(int(c) for c in payload["candidate_counts"]),
-            filter_time=float(payload["filter_time"]),
-            candidate_space_bytes=int(payload["candidate_space_bytes"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -145,19 +90,9 @@ class QueryPlan:
         ``nan`` for plans with a manually substituted order.
     candidate_space_bytes:
         Footprint of the flat per-edge candidate index built for the
-        enumerator (0 when the engine does not need the index; on a
-        sharded plan, the *sum* of the per-shard indexes — what the plan
-        actually pins).
+        enumerator (0 when the engine does not need the index).
     context:
         Live Phase (1) artifacts; ``None`` on deserialized plans.
-    shard_layout:
-        ``(num_shards, mode)`` of the :class:`~repro.graphs.partition.
-        ShardedGraph` the plan was built against, or ``None`` for
-        unsharded plans (including sharded matchers' fallbacks for
-        disconnected or empty queries).
-    shard_plans:
-        One :class:`ShardPlan` per ownership range when the plan is
-        sharded; ``None`` otherwise.
     """
 
     query: Graph
@@ -172,10 +107,6 @@ class QueryPlan:
     estimated_cost: float
     candidate_space_bytes: int
     context: MatchingContext | None = field(
-        default=None, repr=False, compare=False
-    )
-    shard_layout: tuple[int, str] | None = None
-    shard_plans: tuple[ShardPlan, ...] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -207,28 +138,6 @@ class QueryPlan:
         """Whether the plan still carries live Phase (1) artifacts."""
         return self.context is not None
 
-    @property
-    def sharded(self) -> bool:
-        """Whether execution fans out over shards."""
-        return self.shard_plans is not None
-
-    @property
-    def num_shards(self) -> int:
-        """Ownership ranges of a sharded plan (0 when unsharded)."""
-        return len(self.shard_plans) if self.shard_plans is not None else 0
-
-    @property
-    def peak_shard_space_bytes(self) -> int:
-        """Largest per-shard candidate-space footprint (0 unsharded).
-
-        The sharding memory story in one number: the biggest per-edge
-        index any single shard has to hold resident, to compare against
-        an unsharded plan's ``candidate_space_bytes``.
-        """
-        if not self.shard_plans:
-            return 0
-        return max(sp.candidate_space_bytes for sp in self.shard_plans)
-
     def with_order(self, order, estimate: bool = False) -> "QueryPlan":
         """A plan copy with ``order`` substituted (Phase (1) shared).
 
@@ -239,11 +148,6 @@ class QueryPlan:
         (needs an attached context); the default leaves it ``nan`` so
         hot loops substituting many orders (e.g. RL reward rollouts)
         skip the estimator.
-
-        Sharded state does not survive an order substitution: shard
-        halos and root-candidate restrictions are built for the original
-        order's root, so the copy drops ``shard_plans`` (and its layout
-        tag) and executes unsharded through the global context.
         """
         order = tuple(int(u) for u in order)
         cost = float("nan")
@@ -264,8 +168,6 @@ class QueryPlan:
             orderer_name="manual",
             order_time=0.0,
             estimated_cost=cost,
-            shard_layout=None,
-            shard_plans=None,
         )
 
     def release_space(self) -> None:
@@ -273,15 +175,10 @@ class QueryPlan:
 
         Long-lived plan caches (e.g. the trainer's per-query plans) call
         this between bursts of enumerations so at most one instance's
-        dense index is resident; detached plans are a no-op.  On a
-        sharded plan every shard context's index is released too.
+        dense index is resident; detached plans are a no-op.
         """
         if self.context is not None:
             self.context.release_space()
-        if self.shard_plans is not None:
-            for shard_plan in self.shard_plans:
-                if shard_plan.context is not None:
-                    shard_plan.context.release_space()
 
     # ------------------------------------------------------------------
     # Serialization
@@ -319,10 +216,6 @@ class QueryPlan:
             "estimated_cost": float(self.estimated_cost),
             "candidate_space_bytes": int(self.candidate_space_bytes),
         }
-        if self.shard_layout is not None:
-            payload["shard_layout"] = [int(self.shard_layout[0]), str(self.shard_layout[1])]
-        if self.shard_plans is not None:
-            payload["shards"] = [sp.to_dict() for sp in self.shard_plans]
         if fingerprint is not None:
             payload["fingerprint"] = fingerprint
         return payload
@@ -342,14 +235,6 @@ class QueryPlan:
                     f"unsupported plan schema version {version!r} "
                     f"(this library writes {PLAN_SCHEMA_VERSION})"
                 )
-            shard_layout = payload.get("shard_layout")
-            if shard_layout is not None:
-                shard_layout = (int(shard_layout[0]), str(shard_layout[1]))
-            shard_plans = payload.get("shards")
-            if shard_plans is not None:
-                shard_plans = tuple(
-                    ShardPlan.from_dict(sp) for sp in shard_plans
-                )
             plan = cls(
                 query=graph_from_payload(payload["query"]),
                 order=tuple(int(u) for u in payload["order"]),
@@ -365,8 +250,6 @@ class QueryPlan:
                 estimated_cost=float(payload["estimated_cost"]),
                 candidate_space_bytes=int(payload["candidate_space_bytes"]),
                 context=None,
-                shard_layout=shard_layout,
-                shard_plans=shard_plans,
             )
             if "fingerprint" in payload:
                 plan.__dict__["fingerprint"] = str(payload["fingerprint"])

@@ -11,14 +11,6 @@ from repro.graphs.canonical import (
 from repro.graphs.generators import chung_lu, connect_components, erdos_renyi, random_tree, zipf_labels
 from repro.graphs.graph import Graph, edges_to_csr
 from repro.graphs.io import dumps_graph, load_graph, loads_graph, save_graph
-from repro.graphs.partition import (
-    PARTITION_MODES,
-    GraphShard,
-    ShardedGraph,
-    khop_closure,
-    partition_ranges,
-    query_eccentricity,
-)
 from repro.graphs.query_gen import extract_query, generate_query_set
 from repro.graphs.stats import GraphStats, degree_histogram, label_histogram
 from repro.graphs.validation import check_graph, check_order, is_connected_order
@@ -26,10 +18,7 @@ from repro.graphs.validation import check_graph, check_order, is_connected_order
 __all__ = [
     "CanonicalForm",
     "Graph",
-    "GraphShard",
     "GraphStats",
-    "PARTITION_MODES",
-    "ShardedGraph",
     "canonical_fingerprint",
     "canonical_form",
     "chung_lu",
@@ -44,11 +33,8 @@ __all__ = [
     "extract_query",
     "generate_query_set",
     "is_connected_order",
-    "khop_closure",
     "label_histogram",
     "load_graph",
-    "partition_ranges",
-    "query_eccentricity",
     "loads_graph",
     "random_tree",
     "relabel_graph",

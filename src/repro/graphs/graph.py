@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import InvalidGraphError
 
-__all__ = ["Graph", "edges_to_csr"]
+__all__ = ["Graph", "edges_to_csr", "gather_neighbors"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -94,6 +94,25 @@ def edges_to_csr(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, indices
+
+
+def gather_neighbors(
+    indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
+) -> np.ndarray:
+    """Concatenated neighbour lists of ``vertices`` (one vectorized gather).
+
+    Equivalent to ``np.concatenate([indices[indptr[v]:indptr[v+1]] ...])``
+    without the per-vertex Python loop: the flat output position ``j`` is
+    mapped back into the right CSR window by repeating each window's
+    start-offset delta ``counts[i]`` times.
+    """
+    starts = indptr[vertices]
+    counts = indptr[vertices + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    shifts = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return indices[np.arange(total, dtype=np.int64) + shifts]
 
 
 class Graph:

@@ -43,13 +43,6 @@ from repro.matching.filters import (
     NLFFilter,
 )
 from repro.matching.cost import estimate_order_cost, rank_orders
-from repro.matching.sharded import (
-    ShardedMatchStream,
-    ShardOutcome,
-    ShardRun,
-    build_shard_runs,
-    merge_shard_matches,
-)
 from repro.matching.verify import explain_embedding, is_valid_embedding, verify_all
 from repro.matching.ordering import (
     ORDERERS,
@@ -88,11 +81,6 @@ __all__ = [
     "QSIOrderer",
     "RIOrderer",
     "RandomOrderer",
-    "ShardOutcome",
-    "ShardRun",
-    "ShardedMatchStream",
-    "build_shard_runs",
-    "merge_shard_matches",
     "VEQOrderer",
     "VF2PPOrderer",
     "estimate_order_cost",

@@ -4,9 +4,9 @@ The paper's output is the embedding set (Def. II.5), and a batch run
 that records it holds ``k`` embeddings of an ``n``-vertex query — up to
 10^5 of them.  The engine produces that set as numbers in arrays, and
 the serving path only ever moves it: re-index the columns into the
-client's vertex numbering, merge shard results, hand nested lists to
-``json.dumps``.  None of that needs a Python object per embedding, let
-alone per image, so the set is stored the way it is produced — one
+client's vertex numbering, hand nested lists to ``json.dumps``.  None
+of that needs a Python object per embedding, let alone per image, so
+the set is stored the way it is produced — one
 read-only ``(k, n)`` int64 array — from the end of the search to the
 encoder.  The tuples callers read (``result.matches[0]``, iteration,
 ``==`` against a tuple of tuples) are derived from the array on first

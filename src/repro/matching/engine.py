@@ -20,20 +20,12 @@ __all__ = ["MatchResult"]
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Result of one full matching run with per-phase timings.
-
-    ``shards`` is populated only by sharded executions: one
-    :class:`~repro.matching.sharded.ShardOutcome` per enumerated shard,
-    with ``merge_time`` the cost of remapping local ids and merging the
-    per-shard sequences into the canonical global one.
-    """
+    """Result of one full matching run with per-phase timings."""
 
     order: tuple[int, ...]
     enumeration: EnumerationResult
     filter_time: float
     order_time: float
-    shards: tuple | None = None
-    merge_time: float = 0.0
 
     @property
     def enum_time(self) -> float:

@@ -49,8 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.graph import Graph
-from repro.graphs.partition import gather_neighbors
+from repro.graphs.graph import Graph, gather_neighbors
 from repro.graphs.stats import GraphStats
 from repro.matching.bipartite import has_semi_perfect_matching
 from repro.matching.candidates import CandidateFilter, CandidateSets

@@ -47,7 +47,7 @@ def catalog_spec(
     through the process-cached :func:`repro.datasets.load_dataset`);
     explicit in-memory graphs ship as
     :func:`~repro.api.plan.graph_payload` dicts.  Component overrides
-    (filter/orderer/limits/shards) travel verbatim.
+    (filter/orderer/limits) travel verbatim.
 
     Entries carrying a live in-memory ``model`` are refused with a
     ``validation`` :class:`~repro.service.requests.ServiceError`:
@@ -69,8 +69,6 @@ def catalog_spec(
             "orderer": entry.orderer,
             "match_limit": entry.match_limit,
             "time_limit": entry.time_limit,
-            "shards": entry.shards,
-            "shard_mode": entry.shard_mode,
         }
         if entry.data is not None:
             spec["graph"] = graph_payload(entry.data)
@@ -102,8 +100,6 @@ def _build_service(spec: dict):
             orderer=dataset["orderer"],
             match_limit=dataset["match_limit"],
             time_limit=dataset["time_limit"],
-            shards=dataset["shards"],
-            shard_mode=dataset["shard_mode"],
         )
     cache_bytes = spec.get("cache_bytes")
     return MatchService(

@@ -56,10 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated catalog restriction (default: full registry)",
     )
     parser.add_argument(
-        "--workers", type=int, default=4,
-        help="service thread-pool width (shard fan-out, batch submits)",
-    )
-    parser.add_argument(
         "--max-concurrency", type=int, default=DEFAULT_CONCURRENCY,
         help="simultaneously executing HTTP match requests",
     )
@@ -87,7 +83,6 @@ def main(argv: list[str] | None = None) -> int:
         service = MatchService(
             catalog=datasets,
             cache_bytes=args.cache_bytes,
-            max_workers=args.workers,
             plan_store=args.plan_store,
             scheduler=scheduler_config_from_args(args),
         )

@@ -5,8 +5,8 @@ process, so every worker restart re-pays the filtering and ordering
 phases for the whole warm set.  :class:`PlanStore` is the durable second
 tier behind it: a single sqlite file (stdlib :mod:`sqlite3`, no new
 runtime dependencies) keyed by the exact cache-key tuple — ``(scope,
-shard_layout, filter, orderer, fingerprint)``, where the fingerprint is
-the process-stable canonical isomorphism-class hash of
+filter, orderer, fingerprint)``, where the fingerprint is the
+process-stable canonical isomorphism-class hash of
 :func:`repro.graphs.canonical.canonical_fingerprint` — holding
 :meth:`~repro.api.plan.QueryPlan.to_dict` payloads as JSON blobs.
 
@@ -22,7 +22,10 @@ Robustness contract: a row written by an incompatible store schema, an
 unreadable plan payload, or a plan-schema version this build cannot read
 is treated as a **miss** (and quietly deleted), never an error — a stale
 or corrupted store degrades to cold planning, it cannot take a serving
-process down.
+process down.  A whole *file* written under another
+:data:`STORE_SCHEMA_VERSION` (read from sqlite's ``user_version``) has
+its table dropped and recreated on open: every row in it was already a
+miss.
 
 Concurrency: one connection guarded by a lock per :class:`PlanStore`
 instance (``check_same_thread=False``), WAL journaling so concurrent
@@ -32,7 +35,7 @@ Examples
 --------
 >>> from repro.server import PlanStore
 >>> store = PlanStore(":memory:")
->>> key = ("scope", "unsharded", "gql", "ri", "fp:demo")
+>>> key = ("scope", "gql", "ri", "fp:demo")
 >>> store.put(key, {"version": 2, "order": [0, 1]})
 >>> store.get(key)["order"]
 [0, 1]
@@ -55,15 +58,17 @@ from dataclasses import dataclass
 
 __all__ = ["PlanStore", "PlanStoreStats", "STORE_SCHEMA_VERSION"]
 
-#: Version tag written on every row; rows carrying any other value are
-#: served as misses (and dropped) rather than parsed.  Bump on
-#: incompatible layout changes of the table or payload conventions.
-STORE_SCHEMA_VERSION = 1
+#: Version tag written on every row and as the file's ``user_version``;
+#: rows carrying any other value are served as misses (and dropped)
+#: rather than parsed, and a file carrying any other value has its table
+#: recreated on open.  Bump on incompatible layout changes of the table
+#: or payload conventions.
+#: v2: the key lost its layout column (four key columns, not five).
+STORE_SCHEMA_VERSION = 2
 
 _TABLE_DDL = """
 CREATE TABLE IF NOT EXISTS plans (
     scope        TEXT NOT NULL,
-    shard_layout TEXT NOT NULL,
     filter       TEXT NOT NULL,
     orderer      TEXT NOT NULL,
     fingerprint  TEXT NOT NULL,
@@ -71,7 +76,7 @@ CREATE TABLE IF NOT EXISTS plans (
     plan_version  INTEGER NOT NULL,
     payload      TEXT NOT NULL,
     created_s    REAL NOT NULL,
-    PRIMARY KEY (scope, shard_layout, filter, orderer, fingerprint)
+    PRIMARY KEY (scope, filter, orderer, fingerprint)
 )
 """
 
@@ -106,12 +111,12 @@ class PlanStoreStats:
         }
 
 
-def _key_columns(key: tuple) -> tuple[str, str, str, str, str]:
-    """Validate and stringify a cache-key tuple into the five columns."""
-    if len(key) != 5:
+def _key_columns(key: tuple) -> tuple[str, str, str, str]:
+    """Validate and stringify a cache-key tuple into the four columns."""
+    if len(key) != 4:
         raise ValueError(
-            f"plan-store keys are (scope, shard_layout, filter, orderer, "
-            f"fingerprint) 5-tuples, got {len(key)} components"
+            f"plan-store keys are (scope, filter, orderer, fingerprint) "
+            f"4-tuples, got {len(key)} components"
         )
     return tuple(str(part) for part in key)  # type: ignore[return-value]
 
@@ -153,6 +158,12 @@ class PlanStore:
                 # on a write collision instead of surfacing SQLITE_BUSY
                 # into a serving request.
                 self._conn.execute("PRAGMA busy_timeout=5000")
+            (file_version,) = self._conn.execute("PRAGMA user_version").fetchone()
+            if file_version != STORE_SCHEMA_VERSION:
+                # Another build's table (or none yet): its rows are
+                # misses by the version contract, so nothing is lost.
+                self._conn.execute("DROP TABLE IF EXISTS plans")
+                self._conn.execute(f"PRAGMA user_version={STORE_SCHEMA_VERSION}")
             self._conn.execute(_TABLE_DDL)
             self._conn.commit()
 
@@ -170,7 +181,7 @@ class PlanStore:
         with self._lock:
             row = self._conn.execute(
                 "SELECT store_version, payload FROM plans WHERE scope=? AND "
-                "shard_layout=? AND filter=? AND orderer=? AND fingerprint=?",
+                "filter=? AND orderer=? AND fingerprint=?",
                 columns,
             ).fetchone()
             if row is None:
@@ -201,7 +212,7 @@ class PlanStore:
         plan_version = int(payload.get("version", 0))
         with self._lock:
             self._conn.execute(
-                "INSERT OR REPLACE INTO plans VALUES (?,?,?,?,?,?,?,?,?)",
+                "INSERT OR REPLACE INTO plans VALUES (?,?,?,?,?,?,?,?)",
                 columns
                 + (STORE_SCHEMA_VERSION, plan_version, encoded, time.time()),
             )
@@ -219,8 +230,8 @@ class PlanStore:
 
     def _delete_locked(self, columns: tuple) -> bool:
         cursor = self._conn.execute(
-            "DELETE FROM plans WHERE scope=? AND shard_layout=? AND "
-            "filter=? AND orderer=? AND fingerprint=?",
+            "DELETE FROM plans WHERE scope=? AND filter=? AND orderer=? "
+            "AND fingerprint=?",
             columns,
         )
         self._conn.commit()
@@ -266,8 +277,8 @@ class PlanStore:
         columns = _key_columns(key)
         with self._lock:
             row = self._conn.execute(
-                "SELECT 1 FROM plans WHERE scope=? AND shard_layout=? AND "
-                "filter=? AND orderer=? AND fingerprint=?",
+                "SELECT 1 FROM plans WHERE scope=? AND filter=? AND "
+                "orderer=? AND fingerprint=?",
                 columns,
             ).fetchone()
             return row is not None

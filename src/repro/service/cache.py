@@ -4,9 +4,7 @@ Planning — filtering plus the (potentially learned) ordering phase — is
 the expensive per-query step a deployment pays over and over, even
 though production workloads keep re-asking isomorphic queries against
 long-lived data graphs.  :class:`PlanCache` is the amortization point: a
-thread-safe LRU keyed by ``(scope, shard_layout, filter, orderer,
-fingerprint)`` — the layout token keeps sharded and unsharded plans for
-one fingerprint apart — where
+thread-safe LRU keyed by ``(scope, filter, orderer, fingerprint)``, where
 the fingerprint is the *exact* canonical isomorphism-class hash of
 :func:`repro.graphs.canonical.canonical_fingerprint`, holding frozen
 :class:`~repro.api.plan.QueryPlan` objects whose live contexts let

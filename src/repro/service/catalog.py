@@ -30,7 +30,7 @@ registries.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.api.matcher import Matcher
 from repro.errors import RegistryError
@@ -50,11 +50,7 @@ class CatalogEntry:
     :func:`repro.datasets.load_dataset` on first use).  The component
     and limit fields mirror :class:`~repro.api.matcher.Matcher`'s
     constructor (the enumeration engine is not among them: there is
-    one); ``model`` feeds the learned orderer.  ``shards`` (with
-    ``shard_mode``) turns on partitioned matching for the dataset: the
-    constructed matcher wraps the data graph in a
-    :class:`~repro.graphs.partition.ShardedGraph` and the service fans
-    per-shard enumeration through its shard pool.
+    one); ``model`` feeds the learned orderer.
     """
 
     name: str
@@ -65,8 +61,6 @@ class CatalogEntry:
     time_limit: float | None = DEFAULT_TIME_LIMIT
     model: object = None
     stats: GraphStats | None = field(default=None, repr=False)
-    shards: int | None = None
-    shard_mode: str = "range"
 
     def load(self) -> tuple[Graph, GraphStats | None]:
         """The entry's data graph and (possibly shared) statistics."""
@@ -89,6 +83,14 @@ def _coerce_entry(name: str, value) -> CatalogEntry:
     if isinstance(value, Graph):
         return CatalogEntry(name=name, data=value)
     if isinstance(value, dict):
+        accepted = sorted(f.name for f in fields(CatalogEntry) if f.name != "name")
+        unknown = sorted(set(value) - set(accepted), key=str)
+        if unknown:
+            raise RegistryError(
+                f"catalog overrides for {name!r} carry unknown key(s) "
+                f"{', '.join(repr(k) for k in unknown)}; accepted keys: "
+                f"{', '.join(accepted)}"
+            )
         return CatalogEntry(name=name, **value)
     if value is None:
         return CatalogEntry(name=name)
@@ -239,13 +241,9 @@ class DatasetCatalog:
         # racing thread may build the same matcher twice; first write
         # wins and the duplicates are equivalent.
         if orderer is not None:
-            # Variants share the base matcher's data graph and stats —
-            # and its shard layout, so per-request orderer overrides
-            # keep the entry's partitioning (ShardedGraph carries the
-            # layout; passing it back re-uses source graph and ranges).
+            # Variants share the base matcher's data graph and stats.
             base = self.matcher(name)
-            data = base.sharded if base.sharded is not None else base.data
-            stats = base.stats
+            data, stats = base.data, base.stats
         else:
             data, stats = entry.load()
             if stats is None:
@@ -270,8 +268,6 @@ class DatasetCatalog:
             data,
             filter=entry.filter,
             orderer=chosen,
-            shards=entry.shards if orderer is None else None,
-            shard_mode=entry.shard_mode,
             match_limit=entry.match_limit,
             time_limit=entry.time_limit,
             stats=stats,

@@ -35,7 +35,7 @@ import threading
 import time
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CanonicalizationError, ReproError
 from repro.graphs.canonical import CanonicalForm, canonical_form
@@ -59,7 +59,9 @@ LATENCY_WINDOW = 8192
 #: v3: the ``scheduler`` block grew the execution tier surface —
 #: ``executor``, ``recovered``, ``calibration`` (observed-cost
 #: feedback), ``procpool`` and ``durable`` liveness snapshots.
-STATS_SCHEMA_VERSION = 3
+#: v4: the per-partition enumeration-time map left with partitioned
+#: matching.
+STATS_SCHEMA_VERSION = 4
 
 
 class LatencyRing:
@@ -130,12 +132,9 @@ class ServiceStats:
     enumeration time accrues on every served request.  Latency
     percentiles are computed over the bounded :class:`LatencyRing`
     sliding window (the most recent requests; default
-    :data:`LATENCY_WINDOW`).  ``shard_enum_time_s`` attributes
-    enumeration seconds per shard, keyed ``"<dataset>/<shard_id>"`` —
-    populated only by sharded datasets, and summing to more than the
-    wall clock when the shard pool overlaps shards.  ``scheduler``
-    carries the :class:`~repro.service.scheduler.SchedulerStats`
-    payload (queue depth, admissions/rejections/expiries/degrades,
+    :data:`LATENCY_WINDOW`).  ``scheduler`` carries the
+    :class:`~repro.service.scheduler.SchedulerStats` payload (queue
+    depth, admissions/rejections/expiries/degrades,
     per-tenant accounting) when a scheduler is attached; ``schema`` is
     :data:`STATS_SCHEMA_VERSION`, so payload consumers can refuse
     shapes they don't understand.
@@ -150,7 +149,6 @@ class ServiceStats:
     latency_p50_s: float
     latency_p95_s: float
     latency_p99_s: float = 0.0
-    shard_enum_time_s: dict = field(default_factory=dict)
     scheduler: dict | None = None
     schema: int = STATS_SCHEMA_VERSION
 
@@ -172,10 +170,6 @@ class ServiceStats:
             "latency_p50_s": float(self.latency_p50_s),
             "latency_p95_s": float(self.latency_p95_s),
             "latency_p99_s": float(self.latency_p99_s),
-            "shard_enum_time_s": {
-                key: float(value)
-                for key, value in sorted(self.shard_enum_time_s.items())
-            },
             "scheduler": dict(self.scheduler) if self.scheduler is not None else None,
         }
 
@@ -278,9 +272,7 @@ class MatchService:
         self._filter_time = 0.0
         self._order_time = 0.0
         self._enum_time = 0.0
-        self._shard_enum_time: dict[str, float] = {}
         self._latencies = LatencyRing(latency_window)
-        self._shard_executor: ThreadPoolExecutor | None = None
         self.scheduler = None
         self.procpool = None
         if scheduler is not None and scheduler is not False:
@@ -306,24 +298,6 @@ class MatchService:
                     workers=config.process_workers,
                 )
             self.scheduler = CostAwareScheduler(self, config)
-
-    def _shard_pool(self) -> ThreadPoolExecutor:
-        """The dedicated pool sharded plans fan per-shard work through.
-
-        Separate from ``submit_many``'s per-batch request pools on
-        purpose: shard sub-tasks submitted back into the request pool
-        could deadlock behind the very requests waiting on them.  Built
-        lazily so unsharded deployments never pay for it; double-checked
-        under the stats lock.
-        """
-        if self._shard_executor is None:
-            with self._lock:
-                if self._shard_executor is None:
-                    self._shard_executor = ThreadPoolExecutor(
-                        max_workers=self.max_workers,
-                        thread_name_prefix="repro-shard",
-                    )
-        return self._shard_executor
 
     # ------------------------------------------------------------------
     # Request execution
@@ -404,29 +378,19 @@ class MatchService:
 
         record = request.record_matches or request.stream
         engine = self._derived_enumerator(matcher.enumerator, request, record)
-        shard_outcomes = ()
         if request.stream:
             stream = matcher.stream_plan(plan, enumerator=engine)
             matches = MatchBlock(list(stream))
             outcome = stream.result()
         else:
-            result = matcher.execute(
-                plan,
-                enumerator=engine,
-                executor=self._shard_pool() if plan.sharded else None,
-            )
-            outcome = result.enumeration
+            outcome = matcher.execute(plan, enumerator=engine).enumeration
             matches = outcome.matches
-            shard_outcomes = result.shards or ()
         enum_time = outcome.elapsed
         # The id remap result[u] = match[mapping[u]], for every
         # embedding of the block at once.
         matches = matches.gather(cform.mapping)
         total_time = time.perf_counter() - t_start
-        self._meter(
-            cache_hit, plan.filter_time, plan.order_time, enum_time, total_time,
-            [(f"{request.dataset}/{s.shard_id}", s.elapsed) for s in shard_outcomes],
-        )
+        self._meter(cache_hit, plan.filter_time, plan.order_time, enum_time, total_time)
         return MatchResponse(
             dataset=request.dataset,
             # cform's fingerprint, not the plan's lazy property: on the
@@ -452,16 +416,13 @@ class MatchService:
         with self._lock:
             self._errors += 1
 
-    def _meter(
-        self, cache_hit, filter_time, order_time, enum_time, total_time, shard_times=()
-    ) -> None:
+    def _meter(self, cache_hit, filter_time, order_time, enum_time, total_time) -> None:
         """Count one served request — the one stats update every serving
         path (direct, streamed, worker process) goes through.
 
         Planning seconds are added only when the request actually
         planned (its cache lookup missed); enumeration seconds and the
-        latency ring always; ``shard_times`` are
-        ``("<dataset>/<shard_id>", seconds)`` pairs from a sharded plan.
+        latency ring always.
         """
         with self._lock:
             self._requests += 1
@@ -469,10 +430,6 @@ class MatchService:
                 self._filter_time += filter_time
                 self._order_time += order_time
             self._enum_time += enum_time
-            for key, seconds in shard_times:
-                self._shard_enum_time[key] = (
-                    self._shard_enum_time.get(key, 0.0) + seconds
-                )
             self._latencies.append(total_time)
 
     def _record_remote(self, response: MatchResponse) -> None:
@@ -653,7 +610,6 @@ class MatchService:
                 latency_p50_s=_percentile(window, 0.50),
                 latency_p95_s=_percentile(window, 0.95),
                 latency_p99_s=_percentile(window, 0.99),
-                shard_enum_time_s=dict(self._shard_enum_time),
                 scheduler=scheduler_stats,
             )
 
@@ -692,8 +648,7 @@ class MatchService:
         }
 
     def close(self) -> None:
-        """Release background resources (scheduler, process pool,
-        shard pool).
+        """Release background resources (scheduler, process pool).
 
         Queued scheduled work drains gracefully first (the scheduler
         shuts down before the process pool — its workers may still be
@@ -705,10 +660,6 @@ class MatchService:
             self.scheduler.shutdown()
         if self.procpool is not None:
             self.procpool.shutdown()
-        with self._lock:
-            executor, self._shard_executor = self._shard_executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -109,6 +109,34 @@ class TestSerialization:
         assert detached.enumeration.matches == attached.enumeration.matches
         assert detached.num_enumerations == attached.num_enumerations
 
+    def test_v2_payload_with_partition_blocks_loads_and_executes(
+        self, instance, matcher
+    ):
+        # What a parent-commit matcher built with shards=2 persisted:
+        # the blocks are ignored and the plan runs on the global context.
+        _, _, queries = instance
+        plan = matcher.plan(queries[3])
+        payload = {
+            **plan.to_dict(),
+            "shard_layout": [2, "range"],
+            "shards": [
+                {
+                    "shard_id": 0, "owned": [0, 30], "num_vertices": 54,
+                    "halo": 27, "root_candidates": 8,
+                    "candidate_counts": [27, 8, 13, 27, 14],
+                    "filter_time": 0.0009, "candidate_space_bytes": 3656,
+                },
+            ],
+        }
+        assert payload["version"] == 2
+        restored = QueryPlan.from_json(json.dumps(payload))
+        assert restored == plan
+        assert "shards" not in restored.to_dict()
+        attached = matcher.execute(plan)
+        detached = matcher.execute(restored)
+        assert detached.enumeration.matches == attached.enumeration.matches
+        assert detached.num_enumerations == attached.num_enumerations
+
     def test_detached_plan_needs_the_recorded_filter(self, instance, matcher):
         from repro.errors import ModelError
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import InvalidGraphError
 from repro.graphs import Graph
+from repro.graphs.graph import gather_neighbors
 
 
 def triangle() -> Graph:
@@ -153,3 +156,26 @@ def test_memory_bytes_positive_and_grows():
     small = Graph([0] * 10, [(i, i + 1) for i in range(9)])
     large = Graph([0] * 1000, [(i, i + 1) for i in range(999)])
     assert 0 < small.memory_bytes() < large.memory_bytes()
+
+
+@st.composite
+def random_graphs(draw, min_vertices: int = 0, max_vertices: int = 30):
+    """Random labeled graphs, disconnected components welcome."""
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), max_size=70) if possible else st.just([])
+    )
+    return Graph(labels, edges)
+
+
+@given(random_graphs(min_vertices=1))
+def test_gather_neighbors_matches_window_concatenation(g: Graph):
+    vertices = np.arange(g.num_vertices, dtype=np.int64)[::2]
+    expected = np.concatenate(
+        [g.indices[g.indptr[v] : g.indptr[v + 1]] for v in vertices]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    got = gather_neighbors(g.indptr, g.indices, vertices)
+    assert np.array_equal(got, expected)

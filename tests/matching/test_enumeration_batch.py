@@ -259,42 +259,6 @@ def test_stream_result_equals_batch_run(seed, limit):
 
 
 # ----------------------------------------------------------------------
-# Sharded runs
-# ----------------------------------------------------------------------
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([2, 4]))
-def test_sharded_vectorized_equals_unsharded_iterative(seed, shards):
-    rng = np.random.default_rng(seed)
-    data = erdos_renyi(50, 140, 3, seed=seed)
-    query = extract_query(data, int(rng.integers(3, 6)), rng)
-
-    def match(mode, **sharding):
-        with frontier_mode(mode):
-            return Matcher(
-                data, filter="gql", orderer="ri", match_limit=None,
-                record_matches=True, **sharding,
-            ).match(query)
-
-    unsharded = match("iterative")
-    per_mode = {mode: match(mode, shards=shards) for mode in MODES}
-    for mode, sharded in per_mode.items():
-        # Merged per-shard sequences reproduce the global unsharded
-        # emission order exactly, whichever frames each shard took.
-        assert sharded.enumeration.matches == unsharded.enumeration.matches, mode
-        assert sharded.num_matches == unsharded.num_matches, mode
-        # Per-shard #enum agrees mode-to-mode (each shard is its own
-        # bit-identical enumeration).
-        assert sharded.num_enumerations == per_mode["iterative"].num_enumerations
-        assert [
-            (o.shard_id, o.num_matches, o.num_enumerations)
-            for o in sharded.shards or ()
-        ] == [
-            (o.shard_id, o.num_matches, o.num_enumerations)
-            for o in per_mode["iterative"].shards or ()
-        ], mode
-
-
-# ----------------------------------------------------------------------
 # Scratch-buffer growth (the PR's small-fix satellite)
 # ----------------------------------------------------------------------
 class TestScratchGrowth:

@@ -10,7 +10,7 @@ from repro.graphs import erdos_renyi, extract_query
 from repro.server.store import STORE_SCHEMA_VERSION, PlanStore
 from repro.service.cache import PlanCache
 
-KEY = ("scope", "unsharded", "gql", "ri", "fp:abc")
+KEY = ("scope", "gql", "ri", "fp:abc")
 
 
 @pytest.fixture()
@@ -35,9 +35,9 @@ class TestPlanStore:
         assert len(store) == 1
         assert store.get(KEY)["version"] == 2
 
-    def test_key_must_be_a_five_tuple(self, store):
+    def test_key_must_be_a_four_tuple(self, store):
         with pytest.raises(ValueError):
-            store.put(("scope", "gql", "ri", "fp"), {})
+            store.put(("scope", "layout", "gql", "ri", "fp"), {})
         with pytest.raises(ValueError):
             store.get(("a",))
 
@@ -46,6 +46,43 @@ class TestPlanStore:
         PlanStore(path).put(KEY, {"version": 3})
         reopened = PlanStore(path)
         assert reopened.get(KEY) == {"version": 3}
+
+    def test_file_from_the_previous_table_layout_is_recreated(self, tmp_path):
+        # The parent commit's DDL (store schema 1, five key columns),
+        # with one row in it: opening must not raise, the row is gone
+        # (it was a miss by the version contract anyway), and the
+        # recreated table round-trips.
+        path = tmp_path / "plans.sqlite"
+        old = sqlite3.connect(path)
+        old.execute(
+            """
+            CREATE TABLE IF NOT EXISTS plans (
+                scope        TEXT NOT NULL,
+                shard_layout TEXT NOT NULL,
+                filter       TEXT NOT NULL,
+                orderer      TEXT NOT NULL,
+                fingerprint  TEXT NOT NULL,
+                store_version INTEGER NOT NULL,
+                plan_version  INTEGER NOT NULL,
+                payload      TEXT NOT NULL,
+                created_s    REAL NOT NULL,
+                PRIMARY KEY (scope, shard_layout, filter, orderer, fingerprint)
+            )
+            """
+        )
+        old.execute(
+            "INSERT INTO plans VALUES (?,?,?,?,?,?,?,?,?)",
+            ("scope", "unsharded", "gql", "ri", "fp:abc", 1, 2, "{}", 0.0),
+        )
+        old.commit()
+        old.close()
+        store = PlanStore(path)
+        assert len(store) == 0
+        assert store.get(KEY) is None
+        store.put(KEY, {"version": 2})
+        assert store.get(KEY) == {"version": 2}
+        store.close()
+        assert PlanStore(path).get(KEY) == {"version": 2}  # not dropped twice
 
     def test_wrong_store_version_row_is_dropped_as_miss(self, store):
         store.put(KEY, {"version": 1})

@@ -50,6 +50,20 @@ class TestConstruction:
         with pytest.raises(RegistryError):
             DatasetCatalog([13])
 
+    def test_unknown_override_key_is_a_registry_error(self, graph):
+        # A config still carrying a retired (or misspelt) key must fail
+        # inside the error envelope, naming the key and the valid ones —
+        # not as CatalogEntry's bare TypeError.
+        from repro.service import MatchService
+
+        overrides = {"data": graph, "shards": 2, "name": "t"}
+        for build in (DatasetCatalog, lambda c: MatchService(catalog=c)):
+            with pytest.raises(RegistryError) as excinfo:
+                build({"t": overrides})
+            message = str(excinfo.value)
+            assert "'name', 'shards'" in message
+            assert "data, filter, match_limit, model, orderer" in message
+
 
 class TestErrors:
     def test_unknown_dataset_lists_sorted_choices(self, graph):

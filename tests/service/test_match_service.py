@@ -228,6 +228,8 @@ class TestStatsAndInvalidation:
 
         json.dumps(payload)  # JSON-safe snapshot
         assert payload["cache"]["hit_rate"] == 0.5
+        assert payload["schema"] == 4
+        assert "shard_enum_time_s" not in payload
 
     def test_invalidate_dataset_and_all(self, data, queries):
         service = MatchService(catalog={"a": data, "b": data})

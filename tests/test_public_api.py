@@ -27,8 +27,8 @@ PACKAGES = [
 ]
 
 #: Names retired with the selectable recursive engine, the second
-#: pipeline facade and the user-set choice of enumeration backend;
-#: listed so they cannot drift back into a facade.
+#: pipeline facade, the user-set choice of enumeration backend and
+#: partitioned matching; listed so they cannot drift back into a facade.
 RETIRED_EXPORTS = [
     ("repro", "MatchingEngine"),
     ("repro", "IterativeEnumerator"),
@@ -38,6 +38,18 @@ RETIRED_EXPORTS = [
     ("repro.matching", "ENUMERATION_STRATEGIES"),
     ("repro.api", "register_enumerator"),
     ("repro.api", "enumerator_registry"),
+    ("repro.api", "ShardPlan"),
+    ("repro.graphs", "GraphShard"),
+    ("repro.graphs", "ShardedGraph"),
+    ("repro.graphs", "PARTITION_MODES"),
+    ("repro.graphs", "partition_ranges"),
+    ("repro.graphs", "khop_closure"),
+    ("repro.graphs", "query_eccentricity"),
+    ("repro.matching", "ShardOutcome"),
+    ("repro.matching", "ShardRun"),
+    ("repro.matching", "ShardedMatchStream"),
+    ("repro.matching", "build_shard_runs"),
+    ("repro.matching", "merge_shard_matches"),
 ]
 
 
