@@ -127,6 +127,8 @@ def main(argv: list[str] | None = None) -> int:
             f"steps={epoch_stats.num_steps} "
             f"passes={epoch_stats.passes} "
             f"heldout={heldout} "
+            f"sample={epoch_stats.time_sample:.2f}s "
+            f"train={epoch_stats.time_train:.2f}s "
             f"({epoch_stats.elapsed:.1f}s)"
         )
         if sink is not None:

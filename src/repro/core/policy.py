@@ -51,7 +51,8 @@ class PolicyOutput:
 
     @property
     def is_valid(self) -> bool:
-        """Whether the unmasked argmax lands inside the action space."""
+        """Whether the unmasked argmax lands inside the action space
+        (of a single decision point: the rollout reads it per step)."""
         argmax = int(np.argmax(self.scores.data))
         return bool(self.probs.data[argmax] > 0.0)
 
@@ -101,16 +102,23 @@ class PolicyNetwork(Module):
     def forward(
         self, features: np.ndarray, ctx: GraphContext, action_mask: np.ndarray
     ) -> PolicyOutput:
-        """Score vertices and produce the masked selection distribution."""
+        """Score vertices and produce the masked selection distribution.
+
+        One decision point — ``(n, 7)`` features, an ``(n, n)`` context,
+        an ``(n,)`` mask — or ``S`` of them stacked along a leading axis
+        (``(S, n, 7)``, ``(S, n, n)``, ``(S, n)``): every op works on the
+        last axes, so ``probs`` / ``scores`` come back shaped like the
+        mask and ``entropy`` with one value per decision point.
+        """
         action_mask = np.asarray(action_mask, dtype=bool)
-        if features.shape[1] != FEATURE_DIM:
+        if features.shape[-1] != FEATURE_DIM:
             raise ModelError(
-                f"feature width {features.shape[1]} != FEATURE_DIM {FEATURE_DIM}"
+                f"feature width {features.shape[-1]} != FEATURE_DIM {FEATURE_DIM}"
             )
-        if not action_mask.any():
+        if not action_mask.any(axis=-1).all():
             raise ModelError("forward() with empty action space")
         h = self.encode(features, ctx)
-        scores = self.head2(self.head1(h).relu()).reshape(-1)  # (n,)
+        scores = self.head2(self.head1(h).relu()).reshape(action_mask.shape)
         probs = masked_softmax(scores, action_mask)
         return PolicyOutput(probs=probs, scores=scores, entropy=entropy(probs))
 

@@ -10,7 +10,8 @@ and cheap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +36,10 @@ __all__ = [
 @dataclass(frozen=True)
 class GraphContext:
     """Dense per-graph matrices shared by all GNN layer types.
+
+    Every field is ``(n, n)`` for one graph or ``(S, n, n)`` for a stack
+    of ``S`` graphs (:meth:`stack`); the layers only touch the last two
+    axes, so one call encodes the whole stack.
 
     Attributes
     ----------
@@ -73,6 +78,16 @@ class GraphContext:
             mean_adj=mean_adj,
             adj=adj,
             attention_mask=attention_mask,
+        )
+
+    @staticmethod
+    def stack(contexts: Sequence["GraphContext"]) -> "GraphContext":
+        """The contexts of ``S`` same-sized graphs as ``(S, n, n)`` fields."""
+        return GraphContext(
+            *(
+                np.stack([getattr(ctx, f.name) for ctx in contexts])
+                for f in fields(GraphContext)
+            )
         )
 
 
@@ -132,10 +147,10 @@ class GATLayer(Module):
         )
 
     def forward(self, h: Tensor, ctx: GraphContext) -> Tensor:
-        wh = self.linear(h)  # (n, d)
-        src = wh @ self.attn_src  # (n, 1)
-        dst = wh @ self.attn_dst  # (n, 1)
-        logits = (src + dst.transpose()).leaky_relu(0.2)  # (n, n)
+        wh = self.linear(h)  # (..., n, d)
+        src = wh @ self.attn_src  # (..., n, 1)
+        dst = wh @ self.attn_dst  # (..., n, 1)
+        logits = (src + dst.transpose()).leaky_relu(0.2)  # (..., n, n)
         alpha = masked_softmax(logits, ctx.attention_mask, axis=-1)
         return (alpha @ wh).relu()
 
@@ -179,7 +194,7 @@ class LEConvLayer(Module):
         self.w3 = Linear(in_features, out_features, bias=False, rng=rng)
 
     def forward(self, h: Tensor, ctx: GraphContext) -> Tensor:
-        degrees = Tensor(ctx.adj.sum(axis=1, keepdims=True))
+        degrees = Tensor(ctx.adj.sum(axis=-1, keepdims=True))
         local = self.w2(h) * degrees - Tensor(ctx.adj) @ self.w3(h)
         return (self.w1(h) + local).relu()
 

@@ -7,7 +7,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.nn.tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -89,3 +89,14 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def clip_grad_norm(parameters, max_norm: float | None) -> float:
+    """Scale the gradients in place so their global norm is at most
+    ``max_norm``; returns the norm before clipping (``None`` only measures)."""
+    grads = [p.grad for p in parameters if p.grad is not None]
+    norm = sum(float((grad**2).sum()) for grad in grads) ** 0.5
+    if max_norm is not None and norm > max_norm and norm > 0:
+        for grad in grads:
+            grad *= max_norm / norm
+    return norm

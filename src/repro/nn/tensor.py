@@ -232,14 +232,14 @@ class Tensor:
         return Tensor._from_op(out_data, (self,), backward)
 
     def transpose(self) -> "Tensor":
-        """2-D transpose."""
-        if self.data.ndim != 2:
-            raise ModelError("transpose expects a 2-D tensor")
-        out_data = self.data.T
+        """Swap the last two axes (a stack of matrices transposes each)."""
+        if self.data.ndim < 2:
+            raise ModelError("transpose expects at least a 2-D tensor")
+        out_data = self.data.swapaxes(-1, -2)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad.T)
+                self._accumulate(grad.swapaxes(-1, -2))
 
         return Tensor._from_op(out_data, (self,), backward)
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.nn.layers import Linear
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
-from repro.rl.rollout import Trajectory, sampling_mode
+from repro.rl.rollout import StepBatch, Trajectory, sampling_mode, stack_steps
 
 __all__ = ["ActorCriticStats", "ActorCriticTrainer"]
 
@@ -71,81 +71,48 @@ class ActorCriticTrainer:
         self.optimizer = Adam(params, lr=learning_rate)
 
     def _value(self, features: np.ndarray, ctx) -> Tensor:
-        """Critic estimate: linear head on the mean-pooled embedding."""
+        """Critic estimate per step: linear head on the mean-pooled
+        embedding of ``(S, n, ·)`` stacked steps → ``(S,)``."""
         h = self.policy.encode(features, ctx)
-        pooled = h.mean(axis=0, keepdims=True)  # (1, hidden)
-        return self.value_head(pooled).reshape(1)
+        pooled = h.mean(axis=-2, keepdims=True)  # (S, 1, hidden)
+        return self.value_head(pooled).reshape(-1)
 
     def update(self, trajectories: list[Trajectory]) -> ActorCriticStats:
         """Run ``updates_per_batch`` actor–critic steps on the batch."""
-        last = ActorCriticStats(0.0, 0.0, 0.0, 0.0, 0)
+        batches = stack_steps(trajectories)
+        if not batches:
+            return ActorCriticStats(0.0, 0.0, 0.0, 0.0, 0)
         with sampling_mode(self.policy):
             for _ in range(self.updates_per_batch):
-                last = self._one_pass(trajectories)
+                last = self._one_pass(batches)
         return last
 
-    def _one_pass(self, trajectories: list[Trajectory]) -> ActorCriticStats:
-        actor_terms: list[Tensor] = []
-        critic_terms: list[Tensor] = []
-        values: list[float] = []
-        logprobs: list[float] = []
-
-        for trajectory in trajectories:
-            if len(trajectory.rewards) != len(trajectory.steps):
-                raise TrainingError(
-                    "trajectory rewards not attached (trainer must set them)"
-                )
-            for t, step in trajectory.policy_steps():
-                out = self.policy.forward(
-                    step.features, trajectory.ctx, step.action_mask
-                )
-                value = self._value(step.features, trajectory.ctx)
-                reward = trajectory.rewards[t]
-                advantage = reward - float(value.data[0])  # detached for actor
-                logp = (
-                    out.probs.index_select([step.action]).maximum(1e-12).log()
-                )
-                actor_terms.append(logp * advantage)
-                diff = value - reward
-                critic_terms.append(diff * diff)
-                values.append(float(value.data[0]))
-                logprobs.append(float(logp.data.reshape(-1)[0]))
-
-        if not actor_terms:
-            return ActorCriticStats(0.0, 0.0, 0.0, 0.0, 0)
-
-        def total(terms: list[Tensor]) -> Tensor:
-            acc = terms[0].reshape(1)
-            for term in terms[1:]:
-                acc = acc + term.reshape(1)
-            return acc.sum() * (1.0 / len(terms))
-
-        actor_loss = -total(actor_terms)
-        critic_loss = total(critic_terms)
+    def _one_pass(self, batches: list[StepBatch]) -> ActorCriticStats:
+        num_steps = sum(batch.weight.size for batch in batches)
+        actor_terms, critic_terms, values, logprobs = [], [], [], []
+        for batch in batches:
+            out = self.policy.forward(batch.features, batch.ctx, batch.action_mask)
+            value = self._value(batch.features, batch.ctx)
+            advantage = batch.weight - value.data  # detached for the actor
+            logp = batch.chosen_prob(out.probs).maximum(1e-12).log()
+            actor_terms.append((logp * advantage).sum())
+            diff = value - batch.weight
+            critic_terms.append((diff * diff).sum())
+            values.append(value.data)
+            logprobs.append(logp.data)
+        actor_loss = -(sum(actor_terms) * (1.0 / num_steps))
+        critic_loss = sum(critic_terms) * (1.0 / num_steps)
         loss = actor_loss + critic_loss * self.critic_coefficient
 
         self.optimizer.zero_grad()
         loss.backward()
-        if self.max_grad_norm is not None:
-            self._clip_gradients()
+        clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
         self.optimizer.step()
         return ActorCriticStats(
             loss=float(loss.data),
             actor_loss=float(actor_loss.data),
             critic_loss=float(critic_loss.data),
-            mean_value=float(np.mean(values)),
-            num_steps=len(actor_terms),
-            mean_logprob=float(np.mean(logprobs)),
+            mean_value=float(np.mean(np.concatenate(values))),
+            num_steps=num_steps,
+            mean_logprob=float(np.mean(np.concatenate(logprobs))),
         )
-
-    def _clip_gradients(self) -> None:
-        total = 0.0
-        for p in self.optimizer.parameters:
-            if p.grad is not None:
-                total += float((p.grad**2).sum())
-        norm = total**0.5
-        if norm > self.max_grad_norm and norm > 0:
-            scale = self.max_grad_norm / norm
-            for p in self.optimizer.parameters:
-                if p.grad is not None:
-                    p.grad *= scale

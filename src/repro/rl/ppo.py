@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
-from repro.rl.rollout import Trajectory, sampling_mode
+from repro.nn.optim import Adam, clip_grad_norm
+from repro.rl.rollout import StepBatch, Trajectory, sampling_mode, stack_steps
 
 __all__ = ["PPOStats", "PPOTrainer"]
 
@@ -85,105 +84,54 @@ class PPOTrainer:
         self.optimizer = Adam(policy.parameters(), lr=learning_rate)
 
     def update(self, trajectories: list[Trajectory]) -> PPOStats:
-        """Run ``updates_per_batch`` gradient steps on the batch."""
+        """Run ``updates_per_batch`` gradient steps on the batch.
+
+        With no policy step to score (an empty batch, or forced moves
+        only) nothing runs: ``passes`` is 0 and Adam does not step.
+        """
+        batches = stack_steps(trajectories, self.normalize_advantages)
+        if not batches:
+            return PPOStats(0.0, 1.0, 0.0, 0)
         with sampling_mode(self.policy):
-            first = last = self._one_pass(trajectories)
+            first = last = self._one_pass(batches)
             for _ in range(self.updates_per_batch - 1):
-                last = self._one_pass(trajectories)
+                last = self._one_pass(batches)
         return replace(
             last,
             passes=self.updates_per_batch,
             first_pass_ratio=first.mean_ratio,
         )
 
-    def _advantages(self, trajectories: list[Trajectory]) -> dict[int, list[float]]:
-        """Per-trajectory step advantages, optionally batch-normalized."""
-        raw: list[float] = []
-        for trajectory in trajectories:
-            if len(trajectory.rewards) != len(trajectory.steps):
-                raise TrainingError(
-                    "trajectory rewards not attached (trainer must set them)"
-                )
-            raw.extend(trajectory.rewards[t] for t, _ in trajectory.policy_steps())
-        if not raw:
-            return {}
-        if self.normalize_advantages and len(raw) > 1:
-            mean = float(np.mean(raw))
-            std = float(np.std(raw))
-            scale = 1.0 / (std + 1e-8) if std > 1e-8 else 1.0
-        else:
-            mean, scale = 0.0, 1.0
-        out: dict[int, list[float]] = {}
-        for trajectory in trajectories:
-            out[id(trajectory)] = [
-                (trajectory.rewards[t] - mean) * scale
-                for t, _ in trajectory.policy_steps()
-            ]
-        return out
-
-    def _one_pass(self, trajectories: list[Trajectory]) -> PPOStats:
-        terms: list[Tensor] = []
-        ratios: list[float] = []
-        entropies: list[float] = []
-        clipped = 0
+    def _one_pass(self, batches: list[StepBatch]) -> PPOStats:
         low, high = 1.0 - self.clip_epsilon, 1.0 + self.clip_epsilon
-        advantages = self._advantages(trajectories)
-
-        for trajectory in trajectories:
-            for k, (t, step) in enumerate(trajectory.policy_steps()):
-                out = self.policy.forward(
-                    step.features, trajectory.ctx, step.action_mask
-                )
-                prob = out.probs.index_select([step.action])
-                # A true division: x / x is exactly 1.0, x * (1 / x) is not.
-                ratio = prob / max(step.old_prob, 1e-12)
-                reward = advantages[id(trajectory)][k]
-                surrogate = (ratio * reward).minimum(
-                    ratio.clip(low, high) * reward
-                )
-                terms.append(surrogate)
-                r = float(ratio.data.reshape(-1)[0])
-                ratios.append(r)
-                entropies.append(float(out.entropy.data))
-                if r < low or r > high:
-                    clipped += 1
-
-        if not terms:
-            return PPOStats(0.0, 1.0, 0.0, 0)
-
-        total = terms[0].reshape(1)
-        for term in terms[1:]:
-            total = total + term.reshape(1)
+        num_steps = sum(batch.weight.size for batch in batches)
+        terms, ratios, entropies = [], [], []
+        for batch in batches:
+            out = self.policy.forward(batch.features, batch.ctx, batch.action_mask)
+            # A true division: x / x is exactly 1.0, x * (1 / x) is not.
+            ratio = batch.chosen_prob(out.probs) / np.maximum(batch.old_prob, 1e-12)
+            surrogate = (ratio * batch.weight).minimum(
+                ratio.clip(low, high) * batch.weight
+            )
+            terms.append(surrogate.sum())
+            ratios.append(ratio.data)
+            entropies.append(out.entropy.data)
         # Normalize by step count so the learning rate is insensitive to
         # batch size; ascent on J == descent on -J.
-        loss = -(total.sum() * (1.0 / len(terms)))
+        loss = -(sum(terms) * (1.0 / num_steps))
 
         self.optimizer.zero_grad()
         loss.backward()
-        grad_norm = self._clip_gradients()
+        grad_norm = clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
         self.optimizer.step()
 
+        ratios = np.concatenate(ratios)
         return PPOStats(
             loss=float(loss.data),
             mean_ratio=float(np.mean(ratios)),
-            clip_fraction=clipped / len(terms),
-            num_steps=len(terms),
+            clip_fraction=float(np.mean((ratios < low) | (ratios > high))),
+            num_steps=num_steps,
             approx_kl=float(-np.mean(np.log(np.maximum(ratios, 1e-12)))),
-            entropy=float(np.mean(entropies)),
+            entropy=float(np.mean(np.concatenate(entropies))),
             grad_norm=grad_norm,
         )
-
-    def _clip_gradients(self) -> float:
-        """Global-norm gradient clipping for training stability; returns
-        the norm before clipping (``max_grad_norm=None`` only measures)."""
-        total = 0.0
-        for p in self.optimizer.parameters:
-            if p.grad is not None:
-                total += float((p.grad**2).sum())
-        norm = total**0.5
-        if self.max_grad_norm is not None and norm > self.max_grad_norm and norm > 0:
-            scale = self.max_grad_norm / norm
-            for p in self.optimizer.parameters:
-                if p.grad is not None:
-                    p.grad *= scale
-        return norm

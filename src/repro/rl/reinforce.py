@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
-from repro.rl.rollout import Trajectory, sampling_mode
+from repro.nn.optim import Adam, clip_grad_norm
+from repro.rl.rollout import StepBatch, Trajectory, sampling_mode, stack_steps
 
 __all__ = ["ReinforceStats", "ReinforceTrainer"]
 
@@ -63,65 +62,30 @@ class ReinforceTrainer:
         Unlike PPO, re-running multiple passes on the same on-policy batch
         is biased; the default is a single pass.
         """
-        last = ReinforceStats(0.0, 0.0, 0)
+        batches = stack_steps(trajectories, self.normalize_advantages)
+        if not batches:
+            return ReinforceStats(0.0, 0.0, 0)
         with sampling_mode(self.policy):
             for _ in range(self.updates_per_batch):
-                last = self._one_pass(trajectories)
+                last = self._one_pass(batches)
         return last
 
-    def _one_pass(self, trajectories: list[Trajectory]) -> ReinforceStats:
-        weights: list[float] = []
-        for trajectory in trajectories:
-            if len(trajectory.rewards) != len(trajectory.steps):
-                raise TrainingError(
-                    "trajectory rewards not attached (trainer must set them)"
-                )
-            weights.extend(
-                trajectory.rewards[t] for t, _ in trajectory.policy_steps()
-            )
-        if not weights:
-            return ReinforceStats(0.0, 0.0, 0)
-        if self.normalize_advantages and len(weights) > 1:
-            mean, std = float(np.mean(weights)), float(np.std(weights))
-            weights = [(w - mean) / (std + 1e-8) for w in weights]
-
-        terms: list[Tensor] = []
-        logprobs: list[float] = []
-        cursor = 0
-        for trajectory in trajectories:
-            for t, step in trajectory.policy_steps():
-                out = self.policy.forward(
-                    step.features, trajectory.ctx, step.action_mask
-                )
-                logp = out.probs.index_select([step.action]).maximum(1e-12).log()
-                terms.append(logp * weights[cursor])
-                logprobs.append(float(logp.data.reshape(-1)[0]))
-                cursor += 1
-
-        total = terms[0].reshape(1)
-        for term in terms[1:]:
-            total = total + term.reshape(1)
-        loss = -(total.sum() * (1.0 / len(terms)))
+    def _one_pass(self, batches: list[StepBatch]) -> ReinforceStats:
+        num_steps = sum(batch.weight.size for batch in batches)
+        terms, logprobs = [], []
+        for batch in batches:
+            out = self.policy.forward(batch.features, batch.ctx, batch.action_mask)
+            logp = batch.chosen_prob(out.probs).maximum(1e-12).log()
+            terms.append((logp * batch.weight).sum())
+            logprobs.append(logp.data)
+        loss = -(sum(terms) * (1.0 / num_steps))
 
         self.optimizer.zero_grad()
         loss.backward()
-        if self.max_grad_norm is not None:
-            self._clip_gradients()
+        clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
         self.optimizer.step()
         return ReinforceStats(
             loss=float(loss.data),
-            mean_logprob=float(np.mean(logprobs)),
-            num_steps=len(terms),
+            mean_logprob=float(np.mean(np.concatenate(logprobs))),
+            num_steps=num_steps,
         )
-
-    def _clip_gradients(self) -> None:
-        total = 0.0
-        for p in self.optimizer.parameters:
-            if p.grad is not None:
-                total += float((p.grad**2).sum())
-        norm = total**0.5
-        if norm > self.max_grad_norm and norm > 0:
-            scale = self.max_grad_norm / norm
-            for p in self.optimizer.parameters:
-                if p.grad is not None:
-                    p.grad *= scale

@@ -13,6 +13,13 @@ therefore drawn under :func:`sampling_mode` — evaluation mode, dropout
 the identity — and every update routine in this package scores steps
 under the same context manager, whatever mode the caller left the
 policy in.
+
+**One forward per pass.**  An update does not visit steps one by one:
+:func:`stack_steps` turns its trajectories' policy steps into
+:class:`StepBatch` arrays once per ``update`` call — one batch per
+query size ``n``, since ``PolicyNetwork.forward`` takes a leading step
+axis but not ragged vertices — and every pass scores a batch with one
+``forward`` and one ``backward``.
 """
 
 from __future__ import annotations
@@ -23,12 +30,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import TrainingError
 from repro.graphs.graph import Graph
 from repro.nn.gnn import GraphContext
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import Tensor, no_grad
 from repro.rl.env import OrderingEnv
 
-__all__ = ["TrajectoryStep", "Trajectory", "collect_trajectory", "sampling_mode"]
+__all__ = [
+    "TrajectoryStep",
+    "Trajectory",
+    "StepBatch",
+    "collect_trajectory",
+    "sampling_mode",
+    "stack_steps",
+]
 
 
 @contextmanager
@@ -137,3 +152,65 @@ def collect_trajectory(
         trajectory.order.append(step.action)
         state = env.step(step.action)
     return trajectory
+
+
+@dataclass(frozen=True)
+class StepBatch:
+    """The ``S`` policy steps an update holds for ``n``-vertex queries,
+    stacked along a leading step axis (trajectory order, then step order)."""
+
+    features: np.ndarray  # (S, n, FEATURE_DIM)
+    ctx: GraphContext  # four (S, n, n) fields: each step's query, repeated
+    action_mask: np.ndarray  # (S, n) bool
+    chosen: np.ndarray  # (S, n) one-hot of the sampled action
+    old_prob: np.ndarray  # (S,)
+    weight: np.ndarray  # (S,) the step's decayed reward, normalized if asked
+
+    def chosen_prob(self, probs: Tensor) -> Tensor:
+        """``π(a_s | s)`` per step from ``(S, n)`` ``probs``: a one-hot
+        multiply-and-sum gathers exactly (the other terms are zeros)."""
+        return (probs * self.chosen).sum(axis=-1)
+
+
+def stack_steps(
+    trajectories: list[Trajectory], normalize_weights: bool = False
+) -> list[StepBatch]:
+    """Stack the policy steps of ``trajectories``, one batch per query size.
+
+    Forced steps (``computed=False``) carry no gradient and are left out;
+    no policy step at all gives an empty list.  ``normalize_weights``
+    centres and scales the decayed rewards over *all* the steps, across
+    sizes (the standard advantage normalization).
+    """
+    groups: dict[int, list[tuple[GraphContext, float, TrajectoryStep]]] = {}
+    for trajectory in trajectories:
+        if len(trajectory.rewards) != len(trajectory.steps):
+            raise TrainingError(
+                "trajectory rewards not attached (trainer must set them)"
+            )
+        for t, step in trajectory.policy_steps():
+            groups.setdefault(len(step.action_mask), []).append(
+                (trajectory.ctx, trajectory.rewards[t], step)
+            )
+    weights = [
+        np.array([reward for _, reward, _ in rows]) for rows in groups.values()
+    ]
+    if normalize_weights and sum(w.size for w in weights) > 1:
+        pooled = np.concatenate(weights)
+        mean, std = pooled.mean(), pooled.std()
+        scale = 1.0 / (std + 1e-8) if std > 1e-8 else 1.0
+        weights = [(w - mean) * scale for w in weights]
+    batches = []
+    for (n, rows), weight in zip(groups.items(), weights):
+        contexts, _, steps = zip(*rows)
+        batches.append(
+            StepBatch(
+                features=np.stack([step.features for step in steps]),
+                ctx=GraphContext.stack(contexts),
+                action_mask=np.stack([step.action_mask for step in steps]),
+                chosen=np.eye(n)[[step.action for step in steps]],
+                old_prob=np.array([step.old_prob for step in steps]),
+                weight=weight,
+            )
+        )
+    return batches

@@ -77,6 +77,10 @@ class TestTrainCLI:
         captured = capsys.readouterr().out
         assert "passes=2" in captured
         assert f"heldout={lines[0]['heldout_ratio']:.3f}" in captured
+        assert (
+            f"sample={lines[0]['time_sample']:.2f}s "
+            f"train={lines[0]['time_train']:.2f}s" in captured
+        )
 
     def test_jsonl_log_is_overwritten_and_names_each_phase(self, tmp_path):
         log = tmp_path / "train.jsonl"

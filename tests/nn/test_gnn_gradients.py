@@ -28,22 +28,17 @@ def graph_ctx():
     return GraphContext.from_graph(graph)
 
 
-@pytest.mark.parametrize("layer_cls", ALL_LAYERS)
-def test_parameter_gradients_match_finite_differences(layer_cls, graph_ctx):
-    rng = np.random.default_rng(3)
-    layer = layer_cls(4, 3, rng=np.random.default_rng(5))
-    features = rng.normal(size=(7, 4))
+def check_parameter_gradients(layer, features, ctx):
+    """Every parameter's analytic gradient of ``Σ out²`` against central
+    finite differences through the full layer forward."""
 
     def loss_value() -> float:
-        out = layer(Tensor(features), graph_ctx)
+        out = layer(Tensor(features), ctx)
         return float((out.data**2).sum())
 
-    def loss_tensor():
-        out = layer(Tensor(features), graph_ctx)
-        return (out * out).sum()
-
     layer.zero_grad()
-    loss_tensor().backward()
+    out = layer(Tensor(features), ctx)
+    (out * out).sum().backward()
 
     eps = 1e-6
     for name, param in layer.named_parameters():
@@ -61,7 +56,41 @@ def test_parameter_gradients_match_finite_differences(layer_cls, graph_ctx):
             flat[i] = old
             numeric_flat[i] = (hi - lo) / (2 * eps)
         err = np.abs(analytic - numeric).max()
-        assert err < 1e-4, f"{layer_cls.name}.{name}: grad error {err:.2e}"
+        assert err < 1e-4, f"{type(layer).name}.{name}: grad error {err:.2e}"
+
+
+@pytest.mark.parametrize("layer_cls", ALL_LAYERS)
+def test_parameter_gradients_match_finite_differences(layer_cls, graph_ctx):
+    rng = np.random.default_rng(3)
+    layer = layer_cls(4, 3, rng=np.random.default_rng(5))
+    check_parameter_gradients(layer, rng.normal(size=(7, 4)), graph_ctx)
+
+
+@pytest.mark.parametrize("layer_cls", ALL_LAYERS)
+def test_stacked_graphs_parameter_gradients(layer_cls, graph_ctx):
+    # A leading axis of three different 7-vertex graphs through one call:
+    # the shared weights collect every graph's gradient.
+    rng = np.random.default_rng(3)
+    layer = layer_cls(4, 3, rng=np.random.default_rng(5))
+    others = [
+        GraphContext.from_graph(erdos_renyi(7, edges, 2, seed=edges))
+        for edges in (8, 15)
+    ]
+    stacked = GraphContext.stack([graph_ctx, *others])
+    assert stacked.attention_mask.shape == (3, 7, 7)
+    check_parameter_gradients(layer, rng.normal(size=(3, 7, 4)), stacked)
+
+
+@pytest.mark.parametrize("layer_cls", ALL_LAYERS)
+def test_stacked_rows_equal_single_graph_calls(layer_cls, graph_ctx):
+    rng = np.random.default_rng(4)
+    layer = layer_cls(4, 3, rng=np.random.default_rng(5))
+    other = GraphContext.from_graph(erdos_renyi(7, 9, 2, seed=2))
+    features = rng.normal(size=(2, 7, 4))
+    stacked = layer(Tensor(features), GraphContext.stack([graph_ctx, other]))
+    for row, ctx in enumerate((graph_ctx, other)):
+        single = layer(Tensor(features[row]), ctx)
+        np.testing.assert_allclose(stacked.data[row], single.data, atol=1e-12)
 
 
 @pytest.mark.parametrize("layer_cls", ALL_LAYERS)

@@ -109,6 +109,17 @@ class TestReductionsAndShaping:
     def test_transpose(self, x):
         check_gradient(lambda: (x.transpose() @ x).sum(), x, tol=1e-5)
 
+    def test_transpose_swaps_the_last_two_axes_of_a_stack(self):
+        stack = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4)), requires_grad=True)
+        assert stack.transpose().shape == (2, 4, 3)
+        assert np.array_equal(stack.transpose().data[1], stack.data[1].T)
+        weights = np.arange(24.0).reshape(2, 4, 3)
+        check_gradient(
+            lambda: ((stack.transpose() @ stack) ** 2).sum()
+            + (stack.transpose() * weights).sum(),
+            stack, tol=1e-4,
+        )
+
     def test_transpose_requires_2d(self):
         with pytest.raises(ModelError):
             Tensor(np.zeros(3)).transpose()

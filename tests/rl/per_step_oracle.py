@@ -1,0 +1,78 @@
+"""The per-step update loops the stacked update replaced, as a reference.
+
+Each function builds one pass's loss the way ``rl/`` did before
+:func:`repro.rl.rollout.stack_steps`: one 2-D ``policy.forward`` per
+(trajectory, step), the taken action's probability picked out with
+``index_select``, the terms chained with ``+`` in trajectory order and
+divided by the step count.  Nothing here stacks anything, which is what
+makes it an independent oracle for the batched trainers: the loss and,
+after ``backward()``, every parameter gradient must agree up to the order
+floating-point sums are taken in (``tests/rl/test_step_batch.py``).
+
+Test-only by design — ~3,400 trips through the Python autograd per
+benchmark training run is why it left ``src/``.  ``tests/rl/conftest.py``
+puts this directory on ``sys.path``.  The caller holds the policy in the
+mode the steps were sampled in (:func:`repro.rl.sampling_mode`).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.nn.tensor import Tensor
+from repro.rl import ActorCriticTrainer, PPOTrainer, ReinforceTrainer
+
+
+def _step_weights(trajectories, normalize: bool) -> list[float]:
+    """Decayed rewards of the policy steps, optionally batch-normalized."""
+    raw = [
+        trajectory.rewards[t]
+        for trajectory in trajectories
+        for t, _ in trajectory.policy_steps()
+    ]
+    if normalize and len(raw) > 1:
+        mean, std = float(np.mean(raw)), float(np.std(raw))
+        scale = 1.0 / (std + 1e-8) if std > 1e-8 else 1.0
+        return [(w - mean) * scale for w in raw]
+    return raw
+
+
+def _mean(terms: list[Tensor]) -> Tensor:
+    total = terms[0].reshape(1)
+    for term in terms[1:]:
+        total = total + term.reshape(1)
+    return total.sum() * (1.0 / len(terms))
+
+
+def per_step_loss(trainer, trajectories) -> Tensor:
+    """One pass's loss for ``trainer`` over ``trajectories``, step by step."""
+    policy = trainer.policy
+    weights = iter(
+        _step_weights(trajectories, getattr(trainer, "normalize_advantages", False))
+    )
+    terms: list[Tensor] = []
+    critic_terms: list[Tensor] = []
+    for trajectory in trajectories:
+        for _, step in trajectory.policy_steps():
+            weight = next(weights)
+            out = policy.forward(step.features, trajectory.ctx, step.action_mask)
+            prob = out.probs.index_select([step.action])
+            if isinstance(trainer, PPOTrainer):
+                low, high = 1.0 - trainer.clip_epsilon, 1.0 + trainer.clip_epsilon
+                ratio = prob / max(step.old_prob, 1e-12)
+                terms.append((ratio * weight).minimum(ratio.clip(low, high) * weight))
+            elif isinstance(trainer, ReinforceTrainer):
+                terms.append(prob.maximum(1e-12).log() * weight)
+            else:
+                assert isinstance(trainer, ActorCriticTrainer)
+                pooled = policy.encode(step.features, trajectory.ctx).mean(
+                    axis=0, keepdims=True
+                )
+                value = trainer.value_head(pooled).reshape(1)
+                advantage = weight - float(value.data[0])  # detached for the actor
+                terms.append(prob.maximum(1e-12).log() * advantage)
+                critic_terms.append((value - weight) * (value - weight))
+    loss = -_mean(terms)
+    if critic_terms:
+        loss = loss + _mean(critic_terms) * trainer.critic_coefficient
+    return loss

@@ -1,5 +1,7 @@
 """Tests for the PPO trainer (Eq. 6–7)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,9 +119,24 @@ class TestPPOUpdate:
             PPOTrainer(policy).update(trajectories)
 
     def test_empty_batch_is_noop(self, setup):
-        policy, _ = setup
-        stats = PPOTrainer(policy).update([])
-        assert stats.num_steps == 0
+        # Every rollout of an epoch skipped, or forced moves only: no
+        # pass ran, so none is reported and the optimizer has not moved.
+        policy, trajectories = setup
+        forced_only = replace(
+            trajectories[0],
+            steps=[replace(s, computed=False) for s in trajectories[0].steps],
+        )
+        trainer = PPOTrainer(policy, updates_per_batch=2)
+        before = {k: v.copy() for k, v in policy.state_dict().items()}
+        for batch in ([], [forced_only]):
+            stats = trainer.update(batch)
+            assert (stats.passes, stats.num_steps) == (0, 0)
+            assert (stats.mean_ratio, stats.first_pass_ratio) == (1.0, 1.0)
+        assert trainer.optimizer._t == 0
+        assert all(not m.any() and not v.any()
+                   for m, v in zip(trainer.optimizer._m, trainer.optimizer._v))
+        after = policy.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_gradient_clipping_bounds_update(self, setup):
         policy, trajectories = setup
