@@ -16,7 +16,8 @@ The RL-QVO-RIF ablation replaces 1–5 with random values fixed per query.
 Nothing here is cached: a builder lives as long as a serving process
 and sees queries that are freed as soon as they are answered, so the
 static columns are a function of the query's content and recomputed per
-call (a loop over the query's vertices).
+call, a column at a time (``tests/core/test_features.py`` keeps the
+per-vertex loop as the oracle: the columns are the same doubles).
 """
 
 from __future__ import annotations
@@ -64,31 +65,41 @@ class FeatureBuilder:
             out = np.random.default_rng(seed).random((n, 5))
         else:
             nv = max(self.data.num_vertices, 1)
-            for u in range(n):
-                deg = query.degree(u)
-                out[u, 0] = deg / cfg.alpha_degree
-                out[u, 1] = query.label(u)
-                out[u, 2] = u
-                out[u, 3] = self.stats.count_degree_greater(deg) / (nv * cfg.alpha_d)
-                out[u, 4] = self.stats.label_frequency(query.label(u)) / (
-                    nv * cfg.alpha_l
-                )
+            ranks = self.stats.sorted_degrees
+            counts = self.stats.label_counts
+            out[:, 0] = query.degrees / cfg.alpha_degree
+            out[:, 1] = query.labels
+            out[:, 2] = np.arange(n)
+            out[:, 3] = (
+                ranks.size - np.searchsorted(ranks, query.degrees, side="right")
+            ) / (nv * cfg.alpha_d)
+            out[:, 4] = np.array(
+                [counts.get(lab, 0) for lab in query.labels.tolist()]
+            ) / (nv * cfg.alpha_l)
         out.setflags(write=False)
         return out
 
     def step_features(
-        self, query: Graph, static: np.ndarray, step: int, ordered_mask: np.ndarray
+        self,
+        query: Graph,
+        static: np.ndarray,
+        step: int,
+        ordered_mask: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Full ``(n, 7)`` feature matrix ``H_t`` at MDP step ``step``.
 
         ``step`` is the number of vertices already ordered (``t-1`` vertices
-        placed before the ``t``-th selection, with t = step + 1).
+        placed before the ``t``-th selection, with t = step + 1).  ``out``
+        is an earlier result for the same ``query`` and ``static`` to
+        overwrite: only the two per-step columns are written.
         """
         n = query.num_vertices
-        if static.shape != (n, 5):
-            raise ModelError(f"static features shape {static.shape} != ({n}, 5)")
-        full = np.empty((n, FEATURE_DIM))
-        full[:, :5] = static
-        full[:, 5] = n - step  # |V(q)| - t + 1 with t = step + 1
-        full[:, 6] = ordered_mask.astype(np.float64)
-        return full
+        if out is None:
+            if static.shape != (n, 5):
+                raise ModelError(f"static features shape {static.shape} != ({n}, 5)")
+            out = np.empty((n, FEATURE_DIM))
+            out[:, :5] = static
+        out[:, 5] = n - step  # |V(q)| - t + 1 with t = step + 1
+        out[:, 6] = ordered_mask
+        return out

@@ -1,10 +1,15 @@
 """RL-QVO as a drop-in :class:`~repro.matching.ordering.base.Orderer`.
 
 At query time the trained policy rolls through the ordering MDP once:
-``O(|V(q)|)`` forward passes of cost ``O(|E(q)| + d²)`` each (Sec. III-G),
-negligible next to enumeration.  Singleton action spaces skip the network
-entirely, and by default the argmax action is taken (the exploratory
-sampling of Sec. III-C is for training; pass ``sample=True`` to keep it).
+``O(|V(q)|)`` evaluations of cost ``O(|E(q)| + d²)`` each, which
+Sec. III-G calls negligible next to enumeration.  That is a statement
+about the paper's match caps: on the benchmark's 200-match yeast Q16 ops
+ordering is ~1 ms of a ~3.4 ms op, still twice Phase (3).  The policy is
+consulted through ``PolicyNetwork.evaluate`` — bare arrays, no
+``Tensor`` and no autograd graph, evaluation mode by definition.
+Singleton action spaces skip the network entirely, and by default the
+argmax action is taken (the exploratory sampling of Sec. III-C is for
+training; pass ``sample=True`` to keep it).
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from repro.graphs.stats import GraphStats
 from repro.matching.candidates import CandidateSets
 from repro.matching.ordering.base import Orderer
 from repro.nn.gnn import GraphContext
-from repro.nn.tensor import no_grad
 from repro.rl.env import OrderingEnv
 
 __all__ = ["RLQVOOrderer"]
@@ -73,17 +77,18 @@ class RLQVOOrderer(Orderer):
         env = OrderingEnv(query)
         state = env.reset()
         static = self.feature_builder.static_features(query)
+        # One buffer per call, rewritten at each consultation — per call,
+        # not on ``self``: a Matcher's threads share one orderer.
+        features = None
         while not env.done:
             actions = state.action_space
             if actions.size == 1:
                 state = env.step(int(actions[0]))
                 continue
             features = self.feature_builder.step_features(
-                query, static, state.step, state.ordered_mask
+                query, static, state.step, state.ordered_mask, out=features
             )
-            with no_grad():
-                out = self.policy.forward(features, ctx, state.action_mask)
-            p = out.probs.data
+            p, _ = self.policy.evaluate(features, ctx, state.action_mask)
             if self.sample:
                 action = int(rng.choice(p.size, p=p / p.sum()))
             else:

@@ -20,10 +20,15 @@ import numpy as np
 from repro.core.config import RLQVOConfig
 from repro.core.features import FEATURE_DIM
 from repro.errors import ModelError
-from repro.nn.functional import entropy, masked_softmax
+from repro.nn.functional import (
+    entropy,
+    masked_softmax,
+    masked_softmax_array,
+    relu_array,
+)
 from repro.nn.gnn import GNN_LAYERS, GraphContext, make_gnn_layer
 from repro.nn.layers import Dropout, Linear, Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 __all__ = ["PolicyOutput", "PolicyNetwork"]
 
@@ -122,31 +127,34 @@ class PolicyNetwork(Module):
         probs = masked_softmax(scores, action_mask)
         return PolicyOutput(probs=probs, scores=scores, entropy=entropy(probs))
 
-    # ------------------------------------------------------------------
-    # Action selection helpers
-    # ------------------------------------------------------------------
-    def select_action(
-        self,
-        features: np.ndarray,
-        ctx: GraphContext,
-        action_mask: np.ndarray,
-        rng: np.random.Generator | None = None,
-        greedy: bool = False,
-    ) -> tuple[int, float]:
-        """Pick a vertex without building an autograd graph.
+    def evaluate(
+        self, features: np.ndarray, ctx: GraphContext, action_mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(probs, scores)`` of :meth:`forward` as bare arrays.
 
-        Returns ``(vertex, probability)``.  Sampling (default) matches the
-        paper's exploratory selection "according to the probabilities";
-        ``greedy=True`` takes the argmax (used at query time).
+        For every caller that needs no gradient — ordering a query,
+        sampling a rollout.  No ``Tensor`` is built; each layer's
+        ``evaluate`` makes its ``forward``'s numpy calls, so the arrays
+        equal ``forward``'s ``.data`` bit for bit.  Evaluation mode by
+        definition: dropout is the identity, whatever ``training`` says.
         """
-        with no_grad():
-            out = self.forward(features, ctx, action_mask)
-        p = out.probs.data
-        if greedy or rng is None:
-            action = int(np.argmax(p))
-        else:
-            action = int(rng.choice(p.size, p=p / p.sum()))
-        return action, float(p[action])
+        action_mask = np.asarray(action_mask, dtype=bool)
+        if features.shape[-1] != FEATURE_DIM:
+            raise ModelError(
+                f"feature width {features.shape[-1]} != FEATURE_DIM {FEATURE_DIM}"
+            )
+        if not action_mask.any(axis=-1).all():
+            raise ModelError("evaluate() with empty action space")
+        h = np.asarray(features, dtype=np.float64)
+        for layer in self._encoder_layers:
+            if isinstance(layer, Linear):
+                h = relu_array(layer.evaluate(h))
+            else:
+                h = layer.evaluate(h, ctx)
+        scores = self.head2.evaluate(relu_array(self.head1.evaluate(h))).reshape(
+            action_mask.shape
+        )
+        return masked_softmax_array(scores, action_mask), scores
 
     def clone(self) -> "PolicyNetwork":
         """Deep copy (used for the frozen PPO sampling policy θ')."""

@@ -10,11 +10,13 @@ Per epoch:
 4. attach decayed step rewards (Eq. 1–2) and run the clipped PPO update.
 
 **Mode contract.**  The policy is a deterministic function of θ wherever
-training evaluates it: ``collect_trajectory`` and ``self.ppo.update``
-both run it in evaluation mode (:func:`repro.rl.rollout.sampling_mode`),
-so the update scores a step exactly the way it was sampled and PPO's
-ratio is 1 on the first pass over a batch.  The trainer never switches
-the policy's mode itself.
+training evaluates it: ``collect_trajectory`` samples through
+``PolicyNetwork.evaluate`` (arrays, evaluation mode by definition) and
+``self.ppo.update`` scores through ``forward`` under
+:func:`repro.rl.rollout.sampling_mode` — the same bits — so the update
+scores a step exactly the way it was sampled and PPO's ratio is 1 on the
+first pass over a batch.  The trainer never switches the policy's mode
+itself.
 
 :meth:`RLQVOTrainer.incremental_train` implements Sec. III-F: full
 training on a cheaper query set, then a few fine-tuning epochs on the

@@ -18,7 +18,12 @@ import numpy as np
 from repro.errors import ModelError
 from repro.graphs.graph import Graph
 from repro.nn import init as nn_init
-from repro.nn.functional import concat, masked_softmax
+from repro.nn.functional import (
+    concat,
+    masked_softmax,
+    masked_softmax_array,
+    relu_array,
+)
 from repro.nn.layers import Linear, Module
 from repro.nn.tensor import Tensor
 
@@ -64,9 +69,8 @@ class GraphContext:
         """Build the dense context for a (small) query graph."""
         n = graph.num_vertices
         adj = np.zeros((n, n))
-        for u, v in graph.edges():
-            adj[u, v] = 1.0
-            adj[v, u] = 1.0
+        # One scatter of the CSR slots (each edge is stored both ways).
+        adj[np.repeat(np.arange(n), graph.degrees), graph.indices] = 1.0
         degrees = adj.sum(axis=1)
         with np.errstate(divide="ignore"):
             inv_deg = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1e-12), 0.0)
@@ -106,6 +110,10 @@ class GCNLayer(Module):
     def forward(self, h: Tensor, ctx: GraphContext) -> Tensor:
         return (Tensor(ctx.norm_adj) @ self.linear(h)).relu()
 
+    def evaluate(self, h: np.ndarray, ctx: GraphContext) -> np.ndarray:
+        """:meth:`forward` on a bare array (no graph, the same bits)."""
+        return relu_array(ctx.norm_adj @ self.linear.evaluate(h))
+
 
 class SAGELayer(Module):
     """GraphSAGE with mean aggregation: ``H' = σ([H ‖ D^-1 A H] W)``."""
@@ -122,6 +130,13 @@ class SAGELayer(Module):
     def forward(self, h: Tensor, ctx: GraphContext) -> Tensor:
         aggregated = Tensor(ctx.mean_adj) @ h
         return self.linear(concat([h, aggregated], axis=-1)).relu()
+
+    def evaluate(self, h: np.ndarray, ctx: GraphContext) -> np.ndarray:
+        """:meth:`forward` on a bare array (no graph, the same bits)."""
+        aggregated = ctx.mean_adj @ h
+        return relu_array(
+            self.linear.evaluate(np.concatenate([h, aggregated], axis=-1))
+        )
 
 
 class GATLayer(Module):
@@ -154,6 +169,16 @@ class GATLayer(Module):
         alpha = masked_softmax(logits, ctx.attention_mask, axis=-1)
         return (alpha @ wh).relu()
 
+    def evaluate(self, h: np.ndarray, ctx: GraphContext) -> np.ndarray:
+        """:meth:`forward` on a bare array (no graph, the same bits)."""
+        wh = self.linear.evaluate(h)
+        src = wh @ self.attn_src.data
+        dst = wh @ self.attn_dst.data
+        logits = src + dst.swapaxes(-1, -2)
+        logits = logits * np.where(logits > 0, 1.0, 0.2)  # Tensor.leaky_relu
+        alpha = masked_softmax_array(logits, ctx.attention_mask, axis=-1)
+        return relu_array(alpha @ wh)
+
 
 class GraphConvLayer(Module):
     """Higher-order GraphConv of Morris et al. ("GraphNN" in the ablation).
@@ -173,6 +198,12 @@ class GraphConvLayer(Module):
 
     def forward(self, h: Tensor, ctx: GraphContext) -> Tensor:
         return (self.root(h) + Tensor(ctx.adj) @ self.neighbor(h)).relu()
+
+    def evaluate(self, h: np.ndarray, ctx: GraphContext) -> np.ndarray:
+        """:meth:`forward` on a bare array (no graph, the same bits)."""
+        return relu_array(
+            self.root.evaluate(h) + ctx.adj @ self.neighbor.evaluate(h)
+        )
 
 
 class LEConvLayer(Module):
@@ -197,6 +228,13 @@ class LEConvLayer(Module):
         degrees = Tensor(ctx.adj.sum(axis=-1, keepdims=True))
         local = self.w2(h) * degrees - Tensor(ctx.adj) @ self.w3(h)
         return (self.w1(h) + local).relu()
+
+    def evaluate(self, h: np.ndarray, ctx: GraphContext) -> np.ndarray:
+        """:meth:`forward` on a bare array (no graph, the same bits)."""
+        degrees = ctx.adj.sum(axis=-1, keepdims=True)
+        # ``a - b`` on Tensors is ``a + (-b)``.
+        local = self.w2.evaluate(h) * degrees + (-(ctx.adj @ self.w3.evaluate(h)))
+        return relu_array(self.w1.evaluate(h) + local)
 
 
 GNN_LAYERS: dict[str, type[Module]] = {

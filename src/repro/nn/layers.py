@@ -2,6 +2,11 @@
 
 Mirrors the minimal slice of the ``torch.nn`` API the policy network
 needs: parameter registration/iteration, train/eval mode, state dicts.
+
+A layer the policy consults without a gradient also has ``evaluate``:
+its ``forward`` on bare ``ndarray``s — the numpy calls the ``Tensor`` ops
+make, in their order, so the two agree bit for bit — with evaluation-mode
+semantics (there is no ``Dropout.evaluate``: it would be the identity).
 """
 
 from __future__ import annotations
@@ -136,6 +141,13 @@ class Linear(Module):
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
+        return out
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a bare array (no graph, the same bits)."""
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
         return out
 
 

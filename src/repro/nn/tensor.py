@@ -16,6 +16,7 @@ sorts the graph and runs the closures in reverse.
 from __future__ import annotations
 
 import contextlib
+import threading
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -24,22 +25,31 @@ from repro.errors import ModelError
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = [True]
+
+class _GradMode(threading.local):
+    """Per-thread switch: a thread inside :func:`no_grad` must not stop
+    another thread's update from recording its graph."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
-    """Disable graph construction (inference mode)."""
-    _GRAD_ENABLED.append(False)
+    """Disable graph construction in the calling thread (inference mode)."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED.pop()
+        _GRAD_MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED[-1]
+    """Whether operations in the calling thread record the autograd graph."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -22,7 +22,11 @@ __all__ = ["OrderingState", "OrderingEnv"]
 
 
 class OrderingState:
-    """Immutable snapshot of the MDP state exposed to the policy."""
+    """Immutable snapshot of the MDP state exposed to the policy.
+
+    The masks are read-only arrays the environment never writes again
+    (each step builds new ones), so a snapshot costs no copy.
+    """
 
     __slots__ = ("step", "order", "ordered_mask", "action_mask")
 
@@ -44,22 +48,27 @@ class OrderingState:
         return np.flatnonzero(self.action_mask)
 
 
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    mask.setflags(write=False)
+    return mask
+
+
 class OrderingEnv:
     """MDP over matching-order prefixes of one query graph."""
 
     def __init__(self, query: Graph):
         self.query = query
-        self._order: list[int] = []
-        self._ordered_mask = np.zeros(query.num_vertices, dtype=bool)
-        self._action_mask = np.ones(query.num_vertices, dtype=bool)
-        self._done = query.num_vertices == 0
+        self.reset()
 
     def reset(self) -> OrderingState:
         """Restart the episode; initially every vertex is selectable."""
         n = self.query.num_vertices
-        self._order = []
-        self._ordered_mask = np.zeros(n, dtype=bool)
-        self._action_mask = np.ones(n, dtype=bool)
+        self._order: list[int] = []
+        self._ordered_mask = _frozen(np.zeros(n, dtype=bool))
+        self._action_mask = _frozen(np.ones(n, dtype=bool))
+        #: Every vertex adjacent to an ordered one (ordered ones among
+        #: them), grown by one CSR row per step.
+        self._frontier = np.zeros(n, dtype=bool)
         self._done = n == 0
         return self.state()
 
@@ -68,8 +77,8 @@ class OrderingEnv:
         return OrderingState(
             step=len(self._order),
             order=tuple(self._order),
-            ordered_mask=self._ordered_mask.copy(),
-            action_mask=self._action_mask.copy(),
+            ordered_mask=self._ordered_mask,
+            action_mask=self._action_mask,
         )
 
     @property
@@ -99,22 +108,19 @@ class OrderingEnv:
             raise TrainingError(f"vertex {action} is not in the action space")
 
         self._order.append(action)
-        self._ordered_mask[action] = True
+        ordered = self._ordered_mask.copy()
+        ordered[action] = True
+        self._ordered_mask = _frozen(ordered)
 
-        n = self.query.num_vertices
-        if len(self._order) == n:
+        if len(self._order) == ordered.size:
             self._done = True
-            self._action_mask = np.zeros(n, dtype=bool)
+            mask = np.zeros(ordered.size, dtype=bool)
         else:
-            mask = np.zeros(n, dtype=bool)
-            for u in self._order:
-                for v in self.query.neighbors(u):
-                    v = int(v)
-                    if not self._ordered_mask[v]:
-                        mask[v] = True
+            self._frontier[self.query.neighbors(action)] = True
+            mask = self._frontier & ~ordered
             if not mask.any():
                 # Disconnected query: fall back to all unordered vertices so
                 # the episode can always finish.
-                mask = ~self._ordered_mask
-            self._action_mask = mask
+                mask = ~ordered
+        self._action_mask = _frozen(mask)
         return self.state()

@@ -8,11 +8,14 @@ collection time from the sampling policy's outputs.
 
 **Mode contract.**  A step's recorded ``old_prob`` and the probability
 an update recomputes for it must be the same function of θ, or the
-probability ratio is noise before any gradient step.  Samples are
-therefore drawn under :func:`sampling_mode` — evaluation mode, dropout
-the identity — and every update routine in this package scores steps
-under the same context manager, whatever mode the caller left the
-policy in.
+probability ratio is noise before any gradient step.  Samples (and the
+orderer's decisions) come from ``PolicyNetwork.evaluate``, the array
+evaluation, which *is* evaluation mode — dropout the identity, no
+``Tensor`` built — whatever the policy's ``training`` flag says; every
+update routine in this package scores steps with ``forward`` under
+:func:`sampling_mode`, so it computes the same bits where θ = θ′
+(``tests/core/test_array_evaluation.py``), whatever mode the caller left
+the policy in.
 
 **One forward per pass.**  An update does not visit steps one by one:
 :func:`stack_steps` turns its trajectories' policy steps into
@@ -32,8 +35,9 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.graphs.graph import Graph
+from repro.nn.functional import entropy_array
 from repro.nn.gnn import GraphContext
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.rl.env import OrderingEnv
 
 __all__ = [
@@ -104,10 +108,10 @@ def collect_trajectory(
 ) -> Trajectory:
     """Roll the policy through one ordering episode.
 
-    ``policy`` is duck-typed (``forward(features, ctx, mask) ->
-    PolicyOutput``); singleton action spaces are taken without a forward
-    pass, as the paper prescribes (Sec. III-D, "directly selects the only
-    candidate").  The policy is consulted under :func:`sampling_mode`.
+    ``policy`` is duck-typed (``evaluate(features, ctx, mask) ->
+    (probs, scores)`` arrays); singleton action spaces are taken without
+    consulting it, as the paper prescribes (Sec. III-D, "directly selects
+    the only candidate").
     """
     ctx = ctx if ctx is not None else GraphContext.from_graph(query)
     env = OrderingEnv(query)
@@ -132,9 +136,7 @@ def collect_trajectory(
                 computed=False,
             )
         else:
-            with sampling_mode(policy), no_grad():
-                out = policy.forward(features, ctx, state.action_mask)
-            p = out.probs.data
+            p, scores = policy.evaluate(features, ctx, state.action_mask)
             if greedy:
                 action = int(np.argmax(p))
             else:
@@ -144,8 +146,9 @@ def collect_trajectory(
                 action_mask=state.action_mask,
                 action=action,
                 old_prob=float(p[action]),
-                entropy=float(out.entropy.data),
-                valid=out.is_valid,
+                entropy=float(entropy_array(p)),
+                # Valid: the unmasked argmax is inside the action space.
+                valid=bool(p[int(np.argmax(scores))] > 0.0),
                 computed=True,
             )
         trajectory.steps.append(step)

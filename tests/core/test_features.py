@@ -1,5 +1,7 @@
 """Tests for the 7-dim feature initialization (Sec. III-C)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,63 @@ class TestStaticFeatures:
         assert not np.array_equal(reseeded.static_features(query), static)
 
 
+def static_features_per_vertex(builder: FeatureBuilder, query: Graph) -> np.ndarray:
+    """``static_features`` as it was before its heuristic columns went
+    column-wise: one rank query and one label lookup per vertex.  The
+    oracle — the columns must be the same doubles.  (``"random"`` never
+    had a loop; its branch is here so both modes are held to one body.)"""
+    cfg, stats = builder.config, builder.stats
+    n = query.num_vertices
+    if cfg.feature_mode == "random":
+        digest = hashlib.blake2b(
+            b"".join(a.tobytes() for a in (query.labels, *query.csr)), digest_size=8
+        ).digest()
+        seed = [cfg.seed + 7919, int.from_bytes(digest, "little")]
+        return np.random.default_rng(seed).random((n, 5))
+    out = np.zeros((n, 5))
+    nv = max(builder.data.num_vertices, 1)
+    for u in range(n):
+        deg = query.degree(u)
+        out[u, 0] = deg / cfg.alpha_degree
+        out[u, 1] = query.label(u)
+        out[u, 2] = u
+        out[u, 3] = stats.count_degree_greater(deg) / (nv * cfg.alpha_d)
+        out[u, 4] = stats.label_frequency(query.label(u)) / (nv * cfg.alpha_l)
+    return out
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {},
+        {"alpha_degree": 3.0, "alpha_d": 7.0, "alpha_l": 0.3},
+        {"feature_mode": "random"},
+    ],
+)
+def test_static_columns_equal_the_per_vertex_loop(
+    data_graph, data_stats, queries, settings
+):
+    builder = FeatureBuilder(data_graph, RLQVOConfig(**settings), data_stats)
+    unseen = int(data_graph.labels.max()) + 1  # a label G does not carry
+    lone = Graph([unseen, 0, 0], [(1, 2)])  # ... on an isolated vertex
+    for query in [*queries, lone, Graph([], [])]:
+        static = builder.static_features(query)
+        assert np.array_equal(static, static_features_per_vertex(builder, query))
+        assert static.dtype == np.float64 and not static.flags.writeable
+
+
 class TestStepFeatures:
+    def test_out_buffer_is_rewritten_in_place(self, builder_setup):
+        data, config, stats = builder_setup
+        builder = FeatureBuilder(data, config, stats)
+        query = Graph([0, 0, 0], [(0, 1), (1, 2)])
+        static = builder.static_features(query)
+        first = builder.step_features(query, static, 0, np.zeros(3, dtype=bool))
+        ordered = np.array([False, True, False])
+        again = builder.step_features(query, static, 1, ordered, out=first)
+        assert again is first
+        assert np.array_equal(again, builder.step_features(query, static, 1, ordered))
+
     def test_dynamic_columns(self, builder_setup):
         data, config, stats = builder_setup
         builder = FeatureBuilder(data, config, stats)

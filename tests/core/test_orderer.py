@@ -73,6 +73,26 @@ class TestRLQVOOrderer:
         ]
         assert retained == []
 
+    def test_ordering_builds_no_tensor(self, orderer_setup, queries, monkeypatch):
+        # A count, not a clock: the policy is consulted on bare arrays
+        # (PolicyNetwork.evaluate), so nothing of the autograd is built.
+        from repro.nn.tensor import Tensor
+
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        Tensor(0.0)
+        assert built == [1]  # the counter is live
+        orderer, data = orderer_setup
+        for query in queries:
+            orderer.order(query, data)
+        assert built == [1]
+
     def test_wrong_data_graph_rejected(self, orderer_setup):
         orderer, _ = orderer_setup
         other = erdos_renyi(10, 15, 2, seed=0)

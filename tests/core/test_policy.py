@@ -95,24 +95,28 @@ class TestVariants:
 
 class TestSelectionAndCloning:
     def test_greedy_selection_takes_argmax(self, query_ctx):
+        # The greedy decision is the argmax of ``probs``, and ``probs`` are
+        # forward's (bitwise, for every encoder: test_array_evaluation.py).
         _, ctx = query_ctx
         policy = PolicyNetwork(RLQVOConfig(hidden_dim=16)).eval()
         mask = np.ones(8, dtype=bool)
-        action, prob = policy.select_action(features_for(8), ctx, mask, greedy=True)
+        probs, scores = policy.evaluate(features_for(8), ctx, mask)
         out = policy.forward(features_for(8), ctx, mask)
-        assert action == int(np.argmax(out.probs.data))
-        assert prob == pytest.approx(float(out.probs.data[action]))
+        assert isinstance(probs, np.ndarray) and isinstance(scores, np.ndarray)
+        assert int(np.argmax(probs)) == int(np.argmax(out.probs.data))
+        assert np.array_equal(probs, out.probs.data)
+        assert np.array_equal(scores, out.scores.data)
 
     def test_sampling_respects_mask(self, query_ctx):
         _, ctx = query_ctx
         policy = PolicyNetwork(RLQVOConfig(hidden_dim=16)).eval()
         mask = np.zeros(8, dtype=bool)
         mask[[2, 5]] = True
+        probs, _ = policy.evaluate(features_for(8), ctx, mask)
+        assert probs.sum() == pytest.approx(1.0)
+        assert not probs[~mask].any()
         rng = np.random.default_rng(0)
-        actions = {
-            policy.select_action(features_for(8), ctx, mask, rng=rng)[0]
-            for _ in range(20)
-        }
+        actions = set(rng.choice(8, size=20, p=probs / probs.sum()).tolist())
         assert actions <= {2, 5}
 
     def test_clone_is_independent(self, query_ctx):

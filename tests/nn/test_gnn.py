@@ -42,6 +42,12 @@ class TestGraphContext:
         assert set(np.unique(ctx.adj)) <= {0.0, 1.0}
         assert ctx.adj.sum() == 2 * graph.num_edges
 
+    def test_adjacency_is_the_edge_list(self, graph, ctx):
+        expected = np.zeros_like(ctx.adj)
+        for u, v in graph.edges():
+            expected[u, v] = expected[v, u] = 1.0
+        assert np.array_equal(ctx.adj, expected)
+
     def test_mean_adj_rows_normalized(self, graph, ctx):
         sums = ctx.mean_adj.sum(axis=1)
         for v in graph.vertices():

@@ -4,11 +4,13 @@ Each op's analytic gradient is compared against central finite
 differences — the ground truth the whole RL stack rests on.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, is_grad_enabled, no_grad
 
 
 def numerical_grad(f, x: Tensor, eps: float = 1e-6) -> np.ndarray:
@@ -177,6 +179,45 @@ class TestAutogradMechanics:
         with no_grad():
             out = t * 2.0
         assert not out.requires_grad
+
+    def test_no_grad_is_restored_and_nests(self):
+        with no_grad():
+            with no_grad():
+                assert not is_grad_enabled()
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+        with pytest.raises(RuntimeError), no_grad():
+            raise RuntimeError
+        assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        # One thread parked inside no_grad() (an inference request) must
+        # not stop another (a train() beside it) from recording its graph.
+        parked, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def inference():
+            with no_grad():
+                seen["inside"] = is_grad_enabled()
+                parked.set()
+                release.wait(timeout=10)
+            seen["after"] = is_grad_enabled()
+
+        thread = threading.Thread(target=inference)
+        thread.start()
+        try:
+            assert parked.wait(timeout=10)
+            assert is_grad_enabled()
+            t = Tensor(np.ones(3), requires_grad=True)
+            out = (t * 2.0).sum()
+            assert t.requires_grad and out.requires_grad
+            out.backward()
+            assert t.grad.tolist() == [2.0, 2.0, 2.0]
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == {"inside": False, "after": True}
 
     def test_detach(self):
         t = Tensor(np.ones(3), requires_grad=True)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from tensor_sampling_oracle import collect_trajectory_tensor
 
-from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
-from repro.graphs import Graph, check_order
+from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig, RLQVOTrainer
+from repro.graphs import Graph, check_order, generate_query_set
 from repro.rl import collect_trajectory
 
 
@@ -88,3 +89,62 @@ class TestCollectTrajectory:
         for index, step in trajectory.policy_steps():
             assert trajectory.steps[index] is step
             assert step.computed
+
+
+class TestAgainstTensorSampling:
+    """Sampling on arrays is sampling through ``forward``, bit for bit."""
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize(
+        "gnn_kind", ["gcn", "gat", "sage", "graphnn", "asap", "mlp"]
+    )
+    def test_trajectories_are_identical(
+        self, data_graph, data_stats, queries, gnn_kind, greedy
+    ):
+        config = RLQVOConfig(gnn_kind=gnn_kind, hidden_dim=16, seed=4)
+        policy = PolicyNetwork(config)  # left in train() mode, dropout 0.2
+        builder = FeatureBuilder(data_graph, config, data_stats)
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        for query in queries:
+            new = collect_trajectory(policy, query, builder, ours, greedy=greedy)
+            old = collect_trajectory_tensor(
+                policy, query, builder, theirs, greedy=greedy
+            )
+            assert new.order == old.order
+            for a, b in zip(new.steps, old.steps, strict=True):
+                assert np.array_equal(a.features, b.features)
+                assert np.array_equal(a.action_mask, b.action_mask)
+                assert (a.action, a.old_prob, a.entropy, a.valid, a.computed) == (
+                    b.action, b.old_prob, b.entropy, b.valid, b.computed
+                )
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_training_ends_on_the_same_weights(
+        self, data_graph, data_stats, monkeypatch
+    ):
+        config = RLQVOConfig(
+            epochs=2, hidden_dim=16, train_match_limit=500, train_time_limit=2.0,
+            seed=5,
+        )
+        train_queries = generate_query_set(data_graph, 5, 4, seed=77)
+
+        def run():
+            trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
+            history = trainer.train(train_queries)
+            assert sum(e.num_steps for e in history.epochs) > 0
+            return trainer.policy.state_dict(), trainer._rng.bit_generator.state
+
+        weights, rng_state = run()
+        sampled = []
+
+        def through_forward(*args):
+            sampled.append(collect_trajectory_tensor(*args))
+            return sampled[-1]
+
+        monkeypatch.setattr("repro.core.trainer.collect_trajectory", through_forward)
+        oracle_weights, oracle_rng_state = run()
+        assert len(sampled) == config.epochs * len(train_queries)
+        assert weights.keys() == oracle_weights.keys()
+        for name, value in weights.items():
+            assert np.array_equal(value, oracle_weights[name]), name
+        assert rng_state == oracle_rng_state
