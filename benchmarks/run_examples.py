@@ -89,16 +89,12 @@ SENTINELS: dict[str, list[str]] = {
         r"invalidated 4 citeseer plans; follow-up request cached=False",
     ],
     "http_serving.py": [
-        r"serving citeseer at http://127\.0\.0\.1:\d+ \(plan store: plans\.sqlite\)",
+        r"serving citeseer at http://127\.0\.0\.1:\d+\n",
         r"cold request: +1372 matches, #enum=2329, cached=False",
         r"isomorph request: +1372 matches, #enum=2329, cached=True; "
         r"outcome identical: True",
-        r"streaming: first embedding after \d+(\.\d+)?ms, all 1372 embeddings "
-        r"after \d+(\.\d+)?ms \(first well before full: True\)",
-        r"restarted on the same store: cached=True \(warm start from sqlite\), "
-        r"match sequence identical: True",
-        r"server stats: 1 request\(s\), cache hits 1 \(from store: 1\), "
-        r"plan-store rows 1, p95 latency \d+(\.\d+)?ms",
+        r"server stats: 2 request\(s\), cache hits 1, misses 1, "
+        r"p95 latency \d+(\.\d+)?ms",
     ],
 }
 

@@ -1,20 +1,14 @@
 #!/usr/bin/env python3
-"""HTTP serving with durable warm starts (the ``repro.server`` tier).
+"""HTTP serving (the ``repro.server`` tier).
 
-Stands the asyncio HTTP server up in-process on a free port, backed by
-a sqlite plan store, and walks the serving story end to end over the
-wire a real client would use (``http.client``):
+Stands the asyncio HTTP server up in-process on a free port and walks
+the serving story end to end over the wire a real client would use
+(``http.client``):
 
 * ``POST /match`` — cold request plans Phases (1)–(3); an isomorphic
   re-ask is a plan-cache hit with bit-identical outcome;
-* **durable warm start** — a *fresh* service over the same plan store
-  (a simulated process restart: empty memory cache) still serves the
-  isomorph as a cache hit, re-attached from sqlite;
-* ``POST /match/stream`` — chunked NDJSON: the first embedding arrives
-  while enumeration is still running, so time-to-first-match is far
-  below the full stream time;
 * ``GET /stats`` — the operational snapshot (latency percentiles,
-  cache tiers, per-phase seconds).
+  cache counters, per-phase seconds).
 
 Usage::
 
@@ -25,9 +19,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import tempfile
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -53,105 +44,46 @@ def post_match(address, request: MatchRequest) -> dict:
         conn.close()
 
 
-def stream_match(address, request: MatchRequest) -> tuple[float, float, int]:
-    """``POST /match/stream``; (first-embedding s, total s, embeddings)."""
-    conn = http.client.HTTPConnection(*address, timeout=60)
-    try:
-        start = time.perf_counter()
-        conn.request(
-            "POST", "/match/stream", body=json.dumps(request.to_dict()),
-            headers={"Content-Type": "application/json"},
-        )
-        response = conn.getresponse()  # http.client decodes the chunking
-        first_s = None
-        count = 0
-        while True:
-            line = response.readline()
-            if not line:
-                break
-            payload = json.loads(line)
-            if "match" in payload:
-                count += 1
-                if first_s is None:
-                    first_s = time.perf_counter() - start
-        return first_s, time.perf_counter() - start, count
-    finally:
-        conn.close()
-
-
 def main() -> None:
     data = load_dataset("citeseer")
     rng = np.random.default_rng(9)
     query = extract_query(data, 6, rng)
     isomorph = relabel_graph(query, rng.permutation(query.num_vertices))
 
-    with tempfile.TemporaryDirectory() as tmp:
-        store_path = Path(tmp) / "plans.sqlite"
+    with BackgroundServer(MatchService(catalog=["citeseer"])) as server:
+        print(f"serving citeseer at {server.url}\n")
+        cold = post_match(
+            server.address,
+            MatchRequest("citeseer", query, match_limit=20_000,
+                         record_matches=True),
+        )
+        print(f"cold request:     {cold['num_matches']:>6} matches, "
+              f"#enum={cold['num_enumerations']}, "
+              f"cached={cold['cache_hit']}")
+        warm = post_match(
+            server.address,
+            MatchRequest("citeseer", isomorph, match_limit=20_000,
+                         record_matches=True),
+        )
+        identical = (
+            warm["num_matches"] == cold["num_matches"]
+            and warm["num_enumerations"] == cold["num_enumerations"]
+        )
+        print(f"isomorph request: {warm['num_matches']:>6} matches, "
+              f"#enum={warm['num_enumerations']}, "
+              f"cached={warm['cache_hit']}; "
+              f"outcome identical: {identical}")
 
-        with BackgroundServer(
-            MatchService(catalog=["citeseer"], plan_store=store_path)
-        ) as server:
-            print(f"serving citeseer at {server.url} "
-                  f"(plan store: {store_path.name})\n")
-            request = MatchRequest(
-                "citeseer", query, match_limit=20_000, record_matches=True
-            )
-            cold = post_match(server.address, request)
-            print(f"cold request:     {cold['num_matches']:>6} matches, "
-                  f"#enum={cold['num_enumerations']}, "
-                  f"cached={cold['cache_hit']}")
-            warm = post_match(
-                server.address,
-                MatchRequest("citeseer", isomorph, match_limit=20_000,
-                             record_matches=True),
-            )
-            identical = (
-                warm["num_matches"] == cold["num_matches"]
-                and warm["num_enumerations"] == cold["num_enumerations"]
-            )
-            print(f"isomorph request: {warm['num_matches']:>6} matches, "
-                  f"#enum={warm['num_enumerations']}, "
-                  f"cached={warm['cache_hit']}; "
-                  f"outcome identical: {identical}")
-
-            # Streaming: embeddings are flushed per chunk as the
-            # suspendable engine produces them.
-            first_s, total_s, count = stream_match(
-                server.address,
-                MatchRequest("citeseer", query, match_limit=20_000),
-            )
-            print(f"\nstreaming: first embedding after {first_s * 1e3:.1f}ms, "
-                  f"all {count} embeddings after {total_s * 1e3:.1f}ms "
-                  f"(first well before full: {first_s < total_s})")
-
-        # "Process restart": a brand-new service (empty memory cache)
-        # over the same sqlite file — the warm set survives.
-        with BackgroundServer(
-            MatchService(catalog=["citeseer"], plan_store=store_path)
-        ) as server:
-            reborn = post_match(
-                server.address,
-                MatchRequest("citeseer", isomorph, match_limit=20_000,
-                             record_matches=True),
-            )
-            bit_identical = reborn["matches"] == warm["matches"]
-            print(f"\nrestarted on the same store: cached={reborn['cache_hit']} "
-                  f"(warm start from sqlite), "
-                  f"match sequence identical: {bit_identical}")
-
-            conn = http.client.HTTPConnection(*server.address, timeout=60)
-            try:
-                conn.request("GET", "/stats")
-                stats = json.loads(conn.getresponse().read())
-            finally:
-                conn.close()
-            cache = stats["cache"]
-            print(f"server stats: {stats['requests']} request(s), "
-                  f"cache hits {cache['hits']} "
-                  f"(from store: {cache['store_hits']}), "
-                  f"plan-store rows {stats['plan_store']['rows']}, "
-                  f"p95 latency {stats['latency_p95_s'] * 1e3:.1f}ms")
-
+        conn = http.client.HTTPConnection(*server.address, timeout=60)
+        try:
+            conn.request("GET", "/stats")
+            stats = json.loads(conn.getresponse().read())
+        finally:
+            conn.close()
+        cache = stats["cache"]
+        print(f"\nserver stats: {stats['requests']} request(s), "
+              f"cache hits {cache['hits']}, misses {cache['misses']}, "
+              f"p95 latency {stats['latency_p95_s'] * 1e3:.1f}ms")
 
 if __name__ == "__main__":
     main()

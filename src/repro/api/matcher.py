@@ -39,7 +39,6 @@ from repro.errors import (
     CanonicalizationError,
     ModelError,
     RegistryError,
-    ReproError,
 )
 from repro.graphs.canonical import MAX_CANONICAL_VERTICES, canonical_fingerprint
 from repro.graphs.graph import Graph
@@ -281,42 +280,13 @@ class Matcher:
         key = self._cache_key(fingerprint)
         cached = self.plan_cache.get(key, query)
         if cached is not None:
-            if cached.context is None:
-                # Persistent-store tier: the plan crossed a process
-                # boundary detached.  Re-attach once and promote, so
-                # only the first warm request after a restart pays the
-                # (deterministic) Phase (1) array rebuild — the ordering
-                # phase is never re-run.
-                cached = self._reattach(cached, key)
-            if cached is not None:
-                return cached, True
+            return cached, True
         plan = self._plan_cold(query, None)
         # Seed the lazy fingerprint so neither caching nor serialization
         # pays a second canonicalization.
         plan.__dict__["fingerprint"] = fingerprint
         self.plan_cache.put(key, plan)
         return plan, False
-
-    def _reattach(self, plan: QueryPlan, key: tuple) -> QueryPlan | None:
-        """Rebuild live Phase (1) artifacts on a store-served plan.
-
-        The recorded order (Phase (2) — the expensive, possibly learned
-        part) is reused verbatim; only the deterministic filter arrays
-        are rebuilt, so execution is bit-identical to the cold plan that
-        was originally persisted.  Returns ``None`` — caller plans cold —
-        when the persisted plan is incompatible with this matcher (e.g.
-        a different filter).
-        """
-        try:
-            context = self._attached_context(plan)
-        except ReproError:
-            return None
-        attached = dataclasses.replace(plan, context=context)
-        if "fingerprint" in plan.__dict__:
-            attached.__dict__["fingerprint"] = plan.__dict__["fingerprint"]
-        # Promote memory-only: the durable row is already this payload.
-        self.plan_cache.put(key, attached, persist=False)
-        return attached
 
     def _plan_cold(
         self, query: Graph, rng: np.random.Generator | None = None

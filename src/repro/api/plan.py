@@ -260,9 +260,9 @@ class QueryPlan:
     def to_json(self) -> str:
         """:meth:`to_dict` as a canonical (sorted-key) JSON string.
 
-        The persistent :class:`~repro.server.store.PlanStore` rows hold
-        exactly this — one spelling of the wire format, shared with
-        anything else that files plans on disk.
+        One spelling of the wire format for anything that files plans on
+        disk; :meth:`from_json` reads it back as a detached plan that
+        :meth:`~repro.api.matcher.Matcher.execute` re-attaches.
         """
         return json.dumps(self.to_dict(), sort_keys=True)
 
@@ -272,7 +272,7 @@ class QueryPlan:
 
         Raises :class:`~repro.errors.ReproError` on undecodable text or
         a malformed/unsupported payload — callers holding possibly-stale
-        store rows catch it and fall back to cold planning.
+        payloads catch it and fall back to cold planning.
         """
         try:
             payload = json.loads(text)

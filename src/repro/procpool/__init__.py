@@ -5,10 +5,9 @@ the GIL, so PR 9's scheduler could order and police work but never make
 it faster.  This package is the missing executor —
 ``SchedulerConfig(executor="process")`` dispatches admitted requests to
 a :class:`ProcessPool` of long-lived spawn workers, each holding its
-own lazily-built per-dataset matcher and re-attaching plans from the
-shared sqlite plan store (Phase (1) rebuilt once per worker, recorded
-order reused), so results stay bit-identical to the in-process path
-while throughput scales with cores.
+own lazily-built per-dataset matcher and planning deterministically,
+so results stay bit-identical to the in-process path while throughput
+scales with cores.
 
 Two companions ride in the same package because they close the loop
 the executor opens:

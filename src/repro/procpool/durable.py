@@ -2,15 +2,14 @@
 
 The scheduler's admission queue is in-memory: a killed server forgets
 every request it had admitted but not yet served.  ``DurableQueue``
-closes that hole with the same storage idiom as the plan store — one
-sqlite file in WAL mode — journaling each admission *before* it enters
-the in-memory queue and deleting the row when the entry reaches any
-terminal state (served, failed, expired, cancelled, rejected at
-shutdown).  What remains in the file after a crash is therefore exactly
-the admitted-but-unserved backlog, and a restarting scheduler replays
-it through :meth:`recover` — each row re-admitted exactly once per
-restart, with its persisted priority/deadline/cost so queue ordering
-survives the crash too.
+closes that hole with one sqlite file in WAL mode, journaling each
+admission *before* it enters the in-memory queue and deleting the row
+when the entry reaches any terminal state (served, failed, expired,
+cancelled, rejected at shutdown).  What remains in the file after a
+crash is therefore exactly the admitted-but-unserved backlog, and a
+restarting scheduler replays it through :meth:`recover` — each row
+re-admitted exactly once per restart, with its persisted
+priority/deadline/cost so queue ordering survives the crash too.
 
 Rows carry the full :meth:`MatchRequest.to_dict` envelope (JSON), the
 accounting tenant, the *absolute wall-clock* deadline (monotonic time
@@ -29,6 +28,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import ReproError
+from repro.service.requests import ServiceError
 
 __all__ = ["DurableEntry", "DurableQueue", "JOURNAL_SCHEMA_VERSION"]
 
@@ -139,24 +139,34 @@ class DurableQueue:
         deadline_wall: float | None = None,
         attempts: int = 0,
     ) -> int:
-        """Journal one admission; the row id to :meth:`complete` with."""
-        with self._lock, self._conn:
-            cursor = self._conn.execute(
-                "INSERT INTO admissions"
-                " (tenant, priority, deadline_wall, estimated_cost,"
-                "  attempts, admitted_wall, request)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    tenant,
-                    int(priority),
-                    None if deadline_wall is None else float(deadline_wall),
-                    float(cost),
-                    int(attempts),
-                    time.time(),
-                    json.dumps(request_payload),
-                ),
-            )
-            return int(cursor.lastrowid)
+        """Journal one admission; the row id to :meth:`complete` with.
+
+        A failed write raises :class:`~repro.service.requests.ServiceError`
+        (``code="internal"``) chained from the sqlite error: the
+        admission it was to cover must not go ahead undurably.
+        """
+        try:
+            with self._lock, self._conn:
+                cursor = self._conn.execute(
+                    "INSERT INTO admissions"
+                    " (tenant, priority, deadline_wall, estimated_cost,"
+                    "  attempts, admitted_wall, request)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    (
+                        tenant,
+                        int(priority),
+                        None if deadline_wall is None else float(deadline_wall),
+                        float(cost),
+                        int(attempts),
+                        time.time(),
+                        json.dumps(request_payload),
+                    ),
+                )
+                return int(cursor.lastrowid)
+        except sqlite3.Error as exc:
+            raise ServiceError(
+                f"admission journal write failed: {exc}", code="internal"
+            ) from exc
 
     def complete(self, entry_id: int) -> None:
         """Remove one entry — it reached a terminal state."""

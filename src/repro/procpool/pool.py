@@ -7,10 +7,10 @@ wide the pool — processes are the only way serving throughput scales
 with cores.  The contract mirrors the thread path exactly:
 
 * **bit-identity** — a worker serves through an unmodified
-  :meth:`MatchService.submit` over the same catalog recipe, re-attaching
-  plans from the shared sqlite :class:`~repro.server.store.PlanStore`
-  (order reused, Phase (1) rebuilt once per worker), so match sequences
-  and ``#enum`` are identical to a direct in-process call;
+  :meth:`MatchService.submit` over the same catalog recipe, and
+  planning is deterministic, so the worker builds the plan the parent
+  would and match sequences and ``#enum`` are identical to a direct
+  in-process call;
 * **no hung futures** — every submitted task resolves: with the served
   response, with the worker's structured error envelope, or — when a
   worker dies mid-request or a result cannot be pickled — with a
@@ -97,8 +97,7 @@ class ProcessPool:
     spec:
         Picklable catalog recipe from
         :func:`~repro.procpool.worker.catalog_spec` — what each worker
-        rebuilds its private :class:`MatchService` from, including the
-        shared plan-store path.
+        rebuilds its private :class:`MatchService` from.
     workers:
         Number of worker processes (spawned eagerly, datasets loaded
         lazily inside each on first touch).

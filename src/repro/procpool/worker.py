@@ -8,14 +8,13 @@ registry dataset names, or serialized graphs via
 overrides), then serves request envelopes off its task queue until the
 ``None`` sentinel arrives.
 
-Bit-identity across the process boundary comes for free from the
-PR 8 persistence contract: the spec carries the parent's sqlite
-:class:`~repro.server.store.PlanStore` path, so the worker's first
-request per isomorphism class re-attaches the stored plan — Phase (1)
-is rebuilt once per worker, the recorded matching order is *reused* —
-and every later request is a warm in-memory hit.  Each worker holds
-its own lazily-built per-dataset :class:`~repro.api.matcher.Matcher`
-through its private catalog, exactly like the parent does.
+Bit-identity across the process boundary rests on deterministic
+planning: the worker canonicalizes the query and plans it exactly as
+the parent would (same catalog recipe, same components), so its first
+request per isomorphism class builds the same plan and every later
+request is a warm in-memory hit.  Each worker holds its own
+lazily-built per-dataset :class:`~repro.api.matcher.Matcher` through
+its private catalog, exactly like the parent does.
 
 Everything that crosses the IPC boundary is a dict of JSON-compatible
 primitives (``MatchRequest.to_dict`` in, ``MatchResponse.to_dict``
@@ -35,12 +34,7 @@ from repro.service.requests import MatchRequest, ServiceError, error_code_for
 __all__ = ["catalog_spec", "worker_main"]
 
 
-def catalog_spec(
-    catalog,
-    *,
-    plan_store_path: str | None = None,
-    cache_bytes: int | None = None,
-) -> dict:
+def catalog_spec(catalog, *, cache_bytes: int | None = None) -> dict:
     """A picklable recipe for rebuilding ``catalog`` in a worker.
 
     Registry-backed entries ship as names (the worker loads them
@@ -73,11 +67,7 @@ def catalog_spec(
         if entry.data is not None:
             spec["graph"] = graph_payload(entry.data)
         datasets[name] = spec
-    return {
-        "datasets": datasets,
-        "plan_store": None if plan_store_path is None else str(plan_store_path),
-        "cache_bytes": cache_bytes,
-    }
+    return {"datasets": datasets, "cache_bytes": cache_bytes}
 
 
 def _build_service(spec: dict):
@@ -105,7 +95,6 @@ def _build_service(spec: dict):
     return MatchService(
         entries,
         cache_bytes=DEFAULT_CACHE_BYTES if cache_bytes is None else cache_bytes,
-        plan_store=spec.get("plan_store"),
     )
 
 

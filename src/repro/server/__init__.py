@@ -1,22 +1,16 @@
-"""repro.server — the network tier: HTTP serving, durable plans, load.
+"""repro.server — the network tier: HTTP serving and load.
 
 :mod:`repro.service` made the deployment a single thread-safe Python
-object; this package puts it on the wire and keeps its warm state
-across restarts, using only the standard library (``asyncio``,
-``sqlite3``, ``http.client`` — the numpy-only runtime dependency
-policy holds):
+object; this package puts it on the wire using only the standard
+library (``asyncio``, ``http.client`` — the numpy-only runtime
+dependency policy holds):
 
 * an **asyncio HTTP server** (:class:`MatchServer`, ``repro-server``
-  CLI): ``POST /match``, chunked-streaming ``POST /match/stream``,
-  ``GET /stats``, ``GET /healthz`` and ``POST /admin/invalidate`` over
-  the :class:`~repro.service.requests.MatchRequest` /
+  CLI): ``POST /match``, ``GET /stats``, ``GET /healthz`` and
+  ``POST /admin/invalidate`` over the
+  :class:`~repro.service.requests.MatchRequest` /
   :class:`~repro.service.requests.MatchResponse` JSON schema, with
   blocking matching work bounded on a semaphore-gated thread pool;
-* a **persistent plan store** (:class:`PlanStore`): a sqlite second
-  tier under the in-memory plan cache, keyed by the canonical
-  fingerprint cache key, so a *fresh process* serves an isomorph of a
-  previously planned query as a cache hit — Phases (1)–(2) skipped,
-  bit-identical to cold planning;
 * a **closed-loop load harness** (:mod:`repro.server.loadgen`,
   ``repro-loadtest`` CLI): closed-loop and open-model Poisson traffic
   against a live (or self-hosted) server, reporting latency
@@ -26,21 +20,25 @@ policy holds):
 
 Example
 -------
->>> from repro.server import PlanStore
->>> store = PlanStore(":memory:")
->>> len(store)
-0
+>>> import http.client, json
+>>> from repro.graphs import erdos_renyi
+>>> from repro.server import BackgroundServer
+>>> from repro.service import MatchService
+>>> service = MatchService(catalog={"tiny": erdos_renyi(50, 120, 2, seed=1)})
+>>> with BackgroundServer(service) as background:
+...     conn = http.client.HTTPConnection(*background.address, timeout=30)
+...     conn.request("GET", "/healthz")
+...     health = json.loads(conn.getresponse().read())
+...     conn.close()
+>>> health["status"], health["datasets"]
+('ok', ['tiny'])
 """
 
 from repro.server.http import BackgroundServer, MatchServer
 from repro.server.protocol import ProtocolError
-from repro.server.store import STORE_SCHEMA_VERSION, PlanStore, PlanStoreStats
 
 __all__ = [
-    "STORE_SCHEMA_VERSION",
     "BackgroundServer",
     "MatchServer",
-    "PlanStore",
-    "PlanStoreStats",
     "ProtocolError",
 ]

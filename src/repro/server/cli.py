@@ -2,9 +2,7 @@
 
 Stands a :class:`~repro.server.http.MatchServer` in front of a
 :class:`~repro.service.MatchService` built from the dataset registry
-(or a ``--datasets`` restriction) and serves until interrupted.  With
-``--plan-store PATH`` the plan cache gains the persistent sqlite tier,
-so a restarted server keeps its warm set.
+(or a ``--datasets`` restriction) and serves until interrupted.
 
 The first stdout line is a JSON announcement of the bound address —
 ``{"listening": {"host": ..., "port": ...}}`` — which is how scripts
@@ -22,7 +20,7 @@ Examples
 ::
 
     repro-server --datasets citeseer --port 8080
-    repro-server --port 0 --plan-store plans.sqlite --max-concurrency 16
+    repro-server --port 0 --max-concurrency 16
     repro-server --scheduler --sched-workers 4 --tenant-max-inflight 8
 """
 
@@ -63,10 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
         help="plan-cache byte budget",
     )
-    parser.add_argument(
-        "--plan-store", default=None, metavar="PATH",
-        help="sqlite file for the persistent plan tier (created on demand)",
-    )
     add_scheduler_arguments(parser)
     return parser
 
@@ -83,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         service = MatchService(
             catalog=datasets,
             cache_bytes=args.cache_bytes,
-            plan_store=args.plan_store,
             scheduler=scheduler_config_from_args(args),
         )
         server = MatchServer(
@@ -106,8 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"repro-server: serving {len(service.catalog)} dataset(s) at "
             f"http://{host}:{port} "
-            f"(plan store: {args.plan_store or 'none'}, "
-            f"scheduler: {'on' if service.scheduler is not None else 'off'})",
+            f"(scheduler: {'on' if service.scheduler is not None else 'off'})",
             file=sys.stderr,
         )
         await server.serve_forever()

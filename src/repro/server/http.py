@@ -16,25 +16,16 @@ Routes
     request's per-call overrides (``match_limit`` / ``time_limit`` /
     ``orderer``) apply exactly as in direct
     :meth:`~repro.service.service.MatchService.submit` calls.
-``POST /match/stream``
-    Same request schema, chunked NDJSON response: one
-    ``{"match": [...]}`` chunk per embedding as the suspendable
-    streaming engine yields it — the first embedding reaches the client
-    while enumeration is still running — then a final summary chunk
-    (``{"done": true, ...}``).  A client that disconnects early closes
-    the underlying stream; the search stops, the request is still
-    metered.
 ``GET /stats``
     The service's :class:`~repro.service.service.ServiceStats` snapshot
-    plus plan-store counters (when persistence is configured) and the
-    HTTP tier's own counters.
+    plus the HTTP tier's own counters.
 ``GET /healthz``
     Executor-aware liveness: ``{"status", "datasets", "executor"}``
     with scheduler queue depth and process-pool worker liveness;
     answers 503 when the process pool is unrecoverably down.
 ``POST /admin/invalidate``
     Drop cached plans — ``{"dataset": "name"}`` for one scope, empty
-    body for everything — in both cache tiers.
+    body for everything.
 
 Error contract: malformed HTTP answers 400 and closes; every service
 failure answers the one error envelope of
@@ -66,7 +57,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.errors import ReproError
 from repro.server import protocol
 from repro.service.requests import (
-    UNSET,
     MatchRequest,
     error_code_for,
     error_payload,
@@ -95,14 +85,6 @@ def _error_payload(message: str, error_type: str, code: str | None = None) -> by
     payload = error_payload(message, code=code or "validation")
     payload["type"] = error_type
     return _json_bytes(payload)
-
-
-def _next_or_none(iterator):
-    """One blocking pull, mapped onto the executor by the stream route."""
-    try:
-        return next(iterator)
-    except StopIteration:
-        return None
 
 
 class MatchServer:
@@ -149,8 +131,6 @@ class MatchServer:
         # Counters are only touched from the event loop — no lock.
         self._http_requests = 0
         self._responses: dict[int, int] = {}
-        self._streams = 0
-        self._streams_cancelled = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -263,12 +243,9 @@ class MatchServer:
                 return await self._respond(writer, 200, self._stats_payload())
             if route == ("POST", "/match"):
                 return await self._handle_match(body, writer)
-            if route == ("POST", "/match/stream"):
-                return await self._handle_stream(body, writer)
             if route == ("POST", "/admin/invalidate"):
                 return await self._handle_invalidate(body, writer)
-            if head.path in ("/healthz", "/stats", "/match", "/match/stream",
-                            "/admin/invalidate"):
+            if head.path in ("/healthz", "/stats", "/match", "/admin/invalidate"):
                 return await self._respond_error(
                     writer, 405, f"{head.method} not allowed on {head.path}",
                     "MethodNotAllowed",
@@ -344,17 +321,12 @@ class MatchServer:
 
     def _stats_payload(self) -> dict:
         payload = self.service.stats().to_dict()
-        store = getattr(self.service, "plan_store", None)
-        if store is not None:
-            payload["plan_store"] = store.stats().to_dict()
         payload["server"] = {
             "http_requests": int(self._http_requests),
             "responses": {
                 str(code): int(count)
                 for code, count in sorted(self._responses.items())
             },
-            "streams": int(self._streams),
-            "streams_cancelled": int(self._streams_cancelled),
             "max_concurrency": int(self.max_concurrency),
         }
         return payload
@@ -395,69 +367,6 @@ class MatchServer:
             return await self._respond_exception(writer, exc)
         return await self._respond(writer, 200, response.to_dict())
 
-    async def _handle_stream(self, body: bytes, writer) -> bool:
-        """The chunked streaming route.
-
-        Planning and every per-embedding pull are blocking calls, so
-        each hops through the executor; between pulls the handler
-        writes one chunk and drains, which is what bounds the server's
-        buffering to one in-flight embedding per stream and lets the
-        client see the first match before the search finishes.
-        """
-        loop = asyncio.get_running_loop()
-        try:
-            request = self._parse_request_body(body)
-            limit = None if request.match_limit is UNSET else request.match_limit
-            async with self._semaphore:
-                stream = await loop.run_in_executor(
-                    self._executor,
-                    lambda: self.service.stream(
-                        request.dataset, request.query,
-                        limit=limit, orderer=request.orderer,
-                    ),
-                )
-        except ReproError as exc:
-            return await self._respond_exception(writer, exc)
-        self._streams += 1
-        self._responses[200] = self._responses.get(200, 0) + 1
-        writer.write(protocol.response_head(200))
-        try:
-            while True:
-                async with self._semaphore:
-                    match = await loop.run_in_executor(
-                        self._executor, _next_or_none, stream
-                    )
-                if match is None:
-                    break
-                line = _json_bytes({"match": [int(v) for v in match]}) + b"\n"
-                writer.write(protocol.encode_chunk(line))
-                await writer.drain()
-            summary = _json_bytes({
-                "done": True,
-                "num_matches": int(stream.num_matches),
-                "num_enumerations": int(stream.num_enumerations),
-                "timed_out": bool(stream.timed_out),
-                "limit_reached": bool(stream.limit_reached),
-            }) + b"\n"
-            writer.write(protocol.encode_chunk(summary))
-            writer.write(protocol.LAST_CHUNK)
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            # Client hung up mid-stream: stop the search (the service
-            # still meters the request through the stream's finalizer).
-            self._streams_cancelled += 1
-            await loop.run_in_executor(self._executor, stream.close)
-            raise
-        except Exception:  # noqa: BLE001 - mid-stream failure
-            # The chunked head is already on the wire, so a status-coded
-            # answer is impossible; a truncated chunk stream (no last
-            # chunk) is the unambiguous error signal.
-            traceback.print_exc(file=sys.stderr)
-            self._streams_cancelled += 1
-            await loop.run_in_executor(self._executor, stream.close)
-            return False
-        return True
-
     async def _handle_invalidate(self, body: bytes, writer) -> bool:
         loop = asyncio.get_running_loop()
         dataset = None
@@ -473,6 +382,11 @@ class MatchServer:
                     writer, 400, "body must be a JSON object", "ReproError"
                 )
             dataset = payload.get("dataset")
+            if dataset is not None and not isinstance(dataset, str):
+                return await self._respond_error(
+                    writer, 400, "'dataset' must be a string or null",
+                    "ReproError",
+                )
         try:
             dropped = await loop.run_in_executor(
                 self._executor, self.service.invalidate, dataset

@@ -730,14 +730,10 @@ def run_executor_ab(
       count; on a single core the threshold is 0 and the ratio is
       recorded without gating.
 
-    Each leg gets its own shared plan store (the process tier's designed
-    deployment shape: workers re-attach Phase (1)–(2) plans instead of
-    re-planning) and an untimed warmup round sized so every worker has
-    seen every query — the measured walls compare steady-state
-    execution, not spawn and cold-planning noise.
+    Each leg gets an untimed warmup round sized so every worker has
+    planned every query into its own cache — the measured walls compare
+    steady-state execution, not spawn and cold-planning noise.
     """
-    import tempfile
-
     from repro.server.http import BackgroundServer
     from repro.service.scheduler import SchedulerConfig
     from repro.service.service import MatchService
@@ -759,13 +755,11 @@ def run_executor_ab(
         })
     warmup_requests = len(entries) * workers
 
-    store_dir = tempfile.mkdtemp(prefix="repro-ab-")
     legs: dict[str, list[dict]] = {}
     walls: dict[str, float] = {}
     for executor in ("thread", "process"):
         service = MatchService(
             catalog=[dataset],
-            plan_store=os.path.join(store_dir, f"{executor}.sqlite"),
             scheduler=SchedulerConfig(
                 workers=workers, executor=executor, process_workers=workers,
                 queue_capacity=max(64, requests), retry_degrade=False,
@@ -966,10 +960,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-request match limit (part of the deterministic profile)",
     )
     parser.add_argument(
-        "--plan-store", default=None, metavar="PATH",
-        help="persistent plan store for the self-hosted server",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="CI-sized preset: 6 queries, 36 requests, 4 clients",
     )
@@ -1056,10 +1046,7 @@ def main(argv: list[str] | None = None) -> int:
                 workers=4, executor=args.scheduler_executor,
                 process_workers=4,
             )
-        service = MatchService(
-            catalog=[args.dataset], plan_store=args.plan_store,
-            scheduler=scheduler,
-        )
+        service = MatchService(catalog=[args.dataset], scheduler=scheduler)
         background = BackgroundServer(service, port=0, max_concurrency=16)
         background.__enter__()
         host, port = background.address
@@ -1148,7 +1135,6 @@ def main(argv: list[str] | None = None) -> int:
             "latency_p95_s": stats_after.get("latency_p95_s"),
             "latency_p99_s": stats_after.get("latency_p99_s"),
             "cache": stats_after.get("cache"),
-            "plan_store": stats_after.get("plan_store"),
         },
     }
     if rate_sweep is not None:

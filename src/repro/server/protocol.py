@@ -1,19 +1,19 @@
 r"""Minimal HTTP/1.1 wire helpers for the asyncio serving tier.
 
-The server (:mod:`repro.server.http`) needs exactly four things from
-HTTP: parse a request head, frame a response, frame a chunked-transfer
-stream, and decide whether the connection survives the exchange.  This
-module owns those as *pure* byte-level functions — no sockets, no
-asyncio — so the framing rules are unit-testable with plain byte
-strings (``tests/server/test_protocol.py``) and the async layer above
-stays free of parsing code.
+The server (:mod:`repro.server.http`) needs exactly three things from
+HTTP: parse a request head, frame a response, and decide whether the
+connection survives the exchange.  This module owns those as *pure*
+byte-level functions — no sockets, no asyncio — so the framing rules
+are unit-testable with plain byte strings
+(``tests/server/test_protocol.py``) and the async layer above stays
+free of parsing code.
 
 Scope is deliberately narrow: HTTP/1.0 and 1.1 requests, ``identity``
 request bodies sized by ``Content-Length`` (the JSON payloads the
-service speaks), chunked *responses* for the streaming endpoint.
-Anything outside that — a chunked request body, an unsupported version,
-an oversized head — raises :class:`ProtocolError` carrying the status
-code the server should answer with before closing.
+service speaks), sized responses.  Anything outside that — a chunked
+request body, an unsupported version, an oversized head — raises
+:class:`ProtocolError` carrying the status code the server should
+answer with before closing.
 
 Examples
 --------
@@ -23,8 +23,6 @@ Examples
 ... )
 >>> head.method, head.path, head.content_length, head.keep_alive
 ('POST', '/match', 2, True)
->>> encode_chunk(b'{"a":1}')
-b'7\r\n{"a":1}\r\n'
 >>> format_response(204).splitlines()[0]
 b'HTTP/1.1 204 No Content'
 """
@@ -37,15 +35,12 @@ from urllib.parse import parse_qsl, urlsplit
 from repro.errors import ReproError
 
 __all__ = [
-    "LAST_CHUNK",
     "MAX_BODY_BYTES",
     "MAX_HEAD_BYTES",
     "ProtocolError",
     "RequestHead",
-    "encode_chunk",
     "format_response",
     "parse_head",
-    "response_head",
 ]
 
 #: Upper bound on the request head (request line + headers) — a client
@@ -71,10 +66,6 @@ REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
-
-#: Terminating frame of a chunked response body.
-LAST_CHUNK = b"0\r\n\r\n"
-
 
 class ProtocolError(ReproError):
     """A malformed or unsupported HTTP exchange.
@@ -210,31 +201,3 @@ def format_response(
     head += b"Connection: close\r\n" if close else b"Connection: keep-alive\r\n"
     return head + b"\r\n" + body
 
-
-def response_head(
-    status: int,
-    *,
-    content_type: str = "application/x-ndjson",
-    close: bool = False,
-) -> bytes:
-    """The head of a chunked-transfer response (body follows as chunks).
-
-    The streaming endpoint sends this once, then one
-    :func:`encode_chunk` per embedding, then :data:`LAST_CHUNK` — the
-    framing that lets a client consume the first embedding while the
-    server is still enumerating the rest.
-    """
-    head = _status_line(status)
-    head += b"Transfer-Encoding: chunked\r\n"
-    head += f"Content-Type: {content_type}\r\n".encode("latin-1")
-    head += b"Connection: close\r\n" if close else b"Connection: keep-alive\r\n"
-    return head + b"\r\n"
-
-
-def encode_chunk(payload: bytes) -> bytes:
-    """Frame ``payload`` as one chunk of a chunked response body."""
-    if not payload:
-        # An empty chunk would read as the terminator; the caller sends
-        # LAST_CHUNK explicitly instead.
-        raise ValueError("refusing to encode an empty chunk")
-    return f"{len(payload):x}\r\n".encode("latin-1") + payload + b"\r\n"

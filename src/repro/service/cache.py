@@ -25,33 +25,18 @@ keeps alive, and least-recently-used entries are evicted until the
 budget holds.  Hit/miss/eviction counters are kept for the service's
 :class:`~repro.service.service.ServiceStats` snapshot, and invalidation
 is explicit: per key, per scope (e.g. one dataset), or everything.
-
-Persistence (the second tier): constructed with a
-:class:`~repro.server.store.PlanStore` (``store=``), the cache becomes
-write-through — every cached plan's :meth:`~repro.api.plan.QueryPlan.
-to_dict` payload is also filed durably, a memory miss falls through to
-the store (deserializing into a *detached* plan the owning matcher
-re-attaches), and invalidation voids both tiers.  Warm state thereby
-survives restarts and is shareable across worker processes; an
-unreadable or stale store row degrades to a plain miss.  Byte-budget
-*evictions* deliberately do not touch the store — the memory tier
-bounds residency, the durable tier is the archive.
+The cache lives and dies with its process; a restarted process re-plans
+(planning is deterministic, so the plans it rebuilds are the same).
 """
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.api.plan import QueryPlan
-from repro.errors import ReproError
 from repro.graphs.graph import Graph
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids service→server import
-    from repro.server.store import PlanStore
 
 __all__ = ["CacheStats", "PlanCache"]
 
@@ -71,9 +56,7 @@ class CacheStats:
     ``hits`` / ``misses`` count :meth:`PlanCache.get` outcomes (a
     fingerprint collision that fails the exact-query check counts as a
     miss), ``evictions`` counts entries dropped by the byte budget —
-    explicit invalidation is not an eviction.  ``store_hits`` counts the
-    subset of hits served from the persistent second tier (a fresh
-    process's warm starts); they are included in ``hits`` too.
+    explicit invalidation is not an eviction.
     """
 
     hits: int
@@ -82,7 +65,6 @@ class CacheStats:
     plans: int
     bytes: int
     max_bytes: int
-    store_hits: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -99,7 +81,6 @@ class CacheStats:
             "plans": int(self.plans),
             "bytes": int(self.bytes),
             "max_bytes": int(self.max_bytes),
-            "store_hits": int(self.store_hits),
             "hit_rate": float(self.hit_rate),
         }
 
@@ -127,12 +108,7 @@ class PlanCache:
     max_bytes:
         Budget for the summed entry costs (see :func:`_plan_cost_bytes`);
         inserting past it evicts least-recently-used entries.  A single
-        plan costlier than the whole budget is not cached in memory
-        (it is still persisted when a store is attached).
-    store:
-        Optional :class:`~repro.server.store.PlanStore` second tier:
-        writes go through to it, memory misses fall back to it, and
-        invalidation voids it alongside the memory tier.
+        plan costlier than the whole budget is not cached.
 
     Examples
     --------
@@ -142,33 +118,16 @@ class PlanCache:
     0
     """
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_CACHE_BYTES,
-        store: "PlanStore | None" = None,
-    ):
+    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES):
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = int(max_bytes)
-        self.store = store
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, tuple[QueryPlan, int]] = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._store_hits = 0
-
-    def attach_store(self, store: "PlanStore") -> None:
-        """Install (or replace) the persistent second tier.
-
-        The service calls this when a ``plan_store`` is configured after
-        the cache already exists (e.g. a prebuilt catalog carrying its
-        own cache) — already-cached plans start persisting on their next
-        insert; nothing is backfilled retroactively.
-        """
-        with self._lock:
-            self.store = store
 
     # ------------------------------------------------------------------
     # Lookup / insertion
@@ -179,14 +138,6 @@ class PlanCache:
         When ``query`` is given, the stored plan's query must equal it
         exactly — the guard that makes fingerprint keying sound even if
         two non-identical graphs ever collided on a fingerprint.
-
-        A memory miss falls through to the persistent store (when one is
-        attached): a readable row deserializes into a *detached* plan —
-        no live Phase (1) context — which is promoted into the memory
-        tier and returned as a hit (counted in ``store_hits`` too).  The
-        caller (see :meth:`repro.api.matcher.Matcher.plan_fingerprinted`)
-        re-attaches it; an unreadable or stale row is dropped and served
-        as a miss.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -196,68 +147,16 @@ class PlanCache:
                     self._entries.move_to_end(key)
                     self._hits += 1
                     return plan
-            store = self.store
-        if store is not None:
-            plan = self._load_from_store(store, key, query)
-            if plan is not None:
-                self._insert_memory(key, plan)
-                with self._lock:
-                    self._hits += 1
-                    self._store_hits += 1
-                return plan
-        with self._lock:
             self._misses += 1
-        return None
+            return None
 
-    @staticmethod
-    def _load_from_store(store, key: tuple, query: Graph | None):
-        """Deserialize a store row, or ``None`` (dropping bad rows).
-
-        Failure handling is the point: an undecodable/unsupported
-        payload (older plan schema, truncated write) is deleted and
-        treated as a miss so a stale store can only cost a cold plan,
-        never an error; an exact-query mismatch (fingerprint collision)
-        is a miss but the row — correct for *its* query — stays.
-        """
-        try:
-            payload = store.get(key)
-        except sqlite3.Error:
-            return None
-        if payload is None:
-            return None
-        try:
-            plan = QueryPlan.from_dict(payload)
-        except ReproError:
-            try:
-                store.drop(key)
-            except sqlite3.Error:
-                pass
-            return None
-        if query is not None and plan.query != query:
-            return None
-        return plan
-
-    def put(self, key: tuple, plan: QueryPlan, persist: bool = True) -> bool:
+    def put(self, key: tuple, plan: QueryPlan) -> bool:
         """Insert ``plan`` under ``key``; evict LRU entries past budget.
 
-        Returns whether the plan was cached in memory (an entry larger
-        than the whole budget is skipped rather than thrashing the cache
-        empty).  Re-inserting an existing key replaces the entry in
-        place.  With a store attached the payload is also written
-        through durably (even when the memory tier declined it);
-        ``persist=False`` updates the memory tier only — how re-attached
-        store plans are promoted without rewriting identical rows.
+        Returns whether the plan was cached (an entry larger than the
+        whole budget is skipped rather than thrashing the cache empty).
+        Re-inserting an existing key replaces the entry in place.
         """
-        cached = self._insert_memory(key, plan)
-        if persist and self.store is not None:
-            try:
-                self.store.put(key, plan.to_dict())
-            except sqlite3.Error:
-                pass  # durability is best-effort; serving must not break
-        return cached
-
-    def _insert_memory(self, key: tuple, plan: QueryPlan) -> bool:
-        """The memory-tier LRU insert (no store traffic)."""
         cost = _plan_cost_bytes(plan)
         if cost > self.max_bytes:
             return False
@@ -277,55 +176,35 @@ class PlanCache:
     # Invalidation
     # ------------------------------------------------------------------
     def invalidate(self, key: tuple) -> bool:
-        """Drop one entry (both tiers); returns whether either held it."""
+        """Drop one entry; returns whether the cache held it."""
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is not None:
                 self._bytes -= entry[1]
-        stored = False
-        if self.store is not None:
-            try:
-                stored = self.store.drop(key)
-            except sqlite3.Error:
-                pass
-        return entry is not None or stored
+        return entry is not None
 
     def invalidate_scope(self, scope: str) -> int:
         """Drop every entry whose key's first component is ``scope``.
 
         Scopes are how callers partition one shared cache — the service
         uses the dataset name, so replacing a dataset's graph (or
-        retraining its model) invalidates exactly its plans, in memory
-        *and* in the persistent store (plans for a vanished graph must
-        not resurrect on the next restart).  Returns the number of
-        entries dropped from whichever tier held more.
+        retraining its model) invalidates exactly its plans.  Returns the
+        number of entries dropped.
         """
         with self._lock:
             doomed = [key for key in self._entries if key and key[0] == scope]
             for key in doomed:
                 _, cost = self._entries.pop(key)
                 self._bytes -= cost
-        stored = 0
-        if self.store is not None:
-            try:
-                stored = self.store.invalidate_scope(scope)
-            except sqlite3.Error:
-                pass
-        return max(len(doomed), stored)
+        return len(doomed)
 
     def clear(self) -> int:
-        """Drop every entry (both tiers); returns how many there were."""
+        """Drop every entry; returns how many there were."""
         with self._lock:
             count = len(self._entries)
             self._entries.clear()
             self._bytes = 0
-        stored = 0
-        if self.store is not None:
-            try:
-                stored = self.store.clear()
-            except sqlite3.Error:
-                pass
-        return max(count, stored)
+        return count
 
     # ------------------------------------------------------------------
     # Introspection
@@ -340,7 +219,6 @@ class PlanCache:
                 plans=len(self._entries),
                 bytes=self._bytes,
                 max_bytes=self.max_bytes,
-                store_hits=self._store_hits,
             )
 
     def __len__(self) -> int:

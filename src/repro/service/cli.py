@@ -19,13 +19,9 @@ Examples
     repro-serve requests.jsonl --output responses.jsonl
     repro-serve requests.jsonl --datasets citeseer,yeast --workers 8
     repro-serve requests.jsonl --stats > responses_and_stats.jsonl
-    repro-serve requests.jsonl --plan-store plans.sqlite --stats-json stats.json
+    repro-serve requests.jsonl --stats-json stats.json
     repro-serve requests.jsonl --scheduler --default-deadline 10 \
         --tenant-max-inflight 4
-
-With ``--plan-store`` the plan cache persists to sqlite, so a repeat
-run over the same (or isomorphic) queries starts warm — Phases
-(1)–(2) are served from the store instead of re-planned.
 
 With ``--scheduler`` the batch is admitted through the cost-aware
 priority queue (:mod:`repro.service.scheduler`) instead of FIFO
@@ -173,11 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append a {'stats': ...} JSON line after the responses",
     )
     parser.add_argument(
-        "--plan-store", default=None, metavar="PATH",
-        help="sqlite file for the persistent plan tier: plans survive the "
-        "process, so repeat runs start warm (created on demand)",
-    )
-    parser.add_argument(
         "--stats-json", default=None, metavar="PATH",
         help="also write the final stats snapshot to PATH as JSON",
     )
@@ -225,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     service = MatchService(
         catalog=datasets, cache_bytes=args.cache_bytes, max_workers=args.workers,
-        plan_store=args.plan_store, scheduler=scheduler_config_from_args(args),
+        scheduler=scheduler_config_from_args(args),
     )
     responses = service.submit_many(requests)
     service.close()

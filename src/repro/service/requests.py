@@ -3,7 +3,7 @@
 The service boundary speaks *data*, not method calls: a
 :class:`MatchRequest` names a dataset, carries a query graph, and may
 override the per-request execution envelope (match limit, time limit,
-orderer, streaming); a :class:`MatchResponse` carries everything a
+orderer, recorded matches); a :class:`MatchResponse` carries everything a
 client needs — counts, the matching order and any recorded embeddings
 expressed in the *client's* vertex numbering (the service canonicalizes
 queries internally), per-phase timings, the plan fingerprint and
@@ -175,11 +175,6 @@ class MatchRequest:
         this request (plans cache separately per orderer).
     record_matches:
         Materialize embeddings into :attr:`MatchResponse.matches`.
-    stream:
-        Enumerate through the lazy streaming engine instead of the
-        batch driver — same matches, same ``#enum``, but the search
-        never materializes more than ``match_limit`` embeddings at
-        once; implies ``record_matches``.
     tag:
         Opaque client correlation id, echoed on the response.
     tenant:
@@ -204,7 +199,6 @@ class MatchRequest:
     time_limit: Any = UNSET
     orderer: str | None = None
     record_matches: bool = False
-    stream: bool = False
     tag: str | None = None
     tenant: str | None = None
     priority: int = 0
@@ -221,8 +215,6 @@ class MatchRequest:
             payload["orderer"] = self.orderer
         if self.record_matches:
             payload["record_matches"] = True
-        if self.stream:
-            payload["stream"] = True
         if self.tag is not None:
             payload["tag"] = self.tag
         if self.tenant is not None:
@@ -244,25 +236,56 @@ class MatchRequest:
         are ignored — among them ``"enumerator"``, which older clients
         (and requests an older process journaled) may still carry from
         when there was a backend to choose; the outcome never depended
-        on it.
+        on it.  So is a legacy ``"stream": true``, except that it asks
+        for what it always returned: the recorded matches.
+
+        Every field's JSON type is checked here, so a wrongly typed
+        value is a :class:`~repro.errors.ReproError` (``validation``),
+        never a ``TypeError`` further in.
         """
+        number = (int, float)
         try:
-            deadline_s = payload.get("deadline_s")
+            deadline_s = _checked(payload, "deadline_s", number, "a number")
             return cls(
-                dataset=payload["dataset"],
+                dataset=_checked(payload, "dataset", str, "a string", _REQUIRED),
                 query=graph_from_payload(payload["query"]),
-                match_limit=payload.get("match_limit", UNSET),
-                time_limit=payload.get("time_limit", UNSET),
-                orderer=payload.get("orderer"),
-                record_matches=bool(payload.get("record_matches", False)),
-                stream=bool(payload.get("stream", False)),
-                tag=payload.get("tag"),
-                tenant=payload.get("tenant"),
+                match_limit=_checked(payload, "match_limit", int, "an integer", UNSET),
+                time_limit=_checked(payload, "time_limit", number, "a number", UNSET),
+                orderer=_checked(payload, "orderer", str, "a string"),
+                record_matches=bool(
+                    payload.get("record_matches", False)
+                    or payload.get("stream", False)
+                ),
+                tag=_checked(payload, "tag", str, "a string"),
+                tenant=_checked(payload, "tenant", str, "a string"),
                 priority=int(payload.get("priority", 0)),
                 deadline_s=None if deadline_s is None else float(deadline_s),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ReproError(f"malformed match-request payload: {exc}") from exc
+
+
+#: ``_checked``'s default for a key that must be present (and not null).
+_REQUIRED = object()
+
+
+def _checked(payload: dict, key: str, types, expected: str, default=None):
+    """``payload[key]`` if its JSON type is ``expected``; ``default`` when
+    absent.  An optional key may also be ``null``; a bool is never a
+    number."""
+    if key not in payload:
+        if default is _REQUIRED:
+            raise KeyError(key)
+        return default
+    value = payload[key]
+    if value is None and default is not _REQUIRED:
+        return None
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ReproError(
+            f"malformed match-request payload: {key!r} must be {expected}, "
+            f"got {type(value).__name__}"
+        )
+    return value
 
 
 @dataclass(frozen=True)

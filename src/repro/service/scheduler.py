@@ -499,12 +499,6 @@ class CostAwareScheduler:
         the failure: ``deadline_expired`` when the request died in the
         queue, or whatever execution raised.
         """
-        if request.stream:
-            raise ServiceError(
-                "streaming requests cannot be scheduled; use "
-                "MatchService.stream() directly",
-                code="validation",
-            )
         config = self._config
         raw_cost = self._estimate(request)
         # The observed-cost loop: a bucket that historically ran hotter
@@ -561,15 +555,19 @@ class CostAwareScheduler:
             # Journal *before* queueing: durability must cover the
             # window between admission and execution, so a crash right
             # after this line replays the request rather than losing it.
-            journal_id = self._journal.record(
-                request.to_dict(),
-                tenant=tenant,
-                cost=cost,
-                priority=request.priority,
-                deadline_wall=(
-                    None if deadline_s is None else time.time() + float(deadline_s)
-                ),
-            )
+            try:
+                journal_id = self._journal.record(
+                    request.to_dict(),
+                    tenant=tenant,
+                    cost=cost,
+                    priority=request.priority,
+                    deadline_wall=(
+                        None if deadline_s is None else time.time() + float(deadline_s)
+                    ),
+                )
+            except ServiceError:
+                self._unadmit(account, cost, rejected=False)
+                raise
         entry = _Entry(
             request=request,
             future=Future(),
@@ -584,19 +582,24 @@ class CostAwareScheduler:
         if not self._queue.push(entry):
             if journal_id is not None:
                 self._journal.complete(journal_id)
-            with self._lock:
-                account.inflight -= 1
-                account.cost_inflight -= cost
-                account.admitted -= 1
-                account.rejected += 1
-                self._admitted -= 1
-                self._rejected += 1
+            self._unadmit(account, cost, rejected=True)
             raise ServiceError(
                 f"admission queue full ({self._queue.capacity} requests)",
                 code="rejected",
                 retry_after_s=config.retry_after_s,
             )
         return entry.future
+
+    def _unadmit(self, account: _TenantAccount, cost: float, rejected: bool) -> None:
+        """Undo one admission that never reached the queue."""
+        with self._lock:
+            account.inflight -= 1
+            account.cost_inflight -= cost
+            account.admitted -= 1
+            self._admitted -= 1
+            if rejected:
+                account.rejected += 1
+                self._rejected += 1
 
     # ------------------------------------------------------------------
     # Durable recovery

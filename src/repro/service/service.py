@@ -40,8 +40,7 @@ from dataclasses import dataclass
 from repro.errors import CanonicalizationError, ReproError
 from repro.graphs.canonical import CanonicalForm, canonical_form
 from repro.graphs.graph import Graph
-from repro.matching.block import MatchBlock
-from repro.matching.enumeration import Enumerator, MatchStream
+from repro.matching.enumeration import Enumerator
 from repro.service.cache import DEFAULT_CACHE_BYTES, CacheStats, PlanCache
 from repro.service.catalog import DatasetCatalog
 from repro.service.requests import UNSET, MatchRequest, MatchResponse
@@ -61,7 +60,10 @@ LATENCY_WINDOW = 8192
 #: feedback), ``procpool`` and ``durable`` liveness snapshots.
 #: v4: the per-partition enumeration-time map left with partitioned
 #: matching.
-STATS_SCHEMA_VERSION = 4
+#: v5: the cache's store-hit counter, the plan-store block and the
+#: server's two stream counters left with the sqlite plan store and the
+#: streaming route.
+STATS_SCHEMA_VERSION = 5
 
 
 class LatencyRing:
@@ -197,12 +199,6 @@ class MatchService:
         carries a cache).
     max_workers:
         Default thread-pool width for :meth:`submit_many`.
-    plan_store:
-        Optional persistent second cache tier: a
-        :class:`~repro.server.store.PlanStore`, or a path handed to its
-        constructor.  Cached plans are written through durably and a
-        fresh process consults the store on memory misses, so warm
-        state survives restarts and is shareable across workers.
     latency_window:
         Capacity of the bounded :class:`LatencyRing` percentile window.
     scheduler:
@@ -237,34 +233,20 @@ class MatchService:
         *,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         max_workers: int | None = None,
-        plan_store=None,
         latency_window: int = LATENCY_WINDOW,
         scheduler=None,
     ):
-        if plan_store is not None and not hasattr(plan_store, "get"):
-            # A path was passed; the import is local so the core service
-            # stays importable without the server package in play.
-            from repro.server.store import PlanStore
-
-            plan_store = PlanStore(plan_store)
         if isinstance(catalog, DatasetCatalog):
             self.catalog = catalog
             if self.catalog.plan_cache is None:
                 # attach (not assign): matchers the catalog already
                 # constructed must start caching too.
-                self.catalog.attach_plan_cache(
-                    PlanCache(cache_bytes, store=plan_store)
-                )
-            elif plan_store is not None:
-                self.catalog.plan_cache.attach_store(plan_store)
+                self.catalog.attach_plan_cache(PlanCache(cache_bytes))
         else:
             self.catalog = DatasetCatalog(
-                catalog, plan_cache=PlanCache(cache_bytes, store=plan_store)
+                catalog, plan_cache=PlanCache(cache_bytes)
             )
         self.plan_cache = self.catalog.plan_cache
-        self.plan_store = (
-            self.plan_cache.store if self.plan_cache is not None else None
-        )
         self.max_workers = max_workers if max_workers is not None else 4
         self._lock = threading.Lock()
         self._requests = 0
@@ -284,18 +266,13 @@ class MatchService:
             config = SchedulerConfig() if scheduler is True else scheduler
             if config.executor == "process":
                 # The pool must exist before the scheduler: its workers
-                # dispatch to it from their first pop.  Workers share
-                # this service's plan-store file (when it is a real
-                # file) so Phase (1) rebuilds once per worker and the
-                # recorded order is reused — the bit-identity contract.
+                # dispatch to it from their first pop.  Each worker plans
+                # the canonical query itself; planning is deterministic,
+                # so its results are bit-identical to this process's.
                 from repro.procpool import ProcessPool, catalog_spec
 
-                store_path = getattr(self.plan_store, "path", None)
-                if store_path == ":memory:":
-                    store_path = None  # private to this process
                 self.procpool = ProcessPool(
-                    catalog_spec(self.catalog, plan_store_path=store_path),
-                    workers=config.process_workers,
+                    catalog_spec(self.catalog), workers=config.process_workers
                 )
             self.scheduler = CostAwareScheduler(self, config)
 
@@ -359,9 +336,7 @@ class MatchService:
         execute under the request's limits, and translate order and
         embeddings back into the client's vertex numbering — the
         embeddings all at once, as one column gather over the recorded
-        :class:`~repro.matching.block.MatchBlock` (batch and
-        ``stream=True`` alike; only the lazy :meth:`stream` route
-        translates per item).
+        :class:`~repro.matching.block.MatchBlock`.
 
         Queries are canonicalized exactly, which bounds them at
         :data:`~repro.graphs.canonical.MAX_CANONICAL_VERTICES` vertices
@@ -376,19 +351,14 @@ class MatchService:
         matcher = self.catalog.matcher(request.dataset, request.orderer)
         cform, plan, cache_hit = self._plan_canonical(matcher, request.query)
 
-        record = request.record_matches or request.stream
-        engine = self._derived_enumerator(matcher.enumerator, request, record)
-        if request.stream:
-            stream = matcher.stream_plan(plan, enumerator=engine)
-            matches = MatchBlock(list(stream))
-            outcome = stream.result()
-        else:
-            outcome = matcher.execute(plan, enumerator=engine).enumeration
-            matches = outcome.matches
+        engine = self._derived_enumerator(
+            matcher.enumerator, request, request.record_matches
+        )
+        outcome = matcher.execute(plan, enumerator=engine).enumeration
         enum_time = outcome.elapsed
         # The id remap result[u] = match[mapping[u]], for every
         # embedding of the block at once.
-        matches = matches.gather(cform.mapping)
+        matches = outcome.matches.gather(cform.mapping)
         total_time = time.perf_counter() - t_start
         self._meter(cache_hit, plan.filter_time, plan.order_time, enum_time, total_time)
         return MatchResponse(
@@ -418,7 +388,7 @@ class MatchService:
 
     def _meter(self, cache_hit, filter_time, order_time, enum_time, total_time) -> None:
         """Count one served request — the one stats update every serving
-        path (direct, streamed, worker process) goes through.
+        path (direct, worker process) goes through.
 
         Planning seconds are added only when the request actually
         planned (its cache lookup missed); enumeration seconds and the
@@ -541,35 +511,6 @@ class MatchService:
                 responses.append(MatchResponse.failure(request, exc))
         return responses
 
-    def stream(
-        self,
-        dataset: str,
-        query: Graph,
-        limit: int | None = None,
-        orderer: str | None = None,
-    ):
-        """Lazily yield embeddings of ``query``, client-numbered.
-
-        Plans through the cache like :meth:`submit` and drives the
-        suspendable streaming engine, translating each embedding back
-        through the canonical mapping as it is pulled — first-``k``
-        consumers never pay for the ``k+1``-th match.  The request is
-        metered like :meth:`submit`, once, when the stream finishes
-        (exhausted or closed).
-        """
-        t_start = time.perf_counter()
-        matcher = self.catalog.matcher(dataset, orderer)
-        cform, plan, cache_hit = self._plan_canonical(matcher, query)
-        stream = matcher.stream_plan(plan, limit=limit)
-
-        def finalize(outcome) -> None:
-            self._meter(
-                cache_hit, plan.filter_time, plan.order_time,
-                outcome.elapsed, time.perf_counter() - t_start,
-            )
-
-        return _RemappedStream(stream, cform, finalize)
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
@@ -667,76 +608,3 @@ class MatchService:
             f"cached_plans={len(self.plan_cache) if self.plan_cache else 0})"
         )
 
-
-class _RemappedStream:
-    """A :class:`MatchStream` view yielding client-numbered embeddings.
-
-    Wraps the canonical-query stream, translating each pulled embedding
-    through the request's canonical mapping while proxying the
-    underlying live counters; the service's ``finalize`` callback fires
-    exactly once when the stream finishes, so streamed traffic shows up
-    in :class:`ServiceStats` like any other request.
-    """
-
-    def __init__(self, stream: MatchStream, cform, finalize=None) -> None:
-        self._stream = stream
-        self._cform = cform
-        self._finalize = finalize
-
-    def _finish(self) -> None:
-        if self._finalize is not None:
-            callback, self._finalize = self._finalize, None
-            callback(self._stream.result())
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        try:
-            match = next(self._stream)
-        except StopIteration:
-            self._finish()
-            raise
-        if self._stream.exhausted:
-            # The limit fired on this pull: the search is over.
-            self._finish()
-        return self._cform.to_original(match)
-
-    def close(self) -> None:
-        """Stop the underlying search early."""
-        self._stream.close()
-        self._finish()
-
-    def result(self):
-        """The underlying stream's batch-shaped outcome."""
-        return self._stream.result()
-
-    @property
-    def num_matches(self) -> int:
-        """Embeddings yielded so far."""
-        return self._stream.num_matches
-
-    @property
-    def num_enumerations(self) -> int:
-        """``#enum`` explored up to the last pull."""
-        return self._stream.num_enumerations
-
-    @property
-    def timed_out(self) -> bool:
-        """Whether the wall-clock deadline fired during the search."""
-        return self._stream.timed_out
-
-    @property
-    def limit_reached(self) -> bool:
-        """Whether the match limit stopped the stream."""
-        return self._stream.limit_reached
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the stream is finished (by any cause)."""
-        return self._stream.exhausted
-
-    @property
-    def elapsed(self) -> float:
-        """Wall-clock seconds from stream creation to the last pull."""
-        return self._stream.elapsed

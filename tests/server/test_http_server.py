@@ -1,21 +1,20 @@
 """End-to-end tests of the asyncio HTTP tier over a real socket.
 
 Everything here talks to a :class:`BackgroundServer` through
-``http.client`` (or a raw socket where the chunked framing itself is
-under test) — the same wire a real client would use.
+``http.client`` (or a raw socket where the framing itself is under
+test) — the same wire a real client would use.
 """
 
 import http.client
 import json
 import socket
-import time
 
 import numpy as np
 import pytest
 
 from repro.graphs import erdos_renyi, extract_query
 from repro.server import BackgroundServer
-from repro.service import MatchRequest, MatchService
+from repro.service import MatchRequest, MatchService, SchedulerConfig
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +109,48 @@ class TestErrors:
         status, payload = request_json(background, "GET", "/nope")
         assert status == 404 and payload["type"] == "NotFound"
 
+    def test_stream_route_is_gone(self, served, query):
+        _, background = served
+        body = MatchRequest("tiny", query, record_matches=True).to_dict()
+        status, payload = request_json(background, "POST", "/match/stream", body)
+        assert status == 404
+        assert payload["type"] == "NotFound"
+        assert payload["code"] == "validation" and "error" in payload
+
+    @pytest.mark.parametrize("scheduled", [False, True], ids=["direct", "scheduled"])
+    @pytest.mark.parametrize("path, fields", [
+        ("/match", {"dataset": ["tiny"]}),
+        ("/match", {"orderer": ["ri"]}),
+        ("/match", {"tenant": ["a"]}),
+        ("/match", {"tag": 7}),
+        ("/match", {"match_limit": "10"}),
+        ("/match", {"match_limit": True}),
+        ("/match", {"time_limit": "x"}),
+        ("/match", {"deadline_s": "soon"}),
+        ("/admin/invalidate", {"dataset": [1]}),
+    ], ids=[
+        "dataset", "orderer", "tenant", "tag", "match_limit-str",
+        "match_limit-bool", "time_limit", "deadline_s", "invalidate",
+    ])
+    def test_wrongly_typed_fields_are_400_validation(
+        self, data, query, scheduled, path, fields
+    ):
+        service = MatchService(
+            catalog={"tiny": data},
+            scheduler=SchedulerConfig(workers=1) if scheduled else None,
+        )
+        try:
+            with BackgroundServer(service) as background:
+                body = fields if path != "/match" else dict(
+                    MatchRequest("tiny", query).to_dict(), **fields
+                )
+                status, payload = request_json(background, "POST", path, body)
+                _, stats = request_json(background, "GET", "/stats")
+        finally:
+            service.close()
+        assert status == 400 and payload["code"] == "validation"
+        assert "500" not in stats["server"]["responses"]
+
     def test_wrong_method_is_405(self, served):
         _, background = served
         status, payload = request_json(background, "DELETE", "/match")
@@ -167,107 +208,6 @@ class TestErrors:
             assert response.status == 200 and payload["num_matches"] > 0
         finally:
             conn.close()
-
-
-def read_chunked(sock):
-    """Parse a chunked response off a raw socket; (head, chunks)."""
-    buffer = b""
-    while b"\r\n\r\n" not in buffer:
-        buffer += sock.recv(65536)
-    head, buffer = buffer.split(b"\r\n\r\n", 1)
-    chunks = []
-    while True:
-        while b"\r\n" not in buffer:
-            buffer += sock.recv(65536)
-        size_hex, buffer = buffer.split(b"\r\n", 1)
-        size = int(size_hex, 16)
-        if size == 0:
-            return head, chunks
-        while len(buffer) < size + 2:
-            buffer += sock.recv(65536)
-        chunks.append(buffer[:size])
-        buffer = buffer[size + 2:]
-
-
-class TestStreaming:
-    def test_chunked_framing_and_bit_identity_with_batch(self, served, query):
-        _, background = served
-        body = MatchRequest("tiny", query, record_matches=True).to_dict()
-        _, batch = request_json(background, "POST", "/match", body)
-        payload = json.dumps(body).encode()
-        with socket.create_connection(background.address, timeout=30) as sock:
-            sock.sendall(
-                b"POST /match/stream HTTP/1.1\r\nHost: t\r\n"
-                b"Content-Length: %d\r\n\r\n" % len(payload) + payload
-            )
-            head, chunks = read_chunked(sock)
-        assert b"Transfer-Encoding: chunked" in head
-        lines = [json.loads(chunk) for chunk in chunks]
-        summary = lines[-1]
-        matches = [line["match"] for line in lines[:-1]]
-        assert summary["done"]
-        assert matches == batch["matches"]
-        assert summary["num_matches"] == batch["num_matches"]
-        assert summary["num_enumerations"] == batch["num_enumerations"]
-
-    def test_first_chunk_is_an_embedding_not_the_summary(self, served, query):
-        # Per-embedding framing: the very first chunk off the wire must
-        # be a match line, i.e. embeddings are flushed as produced, not
-        # batched behind the summary.
-        _, background = served
-        body = json.dumps(
-            MatchRequest("tiny", query, record_matches=True).to_dict()
-        ).encode()
-        with socket.create_connection(background.address, timeout=30) as sock:
-            sock.sendall(
-                b"POST /match/stream HTTP/1.1\r\nHost: t\r\n"
-                b"Content-Length: %d\r\n\r\n" % len(body) + body
-            )
-            buffer = b""
-            while b"\r\n\r\n" not in buffer:
-                buffer += sock.recv(65536)
-            _, rest = buffer.split(b"\r\n\r\n", 1)
-            while b"\n" not in rest.partition(b"\r\n")[2]:
-                rest += sock.recv(65536)
-            first_line = json.loads(rest.split(b"\r\n", 1)[1].split(b"\n")[0])
-        assert "match" in first_line and "done" not in first_line
-
-    def test_early_client_close_leaves_server_healthy(self, served):
-        from repro.service.catalog import CatalogEntry
-
-        service, background = served
-        # A dense graph with a triangle query yields many embeddings;
-        # hang up after the first chunk and the server must stop the
-        # search and keep serving.
-        dense = erdos_renyi(60, 500, 1, seed=3)
-        service.catalog.add(CatalogEntry(name="dense", data=dense))
-        triangle = extract_query(dense, 3, np.random.default_rng(0))
-        body = json.dumps(MatchRequest("dense", triangle).to_dict()).encode()
-        with socket.create_connection(background.address, timeout=30) as sock:
-            sock.sendall(
-                b"POST /match/stream HTTP/1.1\r\nHost: t\r\n"
-                b"Content-Length: %d\r\n\r\n" % len(body) + body
-            )
-            buffer = b""
-            while b"\r\n" not in buffer.partition(b"\r\n\r\n")[2]:
-                buffer += sock.recv(4096)
-            # First chunk seen: hang up mid-stream.
-        # The cancelled stream must still be metered and the server must
-        # keep answering; the close is detected on the next drain, so
-        # poll briefly.
-        deadline = time.time() + 10
-        cancelled = 0
-        while time.time() < deadline:
-            status, stats = request_json(background, "GET", "/stats")
-            assert status == 200
-            cancelled = stats["server"]["streams_cancelled"]
-            if cancelled:
-                break
-            time.sleep(0.05)
-        assert cancelled == 1
-        status, payload = request_json(background, "GET", "/healthz")
-        assert status == 200 and payload["status"] == "ok"
-        service.catalog.remove("dense")
 
 
 class TestConcurrency:

@@ -3,14 +3,11 @@
 import pytest
 
 from repro.server.protocol import (
-    LAST_CHUNK,
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
     ProtocolError,
-    encode_chunk,
     format_response,
     parse_head,
-    response_head,
 )
 
 
@@ -116,21 +113,3 @@ class TestResponseFraming:
     def test_close_flag_sets_connection_header(self):
         assert b"Connection: close" in format_response(400, b"{}", close=True)
         assert b"Connection: keep-alive" in format_response(200, b"{}")
-
-    def test_chunked_head_declares_transfer_encoding(self):
-        raw = response_head(200)
-        assert b"Transfer-Encoding: chunked\r\n" in raw
-        assert b"Content-Length" not in raw
-
-    def test_chunk_framing_roundtrip(self):
-        payload = b'{"match": [1, 2, 3]}\n'
-        framed = encode_chunk(payload)
-        size_hex, rest = framed.split(b"\r\n", 1)
-        assert int(size_hex, 16) == len(payload)
-        assert rest == payload + b"\r\n"
-
-    def test_empty_chunk_is_refused(self):
-        # An empty chunk would read as the terminator mid-stream.
-        with pytest.raises(ValueError):
-            encode_chunk(b"")
-        assert LAST_CHUNK == b"0\r\n\r\n"

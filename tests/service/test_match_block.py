@@ -268,10 +268,15 @@ def test_submit_returns_the_per_match_embeddings_on_every_path(
     base = BASE_QUERIES[name]
     permutation = data_.draw(st.permutations(range(base.num_vertices)))
     query = relabel_graph(base, permutation)
-    request = MatchRequest(
-        "tiny", query, match_limit=limit,
-        record_matches=path != "stream", stream=path == "stream",
-    )
+    request = MatchRequest("tiny", query, match_limit=limit, record_matches=True)
+    if path == "stream":
+        # A legacy body: ``"stream": true`` in place of ``record_matches``
+        # reads as the same request.
+        payload = request.to_dict()
+        del payload["record_matches"]
+        legacy = MatchRequest.from_dict(dict(payload, stream=True))
+        assert legacy == request
+        request = legacy
     response = serve(threaded if path == "scheduled" else service, request, path)
     assert response.ok
     assert isinstance(response.matches, MatchBlock)

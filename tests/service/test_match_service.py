@@ -92,16 +92,6 @@ class TestSubmit:
         repeat = service.submit(MatchRequest("tiny", queries[1], orderer="qsi"))
         assert repeat.cache_hit
 
-    def test_stream_flag_matches_batch(self, service, queries):
-        batch = service.submit(
-            MatchRequest("tiny", queries[2], match_limit=3, record_matches=True)
-        )
-        streamed = service.submit(
-            MatchRequest("tiny", queries[2], match_limit=3, stream=True)
-        )
-        assert streamed.matches == batch.matches
-        assert streamed.num_enumerations == batch.num_enumerations
-
     def test_canonicalization_budget_fallback_serves_uncached(
         self, data, service, queries, monkeypatch
     ):
@@ -165,17 +155,6 @@ class TestCacheHitBitIdentity:
         # #enum is an isomorphism-class invariant under canonicalization.
         assert warm.num_enumerations == primed.num_enumerations
 
-    def test_warm_stream_equals_cold_stream(self, data, queries):
-        query = queries[3]
-        iso = relabel(query, np.random.default_rng(9).permutation(
-            query.num_vertices).tolist())
-        service = MatchService(catalog={"tiny": data})
-        cold = service.submit(MatchRequest("tiny", query, stream=True, match_limit=4))
-        warm = service.submit(MatchRequest("tiny", iso, stream=True, match_limit=4))
-        assert warm.cache_hit
-        assert warm.num_enumerations == cold.num_enumerations
-        assert len(warm.matches) == len(cold.matches)
-
 
 class TestSubmitMany:
     def test_parallel_bit_identical_to_serial(self, data, queries):
@@ -228,8 +207,9 @@ class TestStatsAndInvalidation:
 
         json.dumps(payload)  # JSON-safe snapshot
         assert payload["cache"]["hit_rate"] == 0.5
-        assert payload["schema"] == 4
+        assert payload["schema"] == 5
         assert "shard_enum_time_s" not in payload
+        assert "store_hits" not in payload["cache"]
 
     def test_invalidate_dataset_and_all(self, data, queries):
         service = MatchService(catalog={"a": data, "b": data})
@@ -266,40 +246,12 @@ class TestStatsAndInvalidation:
         assert warm.cache_hit
 
 
-class TestServiceStream:
-    def test_stream_yields_client_numbered_embeddings(self, data, queries):
-        service = MatchService(catalog={"tiny": data})
-        query = queries[0]
-        iso_perm = np.random.default_rng(4).permutation(query.num_vertices).tolist()
-        iso = relabel(query, iso_perm)
-        direct = Matcher(data, record_matches=True).match(iso)
-        stream = service.stream("tiny", iso, limit=3)
-        pulled = list(stream)
-        assert len(pulled) <= 3
-        assert set(pulled) <= set(direct.enumeration.matches)
-        assert stream.num_matches == len(pulled)
-        assert stream.result().num_enumerations == stream.num_enumerations
-
-    def test_stream_traffic_is_metered(self, data, queries):
-        # Streamed requests must show up in ServiceStats like any other
-        # traffic: counted at creation, enum time and latency recorded
-        # when the stream finishes (drained or closed early).
-        service = MatchService(catalog={"tiny": data})
-        drained = service.stream("tiny", queries[0], limit=2)
-        list(drained)
-        stats = service.stats()
-        assert stats.requests == 1
-        assert stats.enum_time_s > 0.0 and stats.latency_p95_s > 0.0
-        closed = service.stream("tiny", queries[1], limit=5)
-        closed.close()
-        assert service.stats().requests == 2
-
-
 class TestRequestPayloads:
     def test_request_round_trip(self, queries):
         request = MatchRequest(
             "tiny", queries[0], match_limit=9, time_limit=None,
-            orderer="qsi", record_matches=True, stream=True, tag="t1",
+            orderer="qsi", record_matches=True, tag="t1", tenant="a",
+            priority=2, deadline_s=1.5,
         )
         back = MatchRequest.from_dict(request.to_dict())
         assert back == request

@@ -27,8 +27,9 @@ PACKAGES = [
 ]
 
 #: Names retired with the selectable recursive engine, the second
-#: pipeline facade, the user-set choice of enumeration backend and
-#: partitioned matching; listed so they cannot drift back into a facade.
+#: pipeline facade, the user-set choice of enumeration backend,
+#: partitioned matching and the sqlite plan store; listed so they cannot
+#: drift back into a facade.
 RETIRED_EXPORTS = [
     ("repro", "MatchingEngine"),
     ("repro", "IterativeEnumerator"),
@@ -50,6 +51,9 @@ RETIRED_EXPORTS = [
     ("repro.matching", "ShardedMatchStream"),
     ("repro.matching", "build_shard_runs"),
     ("repro.matching", "merge_shard_matches"),
+    ("repro.server", "PlanStore"),
+    ("repro.server", "PlanStoreStats"),
+    ("repro.server", "STORE_SCHEMA_VERSION"),
 ]
 
 
