@@ -42,7 +42,7 @@ def isomorph(query: Graph, rng: np.random.Generator) -> Graph:
 def main() -> None:
     # One service over two Table II datasets; matchers and statistics
     # are built lazily, per dataset, on first request.
-    service = MatchService(catalog=["citeseer", "yeast"], max_workers=4)
+    service = MatchService(catalog=["citeseer", "yeast"])
     print(f"service catalog: {', '.join(service.catalog.names())}\n")
 
     rng = np.random.default_rng(7)

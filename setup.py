@@ -10,7 +10,6 @@ to the same ``main`` functions the ``python -m`` invocations use:
 ===================  ==========================================
 ``repro-train``      :func:`repro.core.cli.main`
 ``repro-bench``      :func:`repro.bench.cli.main`
-``repro-serve``      :func:`repro.service.cli.main`
 ``repro-server``     :func:`repro.server.cli.main`
 ``repro-loadtest``   :func:`repro.server.loadgen.main`
 ===================  ==========================================
@@ -46,7 +45,6 @@ setup(
         "console_scripts": [
             "repro-train=repro.core.cli:main",
             "repro-bench=repro.bench.cli:main",
-            "repro-serve=repro.service.cli:main",
             "repro-server=repro.server.cli:main",
             "repro-loadtest=repro.server.loadgen:main",
         ]

@@ -9,19 +9,13 @@ own lazily-built per-dataset matcher and planning deterministically,
 so results stay bit-identical to the in-process path while throughput
 scales with cores.
 
-Two companions ride in the same package because they close the loop
-the executor opens:
-
-* :class:`DurableQueue` — admission journaled to sqlite (WAL) before
-  it enters the in-memory queue, deleted on any terminal outcome; a
-  killed server's admitted-but-unserved backlog replays on restart.
-* :class:`CostCalibrator` — workers report actual enumeration seconds;
-  an EWMA per ``(dataset, query-size)`` bucket corrects the static
-  plan-cost estimate at admission, surfaced as estimate-vs-observed
-  calibration in ``/stats``.
+:class:`CostCalibrator` rides in the same package because it closes
+the loop the executor opens: workers report actual enumeration
+seconds, and an EWMA per ``(dataset, query-size)`` bucket corrects the
+static plan-cost estimate at admission, surfaced as
+estimate-vs-observed calibration in ``/stats``.
 """
 
-from repro.procpool.durable import DurableEntry, DurableQueue, JOURNAL_SCHEMA_VERSION
 from repro.procpool.feedback import DEFAULT_ALPHA, CostCalibrator
 from repro.procpool.pool import DEFAULT_RESPAWN_LIMIT, ProcessPool
 from repro.procpool.worker import catalog_spec, worker_main
@@ -29,10 +23,7 @@ from repro.procpool.worker import catalog_spec, worker_main
 __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_RESPAWN_LIMIT",
-    "JOURNAL_SCHEMA_VERSION",
     "CostCalibrator",
-    "DurableEntry",
-    "DurableQueue",
     "ProcessPool",
     "catalog_spec",
     "worker_main",

@@ -33,10 +33,97 @@ import sys
 from repro.errors import ReproError
 from repro.server.http import DEFAULT_CONCURRENCY, MatchServer
 from repro.service.cache import DEFAULT_CACHE_BYTES
-from repro.service.cli import add_scheduler_arguments, scheduler_config_from_args
+from repro.service.scheduler import SchedulerConfig
 from repro.service.service import MatchService
 
-__all__ = ["main"]
+__all__ = ["add_scheduler_arguments", "main", "scheduler_config_from_args"]
+
+
+def add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``--scheduler`` flag family."""
+    group = parser.add_argument_group(
+        "scheduling",
+        "cost-aware admission (repro.service.scheduler); all knobs are "
+        "inert without --scheduler",
+    )
+    group.add_argument(
+        "--scheduler", action="store_true",
+        help="admit requests through the cost-aware priority queue "
+        "(deadline-then-estimated-cost order, per-tenant budgets, 429-style "
+        "backpressure) instead of FIFO fan-out",
+    )
+    group.add_argument(
+        "--sched-workers", type=int, default=SchedulerConfig.workers,
+        metavar="N", help="scheduler worker threads",
+    )
+    group.add_argument(
+        "--scheduler-executor", choices=("thread", "process"),
+        default=SchedulerConfig.executor, metavar="{thread,process}",
+        help="execution tier behind the scheduler: 'thread' runs Phase (3) "
+        "in-process (GIL-serialized), 'process' dispatches to the "
+        "repro.procpool worker pool for CPU parallelism; results are "
+        "bit-identical either way",
+    )
+    group.add_argument(
+        "--process-workers", type=int, default=SchedulerConfig.process_workers,
+        metavar="N",
+        help="worker-process count for --scheduler-executor process",
+    )
+    group.add_argument(
+        "--queue-capacity", type=int, default=SchedulerConfig.queue_capacity,
+        metavar="N",
+        help="bounded admission-queue depth; past it requests are rejected",
+    )
+    group.add_argument(
+        "--default-deadline", type=float, default=None, metavar="SECONDS",
+        help="queueing deadline for requests that carry none "
+        "(default: wait indefinitely)",
+    )
+    group.add_argument(
+        "--tenant-max-inflight", type=int, default=None, metavar="N",
+        help="per-tenant cap on admitted-but-unfinished requests",
+    )
+    group.add_argument(
+        "--tenant-cost-budget", type=float, default=None, metavar="COST",
+        help="per-tenant cap on summed in-flight estimated plan cost",
+    )
+    group.add_argument(
+        "--no-degrade", action="store_true",
+        help="disable the one retry under tighter limits after a timeout",
+    )
+    group.add_argument(
+        "--degrade-match-limit", type=int,
+        default=SchedulerConfig.degrade_match_limit, metavar="N",
+        help="match limit of the degraded retry envelope",
+    )
+    group.add_argument(
+        "--degrade-time-limit", type=float, default=None, metavar="SECONDS",
+        help="time limit of the degraded retry envelope",
+    )
+    group.add_argument(
+        "--degrade-orderer", default=None, metavar="NAME",
+        help="cheaper orderer for the degraded retry (registry name)",
+    )
+
+
+def scheduler_config_from_args(args) -> SchedulerConfig | None:
+    """A :class:`SchedulerConfig` from parsed flags (``None`` without
+    ``--scheduler``)."""
+    if not args.scheduler:
+        return None
+    return SchedulerConfig(
+        workers=args.sched_workers,
+        executor=args.scheduler_executor,
+        process_workers=args.process_workers,
+        queue_capacity=args.queue_capacity,
+        default_deadline_s=args.default_deadline,
+        tenant_max_inflight=args.tenant_max_inflight,
+        tenant_cost_budget=args.tenant_cost_budget,
+        retry_degrade=not args.no_degrade,
+        degrade_match_limit=args.degrade_match_limit,
+        degrade_time_limit=args.degrade_time_limit,
+        degrade_orderer=args.degrade_orderer,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

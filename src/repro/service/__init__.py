@@ -28,8 +28,8 @@ holds:
   retry-with-degrade on timeout — scheduling changes *when* work runs,
   never *what it returns*.
 
-The ``repro-serve`` CLI (:mod:`repro.service.cli`) runs a JSONL request
-file against the catalog and emits JSONL responses.
+The one serving CLI is ``repro-server`` (:mod:`repro.server.cli`), which
+puts a :class:`MatchService` behind ``POST /match``.
 
 Example
 -------

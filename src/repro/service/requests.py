@@ -8,8 +8,7 @@ client needs — counts, the matching order and any recorded embeddings
 expressed in the *client's* vertex numbering (the service canonicalizes
 queries internally), per-phase timings, the plan fingerprint and
 whether the plan cache served it.  Both round-trip through
-JSON-compatible dicts, which is what the ``repro-serve`` JSONL CLI
-reads and writes.
+JSON-compatible dicts, which is what ``POST /match`` reads and writes.
 
 ``UNSET`` distinguishes "use the dataset's configured default" from an
 explicit ``None`` (which, for the limits, means *unlimited*) — a
@@ -17,8 +16,8 @@ distinction a plain ``None`` default could not express.
 
 This module is also the single home of the service's **error
 envelope**: every failure the serving stack reports — an exception
-raised from :meth:`MatchService.submit`, a captured error line in the
-``repro-serve`` JSONL output, a structured JSON error from the HTTP
+raised from :meth:`MatchService.submit`, a captured batch failure from
+:meth:`MatchService.submit_many`, a structured JSON error from the HTTP
 tier, or a scheduler rejection — serializes to the same
 ``{"error": ..., "code": ...}`` shape, with the stable ``code``
 vocabulary and its HTTP status mapping defined once in
@@ -27,6 +26,7 @@ vocabulary and its HTTP status mapping defined once in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -73,7 +73,7 @@ UNSET = _Unset()
 # ----------------------------------------------------------------------
 
 #: Stable error-code vocabulary → HTTP status.  This table is the single
-#: source of truth for status mapping: the HTTP tier, the JSONL CLI and
+#: source of truth for status mapping: the HTTP tier, batch capture and
 #: the scheduler all derive their error surfaces from it.
 ERROR_HTTP_STATUS: dict[str, int] = {
     "validation": 400,  # malformed / unknown-name requests
@@ -140,8 +140,8 @@ def error_code_for(error: BaseException) -> str:
 def error_payload(error: BaseException | str, *, code: str | None = None) -> dict:
     """The one serializable error envelope.
 
-    Every error surface in the stack (HTTP bodies, JSONL error lines,
-    captured batch failures) is this dict: ``error`` (human message),
+    Every error surface in the stack (HTTP bodies, captured batch
+    failures) is this dict: ``error`` (human message),
     ``code`` (stable, from :data:`ERROR_HTTP_STATUS`'s vocabulary) and,
     when the failure is retryable backpressure, ``retry_after_s``.
 
@@ -205,7 +205,7 @@ class MatchRequest:
     deadline_s: float | None = None
 
     def to_dict(self) -> dict:
-        """JSON-compatible payload (the JSONL request-file line)."""
+        """JSON-compatible payload (the ``POST /match`` body)."""
         payload: dict = {"dataset": self.dataset, "query": graph_payload(self.query)}
         if self.match_limit is not UNSET:
             payload["match_limit"] = self.match_limit
@@ -234,18 +234,21 @@ class MatchRequest:
         Absent scheduling keys take the cost-free defaults, so payloads
         written by pre-scheduler clients parse unchanged.  Unknown keys
         are ignored — among them ``"enumerator"``, which older clients
-        (and requests an older process journaled) may still carry from
-        when there was a backend to choose; the outcome never depended
-        on it.  So is a legacy ``"stream": true``, except that it asks
+        may still carry from when there was a backend to choose; the
+        outcome never depended on it.  So is a legacy ``"stream": true``, except that it asks
         for what it always returned: the recorded matches.
 
         Every field's JSON type is checked here, so a wrongly typed
         value is a :class:`~repro.errors.ReproError` (``validation``),
-        never a ``TypeError`` further in.
+        never a ``TypeError`` further in.  ``priority`` must be an
+        integer (never a string, float or bool), and no number may be
+        ``NaN``, which :func:`json.loads` accepts: a ``NaN`` deadline
+        would never expire and would break the admission queue's order.
         """
         number = (int, float)
         try:
             deadline_s = _checked(payload, "deadline_s", number, "a number")
+            priority = _checked(payload, "priority", int, "an integer", 0)
             return cls(
                 dataset=_checked(payload, "dataset", str, "a string", _REQUIRED),
                 query=graph_from_payload(payload["query"]),
@@ -258,7 +261,7 @@ class MatchRequest:
                 ),
                 tag=_checked(payload, "tag", str, "a string"),
                 tenant=_checked(payload, "tenant", str, "a string"),
-                priority=int(payload.get("priority", 0)),
+                priority=0 if priority is None else priority,
                 deadline_s=None if deadline_s is None else float(deadline_s),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -272,7 +275,7 @@ _REQUIRED = object()
 def _checked(payload: dict, key: str, types, expected: str, default=None):
     """``payload[key]`` if its JSON type is ``expected``; ``default`` when
     absent.  An optional key may also be ``null``; a bool is never a
-    number."""
+    number, and ``NaN`` is never a value."""
     if key not in payload:
         if default is _REQUIRED:
             raise KeyError(key)
@@ -284,6 +287,11 @@ def _checked(payload: dict, key: str, types, expected: str, default=None):
         raise ReproError(
             f"malformed match-request payload: {key!r} must be {expected}, "
             f"got {type(value).__name__}"
+        )
+    if isinstance(value, float) and math.isnan(value):
+        raise ReproError(
+            f"malformed match-request payload: {key!r} must be {expected}, "
+            "got NaN"
         )
     return value
 
@@ -408,7 +416,7 @@ class MatchResponse:
         return self.error is None
 
     def to_dict(self) -> dict:
-        """JSON-compatible payload (the JSONL response line)."""
+        """JSON-compatible payload (the ``POST /match`` response body)."""
         payload = {
             "dataset": self.dataset,
             "fingerprint": self.fingerprint,

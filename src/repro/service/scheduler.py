@@ -36,6 +36,9 @@ are all *around* execution:
   ``attempts=2`` and is bit-identical to a direct call with the same
   degraded envelope.
 
+Admission lives in memory only: a killed process loses its queued
+backlog, and clients retry as they would after any 5xx.
+
 Examples
 --------
 >>> import numpy as np
@@ -118,13 +121,6 @@ class SchedulerConfig:
         either way.
     process_workers:
         Worker-process count for ``executor="process"``.
-    durable_path:
-        Optional sqlite path for the durable admission journal
-        (:class:`~repro.procpool.durable.DurableQueue`): admissions are
-        journaled before queueing and replayed on the next scheduler
-        construction over the same path, so a killed server's
-        admitted-but-unserved backlog is recovered.  ``None`` (default)
-        keeps admission purely in memory.
     calibration_alpha:
         EWMA smoothing factor for the observed-cost feedback loop
         (:class:`~repro.procpool.feedback.CostCalibrator`).
@@ -143,7 +139,6 @@ class SchedulerConfig:
     retry_after_s: float = 1.0
     executor: str = "thread"
     process_workers: int = 4
-    durable_path: str | None = None
     calibration_alpha: float = 0.2
 
 
@@ -189,7 +184,6 @@ class _Entry:
     enqueued_at: float
     seq: int
     raw_cost: float = 0.0  # uncalibrated static estimate (feedback input)
-    journal_id: int | None = None  # durable-queue row, when journaling
 
     @property
     def sort_key(self) -> tuple:
@@ -317,11 +311,9 @@ class SchedulerStats:
 
     ``executor`` names the execution tier (``"thread"``/``"process"``);
     ``procpool`` carries the process pool's liveness snapshot when that
-    tier is in play.  ``recovered`` counts entries replayed from the
-    durable journal (``durable`` holds its snapshot when configured),
-    and ``calibration`` is the observed-cost feedback state — the
-    estimate-vs-observed loop surfaced per ``(dataset, query-size)``
-    bucket.
+    tier is in play, and ``calibration`` is the observed-cost feedback
+    state — the estimate-vs-observed loop surfaced per
+    ``(dataset, query-size)`` bucket.
     """
 
     queue_depth: int
@@ -335,10 +327,8 @@ class SchedulerStats:
     errors: int
     tenants: dict = field(default_factory=dict)
     executor: str = "thread"
-    recovered: int = 0
     calibration: dict = field(default_factory=dict)
     procpool: dict | None = None
-    durable: dict | None = None
 
     def to_dict(self) -> dict:
         """JSON-compatible payload (merged into ``/stats``)."""
@@ -353,14 +343,12 @@ class SchedulerStats:
             "degraded": int(self.degraded),
             "completed": int(self.completed),
             "errors": int(self.errors),
-            "recovered": int(self.recovered),
             "tenants": {
                 name: dict(stats)
                 for name, stats in sorted(self.tenants.items())
             },
             "calibration": dict(self.calibration),
             "procpool": dict(self.procpool) if self.procpool is not None else None,
-            "durable": dict(self.durable) if self.durable is not None else None,
         }
 
 
@@ -403,7 +391,6 @@ class CostAwareScheduler:
         self._degraded = 0
         self._completed = 0
         self._errors = 0
-        self._recovered = 0
         self._closed = False
         # Observed-cost feedback (local imports: repro.procpool imports
         # repro.service.requests, so the module edge stays one-way at
@@ -423,11 +410,6 @@ class CostAwareScheduler:
             # Late-bound on purpose: tests (and instrumentation) replace
             # ``service.submit`` on the instance after construction.
             self._execute = self._execute_thread
-        self._journal = None
-        if self._config.durable_path is not None:
-            from repro.procpool.durable import DurableQueue
-
-            self._journal = DurableQueue(self._config.durable_path)
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -438,8 +420,6 @@ class CostAwareScheduler:
         ]
         for worker in self._workers:
             worker.start()
-        if self._journal is not None:
-            self._recover()
 
     @property
     def config(self) -> SchedulerConfig:
@@ -550,24 +530,6 @@ class CostAwareScheduler:
             self._admitted += 1
             seq = self._seq
             self._seq += 1
-        journal_id = None
-        if self._journal is not None:
-            # Journal *before* queueing: durability must cover the
-            # window between admission and execution, so a crash right
-            # after this line replays the request rather than losing it.
-            try:
-                journal_id = self._journal.record(
-                    request.to_dict(),
-                    tenant=tenant,
-                    cost=cost,
-                    priority=request.priority,
-                    deadline_wall=(
-                        None if deadline_s is None else time.time() + float(deadline_s)
-                    ),
-                )
-            except ServiceError:
-                self._unadmit(account, cost, rejected=False)
-                raise
         entry = _Entry(
             request=request,
             future=Future(),
@@ -577,12 +539,9 @@ class CostAwareScheduler:
             enqueued_at=now,
             seq=seq,
             raw_cost=raw_cost,
-            journal_id=journal_id,
         )
         if not self._queue.push(entry):
-            if journal_id is not None:
-                self._journal.complete(journal_id)
-            self._unadmit(account, cost, rejected=True)
+            self._unadmit(account, cost)
             raise ServiceError(
                 f"admission queue full ({self._queue.capacity} requests)",
                 code="rejected",
@@ -590,78 +549,15 @@ class CostAwareScheduler:
             )
         return entry.future
 
-    def _unadmit(self, account: _TenantAccount, cost: float, rejected: bool) -> None:
-        """Undo one admission that never reached the queue."""
+    def _unadmit(self, account: _TenantAccount, cost: float) -> None:
+        """Turn one admission that never reached the queue into a rejection."""
         with self._lock:
             account.inflight -= 1
             account.cost_inflight -= cost
             account.admitted -= 1
             self._admitted -= 1
-            if rejected:
-                account.rejected += 1
-                self._rejected += 1
-
-    # ------------------------------------------------------------------
-    # Durable recovery
-    # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        """Replay the journal's admitted-but-unserved backlog.
-
-        Runs once, at construction: every journaled row is re-admitted
-        exactly once (reusing its persisted priority/cost and its row —
-        no double journaling), with the wall-clock deadline translated
-        back into this process's monotonic time.  An already-expired
-        deadline still admits: the worker expires it through the normal
-        path, which reaches a terminal state and clears the row.  If the
-        in-memory queue is smaller than the backlog, the overflow rows
-        stay journaled for the next restart.
-        """
-        from repro.errors import ReproError
-
-        now_wall = time.time()
-        now_mono = time.monotonic()
-        for recovered in self._journal.recover():
-            try:
-                request = MatchRequest.from_dict(recovered.request)
-            except ReproError:
-                # An unreadable envelope can never be served; dropping
-                # the row is its terminal state.
-                self._journal.complete(recovered.entry_id)
-                continue
-            deadline = (
-                None
-                if recovered.deadline_wall is None
-                else now_mono + (recovered.deadline_wall - now_wall)
-            )
-            with self._lock:
-                account = self._accounts.setdefault(
-                    recovered.tenant, _TenantAccount()
-                )
-                account.inflight += 1
-                account.cost_inflight += recovered.cost
-                account.admitted += 1
-                self._admitted += 1
-                self._recovered += 1
-                seq = self._seq
-                self._seq += 1
-            entry = _Entry(
-                request=request,
-                future=Future(),
-                tenant=recovered.tenant,
-                cost=recovered.cost,
-                deadline=deadline,
-                enqueued_at=now_mono,
-                seq=seq,
-                raw_cost=recovered.cost,
-                journal_id=recovered.entry_id,
-            )
-            if not self._queue.push(entry):
-                with self._lock:
-                    account.inflight -= 1
-                    account.cost_inflight -= recovered.cost
-                    account.admitted -= 1
-                    self._admitted -= 1
-                    self._recovered -= 1
+            account.rejected += 1
+            self._rejected += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -759,11 +655,6 @@ class CostAwareScheduler:
         )
 
     def _release(self, entry: _Entry, outcome: str | None = None) -> None:
-        if entry.journal_id is not None and self._journal is not None:
-            # Any outcome reaching here is terminal — served, failed,
-            # expired, cancelled, or rejected at shutdown — so the
-            # journal row is done; only a crash leaves rows behind.
-            self._journal.complete(entry.journal_id)
         with self._lock:
             account = self._accounts.get(entry.tenant)
             if account is not None:
@@ -804,7 +695,6 @@ class CostAwareScheduler:
             pool = getattr(self._service, "procpool", None)
             if pool is not None:
                 procpool = pool.health()
-        durable = self._journal.stats() if self._journal is not None else None
         with self._lock:
             return SchedulerStats(
                 queue_depth=depth,
@@ -821,10 +711,8 @@ class CostAwareScheduler:
                     for name, account in self._accounts.items()
                 },
                 executor=self._config.executor,
-                recovered=self._recovered,
                 calibration=calibration,
                 procpool=procpool,
-                durable=durable,
             )
 
     def shutdown(self, wait: bool = True, *, drain: bool = True) -> None:
@@ -855,8 +743,6 @@ class CostAwareScheduler:
         if wait:
             for worker in self._workers:
                 worker.join()
-            if self._journal is not None:
-                self._journal.close()
 
     def __enter__(self) -> "CostAwareScheduler":
         return self

@@ -50,6 +50,9 @@ __all__ = ["LatencyRing", "MatchService", "ServiceStats", "STATS_SCHEMA_VERSION"
 #: Default latency ring-buffer size for the percentile snapshot.
 LATENCY_WINDOW = 8192
 
+#: Default thread-pool width for :meth:`MatchService.submit_many`.
+DEFAULT_MAX_WORKERS = 4
+
 #: Version of the :meth:`ServiceStats.to_dict` / ``/stats`` payload.
 #: Bumped whenever keys change shape or meaning, so consumers (the
 #: load harness's stats-delta attribution, dashboards) can refuse
@@ -63,7 +66,9 @@ LATENCY_WINDOW = 8192
 #: v5: the cache's store-hit counter, the plan-store block and the
 #: server's two stream counters left with the sqlite plan store and the
 #: streaming route.
-STATS_SCHEMA_VERSION = 5
+#: v6: ``scheduler.recovered`` and ``scheduler.durable`` left with the
+#: durable admission journal.
+STATS_SCHEMA_VERSION = 6
 
 
 class LatencyRing:
@@ -160,7 +165,7 @@ class ServiceStats:
         return self.cache.hit_rate
 
     def to_dict(self) -> dict:
-        """JSON-compatible payload (the CLI's ``--stats`` output)."""
+        """JSON-compatible payload (the ``GET /stats`` body)."""
         return {
             "schema": int(self.schema),
             "requests": int(self.requests),
@@ -197,8 +202,6 @@ class MatchService:
     cache_bytes:
         Plan-cache byte budget (ignored when a prebuilt catalog already
         carries a cache).
-    max_workers:
-        Default thread-pool width for :meth:`submit_many`.
     latency_window:
         Capacity of the bounded :class:`LatencyRing` percentile window.
     scheduler:
@@ -232,7 +235,6 @@ class MatchService:
         catalog=None,
         *,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        max_workers: int | None = None,
         latency_window: int = LATENCY_WINDOW,
         scheduler=None,
     ):
@@ -247,7 +249,6 @@ class MatchService:
                 catalog, plan_cache=PlanCache(cache_bytes)
             )
         self.plan_cache = self.catalog.plan_cache
-        self.max_workers = max_workers if max_workers is not None else 4
         self._lock = threading.Lock()
         self._requests = 0
         self._errors = 0
@@ -440,7 +441,7 @@ class MatchService:
     def submit_many(
         self,
         requests: Iterable[MatchRequest],
-        max_workers: int | None = None,
+        max_workers: int = DEFAULT_MAX_WORKERS,
         on_error: str = "capture",
     ) -> list[MatchResponse]:
         """Serve a batch concurrently; responses in request order.
@@ -467,8 +468,7 @@ class MatchService:
             return []
         if self.scheduler is not None:
             return self._submit_many_scheduled(requests, on_error)
-        workers = max_workers if max_workers is not None else self.max_workers
-        workers = max(1, min(workers, len(requests)))
+        workers = max(1, min(max_workers, len(requests)))
 
         def serve(request: MatchRequest) -> MatchResponse:
             try:

@@ -8,13 +8,12 @@ name rejects both through its ordinary validation path, naming the one
 choice; every selection point that only existed to carry the choice is
 gone (a ``TypeError`` / an unknown CLI argument / an ignored environment
 variable).  The wire is the exception, on purpose: an ``"enumerator"``
-key is ignored like any other unknown key, so old clients and journaled
-requests keep working — the outcome never depended on it.
+key is ignored like any other unknown key, so old clients keep working —
+the outcome never depended on it.
 """
 
 import http.client
 import json
-import time
 
 import numpy as np
 import pytest
@@ -26,9 +25,8 @@ from repro.bench.cli import main as bench_main
 from repro.core.cli import main as train_main
 from repro.errors import ModelError, RegistryError
 from repro.graphs import erdos_renyi, extract_query
-from repro.procpool import DurableQueue
 from repro.server import BackgroundServer
-from repro.service import CatalogEntry, SchedulerConfig
+from repro.service import CatalogEntry
 
 DATA = erdos_renyi(40, 120, 2, seed=5)
 QUERY = extract_query(DATA, 4, np.random.default_rng(5))
@@ -116,30 +114,6 @@ def test_wire_ignores_an_enumerator_key(name):
     assert served["num_matches"] == expected["num_matches"] > 0
     for field in ("num_enumerations", "order", "matches", "limit_reached"):
         assert served[field] == expected[field]
-
-
-def test_journaled_request_with_an_enumerator_key_replays(tmp_path):
-    journal = tmp_path / "journal.sqlite"
-    payload = dict(MatchRequest("tiny", QUERY).to_dict(), enumerator="vectorized")
-    with DurableQueue(journal) as queue:
-        queue.record(payload, tenant="acme", cost=1.0)
-    service = MatchService(
-        catalog={"tiny": DATA},
-        scheduler=SchedulerConfig(
-            workers=1, durable_path=str(journal), retry_degrade=False
-        ),
-    )
-    try:
-        deadline = time.time() + 60
-        while True:
-            sched = service.stats().to_dict()["scheduler"]
-            if sched["durable"]["pending"] == 0:
-                break
-            assert time.time() < deadline, sched
-            time.sleep(0.05)
-        assert (sched["recovered"], sched["completed"], sched["errors"]) == (1, 1, 0)
-    finally:
-        service.close()
 
 
 @pytest.mark.parametrize(

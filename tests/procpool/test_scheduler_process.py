@@ -75,7 +75,7 @@ class TestServing:
             assert sched["procpool"]["workers"] == 2
             assert sched["procpool"]["served"] == 1
             assert sched["calibration"]["samples"] == 1
-            assert sched["durable"] is None
+            assert "durable" not in sched and "recovered" not in sched
         finally:
             service.close()
 
@@ -157,36 +157,3 @@ class TestShutdown:
             os.kill(worker_pid(service), signal.SIGCONT)
             service.close()
 
-
-class TestDurableRecovery:
-    def test_journaled_backlog_replays_on_construction(
-        self, data, query, tmp_path
-    ):
-        from repro.procpool import DurableQueue
-
-        journal = tmp_path / "journal.sqlite"
-        payload = MatchRequest("tiny", query).to_dict()
-        with DurableQueue(journal) as queue:
-            for _ in range(3):
-                queue.record(payload, tenant="acme", cost=1.0)
-        service = MatchService(
-            catalog={"tiny": data},
-            scheduler=SchedulerConfig(
-                workers=1, durable_path=str(journal), retry_degrade=False,
-            ),
-        )
-        try:
-            deadline = time.time() + 60
-            while True:
-                sched = service.stats().to_dict()["scheduler"]
-                if sched["durable"]["pending"] == 0:
-                    break
-                assert time.time() < deadline, sched
-                time.sleep(0.05)
-            assert sched["recovered"] == 3
-            assert sched["completed"] == 3
-            assert sched["tenants"]["acme"]["completed"] == 3
-        finally:
-            service.close()
-        with DurableQueue(journal) as queue:
-            assert queue.recover() == []  # replayed exactly once

@@ -128,9 +128,19 @@ class TestErrors:
         ("/match", {"time_limit": "x"}),
         ("/match", {"deadline_s": "soon"}),
         ("/admin/invalidate", {"dataset": [1]}),
+        ("/match", {"priority": "5"}),
+        ("/match", {"priority": 2.7}),
+        ("/match", {"priority": True}),
+        # Sent as ``Infinity``; the server parses it to the same value a
+        # ``1e999`` literal becomes.
+        ("/match", {"priority": float("inf")}),
+        ("/match", {"deadline_s": float("nan")}),
+        ("/match", {"time_limit": float("nan")}),
     ], ids=[
         "dataset", "orderer", "tenant", "tag", "match_limit-str",
         "match_limit-bool", "time_limit", "deadline_s", "invalidate",
+        "priority-str", "priority-float", "priority-bool", "priority-inf",
+        "deadline_s-nan", "time_limit-nan",
     ])
     def test_wrongly_typed_fields_are_400_validation(
         self, data, query, scheduled, path, fields

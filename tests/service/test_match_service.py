@@ -188,6 +188,12 @@ class TestSubmitMany:
     def test_empty_batch(self, service):
         assert service.submit_many([]) == []
 
+    def test_fan_out_is_set_per_call_not_per_service(self, data):
+        # The fan-out width is a ``submit_many`` argument only; the
+        # constructor no longer takes a default for it.
+        with pytest.raises(TypeError, match="max_workers"):
+            MatchService(catalog={"tiny": data}, max_workers=4)
+
 
 class TestStatsAndInvalidation:
     def test_stats_snapshot(self, data, queries):
@@ -207,7 +213,7 @@ class TestStatsAndInvalidation:
 
         json.dumps(payload)  # JSON-safe snapshot
         assert payload["cache"]["hit_rate"] == 0.5
-        assert payload["schema"] == 5
+        assert payload["schema"] == 6
         assert "shard_enum_time_s" not in payload
         assert "store_hits" not in payload["cache"]
 

@@ -16,7 +16,6 @@ Three layers, matching the scheduler's own decomposition:
   ``MatchService.submit`` call.
 """
 
-import sqlite3
 import threading
 import time
 from dataclasses import replace
@@ -39,7 +38,6 @@ from repro.service import (
     error_payload,
     http_status_for,
 )
-from repro.procpool import DurableQueue
 from repro.service.scheduler import AdmissionQueue, _Entry, entry_sort_key
 from repro.service.service import STATS_SCHEMA_VERSION
 
@@ -367,7 +365,7 @@ class TestAdmissionPolicy:
     def test_full_queue_rejects_with_retry_after(self, tiny_query):
         stub = GatedService()
         config = SchedulerConfig(workers=1, queue_capacity=1, retry_after_s=3.5)
-        with CostAwareScheduler(stub, config, estimator=lambda r: 0.0) as sched:
+        with CostAwareScheduler(stub, config, estimator=lambda r: 2.5) as sched:
             running = sched.submit(MatchRequest("d", tiny_query))
             # Wait until the worker has picked the first entry up, so
             # the single queue slot is genuinely what the next two race
@@ -381,6 +379,13 @@ class TestAdmissionPolicy:
             assert rejected.value.code == "rejected"
             assert rejected.value.retry_after_s == 3.5
             assert "queue full" in str(rejected.value)
+            # The rejected admission is rolled back: the tenant is billed
+            # for the running and the queued request only.
+            account = sched.stats().tenants[config.default_tenant]
+            assert account["inflight"] == 2
+            assert account["cost_inflight"] == 5.0
+            assert account["admitted"] == 2
+            assert account["rejected"] == 1
             stub.gate.set()
             assert running.result(timeout=30).ok
             assert queued.result(timeout=30).ok
@@ -408,35 +413,6 @@ class TestAdmissionPolicy:
             stats = sched.stats()
             assert stats.expired == 1
             assert stats.completed == 1
-
-    def test_failed_journal_write_rolls_the_admission_back(self, tiny_query, tmp_path):
-        # A journal write that raises must not leave the tenant billed
-        # for requests that never queued: the accounting rolls back, the
-        # caller sees an ``internal`` ServiceError chained from the
-        # sqlite error, and the tenant is served once the journal heals.
-        path = tmp_path / "journal.sqlite"
-        stub = GatedService()
-        stub.gate.set()
-        config = SchedulerConfig(
-            workers=1, durable_path=str(path), tenant_max_inflight=2
-        )
-        with CostAwareScheduler(stub, config, estimator=lambda r: 295.5) as sched:
-            conn = sqlite3.connect(path)
-            conn.execute("DROP TABLE admissions")
-            conn.commit()
-            conn.close()
-            for _ in range(3):
-                with pytest.raises(ServiceError) as failed:
-                    sched.submit(MatchRequest("d", tiny_query, tenant="acme"))
-                assert failed.value.code == "internal"
-                assert isinstance(failed.value.__cause__, sqlite3.OperationalError)
-            DurableQueue(path).close()  # recreates the table
-            account = sched.stats().tenants["acme"]
-            assert account["inflight"] == 0
-            assert account["cost_inflight"] == 0.0
-            assert account["admitted"] == 0 and account["rejected"] == 0
-            served = sched.submit(MatchRequest("d", tiny_query, tenant="acme"))
-            assert served.result(timeout=30).ok
 
     def test_submit_after_shutdown_is_rejected(self, tiny_query):
         stub = GatedService()

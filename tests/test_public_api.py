@@ -28,8 +28,8 @@ PACKAGES = [
 
 #: Names retired with the selectable recursive engine, the second
 #: pipeline facade, the user-set choice of enumeration backend,
-#: partitioned matching and the sqlite plan store; listed so they cannot
-#: drift back into a facade.
+#: partitioned matching, the sqlite plan store and the durable admission
+#: journal; listed so they cannot drift back into a facade.
 RETIRED_EXPORTS = [
     ("repro", "MatchingEngine"),
     ("repro", "IterativeEnumerator"),
@@ -54,6 +54,9 @@ RETIRED_EXPORTS = [
     ("repro.server", "PlanStore"),
     ("repro.server", "PlanStoreStats"),
     ("repro.server", "STORE_SCHEMA_VERSION"),
+    ("repro.procpool", "DurableQueue"),
+    ("repro.procpool", "DurableEntry"),
+    ("repro.procpool", "JOURNAL_SCHEMA_VERSION"),
 ]
 
 
