@@ -1,66 +1,46 @@
-"""Closed-loop load harness: ``repro-loadtest`` and ``BENCH_serving.json``.
+"""Serving smoke benchmark: counts, 429s and bit-identity over HTTP.
 
-Drives HTTP traffic against a live :mod:`repro.server` endpoint (or a
-``--self-host`` server stood up in-process on a free port) and reports
-the serving tier's perf row: client-side latency percentiles
-(p50/p95/p99), throughput, error rate, and per-phase attribution taken
-from the ``/stats`` delta across the run — how much of the served time
-was filtering, ordering and enumeration.
+Stands up :mod:`repro.server` in-process on a free port, replays a
+deterministic closed-loop burst — ``--clients`` workers issuing
+requests back-to-back over persistent connections until ``--requests``
+responses have arrived — and writes one report (``BENCH_serving.json``)
+with client-side latency percentiles, throughput and the summed
+outputs.  Requests cycle through a :func:`repro.datasets.query_workload`
+evaluation split, so the summed match counts and ``#enum`` are
+schedule-independent: ``--compare`` fails on any drift in those totals,
+on any non-2xx response, and on a baseline whose request schedule
+differs.  Its timings are recorded, never compared with the baseline's;
+performance claims go through ``benchmarks/e2e/compare.py`` over
+alternating runs.
 
-Two traffic models:
+``--overload`` is the scheduler's A/B gate: the same adversarial
+open-model mix — a cheap tier of small, deadline-carrying queries
+interleaved with a heavy tier of time-limit-bound adversarial queries —
+is driven against (a) a plain FIFO server and (b) one with the
+cost-aware scheduler (:mod:`repro.service.scheduler`) attached.  The
+report's ``overload`` block records the cheap-tier p95 under both
+policies and hard-fails if any cheap request starved past its deadline
+on the scheduled leg, if any rejected request surfaced as something
+other than 429 + ``Retry-After``, if served outputs drifted between the
+legs on any request both legs accepted, or if the scheduled cheap p95
+failed to beat FIFO.
 
-``--mode closed`` (default)
-    ``--clients`` workers each issue requests back-to-back over
-    persistent connections until ``--requests`` total responses have
-    arrived — the classic closed loop whose offered load adapts to the
-    server, giving stable, CI-gateable numbers.
-``--mode open``
-    Poisson arrivals at ``--rate`` req/s (seeded, so the schedule is
-    reproducible): requests fire at their scheduled times regardless of
-    completions, and latency is measured from the *scheduled* arrival —
-    queueing delay under overload shows up in the percentiles instead
-    of being absorbed, the honest open-model figure.
-
-Requests cycle deterministically through a
-:func:`repro.datasets.query_workload` evaluation split, so the summed
-match counts and ``#enum`` across a run are reproducible — the output
-side of the CI gate: ``--compare`` fails on any drift in those totals,
-on any non-2xx response, and on a calibration-normalized p95 latency
-regression beyond ``--tolerance`` (both sides are divided by their own
-run's machine-calibration seconds — the same reference load as
-``benchmarks/bench_matching.py`` — so a committed baseline transfers
-across machine speeds).
-
-A third scenario, ``--overload``, is the scheduler's A/B gate: the
-same adversarial open-model mix — a cheap tier of small,
-deadline-carrying queries interleaved with a heavy tier of
-time-limit-bound adversarial queries — is driven against (a) a plain
-FIFO server and (b) one with the cost-aware scheduler
-(:mod:`repro.service.scheduler`) attached.  The report's ``overload``
-block records the cheap-tier p95 under both policies and hard-fails
-if any cheap request starved past its deadline on the scheduled leg,
-if any rejected request surfaced as something other than
-429 + ``Retry-After``, if served outputs drifted between the legs on
-any request both legs accepted, or if the scheduled cheap p95 failed
-to beat FIFO.
-
-Two further scenarios: ``--rate-sweep LO:HI:STEPS`` replays the
-workload open-model at a ladder of arrival rates and records the
-latency-vs-rate curve (the knee past service capacity), and
 ``--executor-ab`` drives the identical deterministic mix against the
-scheduler's thread and :mod:`repro.procpool` process execution tiers —
-hard-gated on zero output drift between the legs (the procpool
-bit-identity contract over the wire) and, on multi-core machines, on a
-core-aware process-speedup floor.  Every run first polls ``/healthz``
-until the server (including a process pool still spawning) reports
-healthy, so measurements never include boot noise and a dead executor
-tier fails with one actionable error.
+scheduler's thread and :mod:`repro.procpool` process execution tiers,
+hard-gated on zero output drift between the legs and, on multi-core
+machines, on a core-aware process-speedup floor.  Every server is
+polled on ``/healthz`` until it (including a process pool still
+spawning) reports healthy, so a dead executor tier fails with one
+actionable error.
 
-Not collected by pytest (no ``test_`` prefix in the CLI); run it::
+The top level only defines: under ``"spawn"`` the process pool's
+workers re-import this script.  Not collected by pytest (no ``test_``
+prefix) — run it directly::
 
-    PYTHONPATH=src python -m repro.server.loadgen --self-host --quick \
-        --overload --output BENCH_serving.json \
-        --compare benchmarks/baselines/bench_serving.json
+    PYTHONPATH=src python benchmarks/bench_serving.py --overload \
+        [--scheduler-executor thread|process] [--executor-ab] \
+        [--compare benchmarks/baselines/bench_serving.json] \
+        [--output BENCH_serving.json]
 """
 
 from __future__ import annotations
@@ -76,57 +56,43 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench.calibrate import calibrate
 from repro.datasets import load_dataset, query_workload
-from repro.service.requests import MatchRequest
-from repro.service.service import STATS_SCHEMA_VERSION, _percentile
+from repro.server import BackgroundServer
+from repro.service import MatchRequest, MatchService, SchedulerConfig
+from repro.service.service import _percentile
 
-__all__ = [
-    "main",
-    "run_load",
-    "run_overload",
-    "run_executor_ab",
-    "run_rate_sweep",
-    "check_stats_schema",
-    "compare_against_baseline",
-]
+#: Report schema.  v4: ``quick``, ``mode``, ``rate_rps``,
+#: ``calibration_s``, ``phases``, ``server`` and ``rate_sweep`` left.
+SCHEMA = 4
 
-#: Report schema.  v2: the ``/stats``-derived fields carry (and are
-#: validated against) the service's ``STATS_SCHEMA_VERSION``, and the
-#: optional ``overload`` block (FIFO-vs-scheduled A/B) was added.
-#: v3: the optional ``rate_sweep`` block (open-model latency-vs-rate
-#: curve) and the optional ``executor_ab`` block (thread-vs-process
-#: scheduler execution tier, gated on zero output drift).
-SCHEMA = 3
+#: The serving profile: small enough for CI, large enough that the
+#: percentiles mean something.
+DATASET = "citeseer"
+QUERY_SIZE = 8
+QUERIES = 6
+REQUESTS = 36
+CLIENTS = 4
+MATCH_LIMIT = 10_000
+TIME_LIMIT = 30.0
 
-#: Serving-profile defaults: small enough that the quick profile is
-#: CI-sized, large enough that percentiles mean something.
-DEFAULT_MATCH_LIMIT = 10_000
-DEFAULT_TIME_LIMIT = 30.0
+#: Report fields that define the request schedule; a baseline must
+#: agree on every one before its totals mean anything.
+PROFILE_FIELDS = ("schema", "requests", "queries", "match_limit", "clients")
 
 
-# Deliberately the *same* reference load as
-# ``benchmarks/bench_matching.py`` — both import it from
-# ``repro.bench.calibrate`` — so serving and matching baselines
-# normalize on one machine-speed scale.
-_calibrate = calibrate
-
-
-def _build_request_bodies(
-    dataset: str, size: int, count: int,
-    match_limit: int, time_limit: float,
-) -> list[bytes]:
+def _build_request_bodies(queries: int, match_limit: int) -> list[bytes]:
     """Pre-encoded request bodies for a deterministic workload cycle."""
-    data = load_dataset(dataset)
-    queries = query_workload(dataset, size=size, count=count, data=data).eval
-    bodies = []
-    for i, query in enumerate(queries):
-        request = MatchRequest(
-            dataset, query,
-            match_limit=match_limit, time_limit=time_limit, tag=f"q{i}",
-        )
-        bodies.append(json.dumps(request.to_dict()).encode("utf-8"))
-    return bodies
+    data = load_dataset(DATASET)
+    workload = query_workload(DATASET, size=QUERY_SIZE, count=queries, data=data).eval
+    return [
+        json.dumps(
+            MatchRequest(
+                DATASET, query,
+                match_limit=match_limit, time_limit=TIME_LIMIT, tag=f"q{i}",
+            ).to_dict()
+        ).encode("utf-8")
+        for i, query in enumerate(workload)
+    ]
 
 
 def _http_get_json(host: str, port: int, path: str, timeout: float = 30.0):
@@ -193,24 +159,6 @@ def _issue(
             if attempt:
                 raise
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-def check_stats_schema(stats: dict, source: str) -> None:
-    """Refuse to interpret a ``/stats`` payload of the wrong schema.
-
-    The loadgen derives phase attribution and server-side percentiles
-    from ``/stats`` fields; a server speaking a different stats schema
-    would silently mis-report instead of failing.  Raises
-    :class:`RuntimeError` with an actionable message on mismatch.
-    """
-    got = stats.get("schema")
-    if got != STATS_SCHEMA_VERSION:
-        raise RuntimeError(
-            f"{source} reports stats schema {got!r} but this loadgen "
-            f"speaks schema {STATS_SCHEMA_VERSION}; the server and "
-            f"loadgen are from different versions — upgrade whichever "
-            f"side is older and rerun"
-        )
 
 
 def _poisson_offsets(rate: float, count: int, seed: int) -> np.ndarray:
@@ -283,7 +231,7 @@ def _drive(
             conn.close()
 
     threads = [
-        threading.Thread(target=worker, name=f"loadgen-{i}", daemon=True)
+        threading.Thread(target=worker, name=f"bench-serving-{i}", daemon=True)
         for i in range(max(1, clients))
     ]
     for thread in threads:
@@ -301,23 +249,17 @@ def run_load(
     *,
     requests: int,
     clients: int,
-    mode: str = "closed",
-    rate: float = 50.0,
-    seed: int = 0,
     timeout: float = 60.0,
 ) -> dict:
-    """Drive the traffic model and return the raw measurement dict.
+    """Drive the closed loop and return the raw measurement dict.
 
     Request ``i`` (globally ordered) always carries ``bodies[i % len]``,
     which is what makes the summed outputs schedule-independent: any
     interleaving serves the same multiset of queries.
     """
-    if mode not in ("closed", "open"):
-        raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
     samples, wall = _drive(
         host, port, [{"body": body} for body in bodies],
         requests=requests, clients=clients, timeout=timeout,
-        offsets=_poisson_offsets(rate, requests, seed) if mode == "open" else None,
     )
     window = sorted(s["latency_s"] for s in samples)
     served = [s for s in samples if s["status"] == 200 and not s["error"]]
@@ -325,10 +267,8 @@ def run_load(
     for sample in samples:
         statuses[sample["status"]] = statuses.get(sample["status"], 0) + 1
     return {
-        "mode": mode,
         "requests": requests,
         "clients": clients,
-        "rate_rps": float(rate) if mode == "open" else None,
         "wall_s": round(wall, 6),
         "throughput_rps": round(len(window) / max(wall, 1e-9), 2),
         "errors": len(samples) - len(served),
@@ -344,16 +284,6 @@ def run_load(
     }
 
 
-def _phase_attribution(before: dict, after: dict) -> dict:
-    """Per-phase seconds actually spent serving this run (stats delta)."""
-    return {
-        phase: round(
-            float(after.get(phase, 0.0)) - float(before.get(phase, 0.0)), 6
-        )
-        for phase in ("filter_time_s", "order_time_s", "enum_time_s")
-    }
-
-
 # ---------------------------------------------------------------------------
 # Overload A/B: FIFO vs cost-aware scheduling (the scheduler's gate)
 # ---------------------------------------------------------------------------
@@ -362,6 +292,12 @@ def _phase_attribution(before: dict, after: dict) -> dict:
 #: is time-limit-bound, so each one occupies a worker for exactly
 #: ``OVERLOAD_HEAVY_TIME_LIMIT`` seconds regardless of machine speed —
 #: the backlog dynamics (and therefore the gate) are machine-portable.
+#: ``OVERLOAD_PAIRS`` cheap/heavy pairs arrive open-model at
+#: ``OVERLOAD_RATE`` req/s on the ``OVERLOAD_SEED`` schedule.
+OVERLOAD_PAIRS = 20
+OVERLOAD_RATE = 12.0
+OVERLOAD_SEED = 0
+OVERLOAD_CLIENTS = 16
 OVERLOAD_CHEAP_SIZE = 4
 OVERLOAD_CHEAP_QUERIES = 8
 OVERLOAD_CHEAP_MATCH_LIMIT = 500
@@ -371,7 +307,7 @@ OVERLOAD_HEAVY_CANDIDATES = 6
 OVERLOAD_HEAVY_TIME_LIMIT = 0.75
 
 
-def _probe_heavy_queries(dataset: str, data, time_limit: float) -> list:
+def _probe_heavy_queries(data) -> list:
     """The size-32 workload queries that are genuinely adversarial.
 
     A candidate qualifies when its unlimited enumeration still runs at
@@ -381,19 +317,18 @@ def _probe_heavy_queries(dataset: str, data, time_limit: float) -> list:
     a few seconds once, and the heavy pool is then correct on any
     machine speed rather than tuned to one.
     """
-    from repro.service.service import MatchService
-
     candidates = query_workload(
-        dataset, size=OVERLOAD_HEAVY_SIZE, count=OVERLOAD_HEAVY_CANDIDATES,
+        DATASET, size=OVERLOAD_HEAVY_SIZE, count=OVERLOAD_HEAVY_CANDIDATES,
         data=data,
     ).eval
     heavy = []
-    service = MatchService(catalog=[dataset])
+    service = MatchService(catalog=[DATASET])
     try:
         for query in candidates:
             response = service.submit(
                 MatchRequest(
-                    dataset, query, match_limit=None, time_limit=time_limit
+                    DATASET, query,
+                    match_limit=None, time_limit=OVERLOAD_HEAVY_TIME_LIMIT,
                 )
             )
             if response.ok and response.timed_out:
@@ -402,44 +337,42 @@ def _probe_heavy_queries(dataset: str, data, time_limit: float) -> list:
         service.close()
     if not heavy:
         raise RuntimeError(
-            f"no size-{OVERLOAD_HEAVY_SIZE} {dataset} workload query is "
-            f"time-limit-bound at {time_limit}s on this machine; the "
-            f"overload scenario cannot form an adversarial mix"
+            f"no size-{OVERLOAD_HEAVY_SIZE} {DATASET} workload query is "
+            f"time-limit-bound at {OVERLOAD_HEAVY_TIME_LIMIT}s on this "
+            f"machine; the overload scenario cannot form an adversarial mix"
         )
     return heavy
 
 
-def _build_overload_entries(
-    dataset: str, pairs: int, cheap_deadline_s: float, heavy_time_limit: float,
-) -> list[dict]:
+def _build_overload_entries() -> list[dict]:
     """The interleaved cheap/heavy request stream, one entry per slot.
 
     Every slot carries a unique ``tag`` (``cheap-3``, ``heavy-7``), so
     the two legs' outputs can be compared request-by-request — the
     drift side of the gate.
     """
-    data = load_dataset(dataset)
+    data = load_dataset(DATASET)
     cheap = query_workload(
-        dataset, size=OVERLOAD_CHEAP_SIZE, count=OVERLOAD_CHEAP_QUERIES,
+        DATASET, size=OVERLOAD_CHEAP_SIZE, count=OVERLOAD_CHEAP_QUERIES,
         data=data,
     ).eval
-    heavy = _probe_heavy_queries(dataset, data, heavy_time_limit)
+    heavy = _probe_heavy_queries(data)
     entries = []
-    for i in range(2 * pairs):
+    for i in range(2 * OVERLOAD_PAIRS):
         slot = i // 2
         if i % 2 == 0:
             request = MatchRequest(
-                dataset, cheap[slot % len(cheap)],
+                DATASET, cheap[slot % len(cheap)],
                 match_limit=OVERLOAD_CHEAP_MATCH_LIMIT,
-                time_limit=DEFAULT_TIME_LIMIT,
-                tenant="cheap", deadline_s=cheap_deadline_s,
+                time_limit=TIME_LIMIT,
+                tenant="cheap", deadline_s=OVERLOAD_CHEAP_DEADLINE_S,
                 tag=f"cheap-{slot}",
             )
             tier = "cheap"
         else:
             request = MatchRequest(
-                dataset, heavy[slot % len(heavy)],
-                match_limit=None, time_limit=heavy_time_limit,
+                DATASET, heavy[slot % len(heavy)],
+                match_limit=None, time_limit=OVERLOAD_HEAVY_TIME_LIMIT,
                 tenant="heavy", tag=f"heavy-{slot}",
             )
             tier = "heavy"
@@ -495,22 +428,13 @@ def _served_outputs(samples: list[dict]) -> dict:
     }
 
 
-def run_overload(
-    dataset: str = "citeseer",
-    *,
-    pairs: int = 20,
-    rate: float = 12.0,
-    seed: int = 0,
-    cheap_deadline_s: float = OVERLOAD_CHEAP_DEADLINE_S,
-    heavy_time_limit: float = OVERLOAD_HEAVY_TIME_LIMIT,
-    clients: int = 16,
-) -> dict:
+def run_overload() -> dict:
     """The FIFO-vs-scheduled A/B under an adversarial open-model mix.
 
-    The identical request stream — ``pairs`` cheap (small query, tight
-    ``deadline_s``, tenant ``cheap``) interleaved with ``pairs`` heavy
-    (time-limit-bound enumeration, tenant ``heavy``) — is driven twice
-    against self-hosted servers:
+    The identical request stream — ``OVERLOAD_PAIRS`` cheap (small
+    query, tight ``deadline_s``, tenant ``cheap``) interleaved with as
+    many heavy (time-limit-bound enumeration, tenant ``heavy``) — is
+    driven twice against self-hosted servers:
 
     ``fifo``
         A plain service, ``max_concurrency=2``: arrival order is
@@ -530,22 +454,17 @@ def run_overload(
     drifted between legs on any request both served untruncated, or
     the scheduled cheap p95 failed to beat FIFO.
     """
-    from repro.server.http import BackgroundServer
-    from repro.service.scheduler import SchedulerConfig
-    from repro.service.service import MatchService
-
-    entries = _build_overload_entries(
-        dataset, pairs, cheap_deadline_s, heavy_time_limit
-    )
+    entries = _build_overload_entries()
+    offsets = _poisson_offsets(OVERLOAD_RATE, len(entries), OVERLOAD_SEED)
     legs: dict[str, list[dict]] = {}
     scheduler_stats = None
     for leg in ("fifo", "scheduled"):
         if leg == "fifo":
-            service = MatchService(catalog=[dataset])
+            service = MatchService(catalog=[DATASET])
             server_kwargs = {"port": 0, "max_concurrency": 2}
         else:
             service = MatchService(
-                catalog=[dataset],
+                catalog=[DATASET],
                 scheduler=SchedulerConfig(
                     workers=2, queue_capacity=64, tenant_max_inflight=6,
                     retry_degrade=False,
@@ -558,8 +477,8 @@ def run_overload(
                 _await_healthy(host, port)
                 legs[leg], _ = _drive(
                     host, port, entries,
-                    requests=len(entries), clients=clients, timeout=120.0,
-                    offsets=_poisson_offsets(rate, len(entries), seed),
+                    requests=len(entries), clients=OVERLOAD_CLIENTS,
+                    timeout=120.0, offsets=offsets,
                 )
                 if leg == "scheduled":
                     scheduler_stats = _http_get_json(
@@ -612,12 +531,12 @@ def run_overload(
             f"scheduled={sched_p95:.3f}s"
         )
     return {
-        "dataset": dataset,
-        "pairs": pairs,
-        "rate_rps": float(rate),
-        "seed": seed,
-        "cheap_deadline_s": cheap_deadline_s,
-        "heavy_time_limit_s": heavy_time_limit,
+        "dataset": DATASET,
+        "pairs": OVERLOAD_PAIRS,
+        "rate_rps": OVERLOAD_RATE,
+        "seed": OVERLOAD_SEED,
+        "cheap_deadline_s": OVERLOAD_CHEAP_DEADLINE_S,
+        "heavy_time_limit_s": OVERLOAD_HEAVY_TIME_LIMIT,
         "fifo": _leg_summary(legs["fifo"]),
         "scheduled": {
             **_leg_summary(legs["scheduled"]),
@@ -632,56 +551,6 @@ def run_overload(
 
 
 # ---------------------------------------------------------------------------
-# Rate sweep: the open-model latency-vs-rate curve
-# ---------------------------------------------------------------------------
-def _parse_rate_sweep(text: str) -> list[float]:
-    """``"lo:hi:steps"`` into the list of arrival rates to sweep."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(
-            f"--rate-sweep wants LO:HI:STEPS (e.g. 5:40:4), got {text!r}"
-        )
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if lo <= 0 or hi < lo or steps < 1:
-        raise ValueError(
-            f"--rate-sweep wants 0 < LO <= HI and STEPS >= 1, got {text!r}"
-        )
-    if steps == 1:
-        return [lo]
-    return [round(float(r), 3) for r in np.linspace(lo, hi, steps)]
-
-
-def run_rate_sweep(
-    host: str, port: int, bodies: list[bytes], *,
-    rates: list[float], requests: int, clients: int, seed: int,
-) -> dict:
-    """One open-model leg per arrival rate; the latency-vs-rate curve.
-
-    Each leg replays the same deterministic workload cycle under a
-    seeded Poisson schedule at its rate, so the curve isolates *load*:
-    as the offered rate passes the service capacity, queueing delay —
-    measured from the scheduled arrival, the honest open-model
-    convention — shows up as the latency knee.
-    """
-    legs = []
-    for rate in rates:
-        leg = run_load(
-            host, port, bodies,
-            requests=requests, clients=clients,
-            mode="open", rate=rate, seed=seed,
-        )
-        legs.append({
-            "rate_rps": rate,
-            "throughput_rps": leg["throughput_rps"],
-            "latency_p50_s": leg["latency_p50_s"],
-            "latency_p95_s": leg["latency_p95_s"],
-            "latency_p99_s": leg["latency_p99_s"],
-            "errors": leg["errors"],
-        })
-    return {"requests_per_leg": requests, "legs": legs}
-
-
-# ---------------------------------------------------------------------------
 # Executor A/B: thread vs process execution tier (the procpool gate)
 # ---------------------------------------------------------------------------
 #: Armed speedup thresholds by core count.  Phase (3) is GIL-serialized
@@ -690,6 +559,9 @@ def run_rate_sweep(
 #: only add IPC overhead and the wall-clock side of the gate disarms
 #: (the zero-drift side is unconditional).
 AB_SPEEDUP_BY_CORES = ((4, 2.0), (2, 1.2))
+AB_REQUESTS = 48
+AB_CLIENTS = 8
+AB_WORKERS = 4
 
 
 def _required_ab_speedup(cpus: int) -> float:
@@ -699,23 +571,14 @@ def _required_ab_speedup(cpus: int) -> float:
     return 0.0
 
 
-def run_executor_ab(
-    dataset: str = "citeseer",
-    *,
-    query_size: int = 8,
-    queries: int = 6,
-    requests: int = 48,
-    clients: int = 8,
-    workers: int = 4,
-    match_limit: int = DEFAULT_MATCH_LIMIT,
-) -> dict:
+def run_executor_ab() -> dict:
     """Thread-vs-process scheduler execution tier over identical traffic.
 
-    The same deterministic CPU-bound workload cycle is driven closed-loop
-    against two self-hosted servers, both behind the cost-aware scheduler
-    with ``workers`` execution slots — one with the in-process thread
-    tier (Phase (3) GIL-serialized), one dispatching to ``workers``
-    :mod:`repro.procpool` worker processes.
+    The default workload cycle (``QUERIES`` queries at ``MATCH_LIMIT``)
+    is driven closed-loop against two self-hosted servers, both behind
+    the cost-aware scheduler with ``AB_WORKERS`` execution slots — one
+    with the in-process thread tier (Phase (3) GIL-serialized), one
+    dispatching to as many :mod:`repro.procpool` worker processes.
 
     Two gates:
 
@@ -734,50 +597,36 @@ def run_executor_ab(
     planned every query into its own cache — the measured walls compare
     steady-state execution, not spawn and cold-planning noise.
     """
-    from repro.server.http import BackgroundServer
-    from repro.service.scheduler import SchedulerConfig
-    from repro.service.service import MatchService
-
-    data = load_dataset(dataset)
-    workload = query_workload(
-        dataset, size=query_size, count=queries, data=data
-    ).eval
-    entries = []
-    for i, query in enumerate(workload):
-        request = MatchRequest(
-            dataset, query,
-            match_limit=match_limit, time_limit=DEFAULT_TIME_LIMIT,
-            tag=f"q{i}",
-        )
-        entries.append({
-            "tag": request.tag,
-            "body": json.dumps(request.to_dict()).encode("utf-8"),
-        })
-    warmup_requests = len(entries) * workers
+    entries = [
+        {"tag": f"q{i}", "body": body}
+        for i, body in enumerate(_build_request_bodies(QUERIES, MATCH_LIMIT))
+    ]
+    warmup_requests = len(entries) * AB_WORKERS
 
     legs: dict[str, list[dict]] = {}
     walls: dict[str, float] = {}
     for executor in ("thread", "process"):
         service = MatchService(
-            catalog=[dataset],
+            catalog=[DATASET],
             scheduler=SchedulerConfig(
-                workers=workers, executor=executor, process_workers=workers,
-                queue_capacity=max(64, requests), retry_degrade=False,
+                workers=AB_WORKERS, executor=executor,
+                process_workers=AB_WORKERS, queue_capacity=64,
+                retry_degrade=False,
             ),
         )
         try:
             with BackgroundServer(
-                service, port=0, max_concurrency=2 * clients
+                service, port=0, max_concurrency=2 * AB_CLIENTS
             ) as background:
                 host, port = background.address
                 _await_healthy(host, port, timeout=60.0)
                 _drive(
                     host, port, entries,
-                    requests=warmup_requests, clients=workers, timeout=120.0,
+                    requests=warmup_requests, clients=AB_WORKERS, timeout=120.0,
                 )
                 legs[executor], walls[executor] = _drive(
                     host, port, entries,
-                    requests=requests, clients=clients, timeout=120.0,
+                    requests=AB_REQUESTS, clients=AB_CLIENTS, timeout=120.0,
                 )
         finally:
             service.close()
@@ -806,8 +655,11 @@ def run_executor_ab(
                     f"the leg: {per_tag[sample['tag']]} vs {observed}"
                 )
         outputs[executor] = per_tag
-    for tag in sorted(set(outputs["thread"]) & set(outputs["process"])):
+    compared = sorted(set(outputs["thread"]) & set(outputs["process"]))
+    drift_mismatches = 0
+    for tag in compared:
         if outputs["thread"][tag] != outputs["process"][tag]:
+            drift_mismatches += 1
             violations.append(
                 f"output drift on {tag}: thread={outputs['thread'][tag]} "
                 f"process={outputs['process'][tag]}"
@@ -839,27 +691,20 @@ def run_executor_ab(
         }
 
     return {
-        "dataset": dataset,
-        "query_size": query_size,
-        "queries": queries,
-        "requests": requests,
-        "clients": clients,
-        "workers": workers,
-        "match_limit": match_limit,
+        "dataset": DATASET,
+        "query_size": QUERY_SIZE,
+        "queries": QUERIES,
+        "requests": AB_REQUESTS,
+        "clients": AB_CLIENTS,
+        "workers": AB_WORKERS,
+        "match_limit": MATCH_LIMIT,
         "cpus": cpus,
         "warmup_requests": warmup_requests,
         "required_speedup": required,
         "speedup": speedup,
         "thread": leg_block("thread"),
         "process": leg_block("process"),
-        "drift": {
-            "compared": len(set(outputs["thread"]) & set(outputs["process"])),
-            "mismatches": sum(
-                1
-                for tag in set(outputs["thread"]) & set(outputs["process"])
-                if outputs["thread"][tag] != outputs["process"][tag]
-            ),
-        },
+        "drift": {"compared": len(compared), "mismatches": drift_mismatches},
         "violations": violations,
         "ok": not violations,
     }
@@ -868,29 +713,34 @@ def run_executor_ab(
 # ---------------------------------------------------------------------------
 # Baseline comparison (the CI serve-smoke gate)
 # ---------------------------------------------------------------------------
-def compare_against_baseline(report: dict, baseline: dict, tolerance: float) -> bool:
+def compare_against_baseline(report: dict, baseline: dict) -> bool:
     """Gate this run against a committed baseline report.
 
-    Output drift — the summed match counts or ``#enum`` across the run,
-    or the request count itself — is a hard failure: the serving path
-    must stay bit-identical to the engines beneath it.  Any non-2xx
-    response fails.  The p95 latency may regress by at most
-    ``tolerance`` (relative), compared calibration-normalized so the
-    committed baseline transfers across machine speeds; improvements
-    always pass.
+    The baseline must describe the same request schedule
+    (:data:`PROFILE_FIELDS`); a field missing from it is a mismatch.
+    Output drift — the summed match counts or ``#enum`` across the run —
+    is a hard failure: the serving path must stay bit-identical to the
+    engines beneath it.  Any non-2xx response fails.  Timings are not
+    compared (see the module docstring).
     """
     ok = True
-    for field in ("schema", "requests", "mode"):
+    for field in PROFILE_FIELDS:
         if report.get(field) != baseline.get(field):
             print(
                 f"  compare: PROFILE MISMATCH on {field}: "
                 f"{baseline.get(field)!r} -> {report.get(field)!r}"
             )
             ok = False
+    base_totals = baseline.get("totals") or {}
     for field in ("matches", "num_enumerations"):
-        mine = report.get("totals", {}).get(field)
-        theirs = baseline.get("totals", {}).get(field)
-        if mine != theirs:
+        mine, theirs = report["totals"][field], base_totals.get(field)
+        if theirs is None:
+            print(
+                f"  compare: PROFILE MISMATCH on totals.{field}: "
+                f"missing from the baseline"
+            )
+            ok = False
+        elif mine != theirs:
             print(
                 f"  compare: OUTPUT DRIFT on totals.{field}: "
                 f"{theirs:,} -> {mine:,}"
@@ -899,22 +749,8 @@ def compare_against_baseline(report: dict, baseline: dict, tolerance: float) -> 
     if report.get("errors"):
         print(f"  compare: {report['errors']} non-2xx/failed responses")
         ok = False
-    base_p95 = baseline.get("latency_p95_s")
-    this_p95 = report.get("latency_p95_s")
-    base_cal = baseline.get("calibration_s") or 1.0
-    this_cal = report.get("calibration_s") or 1.0
-    if base_p95:
-        base_norm = base_p95 / base_cal
-        this_norm = this_p95 / this_cal
-        budget = base_norm * (1.0 + tolerance)
-        verdict = "ok" if this_norm <= budget else "LATENCY REGRESSION"
-        print(
-            f"  compare: p95 {this_p95 * 1e3:.1f}ms "
-            f"(normalized {this_norm:.3f}) vs baseline "
-            f"{base_p95 * 1e3:.1f}ms (normalized {base_norm:.3f}; "
-            f"budget {budget:.3f} @ +{tolerance:.0%}) — {verdict}"
-        )
-        ok &= this_norm <= budget
+    if ok:
+        print("  compare: profile and totals equal the baseline's")
     return ok
 
 
@@ -922,86 +758,42 @@ def compare_against_baseline(report: dict, baseline: dict, tolerance: float) -> 
 # CLI
 # ---------------------------------------------------------------------------
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-loadtest",
-        description="Load-test a repro.server endpoint and emit BENCH_serving.json.",
-    )
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--url", default=None,
-        help="server base URL (http://host:port); omit to --self-host",
-    )
-    parser.add_argument(
-        "--self-host", action="store_true",
-        help="stand up an in-process server on a free port for the run",
-    )
-    parser.add_argument("--dataset", default="citeseer", help="workload dataset")
-    parser.add_argument("--query-size", type=int, default=8, help="|V(q)|")
-    parser.add_argument(
-        "--queries", type=int, default=8,
+        "--queries", type=int, default=QUERIES,
         help="distinct workload queries cycled through",
     )
     parser.add_argument(
-        "--requests", type=int, default=64, help="total requests to issue"
+        "--requests", type=int, default=REQUESTS, help="total requests to issue"
     )
     parser.add_argument(
-        "--clients", type=int, default=4, help="concurrent client connections"
+        "--clients", type=int, default=CLIENTS, help="concurrent client connections"
     )
     parser.add_argument(
-        "--mode", choices=("closed", "open"), default="closed",
-        help="closed loop (default) or open-model Poisson arrivals",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=50.0,
-        help="open-model arrival rate in requests/second",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="arrival-schedule seed")
-    parser.add_argument(
-        "--match-limit", type=int, default=DEFAULT_MATCH_LIMIT,
+        "--match-limit", type=int, default=MATCH_LIMIT,
         help="per-request match limit (part of the deterministic profile)",
     )
     parser.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized preset: 6 queries, 36 requests, 4 clients",
-    )
-    parser.add_argument(
         "--overload", action="store_true",
-        help="also run the FIFO-vs-scheduled overload A/B (self-hosted "
-        "legs) and gate on its violations",
-    )
-    parser.add_argument(
-        "--overload-pairs", type=int, default=20, metavar="N",
-        help="cheap/heavy request pairs in the overload mix",
-    )
-    parser.add_argument(
-        "--overload-rate", type=float, default=12.0, metavar="RPS",
-        help="open-model arrival rate of the overload mix",
-    )
-    parser.add_argument(
-        "--rate-sweep", default=None, metavar="LO:HI:STEPS",
-        help="also sweep open-model arrival rates (e.g. 5:40:4) and "
-        "record the latency-vs-rate curve in the report",
+        help="also run the FIFO-vs-scheduled overload A/B and gate on its "
+        "violations",
     )
     parser.add_argument(
         "--executor-ab", action="store_true",
         help="also run the thread-vs-process scheduler execution tier "
-        "A/B (self-hosted legs) and gate on zero output drift plus a "
-        "core-aware speedup floor",
+        "A/B and gate on zero output drift plus a core-aware speedup floor",
     )
     parser.add_argument(
         "--scheduler-executor", choices=("thread", "process"), default=None,
-        help="attach the cost-aware scheduler to the self-hosted server "
-        "and run the main measurement through this execution tier",
+        help="attach the cost-aware scheduler to the server and run the "
+        "main measurement through this execution tier",
     )
     parser.add_argument(
         "--output", default="BENCH_serving.json", help="where to write the report"
     )
     parser.add_argument(
         "--compare", default=None, metavar="BASELINE",
-        help="baseline JSON to gate against (drift + errors + p95)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed relative p95 regression vs the baseline",
+        help="baseline JSON to gate against (profile + output drift + errors)",
     )
     return parser
 
@@ -1009,144 +801,61 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.quick:
-        args.queries = 6
-        args.requests = 36
-        args.clients = 4
+    bodies = _build_request_bodies(args.queries, args.match_limit)
 
-    calibration = _calibrate()
-    print(
-        f"machine calibration: {calibration * 1e3:.1f}ms (reference load)",
-        file=sys.stderr,
-    )
-    bodies = _build_request_bodies(
-        args.dataset, args.query_size, args.queries,
-        args.match_limit, DEFAULT_TIME_LIMIT,
-    )
-
-    if args.rate_sweep is not None:
-        try:
-            sweep_rates = _parse_rate_sweep(args.rate_sweep)
-        except ValueError as exc:
-            print(f"loadgen: {exc}", file=sys.stderr)
-            return 1
-
-    self_host = args.self_host or args.url is None
-    background = service = None
-    if self_host:
-        # Imported lazily: a remote-target run needs no service stack.
-        from repro.server.http import BackgroundServer
-        from repro.service.service import MatchService
-
-        scheduler = None
-        if args.scheduler_executor is not None:
-            from repro.service.scheduler import SchedulerConfig
-
-            scheduler = SchedulerConfig(
-                workers=4, executor=args.scheduler_executor,
-                process_workers=4,
-            )
-        service = MatchService(catalog=[args.dataset], scheduler=scheduler)
-        background = BackgroundServer(service, port=0, max_concurrency=16)
-        background.__enter__()
-        host, port = background.address
-        print(f"self-hosting at http://{host}:{port}", file=sys.stderr)
-    else:
-        target = args.url.removeprefix("http://").rstrip("/")
-        host, _, port_text = target.partition(":")
-        port = int(port_text or 80)
-
+    scheduler = None
+    if args.scheduler_executor is not None:
+        scheduler = SchedulerConfig(
+            workers=4, executor=args.scheduler_executor, process_workers=4,
+        )
+    service = MatchService(catalog=[DATASET], scheduler=scheduler)
     try:
-        try:
-            health = _await_healthy(host, port)
-        except RuntimeError as exc:
-            print(f"loadgen: {exc}", file=sys.stderr)
-            return 1
-        executor_kind = health.get("executor", {}).get("kind")
-        print(
-            f"healthz: status={health.get('status')} "
-            f"executor={executor_kind}",
-            file=sys.stderr,
-        )
-        # Untimed warmup: one workload cycle per execution slot, so the
-        # measured run (and its baseline-compared p95) reflects the warm
-        # serving path, not plan-cold or worker-spawn noise.  The
-        # healthz payload sizes it: a process pool needs every worker to
-        # have seen every query once.
-        pool_info = health.get("executor", {}).get("process_pool") or {}
-        warmup_requests = len(bodies) * max(1, int(pool_info.get("workers") or 1))
-        print(f"warmup: {warmup_requests} untimed requests", file=sys.stderr)
-        run_load(
-            host, port, bodies,
-            requests=warmup_requests, clients=args.clients, mode="closed",
-        )
-        stats_before = _http_get_json(host, port, "/stats")
-        try:
-            check_stats_schema(stats_before, f"http://{host}:{port}/stats")
-        except RuntimeError as exc:
-            print(f"loadgen: {exc}", file=sys.stderr)
-            return 1
-        measurement = run_load(
-            host, port, bodies,
-            requests=args.requests, clients=args.clients,
-            mode=args.mode, rate=args.rate, seed=args.seed,
-        )
-        stats_after = _http_get_json(host, port, "/stats")
-        rate_sweep = None
-        if args.rate_sweep is not None:
+        # Closing the service stops the scheduler and the process pool:
+        # a pool left running respawns workers while the interpreter
+        # exits.
+        with BackgroundServer(service, port=0, max_concurrency=16) as background:
+            host, port = background.address
+            try:
+                health = _await_healthy(host, port)
+            except RuntimeError as exc:
+                print(f"bench_serving: {exc}", file=sys.stderr)
+                return 1
+            # Untimed warmup: one workload cycle per execution slot, so
+            # the measured run reflects the warm serving path, not
+            # plan-cold or worker-spawn noise.  A process pool needs
+            # every worker to have seen every query once.
+            executor = health.get("executor", {})
+            pool_info = executor.get("process_pool") or {}
+            warmup_requests = len(bodies) * max(1, int(pool_info.get("workers") or 1))
             print(
-                f"rate sweep: {len(sweep_rates)} open-model legs at "
-                f"{sweep_rates} req/s",
+                f"serving at http://{host}:{port} "
+                f"(executor={executor.get('kind')}), "
+                f"{warmup_requests} untimed warmup requests",
                 file=sys.stderr,
             )
-            rate_sweep = run_rate_sweep(
-                host, port, bodies,
-                rates=sweep_rates, requests=args.requests,
-                clients=args.clients, seed=args.seed,
+            run_load(
+                host, port, bodies, requests=warmup_requests, clients=args.clients
             )
-            for leg in rate_sweep["legs"]:
-                print(
-                    f"  rate {leg['rate_rps']:g} req/s: "
-                    f"p50={leg['latency_p50_s'] * 1e3:.1f}ms "
-                    f"p95={leg['latency_p95_s'] * 1e3:.1f}ms "
-                    f"({leg['errors']} errors)",
-                    file=sys.stderr,
-                )
+            measurement = run_load(
+                host, port, bodies, requests=args.requests, clients=args.clients
+            )
     finally:
-        if background is not None:
-            background.__exit__(None, None, None)
-        if service is not None:
-            # Stops the scheduler and the process pool: a pool left
-            # running respawns workers while the interpreter exits.
-            service.close()
+        service.close()
 
     report = {
         "schema": SCHEMA,
-        "quick": bool(args.quick),
-        "dataset": args.dataset,
-        "query_size": args.query_size,
+        "dataset": DATASET,
+        "query_size": QUERY_SIZE,
         "queries": args.queries,
         "match_limit": args.match_limit,
         "warmup_requests": warmup_requests,
-        "calibration_s": round(calibration, 6),
         **measurement,
-        "phases": _phase_attribution(stats_before, stats_after),
-        "server": {
-            "latency_p95_s": stats_after.get("latency_p95_s"),
-            "latency_p99_s": stats_after.get("latency_p99_s"),
-            "cache": stats_after.get("cache"),
-        },
     }
-    if rate_sweep is not None:
-        report["rate_sweep"] = rate_sweep
 
     overload_ok = True
     if args.overload:
-        print("overload A/B: fifo vs scheduled (self-hosted)", file=sys.stderr)
-        overload = run_overload(
-            args.dataset, pairs=args.overload_pairs, rate=args.overload_rate,
-            seed=args.seed,
-        )
+        print("overload A/B: fifo vs scheduled", file=sys.stderr)
+        overload = run_overload()
         report["overload"] = overload
         overload_ok = overload["ok"]
         fifo_p95 = overload["fifo"]["cheap"]["latency_p95_s"]
@@ -1165,11 +874,8 @@ def main(argv: list[str] | None = None) -> int:
 
     ab_ok = True
     if args.executor_ab:
-        print(
-            "executor A/B: thread vs process scheduler tier (self-hosted)",
-            file=sys.stderr,
-        )
-        ab = run_executor_ab(args.dataset)
+        print("executor A/B: thread vs process scheduler tier", file=sys.stderr)
+        ab = run_executor_ab()
         report["executor_ab"] = ab
         ab_ok = ab["ok"]
         print(
@@ -1198,18 +904,18 @@ def main(argv: list[str] | None = None) -> int:
 
     ok = measurement["errors"] == 0
     if not ok:
-        print("LOADTEST FAILED: non-2xx or failed responses", file=sys.stderr)
+        print("SERVING FAILED: non-2xx or failed responses", file=sys.stderr)
     if not overload_ok:
-        print("LOADTEST FAILED: overload gate violations", file=sys.stderr)
+        print("SERVING FAILED: overload gate violations", file=sys.stderr)
         ok = False
     if not ab_ok:
-        print("LOADTEST FAILED: executor A/B gate violations", file=sys.stderr)
+        print("SERVING FAILED: executor A/B gate violations", file=sys.stderr)
         ok = False
     if args.compare is not None:
         baseline = json.loads(Path(args.compare).read_text())
-        ok &= compare_against_baseline(report, baseline, args.tolerance)
+        ok &= compare_against_baseline(report, baseline)
     return 0 if ok else 1
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

@@ -11,7 +11,6 @@ to the same ``main`` functions the ``python -m`` invocations use:
 ``repro-train``      :func:`repro.core.cli.main`
 ``repro-bench``      :func:`repro.bench.cli.main`
 ``repro-server``     :func:`repro.server.cli.main`
-``repro-loadtest``   :func:`repro.server.loadgen.main`
 ===================  ==========================================
 
 The version is not written here: it is read from
@@ -46,7 +45,6 @@ setup(
             "repro-train=repro.core.cli:main",
             "repro-bench=repro.bench.cli:main",
             "repro-server=repro.server.cli:main",
-            "repro-loadtest=repro.server.loadgen:main",
         ]
     },
 )

@@ -1,6 +1,5 @@
 """Experiment harness regenerating every table and figure of the paper."""
 
-from repro.bench.calibrate import calibrate
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.harness import (
     FIG3_METHODS,
@@ -27,7 +26,6 @@ __all__ = [
     "METHODS",
     "QueryOutcome",
     "QueryProfile",
-    "calibrate",
     "format_seconds",
     "format_table",
     "geometric_mean",

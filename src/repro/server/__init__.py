@@ -1,22 +1,14 @@
-"""repro.server — the network tier: HTTP serving and load.
+"""repro.server — the network tier: HTTP serving.
 
 :mod:`repro.service` made the deployment a single thread-safe Python
 object; this package puts it on the wire using only the standard
-library (``asyncio``, ``http.client`` — the numpy-only runtime
-dependency policy holds):
-
-* an **asyncio HTTP server** (:class:`MatchServer`, ``repro-server``
-  CLI): ``POST /match``, ``GET /stats``, ``GET /healthz`` and
-  ``POST /admin/invalidate`` over the
-  :class:`~repro.service.requests.MatchRequest` /
-  :class:`~repro.service.requests.MatchResponse` JSON schema, with
-  blocking matching work bounded on a semaphore-gated thread pool;
-* a **closed-loop load harness** (:mod:`repro.server.loadgen`,
-  ``repro-loadtest`` CLI): closed-loop and open-model Poisson traffic
-  against a live (or self-hosted) server, reporting latency
-  percentiles, throughput, error rate and per-phase attribution as
-  ``BENCH_serving.json`` — the serving row of the repo's perf
-  trajectory, gated in CI.
+library (``asyncio`` — the numpy-only runtime dependency policy holds):
+an **asyncio HTTP server** (:class:`MatchServer`, ``repro-server``
+CLI) serving ``POST /match``, ``GET /stats``, ``GET /healthz`` and
+``POST /admin/invalidate`` over the
+:class:`~repro.service.requests.MatchRequest` /
+:class:`~repro.service.requests.MatchResponse` JSON schema, with
+blocking matching work bounded on a semaphore-gated thread pool.
 
 Example
 -------

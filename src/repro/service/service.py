@@ -31,6 +31,7 @@ execution time, and orderer overrides cache under their own key.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections.abc import Iterable
@@ -54,9 +55,9 @@ LATENCY_WINDOW = 8192
 DEFAULT_MAX_WORKERS = 4
 
 #: Version of the :meth:`ServiceStats.to_dict` / ``/stats`` payload.
-#: Bumped whenever keys change shape or meaning, so consumers (the
-#: load harness's stats-delta attribution, dashboards) can refuse
-#: payloads they don't understand instead of mis-parsing them.
+#: Bumped whenever keys change shape or meaning, so consumers
+#: (dashboards, scrapers) can refuse payloads they don't understand
+#: instead of mis-parsing them.
 #: v2: added ``schema`` itself and the ``scheduler`` block.
 #: v3: the ``scheduler`` block grew the execution tier surface —
 #: ``executor``, ``recovered``, ``calibration`` (observed-cost
@@ -182,11 +183,12 @@ class ServiceStats:
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty)."""
+    """Nearest-rank percentile of an ascending list (0.0 when empty):
+    the smallest value with at least ``q`` of the sample at or below it."""
     if not sorted_values:
         return 0.0
-    rank = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[rank]
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 class MatchService:

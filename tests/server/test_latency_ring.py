@@ -2,7 +2,27 @@
 
 import pytest
 
-from repro.service.service import LATENCY_WINDOW, LatencyRing, MatchService
+from repro.service.service import (
+    LATENCY_WINDOW,
+    LatencyRing,
+    MatchService,
+    _percentile,
+)
+
+
+class TestPercentile:
+    """Nearest rank: the ``max(1, ceil(q·n))``-th smallest value."""
+
+    @pytest.mark.parametrize("values,q,expected", [
+        ([1.0, 2.0], 0.5, 1.0),
+        ([float(i) for i in range(1, 101)], 0.99, 99.0),
+        ([float(i) for i in range(1, 21)], 0.95, 19.0),
+        ([float(i) for i in range(1, 21)], 1.0, 20.0),
+        ([7.0], 0.01, 7.0),
+        ([], 0.95, 0.0),
+    ])
+    def test_nearest_rank(self, values, q, expected):
+        assert _percentile(values, q) == expected
 
 
 class TestLatencyRing:

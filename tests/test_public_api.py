@@ -1,6 +1,7 @@
 """Meta-tests for the public API surface and documentation coverage."""
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import subprocess
@@ -28,8 +29,9 @@ PACKAGES = [
 
 #: Names retired with the selectable recursive engine, the second
 #: pipeline facade, the user-set choice of enumeration backend,
-#: partitioned matching, the sqlite plan store and the durable admission
-#: journal; listed so they cannot drift back into a facade.
+#: partitioned matching, the sqlite plan store, the durable admission
+#: journal and the serving benchmark's machine calibration; listed so
+#: they cannot drift back into a facade.
 RETIRED_EXPORTS = [
     ("repro", "MatchingEngine"),
     ("repro", "IterativeEnumerator"),
@@ -57,6 +59,7 @@ RETIRED_EXPORTS = [
     ("repro.procpool", "DurableQueue"),
     ("repro.procpool", "DurableEntry"),
     ("repro.procpool", "JOURNAL_SCHEMA_VERSION"),
+    ("repro.bench", "calibrate"),
 ]
 
 
@@ -90,6 +93,11 @@ class TestExports:
         package = importlib.import_module(package_name)
         assert not hasattr(package, name)
         assert name not in package.__all__
+
+    def test_serving_benchmark_is_not_a_package_module(self):
+        # It lives in benchmarks/bench_serving.py, outside the package.
+        assert importlib.util.find_spec("repro.server.loadgen") is None
+        assert importlib.util.find_spec("repro.bench.calibrate") is None
 
     def test_core_classes_reachable_from_top_level(self):
         for name in (
