@@ -4,7 +4,8 @@ At query time the trained policy rolls through the ordering MDP once:
 ``O(|V(q)|)`` evaluations of cost ``O(|E(q)| + d²)`` each, which
 Sec. III-G calls negligible next to enumeration.  That is a statement
 about the paper's match caps: on the benchmark's 200-match yeast Q16 ops
-ordering is ~1 ms of a ~3.4 ms op, still twice Phase (3).  The policy is
+ordering is ~1.2 ms of a ~3.5 ms traced op, twice Phase (3) (~0.6 ms)
+and close to Phase (1) (~1.4 ms).  The policy is
 consulted through ``PolicyNetwork.evaluate`` — bare arrays, no
 ``Tensor`` and no autograd graph, evaluation mode by definition.
 Singleton action spaces skip the network entirely, and by default the

@@ -15,10 +15,19 @@ of the ``p``-th candidate of ``u`` is
 is therefore two array indexings — no dict probes, no millions of tiny
 ndarray objects on real data graphs.
 
-Building the index is fully vectorized over the data graph's CSR arrays:
-the neighbourhoods of all candidates are gathered in one shot and
-filtered against ``C(u')`` with a single ``searchsorted`` membership
-test.
+The whole index is built in one pass per query, not one per directed
+query edge.  The candidate sets of the non-isolated query vertices are
+laid out as one CSR (row ``r`` is ``C(u)`` of the ``r``-th such vertex),
+so a single gather yields ``C(u)`` for every direction ``(u, u')`` and a
+second yields the neighbour lists of all of them.  The position maps are
+the rows of one ``(vertices, |V(G)|)`` int32 matrix filled by a single
+scatter, every (direction, neighbour) pair is tested against its
+target's row in one lookup, and one ``bincount`` and one ``cumsum``
+yield every direction's offsets; the per-direction Python loop only
+slices read-only views of the shared buffers.
+``tests/candidate_space_oracle.py`` keeps the per-direction build this
+replaced, and every ``edge_flat`` triple and
+:meth:`CandidateSpace.memory_bytes` must equal it.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FilterError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, gather_neighbors
 from repro.matching.candidates import CandidateSets
 
 __all__ = ["CandidateSpace"]
@@ -54,73 +63,75 @@ class CandidateSpace:
         self.query = query
         self.data = data
         self.candidates = candidates
-        #: query vertex u -> dense int64 map: data vertex -> position in
-        #: C(u) (-1 when absent); shared across all directions leaving u.
+        #: query vertex u -> read-only int32 row: data vertex -> position
+        #: in C(u) (-1 when absent); shared across all directions leaving u.
         self._positions: dict[int, np.ndarray] = {}
         #: (u, u') -> (offsets, concat_indices) flat adjacency buffers.
         self._flat: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+        # Only vertices with a query edge get a row of the candidate CSR
+        # and of the position matrix.
+        active = np.flatnonzero(query.degrees).tolist()
+        if not active:
+            return
+        rows = np.arange(len(active), dtype=np.int64)
+        row_of = np.full(query.num_vertices, -1, dtype=np.int64)
+        row_of[active] = rows
+        sources = [candidates.array(u) for u in active]
+        sizes = np.array([arr.size for arr in sources], dtype=np.int64)
+        cand = np.concatenate(sources)
+        cand_ptr = np.zeros(len(active) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=cand_ptr[1:])
+
+        # One scatter: row r of `matrix` is the position map of active[r].
+        # int32 is enough (positions are below |V(G)|) and halves the
+        # O(|V(G)|)-per-query-vertex footprint.
+        matrix = np.full((len(active), data.num_vertices), -1, dtype=np.int32)
+        local = np.arange(cand.size, dtype=np.int64) - np.repeat(cand_ptr[:-1], sizes)
+        matrix[np.repeat(rows, sizes), cand] = local
+        matrix.setflags(write=False)
+
+        # Directions in query-CSR order: (u, u') for every neighbour u' of
+        # every active u.  A segment is one v ∈ C(u) of one direction d;
+        # d's offsets take |C(u)| + 1 slots, the first a leading zero, so
+        # segment s counts into slot s + d + 1.
+        src = np.repeat(np.arange(query.num_vertices), query.degrees)
+        dst = query.indices
+        src_row = row_of[src]
+        seg_sizes = sizes[src_row]
+        seg = gather_neighbors(cand_ptr, cand, src_row)
+        direction = np.repeat(np.arange(src.size, dtype=np.int64), seg_sizes)
+        slot = np.arange(seg.size, dtype=np.int64) + direction + 1
+
+        # One gather of every segment's neighbour list, one lookup of each
+        # neighbour in the position-map row of its direction's target.
         indptr, indices = data.csr
-        for u, u_prime in query.edges():
-            self._flat[(u, u_prime)] = self._build_direction(
-                u, u_prime, indptr, indices
-            )
-            self._flat[(u_prime, u)] = self._build_direction(
-                u_prime, u, indptr, indices
-            )
-        # Dense position maps are part of the index: build them with it,
-        # so the whole CandidateSpace cost lands in Phase (1) and the
-        # first timed enumeration pays nothing extra.
-        for u in query.vertices():
-            if query.degree(u):
-                self._position_map(u)
+        degs = indptr[seg + 1] - indptr[seg]
+        nbrs = gather_neighbors(indptr, indices, seg)
+        target = np.repeat(row_of[dst][direction], degs)
+        hit = matrix[target, nbrs] >= 0
 
-    def _build_direction(
-        self, u: int, u_prime: int, indptr: np.ndarray, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``N(v) ∩ C(u')`` lists for all ``v ∈ C(u)``, vectorized."""
-        source = self.candidates.array(u)
-        target = self.candidates.array(u_prime)
-        degs = indptr[source + 1] - indptr[source] if source.size else _EMPTY_ARRAY
-        total = int(degs.sum()) if source.size else 0
-        if total == 0 or target.size == 0:
-            offsets = np.zeros(source.size + 1, dtype=np.int64)
-            concat = _EMPTY_ARRAY
-        else:
-            # Gather the concatenated neighbourhoods of every candidate:
-            # for segment p the positions indptr[v_p] .. indptr[v_p]+d(v_p).
-            seg_starts = np.cumsum(degs) - degs
-            flat_pos = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(seg_starts, degs)
-                + np.repeat(indptr[source], degs)
-            )
-            nbrs = indices[flat_pos]
-            # Membership of each neighbour in the sorted C(u') array.
-            loc = np.searchsorted(target, nbrs)
-            mask = target[np.minimum(loc, target.size - 1)] == nbrs
-            seg_ids = np.repeat(np.arange(source.size, dtype=np.int64), degs)
-            counts = np.bincount(seg_ids[mask], minlength=source.size)
-            offsets = np.zeros(source.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            concat = nbrs[mask]
-            concat.setflags(write=False)
+        block_len = seg_sizes + 1
+        block_start = np.cumsum(block_len) - block_len
+        counts = np.bincount(np.repeat(slot, degs)[hit], minlength=seg.size + src.size)
+        cum = np.cumsum(counts)
+        base = cum[block_start]
+        offsets = cum - np.repeat(base, block_len)
         offsets.setflags(write=False)
-        return offsets, concat
+        concat = nbrs[hit]
+        concat.setflags(write=False)
 
-    def _position_map(self, u: int) -> np.ndarray:
-        """Dense ``data vertex -> position in C(u)`` map (built on demand).
-
-        int32 is enough (positions are bounded by ``|C(u)| < |V(G)|``)
-        and halves the O(|V(G)|)-per-query-vertex footprint.
-        """
-        positions = self._positions.get(u)
-        if positions is None:
-            source = self.candidates.array(u)
-            positions = np.full(self.data.num_vertices, -1, dtype=np.int32)
-            positions[source] = np.arange(source.size, dtype=np.int32)
-            positions.setflags(write=False)
-            self._positions[u] = positions
-        return positions
+        for r, u in enumerate(active):
+            self._positions[u] = matrix[r]
+        for u, u_prime, b, k, c0, c1 in zip(
+            src.tolist(),
+            dst.tolist(),
+            block_start.tolist(),
+            block_len.tolist(),
+            base.tolist(),
+            cum[block_start + seg_sizes].tolist(),
+        ):
+            self._flat[(u, u_prime)] = (offsets[b : b + k], concat[c0:c1])
 
     def edge_flat(
         self, u: int, u_prime: int
@@ -133,14 +144,14 @@ class CandidateSpace:
         flat = self._flat.get((u, u_prime))
         if flat is None:
             raise FilterError(f"({u}, {u_prime}) is not a query edge")
-        return (self._position_map(u),) + flat
+        return (self._positions[u],) + flat
 
     def edge_candidates_array(self, u: int, u_prime: int, v: int) -> np.ndarray:
         """``N(v) ∩ C(u')`` for ``v ∈ C(u)`` as a sorted int64 array."""
         flat = self._flat.get((u, u_prime))
         if flat is None:
             raise FilterError(f"({u}, {u_prime}) is not a query edge")
-        positions = self._position_map(u)
+        positions = self._positions[u]
         if not 0 <= v < positions.size:
             return _EMPTY_ARRAY
         p = positions[v]
@@ -154,9 +165,7 @@ class CandidateSpace:
         total = sum(
             offsets.nbytes + concat.nbytes for offsets, concat in self._flat.values()
         )
-        return total + sum(
-            positions.nbytes for positions in self._positions.values()
-        )
+        return total + sum(positions.nbytes for positions in self._positions.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         pairs = sum(offsets.size - 1 for offsets, _ in self._flat.values())

@@ -111,26 +111,6 @@ class CandidateSets:
         i = int(np.searchsorted(arr, v))
         return i < arr.size and int(arr[i]) == v
 
-    def restricted(self, u: int, keep: Iterable[int]) -> "CandidateSets":
-        """A copy with ``C(u)`` intersected with ``keep`` (others unchanged).
-
-        Untouched columns are shared by reference — only column ``u`` is
-        recomputed, so restricting one vertex of a large candidate
-        structure is O(|C(u)| + |keep|), not a full rebuild.
-        """
-        if isinstance(keep, np.ndarray):
-            keep_arr = np.unique(np.asarray(keep, dtype=np.int64))
-        else:
-            keep_arr = np.unique(np.fromiter((int(v) for v in keep), dtype=np.int64))
-        new_col = np.intersect1d(self._arrays[u], keep_arr, assume_unique=True)
-        new_col.setflags(write=False)
-        clone = CandidateSets.__new__(CandidateSets)
-        clone._arrays = list(self._arrays)
-        clone._sets = list(self._sets)
-        clone._arrays[u] = new_col
-        clone._sets[u] = None
-        return clone
-
     def memory_bytes(self) -> int:
         """Array footprint plus any lazily materialized frozenset views."""
         total = sum(arr.nbytes for arr in self._arrays)

@@ -8,8 +8,8 @@ privately, which made "how many times was Phase (1) paid?" depend on
 cache hits.  :class:`MatchingContext` makes the sharing explicit: it
 bundles the query, the data graph, the candidate sets and the (lazily
 or eagerly built) candidate space into one object that
-:class:`~repro.api.matcher.Matcher`, the orderers, both enumeration
-engines, the RL reward rollouts and the benchmark harness all pass
+:class:`~repro.api.matcher.Matcher`, the orderers, the enumeration
+engine, the RL reward rollouts and the benchmark harness all pass
 around.
 
 ``Matcher.plan`` builds the space exactly once, inside the filtering
@@ -17,8 +17,8 @@ phase (so it is billed to ``filter_time``, as the paper bills all
 Phase (1) work); standalone callers that construct a context directly
 get the space on first use of :attr:`MatchingContext.space`.
 
-Concurrency: once built, a context is read-only — both enumeration
-engines and the orderers treat the candidate arrays and the per-edge
+Concurrency: once built, a context is read-only — the enumeration
+engine and the orderers treat the candidate arrays and the per-edge
 index as immutable, which is what lets the service layer execute one
 cached plan (one shared context) from many threads at once.  The only
 mutation after construction is the lazy :attr:`MatchingContext.space`

@@ -8,9 +8,14 @@ implicitly.  The estimate for prefix ``φ[0..i]`` multiplies ``|C(φ_0)|``
 by, for each later vertex, its candidate count damped once per backward
 neighbour by the edge selectivity ``avg_degree / |V(G)|``.
 
-This is *not* used by any reproduction experiment (the paper measures
-real ``#enum``); it exists as analysis tooling — e.g. to cheaply rank
-candidate orders, or in tests as a sanity correlation target.
+The paper's experiments measure real ``#enum``, never this estimate,
+but every plan carries it: ``Matcher._plan_cold`` calls
+:func:`estimate_order_cost` on each plan whose candidate sets are all
+non-empty and stores the result as
+:attr:`repro.api.plan.QueryPlan.estimated_cost`, and
+``CostAwareScheduler`` orders admission by that number
+(``service/scheduler.py``).
+:func:`rank_orders` ranks candidate orders with it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,18 @@
-"""Tests for the CECI/DP-iso-style candidate space index."""
+"""Tests for the CECI/DP-iso-style candidate space index.
+
+The one-pass build is held to ``tests/candidate_space_oracle.py``, the
+per-direction build it replaced: every ``edge_flat`` triple equal in
+values and dtype, every array read-only, the same ``memory_bytes()``.
+"""
 
 import numpy as np
 import pytest
+from candidate_space_oracle import CandidateSpaceOracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from recursive_oracle import RecursiveOracle
 
+from repro.datasets import load_dataset, query_workload
 from repro.errors import FilterError
 from repro.graphs import Graph, erdos_renyi, extract_query
 from repro.matching import (
@@ -11,8 +20,78 @@ from repro.matching import (
     CandidateSpace,
     Enumerator,
     GQLFilter,
+    LDFFilter,
     RIOrderer,
 )
+
+
+def assert_same_as_oracle(query, data, candidates):
+    got = CandidateSpace(query, data, candidates)
+    want = CandidateSpaceOracle(query, data, candidates)
+    for u in query.vertices():
+        for u_prime in query.vertices():
+            if query.has_edge(u, u_prime):
+                for a, b in zip(got.edge_flat(u, u_prime), want.edge_flat(u, u_prime)):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b)
+                    assert not a.flags.writeable
+            else:
+                with pytest.raises(FilterError):
+                    got.edge_flat(u, u_prime)
+                with pytest.raises(FilterError):
+                    got.edge_candidates_array(u, u_prime, 0)
+    assert got.memory_bytes() == want.memory_bytes()
+
+
+@st.composite
+def few_label_instances(draw):
+    """Two or three labels, a data graph that may be empty or carry
+    isolated vertices, and an arbitrary query (a single vertex, isolated
+    vertices, several components) — with LDF or GQL candidates, or a
+    random subset of them that may leave some ``C(u)`` empty."""
+    num_labels = draw(st.integers(2, 3))
+    n_data = draw(st.integers(0, 20))
+    label = st.integers(0, num_labels - 1)
+    data_labels = draw(st.lists(label, min_size=n_data, max_size=n_data))
+    pairs = [(u, v) for u in range(n_data) for v in range(u + 1, n_data)]
+    data_edges = (
+        draw(st.lists(st.sampled_from(pairs), max_size=3 * n_data)) if pairs else []
+    )
+    n_query = draw(st.integers(1, 6))
+    query_labels = draw(st.lists(label, min_size=n_query, max_size=n_query))
+    query_pairs = [(u, v) for u in range(n_query) for v in range(u + 1, n_query)]
+    query_edges = (
+        draw(st.lists(st.sampled_from(query_pairs), max_size=2 * n_query))
+        if query_pairs
+        else []
+    )
+    query, data = Graph(query_labels, query_edges), Graph(data_labels, data_edges)
+    candidates = draw(st.sampled_from([LDFFilter(), GQLFilter()])).filter(query, data)
+    if draw(st.booleans()):
+        candidates = CandidateSets(
+            [
+                draw(st.lists(st.sampled_from(arr.tolist()), unique=True))
+                if arr.size
+                else []
+                for arr in map(candidates.array, query.vertices())
+            ]
+        )
+    return query, data, candidates
+
+
+@given(few_label_instances())
+@settings(max_examples=200)
+def test_equal_to_oracle_on_few_label_instances(instance):
+    assert_same_as_oracle(*instance)
+
+
+def test_equal_to_oracle_on_yeast_q16_pool():
+    # The e2e rlqvo_train_order pool: 12 training queries, then the
+    # held-out sequence (its first 40 here).
+    data = load_dataset("yeast")
+    pool = query_workload("yeast", 16, count=52, seed=0, data=data).all_queries
+    for query in pool:
+        assert_same_as_oracle(query, data, GQLFilter().filter(query, data))
 
 
 @pytest.fixture(scope="module")

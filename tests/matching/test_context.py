@@ -145,15 +145,7 @@ class TestEngineEquivalenceOnContext:
         assert shared.num_enumerations == one_shot.num_enumerations
 
 
-class TestRestrictedSharing:
-    def test_untouched_columns_shared_by_reference(self):
-        query, data, candidates = _instance(6)
-        keep = candidates.array(0)[:1]
-        clone = candidates.restricted(0, keep.tolist())
-        assert clone.array(0).tolist() == keep.tolist()
-        for u in range(1, candidates.num_query_vertices):
-            assert clone.array(u) is candidates.array(u)
-
+class TestCandidateSetsMemory:
     def test_memory_bytes_counts_lazy_set_views(self):
         _, _, candidates = _instance(8)
         base = candidates.memory_bytes()

@@ -118,14 +118,6 @@ class TestCandidateSets:
         assert candidates.size(u) == len(candidates.get(u))
         assert list(candidates.array(u)) == sorted(candidates.get(u))
 
-    def test_restricted_copy(self, small_instance):
-        query, data, stats = small_instance
-        candidates = LDFFilter().filter(query, data, stats)
-        keep = list(candidates.get(0))[:1]
-        restricted = candidates.restricted(0, keep)
-        assert restricted.size(0) == 1
-        assert candidates.size(0) >= 1  # original untouched
-
     def test_stats_graph_mismatch_rejected(self, small_instance):
         query, data, _ = small_instance
         wrong_stats = GraphStats(erdos_renyi(10, 15, 2, seed=1))
