@@ -1,6 +1,6 @@
 """Micro-benchmark: enumeration throughput + CSR construction/filtering.
 
-Four sections, all doubling as coarse differential checks (non-zero exit
+Three sections, all doubling as coarse differential checks (non-zero exit
 on any disagreement), so CI smoke runs fail the build on layout
 regressions:
 
@@ -14,12 +14,7 @@ regressions:
   ndarray + frozenset per vertex);
 * LDF/NLF/GQL filtering — the array implementations against replicas
   of the old per-vertex Python loops (identical candidate arrays are
-  the contract);
-* match delivery — record, id remap and JSON encode of one recorded
-  response through ``MatchService.submit`` (one ``(k, n)`` block, one
-  column gather, one ``tolist()``) against a replica of the old
-  per-match tuples and per-int loops (byte-equal encodings are the
-  contract; the speedup is printed, never gated).
+  the contract).
 
 Not collected by pytest (no ``test_`` prefix) — run it directly::
 
@@ -29,17 +24,13 @@ Not collected by pytest (no ``test_`` prefix) — run it directly::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from collections import Counter
 
 import numpy as np
 
-from repro import Matcher
-from repro.datasets import load_dataset, query_workload
 from repro.graphs import Graph, GraphStats, chung_lu, erdos_renyi, extract_query
-from repro.graphs.canonical import canonical_form
 from repro.matching import (
     Enumerator,
     GQLFilter,
@@ -50,7 +41,6 @@ from repro.matching import (
     enumeration_batch,
 )
 from repro.matching.bipartite import has_semi_perfect_matching
-from repro.service import MatchRequest, MatchService
 
 #: column -> the value ``FRONTIER_MIN_STEPS`` is forced to for it: no
 #: frame reaches the first, every frame reaches the second, the third
@@ -313,66 +303,6 @@ def bench_construction_and_filters(quick: bool) -> bool:
     return ok
 
 
-def _baseline_delivery(matcher: Matcher, plan, query: Graph) -> bytes:
-    """Replica of the per-match delivery path: a tuple per match out of
-    the search, ``to_original`` per match, ``int()`` per image."""
-    cform = canonical_form(query)
-    stream = matcher.stream_plan(plan)
-    matches = tuple(cform.to_original(m) for m in stream)
-    return json.dumps([[int(v) for v in m] for m in matches]).encode()
-
-
-def bench_match_delivery(quick: bool) -> bool:
-    """Time record -> remap -> encode of one warm recorded response.
-
-    One citeseer Q8 query at ``match_limit=2000`` (the shape of the e2e
-    ``serve_warm_records`` workload), through the public path against
-    the per-match replica, both on an already-built plan of the
-    canonical query.  The gate is strict equality of the encoded
-    embeddings; the wall clock is reported, not gated.
-    """
-    limit = 2000
-    data = load_dataset("citeseer")
-    service = MatchService(catalog={"citeseer": data})
-    matcher = Matcher(data, match_limit=limit)
-    queries = query_workload("citeseer", 8, count=10, seed=0, data=data).all_queries
-    # The first query that fills the limit: a full 2000 x 8 block.
-    query = next(
-        (q for q in queries if matcher.match(q).num_matches == limit), queries[0]
-    )
-    plan = matcher.plan(canonical_form(query).graph)
-    request = MatchRequest("citeseer", query, match_limit=limit, record_matches=True)
-
-    def public() -> bytes:
-        return json.dumps(service.submit(request).to_dict()["matches"]).encode()
-
-    def replica() -> bytes:
-        return _baseline_delivery(matcher, plan, query)
-
-    times = {}
-    outputs = {}
-    for name, deliver in (("per-match", replica), ("block", public)):
-        outputs[name] = deliver()  # also warms the plan cache
-        best = float("inf")
-        for _ in range(3 if quick else 10):
-            start = time.perf_counter()
-            deliver()
-            best = min(best, time.perf_counter() - start)
-        times[name] = best
-    service.close()
-    agree = outputs["block"] == outputs["per-match"]
-    if not agree:
-        print("  match-delivery: ENCODED EMBEDDINGS DISAGREE with per-match baseline")
-    embeddings = len(json.loads(outputs["block"]))
-    print(
-        f"  match-delivery      {embeddings} embeddings    "
-        f"per-match={times['per-match'] * 1e3:7.1f}ms  "
-        f"block={times['block'] * 1e3:7.1f}ms  "
-        f"speedup={times['per-match'] / max(times['block'], 1e-9):5.2f}x"
-    )
-    return agree
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -388,20 +318,13 @@ def main(argv: list[str] | None = None) -> int:
     engines_ok &= bench_deep_path(args.quick)
     print("construction/filter micro-benchmark (CSR vs per-vertex objects)")
     layout_ok = bench_construction_and_filters(args.quick)
-    print("match-delivery micro-benchmark (one block vs per-match tuples)")
-    delivery_ok = bench_match_delivery(args.quick)
     print("engines agree" if engines_ok else "ENGINES DISAGREE")
     print(
         "construction/filter layout agrees"
         if layout_ok
         else "CONSTRUCTION/FILTER LAYOUT DISAGREES with per-vertex baseline"
     )
-    print(
-        "match delivery agrees"
-        if delivery_ok
-        else "MATCH DELIVERY DISAGREES with per-match baseline"
-    )
-    return 0 if engines_ok and layout_ok and delivery_ok else 1
+    return 0 if engines_ok and layout_ok else 1
 
 
 if __name__ == "__main__":

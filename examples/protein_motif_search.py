@@ -8,8 +8,8 @@ triangles, stars and a "bridged complex" — through the prepare-once
 facade: one :class:`repro.Matcher` binds the network, each motif is
 planned once, alternative orderings are compared by *re-planning* over
 the same Phase (1) artifacts (one shared candidate space per motif), and
-the first few concrete embeddings are pulled lazily from
-:meth:`Matcher.stream` without running the search to completion.
+the first few concrete embeddings come from one more execution of the
+plan under ``match_limit=3``, which stops the search at the third match.
 
 Usage::
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Graph, Matcher, dataset_stats, load_dataset
+from repro import Enumerator, Graph, Matcher, dataset_stats, load_dataset
 
 
 def motif_catalogue(data: Graph) -> dict[str, Graph]:
@@ -55,6 +55,8 @@ def main() -> None:
     matcher = Matcher(data, filter="gql", orderer="ri",
                       match_limit=50_000, time_limit=10.0, stats=stats)
     compared_orderers = ("ri", "vf2pp", "gql", "random")
+    # Records the first three embeddings and stops the search there.
+    first_three = Enumerator(match_limit=3, time_limit=10.0, record_matches=True)
 
     for motif_name, motif in motif_catalogue(data).items():
         rng = np.random.default_rng(0)
@@ -75,9 +77,7 @@ def main() -> None:
             print(f"{'':>16}  {name:>6}: {result.num_matches:>7} matches, "
                   f"#enum={result.num_enumerations:>8}, "
                   f"{result.enum_time * 1e3:7.1f}ms{status}")
-        # Lazy inspection: pull the first three concrete embeddings
-        # without finishing the search.
-        first = list(matcher.stream_plan(plan, limit=3))
+        first = matcher.execute(plan, first_three).enumeration.matches
         print(f"{'':>16}  first embeddings: "
               + "; ".join(str(list(m)) for m in first))
         print()

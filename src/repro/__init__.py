@@ -41,7 +41,6 @@ from repro.matching import (
     GQLFilter,
     MatchingContext,
     MatchResult,
-    MatchStream,
     Orderer,
     RIOrderer,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "MatchResponse",
     "MatchResult",
     "MatchService",
-    "MatchStream",
     "Matcher",
     "MatchingContext",
     "Orderer",

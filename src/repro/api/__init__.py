@@ -4,22 +4,24 @@ The low-level components (``GQLFilter`` + ``Orderer`` + ``Enumerator``)
 are composed in exactly one place, a service-shaped facade: a
 :class:`Matcher` binds one data graph — statistics, label/degree indices
 and (for the learned orderer) the trained model are loaded exactly once,
-at construction — and then answers any number of queries through four
+at construction — and then answers any number of queries through three
 verbs:
 
-* :meth:`Matcher.plan` — Phases (1)–(2): a frozen, serializable
-  :class:`QueryPlan` (component names, matching order, candidate counts,
-  timings, static cost estimate, candidate-space footprint);
+* :meth:`Matcher.plan` — Phases (1)–(2): a frozen :class:`QueryPlan`
+  (component names, matching order, candidate counts, timings, static
+  cost estimate, candidate-space footprint) holding its Phase (1)
+  artifacts;
 * :meth:`Matcher.execute` — Phase (3) on a plan, a full ``MatchResult``;
 * :meth:`Matcher.match` / :meth:`Matcher.match_many` — both phases, one
   query or a workload, bit-identical to ``plan`` + ``execute`` on match
-  sequences and ``#enum``;
-* :meth:`Matcher.stream` — lazy embeddings from the configured engine,
-  stopping after ``limit`` matches without finishing the search.
+  sequences and ``#enum``.
+
+The first ``k`` embeddings of a query are a ``match_limit=k,
+record_matches=True`` run: the search stops at the ``k``-th match.
 
 Filters and orderers are chosen by plain strings through the
 :mod:`repro.api.registry` (``filter="gql"``, ``orderer="ri"``, ...), so
-configs and serialized plans carry names, not objects; instances are
+configs and plans carry names, not objects; instances are
 accepted anywhere a name is.  There is one enumeration engine; plans
 record it as ``"iterative"``.
 
@@ -35,10 +37,10 @@ Example
 >>> len(plan.order) == queries[0].num_vertices
 True
 >>> result = matcher.execute(plan)                   # ... then execute it,
->>> results = matcher.match_many(queries)            # batch a workload,
->>> first = [m for m in matcher.stream(queries[0], limit=3)]  # or stream.
->>> len(first) <= 3
-True
+>>> results = matcher.match_many(queries)            # or batch a workload.
+>>> first = Matcher(data, match_limit=3, record_matches=True).match(queries[0])
+>>> len(first.enumeration.matches)                   # its first 3 embeddings
+3
 """
 
 from repro.api.matcher import Matcher

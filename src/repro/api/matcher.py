@@ -12,9 +12,9 @@ The phase split is explicit: :meth:`Matcher.plan` runs Phases (1)–(2)
 and returns a frozen :class:`~repro.api.plan.QueryPlan`;
 :meth:`Matcher.execute` runs Phase (3) on a plan;
 :meth:`Matcher.match` composes both;
-:meth:`Matcher.match_many` batches a workload; :meth:`Matcher.stream`
-lazily yields embeddings and stops after ``limit`` matches without
-finishing the search.  Components are named by plain strings resolved
+:meth:`Matcher.match_many` batches a workload.  The first ``k``
+embeddings of a query are a ``match_limit=k, record_matches=True`` run,
+which stops the search at the ``k``-th match.  Components are named by plain strings resolved
 through :mod:`repro.api.registry` (or passed as instances).
 """
 
@@ -46,11 +46,7 @@ from repro.graphs.stats import GraphStats
 from repro.matching.context import MatchingContext
 from repro.matching.cost import estimate_order_cost
 from repro.matching.engine import MatchResult
-from repro.matching.enumeration import (
-    DEFAULT_TIME_LIMIT,
-    EnumerationResult,
-    MatchStream,
-)
+from repro.matching.enumeration import DEFAULT_TIME_LIMIT, EnumerationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an api→service import
     from repro.service.cache import PlanCache
@@ -282,8 +278,8 @@ class Matcher:
         if cached is not None:
             return cached, True
         plan = self._plan_cold(query, None)
-        # Seed the lazy fingerprint so neither caching nor serialization
-        # pays a second canonicalization.
+        # Seed the lazy fingerprint so the cache never pays a second
+        # canonicalization.
         plan.__dict__["fingerprint"] = fingerprint
         self.plan_cache.put(key, plan)
         return plan, False
@@ -352,7 +348,7 @@ class Matcher:
         orderer = make_orderer(orderer)
         if not plan.matchable:
             return plan
-        context = self._attached_context(plan)
+        context = self._context(plan)
         t0 = time.perf_counter()
         order = orderer.order_context(context, rng)
         order_time = time.perf_counter() - t0
@@ -370,34 +366,15 @@ class Matcher:
     # ------------------------------------------------------------------
     # Phase (3): execution
     # ------------------------------------------------------------------
-    def _attached_context(self, plan: QueryPlan) -> MatchingContext:
-        """The plan's live context, rebuilding Phase (1) when detached."""
-        if plan.context is not None:
-            # Identity is the fast path; fall back to content equality
-            # so plans cached by one matcher execute on another matcher
-            # over an equal data graph (the shared-cache contract the
-            # content-hash default cache_scope advertises).
-            if plan.context.data is not self.data and plan.context.data != self.data:
-                raise ModelError(
-                    "plan was built against a different data graph"
-                )
-            return plan.context
-        # Detached (deserialized) plan: rebuild the Phase (1) arrays with
-        # this matcher's filter.  Filtering is deterministic, so the
-        # rebuilt candidates — and everything downstream — are identical,
-        # but only if this matcher runs the *same* filter the plan
-        # recorded; silently substituting another would break the plan's
-        # counts, matchable flag and bit-identity guarantee.
-        if plan.filter_name != self.filter_name:
-            raise ModelError(
-                f"detached plan was built by filter {plan.filter_name!r}; "
-                f"this matcher runs {self.filter_name!r} — re-plan the "
-                "query or execute with a matching matcher"
-            )
-        candidates = self.candidate_filter.filter(
-            plan.query, self.data, self.stats
-        )
-        return MatchingContext(plan.query, self.data, candidates, self.stats)
+    def _context(self, plan: QueryPlan) -> MatchingContext:
+        """The plan's context, checked against this matcher's data graph."""
+        # Identity is the fast path; fall back to content equality so
+        # plans cached by one matcher execute on another matcher over an
+        # equal data graph (the shared-cache contract the content-hash
+        # default cache_scope advertises).
+        if plan.context.data is not self.data and plan.context.data != self.data:
+            raise ModelError("plan was built against a different data graph")
+        return plan.context
 
     def execute(self, plan: QueryPlan, enumerator=None) -> MatchResult:
         """Run the enumeration phase of a plan; a full :class:`MatchResult`.
@@ -410,7 +387,7 @@ class Matcher:
         plans without re-planning.
         """
         engine = self.enumerator if enumerator is None else make_enumerator(enumerator)
-        context = self._attached_context(plan)
+        context = self._context(plan)
         if context.candidates.has_empty():
             empty = EnumerationResult(0, 0, 0.0, False, False, ())
             return MatchResult(plan.order, empty, plan.filter_time, plan.order_time)
@@ -436,41 +413,6 @@ class Matcher:
         input.
         """
         return [self.match(query, rng) for query in queries]
-
-    def stream(
-        self,
-        query: Graph,
-        limit: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> MatchStream:
-        """Lazily yield embeddings of ``query``, stopping after ``limit``.
-
-        Plans the query, then returns a
-        :class:`~repro.matching.enumeration.MatchStream` over the
-        configured engine: embeddings arrive one at a time (tuples
-        indexed by query vertex), the search suspends between matches,
-        and ``limit=k`` stops after the k-th match without completing
-        the search — with ``#enum`` identical to a batch run under
-        ``match_limit=k``.  ``limit=None`` streams under the
-        enumerator's own match limit; the enumerator's time budget
-        applies from stream creation.
-        """
-        return self.stream_plan(self.plan(query, rng), limit=limit)
-
-    def stream_plan(
-        self, plan: QueryPlan, limit: int | None = None, enumerator=None
-    ) -> MatchStream:
-        """:meth:`stream` over an already-built plan.
-
-        ``enumerator`` overrides the engine for this stream, exactly as
-        in :meth:`execute`.
-        """
-        engine = self.enumerator if enumerator is None else make_enumerator(enumerator)
-        context = self._attached_context(plan)
-        if context.candidates.has_empty():
-            return MatchStream.empty(context)
-        match_limit = engine.match_limit if limit is None else limit
-        return engine.stream_context(context, plan.order, match_limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

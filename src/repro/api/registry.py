@@ -3,11 +3,11 @@
 The paper's framework (Algorithm 1) is a composition of a candidate
 filter, an orderer and an enumeration engine, and everything that
 persists a pipeline choice (``RLQVOConfig``, ``BenchSettings``, CLI
-flags, serialized :class:`~repro.api.plan.QueryPlan` payloads) wants to
-spell that choice as a *plain string*, not a Python object.  This module
-owns the name → factory mapping: one :class:`ComponentRegistry` each for
-filters and orderers, seeded from the matching layer's ``FILTERS`` /
-``ORDERERS`` tables and open for extension via :func:`register_filter`
+flags, the service's request payloads) wants to spell that choice as a
+*plain string*, not a Python object.  This module owns the name →
+factory mapping: one :class:`ComponentRegistry` each for filters and
+orderers, seeded from the matching layer's ``FILTERS`` / ``ORDERERS``
+tables and open for extension via :func:`register_filter`
 and :func:`register_orderer`.  The enumeration engine is not swappable —
 there is one, and it has a name only so plans and configs can record it
 — so :func:`make_enumerator` takes that name or an instance and there is

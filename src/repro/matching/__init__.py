@@ -26,7 +26,6 @@ from repro.matching.enumeration import (
     DEFAULT_TIME_LIMIT,
     EnumerationResult,
     Enumerator,
-    MatchStream,
 )
 from repro.matching.enumeration_iter import intersect_sorted
 from repro.matching.kernels import (
@@ -72,7 +71,6 @@ __all__ = [
     "GQLOrderer",
     "LDFFilter",
     "MatchResult",
-    "MatchStream",
     "MatchingContext",
     "NLFFilter",
     "ORDERERS",

@@ -13,14 +13,14 @@ cursors into sorted numpy candidate arrays, with local candidates
 computed by sorted-array intersection against the
 :class:`~repro.matching.candidate_space.CandidateSpace` flat per-edge
 index.  It uses O(1) Python stack frames regardless of query depth, so
-deep path queries enumerate fine.  There is one engine and nothing to
-choose: a batch run (:meth:`Enumerator.run_context`) drains the walk
+deep path queries enumerate fine.  There is one engine, one entry point
+and nothing to choose: :meth:`Enumerator.run_context` drains the walk
 through :func:`~repro.matching.enumeration_batch.enumerate_batch`, which
 lets the walk hand a frame at position ``n-3`` to the bulk frontier —
 chunked numpy batches over the three deepest levels — exactly when the
-frame is wide enough to pay for the call, and a stream
-(:meth:`Enumerator.stream_context`) rides the same walk per node, so a
-consumer pays only up to its last pull.
+frame is wide enough to pay for the call.  A caller that wants only the
+first ``k`` embeddings runs with ``match_limit=k`` (and
+``record_matches=True``): the search stops at the ``k``-th match.
 
 Every path visits candidates in ascending vertex order, so match
 sequences and ``#enum`` are bit-identical (including under
@@ -62,14 +62,12 @@ from repro.matching.block import MatchBlock
 from repro.matching.candidates import CandidateSets
 from repro.matching.context import MatchingContext
 from repro.matching.enumeration_batch import enumerate_batch
-from repro.matching.enumeration_iter import EnumerationCounters, enumerate_lazy
 from repro.matching.kernels import ScratchBuffers
 
 __all__ = [
     "DEFAULT_TIME_LIMIT",
     "EnumerationResult",
     "Enumerator",
-    "MatchStream",
 ]
 
 #: The paper's per-query wall-clock cap (Sec. IV-A): runs that exceed it
@@ -121,150 +119,6 @@ class EnumerationResult:
         return not (self.timed_out or self.limit_reached)
 
 
-class MatchStream:
-    """Lazy embedding stream over the engine's lazy generator.
-
-    Iterating yields embeddings one at a time, as tuples indexed by query
-    vertex (``m[u]`` is the image of ``u``) — the same tuples, in the
-    same sequence, that a batch run with ``record_matches=True`` would
-    collect.  The search state lives in a suspended generator frame, so a
-    consumer that stops after ``k`` matches pays only the enumeration
-    explored up to the ``k``-th match; with ``match_limit=k`` the stream
-    stops itself after the ``k``-th yield, bit-identical in ``#enum`` to
-    a batch run under the same limit.
-
-    Progress counters (:attr:`num_matches`, :attr:`num_enumerations`,
-    :attr:`timed_out`, :attr:`limit_reached`, :attr:`elapsed`) are live
-    after every yield *and* after :meth:`close`, wherever it lands
-    between pulls (the DFS generator refreshes them on every exit from
-    its frame); :meth:`result` packages them as an
-    :class:`EnumerationResult` once the stream is finished (exhausted,
-    limited, timed out or explicitly :meth:`close`-d).  A stream closed
-    before its first pull reports the root step
-    (``num_enumerations == 1``) without having searched — the same
-    accounting the batch engine charges before its first extension.
-    The wall-clock deadline is absolute, so time the consumer spends
-    between pulls counts against it — a streaming budget, not a
-    pure-search budget.
-    """
-
-    def __init__(
-        self,
-        context: MatchingContext,
-        order: list[int],
-        backward: list[list[int]],
-        match_limit: int | None,
-        time_limit: float | None,
-        check_every: int,
-    ):
-        self._match_limit = match_limit
-        self._start = time.perf_counter()
-        self._elapsed = 0.0
-        self._counters = EnumerationCounters()
-        self._found = 0
-        self._limit_reached = False
-        self._finished = False
-        if not order:
-            # The empty query has exactly one (empty) embedding; mirror
-            # the batch engine's num_enumerations == 1 accounting.
-            self._gen = iter(((),))
-            self._counters.num_enumerations = 1
-        else:
-            deadline = self._start + time_limit if time_limit is not None else None
-            self._gen = enumerate_lazy(
-                context, order, backward, deadline, check_every, self._counters
-            )
-            # Pre-charge the root step: the generator body only runs on
-            # the first pull, so a stream closed before then would
-            # otherwise report #enum == 0 — an accounting no batch run
-            # can produce (the root "call" always counts).
-            self._counters.num_enumerations = 1
-
-    @classmethod
-    def empty(cls, context: MatchingContext) -> "MatchStream":
-        """An already-finished stream for unmatchable queries.
-
-        Mirrors the engine's empty-candidate short-circuit: the search
-        never starts, so the stream yields nothing and reports zero
-        enumerations.
-        """
-        stream = cls(context, [], [], None, None, 1)
-        stream._counters.num_enumerations = 0
-        stream._finish()
-        return stream
-
-    def __iter__(self) -> "MatchStream":
-        return self
-
-    def __next__(self) -> tuple[int, ...]:
-        if self._finished:
-            raise StopIteration
-        try:
-            match = next(self._gen)
-        except StopIteration:
-            self._finish()
-            raise
-        self._found += 1
-        self._elapsed = time.perf_counter() - self._start
-        if self._match_limit is not None and self._found >= self._match_limit:
-            self._limit_reached = True
-            self._finish()
-        return match
-
-    def _finish(self) -> None:
-        if not self._finished:
-            self._finished = True
-            self._elapsed = time.perf_counter() - self._start
-            close = getattr(self._gen, "close", None)
-            if close is not None:
-                close()
-
-    def close(self) -> None:
-        """Stop the search early and release the generator frame."""
-        self._finish()
-
-    @property
-    def num_matches(self) -> int:
-        """Embeddings yielded so far."""
-        return self._found
-
-    @property
-    def num_enumerations(self) -> int:
-        """``#enum`` explored up to the last yield (Def. II.6)."""
-        return self._counters.num_enumerations
-
-    @property
-    def timed_out(self) -> bool:
-        """Whether the wall-clock deadline fired during the search."""
-        return self._counters.timed_out
-
-    @property
-    def limit_reached(self) -> bool:
-        """Whether the match limit stopped the stream."""
-        return self._limit_reached
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the stream is finished (by any cause)."""
-        return self._finished
-
-    @property
-    def elapsed(self) -> float:
-        """Wall-clock seconds from stream creation to the last pull."""
-        return self._elapsed
-
-    def result(self) -> EnumerationResult:
-        """The stream's outcome as a batch-shaped result (no matches
-        payload — the consumer already received them one by one)."""
-        return EnumerationResult(
-            num_matches=self._found,
-            num_enumerations=self._counters.num_enumerations,
-            elapsed=self._elapsed,
-            timed_out=self._counters.timed_out,
-            limit_reached=self._limit_reached,
-        )
-
-
 class Enumerator:
     """Backtracking enumerator with limits.
 
@@ -304,10 +158,8 @@ class Enumerator:
         self.time_limit = time_limit
         self.record_matches = record_matches
         self.check_every = max(1, check_every)
-        # Per-thread ScratchBuffers for the batch driver:
-        # reused across synchronous run_context calls on one thread
-        # (streams always bind fresh scratch — a suspended stream holds
-        # its buffers across pulls, so sharing would corrupt it).  This
+        # Per-thread ScratchBuffers for the batch driver, reused across
+        # run_context calls on one thread.  This
         # keeps the Matcher thread-safety contract: threads never share
         # scratch, and the buffers carry no cross-query state.
         self._thread_state = threading.local()
@@ -400,32 +252,4 @@ class Enumerator:
             timed_out=timed_out,
             limit_reached=limited,
             matches=matches,
-        )
-
-    def stream_context(
-        self,
-        context: MatchingContext,
-        order: Sequence[int],
-        match_limit: int | None = "default",
-    ) -> MatchStream:
-        """Lazily enumerate along ``order``: a :class:`MatchStream`.
-
-        The stream yields embeddings in exactly the sequence a batch
-        :meth:`run_context` with ``record_matches=True`` would collect,
-        driving the same DFS, but suspends between matches — so a
-        consumer that stops after ``k`` matches never pays for the rest
-        of the search (which is why a stream never hands a frame to the
-        bulk frontier: that computes whole subtrees ahead of the pulls).
-        ``match_limit`` overrides the enumerator's own limit for this
-        stream (pass ``None`` for find-all); the enumerator's
-        ``time_limit`` applies as an absolute wall-clock deadline from
-        stream creation.
-        """
-        if match_limit == "default":
-            match_limit = self.match_limit
-        if match_limit is not None and match_limit < 1:
-            raise EnumerationError("match_limit must be >= 1 or None")
-        order, backward = self._prepare_order(context, order)
-        return MatchStream(
-            context, order, backward, match_limit, self.time_limit, self.check_every
         )

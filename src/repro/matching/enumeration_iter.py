@@ -55,7 +55,6 @@ from repro.matching.kernels import (
 __all__ = [
     "EnumerationCounters",
     "intersect_sorted",
-    "enumerate_lazy",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -209,8 +208,8 @@ class EnumerationCounters:
     to ``num_enumerations`` and sets ``timed_out`` if its own deadline
     check fires; the walk re-reads both on resume.  A generator that is
     closed before its first pull never ran at all, so it cannot refresh
-    anything; :class:`~repro.matching.enumeration.MatchStream` covers
-    that window by pre-charging the root step at stream creation.
+    anything; :func:`~repro.matching.enumeration_batch.enumerate_batch`
+    always pulls at least once.
     """
 
     __slots__ = ("num_enumerations", "timed_out")
@@ -334,42 +333,7 @@ def walk_prefixes(
 
 def _positions_by_vertex(order: Sequence[int]) -> list[int]:
     """``where[u]`` is the position of query vertex ``u`` in ``order``:
-    indexing images-by-position with it (one embedding, or every column
-    of a block of them) gives the embedding indexed by query vertex —
-    the shape both delivery modes hand out."""
+    indexing the columns of a block of images-by-position with it gives
+    the embeddings indexed by query vertex — the shape results hand
+    out."""
     return sorted(range(len(order)), key=order.__getitem__)
-
-
-def enumerate_lazy(
-    context: MatchingContext,
-    order: Sequence[int],
-    backward: Sequence[Sequence[int]],
-    deadline: float | None,
-    check_every: int,
-    counters: EnumerationCounters,
-) -> Iterator[tuple[int, ...]]:
-    """The lazy generator: ride the walk, yielding each match as a tuple
-    indexed by query vertex.
-
-    Parameters mirror one :meth:`Enumerator.stream_context` invocation
-    after its shared validation: ``context`` carries the instance (its
-    :class:`CandidateSpace` is built on first access when the engine
-    runs standalone; ``Matcher.plan`` pre-builds it in Phase (1)),
-    ``backward`` lists backward-neighbour *positions* per position in
-    ``order``, and ``deadline`` is an absolute ``time.perf_counter``
-    timestamp.
-
-    The DFS state lives in the suspended walk, and no frame is ever
-    taken in bulk — a frontier computes whole subtrees ahead of the
-    pulls — so a consumer that stops after ``k`` matches pays only the
-    search explored up to the ``k``-th match: exactly the ``#enum``
-    :func:`~repro.matching.enumeration_batch.enumerate_batch` reports
-    under ``match_limit=k``.  ``counters`` carries the walk's own
-    contract through unchanged (current after every yield and on every
-    exit, including a ``close()`` between pulls).
-    """
-    search = _bind_depths(context, order, backward)
-    walk = walk_prefixes(search, backward, deadline, check_every, counters)
-    image_at, where = search.images.__getitem__, _positions_by_vertex(order)
-    for _ in walk:
-        yield tuple(map(image_at, where))

@@ -235,14 +235,18 @@ class MatchRequest:
         written by pre-scheduler clients parse unchanged.  Unknown keys
         are ignored — among them ``"enumerator"``, which older clients
         may still carry from when there was a backend to choose; the
-        outcome never depended on it.  So is a legacy ``"stream": true``, except that it asks
-        for what it always returned: the recorded matches.
+        outcome never depended on it.  So is a legacy ``"stream": true``,
+        except that it asks for what it always returned: the recorded
+        matches.
 
         Every field's JSON type is checked here, so a wrongly typed
         value is a :class:`~repro.errors.ReproError` (``validation``),
         never a ``TypeError`` further in.  ``priority`` must be an
-        integer (never a string, float or bool), and no number may be
-        ``NaN``, which :func:`json.loads` accepts: a ``NaN`` deadline
+        integer (never a string, float or bool); ``record_matches`` and
+        ``stream`` must be bools (``"false"`` is not false); the query's
+        labels and edge endpoints must be integers
+        (:func:`~repro.api.plan.graph_from_payload`); and no number may
+        be ``NaN``, which :func:`json.loads` accepts: a ``NaN`` deadline
         would never expire and would break the admission queue's order.
         """
         number = (int, float)
@@ -256,8 +260,8 @@ class MatchRequest:
                 time_limit=_checked(payload, "time_limit", number, "a number", UNSET),
                 orderer=_checked(payload, "orderer", str, "a string"),
                 record_matches=bool(
-                    payload.get("record_matches", False)
-                    or payload.get("stream", False)
+                    _checked(payload, "record_matches", bool, "a bool")
+                    or _checked(payload, "stream", bool, "a bool")
                 ),
                 tag=_checked(payload, "tag", str, "a string"),
                 tenant=_checked(payload, "tenant", str, "a string"),
@@ -274,8 +278,8 @@ _REQUIRED = object()
 
 def _checked(payload: dict, key: str, types, expected: str, default=None):
     """``payload[key]`` if its JSON type is ``expected``; ``default`` when
-    absent.  An optional key may also be ``null``; a bool is never a
-    number, and ``NaN`` is never a value."""
+    absent.  An optional key may also be ``null``; a bool is only ever a
+    bool, never a number, and ``NaN`` is never a value."""
     if key not in payload:
         if default is _REQUIRED:
             raise KeyError(key)
@@ -283,7 +287,9 @@ def _checked(payload: dict, key: str, types, expected: str, default=None):
     value = payload[key]
     if value is None and default is not _REQUIRED:
         return None
-    if isinstance(value, bool) or not isinstance(value, types):
+    if isinstance(value, bool) is not (types is bool) or not isinstance(
+        value, types
+    ):
         raise ReproError(
             f"malformed match-request payload: {key!r} must be {expected}, "
             f"got {type(value).__name__}"

@@ -2,9 +2,11 @@
 
 ``MatchService.submit_many`` fans requests out over a thread pool that
 hammers one matcher per dataset.  This suite documents and pins the
-contract that makes that sound: concurrent ``match`` and ``stream``
-calls on one shared matcher are bit-identical to the same calls run
-serially — match sequences, ``#enum``, orders, flags, everything.
+contract that makes that sound: concurrent full ``match`` calls and
+capped ``match_limit=4`` executions (one shared engine, the way the
+service applies per-request limits to shared plans) on one shared
+matcher are bit-identical to the same calls run serially — match
+sequences, ``#enum``, orders, flags, everything.
 """
 
 import threading
@@ -14,10 +16,15 @@ import pytest
 
 from repro.api import Matcher
 from repro.graphs import erdos_renyi, extract_query
+from repro.matching import Enumerator
 from repro.service import PlanCache
 
 N_THREADS = 8
 ROUNDS = 3
+
+#: The capped leg's engine, shared by every thread: the first four
+#: embeddings of a query, recorded.
+FIRST_FOUR = Enumerator(match_limit=4, record_matches=True, time_limit=None)
 
 
 @pytest.fixture(scope="module", params=[3, 96], ids=["3-labels", "96-labels"])
@@ -35,29 +42,26 @@ def queries(data):
 
 
 def run_workload(matcher, queries, thread_id):
-    """Interleave batch matches and streamed pulls over the queries."""
+    """Interleave full matches and capped first-four runs over the queries."""
     results = []
     for round_no in range(ROUNDS):
         for i, query in enumerate(queries):
             if (i + round_no + thread_id) % 2 == 0:
-                result = matcher.match(query)
-                results.append(
-                    (
-                        "match",
-                        i,
-                        result.enumeration.matches,
-                        result.num_matches,
-                        result.num_enumerations,
-                        tuple(result.order),
-                    )
-                )
+                kind, result = "match", matcher.match(query)
             else:
-                stream = matcher.stream(query, limit=4)
-                pulled = tuple(stream)
-                results.append(
-                    ("stream", i, pulled, stream.num_matches,
-                     stream.num_enumerations, None)
+                plan = matcher.plan(query)
+                kind, result = "first-four", matcher.execute(plan, FIRST_FOUR)
+            results.append(
+                (
+                    kind,
+                    i,
+                    result.enumeration.matches,
+                    result.num_matches,
+                    result.num_enumerations,
+                    result.enumeration.limit_reached,
+                    tuple(result.order),
                 )
+            )
     return results
 
 

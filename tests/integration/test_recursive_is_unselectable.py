@@ -44,8 +44,6 @@ SELECTION_POINTS = {
         RegistryError, lambda name: Matcher(DATA, enumerator=name)),
     "Matcher.execute(enumerator=)": (
         RegistryError, lambda name: MATCHER.execute(PLAN, enumerator=name)),
-    "Matcher.stream_plan(enumerator=)": (
-        RegistryError, lambda name: MATCHER.stream_plan(PLAN, enumerator=name)),
     "RLQVOConfig.enum_strategy": (
         ModelError, lambda name: RLQVOConfig(enum_strategy=name)),
 }

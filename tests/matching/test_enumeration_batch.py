@@ -13,8 +13,6 @@ geometric growth across queries of different sizes (no quadratic
 re-allocation), ``peak_scratch_bytes`` monotone.
 """
 
-from itertools import islice
-
 import numpy as np
 import pytest
 from frontier_modes import MODES, frames_seen, frontier_mode
@@ -27,7 +25,6 @@ from repro.graphs import Graph, erdos_renyi, extract_query
 from repro.matching import (
     Enumerator,
     GQLFilter,
-    MatchingContext,
     RIOrderer,
     ScratchBuffers,
 )
@@ -209,53 +206,6 @@ def test_shallow_queries_use_reduced_frontier(size):
     with frames_seen() as taken:
         _run("vectorized", instance)
     assert len(taken) == (1 if size == 3 else 0)
-
-
-# ----------------------------------------------------------------------
-# Streaming
-# ----------------------------------------------------------------------
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 100_000), st.integers(1, 9))
-def test_stream_prefix_equality_after_early_close(seed, k):
-    # A stream never hands a frame over — it must pay only up to its
-    # last pull — so its prefix and counters equal a batch run capped at
-    # the number of matches pulled, whichever frames that run took.
-    instance = _random_instance(seed)
-    query, data, candidates, order = instance
-    context = MatchingContext(query, data, candidates)
-    with frontier_mode("vectorized"), frames_seen() as taken:
-        stream = Enumerator(time_limit=None).stream_context(
-            context, order, match_limit=None
-        )
-        prefix = list(islice(stream, k))
-        stream.close()
-    assert not taken
-    # A stream that ran dry before its k-th pull searched everything.
-    oracle = _assert_equals_oracle(instance, k if len(prefix) == k else None)
-    assert tuple(prefix) == oracle.matches
-    # Counters at close() land wherever the last yield left them; the
-    # per-match accounting is exact, so they must agree.
-    assert stream.num_enumerations == oracle.num_enumerations
-    assert stream.num_matches == oracle.num_matches
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 100_000), st.sampled_from([1, 3, None]))
-def test_stream_result_equals_batch_run(seed, limit):
-    instance = _random_instance(seed)
-    query, data, candidates, order = instance
-    context = MatchingContext(query, data, candidates)
-    stream = Enumerator(time_limit=None).stream_context(
-        context, order, match_limit=limit
-    )
-    streamed = list(stream)
-    result = stream.result()
-    for mode in MODES:
-        batch = _run(mode, instance, match_limit=limit)
-        assert tuple(streamed) == batch.matches
-        assert result.num_matches == batch.num_matches
-        assert result.num_enumerations == batch.num_enumerations
-        assert result.limit_reached == batch.limit_reached
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ Two layers of pinning:
   bytes from a previous call must never leak into a result);
 * the whole kernel-backed iterative engine against the recursive oracle
   on fuzzed query/data graph pairs — match sequences and ``#enum``
-  bit-identical, the contract every consumer (batch engine, lazy
-  stream, reward rollouts) relies on.
+  bit-identical, the contract every consumer (the facade, the
+  service, reward rollouts) relies on.
 """
 
 import numpy as np

@@ -136,11 +136,27 @@ class TestErrors:
         ("/match", {"priority": float("inf")}),
         ("/match", {"deadline_s": float("nan")}),
         ("/match", {"time_limit": float("nan")}),
+        # Not truthiness: "false" would otherwise record every match.
+        ("/match", {"record_matches": "false"}),
+        ("/match", {"record_matches": 1}),
+        ("/match", {"stream": "yes"}),
+        # Query labels and endpoints are checked, never coerced: 0.9 is
+        # not label 0, and a value past int64 is no 500.
+        ("/match", {"query": {"labels": [0.9, 1], "edges": [[0, 1]]}}),
+        ("/match", {"query": {"labels": [True, 1], "edges": [[0, 1]]}}),
+        ("/match", {"query": {"labels": ["0", 1], "edges": [[0, 1]]}}),
+        ("/match", {"query": {"labels": [10**30, 1], "edges": [[0, 1]]}}),
+        ("/match", {"query": {"labels": [0, 1], "edges": [[0, 1.0]]}}),
+        ("/match", {"query": {"labels": [0, 1], "edges": [[False, True]]}}),
+        ("/match", {"query": {"labels": [0, 1], "edges": [[0, 10**30]]}}),
     ], ids=[
         "dataset", "orderer", "tenant", "tag", "match_limit-str",
         "match_limit-bool", "time_limit", "deadline_s", "invalidate",
         "priority-str", "priority-float", "priority-bool", "priority-inf",
-        "deadline_s-nan", "time_limit-nan",
+        "deadline_s-nan", "time_limit-nan", "record_matches-str",
+        "record_matches-int", "stream-str", "label-float", "label-bool",
+        "label-str", "label-past-int64", "endpoint-float", "endpoint-bool",
+        "endpoint-past-int64",
     ])
     def test_wrongly_typed_fields_are_400_validation(
         self, data, query, scheduled, path, fields

