@@ -45,7 +45,7 @@ def test_fig10_forward_cost_grows_with_depth(harness):
     parameters = {}
     for layers in (1, 4):
         config = harness.settings.rlqvo_config(num_gnn_layers=layers)
-        policy = PolicyNetwork(config).eval()
+        policy = PolicyNetwork(config)
         builder = FeatureBuilder(data, config, stats)
         static = builder.static_features(query)
         features = builder.step_features(

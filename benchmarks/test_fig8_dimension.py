@@ -49,7 +49,7 @@ def test_fig8_ordering_cost_grows_with_dimension(harness):
     parameters = {}
     for dim in (16, 256):
         config = harness.settings.rlqvo_config(hidden_dim=dim)
-        policy = PolicyNetwork(config).eval()
+        policy = PolicyNetwork(config)
         builder = FeatureBuilder(data, config, stats)
         static = builder.static_features(query)
         features = builder.step_features(

@@ -22,6 +22,7 @@ from repro.bench.reporting import (
     percentile_series,
     print_table,
 )
+from repro.core.orderer import RLQVOOrderer
 from repro.core.trainer import RLQVOTrainer
 from repro.datasets.registry import DATASETS, dataset_stats, load_dataset
 from repro.matching.enumeration import Enumerator
@@ -447,7 +448,12 @@ def fig9(
         )
         pre_hist = trainer2.train(list(pre_wl.train))
         regimes["pretrained"] = {
-            "orderer": trainer2.make_orderer(),
+            # A snapshot: the fine-tune below updates trainer2's policy
+            # in place, and this regime is the pretrained model as-is.
+            "orderer": RLQVOOrderer(
+                trainer2.policy.clone(), trainer2.feature_builder,
+                seed=trainer2.config.seed,
+            ),
             "train_time": pre_hist.total_time,
             "train_epochs": len(pre_hist.epochs),
         }

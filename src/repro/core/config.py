@@ -2,7 +2,9 @@
 
 Paper defaults: 2 GCN layers, output dimension 64, 2-layer MLP head,
 learning rate 1e-3, dropout 0.2, 100 training epochs (10 incremental),
-all feature scaling factors α = 1, PPO clipping.
+all feature scaling factors α = 1, PPO clipping.  The repo applies every
+one of them except dropout: the policy has no dropout layer (see the
+README's deviations from the paper).
 """
 
 from __future__ import annotations
@@ -34,13 +36,8 @@ class RLQVOConfig:
         ``"random"`` for the RL-QVO-RIF ablation.
     alpha_degree / alpha_d / alpha_l:
         Feature scaling factors (paper: all 1).
-    learning_rate / dropout / epochs / incremental_epochs:
-        Training-loop settings (paper: 1e-3 / 0.2 / 100 / 10).
-        ``dropout`` acts only on a ``PolicyNetwork.forward`` a caller
-        makes in ``train()`` mode: sampling, every update routine and
-        the orderer evaluate the policy in evaluation mode (see
-        :mod:`repro.rl.rollout`), so no training run draws a mask.  The
-        field stays because saved ``config.json`` files carry it.
+    learning_rate / epochs / incremental_epochs:
+        Training-loop settings (paper: 1e-3 / 100 / 10).
     clip_epsilon:
         PPO ratio clip ``ε`` (Eq. 6).
     updates_per_epoch:
@@ -59,7 +56,7 @@ class RLQVOConfig:
     use_entropy_reward / use_validity_reward:
         Toggles for the NoEnt / NoVal ablations.
     seed:
-        Master seed for weights, sampling and dropout.
+        Master seed for weights and sampling.
     """
 
     gnn_kind: str = "gcn"
@@ -70,7 +67,6 @@ class RLQVOConfig:
     alpha_d: float = 1.0
     alpha_l: float = 1.0
     learning_rate: float = 1e-3
-    dropout: float = 0.2
     epochs: int = 100
     incremental_epochs: int = 10
     clip_epsilon: float = 0.2

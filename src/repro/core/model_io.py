@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import zipfile
 from pathlib import Path
 
 from repro.core.config import RLQVOConfig
@@ -19,6 +20,14 @@ from repro.nn.serialization import load_module, save_module
 from repro.rl.reward import RewardConfig
 
 __all__ = ["save_model", "load_model"]
+
+#: ``config.json`` keys a checkpoint saved by an older version may carry
+#: that configure nothing any more; they are dropped on load.  Which
+#: engine computed the training rewards says nothing about the policy
+#: (they were bit-identical), and a checkpoint saved when there were two
+#: may name the one that no longer exists; the second key set a layer no
+#: training run applied, and the layer is gone.
+RETIRED_KEYS = ("enum_strategy", "dropout")
 
 
 def save_model(policy: PolicyNetwork, directory: str | os.PathLike[str]) -> None:
@@ -30,21 +39,47 @@ def save_model(policy: PolicyNetwork, directory: str | os.PathLike[str]) -> None
     (directory / "config.json").write_text(json.dumps(config, indent=2))
 
 
+def _read_config(path: Path) -> RLQVOConfig:
+    """Parse a saved ``config.json``; every way it can be malformed is a
+    :class:`ModelError` naming the file (and the key, where there is one)."""
+    try:
+        raw = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ModelError(f"{path}: unreadable model config ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ModelError(f"{path}: model config must be a JSON object")
+    for key in RETIRED_KEYS:
+        raw.pop(key, None)
+    known = {f.name for f in dataclasses.fields(RLQVOConfig)}
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ModelError(f"{path}: unknown model config key(s) {unknown}")
+    if not isinstance(raw.get("reward"), dict):
+        raise ModelError(f"{path}: key 'reward' must be a JSON object")
+    try:
+        raw["reward"] = RewardConfig(**raw["reward"])
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: key 'reward': {exc}") from exc
+    try:
+        return RLQVOConfig(**raw)
+    except (ModelError, TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: {exc}") from exc
+
+
 def load_model(directory: str | os.PathLike[str]) -> PolicyNetwork:
-    """Reconstruct a policy saved by :func:`save_model`."""
+    """Reconstruct a policy saved by :func:`save_model`.
+
+    Raises :class:`ModelError` when the directory holds no model or a
+    malformed one; the keys in :data:`RETIRED_KEYS` are ignored.
+    """
     directory = Path(directory)
     config_path = directory / "config.json"
     weights_path = directory / "policy.npz"
     if not config_path.exists() or not weights_path.exists():
         raise ModelError(f"no saved model under {directory}")
-    raw = json.loads(config_path.read_text())
-    raw["reward"] = RewardConfig(**raw["reward"])
-    # Which engine computed the training rewards says nothing about the
-    # policy (they were bit-identical), and a checkpoint saved when
-    # there were two may name the one that no longer exists.
-    raw.pop("enum_strategy", None)
-    config = RLQVOConfig(**raw)
-    policy = PolicyNetwork(config)
-    load_module(policy, weights_path)
-    policy.eval()
+    policy = PolicyNetwork(_read_config(config_path))
+    try:
+        load_module(policy, weights_path)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"{weights_path}: unreadable weights ({exc})") from exc
     return policy

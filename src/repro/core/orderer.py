@@ -7,7 +7,7 @@ about the paper's match caps: on the benchmark's 200-match yeast Q16 ops
 ordering is ~1.2 ms of a ~3.5 ms traced op, twice Phase (3) (~0.6 ms)
 and close to Phase (1) (~1.4 ms).  The policy is
 consulted through ``PolicyNetwork.evaluate`` — bare arrays, no
-``Tensor`` and no autograd graph, evaluation mode by definition.
+``Tensor`` and no autograd graph.
 Singleton action spaces skip the network entirely, and by default the
 argmax action is taken (the exploratory sampling of Sec. III-C is for
 training; pass ``sample=True`` to keep it).
@@ -36,7 +36,7 @@ class RLQVOOrderer(Orderer):
     Parameters
     ----------
     policy:
-        A trained :class:`PolicyNetwork` (evaluation mode is forced).
+        A trained :class:`PolicyNetwork`.
     feature_builder:
         The builder bound to the data graph the policy was trained on.
     sample:
@@ -56,7 +56,6 @@ class RLQVOOrderer(Orderer):
         self.feature_builder = feature_builder
         self.sample = sample
         self._rng = np.random.default_rng(seed)
-        self.policy.eval()
 
     def order(
         self,

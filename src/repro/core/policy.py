@@ -27,7 +27,7 @@ from repro.nn.functional import (
     relu_array,
 )
 from repro.nn.gnn import GNN_LAYERS, GraphContext, make_gnn_layer
-from repro.nn.layers import Dropout, Linear, Module
+from repro.nn.layers import Linear, Module
 from repro.nn.tensor import Tensor
 
 __all__ = ["PolicyOutput", "PolicyNetwork"]
@@ -89,7 +89,6 @@ class PolicyNetwork(Module):
             self._modules[f"encoder{i}"] = layer
             in_dim = hidden
 
-        self.dropout = Dropout(cfg.dropout, seed=cfg.seed + 1)
         self.head1 = Linear(hidden, hidden, rng=rng)
         self.head2 = Linear(hidden, 1, rng=rng)
 
@@ -101,7 +100,6 @@ class PolicyNetwork(Module):
                 h = layer(h).relu()  # RL-QVO-NN: plain MLP, no propagation
             else:
                 h = layer(h, ctx)
-            h = self.dropout(h)
         return h
 
     def forward(
@@ -135,8 +133,7 @@ class PolicyNetwork(Module):
         For every caller that needs no gradient — ordering a query,
         sampling a rollout.  No ``Tensor`` is built; each layer's
         ``evaluate`` makes its ``forward``'s numpy calls, so the arrays
-        equal ``forward``'s ``.data`` bit for bit.  Evaluation mode by
-        definition: dropout is the identity, whatever ``training`` says.
+        equal ``forward``'s ``.data`` bit for bit.
         """
         action_mask = np.asarray(action_mask, dtype=bool)
         if features.shape[-1] != FEATURE_DIM:
@@ -160,5 +157,4 @@ class PolicyNetwork(Module):
         """Deep copy (used for the frozen PPO sampling policy θ')."""
         twin = PolicyNetwork(self.config)
         twin.load_state_dict(self.state_dict())
-        twin.train(self.training)
         return twin

@@ -10,17 +10,18 @@ Per epoch:
 4. attach decayed step rewards (Eq. 1–2) and run the clipped PPO update.
 
 **Mode contract.**  The policy is a deterministic function of θ wherever
-training evaluates it: ``collect_trajectory`` samples through
-``PolicyNetwork.evaluate`` (arrays, evaluation mode by definition) and
-``self.ppo.update`` scores through ``forward`` under
-:func:`repro.rl.rollout.sampling_mode` — the same bits — so the update
-scores a step exactly the way it was sampled and PPO's ratio is 1 on the
-first pass over a batch.  The trainer never switches the policy's mode
-itself.
+training evaluates it — it has one mode and no layer draws a random
+mask: ``collect_trajectory`` samples through ``PolicyNetwork.evaluate``
+(bare arrays) and ``self.ppo.update`` scores through ``forward`` — the
+same bits — so the update scores a step exactly the way it was sampled
+and PPO's ratio is 1 on the first pass over a batch.
 
-:meth:`RLQVOTrainer.incremental_train` implements Sec. III-F: full
-training on a cheaper query set, then a few fine-tuning epochs on the
-target set — the configuration the paper's headline numbers use.
+Sec. III-F's incremental training — full training on a cheaper query
+set, then a few fine-tuning epochs on the target set — is two ``train``
+calls, made by its two callers, ``repro-train --incremental-from``
+(:mod:`repro.core.cli`) and ``fig9`` (:mod:`repro.bench.experiments`):
+each needs a log name per phase, held-out ``eval_queries`` or a snapshot
+of the pretrained-only model between the calls.
 
 Reward rollouts ride the :class:`repro.api.matcher.Matcher` facade: the
 trainer owns one matcher (filter + RI baseline orderer + the training
@@ -135,10 +136,9 @@ class TrainingHistory:
 class RLQVOTrainer:
     """End-to-end trainer binding policy, data graph and matching pipeline.
 
-    Mode contract: sampling and the update both evaluate the policy in
-    evaluation mode (see the module docstring); ``train`` leaves
-    ``policy.training`` alone, and ``EpochStats.first_pass_ratio`` is
-    1.0 on every epoch because of it.
+    Mode contract: sampling and the update evaluate the same function of
+    θ (see the module docstring), so ``EpochStats.first_pass_ratio`` is
+    1.0 on every epoch.
     """
 
     def __init__(
@@ -259,7 +259,7 @@ class RLQVOTrainer:
         for epoch in range(epochs):
             t0 = time.perf_counter()
             sample_timer, train_timer = _Timer(), _Timer()
-            sampling_policy = self.policy.clone().eval()
+            sampling_policy = self.policy.clone()
             trajectories = []
             returns, enum_rewards = [], []
             enum_learned_all, enum_base_all = [], []
@@ -376,31 +376,6 @@ class RLQVOTrainer:
             total += run.num_enumerations
             plan.release_space()
         return total
-
-    def incremental_train(
-        self,
-        pretrain_queries: list[Graph],
-        target_queries: list[Graph],
-        pretrain_epochs: int | None = None,
-        incremental_epochs: int | None = None,
-        log_fn=None,
-    ) -> tuple[TrainingHistory, TrainingHistory]:
-        """Sec. III-F: full training on a small set, short fine-tune on target."""
-        pre = self.train(
-            pretrain_queries,
-            epochs=self.config.epochs if pretrain_epochs is None else pretrain_epochs,
-            log_fn=log_fn,
-        )
-        incr = self.train(
-            target_queries,
-            epochs=(
-                self.config.incremental_epochs
-                if incremental_epochs is None
-                else incremental_epochs
-            ),
-            log_fn=log_fn,
-        )
-        return pre, incr
 
     # ------------------------------------------------------------------
     # Deployment

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
-from repro.graphs.validation import check_order
 from repro.matching.candidates import CandidateSets
 from repro.matching.context import MatchingContext
 
@@ -57,19 +56,6 @@ class Orderer(abc.ABC):
         return self.order(
             context.query, context.data, context.candidates, context.stats, rng
         )
-
-    def checked_order(
-        self,
-        query: Graph,
-        data: Graph | None = None,
-        candidates: CandidateSets | None = None,
-        stats: GraphStats | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> list[int]:
-        """Like :meth:`order` but validates the result before returning it."""
-        phi = self.order(query, data, candidates, stats, rng)
-        check_order(query, phi)
-        return phi
 
 
 def connected_extension(

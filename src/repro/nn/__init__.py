@@ -1,14 +1,6 @@
 """Minimal numpy autograd + GNN substrate (PyTorch replacement)."""
 
-from repro.nn.functional import (
-    concat,
-    dropout,
-    entropy,
-    log_softmax,
-    masked_softmax,
-    mse_loss,
-    softmax,
-)
+from repro.nn.functional import concat, entropy, masked_softmax
 from repro.nn.gnn import (
     GNN_LAYERS,
     GATLayer,
@@ -19,14 +11,13 @@ from repro.nn.gnn import (
     SAGELayer,
     make_gnn_layer,
 )
-from repro.nn.layers import Dropout, Linear, Module, ReLU, Sequential, Tanh
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.layers import Linear, Module
+from repro.nn.optim import Adam
 from repro.nn.serialization import load_module, model_nbytes, save_module
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import Tensor
 
 __all__ = [
     "Adam",
-    "Dropout",
     "GATLayer",
     "GCNLayer",
     "GNN_LAYERS",
@@ -35,24 +26,13 @@ __all__ = [
     "LEConvLayer",
     "Linear",
     "Module",
-    "Optimizer",
-    "ReLU",
     "SAGELayer",
-    "SGD",
-    "Sequential",
-    "Tanh",
     "Tensor",
     "concat",
-    "dropout",
     "entropy",
-    "is_grad_enabled",
     "load_module",
-    "log_softmax",
     "make_gnn_layer",
     "masked_softmax",
     "model_nbytes",
-    "mse_loss",
-    "no_grad",
     "save_module",
-    "softmax",
 ]

@@ -2,8 +2,8 @@
 
 Notably the masked softmax of Eq. 4 — probability scores of vertices
 outside the action space are masked out before normalization — plus the
-entropy used by the exploration reward (Sec. III-C) and concat/dropout
-helpers used by the GNN variants.
+entropy used by the exploration reward (Sec. III-C) and the concat
+helper used by the GNN variants.
 
 The ``*_array`` functions are the same arithmetic on bare ``ndarray``s
 for callers that need no gradient (see ``PolicyNetwork.evaluate``); each
@@ -20,24 +20,13 @@ from repro.nn.tensor import Tensor
 __all__ = [
     "masked_softmax",
     "masked_softmax_array",
-    "softmax",
-    "log_softmax",
     "entropy",
     "entropy_array",
     "relu_array",
     "concat",
-    "dropout",
-    "mse_loss",
 ]
 
 _NEG_INF = -1e30
-
-
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = logits - np.max(logits.data, axis=axis, keepdims=True)
-    exps = shifted.exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
 
 
 def _checked_mask(mask: np.ndarray, shape: tuple[int, ...], axis: int) -> np.ndarray:
@@ -77,12 +66,6 @@ def masked_softmax_array(
     return exps / exps.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Log-softmax via the log-sum-exp trick."""
-    shifted = logits - np.max(logits.data, axis=axis, keepdims=True)
-    lse = shifted.exp().sum(axis=axis, keepdims=True).log()
-    return shifted - lse
-
 def entropy(probs: Tensor, axis: int = -1) -> Tensor:
     """Shannon entropy ``H(P) = -Σ p log p`` (0·log 0 treated as 0)."""
     logp = probs.maximum(1e-12).log()
@@ -120,19 +103,3 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
     return Tensor._from_op(out_data, tuple(tensors), backward)
 
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: scales kept units by ``1/(1-p)`` during training."""
-    if not training or p <= 0.0:
-        return x
-    if p >= 1.0:
-        raise ModelError("dropout probability must be < 1")
-    keep = (rng.random(x.data.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(keep)
-
-
-def mse_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    """Mean squared error (used by value-head experiments and tests)."""
-    target = Tensor.as_tensor(target)
-    diff = prediction - target.detach()
-    return (diff * diff).mean()

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "zeros"]
+__all__ = ["xavier_uniform", "zeros"]
 
 
 def xavier_uniform(
@@ -14,14 +14,6 @@ def xavier_uniform(
 ) -> np.ndarray:
     """Glorot/Xavier uniform ``U(-a, a)`` with ``a = gain·sqrt(6/(fi+fo))``."""
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-def kaiming_uniform(
-    fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """He/Kaiming uniform initialization for ReLU networks."""
-    bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 

@@ -1,12 +1,12 @@
 """Module base class and dense layers.
 
 Mirrors the minimal slice of the ``torch.nn`` API the policy network
-needs: parameter registration/iteration, train/eval mode, state dicts.
+needs: parameter registration/iteration and state dicts.  A module has
+one mode: no layer behaves differently in training and at inference.
 
 A layer the policy consults without a gradient also has ``evaluate``:
 its ``forward`` on bare ``ndarray``s — the numpy calls the ``Tensor`` ops
-make, in their order, so the two agree bit for bit — with evaluation-mode
-semantics (there is no ``Dropout.evaluate``: it would be the identity).
+make, in their order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.nn import init as nn_init
-from repro.nn.functional import dropout as f_dropout
 from repro.nn.tensor import Tensor
 
-__all__ = ["Module", "Linear", "Dropout", "ReLU", "Tanh", "Sequential"]
+__all__ = ["Module", "Linear"]
 
 
 class Module:
@@ -30,7 +29,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Tensor]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self.training = True
 
     # -- registration --------------------------------------------------
     def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
@@ -65,15 +63,15 @@ class Module:
 
     # -- modes ----------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects dropout)."""
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
+        """No-op returning ``self``: a module has one mode.  Kept only
+        because ``benchmarks/e2e/wl_rlqvo.py::mirror_epoch`` calls it;
+        it goes with that mirror."""
         return self
 
     def eval(self) -> "Module":
-        """Set evaluation mode recursively."""
-        return self.train(False)
+        """No-op returning ``self``, kept for the same caller as
+        :meth:`train`."""
+        return self
 
     # -- state dict -------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -149,52 +147,3 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias.data
         return out
-
-
-class Dropout(Module):
-    """Inverted dropout with module-local RNG (p = paper default 0.2)."""
-
-    def __init__(self, p: float = 0.2, seed: int | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ModelError(f"dropout p must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return f_dropout(x, self.p, self._rng, self.training)
-
-
-class ReLU(Module):
-    """ReLU activation module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Tanh(Module):
-    """Tanh activation module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._seq = list(modules)
-        for i, module in enumerate(modules):
-            self._modules[str(i)] = module
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self._seq:
-            x = module(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._seq)
-
-    def __getitem__(self, idx: int) -> Module:
-        return self._seq[idx]

@@ -11,45 +11,23 @@ Design follows the classic tape-free closure style: every operation
 returns a new ``Tensor`` holding a ``_backward`` closure that scatters the
 output gradient to its parents; :meth:`Tensor.backward` topologically
 sorts the graph and runs the closures in reverse.
+
+There is no switch that turns graph recording off: an op records its
+parents whenever one of them requires a gradient.  A caller that needs
+no gradient — ordering a query, sampling a rollout — builds no
+``Tensor`` at all and evaluates the policy on bare arrays
+(``PolicyNetwork.evaluate``).
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
-
-
-class _GradMode(threading.local):
-    """Per-thread switch: a thread inside :func:`no_grad` must not stop
-    another thread's update from recording its graph."""
-
-    enabled = True
-
-
-_GRAD_MODE = _GradMode()
-
-
-@contextlib.contextmanager
-def no_grad() -> Iterator[None]:
-    """Disable graph construction in the calling thread (inference mode)."""
-    previous = _GRAD_MODE.enabled
-    _GRAD_MODE.enabled = False
-    try:
-        yield
-    finally:
-        _GRAD_MODE.enabled = previous
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations in the calling thread record the autograd graph."""
-    return _GRAD_MODE.enabled
+__all__ = ["Tensor"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -74,7 +52,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and is_grad_enabled()
+        self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
 
@@ -86,7 +64,7 @@ class Tensor:
         data: np.ndarray, parents: Sequence["Tensor"], backward
     ) -> "Tensor":
         out = Tensor(data)
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -289,26 +267,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * scale)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        """Hyperbolic tangent."""
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        """Logistic sigmoid."""
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60, 60)))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
 
         return Tensor._from_op(out_data, (self,), backward)
 

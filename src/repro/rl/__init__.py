@@ -15,7 +15,6 @@ from repro.rl.rollout import (
     Trajectory,
     TrajectoryStep,
     collect_trajectory,
-    sampling_mode,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "collect_trajectory",
     "discounted_return",
     "enumeration_reward",
-    "sampling_mode",
     "step_rewards",
     "validity_reward",
 ]

@@ -22,7 +22,7 @@ from repro.errors import TrainingError
 from repro.nn.layers import Linear
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
-from repro.rl.rollout import StepBatch, Trajectory, sampling_mode, stack_steps
+from repro.rl.rollout import StepBatch, Trajectory, stack_steps
 
 __all__ = ["ActorCriticStats", "ActorCriticTrainer"]
 
@@ -36,8 +36,8 @@ class ActorCriticStats:
     critic_loss: float
     mean_value: float
     num_steps: int
-    #: Mean ``log π_θ(a_t|s_t)`` over the batch, scored in the sampling
-    #: mode: equals ``mean(log old_prob)`` on the first pass.
+    #: Mean ``log π_θ(a_t|s_t)`` over the batch: equals
+    #: ``mean(log old_prob)`` on the first pass.
     mean_logprob: float = 0.0
 
 
@@ -46,7 +46,7 @@ class ActorCriticTrainer:
 
     API-compatible with :class:`~repro.rl.ppo.PPOTrainer`
     (``update(trajectories)`` with per-step decayed rewards attached),
-    and like it scores steps in the mode they were sampled in.
+    and like it scores steps with the function they were sampled from.
     """
 
     def __init__(
@@ -82,9 +82,8 @@ class ActorCriticTrainer:
         batches = stack_steps(trajectories)
         if not batches:
             return ActorCriticStats(0.0, 0.0, 0.0, 0.0, 0)
-        with sampling_mode(self.policy):
-            for _ in range(self.updates_per_batch):
-                last = self._one_pass(batches)
+        for _ in range(self.updates_per_batch):
+            last = self._one_pass(batches)
         return last
 
     def _one_pass(self, batches: list[StepBatch]) -> ActorCriticStats:

@@ -10,9 +10,10 @@ where ``ρ_t = π_θ(a_t|s_t) / π_θ'(a_t|s_t)`` and ``r_t`` is the step's
 decayed reward ``γ^t R_t`` (Eq. 1–2, summed over the training batch per
 Eq. 5).  We run gradient *ascent* by minimizing ``−J`` with Adam.
 
-``π_θ`` is evaluated under :func:`repro.rl.rollout.sampling_mode`, the
-mode ``π_θ'`` was sampled in, so ``ρ_t = 1`` exactly on the first pass
-over a batch (θ = θ′) and moves only with the gradient steps after it.
+``π_θ`` is ``PolicyNetwork.forward``, the same bits as the array
+evaluation ``π_θ'`` was sampled through (the policy has one mode), so
+``ρ_t = 1`` exactly on the first pass over a batch (θ = θ′) and moves
+only with the gradient steps after it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.rl.rollout import StepBatch, Trajectory, sampling_mode, stack_steps
+from repro.rl.rollout import StepBatch, Trajectory, stack_steps
 
 __all__ = ["PPOStats", "PPOTrainer"]
 
@@ -52,12 +53,7 @@ class PPOStats:
 
 
 class PPOTrainer:
-    """Clipped-surrogate PPO updates over collected trajectories.
-
-    Steps are scored in the mode they were sampled in
-    (:func:`~repro.rl.rollout.sampling_mode`); the policy's own
-    ``training`` flag is left as the caller set it.
-    """
+    """Clipped-surrogate PPO updates over collected trajectories."""
 
     def __init__(
         self,
@@ -92,10 +88,9 @@ class PPOTrainer:
         batches = stack_steps(trajectories, self.normalize_advantages)
         if not batches:
             return PPOStats(0.0, 1.0, 0.0, 0)
-        with sampling_mode(self.policy):
-            first = last = self._one_pass(batches)
-            for _ in range(self.updates_per_batch - 1):
-                last = self._one_pass(batches)
+        first = last = self._one_pass(batches)
+        for _ in range(self.updates_per_batch - 1):
+            last = self._one_pass(batches)
         return replace(
             last,
             passes=self.updates_per_batch,

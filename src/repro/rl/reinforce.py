@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.rl.rollout import StepBatch, Trajectory, sampling_mode, stack_steps
+from repro.rl.rollout import StepBatch, Trajectory, stack_steps
 
 __all__ = ["ReinforceStats", "ReinforceTrainer"]
 
@@ -37,7 +37,7 @@ class ReinforceTrainer:
     API-compatible with :class:`~repro.rl.ppo.PPOTrainer` so it can be
     swapped into :class:`~repro.core.trainer.RLQVOTrainer` for the
     algorithm ablation (``RLQVOConfig(algorithm="reinforce")``), and
-    like it scores steps in the mode they were sampled in.
+    like it scores steps with the function they were sampled from.
     """
 
     def __init__(
@@ -65,9 +65,8 @@ class ReinforceTrainer:
         batches = stack_steps(trajectories, self.normalize_advantages)
         if not batches:
             return ReinforceStats(0.0, 0.0, 0)
-        with sampling_mode(self.policy):
-            for _ in range(self.updates_per_batch):
-                last = self._one_pass(batches)
+        for _ in range(self.updates_per_batch):
+            last = self._one_pass(batches)
         return last
 
     def _one_pass(self, batches: list[StepBatch]) -> ReinforceStats:

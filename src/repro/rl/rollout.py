@@ -8,14 +8,13 @@ collection time from the sampling policy's outputs.
 
 **Mode contract.**  A step's recorded ``old_prob`` and the probability
 an update recomputes for it must be the same function of θ, or the
-probability ratio is noise before any gradient step.  Samples (and the
-orderer's decisions) come from ``PolicyNetwork.evaluate``, the array
-evaluation, which *is* evaluation mode — dropout the identity, no
-``Tensor`` built — whatever the policy's ``training`` flag says; every
-update routine in this package scores steps with ``forward`` under
-:func:`sampling_mode`, so it computes the same bits where θ = θ′
-(``tests/core/test_array_evaluation.py``), whatever mode the caller left
-the policy in.
+probability ratio is noise before any gradient step.  The policy has one
+mode — no layer draws a random mask — so this holds by construction:
+samples (and the orderer's decisions) come from
+``PolicyNetwork.evaluate``, the array evaluation, which builds no
+``Tensor``; every update routine in this package scores steps with
+``forward``, which computes the same bits where θ = θ′
+(``tests/core/test_array_evaluation.py``).
 
 **One forward per pass.**  An update does not visit steps one by one:
 :func:`stack_steps` turns its trajectories' policy steps into
@@ -27,8 +26,6 @@ axis but not ragged vertices — and every pass scores a batch with one
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,26 +42,8 @@ __all__ = [
     "Trajectory",
     "StepBatch",
     "collect_trajectory",
-    "sampling_mode",
     "stack_steps",
 ]
-
-
-@contextmanager
-def sampling_mode(policy) -> Iterator[None]:
-    """Evaluate ``policy`` the way samples are drawn: in evaluation mode.
-
-    The caller's mode is restored on exit; a duck-typed policy without a
-    ``training`` flag has no mode to switch.
-    """
-    was_training = getattr(policy, "training", False)
-    if was_training:
-        policy.eval()
-    try:
-        yield
-    finally:
-        if was_training:
-            policy.train()
 
 
 @dataclass(frozen=True)

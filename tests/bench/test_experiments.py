@@ -5,6 +5,7 @@ exercised end-to-end with tiny workloads so regressions in the harness
 are caught by the unit suite.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench import BenchSettings, Harness
@@ -12,6 +13,7 @@ from repro.bench.experiments import (
     ALL_EXPERIMENTS,
     fig3,
     fig6,
+    fig9,
     fig11,
     table2,
     table3,
@@ -88,6 +90,25 @@ class TestFigures:
         )
         assert set(payload) == {"50", "200"}
         assert "Fig. 11" in capsys.readouterr().out
+
+    def test_fig9_pretrained_regime_is_the_pretrained_model(
+        self, harness, monkeypatch, capsys
+    ):
+        # The fine-tune updates the trainer's policy in place: the
+        # pretrained-only regime must be scored on weights taken before
+        # it, not on the fine-tuned ones.
+        scored = []
+        evaluate = harness.evaluate
+
+        def recording(method, dataset, **kwargs):
+            scored.append(kwargs["orderer"].policy.state_dict())
+            return evaluate(method, dataset, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate", recording)
+        fig9(harness, datasets=("citeseer",), pretrain_size=4)
+        _, incremental, pretrained = scored  # full, incremental, pretrained
+        assert any(not np.array_equal(incremental[k], pretrained[k]) for k in pretrained)
+        assert "Fig. 9" in capsys.readouterr().out
 
 
 def test_registry_covers_every_table_and_figure():

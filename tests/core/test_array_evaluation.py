@@ -5,9 +5,8 @@ bare arrays, no autograd graph — and the update routines score the same
 steps through ``forward``.  PPO's first-pass ratio is 1 only if the two
 agree exactly (a last-bit difference in the ratio moved a policy seed's
 held-out result from 0.82 to 1.82, ROADMAP D), so the comparison is
-``np.array_equal``, never ``allclose``: every encoder, with and without
-dropout configured, whatever mode the policy was left in, on every
-decision point of the fixture queries.
+``np.array_equal``, never ``allclose``: every encoder at every depth
+Fig. 10 sweeps, on every decision point of the fixture queries.
 """
 
 import numpy as np
@@ -17,20 +16,20 @@ from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
 from repro.errors import ModelError
 from repro.nn.functional import entropy_array
 from repro.nn.gnn import GraphContext
-from repro.nn.tensor import no_grad
-from repro.rl import collect_trajectory, sampling_mode
+from repro.rl import collect_trajectory
 
 ENCODERS = ["gcn", "gat", "sage", "graphnn", "asap", "mlp"]
 
 
-@pytest.mark.parametrize("training", [True, False])
-@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
 @pytest.mark.parametrize("gnn_kind", ENCODERS)
 def test_evaluate_equals_forward_bitwise(
-    data_graph, data_stats, queries, rng, gnn_kind, dropout, training
+    data_graph, data_stats, queries, rng, gnn_kind, num_layers
 ):
-    config = RLQVOConfig(gnn_kind=gnn_kind, hidden_dim=16, seed=2, dropout=dropout)
-    policy = PolicyNetwork(config).train(training)
+    config = RLQVOConfig(
+        gnn_kind=gnn_kind, num_gnn_layers=num_layers, hidden_dim=16, seed=2
+    )
+    policy = PolicyNetwork(config)
     builder = FeatureBuilder(data_graph, config, data_stats)
     decisions = 0
     for query in queries:
@@ -39,8 +38,7 @@ def test_evaluate_equals_forward_bitwise(
             probs, scores = policy.evaluate(
                 step.features, trajectory.ctx, step.action_mask
             )
-            with sampling_mode(policy), no_grad():
-                out = policy.forward(step.features, trajectory.ctx, step.action_mask)
+            out = policy.forward(step.features, trajectory.ctx, step.action_mask)
             assert np.array_equal(probs, out.probs.data)
             assert np.array_equal(scores, out.scores.data)
             assert np.array_equal(entropy_array(probs), out.entropy.data)
@@ -50,13 +48,12 @@ def test_evaluate_equals_forward_bitwise(
             assert step.valid == out.is_valid
             decisions += 1
     assert decisions >= 2 * len(queries)
-    assert policy.training is training  # evaluate() switches no mode
 
 
 def test_evaluate_takes_a_stack_of_decision_points(data_graph, data_stats, queries):
     # Every op works on the last axes, as in forward.
     config = RLQVOConfig(gnn_kind="gat", hidden_dim=8, seed=0)
-    policy = PolicyNetwork(config).eval()
+    policy = PolicyNetwork(config)
     builder = FeatureBuilder(data_graph, config, data_stats)
     contexts = [GraphContext.from_graph(query) for query in queries[:3]]
     masks = np.ones((3, 6), dtype=bool)

@@ -54,8 +54,8 @@ class TestBestCheckpoint:
 
     def test_greedy_evaluation_does_not_change_training(self, setup):
         # The per-epoch greedy evaluation (which wraps the policy in an
-        # orderer, i.e. switches it to eval mode) must not steer what is
-        # learned: same losses with tracking on and off.
+        # orderer) must not steer what is learned: same losses with
+        # tracking on and off.
         data, stats, queries = setup
 
         def losses(track):

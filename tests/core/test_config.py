@@ -14,7 +14,6 @@ class TestDefaults:
         assert config.num_gnn_layers == 2
         assert config.hidden_dim == 64
         assert config.learning_rate == pytest.approx(1e-3)
-        assert config.dropout == pytest.approx(0.2)
         assert config.epochs == 100
         assert config.incremental_epochs == 10
         assert config.alpha_degree == config.alpha_d == config.alpha_l == 1.0

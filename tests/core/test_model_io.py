@@ -1,12 +1,22 @@
 """Tests for model persistence (save_model / load_model)."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import PolicyNetwork, RLQVOConfig, load_model, save_model
+from repro.core import (
+    FeatureBuilder,
+    PolicyNetwork,
+    RLQVOConfig,
+    RLQVOOrderer,
+    load_model,
+    save_model,
+)
 from repro.errors import ModelError
-from repro.graphs import erdos_renyi
+from repro.graphs import GraphStats, erdos_renyi, generate_query_set
 from repro.nn import GraphContext
+from repro.service import CatalogEntry, MatchRequest, MatchService
 
 
 @pytest.fixture()
@@ -22,18 +32,13 @@ class TestSaveLoad:
     def test_roundtrip_preserves_outputs(self, tmp_path, sample_inputs):
         ctx, features, mask = sample_inputs
         config = RLQVOConfig(hidden_dim=8, gnn_kind="gat", num_gnn_layers=3)
-        policy = PolicyNetwork(config).eval()
+        policy = PolicyNetwork(config)
         save_model(policy, tmp_path / "model")
         loaded = load_model(tmp_path / "model")
         assert loaded.config == config
         a = policy.forward(features, ctx, mask).probs.data
         b = loaded.forward(features, ctx, mask).probs.data
         assert np.allclose(a, b)
-
-    def test_loaded_model_in_eval_mode(self, tmp_path):
-        policy = PolicyNetwork(RLQVOConfig(hidden_dim=8))
-        save_model(policy, tmp_path / "m")
-        assert not load_model(tmp_path / "m").training
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ModelError):
@@ -60,11 +65,101 @@ class TestSaveLoad:
     def test_checkpoint_naming_a_retired_engine_still_loads(self, tmp_path):
         # Saved by `repro-train --enum-strategy vectorized` when that
         # existed; the field never described the policy.
-        import json
-
         save_model(PolicyNetwork(RLQVOConfig(hidden_dim=8)), tmp_path / "m")
         path = tmp_path / "m" / "config.json"
         path.write_text(
             json.dumps(dict(json.loads(path.read_text()), enum_strategy="vectorized"))
         )
         assert load_model(tmp_path / "m").config.hidden_dim == 8
+
+    def test_state_dict_keys_are_the_saved_format(self):
+        # Checkpoints written before the dropout layer went load into
+        # today's network only if the parameter names did not move.
+        assert sorted(PolicyNetwork(RLQVOConfig()).state_dict()) == [
+            "encoder0.linear.bias", "encoder0.linear.weight",
+            "encoder1.linear.bias", "encoder1.linear.weight",
+            "head1.bias", "head1.weight", "head2.bias", "head2.weight",
+        ]
+
+    @pytest.mark.parametrize(
+        "gnn_kind", ["gcn", "gat", "sage", "graphnn", "asap", "mlp"]
+    )
+    def test_older_config_with_retired_keys_loads_bit_equal(self, tmp_path, gnn_kind):
+        # The config.json an older version wrote carries "dropout" and
+        # "enum_strategy"; neither configures anything now, whichever
+        # encoder the checkpoint holds.
+        data = erdos_renyi(60, 150, 3, seed=4)
+        stats = GraphStats(data)
+        config = RLQVOConfig(gnn_kind=gnn_kind, hidden_dim=8, seed=3)
+        policy = PolicyNetwork(config)
+        save_model(policy, tmp_path / "m")
+        path = tmp_path / "m" / "config.json"
+        raw = json.loads(path.read_text())
+        raw.update(dropout=0.2, enum_strategy="iterative")
+        path.write_text(json.dumps(raw, indent=2))
+
+        loaded = load_model(tmp_path / "m")
+        assert loaded.config == config
+        saved, restored = policy.state_dict(), loaded.state_dict()
+        assert saved.keys() == restored.keys()
+        for name in saved:
+            assert np.array_equal(saved[name], restored[name]), name
+        original = RLQVOOrderer(policy, FeatureBuilder(data, config, stats))
+        reloaded = RLQVOOrderer(loaded, FeatureBuilder(data, loaded.config, stats))
+        for query in generate_query_set(data, 6, 5, seed=2):
+            assert reloaded.order(query, data) == original.order(query, data)
+
+
+def _edit_config(directory, edit) -> None:
+    path = directory / "config.json"
+    path.write_text(edit(json.loads(path.read_text())))
+
+
+MALFORMED_CONFIGS = {
+    "unknown key": (lambda raw: json.dumps({**raw, "momentum": 0.9}), "momentum"),
+    "missing reward": (
+        lambda raw: json.dumps({k: v for k, v in raw.items() if k != "reward"}),
+        "reward",
+    ),
+    "invalid json": (lambda raw: json.dumps(raw)[:-2], "config.json"),
+    "reward out of range": (
+        lambda raw: json.dumps({**raw, "reward": {**raw["reward"], "gamma": 1.5}}),
+        "reward",
+    ),
+    "not an object": (lambda raw: json.dumps([raw]), "object"),
+}
+
+
+class TestMalformedConfig:
+    """Every way a saved ``config.json`` can be malformed is a
+    ``ModelError`` naming the file and the key — a ``ReproError`` the
+    serving layer reports as ``validation``, not as ``internal``."""
+
+    @pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+    def test_raises_model_error_naming_file_and_key(self, tmp_path, case):
+        edit, named = MALFORMED_CONFIGS[case]
+        save_model(PolicyNetwork(RLQVOConfig(hidden_dim=8)), tmp_path / "m")
+        _edit_config(tmp_path / "m", edit)
+        with pytest.raises(ModelError) as caught:
+            load_model(tmp_path / "m")
+        assert str(tmp_path / "m" / "config.json") in str(caught.value)
+        assert named in str(caught.value)
+
+    def test_unreadable_weights_raise_model_error(self, tmp_path):
+        save_model(PolicyNetwork(RLQVOConfig(hidden_dim=8)), tmp_path / "m")
+        (tmp_path / "m" / "policy.npz").write_bytes(b"not an archive")
+        with pytest.raises(ModelError, match="policy.npz"):
+            load_model(tmp_path / "m")
+
+    def test_submit_many_captures_it_as_a_validation_error(self, tmp_path):
+        data = erdos_renyi(60, 150, 3, seed=4)
+        save_model(PolicyNetwork(RLQVOConfig(hidden_dim=8)), tmp_path / "m")
+        _edit_config(tmp_path / "m", MALFORMED_CONFIGS["unknown key"][0])
+        service = MatchService(catalog={
+            "g": CatalogEntry(name="g", data=data, orderer="rlqvo", model=tmp_path / "m"),
+        })
+        query = generate_query_set(data, 4, 1, seed=0)[0]
+        (response,) = service.submit_many([MatchRequest("g", query)])
+        assert not response.ok
+        assert response.error_code == "validation"
+        assert "momentum" in response.error

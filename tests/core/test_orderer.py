@@ -2,6 +2,7 @@
 
 import gc
 
+import numpy as np
 import pytest
 
 from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig, RLQVOOrderer
@@ -40,13 +41,6 @@ class TestRLQVOOrderer:
             orders.add(tuple(orderer.order(queries[0], data_graph)))
         assert len(orders) > 1
 
-    def test_policy_forced_to_eval_mode(self, data_graph, data_stats):
-        config = RLQVOConfig(hidden_dim=8, dropout=0.5)
-        policy = PolicyNetwork(config)
-        assert policy.training
-        RLQVOOrderer(policy, FeatureBuilder(data_graph, config, data_stats))
-        assert not policy.training
-
     def test_transient_queries_are_ordered_on_their_own_content(
         self, data_graph, data_stats
     ):
@@ -74,9 +68,11 @@ class TestRLQVOOrderer:
         assert retained == []
 
     def test_ordering_builds_no_tensor(self, orderer_setup, queries, monkeypatch):
-        # A count, not a clock: the policy is consulted on bare arrays
-        # (PolicyNetwork.evaluate), so nothing of the autograd is built.
+        # A count, not a clock: the orderer and the training rollout
+        # consult the policy on bare arrays (PolicyNetwork.evaluate), so
+        # nothing of the autograd is built.
         from repro.nn.tensor import Tensor
+        from repro.rl import collect_trajectory
 
         built = []
         init = Tensor.__init__
@@ -89,8 +85,10 @@ class TestRLQVOOrderer:
         Tensor(0.0)
         assert built == [1]  # the counter is live
         orderer, data = orderer_setup
+        rng = np.random.default_rng(0)
         for query in queries:
             orderer.order(query, data)
+            collect_trajectory(orderer.policy, query, orderer.feature_builder, rng)
         assert built == [1]
 
     def test_wrong_data_graph_rejected(self, orderer_setup):

@@ -22,7 +22,7 @@ def features_for(n: int, seed: int = 0) -> np.ndarray:
 class TestForward:
     def test_masked_distribution(self, query_ctx):
         query, ctx = query_ctx
-        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16)).eval()
+        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16))
         mask = np.array([True, True, False, False, True, False, False, False])
         out = policy.forward(features_for(8), ctx, mask)
         p = out.probs.data
@@ -33,14 +33,14 @@ class TestForward:
 
     def test_entropy_nonnegative_and_bounded(self, query_ctx):
         _, ctx = query_ctx
-        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16)).eval()
+        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16))
         mask = np.ones(8, dtype=bool)
         out = policy.forward(features_for(8), ctx, mask)
         assert 0.0 <= float(out.entropy.data) <= np.log(8) + 1e-9
 
     def test_is_valid_semantics(self, query_ctx):
         _, ctx = query_ctx
-        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16)).eval()
+        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16))
         full_mask = np.ones(8, dtype=bool)
         out = policy.forward(features_for(8), ctx, full_mask)
         assert out.is_valid  # full action space: argmax always inside
@@ -69,7 +69,7 @@ class TestVariants:
         _, ctx = query_ctx
         policy = PolicyNetwork(
             RLQVOConfig(gnn_kind=kind, hidden_dim=8, num_gnn_layers=2)
-        ).eval()
+        )
         out = policy.forward(features_for(8), ctx, np.ones(8, dtype=bool))
         assert out.probs.data.sum() == pytest.approx(1.0)
 
@@ -85,9 +85,7 @@ class TestVariants:
         # With identical per-vertex features, an MLP policy must emit a
         # uniform distribution regardless of the graph structure.
         _, ctx = query_ctx
-        policy = PolicyNetwork(
-            RLQVOConfig(gnn_kind="mlp", hidden_dim=8)
-        ).eval()
+        policy = PolicyNetwork(RLQVOConfig(gnn_kind="mlp", hidden_dim=8))
         same = np.tile(np.arange(FEATURE_DIM, dtype=float), (8, 1))
         out = policy.forward(same, ctx, np.ones(8, dtype=bool))
         assert np.allclose(out.probs.data, 1 / 8)
@@ -98,7 +96,7 @@ class TestSelectionAndCloning:
         # The greedy decision is the argmax of ``probs``, and ``probs`` are
         # forward's (bitwise, for every encoder: test_array_evaluation.py).
         _, ctx = query_ctx
-        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16)).eval()
+        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16))
         mask = np.ones(8, dtype=bool)
         probs, scores = policy.evaluate(features_for(8), ctx, mask)
         out = policy.forward(features_for(8), ctx, mask)
@@ -109,7 +107,7 @@ class TestSelectionAndCloning:
 
     def test_sampling_respects_mask(self, query_ctx):
         _, ctx = query_ctx
-        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16)).eval()
+        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16))
         mask = np.zeros(8, dtype=bool)
         mask[[2, 5]] = True
         probs, _ = policy.evaluate(features_for(8), ctx, mask)
@@ -121,7 +119,7 @@ class TestSelectionAndCloning:
 
     def test_clone_is_independent(self, query_ctx):
         _, ctx = query_ctx
-        policy = PolicyNetwork(RLQVOConfig(hidden_dim=8)).eval()
+        policy = PolicyNetwork(RLQVOConfig(hidden_dim=8))
         twin = policy.clone()
         mask = np.ones(8, dtype=bool)
         a = policy.forward(features_for(8), ctx, mask).probs.data
@@ -133,15 +131,13 @@ class TestSelectionAndCloning:
         c = policy.forward(features_for(8), ctx, mask).probs.data
         assert np.allclose(a, c)
 
-    def test_dropout_only_in_training_mode(self, query_ctx):
+    def test_forward_has_one_mode(self, query_ctx):
+        # No layer draws randomness: repeated forwards are the same bits,
+        # and the kept train()/eval() no-ops change nothing.
         _, ctx = query_ctx
-        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16, dropout=0.5, seed=1))
+        policy = PolicyNetwork(RLQVOConfig(hidden_dim=16, seed=1))
         mask = np.ones(8, dtype=bool)
-        policy.eval()
         a = policy.forward(features_for(8), ctx, mask).probs.data
+        assert policy.train() is policy and policy.eval() is policy
         b = policy.forward(features_for(8), ctx, mask).probs.data
-        assert np.allclose(a, b)  # eval: deterministic
-        policy.train()
-        c = policy.forward(features_for(8), ctx, mask).probs.data
-        d = policy.forward(features_for(8), ctx, mask).probs.data
-        assert not np.allclose(c, d)  # train: dropout noise
+        assert np.array_equal(a, b)

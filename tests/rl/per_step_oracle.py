@@ -11,8 +11,7 @@ floating-point sums are taken in (``tests/rl/test_step_batch.py``).
 
 Test-only by design — ~3,400 trips through the Python autograd per
 benchmark training run is why it left ``src/``.  ``tests/rl/conftest.py``
-puts this directory on ``sys.path``.  The caller holds the policy in the
-mode the steps were sampled in (:func:`repro.rl.sampling_mode`).
+puts this directory on ``sys.path``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """``collect_trajectory`` as it sampled before the array evaluation.
 
-Each consultation is ``policy.forward`` under ``sampling_mode`` and
-``no_grad``: some 26 ``Tensor`` ops whose graph is thrown away, entropy
-and validity read off the ``PolicyOutput``.  ``rl/rollout.py`` now asks
+Each consultation is ``policy.forward``: some 26 ``Tensor`` ops whose
+autograd graph is thrown away, entropy and validity read off the
+``PolicyOutput``.  ``rl/rollout.py`` now asks
 ``PolicyNetwork.evaluate`` for bare arrays instead; this is the
 independent spelling it must reproduce — the same actions from the same
 ``rng`` draws, the same ``old_prob`` / ``entropy`` / ``valid`` bits, and
@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.gnn import GraphContext
-from repro.nn.tensor import no_grad
-from repro.rl import OrderingEnv, sampling_mode
+from repro.rl import OrderingEnv
 from repro.rl.rollout import Trajectory, TrajectoryStep
 
 
@@ -48,8 +47,7 @@ def collect_trajectory_tensor(
                 computed=False,
             )
         else:
-            with sampling_mode(policy), no_grad():
-                out = policy.forward(features, ctx, state.action_mask)
+            out = policy.forward(features, ctx, state.action_mask)
             p = out.probs.data
             if greedy:
                 action = int(np.argmax(p))

@@ -10,8 +10,8 @@ from repro.rl import ActorCriticTrainer, collect_trajectory
 
 @pytest.fixture()
 def setup(data_graph, data_stats, queries, rng):
-    config = RLQVOConfig(hidden_dim=16, seed=0, dropout=0.0)
-    policy = PolicyNetwork(config).eval()
+    config = RLQVOConfig(hidden_dim=16, seed=0)
+    policy = PolicyNetwork(config)
     builder = FeatureBuilder(data_graph, config, data_stats)
     trajectories = []
     for query in queries[:3]:

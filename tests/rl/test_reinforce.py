@@ -5,14 +5,13 @@ import pytest
 
 from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
 from repro.errors import TrainingError
-from repro.nn.tensor import no_grad
 from repro.rl import ReinforceTrainer, collect_trajectory
 
 
 @pytest.fixture()
 def setup(data_graph, data_stats, queries, rng):
-    config = RLQVOConfig(hidden_dim=16, seed=0, dropout=0.0)
-    policy = PolicyNetwork(config).eval()
+    config = RLQVOConfig(hidden_dim=16, seed=0)
+    policy = PolicyNetwork(config)
     builder = FeatureBuilder(data_graph, config, data_stats)
     trajectories = []
     for query in queries[:3]:
@@ -26,11 +25,8 @@ def taken_logprob_sum(policy, trajectories) -> float:
     total = 0.0
     for trajectory in trajectories:
         for _, step in trajectory.policy_steps():
-            with no_grad():
-                out = policy.forward(
-                    step.features, trajectory.ctx, step.action_mask
-                )
-            total += float(np.log(max(out.probs.data[step.action], 1e-12)))
+            probs, _ = policy.evaluate(step.features, trajectory.ctx, step.action_mask)
+            total += float(np.log(max(probs[step.action], 1e-12)))
     return total
 
 

@@ -12,7 +12,7 @@ from repro.rl import collect_trajectory
 @pytest.fixture(scope="module")
 def setup(data_graph, data_stats):
     config = RLQVOConfig(hidden_dim=16, seed=0)
-    policy = PolicyNetwork(config).eval()
+    policy = PolicyNetwork(config)
     builder = FeatureBuilder(data_graph, config, data_stats)
     return policy, builder
 
@@ -102,7 +102,7 @@ class TestAgainstTensorSampling:
         self, data_graph, data_stats, queries, gnn_kind, greedy
     ):
         config = RLQVOConfig(gnn_kind=gnn_kind, hidden_dim=16, seed=4)
-        policy = PolicyNetwork(config)  # left in train() mode, dropout 0.2
+        policy = PolicyNetwork(config)
         builder = FeatureBuilder(data_graph, config, data_stats)
         ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
         for query in queries:

@@ -14,13 +14,11 @@ from per_step_oracle import per_step_loss
 
 from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
 from repro.graphs import Graph, generate_query_set
-from repro.nn.tensor import no_grad
 from repro.rl import (
     ActorCriticTrainer,
     PPOTrainer,
     ReinforceTrainer,
     collect_trajectory,
-    sampling_mode,
 )
 from repro.rl.rollout import stack_steps
 
@@ -86,22 +84,21 @@ def test_stacked_forward_rows_equal_single_step_forwards(mixed_batch, gnn_kind):
         ]
         for size in (6, 4)
     }
-    with sampling_mode(policy), no_grad():
-        for batch in stack_steps(trajectories):
-            stacked = policy.forward(batch.features, batch.ctx, batch.action_mask)
-            rows = steps[batch.action_mask.shape[1]]
-            assert stacked.entropy.shape == (len(rows),)
-            for row, (ctx, step) in enumerate(rows):
-                single = policy.forward(step.features, ctx, step.action_mask)
-                for name in ("probs", "scores", "entropy"):
-                    np.testing.assert_allclose(
-                        getattr(stacked, name).data[row],
-                        getattr(single, name).data,
-                        rtol=0, atol=1e-12, err_msg=name,
-                    )
-                assert batch.chosen_prob(stacked.probs).data[row] == (
-                    stacked.probs.data[row, step.action]
+    for batch in stack_steps(trajectories):
+        stacked = policy.forward(batch.features, batch.ctx, batch.action_mask)
+        rows = steps[batch.action_mask.shape[1]]
+        assert stacked.entropy.shape == (len(rows),)
+        for row, (ctx, step) in enumerate(rows):
+            single = policy.forward(step.features, ctx, step.action_mask)
+            for name in ("probs", "scores", "entropy"):
+                np.testing.assert_allclose(
+                    getattr(stacked, name).data[row],
+                    getattr(single, name).data,
+                    rtol=0, atol=1e-12, err_msg=name,
                 )
+            assert batch.chosen_prob(stacked.probs).data[row] == (
+                stacked.probs.data[row, step.action]
+            )
 
 
 def assert_update_matches_oracle(trainer, trajectories):
@@ -109,8 +106,7 @@ def assert_update_matches_oracle(trainer, trajectories):
     parameters = trainer.optimizer.parameters
     for _ in range(2):
         trainer.optimizer.zero_grad()
-        with sampling_mode(trainer.policy):
-            expected = per_step_loss(trainer, trajectories)
+        expected = per_step_loss(trainer, trajectories)
         expected.backward()
         expected_grads = [p.grad.copy() for p in parameters]
 

@@ -30,8 +30,10 @@ PACKAGES = [
 #: Names retired with the selectable recursive engine, the second
 #: pipeline facade, the user-set choice of enumeration backend,
 #: partitioned matching, the sqlite plan store, the durable admission
-#: journal, the serving benchmark's machine calibration and the lazy
-#: match stream; listed so they cannot drift back into a facade.
+#: journal, the serving benchmark's machine calibration, the lazy match
+#: stream, and the dropout layer with the mode and grad switches that
+#: kept it off and the nn code nothing called; listed so they cannot
+#: drift back into a facade.
 RETIRED_EXPORTS = [
     ("repro", "MatchingEngine"),
     ("repro", "IterativeEnumerator"),
@@ -62,6 +64,19 @@ RETIRED_EXPORTS = [
     ("repro.bench", "calibrate"),
     ("repro", "MatchStream"),
     ("repro.matching", "MatchStream"),
+    ("repro.nn", "Dropout"),
+    ("repro.nn", "dropout"),
+    ("repro.nn", "no_grad"),
+    ("repro.nn", "is_grad_enabled"),
+    ("repro.nn", "SGD"),
+    ("repro.nn", "Optimizer"),
+    ("repro.nn", "Sequential"),
+    ("repro.nn", "ReLU"),
+    ("repro.nn", "Tanh"),
+    ("repro.nn", "softmax"),
+    ("repro.nn", "log_softmax"),
+    ("repro.nn", "mse_loss"),
+    ("repro.rl", "sampling_mode"),
 ]
 
 
