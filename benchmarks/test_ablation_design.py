@@ -1,11 +1,7 @@
-"""Design-choice ablations beyond the paper's Fig. 7.
+"""A design-choice ablation beyond the paper's Fig. 7.
 
-Two choices DESIGN.md calls out:
-
-1. PPO vs plain REINFORCE (the paper's Sec. III-H discussion),
-2. the reward squashing ``f_enum`` (absolute log-gap vs log-ratio).
-
-Both compare end-to-end order quality.
+The reward squashing ``f_enum`` (absolute log-gap vs log-ratio), compared
+on end-to-end order quality against RI.
 """
 
 import math
@@ -29,8 +25,8 @@ def _eval_total_enum(orderer, data, stats, queries, enumerator):
     return total
 
 
-def test_algorithm_and_reward_ablation(benchmark, harness, record):
-    """PPO/log vs PPO/log_ratio vs REINFORCE/log on one workload."""
+def test_reward_squashing_ablation(benchmark, harness, record):
+    """PPO/log vs PPO/log_ratio on one workload."""
 
     def run():
         dataset = "yeast"
@@ -44,7 +40,6 @@ def test_algorithm_and_reward_ablation(benchmark, harness, record):
         variants = {
             "ppo-log": {},
             "ppo-logratio": {"reward": RewardConfig(fenum="log_ratio")},
-            "reinforce-log": {"algorithm": "reinforce"},
         }
         payload = {
             "ri": _eval_total_enum(
@@ -62,7 +57,7 @@ def test_algorithm_and_reward_ablation(benchmark, harness, record):
         print_table(
             ["variant", "total eval #enum"],
             rows,
-            title="Ablation — RL algorithm and reward squashing (yeast Q16)",
+            title="Ablation — reward squashing (yeast Q16)",
         )
         return payload
 

@@ -46,7 +46,6 @@ True
 from repro.api.matcher import Matcher
 from repro.api.plan import QueryPlan
 from repro.api.registry import (
-    ComponentRegistry,
     available_components,
     filter_registry,
     make_enumerator,
@@ -58,7 +57,6 @@ from repro.api.registry import (
 )
 
 __all__ = [
-    "ComponentRegistry",
     "Matcher",
     "QueryPlan",
     "available_components",

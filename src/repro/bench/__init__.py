@@ -9,7 +9,6 @@ from repro.bench.harness import (
     QueryOutcome,
     method_matcher,
 )
-from repro.bench.profiling import QueryProfile, profile_query, profile_workload
 from repro.bench.reporting import (
     format_seconds,
     format_table,
@@ -25,13 +24,10 @@ __all__ = [
     "Harness",
     "METHODS",
     "QueryOutcome",
-    "QueryProfile",
     "format_seconds",
     "format_table",
     "geometric_mean",
     "method_matcher",
     "percentile_series",
     "print_table",
-    "profile_query",
-    "profile_workload",
 ]

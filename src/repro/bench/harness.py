@@ -12,7 +12,6 @@ method            filter             ordering
 ``ri``            LDF                RI structure greedy
 ``vf2pp``         LDF                VF2++ label rarity
 ``gql``           GQL                GraphQL min-candidate
-``cfl``           CFL                CFL path-based
 ``veq``           DP-iso (DAG DP)    VEQ NEC-aware
 ``hybrid``        GQL                RI  (the SOTA of [14])
 ``rlqvo``         GQL                learned policy
@@ -43,9 +42,8 @@ from repro.graphs.graph import Graph
 from repro.matching.candidates import CandidateFilter
 from repro.matching.engine import MatchResult
 from repro.matching.enumeration import Enumerator
-from repro.matching.filters import CFLFilter, DPisoFilter, GQLFilter, LDFFilter
+from repro.matching.filters import DPisoFilter, GQLFilter, LDFFilter
 from repro.matching.ordering import (
-    CFLOrderer,
     GQLOrderer,
     Orderer,
     QSIOrderer,
@@ -68,7 +66,6 @@ METHODS: dict[str, tuple[type[CandidateFilter], type[Orderer]]] = {
     "ri": (LDFFilter, RIOrderer),
     "vf2pp": (LDFFilter, VF2PPOrderer),
     "gql": (GQLFilter, GQLOrderer),
-    "cfl": (CFLFilter, CFLOrderer),
     "veq": (DPisoFilter, VEQOrderer),
     "hybrid": (GQLFilter, RIOrderer),
 }

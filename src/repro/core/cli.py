@@ -48,10 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--gnn", default="gcn",
         choices=["gcn", "gat", "sage", "graphnn", "asap", "mlp"],
     )
-    parser.add_argument(
-        "--algorithm", default="ppo",
-        choices=["ppo", "reinforce", "actor_critic"],
-    )
     parser.add_argument("--train-match-limit", type=int, default=2000)
     parser.add_argument(
         "--train-time-limit", type=float, default=1.0,
@@ -90,7 +86,6 @@ def main(argv: list[str] | None = None) -> int:
         hidden_dim=args.hidden_dim,
         epochs=args.epochs,
         rollouts_per_query=args.rollouts,
-        algorithm=args.algorithm,
         train_match_limit=args.train_match_limit,
         train_time_limit=args.train_time_limit,
         seed=args.seed,

@@ -77,10 +77,6 @@ class RLQVOConfig:
     #: Sampled ordering episodes collected per training query per epoch.
     #: More rollouts = more PPO signal per enumeration budget.
     rollouts_per_query: int = 1
-    #: Policy-gradient algorithm: "ppo" (the paper's choice, Sec. III-E),
-    #: "reinforce" (the plain alternative discussed in Sec. III-H) or
-    #: "actor_critic" (the value-function family Sec. III-A rejects).
-    algorithm: str = "ppo"
     #: After each epoch, evaluate the policy greedily and keep the best
     #: checkpoint: on the held-out ``eval_queries`` passed to ``train``
     #: when there are any, else on the training queries — where, with
@@ -107,8 +103,6 @@ class RLQVOConfig:
             raise ModelError("epoch counts must be non-negative")
         if self.rollouts_per_query < 1:
             raise ModelError("rollouts_per_query must be >= 1")
-        if self.algorithm not in ("ppo", "reinforce", "actor_critic"):
-            raise ModelError(f"unknown algorithm {self.algorithm!r}")
         engines = available_components()["enumerator"]
         if self.enum_strategy not in engines:
             raise ModelError(

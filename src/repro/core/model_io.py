@@ -26,8 +26,11 @@ __all__ = ["save_model", "load_model"]
 #: engine computed the training rewards says nothing about the policy
 #: (they were bit-identical), and a checkpoint saved when there were two
 #: may name the one that no longer exists; the second key set a layer no
-#: training run applied, and the layer is gone.
-RETIRED_KEYS = ("enum_strategy", "dropout")
+#: training run applied, and the layer is gone.  The third named the
+#: updater that trained the policy, which says nothing about the policy
+#: either: PPO is the only one left, and actor–critic's value head was
+#: never saved.
+RETIRED_KEYS = ("enum_strategy", "dropout", "algorithm")
 
 
 def save_model(policy: PolicyNetwork, directory: str | os.PathLike[str]) -> None:

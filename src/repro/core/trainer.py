@@ -53,9 +53,7 @@ from repro.matching.enumeration import Enumerator
 from repro.matching.filters.gql import GQLFilter
 from repro.matching.ordering.ri import RIOrderer
 from repro.nn.gnn import GraphContext
-from repro.rl.actor_critic import ActorCriticTrainer
 from repro.rl.ppo import PPOTrainer
-from repro.rl.reinforce import ReinforceTrainer
 from repro.rl.reward import discounted_return, enumeration_reward, step_rewards
 from repro.rl.rollout import collect_trajectory
 
@@ -84,8 +82,6 @@ class EpochStats:
     #: the clip range, the steps in the batch, the sample estimate
     #: mean(−log ρ) of KL(π_old ‖ π_new), the mean entropy of the masked
     #: policy and the global gradient norm before clipping.
-    #: ``"reinforce"`` and ``"actor_critic"`` report their own step count
-    #: and the neutral 1.0 / 0.0 for the rest.
     mean_ratio: float = 1.0
     clip_fraction: float = 0.0
     num_steps: int = 0
@@ -158,24 +154,13 @@ class RLQVOTrainer:
         self.policy = policy if policy is not None else PolicyNetwork(self.config)
         self.feature_builder = FeatureBuilder(data, self.config, self.stats)
         self.baseline_orderer = RIOrderer()
-        if self.config.algorithm == "reinforce":
-            self.ppo = ReinforceTrainer(
-                self.policy,
-                learning_rate=self.config.learning_rate,
-                normalize_advantages=self.config.normalize_advantages,
-            )
-        elif self.config.algorithm == "actor_critic":
-            self.ppo = ActorCriticTrainer(
-                self.policy, learning_rate=self.config.learning_rate
-            )
-        else:
-            self.ppo = PPOTrainer(
-                self.policy,
-                learning_rate=self.config.learning_rate,
-                clip_epsilon=self.config.clip_epsilon,
-                updates_per_batch=self.config.updates_per_epoch,
-                normalize_advantages=self.config.normalize_advantages,
-            )
+        self.ppo = PPOTrainer(
+            self.policy,
+            learning_rate=self.config.learning_rate,
+            clip_epsilon=self.config.clip_epsilon,
+            updates_per_batch=self.config.updates_per_epoch,
+            normalize_advantages=self.config.normalize_advantages,
+        )
         self._rng = np.random.default_rng(self.config.seed + 13)
         self._reward_cfg = self.config.effective_reward()
         self._enumerator = Enumerator(
@@ -340,14 +325,14 @@ class RLQVOTrainer:
                 queries_skipped=skipped,
                 elapsed=time.perf_counter() - t0,
                 greedy_enum_total=greedy_total,
-                mean_ratio=getattr(ppo_stats, "mean_ratio", 1.0),
-                clip_fraction=getattr(ppo_stats, "clip_fraction", 0.0),
+                mean_ratio=ppo_stats.mean_ratio,
+                clip_fraction=ppo_stats.clip_fraction,
                 num_steps=ppo_stats.num_steps,
-                approx_kl=getattr(ppo_stats, "approx_kl", 0.0),
-                entropy=getattr(ppo_stats, "entropy", 0.0),
-                grad_norm=getattr(ppo_stats, "grad_norm", 0.0),
-                passes=getattr(ppo_stats, "passes", 1),
-                first_pass_ratio=getattr(ppo_stats, "first_pass_ratio", 1.0),
+                approx_kl=ppo_stats.approx_kl,
+                entropy=ppo_stats.entropy,
+                grad_norm=ppo_stats.grad_norm,
+                passes=ppo_stats.passes,
+                first_pass_ratio=ppo_stats.first_pass_ratio,
                 time_sample=sample_timer.total,
                 time_train=train_timer.total,
                 heldout_enum=heldout_enum,

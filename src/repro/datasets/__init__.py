@@ -6,13 +6,11 @@ from repro.datasets.registry import (
     clear_cache,
     dataset_stats,
     load_dataset,
-    register_dataset,
     register_graph_file,
 )
 from repro.datasets.workloads import (
     QueryWorkload,
     default_query_size,
-    paper_query_count,
     query_workload,
 )
 
@@ -24,8 +22,6 @@ __all__ = [
     "dataset_stats",
     "default_query_size",
     "load_dataset",
-    "paper_query_count",
     "query_workload",
-    "register_dataset",
     "register_graph_file",
 ]

@@ -29,7 +29,6 @@ __all__ = [
     "erdos_renyi",
     "chung_lu",
     "powerlaw_degree_weights",
-    "random_tree",
     "connect_components",
 ]
 
@@ -158,14 +157,6 @@ def chung_lu(
             if j < n:
                 p = min(1.0, wi * w[j] / total)
     labels = zipf_labels(n, num_labels, label_skew, rng)
-    return _graph_from_edge_set(n, labels, edges)
-
-
-def random_tree(n: int, num_labels: int, *, seed: int | None = None) -> Graph:
-    """Uniform random labeled tree (random attachment construction)."""
-    rng = np.random.default_rng(seed)
-    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
-    labels = zipf_labels(n, num_labels, 0.5, rng)
     return _graph_from_edge_set(n, labels, edges)
 
 

@@ -14,7 +14,7 @@ integers.  Adjacency is stored as a single contiguous CSR pair
 whole matching stack (filters, :class:`CandidateSpace`, the iterative
 enumerator) consumes.  Per-vertex neighbour lists are zero-copy slices of
 ``indices``; the frozenset views behind :meth:`Graph.neighbor_set`'s
-O(1) membership tests (orderer heuristics, the CFL / DP-iso filters) are
+O(1) membership tests (orderer heuristics, the DP-iso filter) are
 derived lazily, per vertex, on first access, so CSR-only pipelines never
 pay for the Python object churn.
 
@@ -289,7 +289,7 @@ class Graph:
         """Neighbours of ``v`` as a frozenset (O(1) membership).
 
         Materialized lazily, one vertex at a time: only the orderer
-        heuristics and the CFL / DP-iso filters take this path, so CSR-only
+        heuristics and the DP-iso filter take this path, so CSR-only
         pipelines never build the sets.
         """
         sets = self._neighbor_sets

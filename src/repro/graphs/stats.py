@@ -15,13 +15,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 
-__all__ = ["GraphStats", "degree_histogram", "label_histogram"]
-
-
-def degree_histogram(graph: Graph) -> dict[int, int]:
-    """Map ``degree -> number of vertices with that degree``."""
-    values, counts = np.unique(graph.degrees, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+__all__ = ["GraphStats", "label_histogram"]
 
 
 def label_histogram(graph: Graph) -> dict[int, int]:

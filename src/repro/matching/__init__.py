@@ -12,12 +12,12 @@ pipeline: :meth:`repro.api.Matcher.plan` builds it once per query (the
 space build is billed to ``filter_time``), hands it to the orderer via
 :meth:`Orderer.order_context`, and :meth:`repro.api.Matcher.execute`
 hands it to the enumerator via :meth:`Enumerator.run_context`.  Callers that enumerate one instance many
-times (reward rollouts, optimal-order sweeps, profiling) construct a
+times (reward rollouts, optimal-order sweeps) construct a
 context themselves and reuse it; the positional ``Enumerator.run``
 signature remains as a one-shot convenience.
 """
 
-from repro.matching.bipartite import has_semi_perfect_matching, hopcroft_karp
+from repro.matching.bipartite import has_semi_perfect_matching
 from repro.matching.candidate_space import CandidateSpace
 from repro.matching.candidates import CandidateFilter, CandidateSets
 from repro.matching.context import MatchingContext
@@ -35,17 +35,15 @@ from repro.matching.kernels import (
 )
 from repro.matching.filters import (
     FILTERS,
-    CFLFilter,
     DPisoFilter,
     GQLFilter,
     LDFFilter,
     NLFFilter,
 )
-from repro.matching.cost import estimate_order_cost, rank_orders
-from repro.matching.verify import explain_embedding, is_valid_embedding, verify_all
+from repro.matching.cost import estimate_order_cost
+from repro.matching.verify import verify_all
 from repro.matching.ordering import (
     ORDERERS,
-    CFLOrderer,
     GQLOrderer,
     OptimalOrderer,
     Orderer,
@@ -57,8 +55,6 @@ from repro.matching.ordering import (
 )
 
 __all__ = [
-    "CFLFilter",
-    "CFLOrderer",
     "CandidateFilter",
     "CandidateSets",
     "CandidateSpace",
@@ -82,14 +78,10 @@ __all__ = [
     "VEQOrderer",
     "VF2PPOrderer",
     "estimate_order_cost",
-    "explain_embedding",
     "has_semi_perfect_matching",
-    "hopcroft_karp",
     "intersect_sorted",
     "ScratchBuffers",
     "intersect_into",
     "intersect_unused_into",
-    "is_valid_embedding",
-    "rank_orders",
     "verify_all",
 ]

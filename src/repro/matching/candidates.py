@@ -10,7 +10,7 @@ for subgraph isomorphism.
 The canonical representation of each ``C(u)`` is a sorted, duplicate-free
 int64 array — the form every CSR-flat consumer (:class:`CandidateSpace`,
 the iterative enumerator, the vectorized filters) works on directly.  The
-frozenset views (the CFL / DP-iso filters start from them) are derived
+frozenset views (the DP-iso filter starts from them) are derived
 lazily, one query vertex at a time, so array-only pipelines never build
 them.
 """
@@ -37,7 +37,7 @@ class CandidateSets:
     """Per-query-vertex candidate sets ``C(u)``.
 
     Canonically stores each ``C(u)`` as a sorted int64 array; the
-    frozenset view (the CFL / DP-iso filters' starting sets) is
+    frozenset view (the DP-iso filter's starting sets) is
     materialized lazily per vertex.
     """
 

@@ -15,7 +15,6 @@ non-empty and stores the result as
 :attr:`repro.api.plan.QueryPlan.estimated_cost`, and
 ``CostAwareScheduler`` orders admission by that number
 (``service/scheduler.py``).
-:func:`rank_orders` ranks candidate orders with it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.validation import check_order
 from repro.matching.candidates import CandidateSets
 
-__all__ = ["estimate_order_cost", "rank_orders"]
+__all__ = ["estimate_order_cost"]
 
 
 def estimate_order_cost(
@@ -68,18 +67,3 @@ def estimate_order_cost(
         prefix_count *= max(expansion, 1e-12)
         total += prefix_count
     return total
-
-
-def rank_orders(
-    query: Graph,
-    data: Graph,
-    candidates: CandidateSets,
-    orders: Sequence[Sequence[int]],
-) -> list[tuple[float, list[int]]]:
-    """Orders sorted by estimated cost, cheapest first."""
-    scored = [
-        (estimate_order_cost(query, data, candidates, order), [int(u) for u in order])
-        for order in orders
-    ]
-    scored.sort(key=lambda item: item[0])
-    return scored

@@ -34,7 +34,7 @@ which lives under ``tests/`` (``tests/recursive_oracle.py``); nothing in
 Shared Phase (1) artifacts (candidates + the per-edge index) travel in a
 :class:`~repro.matching.context.MatchingContext`: callers that run many
 enumerations over one instance (the ``Matcher`` facade, reward rollouts,
-the optimal-order sweep, profiling) build the context once and call
+the optimal-order sweep) build the context once and call
 :meth:`Enumerator.run_context`, so the candidate space is constructed
 exactly once per instance instead of being re-derived behind a private
 LRU cache.  The positional :meth:`Enumerator.run` signature remains as a

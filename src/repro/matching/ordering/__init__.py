@@ -1,7 +1,6 @@
 """Matching-order generation strategies (Phase 2 of Algorithm 1)."""
 
 from repro.matching.ordering.base import Orderer, connected_extension
-from repro.matching.ordering.cfl_order import CFLOrderer
 from repro.matching.ordering.gql_order import GQLOrderer
 from repro.matching.ordering.optimal import OptimalOrderer, connected_permutations
 from repro.matching.ordering.qsi import QSIOrderer
@@ -17,7 +16,6 @@ ORDERERS = {
         RIOrderer,
         VF2PPOrderer,
         GQLOrderer,
-        CFLOrderer,
         VEQOrderer,
         RandomOrderer,
         OptimalOrderer,
@@ -25,7 +23,6 @@ ORDERERS = {
 }
 
 __all__ = [
-    "CFLOrderer",
     "GQLOrderer",
     "ORDERERS",
     "OptimalOrderer",

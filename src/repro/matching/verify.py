@@ -12,14 +12,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.graphs.graph import Graph
 
-__all__ = ["is_valid_embedding", "explain_embedding", "verify_all"]
-
-
-def is_valid_embedding(
-    query: Graph, data: Graph, mapping: Sequence[int] | Mapping[int, int]
-) -> bool:
-    """Whether ``mapping`` (query vertex -> data vertex) is a monomorphism."""
-    return explain_embedding(query, data, mapping) is None
+__all__ = ["explain_embedding", "verify_all"]
 
 
 def explain_embedding(

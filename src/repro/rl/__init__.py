@@ -1,9 +1,7 @@
 """Reinforcement learning substrate: ordering MDP, rewards, rollouts, PPO."""
 
-from repro.rl.actor_critic import ActorCriticStats, ActorCriticTrainer
 from repro.rl.env import OrderingEnv, OrderingState
 from repro.rl.ppo import PPOStats, PPOTrainer
-from repro.rl.reinforce import ReinforceStats, ReinforceTrainer
 from repro.rl.reward import (
     RewardConfig,
     discounted_return,
@@ -18,14 +16,10 @@ from repro.rl.rollout import (
 )
 
 __all__ = [
-    "ActorCriticStats",
-    "ActorCriticTrainer",
     "OrderingEnv",
     "OrderingState",
     "PPOStats",
     "PPOTrainer",
-    "ReinforceStats",
-    "ReinforceTrainer",
     "RewardConfig",
     "Trajectory",
     "TrajectoryStep",

@@ -12,7 +12,7 @@ probability ratio is noise before any gradient step.  The policy has one
 mode — no layer draws a random mask — so this holds by construction:
 samples (and the orderer's decisions) come from
 ``PolicyNetwork.evaluate``, the array evaluation, which builds no
-``Tensor``; every update routine in this package scores steps with
+``Tensor``; PPO's update (:mod:`repro.rl.ppo`) scores steps with
 ``forward``, which computes the same bits where θ = θ′
 (``tests/core/test_array_evaluation.py``).
 

@@ -31,16 +31,19 @@ class TestResolution:
         enum = Enumerator(match_limit=5)
         assert make_enumerator(enum) is enum
 
-    def test_unknown_name_raises_repro_error_listing_choices(self):
+    # "cfl" was a filter and an orderer once; it is retired, not an
+    # alias of anything.
+    @pytest.mark.parametrize("name", ["definitely-not-registered", "cfl"])
+    def test_unknown_name_raises_repro_error_listing_choices(self, name):
         for fn, valid in (
             (make_filter, "gql"),
             (make_orderer, "ri"),
             (make_enumerator, "iterative"),
         ):
-            with pytest.raises(ReproError) as exc_info:
-                fn("definitely-not-registered")
+            with pytest.raises(RegistryError) as exc_info:
+                fn(name)
             message = str(exc_info.value)
-            assert "definitely-not-registered" in message
+            assert repr(name) in message
             assert valid in message  # the valid choices are listed
 
     def test_unknown_name_choices_are_sorted(self):
@@ -103,6 +106,7 @@ class TestInventory:
         assert set(inventory) == {"filter", "orderer", "enumerator"}
         assert "gql" in inventory["filter"]
         assert "rlqvo" in inventory["orderer"]
+        assert "cfl" not in inventory["filter"] + inventory["orderer"]
         assert inventory["enumerator"] == ("iterative",)
 
     def test_names_are_sorted_and_iterable(self):

@@ -45,7 +45,7 @@ class TestBenchSettings:
 
 class TestMethodRegistry:
     def test_paper_baselines_registered(self):
-        assert set(METHODS) == {"qsi", "ri", "vf2pp", "gql", "cfl", "veq", "hybrid"}
+        assert set(METHODS) == {"qsi", "ri", "vf2pp", "gql", "veq", "hybrid"}
 
     @pytest.fixture(scope="class")
     def data(self):

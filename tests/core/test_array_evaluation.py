@@ -1,7 +1,7 @@
 """``PolicyNetwork.evaluate`` against ``forward``: the same bits.
 
 The orderer and the rollout consult the policy through ``evaluate`` —
-bare arrays, no autograd graph — and the update routines score the same
+bare arrays, no autograd graph — and PPO's update scores the same
 steps through ``forward``.  PPO's first-pass ratio is 1 only if the two
 agree exactly (a last-bit difference in the ratio moved a policy seed's
 held-out result from 0.82 to 1.82, ROADMAP D), so the comparison is

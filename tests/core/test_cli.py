@@ -31,23 +31,26 @@ class TestTrainCLI:
         assert "saved model" in captured
         assert "epoch   0" in captured
 
-    def test_reinforce_algorithm_flag(self, tmp_path):
+    @pytest.mark.parametrize("algorithm", ["ppo", "reinforce", "actor_critic"])
+    def test_algorithm_flag_is_retired(self, tmp_path, capsys, algorithm):
+        # PPO is the one updater: the flag that chose one is a usage
+        # error whatever it names, and nothing is trained or saved.
         out = tmp_path / "model"
-        code = train_main(
-            [
-                "citeseer",
-                "--size", "4",
-                "--queries", "4",
-                "--epochs", "1",
-                "--hidden-dim", "8",
-                "--algorithm", "reinforce",
-                "--train-match-limit", "100",
-                "--train-time-limit", "0.3",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        assert load_model(out).config.algorithm == "reinforce"
+        with pytest.raises(SystemExit) as exc_info:
+            train_main(
+                [
+                    "citeseer",
+                    "--size", "4",
+                    "--queries", "4",
+                    "--epochs", "1",
+                    "--hidden-dim", "8",
+                    "--algorithm", algorithm,
+                    "--out", str(out),
+                ]
+            )
+        assert exc_info.value.code == 2
+        assert "--algorithm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_held_out_evaluation_and_jsonl_log(self, tmp_path, capsys):
         log = tmp_path / "train.jsonl"

@@ -46,6 +46,12 @@ class TestValidation:
         with pytest.raises(ModelError):
             RLQVOConfig(epochs=-1)
 
+    @pytest.mark.parametrize("algorithm", ["ppo", "reinforce", "actor_critic"])
+    def test_algorithm_is_not_a_field(self, algorithm):
+        # PPO is the one updater; no value of the retired knob is accepted.
+        with pytest.raises(TypeError, match="algorithm"):
+            RLQVOConfig(algorithm=algorithm)
+
 
 class TestEffectiveReward:
     def test_default_keeps_betas(self):

@@ -72,6 +72,22 @@ class TestSaveLoad:
         )
         assert load_model(tmp_path / "m").config.hidden_dim == 8
 
+    @pytest.mark.parametrize("algorithm", ["ppo", "reinforce", "actor_critic"])
+    def test_checkpoint_naming_any_updater_still_loads(self, tmp_path, algorithm):
+        # Every config.json saved while the knob existed names an updater
+        # ("ppo" unless `repro-train --algorithm` chose another); none of
+        # them describes the policy.
+        policy = PolicyNetwork(RLQVOConfig(hidden_dim=8))
+        save_model(policy, tmp_path / "m")
+        path = tmp_path / "m" / "config.json"
+        path.write_text(
+            json.dumps(dict(json.loads(path.read_text()), algorithm=algorithm))
+        )
+        loaded = load_model(tmp_path / "m")
+        assert loaded.config == policy.config
+        saved, restored = policy.state_dict(), loaded.state_dict()
+        assert all(np.array_equal(saved[k], restored[k]) for k in saved)
+
     def test_state_dict_keys_are_the_saved_format(self):
         # Checkpoints written before the dropout layer went load into
         # today's network only if the parameter names did not move.
@@ -85,9 +101,9 @@ class TestSaveLoad:
         "gnn_kind", ["gcn", "gat", "sage", "graphnn", "asap", "mlp"]
     )
     def test_older_config_with_retired_keys_loads_bit_equal(self, tmp_path, gnn_kind):
-        # The config.json an older version wrote carries "dropout" and
-        # "enum_strategy"; neither configures anything now, whichever
-        # encoder the checkpoint holds.
+        # The config.json an older version wrote carries "dropout",
+        # "enum_strategy" and "algorithm"; none configures anything now,
+        # whichever encoder the checkpoint holds (or updater trained it).
         data = erdos_renyi(60, 150, 3, seed=4)
         stats = GraphStats(data)
         config = RLQVOConfig(gnn_kind=gnn_kind, hidden_dim=8, seed=3)
@@ -95,7 +111,7 @@ class TestSaveLoad:
         save_model(policy, tmp_path / "m")
         path = tmp_path / "m" / "config.json"
         raw = json.loads(path.read_text())
-        raw.update(dropout=0.2, enum_strategy="iterative")
+        raw.update(dropout=0.2, enum_strategy="iterative", algorithm="reinforce")
         path.write_text(json.dumps(raw, indent=2))
 
         loaded = load_model(tmp_path / "m")

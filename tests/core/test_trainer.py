@@ -1,5 +1,6 @@
 """Tests for the RL-QVO training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from repro.core import RLQVOConfig, RLQVOTrainer
 from repro.errors import TrainingError
 from repro.graphs import check_order, generate_query_set
+from repro.rl import PPOStats
 
 
 @pytest.fixture(scope="module")
@@ -94,24 +96,39 @@ class TestTraining:
             assert stats.approx_kl == 0.0
             assert (stats.passes, stats.first_pass_ratio) == (1, 1.0)
 
+    @pytest.fixture(scope="class")
+    def epoch_and_update(self, data_graph, data_stats, train_queries):
+        """One epoch's stats and the PPOStats its update returned."""
+        config = RLQVOConfig(
+            hidden_dim=8, train_match_limit=200, train_time_limit=2.0, seed=5
+        )
+        trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
+        returned = []
+        update = trainer.ppo.update
+
+        def recording_update(trajectories):
+            returned.append(update(trajectories))
+            return returned[-1]
+
+        trainer.ppo.update = recording_update
+        (epoch,) = trainer.train(train_queries, epochs=1).epochs
+        (ppo_stats,) = returned
+        assert ppo_stats.num_steps > 0 and ppo_stats.passes > 0
+        return epoch, ppo_stats
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(PPOStats)]
+    )
+    def test_epoch_stats_carry_the_update_stats(self, epoch_and_update, field):
+        # PPO is the one updater: every diagnostic it reports is copied
+        # as it is, with no default standing in for a missing one.
+        epoch, ppo_stats = epoch_and_update
+        assert getattr(epoch, field) == getattr(ppo_stats, field)
+
     def test_timers_reach_the_epoch_stats(self, trainer, train_queries):
         (stats,) = trainer.train(train_queries, epochs=1).epochs
         assert stats.time_sample > 0.0 and stats.time_train > 0.0
         assert stats.time_sample + stats.time_train < stats.elapsed
-
-    @pytest.mark.parametrize("algorithm", ["reinforce", "actor_critic"])
-    def test_ratio_free_algorithms_report_neutral_diagnostics(
-        self, data_graph, data_stats, train_queries, algorithm
-    ):
-        config = RLQVOConfig(
-            epochs=1, hidden_dim=8, train_match_limit=200, algorithm=algorithm
-        )
-        trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
-        (stats,) = trainer.train(train_queries, epochs=1).epochs
-        assert (stats.mean_ratio, stats.clip_fraction) == (1.0, 0.0)
-        assert (stats.approx_kl, stats.entropy, stats.grad_norm) == (0.0, 0.0, 0.0)
-        assert stats.num_steps > 0
-        assert (stats.passes, stats.first_pass_ratio) == (1, 1.0)
 
 
 class TestHeldOutEvaluation:

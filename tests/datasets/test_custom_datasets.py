@@ -7,9 +7,9 @@ from repro.datasets import (
     DatasetSpec,
     load_dataset,
     query_workload,
-    register_dataset,
     register_graph_file,
 )
+from repro.datasets.registry import register_dataset
 from repro.errors import DatasetError
 from repro.graphs import erdos_renyi, save_graph
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.datasets import DATASETS, clear_cache, dataset_stats, load_dataset
 from repro.errors import DatasetError
-from repro.graphs import check_graph
+from repro.graphs.validation import check_graph
 
 
 class TestSpecs:

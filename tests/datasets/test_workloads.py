@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.datasets import (
-    DATASETS,
-    default_query_size,
-    paper_query_count,
-    query_workload,
-)
+from repro.datasets import DATASETS, default_query_size, query_workload
+from repro.datasets.workloads import paper_query_count
 from repro.errors import DatasetError
 
 

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidGraphError
-from repro.graphs import (
-    check_graph,
-    chung_lu,
-    connect_components,
-    erdos_renyi,
-    random_tree,
-    zipf_labels,
-)
-from repro.graphs.generators import powerlaw_degree_weights
+from repro.graphs import Graph, chung_lu, connect_components, erdos_renyi
+from repro.graphs.generators import powerlaw_degree_weights, zipf_labels
+from repro.graphs.validation import check_graph
 
 
 class TestZipfLabels:
@@ -76,28 +70,17 @@ class TestChungLu:
         assert w.mean() == pytest.approx(7.0, rel=0.1)
 
 
-class TestRandomTree:
-    def test_tree_shape(self):
-        g = random_tree(40, 4, seed=3)
-        assert g.num_edges == 39
-        assert g.is_connected()
-
-
 class TestConnectComponents:
     def test_connects_disconnected_graph(self, rng):
-        from repro.graphs import Graph
-
         g = Graph([0] * 6, [(0, 1), (2, 3), (4, 5)])
         connected = connect_components(g, rng)
         assert connected.is_connected()
         assert connected.num_edges == 5  # 3 original + 2 bridges
 
     def test_noop_on_connected_graph(self, rng):
-        g = random_tree(20, 3, seed=4)
+        g = Graph([0, 1, 2, 0, 1], [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert connect_components(g, rng) is g
 
     def test_noop_on_empty_graph(self, rng):
-        from repro.graphs import Graph
-
         g = Graph([], [])
         assert connect_components(g, rng) is g

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graphs import Graph, dumps_graph, load_graph, loads_graph, save_graph
+from repro.graphs import Graph, load_graph, save_graph
+from repro.graphs.io import dumps_graph, loads_graph
 
 
 def sample() -> Graph:

@@ -5,14 +5,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graphs import (
-    Graph,
-    check_graph,
-    dumps_graph,
-    erdos_renyi,
-    extract_query,
-    loads_graph,
-)
+from repro.graphs import Graph, erdos_renyi, extract_query
+from repro.graphs.io import dumps_graph, loads_graph
+from repro.graphs.validation import check_graph
 
 
 @st.composite

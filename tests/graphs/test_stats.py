@@ -7,7 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.graphs import Graph, GraphStats, degree_histogram, erdos_renyi, label_histogram
+from repro.graphs import Graph, GraphStats, erdos_renyi
+from repro.graphs.stats import label_histogram
 
 
 @pytest.fixture()
@@ -19,9 +20,6 @@ def small() -> Graph:
 
 
 class TestHistograms:
-    def test_degree_histogram(self, small):
-        assert degree_histogram(small) == {1: 1, 2: 2, 3: 1}
-
     def test_label_histogram(self, small):
         assert label_histogram(small) == {0: 2, 1: 1, 2: 1}
 

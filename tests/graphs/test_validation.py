@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import InvalidOrderError
-from repro.graphs import Graph, check_graph, check_order, is_connected_order
+from repro.graphs import Graph, check_order
+from repro.graphs.validation import check_graph, is_connected_order
 
 
 def path4() -> Graph:

@@ -20,7 +20,7 @@ import pytest
 
 from repro import Enumerator, Matcher, MatchRequest, MatchService, RLQVOConfig
 from repro.api import make_enumerator
-from repro.bench import BenchSettings, profile_query
+from repro.bench import BenchSettings
 from repro.bench.cli import main as bench_main
 from repro.core.cli import main as train_main
 from repro.errors import ModelError, RegistryError
@@ -56,8 +56,6 @@ REMOVED_PARAMETERS = {
     "CatalogEntry(enumerator=)": lambda name: CatalogEntry(
         name="tiny", data=DATA, enumerator=name),
     "BenchSettings(enum_strategy=)": lambda name: BenchSettings(enum_strategy=name),
-    "profile_query(enum_strategy=)": lambda name: profile_query(
-        QUERY, DATA, enum_strategy=name),
 }
 
 
@@ -82,10 +80,9 @@ def test_removed_parameters_are_type_errors(site, name):
 
 
 def test_bench_environment_variable_is_not_read(monkeypatch):
-    settings, profile = BenchSettings.from_env(), profile_query(QUERY, DATA)
+    settings = BenchSettings.from_env()
     monkeypatch.setenv("REPRO_BENCH_ENUM_STRATEGY", "vectorized")
     assert BenchSettings.from_env() == settings
-    assert profile_query(QUERY, DATA) == profile
 
 
 def _post_match(background, payload: dict) -> tuple[int, dict]:

@@ -4,7 +4,8 @@ import networkx as nx
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.matching import has_semi_perfect_matching, hopcroft_karp
+from repro.matching import has_semi_perfect_matching
+from repro.matching.bipartite import hopcroft_karp
 
 
 class TestHopcroftKarp:

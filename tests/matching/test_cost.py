@@ -8,10 +8,7 @@ from repro.graphs import erdos_renyi, extract_query
 from repro.matching import (
     Enumerator,
     GQLFilter,
-    OptimalOrderer,
-    RandomOrderer,
     estimate_order_cost,
-    rank_orders,
 )
 from repro.matching.ordering import connected_permutations
 
@@ -70,27 +67,3 @@ class TestEstimate:
         act_ranks = np.argsort(np.argsort(actuals))
         correlation = np.corrcoef(est_ranks, act_ranks)[0, 1]
         assert correlation > 0.2
-
-
-class TestRankOrders:
-    def test_sorted_output(self, instance):
-        query, data, candidates = instance
-        orders = []
-        for i, order in enumerate(connected_permutations(query)):
-            if i >= 8:
-                break
-            orders.append(order)
-        ranked = rank_orders(query, data, candidates, orders)
-        costs = [cost for cost, _ in ranked]
-        assert costs == sorted(costs)
-
-    def test_optimal_order_ranks_reasonably(self, instance):
-        """The truly optimal order should not be ranked worst."""
-        query, data, candidates = instance
-        optimal = OptimalOrderer(match_limit=None).order(query, data, candidates)
-        rng_orders = [
-            RandomOrderer(seed=s).order(query, data, candidates) for s in range(6)
-        ]
-        ranked = rank_orders(query, data, candidates, [optimal] + rng_orders)
-        position = [order for _, order in ranked].index(optimal)
-        assert position < len(ranked) - 1

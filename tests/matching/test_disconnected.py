@@ -11,7 +11,6 @@ from recursive_oracle import RecursiveOracle
 
 from repro.graphs import Graph, erdos_renyi
 from repro.matching import (
-    CFLOrderer,
     Enumerator,
     GQLFilter,
     GQLOrderer,
@@ -25,7 +24,7 @@ from repro.matching import (
 )
 
 ALL_ORDERERS = [
-    QSIOrderer, RIOrderer, VF2PPOrderer, GQLOrderer, CFLOrderer, VEQOrderer,
+    QSIOrderer, RIOrderer, VF2PPOrderer, GQLOrderer, VEQOrderer,
 ]
 
 

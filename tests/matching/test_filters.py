@@ -12,7 +12,6 @@ import pytest
 from repro.errors import FilterError
 from repro.graphs import Graph, GraphStats, erdos_renyi, extract_query
 from repro.matching import (
-    CFLFilter,
     DPisoFilter,
     FILTERS,
     GQLFilter,
@@ -20,7 +19,7 @@ from repro.matching import (
     NLFFilter,
 )
 
-ALL_FILTERS = [LDFFilter, NLFFilter, GQLFilter, CFLFilter, DPisoFilter]
+ALL_FILTERS = [LDFFilter, NLFFilter, GQLFilter, DPisoFilter]
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -80,7 +79,7 @@ class TestPruningPower:
     def test_stronger_filters_are_subsets_of_ldf(self, small_instance):
         query, data, stats = small_instance
         ldf = LDFFilter().filter(query, data, stats)
-        for filter_cls in (NLFFilter, GQLFilter, CFLFilter, DPisoFilter):
+        for filter_cls in (NLFFilter, GQLFilter, DPisoFilter):
             stronger = filter_cls().filter(query, data, stats)
             for u in query.vertices():
                 assert stronger.get(u) <= ldf.get(u)
@@ -126,4 +125,4 @@ class TestCandidateSets:
 
 
 def test_registry_contains_all_filters():
-    assert set(FILTERS) == {"ldf", "nlf", "gql", "cfl", "dpiso"}
+    assert set(FILTERS) == {"ldf", "nlf", "gql", "dpiso"}

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.graphs import Graph
 from repro.matching import (
-    CFLFilter,
     DPisoFilter,
     Enumerator,
     GQLFilter,
@@ -70,7 +69,7 @@ def test_filters_complete_and_orders_agree(instance):
     }
 
     enumerator = Enumerator(match_limit=None, record_matches=True)
-    for filter_cls in (LDFFilter, NLFFilter, GQLFilter, CFLFilter, DPisoFilter):
+    for filter_cls in (LDFFilter, NLFFilter, GQLFilter, DPisoFilter):
         candidates = filter_cls().filter(query, data)
         # Completeness
         for match in oracle:

@@ -52,7 +52,7 @@ class TestOptimalOrderer:
         enumerator = Enumerator(match_limit=None)
         best_enum = enumerator.run(query, data, candidates, best).num_enumerations
         assert best_enum == optimal.last_best_enum
-        for name in ("ri", "gql", "veq", "qsi", "vf2pp", "cfl"):
+        for name in ("ri", "gql", "veq", "qsi", "vf2pp"):
             orderer = ORDERERS[name]()
             order = orderer.order(query, data, candidates)
             other = enumerator.run(query, data, candidates, order).num_enumerations

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import FilterError
 from repro.graphs import Graph, check_order
 from repro.matching import (
-    CFLOrderer,
     GQLFilter,
     GQLOrderer,
     LDFFilter,
@@ -24,7 +23,6 @@ HEURISTIC_ORDERERS = [
     RIOrderer,
     VF2PPOrderer,
     GQLOrderer,
-    CFLOrderer,
     VEQOrderer,
 ]
 
@@ -128,7 +126,7 @@ class TestVF2PP:
 
 
 class TestCandidateBasedOrderers:
-    @pytest.mark.parametrize("orderer_cls", [GQLOrderer, CFLOrderer, VEQOrderer])
+    @pytest.mark.parametrize("orderer_cls", [GQLOrderer, VEQOrderer])
     def test_require_candidates(self, orderer_cls, instance):
         query, data, _, stats = instance
         with pytest.raises(FilterError):
@@ -175,5 +173,5 @@ class TestRandomOrderer:
 
 def test_registry_names():
     assert set(ORDERERS) == {
-        "qsi", "ri", "vf2pp", "gql", "cfl", "veq", "random", "optimal",
+        "qsi", "ri", "vf2pp", "gql", "veq", "random", "optimal",
     }

@@ -3,14 +3,8 @@
 import numpy as np
 
 from repro.graphs import Graph, erdos_renyi, extract_query
-from repro.matching import (
-    Enumerator,
-    GQLFilter,
-    RIOrderer,
-    explain_embedding,
-    is_valid_embedding,
-    verify_all,
-)
+from repro.matching import Enumerator, GQLFilter, RIOrderer
+from repro.matching.verify import explain_embedding, verify_all
 
 
 def setup_instance():
@@ -23,11 +17,11 @@ class TestExplainEmbedding:
     def test_valid_embedding(self):
         query, data = setup_instance()
         assert explain_embedding(query, data, [0, 1]) is None
-        assert is_valid_embedding(query, data, [2, 1])
+        assert explain_embedding(query, data, [2, 1]) is None
 
     def test_mapping_as_dict(self):
         query, data = setup_instance()
-        assert is_valid_embedding(query, data, {0: 0, 1: 3})
+        assert explain_embedding(query, data, {0: 0, 1: 3}) is None
 
     def test_wrong_arity(self):
         query, data = setup_instance()

@@ -1,4 +1,4 @@
-"""Fixtures shared by the three update routines' tests."""
+"""Fixtures shared by the PPO update's tests."""
 
 import pytest
 

@@ -1,11 +1,11 @@
-"""The per-step update loops the stacked update replaced, as a reference.
+"""The per-step PPO update loop the stacked update replaced, as a reference.
 
-Each function builds one pass's loss the way ``rl/`` did before
+It builds one pass's loss the way ``rl/ppo.py`` did before
 :func:`repro.rl.rollout.stack_steps`: one 2-D ``policy.forward`` per
 (trajectory, step), the taken action's probability picked out with
 ``index_select``, the terms chained with ``+`` in trajectory order and
 divided by the step count.  Nothing here stacks anything, which is what
-makes it an independent oracle for the batched trainers: the loss and,
+makes it an independent oracle for the batched trainer: the loss and,
 after ``backward()``, every parameter gradient must agree up to the order
 floating-point sums are taken in (``tests/rl/test_step_batch.py``).
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.tensor import Tensor
-from repro.rl import ActorCriticTrainer, PPOTrainer, ReinforceTrainer
 
 
 def _step_weights(trajectories, normalize: bool) -> list[float]:
@@ -44,34 +43,16 @@ def _mean(terms: list[Tensor]) -> Tensor:
 
 
 def per_step_loss(trainer, trajectories) -> Tensor:
-    """One pass's loss for ``trainer`` over ``trajectories``, step by step."""
+    """One pass's PPO loss for ``trainer`` over ``trajectories``, step by step."""
     policy = trainer.policy
-    weights = iter(
-        _step_weights(trajectories, getattr(trainer, "normalize_advantages", False))
-    )
+    weights = iter(_step_weights(trajectories, trainer.normalize_advantages))
+    low, high = 1.0 - trainer.clip_epsilon, 1.0 + trainer.clip_epsilon
     terms: list[Tensor] = []
-    critic_terms: list[Tensor] = []
     for trajectory in trajectories:
         for _, step in trajectory.policy_steps():
             weight = next(weights)
             out = policy.forward(step.features, trajectory.ctx, step.action_mask)
             prob = out.probs.index_select([step.action])
-            if isinstance(trainer, PPOTrainer):
-                low, high = 1.0 - trainer.clip_epsilon, 1.0 + trainer.clip_epsilon
-                ratio = prob / max(step.old_prob, 1e-12)
-                terms.append((ratio * weight).minimum(ratio.clip(low, high) * weight))
-            elif isinstance(trainer, ReinforceTrainer):
-                terms.append(prob.maximum(1e-12).log() * weight)
-            else:
-                assert isinstance(trainer, ActorCriticTrainer)
-                pooled = policy.encode(step.features, trajectory.ctx).mean(
-                    axis=0, keepdims=True
-                )
-                value = trainer.value_head(pooled).reshape(1)
-                advantage = weight - float(value.data[0])  # detached for the actor
-                terms.append(prob.maximum(1e-12).log() * advantage)
-                critic_terms.append((value - weight) * (value - weight))
-    loss = -_mean(terms)
-    if critic_terms:
-        loss = loss + _mean(critic_terms) * trainer.critic_coefficient
-    return loss
+            ratio = prob / max(step.old_prob, 1e-12)
+            terms.append((ratio * weight).minimum(ratio.clip(low, high) * weight))
+    return -_mean(terms)

@@ -8,6 +8,8 @@ import pytest
 from repro.errors import TrainingError
 from repro.rl import PPOTrainer
 
+ENCODERS = ["gcn", "gat", "sage", "graphnn", "asap", "mlp"]
+
 
 @pytest.fixture()
 def setup(sampled_batch):
@@ -15,8 +17,9 @@ def setup(sampled_batch):
 
 
 class TestPPOUpdate:
-    def test_update_changes_parameters(self, setup):
-        policy, trajectories = setup
+    @pytest.mark.parametrize("gnn_kind", ENCODERS)
+    def test_update_changes_parameters(self, sampled_batch, gnn_kind):
+        policy, trajectories = sampled_batch(gnn_kind=gnn_kind)
         before = {k: v.copy() for k, v in policy.state_dict().items()}
         trainer = PPOTrainer(
             policy,
@@ -29,10 +32,11 @@ class TestPPOUpdate:
         assert any(not np.allclose(before[k], after[k]) for k in before)
         assert stats.num_steps > 0
 
-    def test_first_pass_ratios_are_one(self, setup):
+    @pytest.mark.parametrize("gnn_kind", ENCODERS)
+    def test_first_pass_ratios_are_one(self, sampled_batch, gnn_kind):
         # θ = θ′ on the first pass: a bare trainer must score every step
-        # exactly as it was sampled.
-        policy, trajectories = setup
+        # exactly as it was sampled, whichever encoder the policy carries.
+        policy, trajectories = sampled_batch(gnn_kind=gnn_kind)
         stats = PPOTrainer(policy, updates_per_batch=1).update(trajectories)
         assert stats.mean_ratio == 1.0
         assert stats.clip_fraction == 0.0
@@ -147,8 +151,9 @@ class TestPPOUpdate:
 
 
 class TestPasses:
-    def test_reports_passes_and_the_first_pass_ratio(self, setup):
-        policy, trajectories = setup
+    @pytest.mark.parametrize("gnn_kind", ENCODERS)
+    def test_reports_passes_and_the_first_pass_ratio(self, sampled_batch, gnn_kind):
+        policy, trajectories = sampled_batch(gnn_kind=gnn_kind)
         stats = PPOTrainer(
             policy, learning_rate=1e-2, updates_per_batch=3
         ).update(trajectories)

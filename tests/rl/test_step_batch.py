@@ -1,10 +1,10 @@
 """The stacked update against the per-step loops it replaced.
 
 ``stack_steps`` turns an update's policy steps into ``(S, n, ·)`` arrays
-and each trainer scores them with one ``forward`` / ``backward`` per
-pass; ``per_step_oracle`` is the old one-step-at-a-time code.  Same loss,
-same gradient for every parameter (1e-9: the sums run in another order),
-for every encoder and every update routine, on a batch that mixes two
+and PPO scores them with one ``forward`` / ``backward`` per pass;
+``per_step_oracle`` is the old one-step-at-a-time code.  Same loss, same
+gradient for every parameter (1e-9: the sums run in another order), for
+every encoder, on a batch that mixes two
 query sizes, forced steps and a trajectory the policy never acted in.
 """
 
@@ -14,20 +14,10 @@ from per_step_oracle import per_step_loss
 
 from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
 from repro.graphs import Graph, generate_query_set
-from repro.rl import (
-    ActorCriticTrainer,
-    PPOTrainer,
-    ReinforceTrainer,
-    collect_trajectory,
-)
+from repro.rl import PPOTrainer, collect_trajectory
 from repro.rl.rollout import stack_steps
 
 ENCODERS = ["gcn", "gat", "sage", "graphnn", "asap", "mlp"]
-TRAINERS = {
-    "ppo": PPOTrainer,
-    "reinforce": ReinforceTrainer,
-    "actor_critic": ActorCriticTrainer,
-}
 
 
 @pytest.fixture()
@@ -118,22 +108,21 @@ def assert_update_matches_oracle(trainer, trajectories):
             assert np.abs(grad).max() > 0.0
 
 
-@pytest.mark.parametrize("algorithm", TRAINERS)
 @pytest.mark.parametrize("gnn_kind", ENCODERS)
-def test_loss_and_gradients_match_the_per_step_oracle(mixed_batch, gnn_kind, algorithm):
+def test_loss_and_gradients_match_the_per_step_oracle(mixed_batch, gnn_kind):
     policy, trajectories = mixed_batch(gnn_kind)
     # No clipping, so the gradients left behind are the raw ones; a large
     # step, so the second round's ratios leave 1 (and some the clip range).
-    trainer = TRAINERS[algorithm](
+    trainer = PPOTrainer(
         policy, learning_rate=5e-2, updates_per_batch=1, max_grad_norm=None
     )
     assert_update_matches_oracle(trainer, trajectories)
 
 
-@pytest.mark.parametrize("algorithm", ["ppo", "reinforce"])
-def test_normalized_weights_match_the_per_step_oracle(mixed_batch, algorithm):
-    policy, trajectories = mixed_batch("gcn")
-    trainer = TRAINERS[algorithm](
+@pytest.mark.parametrize("gnn_kind", ENCODERS)
+def test_normalized_weights_match_the_per_step_oracle(mixed_batch, gnn_kind):
+    policy, trajectories = mixed_batch(gnn_kind)
+    trainer = PPOTrainer(
         policy, learning_rate=5e-2, updates_per_batch=1, max_grad_norm=None,
         normalize_advantages=True,
     )
