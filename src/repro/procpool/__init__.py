@@ -9,21 +9,16 @@ own lazily-built per-dataset matcher and planning deterministically,
 so results stay bit-identical to the in-process path while throughput
 scales with cores.
 
-:class:`CostCalibrator` rides in the same package because it closes
-the loop the executor opens: workers report actual enumeration
-seconds, and an EWMA per ``(dataset, query-size)`` bucket corrects the
-static plan-cost estimate at admission, surfaced as
-estimate-vs-observed calibration in ``/stats``.
+Admission, ordering and per-tenant accounting stay in the parent's
+scheduler, which orders its queue by the plan's static cost estimate;
+the pool only executes.
 """
 
-from repro.procpool.feedback import DEFAULT_ALPHA, CostCalibrator
 from repro.procpool.pool import DEFAULT_RESPAWN_LIMIT, ProcessPool
 from repro.procpool.worker import catalog_spec, worker_main
 
 __all__ = [
-    "DEFAULT_ALPHA",
     "DEFAULT_RESPAWN_LIMIT",
-    "CostCalibrator",
     "ProcessPool",
     "catalog_spec",
     "worker_main",

@@ -11,8 +11,8 @@ pick one; all human-facing logging goes to stderr.
 
 With ``--scheduler`` the service gains the cost-aware admission tier:
 ``POST /match`` requests are queued by (priority, deadline, estimated
-plan cost) with per-tenant budgets; backpressure answers
-``429 Too Many Requests`` + ``Retry-After`` and queue-deadline
+plan cost) under an optional per-tenant in-flight cap; backpressure
+answers ``429 Too Many Requests`` + ``Retry-After`` and queue-deadline
 expiries answer 504, both carrying the stable error ``code``.
 
 Examples
@@ -49,8 +49,8 @@ def add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--scheduler", action="store_true",
         help="admit requests through the cost-aware priority queue "
-        "(deadline-then-estimated-cost order, per-tenant budgets, 429-style "
-        "backpressure) instead of FIFO fan-out",
+        "(deadline-then-estimated-cost order, per-tenant in-flight cap, "
+        "429-style backpressure) instead of FIFO fan-out",
     )
     group.add_argument(
         "--sched-workers", type=int, default=SchedulerConfig.workers,
@@ -75,34 +75,13 @@ def add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
         help="bounded admission-queue depth; past it requests are rejected",
     )
     group.add_argument(
-        "--default-deadline", type=float, default=None, metavar="SECONDS",
-        help="queueing deadline for requests that carry none "
-        "(default: wait indefinitely)",
-    )
-    group.add_argument(
         "--tenant-max-inflight", type=int, default=None, metavar="N",
         help="per-tenant cap on admitted-but-unfinished requests",
     )
     group.add_argument(
-        "--tenant-cost-budget", type=float, default=None, metavar="COST",
-        help="per-tenant cap on summed in-flight estimated plan cost",
-    )
-    group.add_argument(
         "--no-degrade", action="store_true",
-        help="disable the one retry under tighter limits after a timeout",
-    )
-    group.add_argument(
-        "--degrade-match-limit", type=int,
-        default=SchedulerConfig.degrade_match_limit, metavar="N",
-        help="match limit of the degraded retry envelope",
-    )
-    group.add_argument(
-        "--degrade-time-limit", type=float, default=None, metavar="SECONDS",
-        help="time limit of the degraded retry envelope",
-    )
-    group.add_argument(
-        "--degrade-orderer", default=None, metavar="NAME",
-        help="cheaper orderer for the degraded retry (registry name)",
+        help="disable the one retry under a tighter match limit after a "
+        "timeout",
     )
 
 
@@ -116,13 +95,8 @@ def scheduler_config_from_args(args) -> SchedulerConfig | None:
         executor=args.scheduler_executor,
         process_workers=args.process_workers,
         queue_capacity=args.queue_capacity,
-        default_deadline_s=args.default_deadline,
         tenant_max_inflight=args.tenant_max_inflight,
-        tenant_cost_budget=args.tenant_cost_budget,
         retry_degrade=not args.no_degrade,
-        degrade_match_limit=args.degrade_match_limit,
-        degrade_time_limit=args.degrade_time_limit,
-        degrade_orderer=args.degrade_orderer,
     )
 
 

@@ -23,7 +23,7 @@ holds:
   (:class:`CostAwareScheduler`, attached via
   ``MatchService(..., scheduler=SchedulerConfig(...))``): a bounded
   priority queue ordered by (priority, deadline, estimated plan cost)
-  with per-tenant budgets, structured 429-style rejection
+  with a per-tenant in-flight cap, structured 429-style rejection
   (:class:`ServiceError`), queue-deadline fail-fast, and
   retry-with-degrade on timeout — scheduling changes *when* work runs,
   never *what it returns*.

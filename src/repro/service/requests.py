@@ -77,7 +77,7 @@ UNSET = _Unset()
 #: the scheduler all derive their error surfaces from it.
 ERROR_HTTP_STATUS: dict[str, int] = {
     "validation": 400,  # malformed / unknown-name requests
-    "rejected": 429,  # admission backpressure (queue or budget full)
+    "rejected": 429,  # admission backpressure (queue or tenant cap full)
     "deadline_expired": 504,  # expired while queued, never ran
     "timeout": 504,  # ran, hit its time limit, degrade exhausted
     "internal": 500,  # anything else
@@ -178,9 +178,9 @@ class MatchRequest:
     tag:
         Opaque client correlation id, echoed on the response.
     tenant:
-        Accounting principal for the scheduler's per-tenant concurrency
-        and cost budgets; ``None`` bills the default tenant.  Ignored
-        (cost-free) on the unscheduled direct path.
+        Accounting principal for the scheduler's per-tenant in-flight
+        cap and counters; ``None`` bills the default tenant.  Ignored on
+        the unscheduled direct path.
     priority:
         Scheduling priority class; higher runs earlier.  Within one
         class the queue orders by (deadline, estimated plan cost).
@@ -188,7 +188,9 @@ class MatchRequest:
         Relative queueing deadline in seconds: if the request is still
         queued this long after admission it fails fast with
         ``deadline_expired`` instead of occupying a worker.  ``None``
-        means the scheduler's configured default (or no deadline).  The
+        means no deadline; otherwise it must be positive (``inf`` is
+        allowed), else construction raises
+        :class:`~repro.errors.ReproError` (``validation``).  The
         deadline never caps *execution* — a request that started keeps
         its exact ``time_limit`` envelope, preserving bit-identity.
     """
@@ -203,6 +205,12 @@ class MatchRequest:
     tenant: str | None = None
     priority: int = 0
     deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.deadline_s is not None and not self.deadline_s > 0:
+            raise ReproError(
+                f"deadline_s must be positive, got {self.deadline_s!r}"
+            )
 
     def to_dict(self) -> dict:
         """JSON-compatible payload (the ``POST /match`` body)."""
@@ -344,8 +352,8 @@ class MatchResponse:
         Scheduling surface: seconds spent queued before a worker picked
         the request up (0.0 on the direct path), how many execution
         attempts ran, and whether the served result came from the
-        degraded retry envelope (tighter limits / cheaper orderer)
-        after the first attempt timed out.
+        degraded retry envelope (a tighter match limit) after the first
+        attempt timed out.
     executor:
         Which execution tier served a *scheduled* request ("thread" or
         "process"); ``None`` — kept off the wire — on the direct path.

@@ -21,7 +21,7 @@ match sequences and ``#enum`` stay bit-identical to a direct call
 (pinned by ``tests/service/test_scheduler.py``).  The control surfaces
 are all *around* execution:
 
-* **backpressure** — a full queue or an exhausted per-tenant budget
+* **backpressure** — a full queue or a tenant at its in-flight cap
   rejects at admission with a structured
   :class:`~repro.service.requests.ServiceError` (``code="rejected"``,
   ``retry_after_s`` set), which the HTTP tier maps to
@@ -30,11 +30,10 @@ are all *around* execution:
   ``deadline_s`` fails fast (``code="deadline_expired"``) without ever
   occupying a worker; deadlines never cap *execution*;
 * **retry-with-degrade** — when an attempt times out and the deadline
-  still has room, one re-attempt runs under the configured degraded
-  envelope (tighter ``match_limit``/``time_limit``, optionally a
-  cheaper orderer); the served response is marked ``degraded=True``,
-  ``attempts=2`` and is bit-identical to a direct call with the same
-  degraded envelope.
+  still has room, one re-attempt runs with its ``match_limit``
+  tightened to :data:`DEGRADE_MATCH_LIMIT`; the served response is
+  marked ``degraded=True``, ``attempts=2`` and is bit-identical to a
+  direct call with the same degraded envelope.
 
 Admission lives in memory only: a killed process loses its queued
 backlog, and clients retry as they would after any 5xx.
@@ -80,9 +79,23 @@ __all__ = [
 ]
 
 
+#: Accounting principal for requests with ``tenant=None``.
+DEFAULT_TENANT = "default"
+
+#: The degraded retry's match limit: a timed-out request is retried
+#: once with its ``match_limit`` tightened to at most this.
+DEGRADE_MATCH_LIMIT = 1000
+
+#: Hint surfaced on rejections (HTTP ``Retry-After``), in seconds.
+RETRY_AFTER_S = 1.0
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Tuning knobs for :class:`CostAwareScheduler`.
+
+    Every field is checked at construction; a bad value is a
+    ``ValueError`` naming it.
 
     Attributes
     ----------
@@ -90,56 +103,49 @@ class SchedulerConfig:
         Scheduler worker threads draining the admission queue.
     queue_capacity:
         Bounded queue depth; admission past it is rejected (429).
-    default_deadline_s:
-        Queueing deadline applied when a request carries none;
-        ``None`` means requests without a deadline wait indefinitely.
-    default_tenant:
-        Accounting principal for requests with ``tenant=None``.
     tenant_max_inflight:
         Per-tenant cap on admitted-but-unfinished requests; ``None``
         disables the cap.
-    tenant_cost_budget:
-        Per-tenant cap on the *sum of estimated plan costs* in flight.
-        A tenant with nothing in flight is always allowed one request —
-        a budget smaller than every plan must not deadlock the tenant.
     retry_degrade:
-        Re-attempt a timed-out request once under the degraded
-        envelope below (only when the deadline still has room).
-    degrade_match_limit / degrade_time_limit:
-        The degraded envelope: the retry's limits are tightened to at
-        most these values (``None`` leaves that limit untouched).
-    degrade_orderer:
-        Optional cheaper orderer registry name for the retry.
-    retry_after_s:
-        Hint surfaced on rejections (HTTP ``Retry-After``).
+        Re-attempt a timed-out request once with its match limit
+        tightened to :data:`DEGRADE_MATCH_LIMIT` (only when the deadline
+        still has room).
     executor:
         Where admitted requests execute: ``"thread"`` (scheduler worker
-        threads call :meth:`MatchService.submit` directly — the PR 9
-        behaviour) or ``"process"`` (workers block on the service's
+        threads call :meth:`MatchService.submit` directly) or
+        ``"process"`` (workers block on the service's
         :class:`~repro.procpool.pool.ProcessPool`, so CPU-bound
         enumeration scales with cores).  Results are bit-identical
         either way.
     process_workers:
         Worker-process count for ``executor="process"``.
-    calibration_alpha:
-        EWMA smoothing factor for the observed-cost feedback loop
-        (:class:`~repro.procpool.feedback.CostCalibrator`).
     """
 
     workers: int = 2
     queue_capacity: int = 64
-    default_deadline_s: float | None = None
-    default_tenant: str = "default"
     tenant_max_inflight: int | None = None
-    tenant_cost_budget: float | None = None
     retry_degrade: bool = True
-    degrade_match_limit: int | None = 1000
-    degrade_time_limit: float | None = None
-    degrade_orderer: str | None = None
-    retry_after_s: float = 1.0
     executor: str = "thread"
     process_workers: int = 4
-    calibration_alpha: float = 0.2
+
+    def __post_init__(self) -> None:
+        for name in ("workers", "queue_capacity", "process_workers"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(
+                    f"SchedulerConfig.{name} must be at least 1, got {value!r}"
+                )
+        cap = self.tenant_max_inflight
+        if cap is not None and cap < 1:
+            raise ValueError(
+                "SchedulerConfig.tenant_max_inflight must be at least 1 or "
+                f"None, got {cap!r}"
+            )
+        if self.executor not in ("thread", "process"):
+            raise ValueError(
+                "SchedulerConfig.executor must be 'thread' or 'process', "
+                f"got {self.executor!r}"
+            )
 
 
 def entry_sort_key(
@@ -179,11 +185,10 @@ class _Entry:
     request: MatchRequest
     future: Future
     tenant: str
-    cost: float  # calibrated estimate (the queue orders by this)
+    cost: float  # the plan's static estimate (the queue orders by this)
     deadline: float | None  # absolute monotonic seconds, or None
     enqueued_at: float
     seq: int
-    raw_cost: float = 0.0  # uncalibrated static estimate (feedback input)
 
     @property
     def sort_key(self) -> tuple:
@@ -220,8 +225,13 @@ class AdmissionQueue:
         """Maximum number of queued entries."""
         return self._capacity
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has stopped admissions."""
+        return self._closed
+
     def push(self, entry: _Entry) -> bool:
-        """Admit one entry; ``False`` when the queue is full."""
+        """Admit one entry; ``False`` when the queue is full or closed."""
         with self._not_empty:
             if self._closed:
                 return False
@@ -270,7 +280,6 @@ class _TenantAccount:
 
     __slots__ = (
         "inflight",
-        "cost_inflight",
         "admitted",
         "rejected",
         "expired",
@@ -281,7 +290,6 @@ class _TenantAccount:
 
     def __init__(self):
         self.inflight = 0
-        self.cost_inflight = 0.0
         self.admitted = 0
         self.rejected = 0
         self.expired = 0
@@ -290,12 +298,8 @@ class _TenantAccount:
         self.errors = 0
 
     def to_dict(self) -> dict:
-        # Summed float costs leave ~1e-14 residue once everything
-        # drains; clamp so an idle tenant reports exactly 0.0.
-        cost = float(self.cost_inflight)
         return {
             "inflight": int(self.inflight),
-            "cost_inflight": 0.0 if abs(cost) < 1e-9 else cost,
             "admitted": int(self.admitted),
             "rejected": int(self.rejected),
             "expired": int(self.expired),
@@ -311,9 +315,7 @@ class SchedulerStats:
 
     ``executor`` names the execution tier (``"thread"``/``"process"``);
     ``procpool`` carries the process pool's liveness snapshot when that
-    tier is in play, and ``calibration`` is the observed-cost feedback
-    state — the estimate-vs-observed loop surfaced per
-    ``(dataset, query-size)`` bucket.
+    tier is in play.
     """
 
     queue_depth: int
@@ -327,7 +329,6 @@ class SchedulerStats:
     errors: int
     tenants: dict = field(default_factory=dict)
     executor: str = "thread"
-    calibration: dict = field(default_factory=dict)
     procpool: dict | None = None
 
     def to_dict(self) -> dict:
@@ -347,7 +348,6 @@ class SchedulerStats:
                 name: dict(stats)
                 for name, stats in sorted(self.tenants.items())
             },
-            "calibration": dict(self.calibration),
             "procpool": dict(self.procpool) if self.procpool is not None else None,
         }
 
@@ -373,13 +373,6 @@ class CostAwareScheduler:
                  estimator=None):
         self._service = service
         self._config = config if config is not None else SchedulerConfig()
-        if self._config.workers <= 0:
-            raise ValueError("scheduler workers must be positive")
-        if self._config.executor not in ("thread", "process"):
-            raise ValueError(
-                f"scheduler executor must be 'thread' or 'process', "
-                f"got {self._config.executor!r}"
-            )
         self._estimator = estimator
         self._queue = AdmissionQueue(self._config.queue_capacity)
         self._lock = threading.Lock()
@@ -392,12 +385,6 @@ class CostAwareScheduler:
         self._completed = 0
         self._errors = 0
         self._closed = False
-        # Observed-cost feedback (local imports: repro.procpool imports
-        # repro.service.requests, so the module edge stays one-way at
-        # import time).
-        from repro.procpool.feedback import CostCalibrator
-
-        self._calibrator = CostCalibrator(alpha=self._config.calibration_alpha)
         if self._config.executor == "process":
             if getattr(service, "procpool", None) is None:
                 raise ValueError(
@@ -472,29 +459,21 @@ class CostAwareScheduler:
         """Admit one request; a ``Future`` resolving to its response.
 
         Raises :class:`ServiceError` (``code="rejected"``) immediately
-        on backpressure — a full queue or an exhausted tenant budget —
-        and plain validation errors for unknown names.  The future
+        on backpressure — a full queue or a tenant at its in-flight cap
+        — or once the scheduler is shut down, and plain validation
+        errors for unknown names.  The future
         resolves to the served :class:`MatchResponse` (with
         ``queue_time_s``/``attempts``/``degraded`` filled in) or raises
         the failure: ``deadline_expired`` when the request died in the
         queue, or whatever execution raised.
         """
         config = self._config
-        raw_cost = self._estimate(request)
-        # The observed-cost loop: a bucket that historically ran hotter
-        # (or cooler) than its static estimate has its admission cost
-        # scaled accordingly; unobserved buckets multiply by 1.0.
-        cost = raw_cost * self._calibrator.correction(
-            request.dataset, request.query.num_vertices
-        )
-        tenant = request.tenant if request.tenant is not None else config.default_tenant
-        deadline_s = (
-            request.deadline_s
-            if request.deadline_s is not None
-            else config.default_deadline_s
-        )
+        cost = self._estimate(request)
+        tenant = request.tenant if request.tenant is not None else DEFAULT_TENANT
         now = time.monotonic()
-        deadline = None if deadline_s is None else now + float(deadline_s)
+        deadline = (
+            None if request.deadline_s is None else now + float(request.deadline_s)
+        )
         with self._lock:
             if self._closed:
                 raise ServiceError("scheduler is shut down", code="rejected")
@@ -509,23 +488,9 @@ class CostAwareScheduler:
                     f"tenant {tenant!r} is at its in-flight cap "
                     f"({config.tenant_max_inflight})",
                     code="rejected",
-                    retry_after_s=config.retry_after_s,
-                )
-            if (
-                config.tenant_cost_budget is not None
-                and account.inflight > 0
-                and account.cost_inflight + cost > config.tenant_cost_budget
-            ):
-                account.rejected += 1
-                self._rejected += 1
-                raise ServiceError(
-                    f"tenant {tenant!r} is over its in-flight cost budget "
-                    f"({config.tenant_cost_budget:g})",
-                    code="rejected",
-                    retry_after_s=config.retry_after_s,
+                    retry_after_s=RETRY_AFTER_S,
                 )
             account.inflight += 1
-            account.cost_inflight += cost
             account.admitted += 1
             self._admitted += 1
             seq = self._seq
@@ -538,22 +503,23 @@ class CostAwareScheduler:
             deadline=deadline,
             enqueued_at=now,
             seq=seq,
-            raw_cost=raw_cost,
         )
         if not self._queue.push(entry):
-            self._unadmit(account, cost)
+            self._unadmit(account)
+            if self._queue.closed:
+                # ``shutdown`` closed the queue after the check above.
+                raise ServiceError("scheduler is shut down", code="rejected")
             raise ServiceError(
                 f"admission queue full ({self._queue.capacity} requests)",
                 code="rejected",
-                retry_after_s=config.retry_after_s,
+                retry_after_s=RETRY_AFTER_S,
             )
         return entry.future
 
-    def _unadmit(self, account: _TenantAccount, cost: float) -> None:
+    def _unadmit(self, account: _TenantAccount) -> None:
         """Turn one admission that never reached the queue into a rejection."""
         with self._lock:
             account.inflight -= 1
-            account.cost_inflight -= cost
             account.admitted -= 1
             self._admitted -= 1
             account.rejected += 1
@@ -565,31 +531,15 @@ class CostAwareScheduler:
     def _degraded_request(self, request: MatchRequest) -> MatchRequest | None:
         """The retry envelope for a timed-out request, or ``None``.
 
-        Limits only ever tighten: a configured degrade limit replaces
-        the request's when the request's is unset, unlimited, or
-        looser.  ``None`` means the degraded envelope is identical to
+        The match limit only ever tightens: :data:`DEGRADE_MATCH_LIMIT`
+        replaces the request's when the request's is unset, unlimited,
+        or looser.  ``None`` means the degraded envelope is identical to
         the original — nothing to retry with.
         """
-        config = self._config
-        changes: dict = {}
-        degrade_ml = config.degrade_match_limit
-        if degrade_ml is not None:
-            current = request.match_limit
-            if current is UNSET or current is None or current > degrade_ml:
-                changes["match_limit"] = degrade_ml
-        degrade_tl = config.degrade_time_limit
-        if degrade_tl is not None:
-            current = request.time_limit
-            if current is UNSET or current is None or current > degrade_tl:
-                changes["time_limit"] = degrade_tl
-        if (
-            config.degrade_orderer is not None
-            and config.degrade_orderer != request.orderer
-        ):
-            changes["orderer"] = config.degrade_orderer
-        if not changes:
-            return None
-        return replace(request, **changes)
+        current = request.match_limit
+        if current is UNSET or current is None or current > DEGRADE_MATCH_LIMIT:
+            return replace(request, match_limit=DEGRADE_MATCH_LIMIT)
+        return None
 
     def _worker_loop(self) -> None:
         while True:
@@ -632,17 +582,6 @@ class CostAwareScheduler:
             return
         if degraded:
             outcome = "degraded"
-        elif not response.timed_out:
-            # Close the loop: the actual Phase (3) seconds this request
-            # cost, against the static estimate admission ordered by.
-            # Truncated observations (timeout, degrade) are skipped —
-            # they measure the limit, not the plan.
-            self._calibrator.observe(
-                request.dataset,
-                request.query.num_vertices,
-                estimated=entry.raw_cost,
-                observed_s=response.enum_time,
-            )
         self._release(entry, outcome)
         entry.future.set_result(
             replace(
@@ -659,7 +598,6 @@ class CostAwareScheduler:
             account = self._accounts.get(entry.tenant)
             if account is not None:
                 account.inflight -= 1
-                account.cost_inflight -= entry.cost
                 if outcome == "expired":
                     account.expired += 1
                 elif outcome == "error":
@@ -689,7 +627,6 @@ class CostAwareScheduler:
     def stats(self) -> SchedulerStats:
         """A consistent :class:`SchedulerStats` snapshot."""
         depth = len(self._queue)
-        calibration = self._calibrator.stats()
         procpool = None
         if self._config.executor == "process":
             pool = getattr(self._service, "procpool", None)
@@ -711,7 +648,6 @@ class CostAwareScheduler:
                     for name, account in self._accounts.items()
                 },
                 executor=self._config.executor,
-                calibration=calibration,
                 procpool=procpool,
             )
 

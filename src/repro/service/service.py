@@ -60,8 +60,8 @@ DEFAULT_MAX_WORKERS = 4
 #: instead of mis-parsing them.
 #: v2: added ``schema`` itself and the ``scheduler`` block.
 #: v3: the ``scheduler`` block grew the execution tier surface —
-#: ``executor``, ``recovered``, ``calibration`` (observed-cost
-#: feedback), ``procpool`` and ``durable`` liveness snapshots.
+#: ``executor``, ``recovered``, the observed-cost feedback state,
+#: ``procpool`` and ``durable`` liveness snapshots.
 #: v4: the per-partition enumeration-time map left with partitioned
 #: matching.
 #: v5: the cache's store-hit counter, the plan-store block and the
@@ -69,7 +69,10 @@ DEFAULT_MAX_WORKERS = 4
 #: streaming route.
 #: v6: ``scheduler.recovered`` and ``scheduler.durable`` left with the
 #: durable admission journal.
-STATS_SCHEMA_VERSION = 6
+#: v7: the scheduler block's observed-cost feedback state and each
+#: tenant's summed in-flight plan cost left with the per-bucket cost
+#: correction and the tenant cost budget.
+STATS_SCHEMA_VERSION = 7
 
 
 class LatencyRing:
@@ -425,8 +428,8 @@ class MatchService:
         ``attempts`` / ``degraded`` filled in) or raising the failure.
         Admission itself raises synchronously: a structured
         :class:`~repro.service.requests.ServiceError` with
-        ``code="rejected"`` on backpressure (full queue, exhausted
-        tenant budget), validation errors for unknown names.  Requires
+        ``code="rejected"`` on backpressure (full queue, tenant at its
+        in-flight cap), validation errors for unknown names.  Requires
         a scheduler (``MatchService(..., scheduler=...)``).
 
         Scheduling changes *when* the request runs, never *what it
@@ -452,8 +455,8 @@ class MatchService:
         the shared (documented thread-safe) matchers; with one attached
         (``MatchService(..., scheduler=...)``) every request is
         admitted through the cost-aware priority queue instead, so a
-        batch inherits deadline/budget enforcement and cheap-first
-        ordering.  Either way results are bit-identical to serial
+        batch inherits deadline/in-flight-cap enforcement and
+        cheap-first ordering.  Either way results are bit-identical to serial
         :meth:`submit` calls on the accepted requests.
         ``on_error="capture"`` (default) turns a request's
         :class:`~repro.errors.ReproError` — including scheduler

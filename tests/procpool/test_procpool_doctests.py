@@ -13,7 +13,6 @@ import pkgutil
 import pytest
 
 import repro.procpool
-import repro.procpool.feedback
 
 MODULES = ["repro.procpool"] + [
     f"repro.procpool.{info.name}"
@@ -27,7 +26,3 @@ def test_module_doctests_pass(module_name):
     outcome = doctest.testmod(module, verbose=False)
     assert outcome.failed == 0
 
-
-def test_cost_calibrator_example_is_executable():
-    outcome = doctest.testmod(repro.procpool.feedback, verbose=False)
-    assert outcome.attempted > 0

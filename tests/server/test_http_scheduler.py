@@ -116,9 +116,7 @@ class TestScheduledServing:
     def test_backpressure_is_429_with_retry_after(self, data, query):
         service = MatchService(
             catalog={"tiny": data},
-            scheduler=SchedulerConfig(
-                workers=1, queue_capacity=1, retry_after_s=2.0,
-            ),
+            scheduler=SchedulerConfig(workers=1, queue_capacity=1),
         )
         gated = GatedSubmit(service)
         service.submit = gated
@@ -146,7 +144,7 @@ class TestScheduledServing:
                 assert status == 429
                 assert payload["code"] == "rejected"
                 assert "queue full" in payload["error"]
-                assert retry_after == "2"
+                assert retry_after == "1"
                 gated.gate.set()
                 blocker.join(timeout=60)
                 queued.join(timeout=60)
@@ -193,6 +191,41 @@ class TestScheduledServing:
                 assert "never ran" in payload["error"]
                 stats = get_stats(background)
                 assert stats["scheduler"]["expired"] == 1
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("deadline_s", [-1.0, 0.0], ids=["negative", "zero"])
+    def test_non_positive_deadline_is_400_and_never_admitted(
+        self, data, query, deadline_s
+    ):
+        service = MatchService(
+            catalog={"tiny": data}, scheduler=SchedulerConfig(workers=1)
+        )
+        try:
+            with BackgroundServer(service) as background:
+                body = dict(MatchRequest("tiny", query).to_dict(),
+                            deadline_s=deadline_s)
+                status, payload, _ = post_match(background, body)
+                assert status == 400
+                assert payload["code"] == "validation"
+                assert "deadline_s must be positive" in payload["error"]
+                sched = get_stats(background)["scheduler"]
+                assert (sched["admitted"], sched["expired"]) == (0, 0)
+        finally:
+            service.close()
+
+    def test_infinite_deadline_is_served(self, data, query):
+        service = MatchService(
+            catalog={"tiny": data}, scheduler=SchedulerConfig(workers=1)
+        )
+        try:
+            with BackgroundServer(service) as background:
+                body = MatchRequest(
+                    "tiny", query, deadline_s=float("inf")
+                ).to_dict()
+                status, payload, _ = post_match(background, body)
+                assert status == 200 and payload["attempts"] == 1
+                assert get_stats(background)["scheduler"]["completed"] == 1
         finally:
             service.close()
 

@@ -213,7 +213,7 @@ class TestStatsAndInvalidation:
 
         json.dumps(payload)  # JSON-safe snapshot
         assert payload["cache"]["hit_rate"] == 0.5
-        assert payload["schema"] == 6
+        assert payload["schema"] == 7
         assert "shard_enum_time_s" not in payload
         assert "store_hits" not in payload["cache"]
 

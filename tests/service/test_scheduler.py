@@ -6,7 +6,7 @@ Three layers, matching the scheduler's own decomposition:
   :class:`AdmissionQueue` pop order, property-tested with hypothesis
   (deadline-then-cost within a priority class, deadline-carrying work
   never starves behind deadline-less work, FIFO as the final tiebreak);
-* the admission policy — per-tenant in-flight/cost budgets, bounded
+* the admission policy — the per-tenant in-flight cap, bounded
   queue backpressure, queue-deadline expiry — driven against a stub
   service whose execution the test controls with events, so the
   concurrency claims are deterministic rather than timing-lucky;
@@ -16,6 +16,8 @@ Three layers, matching the scheduler's own decomposition:
   ``MatchService.submit`` call.
 """
 
+import dataclasses
+import math
 import threading
 import time
 from dataclasses import replace
@@ -38,7 +40,13 @@ from repro.service import (
     error_payload,
     http_status_for,
 )
-from repro.service.scheduler import AdmissionQueue, _Entry, entry_sort_key
+from repro.service.scheduler import (
+    DEFAULT_TENANT,
+    RETRY_AFTER_S,
+    AdmissionQueue,
+    _Entry,
+    entry_sort_key,
+)
 from repro.service.service import STATS_SCHEMA_VERSION
 
 
@@ -87,6 +95,25 @@ class TestEnvelope:
         assert "deadline_s" not in payload
         back = MatchRequest.from_dict(payload)
         assert (back.tenant, back.priority, back.deadline_s) == (None, 0, None)
+
+    @pytest.mark.parametrize("deadline_s", [-1.0, 0.0, -math.inf],
+                             ids=["negative", "zero", "minus-inf"])
+    def test_non_positive_deadline_is_a_validation_error(
+        self, queries, deadline_s
+    ):
+        with pytest.raises(ReproError, match="deadline_s must be positive") as err:
+            MatchRequest("tiny", queries[0], deadline_s=deadline_s)
+        assert MatchResponse.failure(
+            MatchRequest("tiny", queries[0]), err.value
+        ).error_code == "validation"
+        payload = dict(MatchRequest("tiny", queries[0]).to_dict(),
+                       deadline_s=deadline_s)
+        with pytest.raises(ReproError, match="deadline_s must be positive"):
+            MatchRequest.from_dict(payload)
+
+    def test_infinite_deadline_stays_legal(self, queries):
+        request = MatchRequest("tiny", queries[0], deadline_s=math.inf)
+        assert MatchRequest.from_dict(request.to_dict()).deadline_s == math.inf
 
     def test_response_round_trip_with_scheduling_fields(self, queries):
         response = MatchResponse.failure(
@@ -231,8 +258,6 @@ class TestQueueOrdering:
             assert seqs == sorted(seqs)
 
     def test_sort_key_shape(self):
-        import math
-
         assert entry_sort_key() == (0, math.inf, 0.0, 0)
         assert entry_sort_key(priority=1) < entry_sort_key(priority=0)
         assert entry_sort_key(deadline=1.0, cost=1e9) < entry_sort_key(cost=0.0)
@@ -325,7 +350,7 @@ class TestAdmissionPolicy:
             with pytest.raises(ServiceError) as third:
                 sched.submit(MatchRequest("d", tiny_query, tenant="acme"))
             assert third.value.code == "rejected"
-            assert third.value.retry_after_s == config.retry_after_s
+            assert third.value.retry_after_s == RETRY_AFTER_S
             # Another tenant is not affected by acme's cap.
             other = sched.submit(MatchRequest("d", tiny_query, tenant="beta"))
             stub.gate.set()
@@ -338,33 +363,9 @@ class TestAdmissionPolicy:
             assert stats.tenants["acme"]["completed"] == 2
             assert stats.tenants["acme"]["inflight"] == 0
 
-    def test_tenant_cost_budget_never_exceeded(self, tiny_query):
-        stub = GatedService()
-        config = SchedulerConfig(workers=2, tenant_cost_budget=10.0)
-        costs = iter([6.0, 6.0])
-        with CostAwareScheduler(
-            stub, config, estimator=lambda r: next(costs)
-        ) as sched:
-            first = sched.submit(MatchRequest("d", tiny_query, tenant="acme"))
-            with pytest.raises(ServiceError) as over:
-                sched.submit(MatchRequest("d", tiny_query, tenant="acme"))
-            assert over.value.code == "rejected"
-            stub.gate.set()
-            assert first.result(timeout=30).ok
-
-    def test_lone_over_budget_request_still_admits(self, tiny_query):
-        # A budget smaller than every plan must not deadlock the tenant:
-        # with nothing in flight, one over-budget request is admitted.
-        stub = GatedService()
-        stub.gate.set()
-        config = SchedulerConfig(workers=1, tenant_cost_budget=1.0)
-        with CostAwareScheduler(stub, config, estimator=lambda r: 99.0) as sched:
-            future = sched.submit(MatchRequest("d", tiny_query, tenant="acme"))
-            assert future.result(timeout=30).ok
-
     def test_full_queue_rejects_with_retry_after(self, tiny_query):
         stub = GatedService()
-        config = SchedulerConfig(workers=1, queue_capacity=1, retry_after_s=3.5)
+        config = SchedulerConfig(workers=1, queue_capacity=1)
         with CostAwareScheduler(stub, config, estimator=lambda r: 2.5) as sched:
             running = sched.submit(MatchRequest("d", tiny_query))
             # Wait until the worker has picked the first entry up, so
@@ -377,13 +378,12 @@ class TestAdmissionPolicy:
             with pytest.raises(ServiceError) as rejected:
                 sched.submit(MatchRequest("d", tiny_query))
             assert rejected.value.code == "rejected"
-            assert rejected.value.retry_after_s == 3.5
+            assert rejected.value.retry_after_s == RETRY_AFTER_S
             assert "queue full" in str(rejected.value)
             # The rejected admission is rolled back: the tenant is billed
             # for the running and the queued request only.
-            account = sched.stats().tenants[config.default_tenant]
+            account = sched.stats().tenants[DEFAULT_TENANT]
             assert account["inflight"] == 2
-            assert account["cost_inflight"] == 5.0
             assert account["admitted"] == 2
             assert account["rejected"] == 1
             stub.gate.set()
@@ -422,6 +422,86 @@ class TestAdmissionPolicy:
         with pytest.raises(ServiceError) as rejected:
             sched.submit(MatchRequest("d", tiny_query))
         assert rejected.value.code == "rejected"
+
+    def test_submit_racing_shutdown_says_shut_down(self, tiny_query):
+        # ``shutdown`` closes the queue after ``submit`` has passed its
+        # own closed check: the rejection names the shutdown, not a
+        # full queue.
+        stub = GatedService()
+        sched = CostAwareScheduler(stub, estimator=lambda r: 0.0)
+        try:
+            sched._queue.close()
+            with pytest.raises(ServiceError) as rejected:
+                sched.submit(MatchRequest("d", tiny_query))
+            assert rejected.value.code == "rejected"
+            assert "shut down" in str(rejected.value)
+            assert "queue full" not in str(rejected.value)
+            assert sched.stats().tenants[DEFAULT_TENANT]["inflight"] == 0
+            assert stub.served == []
+        finally:
+            sched.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# The configuration: six fields, each checked at construction
+# ---------------------------------------------------------------------------
+#: Fields that left ``SchedulerConfig``, each with a value it used to
+#: take: the calibrator's smoothing factor, and the knobs only tests
+#: set.
+RETIRED_FIELDS = [
+    ("calibration_alpha", 0.2),
+    ("default_deadline_s", 1.5),
+    ("tenant_cost_budget", 40.0),
+    ("degrade_time_limit", 0.25),
+    ("degrade_orderer", "ri"),
+    ("degrade_match_limit", 9),
+    ("retry_after_s", 2.0),
+    ("default_tenant", "anon"),
+]
+
+
+class TestConfig:
+    def test_exactly_six_fields(self):
+        assert [f.name for f in dataclasses.fields(SchedulerConfig)] == [
+            "workers", "queue_capacity", "tenant_max_inflight",
+            "retry_degrade", "executor", "process_workers",
+        ]
+
+    @pytest.mark.parametrize(
+        "name, value", RETIRED_FIELDS, ids=[name for name, _ in RETIRED_FIELDS]
+    )
+    def test_retired_field_is_a_type_error(self, data, name, value):
+        services = []
+        with pytest.raises(TypeError, match=name):
+            services.append(MatchService(
+                catalog={"tiny": data}, scheduler=SchedulerConfig(**{name: value})
+            ))
+        assert services == []
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("workers", 0),
+        ("workers", -2),
+        ("queue_capacity", 0),
+        ("process_workers", 0),
+        ("executor", "fork"),
+        ("tenant_max_inflight", 0),
+        ("tenant_max_inflight", -1),
+    ], ids=["workers-0", "workers-neg", "queue_capacity-0",
+            "process_workers-0", "executor", "tenant_max_inflight-0",
+            "tenant_max_inflight-neg"])
+    def test_bad_value_is_a_value_error(self, field_name, value):
+        with pytest.raises(ValueError, match=f"SchedulerConfig.{field_name} "):
+            SchedulerConfig(**{field_name: value})
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_smallest_legal_inflight_cap_serves(self, tiny_query, cap):
+        stub = GatedService()
+        stub.gate.set()
+        config = SchedulerConfig(workers=1, tenant_max_inflight=cap)
+        with CostAwareScheduler(stub, config, estimator=lambda r: 0.0) as sched:
+            assert sched.submit(MatchRequest("d", tiny_query)).result(
+                timeout=30
+            ).ok
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +562,7 @@ class TestBitIdentity:
             scheduled_service.close()
 
     def test_degraded_retry_is_bit_identical_to_direct_degraded_call(
-        self, data, queries
+        self, data, queries, monkeypatch
     ):
         # Force the retry path deterministically: the first submit for
         # each request reports timed_out (with otherwise-real fields),
@@ -504,9 +584,9 @@ class TestBitIdentity:
                 return response
 
         flaky = FlakyFirstAttempt(service)
-        config = SchedulerConfig(
-            workers=1, retry_degrade=True, degrade_match_limit=3
-        )
+        # A limit that bites on this query, so the retry is truncated.
+        monkeypatch.setattr("repro.service.scheduler.DEGRADE_MATCH_LIMIT", 3)
+        config = SchedulerConfig(workers=1, retry_degrade=True)
         try:
             with CostAwareScheduler(
                 flaky, config, estimator=lambda r: 0.0
@@ -535,9 +615,7 @@ class TestBitIdentity:
                 return replace(self.inner.submit(request), timed_out=True)
 
         flaky = AlwaysTimedOut(service)
-        config = SchedulerConfig(
-            workers=1, retry_degrade=True, degrade_match_limit=1000
-        )
+        config = SchedulerConfig(workers=1, retry_degrade=True)
         try:
             with CostAwareScheduler(
                 flaky, config, estimator=lambda r: 0.0
@@ -577,11 +655,15 @@ class TestServiceIntegration:
                 MatchRequest("tiny", queries[0], tenant="acme")
             ).result(timeout=60)
             stats = scheduled.stats().to_dict()
-            assert stats["schema"] == STATS_SCHEMA_VERSION
+            assert stats["schema"] == STATS_SCHEMA_VERSION == 7
             sched_block = stats["scheduler"]
             assert sched_block["admitted"] == 1
             assert sched_block["completed"] == 1
-            assert sched_block["tenants"]["acme"]["completed"] == 1
+            assert "calibration" not in sched_block
+            assert sched_block["tenants"]["acme"] == {
+                "inflight": 0, "admitted": 1, "rejected": 0, "expired": 0,
+                "degraded": 0, "completed": 1, "errors": 0,
+            }
         finally:
             plain.close()
             scheduled.close()
@@ -621,3 +703,80 @@ class TestServiceIntegration:
             assert served.cache_hit
         finally:
             service.close()
+
+    def test_admission_orders_by_the_plans_static_estimate(self, data):
+        # Interleaved Q4/Q8 traffic, after both sizes have completed
+        # runs: the queue pops in (priority, deadline,
+        # plan.estimated_cost, seq) order — what a size has cost before
+        # never rescales its estimate.
+        rng = np.random.default_rng(3)
+        small = [extract_query(data, 4, rng) for _ in range(4)]
+        large = [extract_query(data, 8, rng) for _ in range(4)]
+        service = MatchService(
+            catalog={"tiny": data}, scheduler=SchedulerConfig(workers=1)
+        )
+        gated = RecordingGate(service)
+        try:
+            for query in small + large:
+                assert service.submit_scheduled(
+                    MatchRequest("tiny", query)
+                ).result(timeout=60).ok
+            assert service.stats().scheduler["completed"] == 8
+            service.submit = gated
+            blocker = service.submit_scheduled(
+                MatchRequest("tiny", small[0], tag="blocker")
+            )
+            assert gated.entered.acquire(timeout=60)
+            interleaved = [q for pair in zip(large, small) for q in pair]
+            priority = [1 if i == 5 else 0 for i in range(len(interleaved))]
+            deadline_s = [600.0 if i == 2 else None for i in range(len(interleaved))]
+            futures = [
+                service.submit_scheduled(MatchRequest(
+                    "tiny", query, tag=str(i), priority=priority[i],
+                    deadline_s=deadline_s[i],
+                ))
+                for i, query in enumerate(interleaved)
+            ]
+            matcher = service.catalog.matcher("tiny", None)
+            costs = [
+                service._plan_canonical(matcher, query)[1].estimated_cost
+                for query in interleaved
+            ]
+            # Every queued entry is billed at exactly its plan's estimate.
+            queued = {
+                entry.request.tag: entry.cost
+                for _, entry in service.scheduler._queue._heap
+            }
+            assert queued == {str(i): cost for i, cost in enumerate(costs)}
+            gated.gate.set()
+            assert blocker.result(timeout=60).ok
+            assert all(future.result(timeout=60).ok for future in futures)
+        finally:
+            gated.gate.set()
+            service.close()
+        expected = sorted(
+            range(len(interleaved)),
+            key=lambda i: (-priority[i], deadline_s[i] is None, costs[i], i),
+        )
+        assert gated.tags[1:] == [str(i) for i in expected]
+        # The estimate, not the arrival order, decided: the Q4s and Q8s
+        # cost different amounts and did not run as they arrived.
+        assert len({cost for cost in costs}) > 2
+        assert expected != sorted(expected)
+
+
+class RecordingGate:
+    """Wrap ``service.submit``: record each request's tag in execution
+    order, and hold executions until released."""
+
+    def __init__(self, service):
+        self.inner = service.submit
+        self.gate = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self.tags: list[str] = []
+
+    def __call__(self, request):
+        self.tags.append(request.tag)
+        self.entered.release()
+        assert self.gate.wait(timeout=60)
+        return self.inner(request)

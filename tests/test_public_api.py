@@ -34,9 +34,10 @@ PACKAGES = [
 #: stream, the dropout layer with the mode and grad switches that kept
 #: it off and the nn code nothing called, the REINFORCE and actor–critic
 #: updaters (PPO is the one updater), the CFL filter and orderer, query
-#: profiling, and the package re-exports that only tests read (the
+#: profiling, the package re-exports that only tests read (the
 #: functions that ``src/`` calls stay importable from their defining
-#: modules); listed so they cannot drift back into a facade.
+#: modules), and the observed-cost calibrator (admission orders by the
+#: plan's own estimate); listed so they cannot drift back into a facade.
 RETIRED_EXPORTS = [
     ("repro", "MatchingEngine"),
     ("repro", "IterativeEnumerator"),
@@ -107,6 +108,8 @@ RETIRED_EXPORTS = [
     ("repro.datasets", "register_dataset"),
     ("repro.datasets", "paper_query_count"),
     ("repro.api", "ComponentRegistry"),
+    ("repro.procpool", "CostCalibrator"),
+    ("repro.procpool", "DEFAULT_ALPHA"),
 ]
 
 
@@ -145,6 +148,9 @@ class TestExports:
         # It lives in benchmarks/bench_serving.py, outside the package.
         assert importlib.util.find_spec("repro.server.loadgen") is None
         assert importlib.util.find_spec("repro.bench.calibrate") is None
+
+    def test_cost_calibrator_module_is_gone(self):
+        assert importlib.util.find_spec("repro.procpool.feedback") is None
 
     def test_core_classes_reachable_from_top_level(self):
         for name in (
