@@ -131,7 +131,7 @@ class Graph:
     >>> g = Graph([0, 1, 0], [(0, 1), (1, 2)])
     >>> g.num_vertices, g.num_edges
     (3, 2)
-    >>> sorted(g.neighbors(1))
+    >>> g.neighbors(1).tolist()
     [0, 2]
     """
 

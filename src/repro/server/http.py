@@ -238,9 +238,11 @@ class MatchServer:
             if route == ("GET", "/healthz"):
                 payload = self._healthz()
                 status = 200 if payload.get("status") == "ok" else 503
-                return await self._respond(writer, status, payload)
+                return await self._respond(writer, status, _json_bytes(payload))
             if route == ("GET", "/stats"):
-                return await self._respond(writer, 200, self._stats_payload())
+                return await self._respond(
+                    writer, 200, _json_bytes(self._stats_payload())
+                )
             if route == ("POST", "/match"):
                 return await self._handle_match(body, writer)
             if route == ("POST", "/admin/invalidate"):
@@ -261,9 +263,12 @@ class MatchServer:
                 writer, 500, str(exc), type(exc).__name__
             )
 
-    async def _respond(self, writer, status: int, payload: dict) -> bool:
+    async def _respond(
+        self, writer, status: int, body: bytes, headers: dict | None = None
+    ) -> bool:
+        """Send one encoded JSON body; every response is counted here."""
         self._responses[status] = self._responses.get(status, 0) + 1
-        writer.write(protocol.format_response(status, _json_bytes(payload)))
+        writer.write(protocol.format_response(status, body, extra_headers=headers))
         await writer.drain()
         return True
 
@@ -273,10 +278,7 @@ class MatchServer:
         body = _error_payload(
             message, error_type, code=_CODE_BY_STATUS.get(status)
         )
-        self._responses[status] = self._responses.get(status, 0) + 1
-        writer.write(protocol.format_response(status, body))
-        await writer.drain()
-        return True
+        return await self._respond(writer, status, body)
 
     async def _respond_exception(self, writer, exc: BaseException) -> bool:
         """Answer a service failure entirely from the one error table.
@@ -294,14 +296,7 @@ class MatchServer:
         retry_after = payload.get("retry_after_s")
         if retry_after is not None:
             headers = {"Retry-After": str(max(1, int(-(-retry_after // 1))))}
-        self._responses[status] = self._responses.get(status, 0) + 1
-        writer.write(
-            protocol.format_response(
-                status, _json_bytes(payload), extra_headers=headers
-            )
-        )
-        await writer.drain()
-        return True
+        return await self._respond(writer, status, _json_bytes(payload), headers)
 
     # ------------------------------------------------------------------
     # Routes
@@ -365,7 +360,7 @@ class MatchServer:
                     )
         except ReproError as exc:
             return await self._respond_exception(writer, exc)
-        return await self._respond(writer, 200, response.to_dict())
+        return await self._respond(writer, 200, response.to_json())
 
     async def _handle_invalidate(self, body: bytes, writer) -> bool:
         loop = asyncio.get_running_loop()
@@ -394,7 +389,7 @@ class MatchServer:
         except ReproError as exc:
             return await self._respond_exception(writer, exc)
         return await self._respond(
-            writer, 200, {"invalidated": int(dropped), "dataset": dataset}
+            writer, 200, _json_bytes({"invalidated": int(dropped), "dataset": dataset})
         )
 
 

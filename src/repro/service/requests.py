@@ -8,7 +8,9 @@ client needs — counts, the matching order and any recorded embeddings
 expressed in the *client's* vertex numbering (the service canonicalizes
 queries internally), per-phase timings, the plan fingerprint and
 whether the plan cache served it.  Both round-trip through
-JSON-compatible dicts, which is what ``POST /match`` reads and writes.
+JSON-compatible dicts, which is what ``POST /match`` reads and writes;
+the response body is printed by :meth:`MatchResponse.to_json`, with the
+recorded matches encoded straight from their array.
 
 ``UNSET`` distinguishes "use the dataset's configured default" from an
 explicit ``None`` (which, for the limits, means *unlimited*) — a
@@ -26,6 +28,7 @@ vocabulary and its HTTP status mapping defined once in
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -334,10 +337,12 @@ class MatchResponse:
         only when the request asked for matches.  Stored as one
         read-only ``(k, n)`` int64 array
         (:class:`~repro.matching.block.MatchBlock` — the constructor
-        turns an array or a tuple/list of per-match sequences into one)
-        that :meth:`to_dict` encodes with a single ``tolist()``; read,
-        it is the immutable sequence of tuples of ``int`` it stands
-        for, derived from the array on first use.
+        turns an integer array or a tuple/list of per-match integer
+        sequences into one, and raises ``TypeError`` on anything
+        else) that :meth:`to_json` prints straight into the response
+        body and :meth:`to_dict` turns into nested lists with one
+        ``tolist()``; read, it is the immutable sequence of tuples of
+        ``int`` it stands for, derived from the array on first use.
     filter_time / order_time:
         Planning cost *recorded on the plan* — on a cache hit this is
         the historical, once-paid cost, not new work.
@@ -429,8 +434,8 @@ class MatchResponse:
         """Whether the request was served (no :attr:`error`)."""
         return self.error is None
 
-    def to_dict(self) -> dict:
-        """JSON-compatible payload (the ``POST /match`` response body)."""
+    def _fields(self) -> dict:
+        """Every wire field, with the block itself at ``"matches"``."""
         payload = {
             "dataset": self.dataset,
             "fingerprint": self.fingerprint,
@@ -440,7 +445,7 @@ class MatchResponse:
             "num_enumerations": int(self.num_enumerations),
             "timed_out": bool(self.timed_out),
             "limit_reached": bool(self.limit_reached),
-            "matches": self.matches.tolist(),
+            "matches": self.matches,
             "filter_time": float(self.filter_time),
             "order_time": float(self.order_time),
             "enum_time": float(self.enum_time),
@@ -458,6 +463,42 @@ class MatchResponse:
         if self.executor is not None:
             payload["executor"] = self.executor
         return payload
+
+    def to_dict(self) -> dict:
+        """JSON-compatible payload: what :meth:`to_json` encodes, and
+        the process pool's pipe format."""
+        payload = self._fields()
+        payload["matches"] = self.matches.tolist()
+        return payload
+
+    def to_json(self) -> bytes:
+        """The ``POST /match`` response body:
+        ``json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")``.
+
+        The block prints itself (:meth:`MatchBlock.to_json`) between the
+        keys that sort before ``"matches"`` and those after it; only
+        those go through :func:`json.dumps`.
+
+        >>> from repro.graphs import Graph
+        >>> failed = MatchResponse.failure(MatchRequest("d", Graph([0], [])), "x")
+        >>> failed.to_json() == json.dumps(failed.to_dict(), sort_keys=True).encode()
+        True
+        """
+        fields = self._fields()
+        matches = fields.pop("matches").to_json()
+        # Neither side is ever empty: "dataset" sorts before "matches",
+        # "num_matches" after it.
+        before = json.dumps(
+            {key: value for key, value in fields.items() if key < "matches"},
+            sort_keys=True,
+        )
+        after = json.dumps(
+            {key: value for key, value in fields.items() if key > "matches"},
+            sort_keys=True,
+        )
+        return b'%s, "matches": %s, %s' % (
+            before[:-1].encode(), matches, after[1:].encode()
+        )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MatchResponse":

@@ -7,7 +7,9 @@ used to run, ``oracle_body`` the per-int ``[[int(v) for v in m] ...]``
 encoder ``MatchResponse.to_dict`` used to run.  The block path must be
 indistinguishable from them: equal tuples of Python ``int``s out of
 ``.matches``, byte-equal JSON on the wire, on every execution path and
-whichever frames the engine expands in bulk.
+whichever frames the engine expands in bulk.  The wire is printed by
+``MatchBlock.to_json``'s digit-table kernel, held here to
+``json.dumps`` over the whole int64 range.
 """
 
 import http.client
@@ -18,6 +20,7 @@ import pytest
 from frontier_modes import MODES, frontier_mode
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from recursive_oracle import RecursiveOracle
 
 from repro import Matcher
@@ -119,6 +122,41 @@ def test_a_block_is_a_rectangle_of_integers(bad):
         MatchResponse.from_dict(payload)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[0.9, 1]],
+        [[0.9, 1.7]],
+        [["1", "2"]],
+        [[True, False]],
+        [[None, 1]],
+        np.array([[1.0, 2.0]]),
+        np.array([[True]]),
+        np.array([["3"]]),
+    ],
+    ids=["float", "floats", "strings", "bools", "none", "f8", "bool_", "str_"],
+)
+def test_elements_that_are_not_integers_are_a_type_error(bad):
+    with pytest.raises(TypeError, match="must be integers"):
+        MatchBlock(bad)
+    payload = MatchResponse.failure(MatchRequest("d", Graph([0], [])), "x").to_dict()
+    payload["matches"] = bad.tolist() if isinstance(bad, np.ndarray) else bad
+    with pytest.raises(ReproError, match="must be integers"):
+        MatchResponse.from_dict(payload)
+
+
+def test_other_integer_dtypes_convert_and_empty_blocks_have_no_dtype():
+    for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+        block = MatchBlock(np.array([[1, 2], [3, 4]], dtype=dtype))
+        assert block.array.dtype == np.int64 and block == ((1, 2), (3, 4))
+    with pytest.raises(OverflowError):
+        MatchBlock(np.array([[2**63]], dtype=np.uint64))
+    # Rows of numpy integers are integers too.
+    assert MatchBlock([np.arange(2), np.arange(2, 4)]) == ((0, 1), (2, 3))
+    # Nothing to coerce: numpy reads an empty array as float64.
+    assert MatchBlock(np.empty((0, 3))) == () and MatchBlock([[]]) == ((),)
+
+
 def test_blocks_are_read_only():
     block = MatchBlock([(1, 2), (3, 4)])
     for shared in (block, block[:1], block.gather((1, 0))):
@@ -128,6 +166,87 @@ def test_blocks_are_read_only():
     assert MatchBlock(taken_over).array is taken_over
     with pytest.raises(ValueError, match="read-only"):
         taken_over[0, 0] = 9
+
+
+# ----------------------------------------------------------------------
+# The wire kernel: MatchBlock.to_json against json.dumps
+# ----------------------------------------------------------------------
+INT64 = np.iinfo(np.int64)
+#: Either side of every digit-group width, both signs, and the extremes.
+EDGES = sorted(
+    {s * (10 ** (4 * g) + d) for g in (1, 2, 3, 4) for d in (-1, 0, 1) for s in (1, -1)}
+    | {0, 1, -1, 9, 10, INT64.min, INT64.min + 1, INT64.max, INT64.max - 1}
+)
+IMAGES = st.one_of(
+    st.integers(0, 9_999),
+    st.integers(INT64.min, INT64.max),
+    st.sampled_from(EDGES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(np.int64, st.tuples(st.integers(0, 40), st.integers(0, 9)), elements=IMAGES),
+    st.sampled_from(["whole", "rows", "reversed", "gather"]),
+)
+def test_to_json_prints_what_json_dumps_prints(array, view):
+    if view == "rows":
+        array = array[::2]
+    elif view == "reversed":
+        array = array[::-1, ::-1]
+    elif view == "gather" and array.shape[1]:
+        array = array[:, [array.shape[1] - 1, 0, 0]]
+    block = MatchBlock(array)
+    assert block.to_json() == json.dumps(array.tolist()).encode()
+
+
+def test_to_json_on_the_edge_shapes_and_values():
+    for shape in ((0, 0), (0, 4), (1, 0), (3, 0)):
+        empty = np.zeros(shape, dtype=np.int64)
+        assert MatchBlock(empty).to_json() == json.dumps(empty.tolist()).encode()
+    assert MatchBlock(()).to_json() == b"[]" and MatchBlock([[]]).to_json() == b"[[]]"
+    edges = np.array(EDGES, dtype=np.int64)
+    for array in (edges[None, :], edges[:, None], edges[edges >= 0].reshape(-1, 1)):
+        assert MatchBlock(array).to_json() == json.dumps(array.tolist()).encode()
+
+
+def _every_field(**changes) -> MatchResponse:
+    fields = dict(
+        dataset="tiny", fingerprint="ab12", cache_hit=True, order=(2, 0, 1),
+        num_matches=2, num_enumerations=9, timed_out=False, limit_reached=True,
+        matches=((4, 7, 9), (4, 8, 10_000)), filter_time=0.25, order_time=1e-7,
+        enum_time=3.0, total_time=float("inf"), tag="t", error=None,
+        error_code=None, queue_time_s=0.5, attempts=2, degraded=True,
+        executor="process",
+    )
+    fields.update(changes)
+    return MatchResponse(**fields)
+
+
+@pytest.mark.parametrize(
+    "response",
+    [
+        MatchResponse.failure(MatchRequest("d", Graph([0], [])), "boom"),
+        MatchResponse.failure(
+            MatchRequest("d", Graph([0], []), tag="x"),
+            ReproError("bad"),
+        ),
+        _every_field(),
+        _every_field(tag=None, executor=None, matches=()),
+        _every_field(error="partial", error_code="timeout", matches=((),)),
+        _every_field(tag="naïve — 東京 \u2028"),
+        _every_field(tag='"matches": []', dataset='"matches": [[1]], "z": ['),
+        _every_field(dataset="matches", fingerprint="\"matches\""),
+    ],
+    ids=[
+        "failure", "failure-tagged", "every-key", "no-optional-keys",
+        "error-and-code", "non-ascii-tag", "matches-text-in-tag", "quoted-key-text",
+    ],
+)
+def test_response_to_json_is_json_dumps_of_to_dict(response):
+    body = json.dumps(response.to_dict(), sort_keys=True).encode("utf-8")
+    assert response.to_json() == body
+    assert MatchResponse.from_dict(json.loads(response.to_json())) == response
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +410,7 @@ def test_submit_returns_the_per_match_embeddings_on_every_path(
         assert response.num_matches == plain.num_matches
     # The wire: byte-equal to the per-int encoder, and it round-trips.
     body = json.dumps(response.to_dict(), sort_keys=True).encode("utf-8")
-    assert body == oracle_body(response)
+    assert body == oracle_body(response) == response.to_json()
     wire = response.to_dict()["matches"]
     assert type(wire) is list and all(type(m) is list for m in wire)
     assert all(type(v) is int for m in wire for v in m)
@@ -314,6 +433,7 @@ def test_process_executor_returns_the_same_block(data, service):
     assert response.matches == expected_matches(data, query, None)
     assert response.matches == service.submit(request).matches
     assert_plain_ints(response.matches)
+    assert response.to_json() == oracle_body(response)
 
 
 def test_budget_exceeded_fallback_keeps_the_identity_mapping(data, monkeypatch):
@@ -339,23 +459,37 @@ def test_empty_query_and_unrecorded_requests(service):
     counted = service.submit(MatchRequest("tiny", BASE_QUERIES["star"]))
     assert counted.matches == () and counted.to_dict()["matches"] == []
     assert counted.num_matches > 0
+    for response in (recorded, counted):
+        assert response.to_json() == oracle_body(response)
 
 
 def test_http_body_is_byte_equal_to_the_per_int_encoder(data):
+    assert_http_body_is_the_oracle_body(data, scheduler=None)
+
+
+def test_scheduled_http_body_is_byte_equal_to_the_per_int_encoder(data):
+    assert_http_body_is_the_oracle_body(data, scheduler=SchedulerConfig(workers=1))
+
+
+def assert_http_body_is_the_oracle_body(data, scheduler):
     query = relabel_graph(BASE_QUERIES["cycle"], (3, 1, 0, 2))
     request = MatchRequest("tiny", query, match_limit=50, record_matches=True)
-    hosted = MatchService(catalog={"tiny": data})
-    with BackgroundServer(hosted) as background:
-        host, port = background.address
-        conn = http.client.HTTPConnection(host, port, timeout=30)
-        try:
-            conn.request("POST", "/match", body=json.dumps(request.to_dict()))
-            reply = conn.getresponse()
-            body = reply.read()
-        finally:
-            conn.close()
+    hosted = MatchService(catalog={"tiny": data}, scheduler=scheduler)
+    try:
+        with BackgroundServer(hosted) as background:
+            host, port = background.address
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                conn.request("POST", "/match", body=json.dumps(request.to_dict()))
+                reply = conn.getresponse()
+                body = reply.read()
+            finally:
+                conn.close()
+    finally:
+        hosted.close()
     assert reply.status == 200
     response = MatchResponse.from_dict(json.loads(body))
     assert response.num_matches == 50
     assert response.matches == expected_matches(data, query, 50)
     assert body == oracle_body(response)
+    assert (response.executor is not None) is (scheduler is not None)
