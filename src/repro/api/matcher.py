@@ -35,12 +35,7 @@ from repro.api.registry import (
     make_orderer,
     orderer_registry,
 )
-from repro.errors import (
-    CanonicalizationError,
-    ModelError,
-    RegistryError,
-)
-from repro.graphs.canonical import MAX_CANONICAL_VERTICES, canonical_fingerprint
+from repro.errors import ModelError, RegistryError
 from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
 from repro.matching.context import MatchingContext
@@ -84,21 +79,14 @@ class Matcher:
         Trained model for the learned orderer: a saved-model directory
         (as written by :func:`repro.core.save_model`), a
         ``PolicyNetwork``, or a ready ``RLQVOOrderer``.
-    seed:
-        Seed forwarded to the learned orderer's sampling RNG.
-    plan_cache:
-        Optional :class:`~repro.service.cache.PlanCache`.  When set,
-        :meth:`plan` (with no explicit ``rng``) first looks the query up
-        by its canonical fingerprint and returns the cached plan on a
-        hit — skipping Phases (1)–(2) entirely — and stores cold plans
-        back.  Caches may be shared across matchers: keys are scoped by
-        :attr:`cache_scope` plus the filter/orderer names.
-    cache_scope:
-        First key component for this matcher's cache entries; defaults
-        to a content hash of the data graph, so two matchers over equal
-        graphs share entries and different graphs never collide.  The
-        service sets it to the dataset name to make per-dataset
-        invalidation addressable.
+    plan_cache / cache_scope:
+        Optional :class:`~repro.service.cache.PlanCache` that
+        :meth:`plan_fingerprinted` consults (and fills) by canonical
+        fingerprint, and the first key component of this matcher's
+        entries.  A cache needs a scope: the service uses the dataset
+        name, which makes per-dataset invalidation addressable.  Caches
+        may be shared across matchers: keys are the scope plus the
+        filter/orderer names.  :meth:`plan` never reads the cache.
 
     Thread safety
     -------------
@@ -106,11 +94,9 @@ class Matcher:
     execution write only per-call state, the plan cache is internally
     locked, and the components shipped in the registries keep no
     per-query mutable state (lazily derived graph views are built-once
-    and race-benign under CPython).  The one exception is the learned
-    orderer with ``sample=True``, whose shared RNG makes results
-    ordering-dependent — keep sampling to single-threaded (training)
-    paths.  Concurrent calls are bit-identical to the same calls run
-    serially; ``tests/api/test_concurrency.py`` pins this contract.
+    and race-benign under CPython).  Concurrent calls are bit-identical
+    to the same calls run serially; ``tests/api/test_concurrency.py``
+    pins this contract.
     """
 
     def __init__(
@@ -126,7 +112,6 @@ class Matcher:
         check_every: int = 2048,
         stats: GraphStats | None = None,
         model=None,
-        seed: int | None = None,
         plan_cache: "PlanCache | None" = None,
         cache_scope: str | None = None,
     ):
@@ -136,7 +121,7 @@ class Matcher:
         # when the caller passes them in).
         self.stats = stats if stats is not None else GraphStats(self.data)
         self.candidate_filter = make_filter(filter)
-        self.orderer = self._resolve_orderer(orderer, model, seed)
+        self.orderer = self._resolve_orderer(orderer, model)
         self.enumerator = make_enumerator(
             enumerator,
             match_limit=match_limit,
@@ -151,10 +136,12 @@ class Matcher:
             self.orderer, "name", type(self.orderer).__name__
         )
         self.enumerator_name = self.enumerator.name
+        if plan_cache is not None and cache_scope is None:
+            raise ValueError("a plan_cache needs a cache_scope")
         self.plan_cache = plan_cache
-        self._cache_scope = cache_scope
+        self.cache_scope = cache_scope
 
-    def _resolve_orderer(self, orderer, model, seed: int | None):
+    def _resolve_orderer(self, orderer, model):
         """Resolve the orderer spec, loading the RL model when needed."""
         # Aliases resolve through the registry, so e.g. "rl" (or any
         # future alias of the learned orderer) takes the model path.
@@ -185,9 +172,7 @@ class Matcher:
             from repro.core.features import FeatureBuilder
 
             builder = FeatureBuilder(self.data, policy.config, self.stats)
-            return make_orderer(
-                orderer, policy=policy, feature_builder=builder, seed=seed
-            )
+            return make_orderer(orderer, policy=policy, feature_builder=builder)
         if model is not None:
             raise RegistryError(
                 "model= is only meaningful with orderer='rlqvo' (or 'rl')"
@@ -197,19 +182,6 @@ class Matcher:
     # ------------------------------------------------------------------
     # Phases (1)-(2): planning
     # ------------------------------------------------------------------
-    @property
-    def cache_scope(self) -> str:
-        """First component of this matcher's plan-cache keys.
-
-        Defaults to a content hash of the data graph (computed once, on
-        first use), so equal graphs share cache entries and different
-        graphs cannot collide; the service overrides it with the dataset
-        name to make invalidation addressable.
-        """
-        if self._cache_scope is None:
-            self._cache_scope = f"data:{hash(self.data) & (2**64 - 1):016x}"
-        return self._cache_scope
-
     def _cache_key(self, fingerprint: str) -> tuple[str, str, str, str]:
         """Cache key: scope, plan-shaping component names, fingerprint.
 
@@ -232,62 +204,9 @@ class Matcher:
         exactly once per query, and billed to ``filter_time`` like every
         other Phase (1) artifact; a query with an empty candidate set
         short-circuits to the identity order without running (or
-        billing) the ordering phase.
-
-        With a :attr:`plan_cache` attached (and no explicit ``rng`` —
-        sampled orders are never cached), this consults the cache first;
-        a hit returns the stored plan without re-running either phase.
-        Queries the canonicalizer cannot handle — larger than
-        :data:`~repro.graphs.canonical.MAX_CANONICAL_VERTICES`, or so
-        symmetric the labeling search exhausts its node budget — bypass
-        the cache and plan cold: caching degrades, planning never breaks
-        and never hangs.
+        billing) the ordering phase.  ``rng`` reaches the orderer (the
+        random orderer and RI's tie-break read it).
         """
-        if (
-            self.plan_cache is not None
-            and rng is None
-            and query.num_vertices <= MAX_CANONICAL_VERTICES
-        ):
-            try:
-                return self.plan_fingerprinted(query)[0]
-            except CanonicalizationError:
-                pass
-        return self._plan_cold(query, rng)
-
-    def plan_fingerprinted(
-        self, query: Graph, fingerprint: str | None = None
-    ) -> tuple[QueryPlan, bool]:
-        """:meth:`plan` through the cache; returns ``(plan, cache_hit)``.
-
-        ``fingerprint`` lets callers that already canonicalized the
-        query (the service does, at the request boundary) skip the
-        canonical-labeling pass; when omitted it is computed here.  A
-        cache hit additionally requires the stored query to equal
-        ``query`` exactly, so reuse is always sound.  Without a
-        :attr:`plan_cache` this degenerates to a cold plan (and reports
-        a miss).
-        """
-        if fingerprint is None:
-            fingerprint = canonical_fingerprint(query)
-        if self.plan_cache is None:
-            plan = self._plan_cold(query, None)
-            plan.__dict__["fingerprint"] = fingerprint
-            return plan, False
-        key = self._cache_key(fingerprint)
-        cached = self.plan_cache.get(key, query)
-        if cached is not None:
-            return cached, True
-        plan = self._plan_cold(query, None)
-        # Seed the lazy fingerprint so the cache never pays a second
-        # canonicalization.
-        plan.__dict__["fingerprint"] = fingerprint
-        self.plan_cache.put(key, plan)
-        return plan, False
-
-    def _plan_cold(
-        self, query: Graph, rng: np.random.Generator | None = None
-    ) -> QueryPlan:
-        """The uncached Phases (1)–(2) pipeline behind :meth:`plan`."""
         t0 = time.perf_counter()
         candidates = self.candidate_filter.filter(query, self.data, self.stats)
         context = MatchingContext(query, self.data, candidates, self.stats)
@@ -331,6 +250,34 @@ class Matcher:
             context=context,
         )
 
+    def plan_fingerprinted(
+        self, query: Graph, fingerprint: str
+    ) -> tuple[QueryPlan, bool]:
+        """:meth:`plan` through the cache; returns ``(plan, cache_hit)``.
+
+        ``query`` is a canonical form and ``fingerprint`` its canonical
+        fingerprint (the service canonicalizes at the request boundary,
+        see :func:`~repro.graphs.canonical.canonical_form`).  A cache
+        hit additionally requires the stored query to equal ``query``
+        exactly, so reuse is always sound.  Without a
+        :attr:`plan_cache` this degenerates to a cold plan (and reports
+        a miss).
+        """
+        if self.plan_cache is None:
+            plan = self.plan(query)
+            plan.__dict__["fingerprint"] = fingerprint
+            return plan, False
+        key = self._cache_key(fingerprint)
+        cached = self.plan_cache.get(key, query)
+        if cached is not None:
+            return cached, True
+        plan = self.plan(query)
+        # Seed the lazy fingerprint so the cache never pays a second
+        # canonicalization.
+        plan.__dict__["fingerprint"] = fingerprint
+        self.plan_cache.put(key, plan)
+        return plan, False
+
     def replan(
         self,
         plan: QueryPlan,
@@ -370,8 +317,7 @@ class Matcher:
         """The plan's context, checked against this matcher's data graph."""
         # Identity is the fast path; fall back to content equality so
         # plans cached by one matcher execute on another matcher over an
-        # equal data graph (the shared-cache contract the content-hash
-        # default cache_scope advertises).
+        # equal data graph that shares its cache and scope.
         if plan.context.data is not self.data and plan.context.data != self.data:
             raise ModelError("plan was built against a different data graph")
         return plan.context

@@ -451,8 +451,7 @@ def fig9(
             # A snapshot: the fine-tune below updates trainer2's policy
             # in place, and this regime is the pretrained model as-is.
             "orderer": RLQVOOrderer(
-                trainer2.policy.clone(), trainer2.feature_builder,
-                seed=trainer2.config.seed,
+                trainer2.policy.clone(), trainer2.feature_builder
             ),
             "train_time": pre_hist.total_time,
             "train_epochs": len(pre_hist.epochs),

@@ -4,7 +4,8 @@ Paper defaults: 2 GCN layers, output dimension 64, 2-layer MLP head,
 learning rate 1e-3, dropout 0.2, 100 training epochs (10 incremental),
 all feature scaling factors α = 1, PPO clipping.  The repo applies every
 one of them except dropout: the policy has no dropout layer (see the
-README's deviations from the paper).
+README's deviations from the paper).  The α are not fields: the features
+are computed at α = 1 (:mod:`repro.core.features`).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ class RLQVOConfig:
     feature_mode:
         ``"heuristic"`` for the designed 7-dim features (Sec. III-C) or
         ``"random"`` for the RL-QVO-RIF ablation.
-    alpha_degree / alpha_d / alpha_l:
-        Feature scaling factors (paper: all 1).
     learning_rate / epochs / incremental_epochs:
         Training-loop settings (paper: 1e-3 / 100 / 10).
     clip_epsilon:
@@ -63,9 +62,6 @@ class RLQVOConfig:
     num_gnn_layers: int = 2
     hidden_dim: int = 64
     feature_mode: str = "heuristic"
-    alpha_degree: float = 1.0
-    alpha_d: float = 1.0
-    alpha_l: float = 1.0
     learning_rate: float = 1e-3
     epochs: int = 100
     incremental_epochs: int = 10

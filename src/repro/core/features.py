@@ -2,14 +2,16 @@
 
 Seven dimensions per query vertex ``u``:
 
-1. ``degree(u) / α_degree`` — scaled degree,
+1. ``degree(u)`` — degree,
 2. ``label(u)`` — raw label id,
 3. ``id(u)`` — vertex id (queries are small, no scaling needed),
-4. ``|{v ∈ G : d(u) < d(v)}| / (|V(G)|·α_d)`` — degree-rank vs data graph,
-5. ``|{v ∈ G : L(u) = L(v)}| / (|V(G)|·α_l)`` — label frequency in G,
+4. ``|{v ∈ G : d(u) < d(v)}| / |V(G)|`` — degree-rank vs data graph,
+5. ``|{v ∈ G : L(u) = L(v)}| / |V(G)|`` — label frequency in G,
 6. ``|V(q)| − t + 1`` — number of unordered vertices (time signal),
 7. ``1(u ∈ φ_{t-1})`` — ordered indicator.
 
+The paper divides dims 1, 4 and 5 by scaling factors α_degree, α_d and
+α_l and sets all three to 1 (Sec. IV-A); so does this module.
 Dims 1–5 are static per (query, data) pair; 6–7 are updated per MDP step.
 The RL-QVO-RIF ablation replaces 1–5 with random values fixed per query.
 
@@ -67,15 +69,15 @@ class FeatureBuilder:
             nv = max(self.data.num_vertices, 1)
             ranks = self.stats.sorted_degrees
             counts = self.stats.label_counts
-            out[:, 0] = query.degrees / cfg.alpha_degree
+            out[:, 0] = query.degrees
             out[:, 1] = query.labels
             out[:, 2] = np.arange(n)
             out[:, 3] = (
                 ranks.size - np.searchsorted(ranks, query.degrees, side="right")
-            ) / (nv * cfg.alpha_d)
+            ) / nv
             out[:, 4] = np.array(
                 [counts.get(lab, 0) for lab in query.labels.tolist()]
-            ) / (nv * cfg.alpha_l)
+            ) / nv
         out.setflags(write=False)
         return out
 

@@ -32,6 +32,12 @@ __all__ = ["save_model", "load_model"]
 #: never saved.
 RETIRED_KEYS = ("enum_strategy", "dropout", "algorithm")
 
+#: Retired feature scaling factors: the features are computed at the
+#: paper's α = 1, so a checkpoint saved with 1.0 loads unchanged, and one
+#: trained on other α is refused — its weights expect features the code
+#: no longer computes.
+RETIRED_ALPHA_KEYS = ("alpha_degree", "alpha_d", "alpha_l")
+
 
 def save_model(policy: PolicyNetwork, directory: str | os.PathLike[str]) -> None:
     """Write ``policy.npz`` and ``config.json`` under ``directory``."""
@@ -53,6 +59,12 @@ def _read_config(path: Path) -> RLQVOConfig:
         raise ModelError(f"{path}: model config must be a JSON object")
     for key in RETIRED_KEYS:
         raw.pop(key, None)
+    for key in RETIRED_ALPHA_KEYS:
+        if key in raw and raw.pop(key) != 1.0:
+            raise ModelError(
+                f"{path}: key {key!r}: the model was trained with feature "
+                "scaling other than 1, which is no longer supported"
+            )
     known = {f.name for f in dataclasses.fields(RLQVOConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -73,7 +85,8 @@ def load_model(directory: str | os.PathLike[str]) -> PolicyNetwork:
     """Reconstruct a policy saved by :func:`save_model`.
 
     Raises :class:`ModelError` when the directory holds no model or a
-    malformed one; the keys in :data:`RETIRED_KEYS` are ignored.
+    malformed one; the keys in :data:`RETIRED_KEYS` are ignored, and so
+    are those in :data:`RETIRED_ALPHA_KEYS` when they read 1.
     """
     directory = Path(directory)
     config_path = directory / "config.json"

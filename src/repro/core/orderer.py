@@ -8,9 +8,10 @@ ordering is ~1.2 ms of a ~3.5 ms traced op, twice Phase (3) (~0.6 ms)
 and close to Phase (1) (~1.4 ms).  The policy is
 consulted through ``PolicyNetwork.evaluate`` — bare arrays, no
 ``Tensor`` and no autograd graph.
-Singleton action spaces skip the network entirely, and by default the
-argmax action is taken (the exploratory sampling of Sec. III-C is for
-training; pass ``sample=True`` to keep it).
+Singleton action spaces skip the network entirely, and every other step
+takes the argmax action (Sec. III-D); sampling from the policy is how
+training explores (:func:`repro.rl.rollout.collect_trajectory`), never
+how a query is ordered.
 """
 
 from __future__ import annotations
@@ -39,23 +40,13 @@ class RLQVOOrderer(Orderer):
         A trained :class:`PolicyNetwork`.
     feature_builder:
         The builder bound to the data graph the policy was trained on.
-    sample:
-        Sample from the masked distribution instead of taking the argmax.
     """
 
     name = "rlqvo"
 
-    def __init__(
-        self,
-        policy: PolicyNetwork,
-        feature_builder: FeatureBuilder,
-        sample: bool = False,
-        seed: int | None = None,
-    ):
+    def __init__(self, policy: PolicyNetwork, feature_builder: FeatureBuilder):
         self.policy = policy
         self.feature_builder = feature_builder
-        self.sample = sample
-        self._rng = np.random.default_rng(seed)
 
     def order(
         self,
@@ -69,7 +60,6 @@ class RLQVOOrderer(Orderer):
             raise ModelError(
                 "RLQVOOrderer was trained against a different data graph"
             )
-        rng = rng if rng is not None else self._rng
         # Built per call: an orderer outlives the queries it serves, so
         # nothing here may be remembered under a query's address.
         ctx = GraphContext.from_graph(query)
@@ -89,9 +79,5 @@ class RLQVOOrderer(Orderer):
                 query, static, state.step, state.ordered_mask, out=features
             )
             p, _ = self.policy.evaluate(features, ctx, state.action_mask)
-            if self.sample:
-                action = int(rng.choice(p.size, p=p / p.sum()))
-            else:
-                action = int(np.argmax(p))
-            state = env.step(action)
+            state = env.step(int(np.argmax(p)))
         return env.order

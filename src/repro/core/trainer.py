@@ -365,8 +365,6 @@ class RLQVOTrainer:
     # ------------------------------------------------------------------
     # Deployment
     # ------------------------------------------------------------------
-    def make_orderer(self, sample: bool = False) -> RLQVOOrderer:
-        """Wrap the trained policy as a drop-in orderer."""
-        return RLQVOOrderer(
-            self.policy, self.feature_builder, sample=sample, seed=self.config.seed
-        )
+    def make_orderer(self) -> RLQVOOrderer:
+        """Wrap the trained policy as a drop-in (greedy) orderer."""
+        return RLQVOOrderer(self.policy, self.feature_builder)

@@ -9,7 +9,7 @@ by, for each later vertex, its candidate count damped once per backward
 neighbour by the edge selectivity ``avg_degree / |V(G)|``.
 
 The paper's experiments measure real ``#enum``, never this estimate,
-but every plan carries it: ``Matcher._plan_cold`` calls
+but every plan carries it: ``Matcher.plan`` calls
 :func:`estimate_order_cost` on each plan whose candidate sets are all
 non-empty and stores the result as
 :attr:`repro.api.plan.QueryPlan.estimated_cost`, and

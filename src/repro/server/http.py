@@ -194,23 +194,18 @@ class MatchServer:
                 except asyncio.IncompleteReadError:
                     break  # clean EOF between requests
                 except asyncio.LimitOverrunError:
-                    writer.write(protocol.format_response(
-                        400,
-                        _error_payload("request head too large", "ProtocolError"),
+                    await self._respond_error(
+                        writer, 400, "request head too large", "ProtocolError",
                         close=True,
-                    ))
-                    await writer.drain()
+                    )
                     break
                 try:
                     head = protocol.parse_head(raw)
                     body = await reader.readexactly(head.content_length)
                 except protocol.ProtocolError as exc:
-                    writer.write(protocol.format_response(
-                        exc.status,
-                        _error_payload(str(exc), "ProtocolError"),
-                        close=True,
-                    ))
-                    await writer.drain()
+                    await self._respond_error(
+                        writer, exc.status, str(exc), "ProtocolError", close=True
+                    )
                     break
                 except asyncio.IncompleteReadError:
                     break  # body truncated by disconnect
@@ -264,21 +259,26 @@ class MatchServer:
             )
 
     async def _respond(
-        self, writer, status: int, body: bytes, headers: dict | None = None
+        self, writer, status: int, body: bytes, headers: dict | None = None,
+        *, close: bool = False,
     ) -> bool:
-        """Send one encoded JSON body; every response is counted here."""
+        """Send one encoded JSON body; every response is counted here,
+        the protocol-level errors that close the connection included."""
         self._responses[status] = self._responses.get(status, 0) + 1
-        writer.write(protocol.format_response(status, body, extra_headers=headers))
+        writer.write(protocol.format_response(
+            status, body, close=close, extra_headers=headers
+        ))
         await writer.drain()
         return True
 
     async def _respond_error(
-        self, writer, status: int, message: str, error_type: str
+        self, writer, status: int, message: str, error_type: str,
+        *, close: bool = False,
     ) -> bool:
         body = _error_payload(
             message, error_type, code=_CODE_BY_STATUS.get(status)
         )
-        return await self._respond(writer, status, body)
+        return await self._respond(writer, status, body, close=close)
 
     async def _respond_exception(self, writer, exc: BaseException) -> bool:
         """Answer a service failure entirely from the one error table.

@@ -15,9 +15,13 @@ Entries come from three places, mixable freely:
   through ``dataset_stats``, both process-cached);
 * explicit graphs — ``DatasetCatalog({"prod": my_graph})`` serves an
   in-memory graph under a name of your choosing;
-* per-dataset component overrides — an entry may pin its own filter /
+* :class:`CatalogEntry` values — an entry may pin its own filter /
   orderer / limits / trained model, e.g. a learned orderer for one
   dataset and RI for the rest.
+
+The set of datasets is fixed at construction; when the graph or model
+behind a name changes out of band, build a new catalog (or drop the
+name's cached plans with :meth:`MatchService.invalidate`).
 
 Per-request orderer overrides construct a *variant* matcher that shares
 the base entry's data graph and statistics (only the orderer differs),
@@ -30,7 +34,7 @@ registries.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.api.matcher import Matcher
 from repro.errors import RegistryError
@@ -82,21 +86,9 @@ def _coerce_entry(name: str, value) -> CatalogEntry:
         return value
     if isinstance(value, Graph):
         return CatalogEntry(name=name, data=value)
-    if isinstance(value, dict):
-        accepted = sorted(f.name for f in fields(CatalogEntry) if f.name != "name")
-        unknown = sorted(set(value) - set(accepted), key=str)
-        if unknown:
-            raise RegistryError(
-                f"catalog overrides for {name!r} carry unknown key(s) "
-                f"{', '.join(repr(k) for k in unknown)}; accepted keys: "
-                f"{', '.join(accepted)}"
-            )
-        return CatalogEntry(name=name, **value)
-    if value is None:
-        return CatalogEntry(name=name)
     raise RegistryError(
-        f"catalog value for {name!r} must be a Graph, CatalogEntry, "
-        f"dict of overrides or None, got {type(value).__name__!r}"
+        f"catalog value for {name!r} must be a Graph or CatalogEntry, "
+        f"got {type(value).__name__!r}"
     )
 
 
@@ -108,7 +100,7 @@ class DatasetCatalog:
     entries:
         ``None`` (serve every dataset in the :mod:`repro.datasets`
         registry), a list of registry names, or a mapping from name to
-        ``Graph`` / :class:`CatalogEntry` / override-dict / ``None``.
+        ``Graph`` / :class:`CatalogEntry`.
     plan_cache:
         Shared :class:`PlanCache` injected into every constructed
         matcher (scoped by dataset name); ``None`` disables caching.
@@ -139,55 +131,6 @@ class DatasetCatalog:
                         f"got element of type {type(name).__name__!r}"
                     )
                 self._entries[name] = CatalogEntry(name=name)
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def attach_plan_cache(self, cache: PlanCache) -> None:
-        """Install ``cache`` on the catalog *and* every built matcher.
-
-        :class:`~repro.service.service.MatchService` calls this when
-        adopting a prebuilt catalog that has no cache yet — matchers
-        constructed before the hand-off must start caching too, not
-        silently stay cold.
-        """
-        with self._lock:
-            self.plan_cache = cache
-            for matcher in self._matchers.values():
-                matcher.plan_cache = cache
-
-    def add(self, entry: CatalogEntry, overwrite: bool = False) -> CatalogEntry:
-        """Register (or replace) a dataset entry.
-
-        Replacing drops any constructed matchers for the name and
-        invalidates the name's plan-cache scope — the explicit
-        invalidation path for "the graph behind this name changed".
-        """
-        with self._lock:
-            if entry.name in self._entries and not overwrite:
-                raise RegistryError(
-                    f"dataset {entry.name!r} is already in the catalog; "
-                    "pass overwrite=True to replace it"
-                )
-            self._entries[entry.name] = entry
-            self._drop_matchers(entry.name)
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_scope(entry.name)
-        return entry
-
-    def remove(self, name: str) -> None:
-        """Drop a dataset (and its cached plans) from the catalog."""
-        with self._lock:
-            if name not in self._entries:
-                raise self._unknown(name)
-            del self._entries[name]
-            self._drop_matchers(name)
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_scope(name)
-
-    def _drop_matchers(self, name: str) -> None:
-        for key in [k for k in self._matchers if k[0] == name]:
-            del self._matchers[key]
 
     # ------------------------------------------------------------------
     # Lookup

@@ -257,22 +257,14 @@ class AdmissionQueue:
             self._closed = True
             self._not_empty.notify_all()
 
-    def drain_all(self) -> list[_Entry]:
-        """Remove and return every queued entry (best-ranked first).
-
-        The non-graceful shutdown path: entries returned here were
-        admitted but will never run, and the caller must resolve their
-        futures (with the ``rejected`` envelope) — a popped entry is
-        the popper's responsibility, always.
-        """
-        with self._not_empty:
-            entries = [entry for _, entry in sorted(self._heap)]
-            self._heap.clear()
-            return entries
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._heap)
+
+
+#: The :class:`SchedulerStats` totals, each the sum of the same
+#: :class:`_TenantAccount` field over every tenant.
+_TOTALS = ("admitted", "rejected", "expired", "degraded", "completed", "errors")
 
 
 class _TenantAccount:
@@ -378,12 +370,6 @@ class CostAwareScheduler:
         self._lock = threading.Lock()
         self._accounts: dict[str, _TenantAccount] = {}
         self._seq = 0
-        self._admitted = 0
-        self._rejected = 0
-        self._expired = 0
-        self._degraded = 0
-        self._completed = 0
-        self._errors = 0
         self._closed = False
         if self._config.executor == "process":
             if getattr(service, "procpool", None) is None:
@@ -483,7 +469,6 @@ class CostAwareScheduler:
                 and account.inflight >= config.tenant_max_inflight
             ):
                 account.rejected += 1
-                self._rejected += 1
                 raise ServiceError(
                     f"tenant {tenant!r} is at its in-flight cap "
                     f"({config.tenant_max_inflight})",
@@ -492,7 +477,6 @@ class CostAwareScheduler:
                 )
             account.inflight += 1
             account.admitted += 1
-            self._admitted += 1
             seq = self._seq
             self._seq += 1
         entry = _Entry(
@@ -521,9 +505,7 @@ class CostAwareScheduler:
         with self._lock:
             account.inflight -= 1
             account.admitted -= 1
-            self._admitted -= 1
             account.rejected += 1
-            self._rejected += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -594,32 +576,20 @@ class CostAwareScheduler:
         )
 
     def _release(self, entry: _Entry, outcome: str | None = None) -> None:
+        """Settle one admitted entry; ``outcome=None`` (cancelled while
+        queued) only frees its in-flight slot."""
         with self._lock:
-            account = self._accounts.get(entry.tenant)
-            if account is not None:
-                account.inflight -= 1
-                if outcome == "expired":
-                    account.expired += 1
-                elif outcome == "error":
-                    account.errors += 1
-                elif outcome == "rejected":
-                    account.rejected += 1
-                elif outcome == "degraded":
-                    account.degraded += 1
-                    account.completed += 1
-                elif outcome == "completed":
-                    account.completed += 1
+            account = self._accounts[entry.tenant]
+            account.inflight -= 1
             if outcome == "expired":
-                self._expired += 1
+                account.expired += 1
             elif outcome == "error":
-                self._errors += 1
-            elif outcome == "rejected":
-                self._rejected += 1
+                account.errors += 1
             elif outcome == "degraded":
-                self._degraded += 1
-                self._completed += 1
+                account.degraded += 1
+                account.completed += 1
             elif outcome == "completed":
-                self._completed += 1
+                account.completed += 1
 
     # ------------------------------------------------------------------
     # Operations
@@ -633,48 +603,34 @@ class CostAwareScheduler:
             if pool is not None:
                 procpool = pool.health()
         with self._lock:
-            return SchedulerStats(
-                queue_depth=depth,
-                queue_capacity=self._queue.capacity,
-                workers=len(self._workers),
-                admitted=self._admitted,
-                rejected=self._rejected,
-                expired=self._expired,
-                degraded=self._degraded,
-                completed=self._completed,
-                errors=self._errors,
-                tenants={
-                    name: account.to_dict()
-                    for name, account in self._accounts.items()
-                },
-                executor=self._config.executor,
-                procpool=procpool,
-            )
+            tenants = {
+                name: account.to_dict()
+                for name, account in self._accounts.items()
+            }
+        totals = {
+            key: sum(counts[key] for counts in tenants.values())
+            for key in _TOTALS
+        }
+        return SchedulerStats(
+            queue_depth=depth,
+            queue_capacity=self._queue.capacity,
+            workers=len(self._workers),
+            tenants=tenants,
+            executor=self._config.executor,
+            procpool=procpool,
+            **totals,
+        )
 
-    def shutdown(self, wait: bool = True, *, drain: bool = True) -> None:
-        """Stop admissions, then stop the workers.
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop admissions, then stop the workers once the queue drains.
 
-        ``drain=True`` (default) lets queued entries still execute —
-        the graceful path; callers that want to abandon work should
-        cancel their futures first.  ``drain=False`` flushes the queue
-        instead: every queued-but-unstarted entry's future fails with
-        the structured ``rejected`` envelope (in-flight work still
-        finishes — execution is never interrupted mid-request).
-        Idempotent; the first call's ``drain`` wins.
+        Queued entries still execute; callers that want to abandon work
+        cancel their futures first.  Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if not drain:
-            rejection = ServiceError(
-                "scheduler shut down before the request ran",
-                code="rejected",
-            )
-            for entry in self._queue.drain_all():
-                self._release(entry, "rejected")
-                if entry.future.set_running_or_notify_cancel():
-                    entry.future.set_exception(rejection)
         self._queue.close()
         if wait:
             for worker in self._workers:

@@ -48,7 +48,7 @@ from repro.service.requests import UNSET, MatchRequest, MatchResponse
 
 __all__ = ["LatencyRing", "MatchService", "ServiceStats", "STATS_SCHEMA_VERSION"]
 
-#: Default latency ring-buffer size for the percentile snapshot.
+#: Latency ring-buffer size for the percentile snapshot.
 LATENCY_WINDOW = 8192
 
 #: Default thread-pool width for :meth:`MatchService.submit_many`.
@@ -142,8 +142,8 @@ class ServiceStats:
     added only on cache misses (hits re-use, they don't re-pay), while
     enumeration time accrues on every served request.  Latency
     percentiles are computed over the bounded :class:`LatencyRing`
-    sliding window (the most recent requests; default
-    :data:`LATENCY_WINDOW`).  ``scheduler`` carries the
+    sliding window (the most recent :data:`LATENCY_WINDOW` requests).
+    ``scheduler`` carries the
     :class:`~repro.service.scheduler.SchedulerStats` payload (queue
     depth, admissions/rejections/expiries/degrades,
     per-tenant accounting) when a scheduler is attached; ``schema`` is
@@ -200,15 +200,12 @@ class MatchService:
     Parameters
     ----------
     catalog:
-        What to serve: ``None`` (every dataset in the
-        :mod:`repro.datasets` registry), a list of registry names, a
-        mapping from name to graph/entry/overrides, or a prebuilt
-        :class:`DatasetCatalog`.
+        What to serve, fixed for the service's lifetime: ``None`` (every
+        dataset in the :mod:`repro.datasets` registry), a list of
+        registry names, or a mapping from name to ``Graph`` /
+        :class:`~repro.service.catalog.CatalogEntry`.
     cache_bytes:
-        Plan-cache byte budget (ignored when a prebuilt catalog already
-        carries a cache).
-    latency_window:
-        Capacity of the bounded :class:`LatencyRing` percentile window.
+        Plan-cache byte budget.
     scheduler:
         Optional cost-aware admission tier
         (:mod:`repro.service.scheduler`): ``True`` for the default
@@ -240,27 +237,17 @@ class MatchService:
         catalog=None,
         *,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        latency_window: int = LATENCY_WINDOW,
         scheduler=None,
     ):
-        if isinstance(catalog, DatasetCatalog):
-            self.catalog = catalog
-            if self.catalog.plan_cache is None:
-                # attach (not assign): matchers the catalog already
-                # constructed must start caching too.
-                self.catalog.attach_plan_cache(PlanCache(cache_bytes))
-        else:
-            self.catalog = DatasetCatalog(
-                catalog, plan_cache=PlanCache(cache_bytes)
-            )
-        self.plan_cache = self.catalog.plan_cache
+        self.plan_cache = PlanCache(cache_bytes)
+        self.catalog = DatasetCatalog(catalog, plan_cache=self.plan_cache)
         self._lock = threading.Lock()
         self._requests = 0
         self._errors = 0
         self._filter_time = 0.0
         self._order_time = 0.0
         self._enum_time = 0.0
-        self._latencies = LatencyRing(latency_window)
+        self._latencies = LatencyRing(LATENCY_WINDOW)
         self.scheduler = None
         self.procpool = None
         if scheduler is not None and scheduler is not False:
@@ -328,7 +315,7 @@ class MatchService:
             cform = CanonicalForm(
                 graph=query, order=identity, mapping=identity, fingerprint=""
             )
-            return cform, matcher._plan_cold(query), False
+            return cform, matcher.plan(query), False
         plan, cache_hit = matcher.plan_fingerprinted(cform.graph, cform.fingerprint)
         return cform, plan, cache_hit
 
@@ -447,7 +434,6 @@ class MatchService:
         self,
         requests: Iterable[MatchRequest],
         max_workers: int = DEFAULT_MAX_WORKERS,
-        on_error: str = "capture",
     ) -> list[MatchResponse]:
         """Serve a batch concurrently; responses in request order.
 
@@ -457,30 +443,23 @@ class MatchService:
         admitted through the cost-aware priority queue instead, so a
         batch inherits deadline/in-flight-cap enforcement and
         cheap-first ordering.  Either way results are bit-identical to serial
-        :meth:`submit` calls on the accepted requests.
-        ``on_error="capture"`` (default) turns a request's
+        :meth:`submit` calls on the accepted requests.  A request's
         :class:`~repro.errors.ReproError` — including scheduler
-        rejections and deadline expiries — into an error response
+        rejections and deadline expiries — becomes an error response
         carrying the stable code, so one bad request cannot sink a
-        batch; ``on_error="raise"`` propagates the first failure.
+        batch.
         """
-        if on_error not in ("capture", "raise"):
-            raise ReproError(
-                f"on_error must be 'capture' or 'raise', got {on_error!r}"
-            )
         requests = list(requests)
         if not requests:
             return []
         if self.scheduler is not None:
-            return self._submit_many_scheduled(requests, on_error)
+            return self._submit_many_scheduled(requests)
         workers = max(1, min(max_workers, len(requests)))
 
         def serve(request: MatchRequest) -> MatchResponse:
             try:
                 return self.submit(request)
             except ReproError as exc:
-                if on_error == "raise":
-                    raise
                 self._record_error()
                 return MatchResponse.failure(request, exc)
 
@@ -490,7 +469,7 @@ class MatchService:
             return list(pool.map(serve, requests))
 
     def _submit_many_scheduled(
-        self, requests: list[MatchRequest], on_error: str
+        self, requests: list[MatchRequest]
     ) -> list[MatchResponse]:
         """Batch path through the scheduler; responses in request order."""
         slots: list = []
@@ -498,8 +477,6 @@ class MatchService:
             try:
                 slots.append(self.scheduler.submit(request))
             except ReproError as exc:
-                if on_error == "raise":
-                    raise
                 self._record_error()
                 slots.append(MatchResponse.failure(request, exc))
         responses: list[MatchResponse] = []
@@ -510,8 +487,6 @@ class MatchService:
             try:
                 responses.append(slot.result())
             except ReproError as exc:
-                if on_error == "raise":
-                    raise
                 self._record_error()
                 responses.append(MatchResponse.failure(request, exc))
         return responses
@@ -524,11 +499,8 @@ class MatchService:
 
         Call when the world behind a dataset name changes out of band
         (graph rebuilt, model retrained).  Returns the number of plans
-        dropped.  :meth:`DatasetCatalog.add`/``remove`` invalidate
-        their dataset automatically.
+        dropped.
         """
-        if self.plan_cache is None:
-            return 0
         if dataset is None:
             return self.plan_cache.clear()
         self.catalog.entry(dataset)  # raises registry-style on unknown names
@@ -536,11 +508,7 @@ class MatchService:
 
     def stats(self) -> ServiceStats:
         """A consistent :class:`ServiceStats` snapshot."""
-        cache = (
-            self.plan_cache.stats()
-            if self.plan_cache is not None
-            else CacheStats(0, 0, 0, 0, 0, 0)
-        )
+        cache = self.plan_cache.stats()
         scheduler_stats = (
             self.scheduler.stats().to_dict() if self.scheduler is not None else None
         )
@@ -610,6 +578,6 @@ class MatchService:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"MatchService(datasets={len(self.catalog)}, "
-            f"cached_plans={len(self.plan_cache) if self.plan_cache else 0})"
+            f"cached_plans={len(self.plan_cache)})"
         )
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import Matcher
 from repro.graphs import erdos_renyi, extract_query
+from repro.graphs.canonical import canonical_form
 from repro.matching import Enumerator
 from repro.service import PlanCache
 
@@ -41,16 +42,24 @@ def queries(data):
     return [extract_query(data, 5, rng) for _ in range(6)]
 
 
-def run_workload(matcher, queries, thread_id):
-    """Interleave full matches and capped first-four runs over the queries."""
+def run_workload(matcher, queries, thread_id, plan=None):
+    """Interleave full matches and capped first-four runs over the queries.
+
+    ``plan`` (``query -> QueryPlan``) plans in place of ``matcher.plan``.
+    """
     results = []
     for round_no in range(ROUNDS):
         for i, query in enumerate(queries):
             if (i + round_no + thread_id) % 2 == 0:
-                kind, result = "match", matcher.match(query)
+                kind = "match"
+                result = (
+                    matcher.match(query) if plan is None
+                    else matcher.execute(plan(query))
+                )
             else:
-                plan = matcher.plan(query)
-                kind, result = "first-four", matcher.execute(plan, FIRST_FOUR)
+                kind = "first-four"
+                planned = matcher.plan(query) if plan is None else plan(query)
+                result = matcher.execute(planned, FIRST_FOUR)
             results.append(
                 (
                     kind,
@@ -99,19 +108,27 @@ class TestSharedMatcherConcurrency:
 
     def test_hammered_cached_matcher_stays_bit_identical(self, data, queries):
         # Same contract with the plan cache in the loop: concurrent
-        # lookups, insertions and shared cached contexts.
+        # lookups, insertions and shared cached contexts, planned the
+        # way the service plans — canonical forms, explicit scope.
         matcher = Matcher(
             data, record_matches=True, time_limit=None,
-            plan_cache=PlanCache(max_bytes=1 << 22),
+            plan_cache=PlanCache(max_bytes=1 << 22), cache_scope="d",
         )
-        expected = run_workload(matcher, queries, 0)
+        forms = [canonical_form(q) for q in queries]
+        queries = [cform.graph for cform in forms]
+        fingerprints = {id(cform.graph): cform.fingerprint for cform in forms}
+
+        def plan(query):
+            return matcher.plan_fingerprinted(query, fingerprints[id(query)])[0]
+
+        expected = run_workload(matcher, queries, 0, plan)
 
         outputs = {}
         barrier = threading.Barrier(N_THREADS)
 
         def worker(tid):
             barrier.wait()
-            outputs[tid] = run_workload(matcher, queries, 0)
+            outputs[tid] = run_workload(matcher, queries, 0, plan)
 
         threads = [
             threading.Thread(target=worker, args=(tid,))

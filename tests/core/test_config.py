@@ -16,7 +16,6 @@ class TestDefaults:
         assert config.learning_rate == pytest.approx(1e-3)
         assert config.epochs == 100
         assert config.incremental_epochs == 10
-        assert config.alpha_degree == config.alpha_d == config.alpha_l == 1.0
         assert config.train_match_limit == 100_000
         assert config.train_time_limit == 500.0
 

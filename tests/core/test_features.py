@@ -29,23 +29,13 @@ class TestStaticFeatures:
         assert static.shape == (2, 5)
         nv = data.num_vertices
         for u in range(2):
-            assert static[u, 0] == query.degree(u) / config.alpha_degree  # h(1)
+            assert static[u, 0] == query.degree(u)  # h(1), alpha_degree = 1
             assert static[u, 1] == query.label(u)  # h(2)
             assert static[u, 2] == u  # h(3)
             # h(4): data vertices with degree > d(u)=1 are 0,1,2 -> 3/4
             assert static[u, 3] == pytest.approx(3 / nv)
             # h(5): label-0 frequency 3 -> 3/4
             assert static[u, 4] == pytest.approx(3 / nv)
-
-    def test_scaling_factors_applied(self, builder_setup):
-        data, _, stats = builder_setup
-        config = RLQVOConfig(alpha_degree=2.0, alpha_d=4.0, alpha_l=8.0)
-        builder = FeatureBuilder(data, config, stats)
-        query = Graph([0, 0], [(0, 1)])
-        static = builder.static_features(query)
-        assert static[0, 0] == 0.5  # degree 1 / 2
-        assert static[0, 3] == pytest.approx(3 / (4 * 4.0))
-        assert static[0, 4] == pytest.approx(3 / (4 * 8.0))
 
     def test_static_features_follow_content_not_identity(self, builder_setup):
         # No cache: equal queries give equal (read-only) columns, and a
@@ -99,11 +89,11 @@ def static_features_per_vertex(builder: FeatureBuilder, query: Graph) -> np.ndar
     nv = max(builder.data.num_vertices, 1)
     for u in range(n):
         deg = query.degree(u)
-        out[u, 0] = deg / cfg.alpha_degree
+        out[u, 0] = deg
         out[u, 1] = query.label(u)
         out[u, 2] = u
-        out[u, 3] = stats.count_degree_greater(deg) / (nv * cfg.alpha_d)
-        out[u, 4] = stats.label_frequency(query.label(u)) / (nv * cfg.alpha_l)
+        out[u, 3] = stats.count_degree_greater(deg) / nv
+        out[u, 4] = stats.label_frequency(query.label(u)) / nv
     return out
 
 
@@ -111,7 +101,7 @@ def static_features_per_vertex(builder: FeatureBuilder, query: Graph) -> np.ndar
     "settings",
     [
         {},
-        {"alpha_degree": 3.0, "alpha_d": 7.0, "alpha_l": 0.3},
+        {"feature_mode": "random", "seed": 3},
         {"feature_mode": "random"},
     ],
 )

@@ -125,6 +125,39 @@ class TestSaveLoad:
         for query in generate_query_set(data, 6, 5, seed=2):
             assert reloaded.order(query, data) == original.order(query, data)
 
+    def test_alpha_keys_at_one_load_bit_equal(self, tmp_path):
+        # Configs saved while the feature scaling factors were fields
+        # carry all three at the paper's 1.0: they load to the same
+        # weights and the same orders.
+        data = erdos_renyi(60, 150, 3, seed=4)
+        stats = GraphStats(data)
+        config = RLQVOConfig(hidden_dim=8, seed=3)
+        policy = PolicyNetwork(config)
+        save_model(policy, tmp_path / "m")
+        _edit_config(
+            tmp_path / "m",
+            lambda raw: json.dumps(
+                {**raw, "alpha_degree": 1.0, "alpha_d": 1.0, "alpha_l": 1}
+            ),
+        )
+        loaded = load_model(tmp_path / "m")
+        assert loaded.config == config
+        saved, restored = policy.state_dict(), loaded.state_dict()
+        assert all(np.array_equal(saved[k], restored[k]) for k in saved)
+        original = RLQVOOrderer(policy, FeatureBuilder(data, config, stats))
+        reloaded = RLQVOOrderer(loaded, FeatureBuilder(data, loaded.config, stats))
+        for query in generate_query_set(data, 6, 5, seed=2):
+            assert reloaded.order(query, data) == original.order(query, data)
+
+    @pytest.mark.parametrize("key", ["alpha_degree", "alpha_d", "alpha_l"])
+    def test_alpha_other_than_one_is_a_model_error(self, tmp_path, key):
+        # Weights trained on scaled features expect inputs the code no
+        # longer computes: refused, naming the key.
+        save_model(PolicyNetwork(RLQVOConfig(hidden_dim=8)), tmp_path / "m")
+        _edit_config(tmp_path / "m", lambda raw: json.dumps({**raw, key: 2.0}))
+        with pytest.raises(ModelError, match=f"'{key}'"):
+            load_model(tmp_path / "m")
+
 
 def _edit_config(directory, edit) -> None:
     path = directory / "config.json"

@@ -31,16 +31,6 @@ class TestRLQVOOrderer:
         b = orderer.order(queries[0], data)
         assert a == b
 
-    def test_sampling_mode_varies(self, data_graph, data_stats, queries):
-        config = RLQVOConfig(hidden_dim=16, seed=0)
-        policy = PolicyNetwork(config)
-        builder = FeatureBuilder(data_graph, config, data_stats)
-        orders = set()
-        for seed in range(10):
-            orderer = RLQVOOrderer(policy, builder, sample=True, seed=seed)
-            orders.add(tuple(orderer.order(queries[0], data_graph)))
-        assert len(orders) > 1
-
     def test_transient_queries_are_ordered_on_their_own_content(
         self, data_graph, data_stats
     ):

@@ -104,34 +104,6 @@ class TestServing:
 
 
 class TestShutdown:
-    def test_drain_false_rejects_queued_but_unstarted(self, data, query):
-        service = process_service(data, workers=1)
-        try:
-            # Freeze the only worker: the first request enters the pool
-            # and parks; the rest are queued-but-unstarted for certain.
-            os.kill(worker_pid(service), signal.SIGSTOP)
-            inflight = service.submit_scheduled(MatchRequest("tiny", query))
-            deadline = time.time() + 30
-            while service.procpool.health()["busy"] == 0:
-                assert time.time() < deadline, "request never reached the pool"
-                time.sleep(0.01)
-            queued = [
-                service.submit_scheduled(MatchRequest("tiny", query))
-                for _ in range(3)
-            ]
-            service.scheduler.shutdown(wait=False, drain=False)
-            for future in queued:
-                with pytest.raises(ServiceError) as err:
-                    future.result(timeout=30)
-                assert err.value.code == "rejected"
-            # In-flight work is never interrupted mid-request: once the
-            # worker resumes, the parked request completes normally.
-            os.kill(worker_pid(service), signal.SIGCONT)
-            assert inflight.result(timeout=120).ok
-        finally:
-            os.kill(worker_pid(service), signal.SIGCONT)
-            service.close()
-
     def test_shutdown_with_inflight_work_drains_without_deadlock(
         self, data, query
     ):
@@ -150,7 +122,7 @@ class TestShutdown:
             os.kill(worker_pid(service), signal.SIGCONT)
             closer.join(timeout=120)
             assert not closer.is_alive(), "graceful shutdown deadlocked"
-            # drain=True (default): every admitted request was served.
+            # Shutdown drains: every admitted request was served.
             for future in futures:
                 assert future.result(timeout=5).ok
         finally:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.graphs import erdos_renyi, extract_query
 from repro.server import BackgroundServer
+from repro.server.protocol import MAX_HEAD_BYTES
 from repro.service import MatchRequest, MatchService, SchedulerConfig
 
 
@@ -216,6 +217,35 @@ class TestErrors:
             raw = sock.recv(65536)
         assert raw.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in raw
+
+    def test_protocol_errors_are_counted_in_stats(self, served):
+        # The replies sent before a request is routed (a head past the
+        # reader's limit, a body past the size limit) close the
+        # connection and are counted like every other response.
+        _, background = served
+
+        def exchange(raw: bytes) -> bytes:
+            with socket.create_connection(background.address, timeout=30) as sock:
+                try:
+                    sock.sendall(raw)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the server answered before reading it all
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            return b"".join(chunks)
+
+        pad = b"X-Pad: " + b"a" * (MAX_HEAD_BYTES + 16) + b"\r\n"
+        head_too_large = exchange(b"GET /stats HTTP/1.1\r\n" + pad + b"\r\n")
+        assert head_too_large.startswith(b"HTTP/1.1 400 ")
+        body_too_large = exchange(
+            b"POST /match HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n"
+        )
+        assert body_too_large.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in body_too_large
+        status, payload = request_json(background, "GET", "/stats")
+        assert status == 200
+        assert payload["server"]["responses"] == {"400": 1, "413": 1}
 
     def test_error_responses_keep_the_connection_usable(self, served, query):
         _, background = served

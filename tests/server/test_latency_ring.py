@@ -59,19 +59,3 @@ class TestServiceIntegration:
         service = MatchService(catalog={"d": dense_graph})
         assert isinstance(service._latencies, LatencyRing)
         assert service._latencies.capacity == LATENCY_WINDOW
-
-    def test_latency_window_is_configurable_and_binding(self, dense_graph):
-        from repro.graphs import extract_query
-        import numpy as np
-
-        service = MatchService(catalog={"d": dense_graph}, latency_window=3)
-        rng = np.random.default_rng(2)
-        from repro.service import MatchRequest
-
-        for _ in range(5):
-            service.submit(MatchRequest("d", extract_query(dense_graph, 3, rng)))
-        assert len(service._latencies) == 3
-        assert service._latencies.count == 5
-        stats = service.stats()
-        assert stats.latency_p50_s > 0.0
-        assert stats.latency_p99_s >= stats.latency_p95_s >= stats.latency_p50_s

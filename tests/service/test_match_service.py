@@ -10,11 +10,9 @@ from repro.errors import RegistryError, ReproError
 from repro.graphs import Graph, erdos_renyi, extract_query, relabel_graph
 from repro.service import (
     UNSET,
-    DatasetCatalog,
     MatchRequest,
     MatchResponse,
     MatchService,
-    PlanCache,
 )
 
 
@@ -177,14 +175,6 @@ class TestSubmitMany:
         assert "missing" in responses[1].error
         assert service.stats().errors == 1
 
-    def test_raise_mode_propagates(self, service, queries):
-        with pytest.raises(RegistryError):
-            service.submit_many(
-                [MatchRequest("missing", queries[0])], on_error="raise"
-            )
-        with pytest.raises(ReproError):
-            service.submit_many([], on_error="bogus")
-
     def test_empty_batch(self, service):
         assert service.submit_many([]) == []
 
@@ -228,28 +218,6 @@ class TestStatsAndInvalidation:
         assert service.invalidate() == 2
         with pytest.raises(RegistryError, match="a, b"):
             service.invalidate("zzz")
-
-    def test_prebuilt_catalog_and_cache_adopted(self, data):
-        cache = PlanCache(max_bytes=1 << 22)
-        catalog = DatasetCatalog({"g": data}, plan_cache=cache)
-        service = MatchService(catalog)
-        assert service.plan_cache is cache
-        assert service.catalog is catalog
-
-    def test_prebuilt_catalog_with_warm_matchers_starts_caching(
-        self, data, queries
-    ):
-        # A catalog whose matchers were constructed *before* the service
-        # installed a cache must retrofit them — otherwise the headline
-        # amortization would be silently off for those datasets.
-        catalog = DatasetCatalog({"g": data})
-        prewarmed = catalog.matcher("g")
-        assert prewarmed.plan_cache is None
-        service = MatchService(catalog)
-        assert prewarmed.plan_cache is service.plan_cache
-        service.submit(MatchRequest("g", queries[0]))
-        warm = service.submit(MatchRequest("g", queries[0]))
-        assert warm.cache_hit
 
 
 class TestRequestPayloads:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Matcher
 from repro.graphs import erdos_renyi, extract_query
+from repro.graphs.canonical import canonical_form
 from repro.service.cache import ENTRY_OVERHEAD_BYTES, PlanCache
 
 import numpy as np
@@ -22,23 +23,31 @@ def queries(data):
     return [extract_query(data, 4, rng) for _ in range(8)]
 
 
-def make_plan(data, query, cache=None):
-    return Matcher(data, plan_cache=cache).plan(query)
+def make_plan(data, query):
+    return Matcher(data).plan(query)
+
+
+def plan_cached(matcher, query):
+    """Plan ``query`` the way the service does: through its canonical form."""
+    cform = canonical_form(query)
+    return matcher.plan_fingerprinted(cform.graph, cform.fingerprint)
 
 
 class TestCounters:
     def test_hit_miss_accounting(self, data, queries):
         cache = PlanCache(max_bytes=1 << 24)
-        matcher = Matcher(data, plan_cache=cache)
-        matcher.plan(queries[0])
+        matcher = Matcher(data, plan_cache=cache, cache_scope="d")
+        _, hit = plan_cached(matcher, queries[0])
+        assert not hit
         assert cache.stats().misses == 1 and cache.stats().hits == 0
-        plan_again = matcher.plan(queries[0])
+        plan_again, hit = plan_cached(matcher, queries[0])
+        assert hit
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 1 and stats.plans == 1
         assert stats.hit_rate == 0.5
         # The hit is literally the same frozen object: Phases (1)-(2)
         # were skipped, not replayed.
-        assert plan_again is matcher.plan(queries[0])
+        assert plan_again is plan_cached(matcher, queries[0])[0]
 
     def test_exact_query_guard_rejects_key_collisions(self, data, queries):
         cache = PlanCache(max_bytes=1 << 24)
@@ -144,59 +153,49 @@ class TestMatcherIntegration:
         cache = PlanCache(max_bytes=1 << 24)
         ri = Matcher(data, orderer="ri", plan_cache=cache, cache_scope="d")
         qsi = Matcher(data, orderer="qsi", plan_cache=cache, cache_scope="d")
-        ri.plan(queries[0])
-        qsi.plan(queries[0])
+        plan_cached(ri, queries[0])
+        plan_cached(qsi, queries[0])
         # Different orderers must not share entries.
         assert cache.stats().plans == 2
         assert cache.stats().hits == 0
 
-    def test_equal_data_graphs_share_default_scope(self, queries):
+    def test_equal_data_graphs_share_a_scope(self, queries):
+        # Two matchers over equal (not identical) graphs that share a
+        # cache and a scope share entries, and a plan cached by one
+        # executes on the other: the context carries g1, which equals
+        # m2's data graph.
         cache = PlanCache(max_bytes=1 << 24)
         g1 = erdos_renyi(150, 450, 3, seed=13)
         g2 = erdos_renyi(150, 450, 3, seed=13)
-        m1 = Matcher(g1, plan_cache=cache, record_matches=True)
-        m2 = Matcher(g2, plan_cache=cache, record_matches=True)
-        m1.plan(queries[0])
-        plan = m2.plan(queries[0])
-        assert cache.stats().hits == 1
-        assert plan.context is not None
-        # The shared plan must also *execute* on the other matcher: the
-        # context carries g1, which equals (but is not) m2's data graph.
+        m1 = Matcher(g1, plan_cache=cache, cache_scope="d", record_matches=True)
+        m2 = Matcher(g2, plan_cache=cache, cache_scope="d", record_matches=True)
+        plan_cached(m1, queries[0])
+        plan, hit = plan_cached(m2, queries[0])
+        assert hit and cache.stats().hits == 1
         cross = m2.execute(plan)
-        same = m1.match(queries[0])
+        same = m1.execute(m1.plan(plan.query))
         assert cross.enumeration.matches == same.enumeration.matches
         assert cross.num_enumerations == same.num_enumerations
 
     def test_explicit_rng_bypasses_cache(self, data, queries):
+        # ``plan`` is the cold pipeline: with or without an rng it never
+        # reads or fills the cache.
         cache = PlanCache(max_bytes=1 << 24)
-        matcher = Matcher(data, orderer="random", plan_cache=cache)
+        matcher = Matcher(data, orderer="random", plan_cache=cache, cache_scope="d")
         rng = np.random.default_rng(3)
         matcher.plan(queries[0], rng)
-        matcher.plan(queries[0], rng)
+        matcher.plan(queries[0])
         assert cache.stats().hits == 0 and cache.stats().misses == 0
+        assert len(cache) == 0
 
-    def test_oversized_queries_bypass_the_cache_not_planning(self):
-        # A query above the canonicalization bound must still plan (and
-        # enumerate) through a cache-enabled matcher — caching degrades,
-        # planning never breaks.  Deep path + iterative engine is the
-        # classic depth stress.
-        from repro.graphs import Graph
-        from repro.graphs.canonical import MAX_CANONICAL_VERTICES
-
-        n = MAX_CANONICAL_VERTICES + 10
-        labels = list(range(n))  # singleton candidate sets
-        path = Graph(labels, [(i, i + 1) for i in range(n - 1)])
-        cache = PlanCache(max_bytes=1 << 24)
-        matcher = Matcher(path, plan_cache=cache, record_matches=True)
-        result = matcher.match(path)
-        assert result.num_matches == 1
-        assert cache.stats().plans == 0
-        assert cache.stats().misses == 0  # never consulted
+    def test_a_cache_needs_a_scope(self, data):
+        with pytest.raises(ValueError, match="cache_scope"):
+            Matcher(data, plan_cache=PlanCache(max_bytes=1 << 24))
 
     def test_fingerprint_seeded_on_cached_plans(self, data, queries):
         cache = PlanCache(max_bytes=1 << 24)
-        matcher = Matcher(data, plan_cache=cache)
-        plan = matcher.plan(queries[0])
+        matcher = Matcher(data, plan_cache=cache, cache_scope="d")
+        plan, _ = plan_cached(matcher, queries[0])
         # The lazy fingerprint was seeded during caching: reading it
         # must not recompute (same object in the instance dict).
         assert "fingerprint" in plan.__dict__

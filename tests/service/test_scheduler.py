@@ -31,6 +31,7 @@ from repro.errors import ReproError
 from repro.graphs import erdos_renyi, extract_query
 from repro.service import (
     ERROR_HTTP_STATUS,
+    UNSET,
     CostAwareScheduler,
     MatchRequest,
     MatchResponse,
@@ -413,6 +414,61 @@ class TestAdmissionPolicy:
             stats = sched.stats()
             assert stats.expired == 1
             assert stats.completed == 1
+
+    def test_totals_are_the_sums_over_tenants(self, tiny_query):
+        # One request per outcome, each under its own tenant: completed,
+        # rejected by the in-flight cap, expired in the queue, failed,
+        # and served by the degraded retry.
+        class ScriptedService(GatedService):
+            def submit(self, request):
+                if request.tag == "blocker":
+                    return super().submit(request)
+                self.served.append(request)
+                if request.tag == "error":
+                    raise ReproError("scripted failure")
+                first_attempt = request.match_limit is UNSET
+                return make_response(
+                    request, timed_out=request.tag == "slow" and first_attempt
+                )
+
+        stub = ScriptedService()
+        config = SchedulerConfig(workers=1, tenant_max_inflight=1)
+        with CostAwareScheduler(stub, config, estimator=lambda r: 0.0) as sched:
+            blocker = sched.submit(
+                MatchRequest("d", tiny_query, tenant="a", tag="blocker")
+            )
+            deadline = time.monotonic() + 30
+            while not stub.running and time.monotonic() < deadline:
+                time.sleep(0.005)
+            with pytest.raises(ServiceError):
+                sched.submit(MatchRequest("d", tiny_query, tenant="a"))
+            doomed = sched.submit(
+                MatchRequest("d", tiny_query, tenant="b", deadline_s=0.05)
+            )
+            time.sleep(0.1)
+            stub.gate.set()
+            assert blocker.result(timeout=30).ok
+            with pytest.raises(ServiceError):
+                doomed.result(timeout=30)
+            failing = sched.submit(
+                MatchRequest("d", tiny_query, tenant="c", tag="error")
+            )
+            with pytest.raises(ReproError, match="scripted"):
+                failing.result(timeout=30)
+            slow = sched.submit(
+                MatchRequest("d", tiny_query, tenant="e", tag="slow")
+            )
+            assert slow.result(timeout=30).degraded
+            stats = sched.stats()
+        expected = {
+            "admitted": 4, "rejected": 1, "expired": 1,
+            "degraded": 1, "completed": 2, "errors": 1,
+        }
+        for key, total in expected.items():
+            assert getattr(stats, key) == total, key
+            assert sum(t[key] for t in stats.tenants.values()) == total, key
+            assert stats.to_dict()[key] == total, key
+        assert all(t["inflight"] == 0 for t in stats.tenants.values())
 
     def test_submit_after_shutdown_is_rejected(self, tiny_query):
         stub = GatedService()

@@ -1,0 +1,123 @@
+"""Options and input shapes that only tests ever set are gone.
+
+Each retired keyword (or input shape) is a ``TypeError`` naming it, and
+each retired method is absent.  What replaced them: the learned orderer
+is always greedy, the features are computed at the paper's α = 1,
+``Matcher.plan`` is the cold pipeline and ``plan_fingerprinted`` the one
+cached entry point, the catalog is fixed at construction, batches always
+capture failures, the latency window is a constant and shutdown always
+drains.
+"""
+
+import numpy as np
+import pytest
+
+from repro.api import Matcher
+from repro.core import (
+    FeatureBuilder,
+    PolicyNetwork,
+    RLQVOConfig,
+    RLQVOOrderer,
+    RLQVOTrainer,
+)
+from repro.graphs import erdos_renyi, extract_query
+from repro.service import (
+    DatasetCatalog,
+    MatchRequest,
+    MatchService,
+    SchedulerConfig,
+)
+from repro.service.scheduler import AdmissionQueue
+
+
+@pytest.fixture(scope="module")
+def data():
+    return erdos_renyi(40, 100, 2, seed=1)
+
+
+def _orderer_args(data):
+    config = RLQVOConfig(hidden_dim=8)
+    return PolicyNetwork(config), FeatureBuilder(data, config)
+
+
+def _shutdown_without_draining(data):
+    service = MatchService(
+        catalog={"d": data}, scheduler=SchedulerConfig(workers=1)
+    )
+    try:
+        service.scheduler.shutdown(drain=False)
+    finally:
+        service.close()
+
+
+def _plan_without_fingerprint(data):
+    query = extract_query(data, 3, np.random.default_rng(0))
+    Matcher(data).plan_fingerprinted(query)
+
+
+#: (what was retired, the call that still passes it, text the error names)
+RETIRED = [
+    ("Matcher(seed=)", lambda d: Matcher(d, seed=0), "seed"),
+    (
+        "RLQVOOrderer(sample=)",
+        lambda d: RLQVOOrderer(*_orderer_args(d), sample=True),
+        "sample",
+    ),
+    (
+        "RLQVOOrderer(seed=)",
+        lambda d: RLQVOOrderer(*_orderer_args(d), seed=0),
+        "seed",
+    ),
+    (
+        "make_orderer(sample=)",
+        lambda d: RLQVOTrainer(d, RLQVOConfig(hidden_dim=8)).make_orderer(
+            sample=True
+        ),
+        "sample",
+    ),
+    ("RLQVOConfig(alpha_degree=)", lambda d: RLQVOConfig(alpha_degree=1.0), "alpha"),
+    ("RLQVOConfig(alpha_d=)", lambda d: RLQVOConfig(alpha_d=1.0), "alpha_d"),
+    ("RLQVOConfig(alpha_l=)", lambda d: RLQVOConfig(alpha_l=1.0), "alpha_l"),
+    (
+        "MatchService(latency_window=)",
+        lambda d: MatchService(catalog={"d": d}, latency_window=3),
+        "latency_window",
+    ),
+    (
+        "submit_many(on_error=)",
+        lambda d: MatchService(catalog={"d": d}).submit_many(
+            [MatchRequest("missing", d)], on_error="raise"
+        ),
+        "on_error",
+    ),
+    ("shutdown(drain=)", _shutdown_without_draining, "drain"),
+    ("plan_fingerprinted(query)", _plan_without_fingerprint, "fingerprint"),
+    (
+        "MatchService(catalog=DatasetCatalog)",
+        lambda d: MatchService(catalog=DatasetCatalog({"d": d})),
+        "DatasetCatalog",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name", [(call, name) for _, call, name in RETIRED],
+    ids=[label for label, _, _ in RETIRED],
+)
+def test_retired_option_is_a_type_error(data, call, name):
+    with pytest.raises(TypeError, match=name):
+        call(data)
+
+
+@pytest.mark.parametrize(
+    "owner, method",
+    [
+        (DatasetCatalog, "add"),
+        (DatasetCatalog, "remove"),
+        (DatasetCatalog, "attach_plan_cache"),
+        (AdmissionQueue, "drain_all"),
+        (Matcher, "_plan_cold"),
+    ],
+)
+def test_retired_method_is_gone(owner, method):
+    assert not hasattr(owner, method)
