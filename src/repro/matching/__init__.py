@@ -28,11 +28,7 @@ from repro.matching.enumeration import (
     Enumerator,
 )
 from repro.matching.enumeration_iter import intersect_sorted
-from repro.matching.kernels import (
-    ScratchBuffers,
-    intersect_into,
-    intersect_unused_into,
-)
+from repro.matching.kernels import ScratchBuffers
 from repro.matching.filters import (
     FILTERS,
     DPisoFilter,
@@ -81,7 +77,5 @@ __all__ = [
     "has_semi_perfect_matching",
     "intersect_sorted",
     "ScratchBuffers",
-    "intersect_into",
-    "intersect_unused_into",
     "verify_all",
 ]

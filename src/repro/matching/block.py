@@ -16,6 +16,7 @@ of tuples) are derived from the array on first use and cached.
 from __future__ import annotations
 
 import array as pyarray
+import struct
 from collections.abc import Iterator, Sequence
 from itertools import chain
 
@@ -58,24 +59,29 @@ _NEXT, _NEXT_ROW, _END = _word(b", "), _word(b"], ["), _word(b"]]")
 def _from_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
     """Equal-length sequences of integers as one ``(k, n)`` int64 array.
 
-    The copy into an ``array("q")`` takes integers only — Python's,
-    numpy's, anything with ``__index__`` — so a float, string or object
-    image is a ``TypeError`` and one past int64 an ``OverflowError`` in
-    the one pass that copies the images.  A bool is an ``int`` there,
-    so a block whose first image is one is refused by name.
+    The images are packed as native ``q`` words in one ``struct.pack``
+    call, which takes integers only — Python's, numpy's, anything with
+    ``__index__``.  What it refuses is copied again through an
+    ``array("q")``, whose error names the cause: a float, string or
+    object image is a ``TypeError`` and one past int64 an
+    ``OverflowError``.  A bool is an ``int`` to both, so a block whose
+    first image is one is refused by name.
     """
     widths = set(map(len, rows))
     if len(widths) > 1:
         raise ValueError(
             f"embeddings must form a (k, n) block, got rows of {sorted(widths)} images"
         )
+    width = widths.pop() if widths else 0
     try:
-        images = pyarray.array("q", list(chain.from_iterable(rows)))
-    except TypeError as exc:
-        raise TypeError(f"embeddings must be integers: {exc}") from None
+        images = struct.pack(f"{len(rows) * width}q", *chain.from_iterable(rows))
+    except struct.error:
+        try:
+            images = pyarray.array("q", list(chain.from_iterable(rows)))
+        except TypeError as exc:
+            raise TypeError(f"embeddings must be integers: {exc}") from None
     if images and type(rows[0][0]) is bool:
         raise TypeError("embeddings must be integers, got bool elements")
-    width = widths.pop() if widths else 0
     return np.frombuffer(images, np.int64).reshape(len(rows), width)
 
 

@@ -9,11 +9,12 @@ of all backward neighbours ``N^φ_+(u)`` and not already used
 
 One explicit-stack DFS implements the procedure —
 :func:`~repro.matching.enumeration_iter.walk_prefixes`, per-depth
-cursors into sorted numpy candidate arrays, with local candidates
-computed by sorted-array intersection against the
+cursors into sorted candidate lists, with local candidates computed by
+sorted-array intersection against the
 :class:`~repro.matching.candidate_space.CandidateSpace` flat per-edge
-index.  It uses O(1) Python stack frames regardless of query depth, so
-deep path queries enumerate fine.  There is one engine, one entry point
+index once per backward image key and memoized for the run.  It uses
+O(1) Python stack frames regardless of query depth, so deep path
+queries enumerate fine.  There is one engine, one entry point
 and nothing to choose: :meth:`Enumerator.run_context` drains the walk
 through :func:`~repro.matching.enumeration_batch.enumerate_batch`, which
 lets the walk hand a frame at position ``n-3`` to the bulk frontier —
@@ -132,7 +133,7 @@ class Enumerator:
     record_matches:
         Whether to materialize embeddings (off for pure counting runs).
     check_every:
-        Deadline check cadence, in extension steps.
+        Deadline check cadence, in extension steps (a positive int).
 
     There is no engine to select: the one explicit-stack DFS decides per
     frame, from the frame's own width, whether the bulk frontier expands
@@ -154,10 +155,16 @@ class Enumerator:
             raise EnumerationError("match_limit must be >= 1 or None")
         if time_limit is not None and time_limit <= 0:
             raise EnumerationError("time_limit must be positive or None")
+        if (
+            not isinstance(check_every, int)
+            or isinstance(check_every, bool)
+            or check_every < 1
+        ):
+            raise EnumerationError("check_every must be a positive int")
         self.match_limit = match_limit
         self.time_limit = time_limit
         self.record_matches = record_matches
-        self.check_every = max(1, check_every)
+        self.check_every = check_every
         # Per-thread ScratchBuffers for the batch driver, reused across
         # run_context calls on one thread.  This
         # keeps the Matcher thread-safety contract: threads never share
@@ -169,11 +176,12 @@ class Enumerator:
         """High-water batch-scratch footprint on the calling thread.
 
         Covers the batch driver's per-thread
-        :class:`~repro.matching.kernels.ScratchBuffers` (per-depth
-        candidate arrays plus the frontier's named batch buffers, which
-        exist only once a frame was wide enough to be taken); 0 until a
-        run on this thread needed any.  Monotone across a thread's
-        lifetime — buffers grow geometrically and never shrink.
+        :class:`~repro.matching.kernels.ScratchBuffers` — the frontier's
+        named batch buffers, which exist only once a frame was wide
+        enough to be taken; 0 until a run on this thread needed any.
+        Monotone across a thread's lifetime — buffers grow geometrically
+        and never shrink.  The walk's per-run candidate memo is not
+        scratch: it is freed when the run returns.
         """
         scratch = getattr(self._thread_state, "scratch", None)
         return 0 if scratch is None else scratch.peak_nbytes
@@ -227,13 +235,13 @@ class Enumerator:
         deadline = (
             start_time + self.time_limit if self.time_limit is not None else None
         )
-        # One ScratchBuffers per thread, rebound per query (geometric
-        # growth, never shrinks).  Safe because the batch driver drains
-        # the walk before returning — no user code runs while the
-        # scratch is live.
+        # One ScratchBuffers per thread, reused across queries
+        # (geometric growth, never shrinks).  Safe because the batch
+        # driver drains the walk before returning — no user code runs
+        # while the scratch is live.
         scratch = getattr(self._thread_state, "scratch", None)
         if scratch is None:
-            scratch = ScratchBuffers([])
+            scratch = ScratchBuffers()
             self._thread_state.scratch = scratch
         found, enum, timed_out, limited, matches = enumerate_batch(
             context,

@@ -25,17 +25,17 @@ the walk's counters:
   peak memory is bounded by the chunk width, not the subtree size.
 
 **Which frames.**  A frontier call pays a fixed ~50 µs of numpy call
-overhead where a per-node step costs 0.4–1.2 µs, so it wins on a frame
-with hundreds of steps under it and loses badly on one with a dozen —
-and the same query has both.  Neither the user nor any feature of the
-query known before the walk can make that choice; the size of the
-subtree under each *prefix* decides, and the walk sees it when it opens
-the frame.  So the rule is per frame: the candidate-space index gives
-the mean number of rows per parent ``r̄`` and leaves per row ``l̄``, a
-frame of ``P`` parents is worth ``P · (1 + r̄ · (1 + l̄))`` steps, and
-it is taken when that reaches :data:`FRONTIER_MIN_STEPS` — one integer
-threshold on ``P`` per (plan, order), computed before the walk and
-compared inside it.  A query with fewer than three vertices has no
+overhead where a per-node step costs about 0.55 µs, so it wins on a
+frame with hundreds of steps under it and loses badly on one with a
+dozen — and the same query has both.  Neither the user nor any feature
+of the query known before the walk can make that choice; the size of
+the subtree under each *prefix* decides, and the walk sees it when it
+opens the frame.  So the rule is per frame: the candidate-space index
+gives the mean number of rows per parent ``r̄`` and leaves per row
+``l̄``, a frame of ``P`` parents (counted before injectivity) is worth
+``P · (1 + r̄ · (1 + l̄))`` steps, and it is taken when that reaches
+:data:`FRONTIER_MIN_STEPS` — one integer threshold on ``P`` per
+(plan, order), computed before the walk and compared inside it.  A query with fewer than three vertices has no
 position ``n-3`` and is walked per node.
 
 **Bit-identity.**  Matches are emitted parent-major, then row-major,
@@ -100,11 +100,12 @@ FRONTIER_CHUNK = 1 << 16
 
 #: Estimated ``#enum`` steps under a frame at position ``n-3`` from
 #: which the bulk frontier beats walking it per node: the frontier's
-#: fixed cost is ~40 numpy calls (≈ 50 µs) against 0.4–1.2 µs per
-#: per-node step.  Chosen by measurement (16 and 32 are slower on the
-#: sparse shapes, 128 and 256 on the match-heavy ones; CHANGES.md,
-#: PR 19).  A constant of the implementation, not a setting: only tests
-#: ever change it, to force every frame one way.
+#: fixed cost is ~40 numpy calls (≈ 50 µs) against about 0.55 µs per
+#: per-node step.  Chosen by measurement and re-measured once the
+#: per-node step got cheaper: 32, 128 and 256 each lose on at least one
+#: shape (CHANGES.md records both sweeps).  A constant of the
+#: implementation, not a setting: only tests ever change it, to force
+#: every frame one way.
 FRONTIER_MIN_STEPS = 64
 
 
@@ -239,10 +240,12 @@ def _frontier(
     check_every: int,
     flags: EnumerationCounters,
     need_matrix: bool,
+    scratch: ScratchBuffers,
 ) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
     """Bulk-expand levels (A, B, C) under the prefix bound in ``search``;
     ``W`` is the frame the walk handed over — the parent level's local
-    candidates.  Yields ``(matrix, senum)`` per non-empty leaf chunk.
+    candidates, not yet filtered by ``used``.  Yields ``(matrix, senum)``
+    per non-empty leaf chunk, drawing its batch buffers from ``scratch``.
 
     ``matrix`` is an ``(s, n)`` int64 array of embeddings indexed by
     query vertex (``None`` when ``need_matrix`` is false); ``senum`` is
@@ -254,7 +257,7 @@ def _frontier(
     n = len(order)
     perf_counter = time.perf_counter
     images, used = search.images, search.used
-    base_arrays, scratch = search.base_arrays, search.scratch
+    base_arrays = search.base_arrays
     pa, rb, lc = fb.pa, fb.rb, fb.lc
     has_prefix = pa > 0  # any depths (hence `used` marks) above the frontier
 
@@ -484,9 +487,9 @@ def enumerate_batch(
     runs standalone; ``Matcher.plan`` pre-builds it in Phase (1)),
     ``backward`` lists backward-neighbour *positions* per position in
     ``order``, and ``deadline`` is an absolute ``time.perf_counter``
-    timestamp.  ``scratch`` is re-bound to this query and may be reused
-    across queries (the caller must not share it between concurrent
-    runs).
+    timestamp.  ``scratch`` holds the frontier's batch buffers and may
+    be reused across queries (the caller must not share it between
+    concurrent runs).
 
     Returns ``(num_matches, num_enumerations, timed_out, limit_reached,
     matches)``.  ``match_limit`` stops right after the k-th match —
@@ -502,7 +505,7 @@ def enumerate_batch(
     is built per match.
     """
     n = len(order)
-    search = _bind_depths(context, order, backward, scratch)
+    search = _bind_depths(context, order, backward)
     counters = EnumerationCounters()
     if n >= 3:
         fb = _FrontierBinding(order, backward, search)
@@ -541,7 +544,7 @@ def enumerate_batch(
             continue
         flush()
         for matrix, senum in _frontier(
-            fb, search, order, W, deadline, check_every, counters, record
+            fb, search, order, W, deadline, check_every, counters, record, scratch
         ):
             count = senum.size
             if match_limit is not None and found + count >= match_limit:

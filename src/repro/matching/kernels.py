@@ -1,53 +1,22 @@
-"""Allocation-free set-intersection kernels for the DFS hot path.
+"""Batched kernels of the bulk frontier, and the scratch they write into.
 
-The enumeration engine computes one local candidate list per
-extension attempt — millions of times per query on real workloads.  The
-pre-kernel loop allocated on every single node: ``np.intersect1d`` built
-(and sorted) a fresh result array, the injectivity filter
-``arr[~used[arr]]`` materialized three temporaries, and ``arr.tolist()``
-copied the survivors into a Python list.  This module replaces all of
-that with kernels that write into scratch buffers owned by a
-:class:`ScratchBuffers` object sized **once per query**:
+The per-node walk (:mod:`repro.matching.enumeration_iter`) needs no
+kernel: it memoizes each depth's local candidates as Python lists.
+Below a frame it hands over, the bulk frontier
+(:mod:`repro.matching.enumeration_batch`) works on whole batches, and
+these are its building blocks:
 
-* :func:`intersect_into` — intersection of two sorted unique arrays via
-  a vectorized gallop (binary-search the smaller side into the larger),
-  written into a caller-supplied buffer.  No sort, no result
-  allocation; the one unavoidable temporary is ``searchsorted``'s index
-  vector over the *smaller* input.
-* :func:`intersect_unused_into` — the same gallop with the injectivity
-  filter fused into the final write: the membership mask and the
-  ``used`` mask combine before a single compress, so the intermediate
-  "intersected but not yet filtered" array never exists.  This is the
-  last step of every multi-backward-neighbour depth.
-* :func:`filter_unused_into` — the standalone fused injectivity write,
-  for callers that need a used-filtered copy of one sorted array.
+* :func:`gather_segments_into` concatenates many ``(offsets, concat)``
+  segments into one flat batch in a single gather;
+* :func:`batch_membership_into` tests a whole batch against one sorted
+  segment and produces the membership *mask* instead of compressing, so
+  several backward-edge constraints AND together before one compress;
+* :func:`batch_unused_into` is the batched injectivity probe against
+  the dense ``used`` map.
 
-Depths with zero or one backward neighbour need no kernel at all: their
-local candidate list is a zero-copy *view* (the base candidate array,
-or one ``(offsets, concat)`` slice of the flat per-edge index), and the
-DFS driver applies injectivity per visit — one bool probe against the
-dense ``used`` map, exactly Algorithm 2's injectivity check, with used
-vertices skipped before they count towards ``#enum``.  ``used`` is
-constant while one depth's sibling loop runs, so per-visit probing and
-list-build-time filtering admit the same candidates in the same order.
-
-All kernels return the number of values written; the caller reads
-``out[:length]``.  Output buffers must not alias the inputs (the
-enumeration engine guarantees this by construction: candidate buffers
-are per depth, ping-pong temporaries alternate).  The DFS cursors walk
-the numpy views/buffers directly — the per-node ``tolist()``
-materialization is gone entirely.
-
-The bulk frontier (``enumeration_batch.py``) adds three
-batched kernels on top: :func:`gather_segments_into` concatenates many
-``(offsets, concat)`` segments into one flat batch in a single gather,
-:func:`batch_membership_into` is the batched form of one
-:func:`intersect_into` step (it produces the membership *mask* instead
-of compressing, so several constraints AND together before one
-compress), and :func:`batch_unused_into` is the batched injectivity
-probe.  Their scratch comes from the same :class:`ScratchBuffers`
-object via named growable batch buffers, so the peak batch footprint
-is visible next to the per-depth capacities.
+They write into named growable buffers drawn from one
+:class:`ScratchBuffers` object per thread, so the peak batch footprint
+is visible and bounded by the chunk width, not the subtree size.
 """
 
 from __future__ import annotations
@@ -58,104 +27,8 @@ __all__ = [
     "ScratchBuffers",
     "batch_membership_into",
     "batch_unused_into",
-    "filter_unused_into",
     "gather_segments_into",
-    "intersect_into",
-    "intersect_unused_into",
 ]
-
-
-def intersect_into(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray, mask: np.ndarray | None = None
-) -> int:
-    """Write ``a ∩ b`` into ``out``; return the number of values written.
-
-    ``a`` and ``b`` are sorted arrays of unique int64 vertex ids; the
-    result (also sorted unique) lands in ``out[:returned length]``, so
-    ``out`` must hold at least ``min(a.size, b.size)`` values and must
-    not alias either input.  The kernel gallops: the smaller side is
-    binary-searched into the larger (``O(s · log L)``), which beats
-    ``np.intersect1d``'s concatenate-and-sort at every size ratio the
-    enumeration produces and never allocates a result array.  ``mask``
-    is an optional reusable bool scratch of at least ``min(a.size,
-    b.size)`` entries; omitted, a temporary is allocated.
-    """
-    if a.size > b.size:
-        a, b = b, a
-    n = a.size
-    if n == 0 or b.size == 0:
-        return 0
-    idx = b.searchsorted(a)
-    np.minimum(idx, b.size - 1, out=idx)
-    m = mask[:n] if mask is not None else np.empty(n, dtype=bool)
-    np.equal(b[idx], a, out=m)
-    k = int(np.count_nonzero(m))
-    if k:
-        a.compress(m, out=out[:k])
-    return k
-
-
-def filter_unused_into(
-    arr: np.ndarray,
-    used: np.ndarray,
-    out: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> int:
-    """Write the entries of ``arr`` whose ``used`` flag is False into ``out``.
-
-    The injectivity filter of Algorithm 2 Line 6, fused with the final
-    candidate write: one gather into the bool scratch, one in-place
-    negation, one compress into ``out`` — no intermediate copy of the
-    unfiltered list.  ``used`` is the dense per-data-vertex bool map;
-    ``out`` needs ``arr.size`` capacity and must not alias ``arr``.
-    Returns the number of survivors.
-    """
-    n = arr.size
-    if n == 0:
-        return 0
-    m = mask[:n] if mask is not None else np.empty(n, dtype=bool)
-    used.take(arr, out=m)
-    np.logical_not(m, out=m)
-    k = int(np.count_nonzero(m))
-    if k:
-        arr.compress(m, out=out[:k])
-    return k
-
-
-def intersect_unused_into(
-    a: np.ndarray,
-    b: np.ndarray,
-    used: np.ndarray,
-    out: np.ndarray,
-    mask: np.ndarray | None = None,
-    mask2: np.ndarray | None = None,
-) -> int:
-    """Write ``{v ∈ a ∩ b : not used[v]}`` into ``out``; return the count.
-
-    The fused tail of a multi-backward-neighbour depth: the last
-    intersection and the injectivity filter combine into one mask and
-    one compress, so the intersected-but-unfiltered array never
-    materializes.  ``mask`` / ``mask2`` are independent bool scratches
-    (membership and injectivity bits respectively); contracts otherwise
-    as in :func:`intersect_into`.
-    """
-    if a.size > b.size:
-        a, b = b, a
-    n = a.size
-    if n == 0 or b.size == 0:
-        return 0
-    idx = b.searchsorted(a)
-    np.minimum(idx, b.size - 1, out=idx)
-    m = mask[:n] if mask is not None else np.empty(n, dtype=bool)
-    np.equal(b[idx], a, out=m)
-    m2 = mask2[:n] if mask2 is not None else np.empty(n, dtype=bool)
-    used.take(a, out=m2)
-    np.logical_not(m2, out=m2)
-    np.logical_and(m, m2, out=m)
-    k = int(np.count_nonzero(m))
-    if k:
-        a.compress(m, out=out[:k])
-    return k
 
 
 def gather_segments_into(
@@ -195,7 +68,7 @@ def batch_membership_into(
 ) -> None:
     """Write (or AND in) ``vals[i] ∈ reference`` into ``out[: vals.size]``.
 
-    The batched counterpart of one :func:`intersect_into` step:
+    The batched counterpart of one sorted-set intersection:
     ``reference`` is one sorted unique segment shared by every value in
     the batch, and the kernel produces the membership *mask* rather
     than compressing, so several backward-edge constraints combine
@@ -241,69 +114,21 @@ def batch_unused_into(
 
 
 class ScratchBuffers:
-    """Per-query scratch for the DFS, sized once in binding.
+    """The bulk frontier's named growable batch buffers.
 
-    ``cand[i]`` is depth ``i``'s candidate buffer: when depth ``i`` has
-    two or more backward neighbours, its intersected candidate list
-    lives here while every deeper frame runs, so these are strictly per
-    depth (zero/one-backward depths walk zero-copy views instead and get
-    a zero-capacity slot).  ``tmp_a`` / ``tmp_b`` are the two ping-pong
-    buffers that multi-backward-neighbour depths intersect through
-    (transient within one local-candidate computation, hence shared
-    across depths), and ``mask`` / ``mask2`` are the shared bool
-    scratches the kernels filter through.  Capacities come from the
-    per-depth bounds computed by ``_bind_depths`` (the smallest backward
-    neighbour's longest adjacency list — smallest-first intersection can
-    never produce more), so no kernel call can overrun.
-
-    A ``ScratchBuffers`` object is reusable across queries:
-    :meth:`ensure_depths` re-binds the same object to a new query's
-    capacities, growing geometrically and never shrinking, so a
+    One object per thread, reused across queries: :meth:`batch` hands
+    out a buffer that grows geometrically and never shrinks, so a
     ``Matcher`` serving queries of varying sizes touches the allocator
-    a bounded number of times instead of once per query.  The
-    bulk frontier additionally draws named growable batch
-    buffers from :meth:`batch`; ``peak_nbytes`` reports the high-water
-    footprint across everything, which is how the bench makes the
-    batch-width memory cost visible.
+    a bounded number of times instead of once per frame.
+    ``peak_nbytes`` reports the high-water footprint, which is how the
+    bench makes the batch-width memory cost visible.
     """
 
-    __slots__ = ("cand", "tmp_a", "tmp_b", "mask", "mask2", "_batch", "_peak_nbytes")
+    __slots__ = ("_batch", "_peak_nbytes")
 
-    def __init__(self, depth_capacities: list[int]):
-        self.cand = [np.empty(c, dtype=np.int64) for c in depth_capacities]
-        cap = max(depth_capacities, default=0)
-        self.tmp_a = np.empty(cap, dtype=np.int64)
-        self.tmp_b = np.empty(cap, dtype=np.int64)
-        self.mask = np.empty(cap, dtype=bool)
-        self.mask2 = np.empty(cap, dtype=bool)
+    def __init__(self) -> None:
         self._batch: dict[str, np.ndarray] = {}
         self._peak_nbytes = 0
-        self._note_peak()
-
-    def ensure_depths(self, depth_capacities: list[int]) -> "ScratchBuffers":
-        """Re-bind this object to a new query, growing buffers as needed.
-
-        Existing buffers are kept whenever they are already large
-        enough; a buffer that must grow jumps to at least double its
-        current size (geometric growth — a rising sequence of query
-        sizes costs amortized O(1) reallocations per query, not one per
-        query).  Nothing ever shrinks, so ``nbytes`` is monotone over
-        the object's lifetime.  Returns ``self``.
-        """
-        for i, c in enumerate(depth_capacities):
-            if i >= len(self.cand):
-                self.cand.append(np.empty(c, dtype=np.int64))
-            elif self.cand[i].size < c:
-                self.cand[i] = np.empty(max(c, 2 * self.cand[i].size), dtype=np.int64)
-        cap = max(depth_capacities, default=0)
-        if self.tmp_a.size < cap:
-            grown = max(cap, 2 * self.tmp_a.size)
-            self.tmp_a = np.empty(grown, dtype=np.int64)
-            self.tmp_b = np.empty(grown, dtype=np.int64)
-            self.mask = np.empty(grown, dtype=bool)
-            self.mask2 = np.empty(grown, dtype=bool)
-        self._note_peak()
-        return self
 
     def batch(self, name: str, size: int, dtype: type = np.int64) -> np.ndarray:
         """Return the named growable batch buffer with ≥ ``size`` capacity.
@@ -319,31 +144,18 @@ class ScratchBuffers:
             grown = max(size, 0 if buf is None else 2 * buf.size, 1024)
             buf = np.empty(grown, dtype=dtype)
             self._batch[name] = buf
-            self._note_peak()
+            self._peak_nbytes = max(self._peak_nbytes, self.nbytes())
         return buf
 
     def nbytes(self) -> int:
-        """Total scratch footprint (candidate + ping-pong + mask + batch)."""
-        return (
-            sum(buf.nbytes for buf in self.cand)
-            + self.tmp_a.nbytes
-            + self.tmp_b.nbytes
-            + self.mask.nbytes
-            + self.mask2.nbytes
-            + sum(buf.nbytes for buf in self._batch.values())
-        )
+        """Total footprint of the batch buffers."""
+        return sum(buf.nbytes for buf in self._batch.values())
 
     @property
     def peak_nbytes(self) -> int:
         """High-water ``nbytes`` over this object's lifetime.
 
-        Buffers never shrink, so within one query this is monotone
-        non-decreasing; across reuse it records the widest frontier any
-        query ever needed.
+        Buffers never shrink, so this is monotone non-decreasing and,
+        across reuse, records the widest frontier any query ever needed.
         """
         return self._peak_nbytes
-
-    def _note_peak(self) -> None:
-        total = self.nbytes()
-        if total > self._peak_nbytes:
-            self._peak_nbytes = total

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro import Matcher
 from repro.errors import EnumerationError
 from repro.graphs import Graph, erdos_renyi, extract_query
 from repro.matching import Enumerator, GQLFilter, LDFFilter, RIOrderer
@@ -124,6 +125,15 @@ class TestLimits:
             Enumerator(match_limit=0)
         with pytest.raises(EnumerationError):
             Enumerator(time_limit=-1.0)
+
+    @pytest.mark.parametrize("check_every", [0, -1, 2.5, 64.0, True, "64", None])
+    def test_invalid_check_every_rejected(self, check_every):
+        # Only a positive int is a cadence: nothing is clamped or
+        # truncated into one, on the engine or through the facade.
+        with pytest.raises(EnumerationError):
+            Enumerator(check_every=check_every)
+        with pytest.raises(EnumerationError):
+            Matcher(Graph([0], []), check_every=check_every)
 
 
 class TestEdgeCases:

@@ -13,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from recursive_oracle import RecursiveOracle
 
 from repro.graphs import Graph, erdos_renyi, extract_query
@@ -143,6 +145,13 @@ class TestEdgeCases:
         assert first.num_enumerations == second.num_enumerations
 
 
+def sorted_unique(max_value: int = 200, max_size: int = 60):
+    """Strategy: a sorted array of unique int64 ids in [0, max_value)."""
+    return st.lists(
+        st.integers(0, max_value - 1), max_size=max_size, unique=True
+    ).map(lambda xs: np.array(sorted(xs), dtype=np.int64))
+
+
 class TestIntersectSorted:
     def test_matches_numpy_semantics(self):
         rng = np.random.default_rng(0)
@@ -167,3 +176,19 @@ class TestIntersectSorted:
         other = np.array([1, 2], dtype=np.int64)
         assert intersect_sorted(empty, other).size == 0
         assert intersect_sorted(other, empty).size == 0
+
+    @given(sorted_unique(), sorted_unique())
+    def test_matches_intersect1d_on_any_sorted_sets(self, a, b):
+        np.testing.assert_array_equal(
+            intersect_sorted(a, b), np.intersect1d(a, b, assume_unique=True)
+        )
+
+    @given(sorted_unique())
+    def test_identical_inputs(self, a):
+        np.testing.assert_array_equal(intersect_sorted(a, a.copy()), a)
+
+    def test_disjoint_ranges(self):
+        low = np.array([0, 1], dtype=np.int64)
+        high = np.array([10, 11, 12], dtype=np.int64)
+        assert intersect_sorted(low, high).size == 0
+        assert intersect_sorted(high, low).size == 0

@@ -1,16 +1,14 @@
-"""Property tests for the buffered galloping kernels.
+"""Property tests for the bulk frontier's batched kernels.
 
 Two layers of pinning:
 
-* each kernel against its numpy reference (``np.intersect1d`` and the
-  allocating mask expressions it replaced) on hypothesis-generated
-  sorted unique arrays — empty, lopsided, identical and overlapping
-  shapes, including repeated calls through **one reused buffer** (stale
-  bytes from a previous call must never leak into a result);
-* the whole kernel-backed iterative engine against the recursive oracle
-  on fuzzed query/data graph pairs — match sequences and ``#enum``
-  bit-identical, the contract every consumer (the facade, the
-  service, reward rollouts) relies on.
+* each kernel against its numpy reference (concatenation, ``np.isin``,
+  the ``~used[vals]`` mask) on hypothesis-generated sorted unique
+  arrays — empty, lopsided, identical and overlapping shapes;
+* the whole engine against the recursive oracle on fuzzed query/data
+  graph pairs — match sequences and ``#enum`` bit-identical, the
+  contract every consumer (the facade, the service, reward rollouts)
+  relies on.
 """
 
 import numpy as np
@@ -23,9 +21,9 @@ from repro.graphs import erdos_renyi, extract_query
 from repro.matching import Enumerator, GQLFilter, RIOrderer
 from repro.matching.kernels import (
     ScratchBuffers,
-    filter_unused_into,
-    intersect_into,
-    intersect_unused_into,
+    batch_membership_into,
+    batch_unused_into,
+    gather_segments_into,
 )
 
 
@@ -36,100 +34,47 @@ def sorted_unique(max_value: int = 200, max_size: int = 60):
     ).map(lambda xs: np.array(sorted(xs), dtype=np.int64))
 
 
-class TestIntersectInto:
-    @given(sorted_unique(), sorted_unique())
-    def test_matches_numpy_intersect1d(self, a, b):
-        out = np.empty(min(a.size, b.size), dtype=np.int64)
-        k = intersect_into(a, b, out)
-        np.testing.assert_array_equal(
-            out[:k], np.intersect1d(a, b, assume_unique=True)
-        )
-
-    @given(sorted_unique())
-    def test_identical_inputs(self, a):
-        out = np.empty(a.size, dtype=np.int64)
-        assert intersect_into(a, a.copy(), out) == a.size
-        np.testing.assert_array_equal(out[: a.size], a)
-
-    def test_empty_and_disjoint(self):
-        empty = np.empty(0, dtype=np.int64)
-        other = np.array([1, 2, 3], dtype=np.int64)
-        out = np.empty(8, dtype=np.int64)
-        assert intersect_into(empty, other, out) == 0
-        assert intersect_into(other, empty, out) == 0
-        low = np.array([0, 1], dtype=np.int64)
-        high = np.array([10, 11, 12], dtype=np.int64)
-        assert intersect_into(low, high, out) == 0
-        assert intersect_into(high, low, out) == 0
-
-    def test_lopsided_gallop(self):
-        a = np.array([3, 500, 99_999], dtype=np.int64)
-        b = np.arange(100_000, dtype=np.int64)
-        out = np.empty(3, dtype=np.int64)
-        assert intersect_into(a, b, out) == 3
-        np.testing.assert_array_equal(out, a)
-        # Swapped argument order must not matter.
-        assert intersect_into(b, a, out) == 3
-        np.testing.assert_array_equal(out, a)
-
-    @given(st.lists(st.tuples(sorted_unique(), sorted_unique()), max_size=8))
-    def test_buffer_reuse_across_calls(self, pairs):
-        # One shared output buffer and one shared mask, like the DFS:
-        # results must be independent of whatever the last call left.
-        out = np.empty(60, dtype=np.int64)
-        mask = np.empty(60, dtype=bool)
-        for a, b in pairs:
-            k = intersect_into(a, b, out, mask)
-            np.testing.assert_array_equal(
-                out[:k], np.intersect1d(a, b, assume_unique=True)
-            )
+class TestGatherSegments:
+    @given(st.lists(sorted_unique(), max_size=8))
+    def test_concatenates_segments_in_order(self, segments):
+        concat = np.concatenate([np.empty(0, dtype=np.int64), *segments])
+        lens = np.array([seg.size for seg in segments], dtype=np.int64)
+        starts = np.cumsum(lens) - lens
+        # Gather the segments back to front, so starts are not monotone.
+        starts, lens = starts[::-1].copy(), lens[::-1].copy()
+        out = np.empty(max(concat.size, 1), dtype=np.int64)
+        total = gather_segments_into(concat, starts, lens, out)
+        expected = [v for seg in segments[::-1] for v in seg.tolist()]
+        assert out[:total].tolist() == expected
 
 
-class TestFusedInjectivity:
+class TestBatchMasks:
+    @given(sorted_unique(), sorted_unique(), st.booleans())
+    def test_membership_matches_isin(self, vals, reference, accumulate):
+        out = np.ones(max(vals.size, 1), dtype=bool)
+        out[::2] = False
+        before = out[: vals.size].copy()
+        batch_membership_into(vals, reference, out, accumulate=accumulate)
+        expected = np.isin(vals, reference)
+        if accumulate:
+            expected &= before
+        np.testing.assert_array_equal(out[: vals.size], expected)
+
     @given(sorted_unique(max_value=100), st.sets(st.integers(0, 99)))
-    def test_filter_unused_matches_mask_expression(self, arr, used_ids):
+    def test_unused_probe_ands_into_the_mask(self, vals, used_ids):
         used = np.zeros(100, dtype=bool)
         used[list(used_ids)] = True
-        out = np.empty(max(arr.size, 1), dtype=np.int64)
-        k = filter_unused_into(arr, used, out)
-        np.testing.assert_array_equal(out[:k], arr[~used[arr]])
-
-    @given(
-        sorted_unique(max_value=100),
-        sorted_unique(max_value=100),
-        st.sets(st.integers(0, 99)),
-    )
-    def test_intersect_unused_matches_composition(self, a, b, used_ids):
-        used = np.zeros(100, dtype=bool)
-        used[list(used_ids)] = True
-        out = np.empty(max(min(a.size, b.size), 1), dtype=np.int64)
-        k = intersect_unused_into(a, b, used, out)
-        expected = np.intersect1d(a, b, assume_unique=True)
-        expected = expected[~used[expected]]
-        np.testing.assert_array_equal(out[:k], expected)
-
-    def test_all_used_filters_everything(self):
-        arr = np.array([2, 5, 9], dtype=np.int64)
-        used = np.ones(10, dtype=bool)
-        out = np.empty(3, dtype=np.int64)
-        assert filter_unused_into(arr, used, out) == 0
-        assert intersect_unused_into(arr, arr.copy(), used, out) == 0
+        out = np.ones(max(vals.size, 1), dtype=bool)
+        tmp = np.empty_like(out)
+        batch_unused_into(vals, used, out, tmp)
+        np.testing.assert_array_equal(out[: vals.size], ~used[vals])
 
 
 class TestScratchBuffers:
-    def test_sizing_and_footprint(self):
-        scratch = ScratchBuffers([0, 4, 0, 7])
-        assert [buf.size for buf in scratch.cand] == [0, 4, 0, 7]
-        assert scratch.tmp_a.size == scratch.tmp_b.size == 7
-        assert scratch.mask.size == scratch.mask2.size == 7
-        expected = (4 + 7) * 8 + 2 * 7 * 8 + 2 * 7 * 1
-        assert scratch.nbytes() == expected
-
     def test_empty_query(self):
-        scratch = ScratchBuffers([])
-        assert scratch.cand == []
-        assert scratch.tmp_a.size == 0
+        scratch = ScratchBuffers()
         assert scratch.nbytes() == 0
+        assert scratch.peak_nbytes == 0
 
 
 class TestKernelEngineBitIdentity:

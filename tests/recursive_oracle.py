@@ -4,8 +4,8 @@ Algorithm 2 as written: one Python frame per query vertex, local
 candidates by scanning the raw adjacency of the lowest-degree backward
 image and filtering by candidate membership, the remaining adjacencies
 and injectivity (Line 6).  It never touches
-:class:`~repro.matching.candidate_space.CandidateSpace` or the galloping
-kernels, which is what makes it an independent oracle for the production
+:class:`~repro.matching.candidate_space.CandidateSpace` or the walk's
+candidate memo, which is what makes it an independent oracle for the production
 engines: candidates are visited in ascending vertex order, so match
 sequences and ``#enum`` (one per recursive call, root included) must
 agree bit-for-bit — including under ``match_limit`` truncation.

@@ -151,8 +151,12 @@ def test_other_integer_dtypes_convert_and_empty_blocks_have_no_dtype():
         assert block.array.dtype == np.int64 and block == ((1, 2), (3, 4))
     with pytest.raises(OverflowError):
         MatchBlock(np.array([[2**63]], dtype=np.uint64))
-    # Rows of numpy integers are integers too.
+    # Rows of numpy integers are integers too, up to the int64 range.
     assert MatchBlock([np.arange(2), np.arange(2, 4)]) == ((0, 1), (2, 3))
+    assert MatchBlock([[np.uint64(3), -(2**63)]]) == ((3, -(2**63)),)
+    for past in (2**63, np.uint64(2**63), -(2**63) - 1):
+        with pytest.raises(OverflowError):
+            MatchBlock([[0, past]])
     # Nothing to coerce: numpy reads an empty array as float64.
     assert MatchBlock(np.empty((0, 3))) == () and MatchBlock([[]]) == ((),)
 

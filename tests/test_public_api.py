@@ -36,8 +36,10 @@ PACKAGES = [
 #: updaters (PPO is the one updater), the CFL filter and orderer, query
 #: profiling, the package re-exports that only tests read (the
 #: functions that ``src/`` calls stay importable from their defining
-#: modules), and the observed-cost calibrator (admission orders by the
-#: plan's own estimate); listed so they cannot drift back into a facade.
+#: modules), the observed-cost calibrator (admission orders by the
+#: plan's own estimate), and the walk's scratch intersection kernels
+#: (each depth memoizes its candidates instead); listed so they cannot
+#: drift back into a facade.
 RETIRED_EXPORTS = [
     ("repro", "MatchingEngine"),
     ("repro", "IterativeEnumerator"),
@@ -110,6 +112,11 @@ RETIRED_EXPORTS = [
     ("repro.api", "ComponentRegistry"),
     ("repro.procpool", "CostCalibrator"),
     ("repro.procpool", "DEFAULT_ALPHA"),
+    ("repro.matching", "intersect_into"),
+    ("repro.matching", "intersect_unused_into"),
+    ("repro.matching.kernels", "intersect_into"),
+    ("repro.matching.kernels", "intersect_unused_into"),
+    ("repro.matching.kernels", "filter_unused_into"),
 ]
 
 
