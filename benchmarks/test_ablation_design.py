@@ -7,7 +7,6 @@ on end-to-end order quality against RI.
 import math
 
 from repro.bench.reporting import print_table
-from repro.core import RLQVOTrainer
 from repro.datasets import dataset_stats, load_dataset
 from repro.matching import Enumerator, GQLFilter, RIOrderer
 from repro.rl import RewardConfig
@@ -48,10 +47,9 @@ def test_reward_squashing_ablation(benchmark, harness, record):
         }
         for name, overrides in variants.items():
             config = harness.settings.rlqvo_config(**overrides)
-            trainer = RLQVOTrainer(data, config, stats=stats)
-            trainer.train(list(workload.train))
+            orderer, _ = harness.trained_orderer(dataset, 16, config=config)
             payload[name] = _eval_total_enum(
-                trainer.make_orderer(), data, stats, workload.eval, enumerator
+                orderer, data, stats, workload.eval, enumerator
             )
         rows = [[name, value] for name, value in payload.items()]
         print_table(

@@ -23,7 +23,9 @@ def test_fig10_gnn_depth_sweep(benchmark, harness, record):
     )
     for dataset in _DATASETS:
         for layers in _LAYERS:
-            assert math.isfinite(payload[dataset][layers]), (dataset, layers)
+            cell = payload[dataset][layers]
+            assert math.isfinite(cell["time"]), (dataset, layers)
+            assert 0 <= cell["unsolved"] <= cell["queries"], (dataset, layers)
 
 
 def test_fig10_forward_cost_grows_with_depth(harness):

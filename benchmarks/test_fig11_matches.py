@@ -2,13 +2,17 @@
 
 Paper shape: at small match caps the two methods are indistinguishable;
 as the cap grows toward ALL, RL-QVO's better orders pay off increasingly.
-We assert enumeration time is non-decreasing in the cap for both methods
-and record the series.
+We assert that, for both methods, Σ#enum over the queries solved at two
+consecutive caps does not shrink as the cap grows — a run under a larger
+cap replays the smaller cap's search and continues it — and record the
+series.  Two caps that share no solved query compare nothing; at least
+one consecutive pair must share one.  Times are printed and checked
+finite, never compared.
 """
 
 import math
 
-from repro.bench.experiments import fig11
+from repro.bench.experiments import fig11, joint_enum
 
 _LIMITS = (100, 1_000, 10_000, None)
 
@@ -23,13 +27,10 @@ def test_fig11_enumeration_vs_match_count(benchmark, harness, record):
     assert list(payload) == labels
     for method in ("rlqvo", "hybrid"):
         series = [payload[label][method] for label in labels]
-        assert all(math.isfinite(v) for v in series)
-        # Enumeration time must not shrink when the cap grows (tiny jitter
-        # tolerance for near-equal early points).  Since the CandidateSpace
-        # build moved into the filtering phase, small-cap points measure
-        # only microseconds of pure enumeration — below a few ms they are
-        # scheduler noise, so monotonicity is enforced above that floor.
-        noise_floor = 2e-3
-        for lo, hi in zip(series, series[1:]):
-            if lo > noise_floor or hi > noise_floor:
-                assert hi >= lo * 0.5
+        for cell in series:
+            assert math.isfinite(cell["enum_time"]), method
+            assert 0 <= cell["unsolved"] <= cell["queries"], method
+        pairs = [joint_enum(lo, hi) for lo, hi in zip(series, series[1:])]
+        assert any(shared for _, _, shared in pairs), method
+        for smaller_cap, larger_cap, _ in pairs:
+            assert larger_cap >= smaller_cap, method

@@ -3,14 +3,15 @@
 Paper shape: the full model beats RL-QVO-RIF (random features) and
 RL-QVO-NN (no message passing); GNN flavour matters little; removing the
 entropy/validity rewards hurts on large query sets.  At bench scale we
-assert every variant trains and evaluates, and that the GNN variants stay
-within a small band of each other (the paper's "not bound to the GNN
-selection" observation).
+assert every variant trains and evaluates, and that the GNN variants'
+Σ#enum stays within a small band of the full model's (the paper's "not
+bound to the GNN selection" observation).  Times are printed and checked
+finite, never compared.
 """
 
 import math
 
-from repro.bench.experiments import fig7
+from repro.bench.experiments import fig7, joint_enum
 
 _SIZES = (4, 8, 16)
 _GNN_VARIANTS = ("rlqvo", "gat", "graphsage", "graphnn", "asap")
@@ -26,12 +27,20 @@ def test_fig7_ablation_variants(benchmark, harness, record):
         "rlqvo", "rif", "nn", "gat", "graphsage", "graphnn", "asap",
         "noent", "noval",
     }
-    for variant, info in payload.items():
+    for variant, by_size in payload.items():
         for size in _SIZES:
-            assert math.isfinite(info["total"][size]), (variant, size)
-            assert math.isfinite(info["enum"][size]), (variant, size)
-    # GNN flavours should be in the same ballpark on the default size.
-    reference = payload["rlqvo"]["total"][_SIZES[-1]]
+            cell = by_size[size]
+            assert math.isfinite(cell["time"]), (variant, size)
+            assert math.isfinite(cell["enum_time"]), (variant, size)
+            assert 0 <= cell["unsolved"] <= cell["queries"], (variant, size)
+    # GNN flavours should be in the same ballpark on the default size,
+    # over the queries both the flavour and the full model solved; a
+    # flavour that shares no solved query with it compares nothing, and at
+    # least one flavour must compare.
+    reference = payload["rlqvo"][_SIZES[-1]]
+    compared = 0
     for variant in _GNN_VARIANTS:
-        value = payload[variant]["total"][_SIZES[-1]]
-        assert value <= 20.0 * reference + 0.1, variant
+        value, base, shared = joint_enum(payload[variant][_SIZES[-1]], reference)
+        compared += bool(shared)
+        assert value <= 20.0 * base, variant
+    assert compared, "no GNN flavour shares a solved query with rlqvo"

@@ -23,7 +23,9 @@ def test_fig8_output_dimension_sweep(benchmark, harness, record):
     )
     for dataset in _DATASETS:
         for dim in _DIMS:
-            assert math.isfinite(payload[dataset][dim]), (dataset, dim)
+            cell = payload[dataset][dim]
+            assert math.isfinite(cell["time"]), (dataset, dim)
+            assert 0 <= cell["unsolved"] <= cell["queries"], (dataset, dim)
 
 
 def test_fig8_ordering_cost_grows_with_dimension(harness):

@@ -27,11 +27,11 @@ def test_fig9_incremental_training(benchmark, harness, record):
         eval_queries = len(harness.workload(dataset).eval)
         assert set(regimes) == {"full", "incremental", "pretrained"}
         for regime, info in regimes.items():
-            assert math.isfinite(info["query_time"]), (dataset, regime)
+            assert math.isfinite(info["time"]), (dataset, regime)
             assert info["train_time"] > 0
             assert info["queries"] == eval_queries
             assert 0 <= info["solved"] <= info["queries"]
-            assert info["num_enumerations"] >= info["queries"]
+            assert info["enum"] >= info["queries"]
         # Incremental = pretraining + the fine-tune epochs: it always costs
         # more than pretrained alone, and what it adds is
         # ``incremental_epochs`` against full training's ``train_epochs``.

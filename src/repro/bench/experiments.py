@@ -5,6 +5,12 @@ experiment at the harness's scale, prints rows shaped like the paper's
 table/figure, and returns a structured payload that the benchmark
 wrappers (and tests) can assert on.  EXPERIMENTS.md records the
 paper-vs-measured comparison produced by these functions.
+
+Each evaluated cell (one method on one query set) is a :func:`summarize`
+dict: its times beside its counts — ``Σ#enum`` and solved / unsolved
+queries.  All methods share one enumerator (Sec. IV-C), so ``#enum``
+isolates order quality and, unlike the times, depends on the commit
+alone; :func:`joint_enum` compares two cells on the queries both solved.
 """
 
 from __future__ import annotations
@@ -44,19 +50,84 @@ __all__ = [
     "fig11",
     "table4",
     "ALL_EXPERIMENTS",
+    "summarize",
+    "joint_enum",
 ]
 
 _ALL_DATASETS = tuple(DATASETS)
 _FIG4_METHODS = ("rlqvo", "hybrid", "qsi", "ri", "vf2pp")
 
 
-def _mean_charged(outcomes: list[QueryOutcome]) -> float:
-    return float(np.mean([o.charged_time for o in outcomes])) if outcomes else float("nan")
+def summarize(outcomes: list[QueryOutcome]) -> dict:
+    """One cell: mean charged / enumeration time, ``Σ#enum``, solved counts.
+
+    ``solved_enum`` keeps each query's ``#enum``, ``None`` where the query
+    hit the deadline, for :func:`joint_enum`.
+    """
+    charged = [o.charged_time for o in outcomes]
+    enum_times = [o.enum_time for o in outcomes]
+    solved = sum(o.solved for o in outcomes)
+    return {
+        "time": float(np.mean(charged)) if outcomes else float("nan"),
+        "enum_time": float(np.mean(enum_times)) if outcomes else float("nan"),
+        "enum": sum(o.num_enumerations for o in outcomes),
+        "queries": len(outcomes),
+        "solved": solved,
+        "unsolved": len(outcomes) - solved,
+        "solved_enum": tuple(
+            o.num_enumerations if o.solved else None for o in outcomes
+        ),
+    }
 
 
-def _mean_enum_time(outcomes: list[QueryOutcome]) -> float:
-    values = [o.enum_time for o in outcomes]
-    return float(np.mean(values)) if values else float("nan")
+def joint_enum(a: dict, b: dict) -> tuple[int, int, int]:
+    """``Σ#enum`` of cells ``a`` and ``b`` over the queries both solved, and how many.
+
+    Two cells that share no solved query compare nothing (``(0, 0, 0)``),
+    so a caller asserting on the sums checks the third value first.
+    """
+    pairs = [
+        (x, y)
+        for x, y in zip(a["solved_enum"], b["solved_enum"], strict=True)
+        if x is not None and y is not None
+    ]
+    return sum(x for x, _ in pairs), sum(y for _, y in pairs), len(pairs)
+
+
+def _counts(cell: dict) -> str:
+    """``Σ#enum`` of a cell, with its unsolved count when there is one."""
+    text = f"{cell['enum']:,}"
+    return f"{text} ({cell['unsolved']} unsolved)" if cell["unsolved"] else text
+
+
+_TIME_METRICS = {
+    "time": "average query processing time",
+    "enum_time": "average enumeration time",
+}
+
+
+def _print_grid(
+    title: str,
+    corner: str,
+    grid: dict,
+    columns: tuple,
+    times: tuple[str, ...] = ("time",),
+    label=str,
+) -> None:
+    """Print ``grid[row][column]`` cells: one table per time metric, then Σ#enum.
+
+    ``title`` holds one ``{}`` for the metric's name.
+    """
+    header = [corner] + [label(c) for c in columns]
+    tables = [
+        (_TIME_METRICS[key], lambda cell, key=key: format_seconds(cell[key]))
+        for key in times
+    ]
+    for what, text in tables + [("Σ#enum", _counts)]:
+        rows = [
+            [row] + [text(cells[c]) for c in columns] for row, cells in grid.items()
+        ]
+        print_table(header, rows, title=title.format(what))
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +197,14 @@ def fig3(
     """Fig. 3: average query processing time, 7 methods × 6 datasets.
 
     Time is ``t_filter + t_order + t_enum`` with unsolved queries charged
-    the full limit, on each dataset's default query set.
+    the full limit, on each dataset's default query set.  Each cell is a
+    :func:`summarize` dict.
     """
-    payload: dict[str, dict[str, float]] = defaultdict(dict)
+    payload: dict[str, dict[str, dict]] = defaultdict(dict)
     for dataset in datasets:
         for method in methods:
-            outcomes = harness.evaluate(method, dataset)
-            payload[dataset][method] = _mean_charged(outcomes)
-    rows = [
-        [dataset] + [format_seconds(payload[dataset][m]) for m in methods]
-        for dataset in datasets
-    ]
-    print_table(
-        ["dataset"] + list(methods),
-        rows,
-        title="Fig. 3 — average query processing time (default query sets)",
-    )
+            payload[dataset][method] = summarize(harness.evaluate(method, dataset))
+    _print_grid("Fig. 3 — {} (default query sets)", "dataset", payload, methods)
     return dict(payload)
 
 
@@ -157,30 +220,43 @@ def fig4(
     """Fig. 4: cumulative query-time distribution (find-all) + unsolved.
 
     The paper's curves use the time to find *all* matches; we therefore
-    drop the match limit and keep only the wall-clock deadline.
+    drop the match limit and keep only the wall-clock deadline.  Each cell
+    is a :func:`summarize` dict plus its ``percentiles`` series.  A second
+    table per dataset sets RL-QVO's ``Σ#enum`` beside each baseline's,
+    over the queries both solved (:func:`joint_enum`).
     """
     payload: dict[str, dict[str, dict]] = defaultdict(dict)
     for dataset in datasets:
         rows = []
         for method in methods:
             outcomes = harness.evaluate(method, dataset, match_limit=None)
-            times = [o.charged_time for o in outcomes]
-            unsolved = sum(1 for o in outcomes if not o.solved)
-            series = percentile_series(times, percentiles)
-            payload[dataset][method] = {
-                "percentiles": series,
-                "unsolved": unsolved,
-                "mean": float(np.mean(times)) if times else float("nan"),
-            }
+            cell = summarize(outcomes)
+            cell["percentiles"] = percentile_series(
+                [o.charged_time for o in outcomes], percentiles
+            )
+            payload[dataset][method] = cell
             rows.append(
                 [method]
-                + [format_seconds(v) for _, v in series]
-                + [unsolved]
+                + [format_seconds(v) for _, v in cell["percentiles"]]
+                + [cell["unsolved"], f"{cell['enum']:,}"]
             )
         print_table(
-            ["method"] + [f"P{int(p)}" for p in percentiles] + ["unsolved"],
+            ["method"]
+            + [f"P{int(p)}" for p in percentiles]
+            + ["unsolved", "Σ#enum"],
             rows,
             title=f"Fig. 4 — query time percentiles on {dataset} (find-all)",
+        )
+        rlqvo = payload[dataset]["rlqvo"]
+        rows = []
+        for method, cell in payload[dataset].items():
+            if method != "rlqvo":
+                mine, theirs, shared = joint_enum(rlqvo, cell)
+                rows.append([method, shared, f"{mine:,}", f"{theirs:,}"])
+        print_table(
+            ["baseline", "both solved", "rlqvo Σ#enum", "baseline Σ#enum"],
+            rows,
+            title=f"Fig. 4 — rlqvo against each baseline on {dataset}",
         )
     return dict(payload)
 
@@ -195,29 +271,25 @@ def fig5(
 ) -> dict:
     """Fig. 5: average enumeration time for Q4…Q32 on every dataset.
 
-    All methods share the enumerator, so enumeration time isolates order
-    quality (Sec. IV-C).
+    All methods share the enumerator, so enumeration time — and, free of
+    the host, ``#enum`` — isolates order quality (Sec. IV-C).  Cells are
+    ``payload[dataset][method][size]`` :func:`summarize` dicts.
     """
-    payload: dict[str, dict[str, dict[int, float]]] = defaultdict(
-        lambda: defaultdict(dict)
-    )
+    payload: dict[str, dict[str, dict[int, dict]]] = {}
     for dataset in datasets:
         sizes = DATASETS[dataset].query_sizes
-        rows = []
-        for method in methods:
-            row = [method]
-            for size in sizes:
-                outcomes = harness.evaluate(method, dataset, size=size)
-                value = _mean_enum_time(outcomes)
-                payload[dataset][method][size] = value
-                row.append(format_seconds(value))
-            rows.append(row)
-        print_table(
-            ["method"] + [f"Q{s}" for s in sizes],
-            rows,
-            title=f"Fig. 5 — average enumeration time on {dataset}",
+        payload[dataset] = {
+            method: {
+                size: summarize(harness.evaluate(method, dataset, size=size))
+                for size in sizes
+            }
+            for method in methods
+        }
+        _print_grid(
+            f"Fig. 5 — {{}} on {dataset}", "method", payload[dataset], sizes,
+            times=("enum_time",), label=lambda s: f"Q{s}",
         )
-    return {d: {m: dict(v) for m, v in mv.items()} for d, mv in payload.items()}
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -333,40 +405,28 @@ def fig7(
     sizes: tuple[int, ...] | None = None,
     train_size: int = 8,
 ) -> dict:
-    """Fig. 7: query/enumeration time of RL-QVO ablation variants.
+    """Fig. 7: query/enumeration time and ``#enum`` of RL-QVO ablation variants.
 
     Each variant is trained once on the ``Q<train_size>`` training half
     (incremental-style transfer, keeping the budget tractable) and
-    evaluated on every query size of the dataset.
+    evaluated on every query size of the dataset.  Cells are
+    ``payload[variant][size]`` :func:`summarize` dicts.
     """
     sizes = DATASETS[dataset].query_sizes if sizes is None else sizes
-    variants = _ablation_configs(harness.settings)
-    payload: dict[str, dict] = {}
-    for variant, overrides in variants.items():
+    payload: dict[str, dict[int, dict]] = {}
+    for variant, overrides in _ablation_configs(harness.settings).items():
         config = harness.settings.rlqvo_config(**overrides)
-        orderer, _ = harness.trained_orderer(
-            dataset, train_size, config=config, tag=f"abl-{variant}"
-        )
-        per_size_total: dict[int, float] = {}
-        per_size_enum: dict[int, float] = {}
-        for size in sizes:
-            outcomes = harness.evaluate(
-                "rlqvo", dataset, size=size, orderer=orderer
+        orderer, _ = harness.trained_orderer(dataset, train_size, config=config)
+        payload[variant] = {
+            size: summarize(
+                harness.evaluate("rlqvo", dataset, size=size, orderer=orderer)
             )
-            per_size_total[size] = _mean_charged(outcomes)
-            per_size_enum[size] = _mean_enum_time(outcomes)
-        payload[variant] = {"total": per_size_total, "enum": per_size_enum}
-
-    for metric, label in (("total", "query processing"), ("enum", "enumeration")):
-        rows = [
-            [variant] + [format_seconds(payload[variant][metric][s]) for s in sizes]
-            for variant in variants
-        ]
-        print_table(
-            ["variant"] + [f"Q{s}" for s in sizes],
-            rows,
-            title=f"Fig. 7 — {label} time of ablation variants on {dataset}",
-        )
+            for size in sizes
+        }
+    _print_grid(
+        f"Fig. 7 — {{}} of ablation variants on {dataset}", "variant", payload,
+        sizes, times=("time", "enum_time"), label=lambda s: f"Q{s}",
+    )
     return payload
 
 
@@ -383,26 +443,18 @@ def fig8(
 
     ``train_size`` optionally trains on a cheaper query size and applies
     the model to the default evaluation set (incremental-style transfer,
-    used by the reduced-scale benchmark suite).
+    used by the reduced-scale benchmark suite).  Cells are
+    ``payload[dataset][dim]`` :func:`summarize` dicts.
     """
-    payload: dict[str, dict[int, float]] = defaultdict(dict)
+    payload: dict[str, dict[int, dict]] = defaultdict(dict)
     for dataset in datasets:
         for dim in dims:
             config = harness.settings.rlqvo_config(hidden_dim=dim)
-            orderer, _ = harness.trained_orderer(
-                dataset, size=train_size, config=config, tag=f"dim{dim}"
+            orderer, _ = harness.trained_orderer(dataset, train_size, config=config)
+            payload[dataset][dim] = summarize(
+                harness.evaluate("rlqvo", dataset, orderer=orderer)
             )
-            outcomes = harness.evaluate("rlqvo", dataset, orderer=orderer)
-            payload[dataset][dim] = _mean_charged(outcomes)
-    rows = [
-        [dataset] + [format_seconds(payload[dataset][d]) for d in dims]
-        for dataset in datasets
-    ]
-    print_table(
-        ["dataset"] + [str(d) for d in dims],
-        rows,
-        title="Fig. 8 — query processing time vs output dimension",
-    )
+    _print_grid("Fig. 8 — {} vs output dimension", "dataset", payload, dims)
     return dict(payload)
 
 
@@ -420,8 +472,9 @@ def fig9(
     default set, (2) full training on a smaller set + few incremental
     epochs on the default set, (3) the smaller-set model applied as-is.
     Reports both query processing time and training time, and beside
-    them the counts that do not depend on the host: epochs trained,
-    queries evaluated and solved, and total ``#enum``.
+    them the counts that do not depend on the host: epochs trained and
+    each regime's :func:`summarize` counts.  The full regime is the
+    harness's cached default-config model.
     """
     settings = harness.settings
     payload: dict[str, dict] = {}
@@ -434,10 +487,9 @@ def fig9(
         regimes: dict[str, dict] = {}
 
         # (1) full training on the default query set
-        trainer = RLQVOTrainer(data, settings.rlqvo_config(), stats=stats)
-        hist = trainer.train(list(target_wl.train))
+        orderer, hist = harness.trained_orderer(dataset, default_size)
         regimes["full"] = {
-            "orderer": trainer.make_orderer(),
+            "orderer": orderer,
             "train_time": hist.total_time,
             "train_epochs": len(hist.epochs),
         }
@@ -467,32 +519,27 @@ def fig9(
 
         result = {}
         for regime in ("full", "incremental", "pretrained"):
-            outcomes = harness.evaluate(
-                "rlqvo", dataset, orderer=regimes[regime]["orderer"]
+            info = regimes[regime]
+            result[regime] = summarize(
+                harness.evaluate("rlqvo", dataset, orderer=info.pop("orderer"))
             )
-            result[regime] = {
-                "query_time": _mean_charged(outcomes),
-                "train_time": regimes[regime]["train_time"],
-                "train_epochs": regimes[regime]["train_epochs"],
-                "queries": len(outcomes),
-                "solved": sum(o.solved for o in outcomes),
-                "num_enumerations": sum(o.num_enumerations for o in outcomes),
-            }
+            result[regime].update(info)
         payload[dataset] = result
 
-    rows = []
-    for dataset, result in payload.items():
-        for regime, vals in result.items():
-            rows.append(
-                [
-                    dataset,
-                    regime,
-                    format_seconds(vals["query_time"]),
-                    format_seconds(vals["train_time"]),
-                ]
-            )
+    rows = [
+        [
+            dataset,
+            regime,
+            format_seconds(vals["time"]),
+            _counts(vals),
+            format_seconds(vals["train_time"]),
+            vals["train_epochs"],
+        ]
+        for dataset, result in payload.items()
+        for regime, vals in result.items()
+    ]
     print_table(
-        ["dataset", "regime", "avg query time", "training time"],
+        ["dataset", "regime", "avg query time", "Σ#enum", "training time", "epochs"],
         rows,
         title="Fig. 9 — incremental training comparison",
     )
@@ -508,24 +555,21 @@ def fig10(
     layer_counts: tuple[int, ...] = (1, 2, 3, 4),
     train_size: int | None = None,
 ) -> dict:
-    """Fig. 10: average query processing time vs number of GNN layers."""
-    payload: dict[str, dict[int, float]] = defaultdict(dict)
+    """Fig. 10: average query processing time vs number of GNN layers.
+
+    Cells are ``payload[dataset][layers]`` :func:`summarize` dicts.
+    """
+    payload: dict[str, dict[int, dict]] = defaultdict(dict)
     for dataset in datasets:
         for layers in layer_counts:
             config = harness.settings.rlqvo_config(num_gnn_layers=layers)
-            orderer, _ = harness.trained_orderer(
-                dataset, size=train_size, config=config, tag=f"layers{layers}"
+            orderer, _ = harness.trained_orderer(dataset, train_size, config=config)
+            payload[dataset][layers] = summarize(
+                harness.evaluate("rlqvo", dataset, orderer=orderer)
             )
-            outcomes = harness.evaluate("rlqvo", dataset, orderer=orderer)
-            payload[dataset][layers] = _mean_charged(outcomes)
-    rows = [
-        [dataset] + [format_seconds(payload[dataset][n]) for n in layer_counts]
-        for dataset in datasets
-    ]
-    print_table(
-        ["dataset"] + [f"{n} layer(s)" for n in layer_counts],
-        rows,
-        title="Fig. 10 — query processing time vs number of GNN layers",
+    _print_grid(
+        "Fig. 10 — {} vs number of GNN layers", "dataset", payload, layer_counts,
+        label=lambda n: f"{n} layer(s)",
     )
     return dict(payload)
 
@@ -542,24 +586,20 @@ def fig11(
     """Fig. 11: RL-QVO vs Hybrid enumeration time as the match cap grows.
 
     ``None`` is the paper's "ALL" setting.  The gap should widen with the
-    cap: better orders help most on large search spaces.
+    cap: better orders help most on large search spaces.  Cells are
+    ``payload[cap label][method]`` :func:`summarize` dicts.
     """
-    payload: dict[str, dict[str, float]] = defaultdict(dict)
+    methods = ("rlqvo", "hybrid")
+    payload: dict[str, dict[str, dict]] = defaultdict(dict)
     for limit in limits:
         label = "ALL" if limit is None else f"{limit:g}"
-        for method in ("rlqvo", "hybrid"):
-            outcomes = harness.evaluate(
-                method, dataset, size=size, match_limit=limit
+        for method in methods:
+            payload[label][method] = summarize(
+                harness.evaluate(method, dataset, size=size, match_limit=limit)
             )
-            payload[label][method] = _mean_enum_time(outcomes)
-    rows = [
-        [label, format_seconds(vals["rlqvo"]), format_seconds(vals["hybrid"])]
-        for label, vals in payload.items()
-    ]
-    print_table(
-        ["#matches", "rlqvo", "hybrid"],
-        rows,
-        title=f"Fig. 11 — enumeration time vs number of matches ({dataset} Q{size})",
+    _print_grid(
+        f"Fig. 11 — {{}} vs number of matches ({dataset} Q{size})", "#matches",
+        payload, methods, times=("enum_time",),
     )
     return dict(payload)
 

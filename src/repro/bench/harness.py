@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,8 +97,11 @@ class BenchSettings:
     seed: int = 0
 
     @staticmethod
-    def from_env() -> "BenchSettings":
-        """Settings with ``REPRO_BENCH_*`` environment overrides applied."""
+    def from_env(base: "BenchSettings | None" = None) -> "BenchSettings":
+        """``base`` (default: the class defaults) with ``REPRO_BENCH_*`` applied.
+
+        A variable that is set always wins, whatever value ``base`` holds.
+        """
         kwargs = {}
         mapping = {
             "REPRO_BENCH_QUERIES": ("query_count", int),
@@ -112,7 +115,7 @@ class BenchSettings:
         if "REPRO_BENCH_MATCH_LIMIT" in os.environ:
             raw = os.environ["REPRO_BENCH_MATCH_LIMIT"]
             kwargs["match_limit"] = None if raw.lower() == "none" else int(raw)
-        return BenchSettings(**kwargs)
+        return replace(base if base is not None else BenchSettings(), **kwargs)
 
     def rlqvo_config(self, **overrides) -> RLQVOConfig:
         """RL-QVO config derived from the bench scale settings."""
@@ -184,8 +187,8 @@ class Harness:
     def __init__(self, settings: BenchSettings | None = None):
         self.settings = settings if settings is not None else BenchSettings.from_env()
         self._workloads: dict[tuple[str, int], QueryWorkload] = {}
-        self._trainers: dict[tuple, RLQVOTrainer] = {}
-        self._histories: dict[tuple, TrainingHistory] = {}
+        self._trainers: dict[tuple[str, int, RLQVOConfig], RLQVOTrainer] = {}
+        self._histories: dict[tuple[str, int, RLQVOConfig], TrainingHistory] = {}
 
     # ------------------------------------------------------------------
     # Workloads
@@ -213,20 +216,23 @@ class Harness:
         dataset: str,
         size: int | None = None,
         config: RLQVOConfig | None = None,
-        epochs: int | None = None,
-        tag: str = "",
     ) -> tuple[RLQVOOrderer, TrainingHistory]:
-        """Train (or fetch) an RL-QVO orderer for the given workload."""
+        """Train (or fetch) an RL-QVO orderer for the given workload.
+
+        Models are cached by the whole (frozen, hashable) config, so two
+        experiments asking for equal configs share one training run and
+        configs that differ in any field never share one.
+        """
         spec = DATASETS[dataset]
         size = spec.default_query_size if size is None else size
         config = config if config is not None else self.settings.rlqvo_config()
-        key = (dataset, size, tag or _config_key(config), epochs)
+        key = (dataset, size, config)
         if key not in self._trainers:
             data = load_dataset(dataset)
             stats = dataset_stats(dataset)
             trainer = RLQVOTrainer(data, config, stats=stats)
             workload = self.workload(dataset, size)
-            history = trainer.train(list(workload.train), epochs=epochs)
+            history = trainer.train(list(workload.train))
             self._trainers[key] = trainer
             self._histories[key] = history
         return self._trainers[key].make_orderer(), self._histories[key]
@@ -296,12 +302,3 @@ class Harness:
             solved=solved,
             charged_time=charged,
         )
-
-
-def _config_key(config: RLQVOConfig) -> str:
-    return (
-        f"{config.gnn_kind}-{config.num_gnn_layers}x{config.hidden_dim}"
-        f"-{config.feature_mode}-e{config.epochs}"
-        f"-ent{int(config.use_entropy_reward)}-val{int(config.use_validity_reward)}"
-        f"-s{config.seed}"
-    )

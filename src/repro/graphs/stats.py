@@ -58,26 +58,31 @@ class GraphStats:
     def edge_label_frequency(self, lab_u: int, lab_v: int) -> int:
         """Number of data edges whose endpoint labels match ``{lab_u, lab_v}``.
 
-        Used by the QuickSI infrequent-edge-first ordering.  Computed lazily
-        and cached per unordered label pair.
+        Used by the QuickSI infrequent-edge-first ordering.  A lookup in
+        :attr:`_edge_label_counts`, which counts every label pair at once.
         """
         key = (lab_u, lab_v) if lab_u <= lab_v else (lab_v, lab_u)
-        cache = self._edge_label_cache
-        if key not in cache:
-            count = 0
-            want = set(key)
-            g = self.graph
-            for u, v in g.edges():
-                if {g.label(u), g.label(v)} == want or (
-                    g.label(u) == g.label(v) == key[0] == key[1]
-                ):
-                    count += 1
-            cache[key] = count
-        return cache[key]
+        return self._edge_label_counts.get(key, 0)
 
     @cached_property
-    def _edge_label_cache(self) -> dict[tuple[int, int], int]:
-        return {}
+    def _edge_label_counts(self) -> dict[tuple[int, int], int]:
+        """``(min label, max label) -> number of data edges with those labels``.
+
+        One ``np.unique`` over the ``u < v`` CSR slots, each edge encoded
+        by its ordered endpoint-label pair.
+        """
+        g = self.graph
+        if g.indices.size == 0:
+            return {}
+        eu, ev = g._edge_pairs()
+        a = g.labels[eu].astype(np.int64)
+        b = g.labels[ev].astype(np.int64)
+        num_labels = int(g.labels.max()) + 1
+        keys, counts = np.unique(
+            np.minimum(a, b) * num_labels + np.maximum(a, b), return_counts=True
+        )
+        lo, hi = np.divmod(keys, num_labels)
+        return dict(zip(zip(lo.tolist(), hi.tolist()), counts.tolist()))
 
     @cached_property
     def _label_neighbor_index(self) -> dict[tuple[int, int], np.ndarray]:

@@ -8,13 +8,15 @@ are caught by the unit suite.
 import numpy as np
 import pytest
 
-from repro.bench import BenchSettings, Harness
+from repro.bench import BenchSettings, Harness, QueryOutcome
 from repro.bench.experiments import (
     ALL_EXPERIMENTS,
     fig3,
     fig6,
     fig9,
     fig11,
+    joint_enum,
+    summarize,
     table2,
     table3,
     table4,
@@ -63,8 +65,15 @@ class TestFigures:
     def test_fig3_small(self, harness, capsys):
         payload = fig3(harness, datasets=("citeseer",), methods=("ri", "hybrid"))
         assert set(payload["citeseer"]) == {"ri", "hybrid"}
-        assert all(v > 0 for v in payload["citeseer"].values())
-        assert "Fig. 3" in capsys.readouterr().out
+        for cell in payload["citeseer"].values():
+            assert cell["time"] > 0
+            assert cell["queries"] == 2  # eval half of query_count=4
+            assert cell["solved"] + cell["unsolved"] == cell["queries"]
+            solved = [e for e in cell["solved_enum"] if e is not None]
+            assert len(solved) == cell["solved"]
+            assert sum(solved) <= cell["enum"]
+        out = capsys.readouterr().out
+        assert "Fig. 3" in out and "Σ#enum" in out
 
     def test_fig6_spectrum_optimal_wins(self, harness, capsys):
         payload = fig6(
@@ -89,6 +98,11 @@ class TestFigures:
             harness, dataset="citeseer", size=8, limits=(50, 200)
         )
         assert set(payload) == {"50", "200"}
+        for method in ("rlqvo", "hybrid"):
+            smaller_cap, larger_cap, shared = joint_enum(
+                payload["50"][method], payload["200"][method]
+            )
+            assert shared and larger_cap >= smaller_cap
         assert "Fig. 11" in capsys.readouterr().out
 
     def test_fig9_pretrained_regime_is_the_pretrained_model(
@@ -116,3 +130,31 @@ def test_registry_covers_every_table_and_figure():
         "table2", "table3", "table4",
         "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
     }
+
+
+def _outcome(num_enumerations, solved, charged_time=0.5):
+    return QueryOutcome(
+        method="m", dataset="d", size=4, query_index=0,
+        filter_time=0.0, order_time=0.0, enum_time=charged_time,
+        num_matches=0, num_enumerations=num_enumerations, solved=solved,
+        charged_time=charged_time,
+    )
+
+
+def test_summarize_counts_beside_times():
+    cell = summarize([_outcome(10, True, 0.2), _outcome(7, False, 1.0)])
+    assert cell["time"] == pytest.approx(0.6)
+    assert cell["enum"] == 17
+    assert (cell["queries"], cell["solved"], cell["unsolved"]) == (2, 1, 1)
+    assert cell["solved_enum"] == (10, None)
+
+
+def test_joint_enum_keeps_the_queries_both_solved():
+    a = summarize([_outcome(10, True), _outcome(7, False), _outcome(3, True)])
+    b = summarize([_outcome(20, True), _outcome(9, True), _outcome(5, False)])
+    assert joint_enum(a, b) == (10, 20, 1)
+    assert joint_enum(b, a) == (20, 10, 1)
+    unsolved = summarize([_outcome(4, False), _outcome(6, False), _outcome(8, False)])
+    assert joint_enum(a, unsolved) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        joint_enum(a, summarize([_outcome(1, True)]))

@@ -34,6 +34,27 @@ class TestBenchSettings:
         assert settings.match_limit is None
         assert settings.train_epochs == 3
 
+    def test_env_overrides_apply_onto_a_base(self, monkeypatch):
+        # A variable that equals the class default must still override a
+        # base that holds another value.
+        base = tiny_settings()
+        monkeypatch.setenv("REPRO_BENCH_EPOCHS", str(BenchSettings().train_epochs))
+        monkeypatch.setenv("REPRO_BENCH_TIME_LIMIT", str(BenchSettings().time_limit))
+        settings = BenchSettings.from_env(base)
+        assert settings.train_epochs == BenchSettings().train_epochs
+        assert settings.time_limit == BenchSettings().time_limit
+        assert settings.query_count == base.query_count
+        assert settings.hidden_dim == base.hidden_dim
+
+    def test_no_variables_leave_the_base(self, monkeypatch):
+        for name in (
+            "REPRO_BENCH_QUERIES", "REPRO_BENCH_TIME_LIMIT",
+            "REPRO_BENCH_MATCH_LIMIT", "REPRO_BENCH_EPOCHS", "REPRO_BENCH_SEED",
+        ):
+            monkeypatch.delenv(name, raising=False)
+        assert BenchSettings.from_env(tiny_settings()) == tiny_settings()
+        assert BenchSettings.from_env() == BenchSettings()
+
     def test_rlqvo_config_derivation(self):
         settings = tiny_settings()
         config = settings.rlqvo_config()
@@ -98,6 +119,29 @@ class TestHarnessEvaluate:
         assert a.policy is b.policy
         assert hist_a is hist_b
         assert len(hist_a.epochs) == 1
+
+    def test_trained_orderer_keyed_by_the_whole_config(self, harness):
+        from repro.rl import RewardConfig
+
+        default, _ = harness.trained_orderer("citeseer", 4)
+        # An equal config, however it is built, shares the model.
+        same, _ = harness.trained_orderer(
+            "citeseer", 4,
+            config=harness.settings.rlqvo_config(
+                hidden_dim=harness.settings.hidden_dim
+            ),
+        )
+        assert same.policy is default.policy
+        # Fields outside the architecture still select another model.
+        other, _ = harness.trained_orderer(
+            "citeseer", 4,
+            config=harness.settings.rlqvo_config(
+                reward=RewardConfig(fenum="log_ratio"),
+                learning_rate=1e-2,
+                train_match_limit=7,
+            ),
+        )
+        assert other.policy is not default.policy
 
     def test_evaluate_rlqvo(self, harness):
         outcomes = harness.evaluate("rlqvo", "citeseer", size=4)

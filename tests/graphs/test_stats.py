@@ -52,6 +52,25 @@ class TestGraphStats:
         stats = GraphStats(g)
         assert stats.edge_label_frequency(5, 5) == 2
 
+    @pytest.mark.parametrize("num_labels", [1, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_edge_label_frequency_is_the_per_edge_count(self, num_labels, seed):
+        g = erdos_renyi(60, 150, num_labels, seed=seed)
+        stats = GraphStats(g)
+        # Two labels past the largest one: pairs with an absent label.
+        labels = range(num_labels + 2)
+        for a in labels:
+            for b in labels:
+                expected = sum(
+                    1 for u, v in g.edges()
+                    if sorted((g.label(u), g.label(v))) == sorted((a, b))
+                )
+                assert stats.edge_label_frequency(a, b) == expected, (a, b)
+
+    def test_edge_label_frequency_without_edges(self):
+        stats = GraphStats(Graph([0, 1], []))
+        assert stats.edge_label_frequency(0, 1) == 0
+
     def test_with_label_neighbors_is_the_per_label_count_rule(self, data_graph, data_stats):
         everyone = np.arange(data_graph.num_vertices)
         for lab in data_graph.distinct_labels() + [99]:
