@@ -51,7 +51,7 @@ def extract_query(
         start = int(rng.integers(0, n))
         chosen: list[int] = [start]
         chosen_set = {start}
-        frontier: list[int] = [int(v) for v in data_graph.neighbors(start)]
+        frontier: list[int] = data_graph.neighbors(start).tolist()
         while len(chosen) < num_vertices and frontier:
             idx = int(rng.integers(0, len(frontier)))
             v = frontier.pop(idx)
@@ -59,9 +59,9 @@ def extract_query(
                 continue
             chosen.append(v)
             chosen_set.add(v)
-            frontier.extend(
-                int(u) for u in data_graph.neighbors(v) if u not in chosen_set
-            )
+            frontier += [
+                u for u in data_graph.neighbors(v).tolist() if u not in chosen_set
+            ]
         if len(chosen) == num_vertices:
             query, _ = data_graph.induced_subgraph(chosen)
             if edge_keep_prob < 1.0:

@@ -50,30 +50,23 @@ class RIOrderer(Orderer):
                 return int(tied[rng.integers(0, len(tied))])
             return min(tied)
 
+        nbrs = [query.neighbor_set(u) for u in range(n)]
         first_choices = list(range(n))
         first_keys = [(int(degrees[u]),) for u in first_choices]
         phi = [pick(first_choices, first_keys)]
         ordered: set[int] = set(phi)
+        # The unordered vertices with no ordered neighbour, updated per step.
+        untouched = set(range(n)) - ordered - nbrs[phi[0]]
 
         while len(phi) < n:
             remaining = [u for u in range(n) if u not in ordered]
-            keys = []
-            for u in remaining:
-                nbrs_u = query.neighbor_set(u)
-                ordered_nbrs = len(nbrs_u & ordered)
-                u_neig = sum(
-                    1
-                    for w in ordered
-                    if w in nbrs_u
-                    and any(x not in ordered for x in query.neighbor_set(w))
-                )
-                u_unv = sum(
-                    1
-                    for x in nbrs_u
-                    if x not in ordered
-                    and not (query.neighbor_set(x) & ordered)
-                )
-                keys.append((ordered_nbrs, u_neig, u_unv))
+            # ``|u_neig|`` needs no key of its own: an ordered neighbour of
+            # an unordered ``u`` has ``u`` outside ``φ_t``, so it is one of
+            # the first key's vertices and the two counts are equal.
+            keys = [
+                (len(nbrs[u] & ordered), len(nbrs[u] & untouched))
+                for u in remaining
+            ]
             # Prefer connected extensions: candidates with ordered_nbrs == 0
             # are only taken when no connected vertex remains.
             connected = [
@@ -85,4 +78,6 @@ class RIOrderer(Orderer):
             nxt = pick(remaining, keys)
             phi.append(nxt)
             ordered.add(nxt)
+            untouched.discard(nxt)
+            untouched -= nbrs[nxt]
         return phi

@@ -114,6 +114,38 @@ class TestDerivedGraphs:
         with pytest.raises(InvalidGraphError):
             triangle().induced_subgraph([0, 0])
 
+    @pytest.mark.parametrize("vertices", [[-1, 1], [1, 3], [0, 99], [-5]])
+    def test_induced_subgraph_ids_out_of_range_rejected(self, vertices):
+        g = Graph([5, 6, 7], [(0, 1), (1, 2)])
+        with pytest.raises(InvalidGraphError, match="out of range for n=3"):
+            g.induced_subgraph(vertices)
+
+    def test_induced_subgraph_empty(self):
+        sub, mapping = triangle().induced_subgraph([])
+        assert sub.num_vertices == 0 and sub.num_edges == 0 and mapping == {}
+
+    @given(
+        st.integers(1, 14).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+                st.permutations(range(n)).flatmap(
+                    lambda order: st.integers(0, n).map(lambda k: order[:k])
+                ),
+            )
+        )
+    )
+    def test_induced_subgraph_matches_an_edge_scan(self, case):
+        labels, pairs, chosen = case
+        g = Graph(labels, [(u, v) for u, v in pairs if u != v])
+        sub, mapping = g.induced_subgraph(chosen)
+        # The oracle: scan every edge of the graph, keep those with both
+        # ends chosen, relabel by position in ``chosen``.
+        new = {old: i for i, old in enumerate(chosen)}
+        kept = [(new[u], new[v]) for u, v in g.edges() if u in new and v in new]
+        assert sub == Graph([labels[v] for v in chosen], kept)
+        assert mapping == new
+
     def test_is_connected(self):
         assert triangle().is_connected()
         assert not Graph([0] * 4, [(0, 1), (2, 3)]).is_connected()
