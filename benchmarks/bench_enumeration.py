@@ -5,10 +5,12 @@ on any disagreement), so CI smoke runs fail the build on layout
 regressions:
 
 * the one enumeration engine over shared ``MatchingContext``s, three
-  ways: every ``n-3`` frame forced per node, every one forced through
-  the bulk frontier, and the engine's own per-frame choice (equal
-  ``#enum``/match counts are the contract; the default's speedup over
-  each extreme is printed, never gated);
+  ways: every ``n-3`` frame forced per node, every prefix-bound one
+  forced through the bulk frontier ("bulk" — an order whose two deepest
+  levels bind below the prefix hands over no frame in any column), and
+  the engine's own per-frame choice (equal ``#enum``/match counts are
+  the contract; the default's speedup over each extreme is printed,
+  never gated);
 * graph construction — the vectorized CSR constructor against a
   replica of the old per-vertex-object build (Python set churn, one
   ndarray + frozenset per vertex);
@@ -43,9 +45,10 @@ from repro.matching import (
 from repro.matching.bipartite import has_semi_perfect_matching
 
 #: column -> the value ``FRONTIER_MIN_STEPS`` is forced to for it: no
-#: frame reaches the first, every frame reaches the second, the third
-#: is the shipped constant.  Forcing it is a measurement device (the
-#: engine takes it from no caller), undone before the next column.
+#: frame reaches the first, every prefix-bound frame reaches the second
+#: (the frontier takes no other shape), the third is the shipped
+#: constant.  Forcing it is a measurement device (the engine takes it
+#: from no caller), undone before the next column.
 FRAME_MODES = {
     "per-node": sys.maxsize,
     "bulk": 0,

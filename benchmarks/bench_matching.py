@@ -39,7 +39,7 @@ from repro.datasets import load_dataset, query_workload
 from repro.graphs.canonical import canonical_form, relabel_graph
 from repro.service import PlanCache
 
-SCHEMA = 7
+SCHEMA = 8
 
 #: (dataset, query size, total workload queries) per profile.  Small
 #: graphs keep the quick profile CI-sized; the full profile adds the
@@ -98,9 +98,6 @@ def bench_end_to_end(workloads, repeats: int) -> list[dict]:
             "matches_per_s": round(matches / max(best, 1e-9), 1),
             "enum_steps_per_s": round(enums / max(best, 1e-9), 1),
             "peak_candidate_space_bytes": int(peak_bytes),
-            # High-water per-thread engine scratch: what the frames
-            # taken in bulk cost in batch buffers.
-            "peak_scratch_bytes": int(matcher.enumerator.peak_scratch_bytes),
         }
         rows.append(row)
         print(
@@ -108,8 +105,7 @@ def bench_end_to_end(workloads, repeats: int) -> list[dict]:
             f"matches={matches:>9,}  #enum={enums:>10,}  "
             f"filter={filter_time * 1e3:7.1f}ms  order={order_time * 1e3:6.1f}ms  "
             f"enum={best * 1e3:7.1f}ms  {row['matches_per_s'] / 1e3:8.1f}k matches/s  "
-            f"cs-peak={peak_bytes / 1024:,.0f}KiB  "
-            f"scratch-peak={row['peak_scratch_bytes'] / 1024:,.0f}KiB"
+            f"cs-peak={peak_bytes / 1024:,.0f}KiB"
         )
     return rows
 

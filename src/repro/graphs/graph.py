@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import InvalidGraphError
 
-__all__ = ["Graph", "edges_to_csr", "gather_neighbors"]
+__all__ = ["Graph", "edges_to_csr", "gather_neighbors", "sorted_unique"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -53,6 +53,18 @@ def _edge_array(edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidGraphError("edges must be (u, v) pairs")
     return arr
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, flattened and sorted: what
+    ``np.unique`` returns, from one sort and a neighbour mask.  Not
+    ``np.unique`` itself: numpy 2.4 answers it from a hash table, ~10x
+    slower than a sort at these sizes and ~10 ms on its first call in a
+    process."""
+    keys = np.sort(values, axis=None)
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
 
 
 def edges_to_csr(
@@ -83,12 +95,8 @@ def edges_to_csr(
             )
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    # One sort over encoded keys replaces the Python set.  Not np.unique:
-    # numpy 2.4 answers it from a hash table, ~10x slower at these sizes.
-    keys = np.sort(lo * n + hi)
-    fresh = np.ones(keys.size, dtype=bool)
-    fresh[1:] = keys[1:] != keys[:-1]
-    keys = keys[fresh]
+    # One sort over encoded keys replaces the Python set.
+    keys = sorted_unique(lo * n + hi)
     edge_u = keys // n
     edge_v = keys % n
     directed = np.concatenate([keys, edge_v * n + edge_u])

@@ -28,7 +28,6 @@ from repro.matching.enumeration import (
     Enumerator,
 )
 from repro.matching.enumeration_iter import intersect_sorted
-from repro.matching.kernels import ScratchBuffers
 from repro.matching.filters import (
     FILTERS,
     DPisoFilter,
@@ -76,6 +75,5 @@ __all__ = [
     "estimate_order_cost",
     "has_semi_perfect_matching",
     "intersect_sorted",
-    "ScratchBuffers",
     "verify_all",
 ]

@@ -24,7 +24,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import FilterError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, sorted_unique
 from repro.graphs.stats import GraphStats
 
 __all__ = ["CandidateSets", "CandidateFilter"]
@@ -47,9 +47,9 @@ class CandidateSets:
         self._arrays: list[np.ndarray] = []
         for s in sets:
             if isinstance(s, np.ndarray):
-                arr = np.unique(np.asarray(s, dtype=np.int64))
+                arr = sorted_unique(np.asarray(s, dtype=np.int64))
             else:
-                arr = np.unique(np.fromiter((int(v) for v in s), dtype=np.int64))
+                arr = sorted_unique(np.fromiter((int(v) for v in s), dtype=np.int64))
             arr.setflags(write=False)
             self._arrays.append(arr)
         self._sets: list[frozenset[int] | None] = [None] * len(self._arrays)

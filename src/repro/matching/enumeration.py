@@ -16,10 +16,14 @@ index once per backward image key and memoized for the run.  It uses
 O(1) Python stack frames regardless of query depth, so deep path
 queries enumerate fine.  There is one engine, one entry point
 and nothing to choose: :meth:`Enumerator.run_context` drains the walk
-through :func:`~repro.matching.enumeration_batch.enumerate_batch`, which
-lets the walk hand a frame at position ``n-3`` to the bulk frontier —
-chunked numpy batches over the three deepest levels — exactly when the
-frame is wide enough to pay for the call.  A caller that wants only the
+through :func:`~repro.matching.enumeration_batch.enumerate_batch`.  When
+the order's three deepest levels are *prefix-bound* — every backward
+neighbour of positions ``n-2`` and ``n-1`` lies above position ``n-3``
+— ``enumerate_batch`` lets the walk hand a frame at ``n-3`` to the bulk
+frontier, which tiles the two candidate lists the frame's rows and
+leaves share over its parents in chunked numpy batches, exactly when
+the frame is wide enough to pay for the call; any other order is
+walked per node throughout.  A caller that wants only the
 first ``k`` embeddings runs with ``match_limit=k`` (and
 ``record_matches=True``): the search stops at the ``k``-th match.
 
@@ -51,7 +55,6 @@ reporting both in the result.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -63,7 +66,6 @@ from repro.matching.block import MatchBlock
 from repro.matching.candidates import CandidateSets
 from repro.matching.context import MatchingContext
 from repro.matching.enumeration_batch import enumerate_batch
-from repro.matching.kernels import ScratchBuffers
 
 __all__ = [
     "DEFAULT_TIME_LIMIT",
@@ -165,26 +167,6 @@ class Enumerator:
         self.time_limit = time_limit
         self.record_matches = record_matches
         self.check_every = check_every
-        # Per-thread ScratchBuffers for the batch driver, reused across
-        # run_context calls on one thread.  This
-        # keeps the Matcher thread-safety contract: threads never share
-        # scratch, and the buffers carry no cross-query state.
-        self._thread_state = threading.local()
-
-    @property
-    def peak_scratch_bytes(self) -> int:
-        """High-water batch-scratch footprint on the calling thread.
-
-        Covers the batch driver's per-thread
-        :class:`~repro.matching.kernels.ScratchBuffers` — the frontier's
-        named batch buffers, which exist only once a frame was wide
-        enough to be taken; 0 until a run on this thread needed any.
-        Monotone across a thread's lifetime — buffers grow geometrically
-        and never shrink.  The walk's per-run candidate memo is not
-        scratch: it is freed when the run returns.
-        """
-        scratch = getattr(self._thread_state, "scratch", None)
-        return 0 if scratch is None else scratch.peak_nbytes
 
     def run(
         self,
@@ -235,14 +217,6 @@ class Enumerator:
         deadline = (
             start_time + self.time_limit if self.time_limit is not None else None
         )
-        # One ScratchBuffers per thread, reused across queries
-        # (geometric growth, never shrinks).  Safe because the batch
-        # driver drains the walk before returning — no user code runs
-        # while the scratch is live.
-        scratch = getattr(self._thread_state, "scratch", None)
-        if scratch is None:
-            scratch = ScratchBuffers()
-            self._thread_state.scratch = scratch
         found, enum, timed_out, limited, matches = enumerate_batch(
             context,
             order,
@@ -251,7 +225,6 @@ class Enumerator:
             deadline,
             self.check_every,
             self.record_matches,
-            scratch,
         )
         return EnumerationResult(
             num_matches=found,

@@ -1,12 +1,14 @@
 """Forcing the engine's per-frame choice, for the differential suites.
 
 The one enumeration engine hands a frame at position ``n-3`` to the
-bulk frontier when the frame is estimated to hold at least
+bulk frontier when the order's three deepest levels are prefix-bound
+and the frame is estimated to hold at least
 ``enumeration_batch.FRONTIER_MIN_STEPS`` steps.  That constant is not a
 setting — nothing in ``src/`` takes it from a caller — so the only way
 to pin *both* code paths against the recursive oracle on every instance
-is to patch it: to 0, every frame is taken; to a value no frame
-reaches, none is.  The two extremes are what the retired
+is to patch it: to 0, every prefix-bound frame is taken; to a value no
+frame reaches, none is.  An order of any other shape is walked per node
+under every mode.  The two extremes are what the retired
 ``"vectorized"`` and ``"iterative"`` strategies used to do, and they
 keep those names here (and in the parametrized test ids).
 

@@ -2,16 +2,19 @@
 
 The batch driver (:mod:`repro.matching.enumeration_batch`) walks most of
 the search per node and hands a frame at position ``n-3`` to the bulk
-frontier when the frame is wide enough.  Which frames those are must
-never show: match sequences, ``#enum``, ``timed_out`` and
-``limit_reached`` are pinned to the recursive oracle with every frame
-taken, with none taken, and at the shipped threshold (``MODES``, see
-``frontier_modes.py``) — plus runs that provably mix both paths, the
-only place the recorded order could break.  The suite also pins the
-batch-scratch growth contract: one :class:`ScratchBuffers` per thread,
-geometric growth across queries of different sizes (no quadratic
-re-allocation), ``peak_scratch_bytes`` monotone.
+frontier when the frame is wide enough and the order's three deepest
+levels are prefix-bound.  Which frames those are must never show: match
+sequences, ``#enum``, ``timed_out`` and ``limit_reached`` are pinned to
+the recursive oracle with every frame taken, with none taken, and at
+the shipped threshold (``MODES``, see ``frontier_modes.py``) — plus
+runs that provably mix both paths, the only place the recorded order
+could break.  The suite also pins which orders hand frames over at all,
+and that one engine shared by threads or reused across queries keeps
+no state between runs.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,13 +24,9 @@ from hypothesis import strategies as st
 from recursive_oracle import RecursiveOracle
 
 from repro import Matcher
+from repro.datasets import load_dataset, query_workload
 from repro.graphs import Graph, erdos_renyi, extract_query
-from repro.matching import (
-    Enumerator,
-    GQLFilter,
-    RIOrderer,
-    ScratchBuffers,
-)
+from repro.matching import Enumerator, GQLFilter, MatchingContext, RIOrderer
 
 
 def _random_instance(seed: int):
@@ -102,14 +101,36 @@ def test_arbitrary_orders(seed):
 # ----------------------------------------------------------------------
 # Runs that mix both paths
 # ----------------------------------------------------------------------
+#: A star-like query: a triangle ``0-1-2``, a vertex ``3`` on both ``0``
+#: and ``1``, and a leaf ``4`` on the centre ``0``.  Its RI order ends
+#: in ``3`` and ``4``, whose backward neighbours all lie in the prefix
+#: above position ``n-3`` — the one shape the frontier takes — with an
+#: intersection of two segments for the rows and one for the leaves.
+STAR_LIKE_EDGES = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4)]
+
+
+def _backward(instance) -> list[list[int]]:
+    query, data, candidates, order = instance
+    context = MatchingContext(query, data, candidates)
+    return Enumerator._prepare_order(context, order)[1]
+
+
+def _prefix_bound(instance) -> bool:
+    backward = _backward(instance)
+    n = len(backward)
+    return n >= 3 and max(backward[-2] + backward[-1], default=-1) < n - 3
+
+
 def _mixed_instance(seed: int):
-    """One label, a few hundred embeddings, ``n-3`` frames of very
-    different widths."""
+    """One label, a few hundred embeddings, prefix-bound ``n-3`` frames
+    of very different widths."""
     data = erdos_renyi(30, 75, 1, seed=seed)
-    query = extract_query(data, 6, np.random.default_rng(seed))
+    query = Graph([0] * 5, STAR_LIKE_EDGES)
     candidates = GQLFilter().filter(query, data)
     order = RIOrderer().order(query, data, candidates)
-    return query, data, candidates, order
+    instance = query, data, candidates, order
+    assert _prefix_bound(instance)
+    return instance
 
 
 def _mixing_threshold(instance) -> tuple[int, list[int]]:
@@ -194,10 +215,10 @@ def test_single_vertex_query_matches_iterative():
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
-def test_shallow_queries_use_reduced_frontier(size):
-    # What is left of the frontier on a shallow query: at n == 3 the
-    # frame is the root's and there is no prefix above it; n < 3 has no
-    # position n-3, so nothing is ever handed over.
+def test_shallow_queries_are_walked_per_node(size):
+    # n < 3 has no position n-3; a connected n == 3 query binds its row
+    # level to the root's, so it is not prefix-bound.  Nothing is ever
+    # handed over, even with every frame forced.
     data = erdos_renyi(30, 90, 2, seed=size)
     rng = np.random.default_rng(size)
     query = extract_query(data, size, rng)
@@ -208,58 +229,133 @@ def test_shallow_queries_use_reduced_frontier(size):
     assert oracle.num_matches > 0
     with frames_seen() as taken:
         _run("vectorized", instance)
-    assert len(taken) == (1 if size == 3 else 0)
+    assert taken == []
+
+
+def test_edgeless_triple_hands_over_the_root_frame():
+    # Three vertices and no edge: every level is bound to the (empty)
+    # prefix, so the frame at n-3 is the root's and nothing is used
+    # above it.
+    data = erdos_renyi(12, 20, 1, seed=2)
+    query = Graph([0, 0, 0], [])
+    instance = (query, data, GQLFilter().filter(query, data), [0, 1, 2])
+    oracle = _assert_equals_oracle(instance)
+    assert oracle.num_matches == 12 * 11 * 10
+    with frames_seen() as taken:
+        _run("vectorized", instance)
+    assert [sum(frame) for frame in taken] == [oracle.num_matches]
 
 
 # ----------------------------------------------------------------------
-# Scratch-buffer growth (the PR's small-fix satellite)
+# Which orders hand frames over
 # ----------------------------------------------------------------------
-class TestScratchGrowth:
-    def test_batch_buffers_grow_and_never_shrink(self):
-        scratch = ScratchBuffers()
-        a = scratch.batch("x", 10_000)
-        assert a.size >= 10_000
-        b = scratch.batch("x", 5)
-        assert b is a  # smaller request reuses the grown buffer
-        peak = scratch.peak_nbytes
-        scratch.batch("x", 100)
-        assert scratch.peak_nbytes == peak  # no growth, no new peak
+def test_dense_shape_bound_to_the_parent_level_takes_no_frame():
+    # The benchmark's dense shape, on the queries whose RI order gives
+    # the row level a backward neighbour at n-3.  Such an order is
+    # walked per node under every mode, and still equals the oracle.
+    data = erdos_renyi(60, 600, 2, seed=3)
+    rng = np.random.default_rng(5)
+    instances = []
+    for _ in range(20):
+        query = extract_query(data, 6, rng)
+        candidates = GQLFilter().filter(query, data)
+        order = RIOrderer().order(query, data, candidates)
+        instance = (query, data, candidates, order)
+        if 3 in _backward(instance)[4]:
+            instances.append(instance)
+    assert len(instances) >= 2
+    for instance in instances[:2]:
+        for mode in MODES:
+            with frames_seen() as taken:
+                _assert_equals_oracle(instance, match_limit=2_000, modes=(mode,))
+            assert taken == [], mode
 
-    def test_peak_monotone_and_reuse_across_queries(self):
-        # One Matcher, alternating small and large queries: the
-        # engine's thread-local scratch must be reused (peak monotone,
-        # never reset) rather than rebuilt per query.  Every frame is
-        # taken, so the frontier's batch buffers are part of the peak.
-        data = erdos_renyi(60, 200, 2, seed=9)
-        matcher = Matcher(data, filter="gql", orderer="ri", match_limit=10_000)
-        rng = np.random.default_rng(9)
-        small = extract_query(data, 3, rng)
-        large = extract_query(data, 7, rng)
-        peaks = []
-        with frontier_mode("vectorized"):
-            for query in (small, large, small, large):
-                matcher.match(query)
-                peaks.append(matcher.enumerator.peak_scratch_bytes)
-        assert peaks[0] > 0
-        assert peaks == sorted(peaks)  # monotone across queries
-        # Re-running the large query must not grow the buffers again.
-        assert peaks[3] == peaks[1] or peaks[3] == peaks[2]
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_run_results_unaffected_by_scratch_reuse(self, mode):
-        # The same Enumerator instance (one thread-local scratch) across
-        # differently-sized queries stays bit-identical to fresh runs.
-        data = erdos_renyi(40, 120, 2, seed=5)
-        rng = np.random.default_rng(5)
-        queries = [extract_query(data, s, rng) for s in (6, 3, 7, 2)]
-        shared = Enumerator(match_limit=None, record_matches=True)
-        with frontier_mode(mode):
-            for query in queries:
-                candidates = GQLFilter().filter(query, data)
-                order = RIOrderer().order(query, data, candidates)
-                reused = shared.run(query, data, candidates, order)
-                fresh = Enumerator(match_limit=None, record_matches=True).run(
-                    query, data, candidates, order
-                )
-                assert reused.matches == fresh.matches
-                assert reused.num_enumerations == fresh.num_enumerations
+def test_prefix_bound_yeast_queries_hand_frames_over():
+    # The paper's workloads are where the frontier earns its place: on
+    # the seed-0 yeast Q8 pool under gql + ri, some orders are
+    # prefix-bound and some of their frames are taken at the shipped
+    # threshold.
+    data = load_dataset("yeast")
+    pool = query_workload("yeast", 8, count=20, seed=0, data=data).all_queries
+    matcher = Matcher(data, filter="gql", orderer="ri", match_limit=1_000)
+    taken_total = 0
+    for query in pool:
+        plan = matcher.plan(query)
+        instance = (query, data, plan.context.candidates, plan.order)
+        if not _prefix_bound(instance):
+            continue
+        with frames_seen() as taken:
+            result = matcher.execute(plan)
+        oracle = _oracle(instance, match_limit=1_000)
+        assert result.num_enumerations == oracle.num_enumerations
+        assert result.num_matches == oracle.num_matches
+        taken_total += len(taken)
+    assert taken_total > 0
+
+
+# ----------------------------------------------------------------------
+# One engine, many runs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", MODES)
+def test_threads_sharing_one_plan_equal_the_oracle(mode):
+    # A run allocates everything it works in, so threads executing one
+    # plan at once (frames taken on each, more threads than two cores)
+    # each equal the oracle.
+    data = erdos_renyi(40, 120, 1, seed=7)
+    query = Graph([0] * 5, STAR_LIKE_EDGES)
+    matcher = Matcher(
+        data, filter="gql", orderer="ri", match_limit=None, record_matches=True,
+        time_limit=None,
+    )
+    plan = matcher.plan(query)
+    instance = (query, data, plan.context.candidates, plan.order)
+    assert _prefix_bound(instance)
+    oracle = _oracle(instance)
+    assert oracle.num_matches > 100
+    barrier = threading.Barrier(3)
+    results = [None] * 3
+
+    def work(i):
+        barrier.wait()
+        results[i] = [matcher.execute(plan).enumeration for _ in range(5)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with frontier_mode(mode), frames_seen() as taken:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert (len(taken) > 0) == (mode != "iterative")
+    for runs in results:
+        assert runs is not None and len(runs) == 5
+        for result in runs:
+            assert result.matches == oracle.matches
+            assert result.num_enumerations == oracle.num_enumerations
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_results_unaffected_by_enumerator_reuse(mode):
+    # The same Enumerator instance across differently-sized queries
+    # stays bit-identical to fresh runs.
+    data = erdos_renyi(40, 120, 2, seed=5)
+    rng = np.random.default_rng(5)
+    queries = [extract_query(data, s, rng) for s in (6, 3, 7, 2)]
+    queries.append(Graph([0] * 5, STAR_LIKE_EDGES))
+    shared = Enumerator(match_limit=None, record_matches=True)
+    with frontier_mode(mode):
+        for query in queries:
+            candidates = GQLFilter().filter(query, data)
+            order = RIOrderer().order(query, data, candidates)
+            reused = shared.run(query, data, candidates, order)
+            fresh = Enumerator(match_limit=None, record_matches=True).run(
+                query, data, candidates, order
+            )
+            assert reused.matches == fresh.matches
+            assert reused.num_enumerations == fresh.num_enumerations

@@ -8,10 +8,13 @@ oracle embeddings come from networkx monomorphism search.
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FilterError
 from repro.graphs import Graph, GraphStats, erdos_renyi, extract_query
 from repro.matching import (
+    CandidateSets,
     DPisoFilter,
     FILTERS,
     GQLFilter,
@@ -122,6 +125,41 @@ class TestCandidateSets:
         wrong_stats = GraphStats(erdos_renyi(10, 15, 2, seed=1))
         with pytest.raises(FilterError):
             GQLFilter().filter(query, data, wrong_stats)
+
+    #: Each input kind the constructor accepts, built from a list.
+    KINDS = {
+        "ndarray": lambda s: np.array(s, dtype=np.int64),
+        "list": list,
+        "generator": lambda s: (v for v in s),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(-5, 60), max_size=40), max_size=5))
+    def test_sets_are_sorted_and_deduplicated(self, kind, sets):
+        # Duplicates, unsorted input and empty sets all come out as
+        # sorted(set(s)): one read-only int64 array per query vertex.
+        candidates = CandidateSets([self.KINDS[kind](s) for s in sets])
+        assert candidates.num_query_vertices == len(sets)
+        for u, s in enumerate(sets):
+            arr = candidates.array(u)
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+            assert arr.tolist() == sorted(set(s))
+
+    def test_construction_calls_no_np_unique(self, monkeypatch):
+        # np.unique is a hash table on numpy 2.4 (~10 ms on its first
+        # call in a process); the sets are de-duplicated with a sort.
+        calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        candidates = CandidateSets([np.array([3, 1, 3]), [2, 2, 0], iter([5])])
+        assert [candidates.array(u).tolist() for u in range(3)] == [[1, 3], [0, 2], [5]]
+        assert calls == []
 
 
 def test_registry_contains_all_filters():

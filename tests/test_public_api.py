@@ -37,9 +37,11 @@ PACKAGES = [
 #: profiling, the package re-exports that only tests read (the
 #: functions that ``src/`` calls stay importable from their defining
 #: modules), the observed-cost calibrator (admission orders by the
-#: plan's own estimate), and the walk's scratch intersection kernels
-#: (each depth memoizes its candidates instead); listed so they cannot
-#: drift back into a facade.
+#: plan's own estimate), the walk's scratch intersection kernels (each
+#: depth memoizes its candidates instead), and the bulk frontier's
+#: segment kernels with their per-thread scratch (the frontier tiles two
+#: shared lists in per-chunk arrays); listed so they cannot drift back
+#: into a facade.
 RETIRED_EXPORTS = [
     ("repro", "MatchingEngine"),
     ("repro", "IterativeEnumerator"),
@@ -114,9 +116,10 @@ RETIRED_EXPORTS = [
     ("repro.procpool", "DEFAULT_ALPHA"),
     ("repro.matching", "intersect_into"),
     ("repro.matching", "intersect_unused_into"),
-    ("repro.matching.kernels", "intersect_into"),
-    ("repro.matching.kernels", "intersect_unused_into"),
-    ("repro.matching.kernels", "filter_unused_into"),
+    ("repro.matching", "ScratchBuffers"),
+    ("repro.matching", "gather_segments_into"),
+    ("repro.matching", "batch_membership_into"),
+    ("repro.matching", "batch_unused_into"),
 ]
 
 
@@ -158,6 +161,11 @@ class TestExports:
 
     def test_cost_calibrator_module_is_gone(self):
         assert importlib.util.find_spec("repro.procpool.feedback") is None
+
+    def test_kernels_module_is_gone(self):
+        # Its intersection kernels, segment kernels and ScratchBuffers
+        # went with it.
+        assert importlib.util.find_spec("repro.matching.kernels") is None
 
     def test_core_classes_reachable_from_top_level(self):
         for name in (

@@ -5,8 +5,8 @@ each retired method is absent.  What replaced them: the learned orderer
 is always greedy, the features are computed at the paper's α = 1,
 ``Matcher.plan`` is the cold pipeline and ``plan_fingerprinted`` the one
 cached entry point, the catalog is fixed at construction, batches always
-capture failures, the latency window is a constant and shutdown always
-drains.
+capture failures, the latency window is a constant, shutdown always
+drains, and the engine keeps no per-thread scratch to report a peak of.
 """
 
 import numpy as np
@@ -21,6 +21,7 @@ from repro.core import (
     RLQVOTrainer,
 )
 from repro.graphs import erdos_renyi, extract_query
+from repro.matching import Enumerator
 from repro.service import (
     DatasetCatalog,
     MatchRequest,
@@ -117,6 +118,7 @@ def test_retired_option_is_a_type_error(data, call, name):
         (DatasetCatalog, "attach_plan_cache"),
         (AdmissionQueue, "drain_all"),
         (Matcher, "_plan_cold"),
+        (Enumerator, "peak_scratch_bytes"),
     ],
 )
 def test_retired_method_is_gone(owner, method):
