@@ -5,10 +5,10 @@ on any disagreement), so CI smoke runs fail the build on layout
 regressions:
 
 * the one enumeration engine over shared ``MatchingContext``s, three
-  ways: every ``n-3`` frame forced per node, every prefix-bound one
-  forced through the bulk frontier ("bulk" — an order whose two deepest
-  levels bind below the prefix hands over no frame in any column), and
-  the engine's own per-frame choice (equal ``#enum``/match counts are
+  ways: every ``n-3`` frame forced per node, the walk calling the bulk
+  frontier on every prefix-bound one ("bulk" — an order whose two
+  deepest levels bind below the prefix takes no frame in any column),
+  and the engine's own per-frame choice (equal ``#enum``/match counts are
   the contract; the default's speedup over each extreme is printed,
   never gated);
 * graph construction — the vectorized CSR constructor against a

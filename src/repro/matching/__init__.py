@@ -27,7 +27,7 @@ from repro.matching.enumeration import (
     EnumerationResult,
     Enumerator,
 )
-from repro.matching.enumeration_iter import intersect_sorted
+from repro.matching.enumeration_batch import intersect_sorted
 from repro.matching.filters import (
     FILTERS,
     DPisoFilter,

@@ -7,25 +7,23 @@ local candidate set (Line 6): candidates of ``u`` adjacent to the images
 of all backward neighbours ``N^φ_+(u)`` and not already used
 (injectivity).
 
-One explicit-stack DFS implements the procedure —
-:func:`~repro.matching.enumeration_iter.walk_prefixes`, per-depth
-cursors into sorted candidate lists, with local candidates computed by
-sorted-array intersection against the
+One loop implements the procedure: :func:`~repro.matching.enumeration_batch.walk`,
+an explicit-stack DFS with per-depth cursors into sorted candidate
+lists, whose local candidates are intersected from the
 :class:`~repro.matching.candidate_space.CandidateSpace` flat per-edge
 index once per backward image key and memoized for the run.  It uses
 O(1) Python stack frames regardless of query depth, so deep path
-queries enumerate fine.  There is one engine, one entry point
-and nothing to choose: :meth:`Enumerator.run_context` drains the walk
-through :func:`~repro.matching.enumeration_batch.enumerate_batch`.  When
-the order's three deepest levels are *prefix-bound* — every backward
-neighbour of positions ``n-2`` and ``n-1`` lies above position ``n-3``
-— ``enumerate_batch`` lets the walk hand a frame at ``n-3`` to the bulk
-frontier, which tiles the two candidate lists the frame's rows and
-leaves share over its parents in chunked numpy batches, exactly when
-the frame is wide enough to pay for the call; any other order is
-walked per node throughout.  A caller that wants only the
-first ``k`` embeddings runs with ``match_limit=k`` (and
-``record_matches=True``): the search stops at the ``k``-th match.
+queries enumerate fine.  There is one engine and nothing to choose:
+:meth:`Enumerator.run_context` calls the walk, which counts, records
+and stops at the limits itself.  When the order's three deepest levels
+are *prefix-bound* — every backward neighbour of positions ``n-2`` and
+``n-1`` lies above position ``n-3`` — the walk calls the bulk frontier
+on a frame at ``n-3`` that is wide enough to pay for it; the frontier
+tiles the two candidate lists the frame's rows and leaves share over
+its parents in chunked numpy batches.  Any other order is walked per
+node throughout.  A caller that wants only the first ``k`` embeddings
+runs with ``match_limit=k`` (and ``record_matches=True``): the search
+stops at the ``k``-th match.
 
 Every path visits candidates in ascending vertex order, so match
 sequences and ``#enum`` are bit-identical (including under
@@ -65,7 +63,7 @@ from repro.graphs.validation import check_order
 from repro.matching.block import MatchBlock
 from repro.matching.candidates import CandidateSets
 from repro.matching.context import MatchingContext
-from repro.matching.enumeration_batch import enumerate_batch
+from repro.matching.enumeration_batch import walk
 
 __all__ = [
     "DEFAULT_TIME_LIMIT",
@@ -138,8 +136,8 @@ class Enumerator:
         Deadline check cadence, in extension steps (a positive int).
 
     There is no engine to select: the one explicit-stack DFS decides per
-    frame, from the frame's own width, whether the bulk frontier expands
-    it (see :mod:`repro.matching.enumeration_batch`).  :attr:`name` is
+    frame, from the frame's own width, whether to call the bulk frontier
+    on it (see :mod:`repro.matching.enumeration_batch`).  :attr:`name` is
     what plans and registries call that engine.
     """
 
@@ -217,7 +215,7 @@ class Enumerator:
         deadline = (
             start_time + self.time_limit if self.time_limit is not None else None
         )
-        found, enum, timed_out, limited, matches = enumerate_batch(
+        found, enum, timed_out, limited, matches = walk(
             context,
             order,
             backward,

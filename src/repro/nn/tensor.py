@@ -80,23 +80,6 @@ class Tensor:
         """Shape of the underlying array."""
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        """Number of dimensions."""
-        return self.data.ndim
-
-    def item(self) -> float:
-        """Python float of a one-element tensor."""
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_scalar(self)
-
-    def numpy(self) -> np.ndarray:
-        """Underlying data (shared, do not mutate)."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        """A view of the data cut off from the autograd graph."""
-        return Tensor(self.data)
-
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
@@ -131,9 +114,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-Tensor.as_tensor(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor.as_tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor.as_tensor(other)
         out_data = self.data * other.data
@@ -159,20 +139,6 @@ class Tensor:
                 other._accumulate(-grad * self.data / (other.data**2))
 
         return Tensor._from_op(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor.as_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise ModelError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._from_op(out_data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor.as_tensor(other)
@@ -203,11 +169,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self,), backward)
 
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        """Arithmetic mean over ``axis``."""
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     def reshape(self, *shape: int) -> "Tensor":
         """Reshaped view sharing the autograd graph."""
         out_data = self.data.reshape(*shape)
@@ -228,19 +189,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad.swapaxes(-1, -2))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def index_select(self, indices: Sequence[int]) -> "Tensor":
-        """Select rows by index (axis 0)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        out_data = self.data[idx]
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, idx, grad)
-                self._accumulate(full)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -371,6 +319,3 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-
-def _raise_scalar(t: Tensor) -> float:
-    raise ModelError(f"item() on tensor of shape {t.shape}")

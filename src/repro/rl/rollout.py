@@ -83,7 +83,6 @@ def collect_trajectory(
     feature_builder,
     rng: np.random.Generator,
     ctx: GraphContext | None = None,
-    greedy: bool = False,
 ) -> Trajectory:
     """Roll the policy through one ordering episode.
 
@@ -116,10 +115,7 @@ def collect_trajectory(
             )
         else:
             p, scores = policy.evaluate(features, ctx, state.action_mask)
-            if greedy:
-                action = int(np.argmax(p))
-            else:
-                action = int(rng.choice(p.size, p=p / p.sum()))
+            action = int(rng.choice(p.size, p=p / p.sum()))
             step = TrajectoryStep(
                 features=features,
                 action_mask=state.action_mask,

@@ -351,21 +351,15 @@ class CostAwareScheduler:
     ----------
     service:
         The :class:`MatchService` whose ``submit`` actually executes
-        admitted requests (and whose catalog/plan-cache the default
-        cost estimator plans through).
+        admitted requests, and whose catalog and plan cache the
+        admission cost estimate plans through.
     config:
         A :class:`SchedulerConfig`; ``None`` uses the defaults.
-    estimator:
-        Optional ``(MatchRequest) -> float`` override for the admission
-        cost signal — used by tests to schedule against stub services;
-        production uses the plan's static cost estimate.
     """
 
-    def __init__(self, service, config: SchedulerConfig | None = None, *,
-                 estimator=None):
+    def __init__(self, service, config: SchedulerConfig | None = None):
         self._service = service
         self._config = config if config is not None else SchedulerConfig()
-        self._estimator = estimator
         self._queue = AdmissionQueue(self._config.queue_capacity)
         self._lock = threading.Lock()
         self._accounts: dict[str, _TenantAccount] = {}
@@ -414,8 +408,6 @@ class CostAwareScheduler:
         errors synchronously, so a bad dataset or orderer name never
         enters the queue.
         """
-        if self._estimator is not None:
-            return float(self._estimator(request))
         matcher = self._service.catalog.matcher(request.dataset, request.orderer)
         _, plan, _ = self._service._plan_canonical(matcher, request.query)
         try:

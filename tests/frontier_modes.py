@@ -1,8 +1,8 @@
 """Forcing the engine's per-frame choice, for the differential suites.
 
-The one enumeration engine hands a frame at position ``n-3`` to the
-bulk frontier when the order's three deepest levels are prefix-bound
-and the frame is estimated to hold at least
+The one enumeration loop calls the bulk frontier on a frame at position
+``n-3`` when the order's three deepest levels are prefix-bound and the
+frame is estimated to hold at least
 ``enumeration_batch.FRONTIER_MIN_STEPS`` steps.  That constant is not a
 setting — nothing in ``src/`` takes it from a caller — so the only way
 to pin *both* code paths against the recursive oracle on every instance
@@ -13,11 +13,13 @@ under every mode.  The two extremes are what the retired
 keep those names here (and in the parametrized test ids).
 
 ``tests/conftest.py`` puts this directory on ``sys.path``, so any test
-module can ``from frontier_modes import MODES, frontier_mode``.
+module can ``from frontier_modes import MODES, frontier_mode``.  The
+frontier's chunk size can be forced the same way (``frontier_chunk``).
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
 from contextlib import contextmanager
 
@@ -31,6 +33,10 @@ _MIN_STEPS = {"iterative": sys.maxsize, "vectorized": 0, "default": None}
 
 #: Every differential case runs under all three.
 MODES = tuple(_MIN_STEPS)
+
+#: Frontier chunk sizes that split a test-sized frame into many row
+#: groups and leaf chunks, and the shipped size, which does not.
+CHUNKS = (1, 2, 3, 7, enumeration_batch.FRONTIER_CHUNK)
 
 
 @contextmanager
@@ -49,18 +55,31 @@ def frontier_mode(mode: str | int):
 
 
 @contextmanager
+def frontier_chunk(chunk: int):
+    """Run the block with ``FRONTIER_CHUNK`` at ``chunk`` flat entries.
+
+    At the shipped 2**16 a test-sized frame is one row group and one
+    leaf chunk, so only a small chunk reaches the frontier's bookkeeping
+    across groups and chunks — and the match-limit cut made there.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration_batch, "FRONTIER_CHUNK", chunk)
+        yield
+
+
+@contextmanager
 def frames_seen():
     """Spy on the bulk frontier: yields a list that collects, per frame
-    the walk hands over, the ``#matches`` of each chunk it produced."""
-    frames: list[list[int]] = []
+    the walk calls it on, the ``#matches`` the frontier found there."""
+    frames: list[int] = []
     frontier = enumeration_batch._frontier
+    signature = inspect.signature(frontier)
 
     def spy(*args, **kwargs):
-        chunks: list[int] = []
-        frames.append(chunks)
-        for matrix, senum in frontier(*args, **kwargs):
-            chunks.append(int(senum.size))
-            yield matrix, senum
+        found = signature.bind(*args, **kwargs).arguments["found"]
+        result = frontier(*args, **kwargs)
+        frames.append(result[1] - found)
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration_batch, "_frontier", spy)

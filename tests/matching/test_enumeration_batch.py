@@ -1,8 +1,8 @@
 """Differential tests: the one engine, whichever frames it takes in bulk.
 
-The batch driver (:mod:`repro.matching.enumeration_batch`) walks most of
-the search per node and hands a frame at position ``n-3`` to the bulk
-frontier when the frame is wide enough and the order's three deepest
+The walk (:mod:`repro.matching.enumeration_batch`) expands most of the
+search per node and calls the bulk frontier on a frame at position
+``n-3`` when the frame is wide enough and the order's three deepest
 levels are prefix-bound.  Which frames those are must never show: match
 sequences, ``#enum``, ``timed_out`` and ``limit_reached`` are pinned to
 the recursive oracle with every frame taken, with none taken, and at
@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 import pytest
-from frontier_modes import MODES, frames_seen, frontier_mode
+from frontier_modes import CHUNKS, MODES, frames_seen, frontier_chunk, frontier_mode
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from recursive_oracle import RecursiveOracle
@@ -26,7 +26,13 @@ from recursive_oracle import RecursiveOracle
 from repro import Matcher
 from repro.datasets import load_dataset, query_workload
 from repro.graphs import Graph, erdos_renyi, extract_query
-from repro.matching import Enumerator, GQLFilter, MatchingContext, RIOrderer
+from repro.matching import (
+    Enumerator,
+    GQLFilter,
+    MatchingContext,
+    RIOrderer,
+    enumeration_batch,
+)
 
 
 def _random_instance(seed: int):
@@ -136,7 +142,7 @@ def _mixed_instance(seed: int):
 def _mixing_threshold(instance) -> tuple[int, list[int]]:
     """A ``FRONTIER_MIN_STEPS`` under which this instance's run finds
     some matches in frames taken in bulk and some per node; with it,
-    the ``#matches`` of each bulk chunk of that run."""
+    the ``#matches`` of each frame taken in that run."""
     total = _oracle(instance).num_matches
     # Half-octave steps: frames are judged by their width before
     # injectivity, so one octave can jump from every frame to none.
@@ -144,55 +150,118 @@ def _mixing_threshold(instance) -> tuple[int, list[int]]:
         threshold = round(2 ** (half_octaves / 2))
         with frames_seen() as taken:
             _run(threshold, instance)
-        chunks = [size for frame in taken for size in frame]
-        if 0 < sum(chunks) < total:
-            return threshold, chunks
+        if 0 < sum(taken) < total:
+            return threshold, taken
     raise AssertionError("no threshold splits this instance's matches")
 
 
+@pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("seed", [0, 1, 3])
-def test_mixed_run_records_in_dfs_order(seed):
-    # Per-node matches are buffered in a flat list and bulk chunks
-    # arrive as matrices; only a run that produces both can get their
-    # interleaving wrong.
+def test_mixed_run_records_in_dfs_order(seed, chunk):
+    # Per-node matches are buffered in a flat list and the frontier
+    # appends a block per leaf chunk; only a run that produces both can
+    # get their interleaving wrong.
     instance = _mixed_instance(seed)
-    threshold, chunks = _mixing_threshold(instance)
-    oracle = _assert_equals_oracle(instance, modes=MODES + (threshold,))
-    assert len(chunks) > 1 and oracle.num_matches > 100
+    threshold, frames = _mixing_threshold(instance)
+    with frontier_chunk(chunk):
+        oracle = _assert_equals_oracle(instance, modes=MODES + (threshold,))
+    assert len(frames) > 1 and oracle.num_matches > 100
 
 
-def test_match_limit_at_every_position_of_a_mixed_run():
+def _frame_widths(instance, threshold) -> list[int]:
+    """The width (parents before injectivity) of every frame the
+    frontier is called on in one run under ``threshold``."""
+    widths: list[int] = []
+    frontier = enumeration_batch._frontier
+
+    def spy(search, backward, W, *args):
+        widths.append(W.size)
+        return frontier(search, backward, W, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration_batch, "_frontier", spy)
+        _run(threshold, instance)
+    return widths
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_frontier_gets_exactly_the_widest_frames(seed):
+    # The rule compares each frame's width with one bound per run, so
+    # under any threshold the frames called in bulk are every frame at
+    # least as wide as the narrowest of them; the rest are walked per
+    # node, and the run equals the oracle either way.
+    instance = _mixed_instance(seed)
+    every = _frame_widths(instance, "vectorized")
+    split = 0
+    for half_octaves in range(2, 48):
+        threshold = round(2 ** (half_octaves / 2))
+        taken = _frame_widths(instance, threshold)
+        if not taken:
+            break
+        widest = sorted(w for w in every if w >= min(taken))
+        assert sorted(taken) == widest, threshold
+        if len(taken) < len(every):
+            split += 1
+            _assert_equals_oracle(instance, modes=(threshold,))
+    assert split
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_match_limit_at_every_position_of_a_mixed_run(chunk):
     # Every limit from 1 to the total: the sweep cuts between two
-    # per-node matches, inside a bulk chunk, exactly on a chunk's last
-    # survivor and on the first match after one.
+    # per-node matches, inside a frame, exactly on a frame's last match
+    # and on the first match after one.  A small chunk also cuts inside
+    # a leaf chunk of a later row group, on a chunk's last survivor and
+    # after a chunk that found none.
     instance = _mixed_instance(0)
-    threshold, chunks = _mixing_threshold(instance)
+    threshold, frames = _mixing_threshold(instance)
     full = _oracle(instance)
-    assert max(chunks) >= 3 and sum(chunks) <= full.num_matches - 2
-    for limit in range(1, full.num_matches + 1):
-        cut = _assert_equals_oracle(instance, limit, modes=MODES + (threshold,))
-        assert cut.matches == full.matches[:limit] and cut.limit_reached
+    assert max(frames) >= 3 and sum(frames) <= full.num_matches - 2
+    with frontier_chunk(chunk):
+        for limit in range(1, full.num_matches + 1):
+            cut = _assert_equals_oracle(instance, limit, modes=MODES + (threshold,))
+            assert cut.matches == full.matches[:limit] and cut.limit_reached
 
 
 # ----------------------------------------------------------------------
 # Limits, degenerate shapes
 # ----------------------------------------------------------------------
-def test_time_limit_expiry_reported():
-    # A dense instance with an already-expired deadline: the engine
-    # must notice and report timed_out whoever is expanding.  The
-    # truncation point is wall-clock nondeterministic, so only the flag
-    # is comparable.
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_time_limit_expiry_reported(chunk):
+    # A dense instance and the mixed one with an already-expired
+    # deadline: the engine must notice and report timed_out whoever is
+    # expanding.  The truncation point is wall-clock nondeterministic,
+    # so only the flag is comparable.  Checking every 16 steps, the
+    # mixed instance's first check falls inside a frame, so with every
+    # frame taken the frontier's own check, between chunks, fires.
     data = erdos_renyi(40, 500, 1, seed=0)
     rng = np.random.default_rng(0)
     query = extract_query(data, 6, rng)
     candidates = GQLFilter().filter(query, data)
     order = RIOrderer().order(query, data, candidates)
-    for mode in MODES:
-        result = _run(
-            mode, (query, data, candidates, order), time_limit=1e-9, check_every=1
+    instances = [((query, data, candidates, order), 1), (_mixed_instance(0), 16)]
+    with frontier_chunk(chunk):
+        for instance, check_every in instances:
+            for mode in MODES:
+                result = _run(
+                    mode, instance, time_limit=1e-9, check_every=check_every
+                )
+                assert result.timed_out, mode
+                assert not result.complete, mode
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_expired_deadline_is_reported_at_the_root(mode, n):
+    data = erdos_renyi(40, 500, 1, seed=0)
+    query = extract_query(data, n, np.random.default_rng(0))
+    candidates = GQLFilter().filter(query, data)
+    with frontier_mode(mode):
+        result = Enumerator(match_limit=None, time_limit=1e-9, check_every=1).run(
+            query, data, candidates, list(range(n))
         )
-        assert result.timed_out, mode
-        assert not result.complete, mode
+    assert result.timed_out
+    assert (result.num_matches, result.num_enumerations) == (0, 1)
 
 
 @pytest.mark.parametrize("mode", ("recursive",) + MODES)
@@ -243,7 +312,7 @@ def test_edgeless_triple_hands_over_the_root_frame():
     assert oracle.num_matches == 12 * 11 * 10
     with frames_seen() as taken:
         _run("vectorized", instance)
-    assert [sum(frame) for frame in taken] == [oracle.num_matches]
+    assert taken == [oracle.num_matches]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The walk's per-run candidate memo, pinned where it can go wrong.
 
-Each depth of :func:`~repro.matching.enumeration_iter.walk_prefixes`
+Each depth of :func:`~repro.matching.enumeration_batch.walk`
 memoizes its local candidates by the images of its backward neighbours
 and stores them *unfiltered* by injectivity.  Two things could break
 that and still pass a suite that never reuses an entry: a key that is
@@ -26,7 +26,7 @@ from recursive_oracle import RecursiveOracle
 from repro import Matcher
 from repro.graphs import Graph, erdos_renyi
 from repro.matching import Enumerator, GQLFilter, LDFFilter
-from repro.matching import enumeration_batch, enumeration_iter
+from repro.matching import enumeration, enumeration_batch
 
 #: Order positions 0..5.  Position 2 has one backward neighbour (1),
 #: whose image recurs under different images of 0; position 3 has two
@@ -63,16 +63,16 @@ def memo_spy():
     that depth, and ``{key: candidates}`` for every memo fill."""
     walks: list[list[tuple[list, dict]]] = []
     current: dict = {}
-    real_walk = enumeration_batch.walk_prefixes
-    real_key = enumeration_iter._memo_key
-    real_fill = enumeration_iter._local_candidates
+    real_walk = enumeration.walk
+    real_key = enumeration_batch._memo_key
+    real_fill = enumeration_batch._local_candidates
 
-    def walk(search, backward, *args):
+    def walk(context, order, backward, *args):
         depths = [([], {}) for _ in backward]
         walks.append(depths)
         current["depths"] = depths
         current["next"] = iter(range(len(backward)))
-        return real_walk(search, backward, *args)
+        return real_walk(context, order, backward, *args)
 
     def key(backs):
         # The walk builds one key function per depth, in depth order.
@@ -96,9 +96,10 @@ def memo_spy():
         return arr
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumeration_batch, "walk_prefixes", walk)
-        patch.setattr(enumeration_iter, "_memo_key", key)
-        patch.setattr(enumeration_iter, "_local_candidates", fill)
+        # The walk is patched where the engine calls it.
+        patch.setattr(enumeration, "walk", walk)
+        patch.setattr(enumeration_batch, "_memo_key", key)
+        patch.setattr(enumeration_batch, "_local_candidates", fill)
         yield walks
 
 

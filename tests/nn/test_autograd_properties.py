@@ -55,7 +55,7 @@ def test_random_unary_chains_match_numerical_gradient(chain):
         lo[i] -= eps
         _, fh = build(hi)
         _, fl = build(lo)
-        numeric[i] = (fh.item() - fl.item()) / (2 * eps)
+        numeric[i] = (float(fh.data) - float(fl.data)) / (2 * eps)
 
     assert np.abs(analytic - numeric).max() < 1e-4
 
@@ -66,7 +66,7 @@ def test_matmul_chain_gradient(seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    loss = (((a @ b) * 0.3).exp() ** 2).sum()
+    loss = (((a @ b) * 0.6).exp()).sum()
     loss.backward()
     assert a.grad is not None and b.grad is not None
     assert np.isfinite(a.grad).all() and np.isfinite(b.grad).all()

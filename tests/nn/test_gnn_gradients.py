@@ -117,6 +117,6 @@ def test_input_gradients_match_finite_differences(layer_cls, graph_ctx):
         lo[idx] -= eps
         _, fh = loss_from(hi)
         _, fl = loss_from(lo)
-        numeric[idx] = (fh.item() - fl.item()) / (2 * eps)
+        numeric[idx] = (float(fh.data) - float(fl.data)) / (2 * eps)
     err = np.abs(analytic - numeric).max()
     assert err < 1e-4, f"{layer_cls.name}: input grad error {err:.2e}"

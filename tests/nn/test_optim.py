@@ -48,7 +48,7 @@ class TestAdam:
             opt.zero_grad()
             pred = layer(Tensor(x_data))
             diff = pred - Tensor(y_data)
-            (diff * diff).mean().backward()
+            ((diff * diff).sum() * (1.0 / len(x_data))).backward()
             opt.step()
         assert np.allclose(layer.weight.data, w_true, atol=0.05)
 

@@ -2,8 +2,8 @@
 
 It builds one pass's loss the way ``rl/ppo.py`` did before
 :func:`repro.rl.rollout.stack_steps`: one 2-D ``policy.forward`` per
-(trajectory, step), the taken action's probability picked out with
-``index_select``, the terms chained with ``+`` in trajectory order and
+(trajectory, step), the taken action's probability picked out of
+the 1-D output by a one-hot mask, the terms chained with ``+`` in trajectory order and
 divided by the step count.  Nothing here stacks anything, which is what
 makes it an independent oracle for the batched trainer: the loss and,
 after ``backward()``, every parameter gradient must agree up to the order
@@ -52,7 +52,9 @@ def per_step_loss(trainer, trajectories) -> Tensor:
         for _, step in trajectory.policy_steps():
             weight = next(weights)
             out = policy.forward(step.features, trajectory.ctx, step.action_mask)
-            prob = out.probs.index_select([step.action])
+            onehot = np.zeros(out.probs.shape)
+            onehot[step.action] = 1.0
+            prob = (out.probs * onehot).sum()
             ratio = prob / max(step.old_prob, 1e-12)
             terms.append((ratio * weight).minimum(ratio.clip(low, high) * weight))
     return -_mean(terms)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from tensor_sampling_oracle import collect_trajectory_tensor
 
-from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig, RLQVOTrainer
+from repro.core import (
+    FeatureBuilder,
+    PolicyNetwork,
+    RLQVOConfig,
+    RLQVOOrderer,
+    RLQVOTrainer,
+)
 from repro.graphs import Graph, check_order, generate_query_set
 from repro.rl import collect_trajectory
 
@@ -47,11 +53,10 @@ class TestCollectTrajectory:
             assert step.entropy == 0.0
             assert step.valid
 
-    def test_greedy_rollouts_are_deterministic(self, setup, queries, rng):
-        policy, builder = setup
-        a = collect_trajectory(policy, queries[0], builder, rng, greedy=True)
-        b = collect_trajectory(policy, queries[0], builder, rng, greedy=True)
-        assert a.order == b.order
+    def test_greedy_rollouts_are_deterministic(self, setup, queries):
+        # Greedy decisions are the orderer's; it draws nothing.
+        orderer = RLQVOOrderer(*setup)
+        assert orderer.order(queries[0]) == orderer.order(queries[0])
 
     def test_sampled_rollouts_vary(self, setup, queries):
         policy, builder = setup
@@ -106,10 +111,14 @@ class TestAgainstTensorSampling:
         builder = FeatureBuilder(data_graph, config, data_stats)
         ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
         for query in queries:
-            new = collect_trajectory(policy, query, builder, ours, greedy=greedy)
             old = collect_trajectory_tensor(
                 policy, query, builder, theirs, greedy=greedy
             )
+            if greedy:
+                # Greedy decisions are the orderer's, not a rollout's.
+                assert RLQVOOrderer(policy, builder).order(query) == old.order
+                continue
+            new = collect_trajectory(policy, query, builder, ours)
             assert new.order == old.order
             for a, b in zip(new.steps, old.steps, strict=True):
                 assert np.array_equal(a.features, b.features)

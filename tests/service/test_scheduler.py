@@ -309,19 +309,41 @@ def make_response(request: MatchRequest, **overrides) -> MatchResponse:
     return MatchResponse(**fields)
 
 
+class StubPlan:
+    """What admission reads off a plan: its static cost estimate."""
+
+    def __init__(self, estimated_cost: float):
+        self.estimated_cost = estimated_cost
+
+
+class StubCatalog:
+    """A catalog with one matcher for any dataset and orderer name."""
+
+    def matcher(self, dataset, orderer):
+        return None
+
+
 class GatedService:
     """Stub service whose ``submit`` blocks until released.
 
     Tracks the high-water mark of concurrent executions, which is what
-    the budget tests assert on.
+    the budget tests assert on.  Admission estimates a request's cost
+    the way it does against a real service — ``catalog.matcher`` then
+    ``_plan_canonical`` — and gets a plan carrying ``cost``.
     """
 
-    def __init__(self):
+    catalog = StubCatalog()
+
+    def __init__(self, cost: float = 0.0):
+        self.cost = cost
         self.gate = threading.Event()
         self.lock = threading.Lock()
         self.running = 0
         self.max_running = 0
         self.served: list[MatchRequest] = []
+
+    def _plan_canonical(self, matcher, query):
+        return None, StubPlan(self.cost), False
 
     def submit(self, request: MatchRequest) -> MatchResponse:
         with self.lock:
@@ -343,9 +365,9 @@ def tiny_query(queries):
 
 class TestAdmissionPolicy:
     def test_tenant_inflight_cap_never_exceeded(self, tiny_query):
-        stub = GatedService()
+        stub = GatedService(cost=1.0)
         config = SchedulerConfig(workers=4, tenant_max_inflight=2)
-        with CostAwareScheduler(stub, config, estimator=lambda r: 1.0) as sched:
+        with CostAwareScheduler(stub, config) as sched:
             first = sched.submit(MatchRequest("d", tiny_query, tenant="acme"))
             second = sched.submit(MatchRequest("d", tiny_query, tenant="acme"))
             with pytest.raises(ServiceError) as third:
@@ -365,9 +387,9 @@ class TestAdmissionPolicy:
             assert stats.tenants["acme"]["inflight"] == 0
 
     def test_full_queue_rejects_with_retry_after(self, tiny_query):
-        stub = GatedService()
+        stub = GatedService(cost=2.5)
         config = SchedulerConfig(workers=1, queue_capacity=1)
-        with CostAwareScheduler(stub, config, estimator=lambda r: 2.5) as sched:
+        with CostAwareScheduler(stub, config) as sched:
             running = sched.submit(MatchRequest("d", tiny_query))
             # Wait until the worker has picked the first entry up, so
             # the single queue slot is genuinely what the next two race
@@ -395,7 +417,7 @@ class TestAdmissionPolicy:
     def test_expired_in_queue_fails_fast_without_running(self, tiny_query):
         stub = GatedService()
         config = SchedulerConfig(workers=1)
-        with CostAwareScheduler(stub, config, estimator=lambda r: 0.0) as sched:
+        with CostAwareScheduler(stub, config) as sched:
             blocker = sched.submit(MatchRequest("d", tiny_query, tag="blocker"))
             deadline = time.monotonic() + 30
             while not stub.running and time.monotonic() < deadline:
@@ -433,7 +455,7 @@ class TestAdmissionPolicy:
 
         stub = ScriptedService()
         config = SchedulerConfig(workers=1, tenant_max_inflight=1)
-        with CostAwareScheduler(stub, config, estimator=lambda r: 0.0) as sched:
+        with CostAwareScheduler(stub, config) as sched:
             blocker = sched.submit(
                 MatchRequest("d", tiny_query, tenant="a", tag="blocker")
             )
@@ -473,7 +495,7 @@ class TestAdmissionPolicy:
     def test_submit_after_shutdown_is_rejected(self, tiny_query):
         stub = GatedService()
         stub.gate.set()
-        sched = CostAwareScheduler(stub, estimator=lambda r: 0.0)
+        sched = CostAwareScheduler(stub)
         sched.shutdown()
         with pytest.raises(ServiceError) as rejected:
             sched.submit(MatchRequest("d", tiny_query))
@@ -484,7 +506,7 @@ class TestAdmissionPolicy:
         # own closed check: the rejection names the shutdown, not a
         # full queue.
         stub = GatedService()
-        sched = CostAwareScheduler(stub, estimator=lambda r: 0.0)
+        sched = CostAwareScheduler(stub)
         try:
             sched._queue.close()
             with pytest.raises(ServiceError) as rejected:
@@ -554,7 +576,7 @@ class TestConfig:
         stub = GatedService()
         stub.gate.set()
         config = SchedulerConfig(workers=1, tenant_max_inflight=cap)
-        with CostAwareScheduler(stub, config, estimator=lambda r: 0.0) as sched:
+        with CostAwareScheduler(stub, config) as sched:
             assert sched.submit(MatchRequest("d", tiny_query)).result(
                 timeout=30
             ).ok
@@ -631,6 +653,9 @@ class TestBitIdentity:
             def __init__(self, inner):
                 self.inner = inner
                 self.calls: list[MatchRequest] = []
+                # Admission plans through the real service.
+                self.catalog = inner.catalog
+                self._plan_canonical = inner._plan_canonical
 
             def submit(self, request):
                 self.calls.append(request)
@@ -644,9 +669,7 @@ class TestBitIdentity:
         monkeypatch.setattr("repro.service.scheduler.DEGRADE_MATCH_LIMIT", 3)
         config = SchedulerConfig(workers=1, retry_degrade=True)
         try:
-            with CostAwareScheduler(
-                flaky, config, estimator=lambda r: 0.0
-            ) as sched:
+            with CostAwareScheduler(flaky, config) as sched:
                 request = MatchRequest("tiny", queries[0], record_matches=True)
                 served = sched.submit(request).result(timeout=60)
                 assert served.degraded and served.attempts == 2
@@ -665,6 +688,9 @@ class TestBitIdentity:
             def __init__(self, inner):
                 self.inner = inner
                 self.calls: list[MatchRequest] = []
+                # Admission plans through the real service.
+                self.catalog = inner.catalog
+                self._plan_canonical = inner._plan_canonical
 
             def submit(self, request):
                 self.calls.append(request)
@@ -673,9 +699,7 @@ class TestBitIdentity:
         flaky = AlwaysTimedOut(service)
         config = SchedulerConfig(workers=1, retry_degrade=True)
         try:
-            with CostAwareScheduler(
-                flaky, config, estimator=lambda r: 0.0
-            ) as sched:
+            with CostAwareScheduler(flaky, config) as sched:
                 # Already tighter than the degraded envelope: no retry
                 # exists, the timed-out response is served as attempt 1.
                 request = MatchRequest("tiny", queries[0], match_limit=5)

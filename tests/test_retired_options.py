@@ -6,7 +6,10 @@ is always greedy, the features are computed at the paper's α = 1,
 ``Matcher.plan`` is the cold pipeline and ``plan_fingerprinted`` the one
 cached entry point, the catalog is fixed at construction, batches always
 capture failures, the latency window is a constant, shutdown always
-drains, and the engine keeps no per-thread scratch to report a peak of.
+drains, admission always reads the plan's own cost estimate, greedy
+decisions are the orderer's (rollouts always sample), the engine keeps
+no per-thread scratch to report a peak of, and ``Tensor`` has only the
+operations training and ordering reach.
 """
 
 import numpy as np
@@ -22,7 +25,10 @@ from repro.core import (
 )
 from repro.graphs import erdos_renyi, extract_query
 from repro.matching import Enumerator
+from repro.nn import Tensor
+from repro.rl import collect_trajectory
 from repro.service import (
+    CostAwareScheduler,
     DatasetCatalog,
     MatchRequest,
     MatchService,
@@ -54,6 +60,13 @@ def _shutdown_without_draining(data):
 def _plan_without_fingerprint(data):
     query = extract_query(data, 3, np.random.default_rng(0))
     Matcher(data).plan_fingerprinted(query)
+
+
+def _greedy_rollout(data):
+    policy, builder = _orderer_args(data)
+    query = extract_query(data, 3, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    collect_trajectory(policy, query, builder, rng, greedy=True)
 
 
 #: (what was retired, the call that still passes it, text the error names)
@@ -93,6 +106,12 @@ RETIRED = [
     ),
     ("shutdown(drain=)", _shutdown_without_draining, "drain"),
     ("plan_fingerprinted(query)", _plan_without_fingerprint, "fingerprint"),
+    ("collect_trajectory(greedy=)", _greedy_rollout, "greedy"),
+    (
+        "CostAwareScheduler(estimator=)",
+        lambda d: CostAwareScheduler(object(), estimator=lambda r: 0.0),
+        "estimator",
+    ),
     (
         "MatchService(catalog=DatasetCatalog)",
         lambda d: MatchService(catalog=DatasetCatalog({"d": d})),
@@ -119,6 +138,16 @@ def test_retired_option_is_a_type_error(data, call, name):
         (AdmissionQueue, "drain_all"),
         (Matcher, "_plan_cold"),
         (Enumerator, "peak_scratch_bytes"),
+        # Autograd surface no training or ordering path reaches.
+        (Tensor, "index_select"),
+        (Tensor, "detach"),
+        (Tensor, "numpy"),
+        (Tensor, "item"),
+        (Tensor, "mean"),
+        (Tensor, "ndim"),
+        (Tensor, "__pow__"),
+        (Tensor, "__rsub__"),
+        (Tensor, "__rtruediv__"),
     ],
 )
 def test_retired_method_is_gone(owner, method):
