@@ -73,7 +73,7 @@ def main() -> None:
             # under alternative orderers and compare measured #enum.
             measured = {"ri": matcher.execute(plan).num_enumerations}
             # A seeded instance keeps the random column reproducible;
-            # "gql" goes through the registry as a plain string.
+            # "gql" resolves from its plain name.
             for name, orderer in (("gql", "gql"), ("random", RandomOrderer(seed=0))):
                 replanned = matcher.replan(plan, orderer)
                 measured[name] = matcher.execute(replanned).num_enumerations

@@ -6,7 +6,7 @@ This example extracts realistic query patterns *from* the synthesized DBLP
 graph — collaboration cliques, co-author chains — then benchmarks the full
 method matrix of the paper's Fig. 3 (QSI, RI, VF2++, GQL, Hybrid and a
 freshly trained RL-QVO) on those queries.  Each method is spelled as a
-pair of *registry strings* (filter name, orderer name) resolved by the
+pair of *component names* (filter name, orderer name) resolved by the
 :class:`repro.Matcher` facade; one prepared matcher per method answers
 the whole workload via ``match_many``.
 
@@ -25,11 +25,10 @@ import time
 from repro import Matcher, RLQVOConfig, RLQVOTrainer, dataset_stats, load_dataset
 from repro.datasets import query_workload
 
-#: Fig. 3 method matrix as plain registry strings — exactly what a config
+#: Fig. 3 method matrix as plain component names — exactly what a config
 #: file or CLI flag would carry ("rlqvo" swaps in the trained orderer).
 #: The benchmark harness owns the canonical mapping
-#: (``repro.bench.method_matcher``); this table mirrors it to show the
-#: string-first spelling.
+#: (``repro.bench.METHODS``); this table mirrors it.
 METHOD_COMPONENTS = {
     "qsi": ("ldf", "qsi"),
     "ri": ("ldf", "ri"),

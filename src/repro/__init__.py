@@ -7,7 +7,7 @@ procedure, a numpy autograd/GNN stack, a PPO trainer, synthetic datasets
 matched to the paper's Table II, and the full experiment harness.
 """
 
-from repro.api import Matcher, QueryPlan, available_components
+from repro.api import Matcher, QueryPlan
 from repro.core import (
     FEATURE_DIM,
     FeatureBuilder,
@@ -81,7 +81,6 @@ __all__ = [
     "RLQVOTrainer",
     "ReproError",
     "TrainingHistory",
-    "available_components",
     "dataset_stats",
     "extract_query",
     "generate_query_set",

@@ -19,11 +19,12 @@ verbs:
 The first ``k`` embeddings of a query are a ``match_limit=k,
 record_matches=True`` run: the search stops at the ``k``-th match.
 
-Filters and orderers are chosen by plain strings through the
-:mod:`repro.api.registry` (``filter="gql"``, ``orderer="ri"``, ...), so
-configs and plans carry names, not objects; instances are
-accepted anywhere a name is.  There is one enumeration engine; plans
-record it as ``"iterative"``.
+Filters and orderers are chosen by plain strings, the keys of
+:data:`repro.matching.FILTERS` / :data:`repro.matching.ORDERERS`
+(``filter="gql"``, ``orderer="ri"``, ...; ``"rlqvo"``, alias ``"rl"``,
+with ``model=``), so configs and plans carry names, not objects;
+instances are accepted anywhere a name is.  There is one enumeration
+engine; plans record it as ``"iterative"``.
 
 Example
 -------
@@ -45,26 +46,12 @@ True
 
 from repro.api.matcher import Matcher
 from repro.api.plan import QueryPlan
-from repro.api.registry import (
-    available_components,
-    filter_registry,
-    make_enumerator,
-    make_filter,
-    make_orderer,
-    orderer_registry,
-    register_filter,
-    register_orderer,
-)
+from repro.api.registry import make_enumerator, make_filter, make_orderer
 
 __all__ = [
     "Matcher",
     "QueryPlan",
-    "available_components",
-    "filter_registry",
     "make_enumerator",
     "make_filter",
     "make_orderer",
-    "orderer_registry",
-    "register_filter",
-    "register_orderer",
 ]

@@ -14,8 +14,9 @@ and returns a frozen :class:`~repro.api.plan.QueryPlan`;
 :meth:`Matcher.match` composes both;
 :meth:`Matcher.match_many` batches a workload.  The first ``k``
 embeddings of a query are a ``match_limit=k, record_matches=True`` run,
-which stops the search at the ``k``-th match.  Components are named by plain strings resolved
-through :mod:`repro.api.registry` (or passed as instances).
+which stops the search at the ``k``-th match.  Components are named by
+the keys of the matching layer's ``FILTERS`` / ``ORDERERS`` tables (or
+passed as instances).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import numpy as np
 
 from repro.api.plan import QueryPlan
 from repro.api.registry import (
+    ORDERER_ALIASES,
     make_enumerator,
     make_filter,
     make_orderer,
-    orderer_registry,
 )
 from repro.errors import ModelError, RegistryError
 from repro.graphs.graph import Graph
@@ -57,8 +58,9 @@ class Matcher:
     data:
         The data graph every query matches against.
     filter / orderer:
-        Registry names (see :func:`repro.api.registry.available_components`)
-        or already-constructed component instances.  All names are
+        Names — keys of :data:`repro.matching.FILTERS` /
+        :data:`repro.matching.ORDERERS`, plus ``"rlqvo"`` — or
+        already-constructed component instances.  All names are
         validated here, at construction — an unknown name raises a
         :class:`~repro.errors.RegistryError` listing the valid choices.
         ``orderer="rl"`` (alias of ``"rlqvo"``) additionally needs
@@ -80,10 +82,10 @@ class Matcher:
         (as written by :func:`repro.core.save_model`), a
         ``PolicyNetwork``, or a ready ``RLQVOOrderer``.
     plan_cache / cache_scope:
-        Optional :class:`~repro.service.cache.PlanCache` that
-        :meth:`plan_fingerprinted` consults (and fills) by canonical
-        fingerprint, and the first key component of this matcher's
-        entries.  A cache needs a scope: the service uses the dataset
+        Optional :class:`~repro.service.cache.PlanCache`, which
+        :meth:`plan_fingerprinted` needs and consults (and fills) by
+        canonical fingerprint, and the first key component of this
+        matcher's entries.  A cache needs a scope: the service uses the dataset
         name, which makes per-dataset invalidation addressable.  Caches
         may be shared across matchers: keys are the scope plus the
         filter/orderer names.  :meth:`plan` never reads the cache.
@@ -92,7 +94,7 @@ class Matcher:
     -------------
     A constructed ``Matcher`` may be shared across threads: planning and
     execution write only per-call state, the plan cache is internally
-    locked, and the components shipped in the registries keep no
+    locked, and the components in ``FILTERS`` / ``ORDERERS`` keep no
     per-query mutable state (lazily derived graph views are built-once
     and race-benign under CPython).  Concurrent calls are bit-identical
     to the same calls run serially; ``tests/api/test_concurrency.py``
@@ -143,12 +145,10 @@ class Matcher:
 
     def _resolve_orderer(self, orderer, model):
         """Resolve the orderer spec, loading the RL model when needed."""
-        # Aliases resolve through the registry, so e.g. "rl" (or any
-        # future alias of the learned orderer) takes the model path.
+        # "rl" is the learned orderer's alias and takes the model path.
         if (
             isinstance(orderer, str)
-            and orderer in orderer_registry
-            and orderer_registry.canonical(orderer) == "rlqvo"
+            and ORDERER_ALIASES.get(orderer, orderer) == "rlqvo"
         ):
             from repro.core.orderer import RLQVOOrderer
 
@@ -259,14 +259,9 @@ class Matcher:
         fingerprint (the service canonicalizes at the request boundary,
         see :func:`~repro.graphs.canonical.canonical_form`).  A cache
         hit additionally requires the stored query to equal ``query``
-        exactly, so reuse is always sound.  Without a
-        :attr:`plan_cache` this degenerates to a cold plan (and reports
-        a miss).
+        exactly, so reuse is always sound.  The matcher needs a
+        :attr:`plan_cache`.
         """
-        if self.plan_cache is None:
-            plan = self.plan(query)
-            plan.__dict__["fingerprint"] = fingerprint
-            return plan, False
         key = self._cache_key(fingerprint)
         cached = self.plan_cache.get(key, query)
         if cached is not None:
@@ -286,7 +281,7 @@ class Matcher:
     ) -> QueryPlan:
         """Re-run Phase (2) on a plan's Phase (1) artifacts.
 
-        ``orderer`` is a registry name or instance.  The returned plan
+        ``orderer`` is an orderer name or instance.  The returned plan
         shares the original's context (candidates and candidate space
         are *not* rebuilt), records the new orderer's name, order timing
         and cost estimate, and keeps the original filter timing — the

@@ -3,7 +3,8 @@
 The paper compares seven backtracking matchers that differ in their
 filter/order combination but share one enumeration implementation — the
 property that lets enumeration time stand in for order quality.  The
-:data:`METHODS` registry reproduces that matrix:
+:data:`METHODS` table of (filter name, orderer name) pairs reproduces
+that matrix:
 
 ================  =================  =====================
 method            filter             ordering
@@ -39,18 +40,9 @@ from repro.datasets.registry import DATASETS, dataset_stats, load_dataset
 from repro.datasets.workloads import QueryWorkload, query_workload
 from repro.errors import DatasetError
 from repro.graphs.graph import Graph
-from repro.matching.candidates import CandidateFilter
 from repro.matching.engine import MatchResult
 from repro.matching.enumeration import Enumerator
-from repro.matching.filters import DPisoFilter, GQLFilter, LDFFilter
-from repro.matching.ordering import (
-    GQLOrderer,
-    Orderer,
-    QSIOrderer,
-    RIOrderer,
-    VEQOrderer,
-    VF2PPOrderer,
-)
+from repro.matching.ordering import Orderer
 
 __all__ = [
     "BenchSettings",
@@ -60,14 +52,14 @@ __all__ = [
     "method_matcher",
 ]
 
-#: Baseline method registry: name -> (filter factory, orderer factory).
-METHODS: dict[str, tuple[type[CandidateFilter], type[Orderer]]] = {
-    "qsi": (LDFFilter, QSIOrderer),
-    "ri": (LDFFilter, RIOrderer),
-    "vf2pp": (LDFFilter, VF2PPOrderer),
-    "gql": (GQLFilter, GQLOrderer),
-    "veq": (DPisoFilter, VEQOrderer),
-    "hybrid": (GQLFilter, RIOrderer),
+#: Baseline methods: name -> (filter name, orderer name).
+METHODS: dict[str, tuple[str, str]] = {
+    "qsi": ("ldf", "qsi"),
+    "ri": ("ldf", "ri"),
+    "vf2pp": ("ldf", "vf2pp"),
+    "gql": ("gql", "gql"),
+    "veq": ("dpiso", "veq"),
+    "hybrid": ("gql", "ri"),
 }
 
 #: Methods shown in Fig. 3 (ordered as in the paper's legend).
@@ -159,7 +151,7 @@ def method_matcher(
     orderer: Orderer | None = None,
     stats=None,
 ) -> Matcher:
-    """Prepare-once facade for a registry method over one data graph.
+    """Prepare-once facade for a compared method over one data graph.
 
     The returned :class:`~repro.api.matcher.Matcher` has all
     data-graph-side state (stats, components, the trained ``rlqvo``
@@ -169,14 +161,13 @@ def method_matcher(
     if method == "rlqvo":
         if orderer is None:
             raise DatasetError("method 'rlqvo' needs a trained orderer")
-        candidate_filter: CandidateFilter = GQLFilter()
+        filter_name = "gql"
     elif method in METHODS:
-        filter_cls, orderer_cls = METHODS[method]
-        candidate_filter, orderer = filter_cls(), orderer_cls()
+        filter_name, orderer = METHODS[method]
     else:
         raise DatasetError(f"unknown method {method!r}; options: {sorted(METHODS)}")
     return Matcher(
-        data, filter=candidate_filter, orderer=orderer,
+        data, filter=filter_name, orderer=orderer,
         enumerator=enumerator, stats=stats,
     )
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.registry import available_components
 from repro.errors import ModelError
-from repro.matching.enumeration import DEFAULT_TIME_LIMIT
+from repro.matching.enumeration import DEFAULT_TIME_LIMIT, Enumerator
 from repro.rl.reward import RewardConfig
 
 __all__ = ["RLQVOConfig"]
@@ -99,10 +98,10 @@ class RLQVOConfig:
             raise ModelError("epoch counts must be non-negative")
         if self.rollouts_per_query < 1:
             raise ModelError("rollouts_per_query must be >= 1")
-        engines = available_components()["enumerator"]
-        if self.enum_strategy not in engines:
+        if self.enum_strategy != Enumerator.name:
             raise ModelError(
-                f"unknown enum_strategy {self.enum_strategy!r}; options: {engines}"
+                f"unknown enum_strategy {self.enum_strategy!r}; "
+                f"options: ({Enumerator.name!r},)"
             )
 
     def effective_reward(self) -> RewardConfig:

@@ -45,7 +45,7 @@ class DatasetError(ReproError):
 
 
 class RegistryError(ReproError):
-    """A component name is unknown to (or clashes in) a registry."""
+    """A component or dataset name (or spec) does not resolve."""
 
 
 class CanonicalizationError(InvalidGraphError):

@@ -141,7 +141,7 @@ class Enumerator:
     what plans and registries call that engine.
     """
 
-    #: The engine's registry name, recorded on plans as provenance.
+    #: The engine's name, recorded on plans as provenance.
     name = "iterative"
 
     def __init__(

@@ -34,9 +34,10 @@ from repro.service.requests import MatchRequest, ServiceError, error_code_for
 __all__ = ["catalog_spec", "worker_main"]
 
 
-def catalog_spec(catalog, *, cache_bytes: int | None = None) -> dict:
+def catalog_spec(catalog) -> dict:
     """A picklable recipe for rebuilding ``catalog`` in a worker.
 
+    The worker's plan cache gets the catalog's byte budget.
     Registry-backed entries ship as names (the worker loads them
     through the process-cached :func:`repro.datasets.load_dataset`);
     explicit in-memory graphs ship as
@@ -67,14 +68,13 @@ def catalog_spec(catalog, *, cache_bytes: int | None = None) -> dict:
         if entry.data is not None:
             spec["graph"] = graph_payload(entry.data)
         datasets[name] = spec
-    return {"datasets": datasets, "cache_bytes": cache_bytes}
+    return {"datasets": datasets, "cache_bytes": catalog.plan_cache.max_bytes}
 
 
 def _build_service(spec: dict):
     """The worker's private :class:`MatchService` from a catalog spec."""
     # Imports live here (not module top) so the spawn bootstrap pays
     # them once, inside the child, after the interpreter is up.
-    from repro.service.cache import DEFAULT_CACHE_BYTES
     from repro.service.catalog import CatalogEntry
     from repro.service.service import MatchService
 
@@ -91,11 +91,7 @@ def _build_service(spec: dict):
             match_limit=dataset["match_limit"],
             time_limit=dataset["time_limit"],
         )
-    cache_bytes = spec.get("cache_bytes")
-    return MatchService(
-        entries,
-        cache_bytes=DEFAULT_CACHE_BYTES if cache_bytes is None else cache_bytes,
-    )
+    return MatchService(entries, cache_bytes=spec["cache_bytes"])
 
 
 def _safe_put(result_queue, reply: dict, task_id: int) -> None:

@@ -27,8 +27,8 @@ Per-request orderer overrides construct a *variant* matcher that shares
 the base entry's data graph and statistics (only the orderer differs),
 so switching orderers per request never re-pays Phase-0 work.  Unknown
 names raise :class:`~repro.errors.RegistryError` listing the valid
-choices in sorted order — the same contract as the component
-registries.
+choices in sorted order — the same contract as the component names of
+:mod:`repro.api.registry`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.api.matcher import Matcher
+from repro.api.registry import ORDERER_ALIASES
 from repro.errors import RegistryError
 from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
@@ -103,14 +104,10 @@ class DatasetCatalog:
         ``Graph`` / :class:`CatalogEntry`.
     plan_cache:
         Shared :class:`PlanCache` injected into every constructed
-        matcher (scoped by dataset name); ``None`` disables caching.
+        matcher (scoped by dataset name).
     """
 
-    def __init__(
-        self,
-        entries=None,
-        plan_cache: PlanCache | None = None,
-    ):
+    def __init__(self, entries=None, *, plan_cache: PlanCache):
         self.plan_cache = plan_cache
         self._lock = threading.Lock()
         self._matchers: dict[tuple[str, str | None], Matcher] = {}
@@ -149,7 +146,7 @@ class DatasetCatalog:
             return len(self._entries)
 
     def _unknown(self, name: str) -> RegistryError:
-        """Unknown-name error in the registry style (sorted choices)."""
+        """Unknown-name error in the component-name style (sorted choices)."""
         return RegistryError(
             f"unknown dataset {name!r}; valid choices: "
             f"{', '.join(sorted(self._entries))}"
@@ -168,17 +165,23 @@ class DatasetCatalog:
         ``orderer`` requests a variant with that orderer substituted;
         variants share the base matcher's data graph and statistics, so
         only the orderer itself is constructed anew.  Matchers are
-        cached per ``(name, orderer)`` and shared across threads (see
-        the :class:`Matcher` thread-safety contract).
+        cached per ``(name, canonical orderer name)`` and shared across
+        threads (see the :class:`Matcher` thread-safety contract): the
+        entry's own orderer, under any of its names, is the base
+        matcher, and ``"rl"`` / ``"rlqvo"`` share one variant.
         """
-        key = (name, orderer)
         with self._lock:
-            matcher = self._matchers.get(key)
-            if matcher is not None:
-                return matcher
             if name not in self._entries:
                 raise self._unknown(name)
             entry = self._entries[name]
+            if orderer is not None:
+                orderer = ORDERER_ALIASES.get(orderer, orderer)
+                if orderer == ORDERER_ALIASES.get(entry.orderer, entry.orderer):
+                    orderer = None
+            key = (name, orderer)
+            matcher = self._matchers.get(key)
+            if matcher is not None:
+                return matcher
         # Construction happens outside the lock: loading a dataset can
         # take a while and must not serialize unrelated lookups.  A
         # racing thread may build the same matcher twice; first write
@@ -191,30 +194,17 @@ class DatasetCatalog:
             data, stats = entry.load()
             if stats is None:
                 stats = GraphStats(data)
-        chosen = entry.orderer if orderer is None else orderer
-        # Compare orderers by canonical registry name, so requesting the
-        # entry's own learned orderer through an alias ("rl" for
-        # "rlqvo") still carries the entry's model.  Unknown override
-        # names fail here, registry-style, before any construction.
-        from repro.api.registry import orderer_registry
-
-        same_orderer = (
-            chosen == entry.orderer
-            or (
-                chosen in orderer_registry
-                and entry.orderer in orderer_registry
-                and orderer_registry.canonical(chosen)
-                == orderer_registry.canonical(entry.orderer)
-            )
-        )
+        # Only the entry's own orderer carries the entry's model; an
+        # unknown override name fails in Matcher, before anything is
+        # cached.
         matcher = Matcher(
             data,
             filter=entry.filter,
-            orderer=chosen,
+            orderer=entry.orderer if orderer is None else orderer,
             match_limit=entry.match_limit,
             time_limit=entry.time_limit,
             stats=stats,
-            model=entry.model if same_orderer else None,
+            model=entry.model if orderer is None else None,
             plan_cache=self.plan_cache,
             cache_scope=name,
         )

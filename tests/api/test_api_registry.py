@@ -1,18 +1,17 @@
-"""Tests for the string-keyed component registries."""
+"""Tests for component-name resolution (``repro.api.registry``)."""
 
 import pytest
 
-from repro.api import (
-    available_components,
-    filter_registry,
-    make_enumerator,
-    make_filter,
-    make_orderer,
-    orderer_registry,
-    register_orderer,
+from repro.api import make_enumerator, make_filter, make_orderer
+from repro.api.registry import ORDERER_ALIASES
+from repro.errors import RegistryError
+from repro.matching import (
+    FILTERS,
+    ORDERERS,
+    Enumerator,
+    GQLFilter,
+    RIOrderer,
 )
-from repro.errors import RegistryError, ReproError
-from repro.matching import Enumerator, GQLFilter, RIOrderer
 from repro.matching.ordering import RandomOrderer
 
 
@@ -22,6 +21,16 @@ class TestResolution:
         assert isinstance(make_orderer("ri"), RIOrderer)
         enum = make_enumerator("iterative", match_limit=7)
         assert isinstance(enum, Enumerator) and enum.match_limit == 7
+
+    @pytest.mark.parametrize(
+        "make, name, cls",
+        [(make_filter, name, cls) for name, cls in FILTERS.items()]
+        + [(make_orderer, name, cls) for name, cls in ORDERERS.items()],
+        ids=[f"filter-{name}" for name in FILTERS]
+        + [f"orderer-{name}" for name in ORDERERS],
+    )
+    def test_every_table_key_resolves_to_its_class(self, make, name, cls):
+        assert type(make(name)) is cls
 
     def test_instances_pass_through_unchanged(self):
         orderer = RandomOrderer(seed=3)
@@ -48,68 +57,50 @@ class TestResolution:
 
     def test_unknown_name_choices_are_sorted(self):
         # The "valid choices" listing is part of the error contract:
-        # sorted, comma-joined canonical names — both so users can scan
-        # it and so downstream surfaces (the service catalog) can match
-        # the style.  Pin it for every registry kind.
-        for registry in (filter_registry, orderer_registry):
-            with pytest.raises(ReproError) as exc_info:
-                registry.canonical("definitely-not-registered")
+        # sorted, comma-joined names without the alias — both so users
+        # can scan it and so downstream surfaces (the service catalog)
+        # can match the style.  Pin it for filters and orderers.
+        for fn, names in (
+            (make_filter, sorted(FILTERS)),
+            (make_orderer, sorted([*ORDERERS, "rlqvo"])),
+        ):
+            with pytest.raises(RegistryError) as exc_info:
+                fn("definitely-not-registered")
             message = str(exc_info.value)
             listed = message.split("valid choices: ", 1)[1].split(", ")
-            assert listed == sorted(listed)
-            assert tuple(listed) == registry.names()
+            assert listed == names
 
     def test_wrong_type_rejected(self):
-        with pytest.raises(RegistryError):
+        with pytest.raises(RegistryError) as exc_info:
             make_orderer(42)
-        with pytest.raises(RegistryError):
+        assert ", ".join(sorted([*ORDERERS, "rlqvo"])) in str(exc_info.value)
+        with pytest.raises(RegistryError) as exc_info:
             make_filter(RIOrderer())  # an orderer is not a filter
+        assert ", ".join(sorted(FILTERS)) in str(exc_info.value)
         with pytest.raises(RegistryError, match="'iterative' or an instance"):
             make_enumerator(42)
 
     def test_rl_alias_resolves_to_rlqvo(self):
-        assert orderer_registry.canonical("rl") == "rlqvo"
-        assert "rl" in orderer_registry
-        assert "rl" not in orderer_registry.names()  # aliases stay hidden
+        assert ORDERER_ALIASES == {"rl": "rlqvo"}
+        from repro.core import (
+            FeatureBuilder,
+            PolicyNetwork,
+            RLQVOConfig,
+            RLQVOOrderer,
+        )
+        from repro.graphs import GraphStats, erdos_renyi
+
+        data = erdos_renyi(30, 60, 2, seed=0)
+        config = RLQVOConfig(hidden_dim=8)
+        kwargs = dict(
+            policy=PolicyNetwork(config),
+            feature_builder=FeatureBuilder(data, config, GraphStats(data)),
+        )
+        for name in ("rl", "rlqvo"):
+            assert type(make_orderer(name, **kwargs)) is RLQVOOrderer
+            with pytest.raises(RegistryError, match="needs a trained model"):
+                make_orderer(name)
 
     def test_rlqvo_without_model_is_an_early_error(self):
         with pytest.raises(RegistryError, match="model"):
             make_orderer("rlqvo")
-
-
-class TestRegistration:
-    def test_register_and_overwrite_semantics(self):
-        class MyOrderer(RIOrderer):
-            name = "test-mine"
-
-        register_orderer("test-mine", MyOrderer)
-        try:
-            assert isinstance(make_orderer("test-mine"), MyOrderer)
-            with pytest.raises(RegistryError, match="already registered"):
-                register_orderer("test-mine", MyOrderer)
-            register_orderer("test-mine", MyOrderer, overwrite=True)
-        finally:
-            orderer_registry._factories.pop("test-mine", None)
-
-    def test_registering_over_an_alias_requires_overwrite(self):
-        with pytest.raises(RegistryError):
-            register_orderer("rl", RIOrderer)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(RegistryError):
-            register_orderer("", RIOrderer)
-
-
-class TestInventory:
-    def test_available_components_covers_all_kinds(self):
-        inventory = available_components()
-        assert set(inventory) == {"filter", "orderer", "enumerator"}
-        assert "gql" in inventory["filter"]
-        assert "rlqvo" in inventory["orderer"]
-        assert "cfl" not in inventory["filter"] + inventory["orderer"]
-        assert inventory["enumerator"] == ("iterative",)
-
-    def test_names_are_sorted_and_iterable(self):
-        names = filter_registry.names()
-        assert list(names) == sorted(names)
-        assert list(iter(orderer_registry)) == list(orderer_registry.names())

@@ -12,7 +12,7 @@ import pytest
 from repro.bench.harness import METHODS, method_matcher
 from repro.core import RLQVOConfig, RLQVOTrainer
 from repro.graphs import GraphStats, chung_lu, generate_query_set
-from repro.matching import Enumerator, GQLFilter, OptimalOrderer
+from repro.matching import ORDERERS, Enumerator, GQLFilter, OptimalOrderer
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +35,11 @@ class TestOptimalLowerBound:
             optimal = OptimalOrderer(match_limit=None)
             best_order = optimal.order(query, data, candidates, stats)
             best = enumerator.run(query, data, candidates, best_order)
-            for name, (filter_cls, orderer_cls) in METHODS.items():
+            for name, (_, orderer_name) in METHODS.items():
                 # Evaluate every ordering against the same candidates so
                 # #enum is comparable.
-                order = orderer_cls().order(query, data, candidates, stats)
+                orderer = ORDERERS[orderer_name]()
+                order = orderer.order(query, data, candidates, stats)
                 run = enumerator.run(query, data, candidates, order)
                 assert best.num_enumerations <= run.num_enumerations, name
 

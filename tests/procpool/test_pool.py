@@ -12,13 +12,15 @@ import pytest
 
 from repro.graphs import erdos_renyi, extract_query
 from repro.procpool import ProcessPool, catalog_spec
-from repro.service import MatchRequest, MatchService
+from repro.procpool.worker import _build_service
+from repro.service import MatchRequest, MatchService, PlanCache
+from repro.service.cache import DEFAULT_CACHE_BYTES
 from repro.service.catalog import CatalogEntry, DatasetCatalog
 from repro.service.requests import ServiceError
 
 
 def tiny_spec(data) -> dict:
-    return catalog_spec(DatasetCatalog({"tiny": data}))
+    return catalog_spec(DatasetCatalog({"tiny": data}, plan_cache=PlanCache()))
 
 
 @pytest.fixture(scope="module")
@@ -127,5 +129,16 @@ class TestSpec:
     def test_in_memory_model_is_refused(self, data):
         entry = CatalogEntry(name="tiny", data=data, model=object())
         with pytest.raises(ServiceError) as err:
-            catalog_spec(DatasetCatalog({"tiny": entry}))
+            catalog_spec(DatasetCatalog({"tiny": entry}, plan_cache=PlanCache()))
         assert err.value.code == "validation"
+
+    def test_workers_get_the_catalog_cache_budget(self, data):
+        # A worker's plan cache has the service's byte budget, not the
+        # default; the service is built in-process, no worker spawned.
+        budget = DEFAULT_CACHE_BYTES // 64
+        catalog = DatasetCatalog({"tiny": data}, plan_cache=PlanCache(budget))
+        service = _build_service(catalog_spec(catalog))
+        try:
+            assert service.plan_cache.max_bytes == budget
+        finally:
+            service.close()

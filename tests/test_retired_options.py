@@ -32,6 +32,7 @@ from repro.service import (
     DatasetCatalog,
     MatchRequest,
     MatchService,
+    PlanCache,
     SchedulerConfig,
 )
 from repro.service.scheduler import AdmissionQueue
@@ -114,7 +115,9 @@ RETIRED = [
     ),
     (
         "MatchService(catalog=DatasetCatalog)",
-        lambda d: MatchService(catalog=DatasetCatalog({"d": d})),
+        lambda d: MatchService(
+            catalog=DatasetCatalog({"d": d}, plan_cache=PlanCache())
+        ),
         "DatasetCatalog",
     ),
 ]
