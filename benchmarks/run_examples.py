@@ -60,6 +60,7 @@ SENTINELS: dict[str, list[str]] = {
         r"ri \|",
         r"vf2pp \|",
         r"gql \|",
+        r"veq \|",
         r"hybrid \|",
         r"rlqvo \|",
         r"shared enumeration procedure",

@@ -4,8 +4,8 @@
 Social networks are one of the paper's headline workloads (DBLP, Youtube).
 This example extracts realistic query patterns *from* the synthesized DBLP
 graph — collaboration cliques, co-author chains — then benchmarks the full
-method matrix of the paper's Fig. 3 (QSI, RI, VF2++, GQL, Hybrid and a
-freshly trained RL-QVO) on those queries.  Each method is spelled as a
+method matrix of the paper's Fig. 3 (QSI, RI, VF2++, GQL, VEQ, Hybrid and
+a freshly trained RL-QVO) on those queries.  Each method is spelled as a
 pair of *component names* (filter name, orderer name) resolved by the
 :class:`repro.Matcher` facade; one prepared matcher per method answers
 the whole workload via ``match_many``.
@@ -23,20 +23,13 @@ import os
 import time
 
 from repro import Matcher, RLQVOConfig, RLQVOTrainer, dataset_stats, load_dataset
+from repro.bench import METHODS
 from repro.datasets import query_workload
 
 #: Fig. 3 method matrix as plain component names — exactly what a config
-#: file or CLI flag would carry ("rlqvo" swaps in the trained orderer).
-#: The benchmark harness owns the canonical mapping
-#: (``repro.bench.METHODS``); this table mirrors it.
-METHOD_COMPONENTS = {
-    "qsi": ("ldf", "qsi"),
-    "ri": ("ldf", "ri"),
-    "vf2pp": ("ldf", "vf2pp"),
-    "gql": ("gql", "gql"),
-    "hybrid": ("gql", "ri"),
-    "rlqvo": ("gql", None),  # orderer: the trained policy
-}
+#: file or CLI flag would carry: the benchmark harness's baseline table
+#: plus RL-QVO, whose orderer (``None``) is the trained policy.
+METHOD_COMPONENTS = {**METHODS, "rlqvo": ("gql", None)}
 
 
 def main() -> None:

@@ -53,11 +53,16 @@ class Adam:
 
 
 def clip_grad_norm(parameters, max_norm: float | None) -> float:
-    """Scale the gradients in place so their global norm is at most
-    ``max_norm``; returns the norm before clipping (``None`` only measures)."""
-    grads = [p.grad for p in parameters if p.grad is not None]
-    norm = sum(float((grad**2).sum()) for grad in grads) ** 0.5
+    """Rescale the gradients so their global norm is at most ``max_norm``;
+    returns the norm before clipping (``None`` only measures).
+
+    Each ``p.grad`` is replaced by a scaled copy, never written in place:
+    two parameters may share one gradient array (see ``nn.tensor``).
+    """
+    parameters = [p for p in parameters if p.grad is not None]
+    norm = sum(float((p.grad**2).sum()) for p in parameters) ** 0.5
     if max_norm is not None and norm > max_norm and norm > 0:
-        for grad in grads:
-            grad *= max_norm / norm
+        scale = max_norm / norm
+        for p in parameters:
+            p.grad = p.grad * scale
     return norm

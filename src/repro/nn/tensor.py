@@ -17,6 +17,26 @@ parents whenever one of them requires a gradient.  A caller that needs
 no gradient — ordering a query, sampling a rollout — builds no
 ``Tensor`` at all and evaluates the policy on bare arrays
 (``PolicyNetwork.evaluate``).
+
+The backward pass keeps no gradient it is done with:
+
+1. A stack times a matrix (``x`` of shape ``(S, n, d)`` times ``W`` of
+   shape ``(d, h)``) back-propagates as one 2-D GEMM per gradient over the
+   flattened stack: ``x.reshape(-1, d).T @ g.reshape(-1, h)`` for ``W``
+   and ``(g.reshape(-1, h) @ W.T).reshape(x.shape)`` for ``x``.  No
+   ``(S, d, h)`` stack of per-step weight gradients is built and summed.
+2. A first gradient is kept as given, not copied; later ones are added
+   out of place.  No ``.grad`` array is ever written in place (the
+   optimizer's clipping rescales out of place too), so two tensors
+   sharing one gradient array is harmless.
+3. :meth:`Tensor.backward` frees a non-leaf tensor's ``.grad`` once its
+   closure has run; leaves (parameters and inputs) keep theirs.
+
+The *forward* of a stack times a matrix stays one stacked ``@``: the
+policy samples its rollouts one step at a time through the same numpy
+call on an ``(n, d)`` matrix, and a GEMM over the flattened ``S·n`` rows
+rounds differently, which would break the bit-for-bit agreement between
+sampling and PPO's first pass (ratio exactly 1.0, notably for GAT).
 """
 
 from __future__ import annotations
@@ -82,10 +102,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad += grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -143,8 +160,19 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = Tensor.as_tensor(other)
         out_data = self.data @ other.data
+        # A stack times a matrix back-propagates through the flattened
+        # stack, one 2-D GEMM per gradient (rule 1 of the module docs).
+        stack_times_matrix = self.data.ndim > 2 and other.data.ndim == 2
 
         def backward(grad: np.ndarray) -> None:
+            if stack_times_matrix:
+                d, h = other.data.shape
+                flat = grad.reshape(-1, h)
+                if self.requires_grad:
+                    self._accumulate((flat @ other.data.T).reshape(self.data.shape))
+                if other.requires_grad:
+                    other._accumulate(self.data.reshape(-1, d).T @ flat)
+                return
             if self.requires_grad:
                 self._accumulate(grad @ other.data.swapaxes(-1, -2))
             if other.requires_grad:
@@ -285,8 +313,10 @@ class Tensor:
         """Run reverse-mode accumulation from this tensor.
 
         ``grad`` defaults to ones (the tensor is then usually a scalar
-        loss).  Gradients accumulate into ``.grad`` of every reachable
-        tensor with ``requires_grad``.
+        loss) and is never written to.  Gradients accumulate into the
+        ``.grad`` of every reachable leaf with ``requires_grad``; a
+        non-leaf tensor's ``.grad`` is freed (``None``) once its closure
+        has passed it on.
         """
         if not self.requires_grad:
             raise ModelError("backward() on a tensor that does not require grad")
@@ -311,6 +341,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""

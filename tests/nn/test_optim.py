@@ -1,10 +1,11 @@
-"""Tests for the optimizer (Adam)."""
+"""Tests for the optimizer (Adam) and gradient-norm clipping."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
 from repro.nn import Adam, Linear, Tensor
+from repro.nn.optim import clip_grad_norm
 
 
 def quadratic_loss(param: Tensor) -> Tensor:
@@ -51,6 +52,31 @@ class TestAdam:
             ((diff * diff).sum() * (1.0 / len(x_data))).backward()
             opt.step()
         assert np.allclose(layer.weight.data, w_true, atol=0.05)
+
+
+class TestClipGradNorm:
+    def test_shared_gradient_is_scaled_once_per_parameter(self):
+        # ``a + b`` hands both parameters the one seed array as their
+        # first gradient; clipping must scale each exactly once and
+        # leave the seed as it was.
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        seed = np.array([3.0, -4.0, 12.0])
+        kept = seed.copy()
+        (a + b).backward(seed)
+        norm = clip_grad_norm([a, b], max_norm=1.0)
+        assert norm == pytest.approx(13.0 * 2**0.5)
+        assert np.array_equal(a.grad, kept * (1.0 / norm))
+        assert np.array_equal(b.grad, kept * (1.0 / norm))
+        assert np.array_equal(seed, kept)
+
+    def test_norm_below_max_leaves_gradients_alone(self):
+        w = Tensor(np.zeros(2), requires_grad=True)
+        (w * 2.0).sum().backward()
+        before = w.grad
+        assert clip_grad_norm([w], max_norm=10.0) == pytest.approx(8**0.5)
+        assert w.grad is before
+        assert clip_grad_norm([w], max_norm=None) == pytest.approx(8**0.5)
 
 
 class TestValidation:

@@ -6,9 +6,11 @@ differences — the ground truth the whole RL stack rests on.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.nn import Tensor
+from repro.nn import Tensor, concat
 
 
 def numerical_grad(f, x: Tensor, eps: float = 1e-6) -> np.ndarray:
@@ -161,3 +163,112 @@ class TestAutogradMechanics:
             out = out + 1.0
         out.sum().backward()
         assert t.grad[0] == pytest.approx(1.0)
+
+
+def _relative_error(actual: np.ndarray, reference: np.ndarray) -> float:
+    scale = np.linalg.norm(reference)
+    return float(np.linalg.norm(actual - reference) / scale) if scale else 0.0
+
+
+class TestStackTimesMatrix:
+    """``(S, n, d) @ (d, h)`` back-propagates as one GEMM per gradient."""
+
+    @given(
+        dims=st.tuples(*[st.integers(1, 6)] * 4),
+        grads=st.sampled_from([(True, False), (False, True), (True, True)]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_gradients_equal_the_stacked_then_summed_reference(
+        self, dims, grads, seed
+    ):
+        (S, n, d, h), (x_grad, w_grad) = dims, grads
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(S, n, d)), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=(d, h)), requires_grad=w_grad)
+        upstream = rng.normal(size=(S, n, h))
+        out = x @ w
+        assert np.array_equal(out.data, x.data @ w.data)
+        out.backward(upstream)
+        if x_grad:
+            reference = upstream @ w.data.T
+            assert x.grad.shape == x.shape
+            assert _relative_error(x.grad, reference) <= 1e-12
+        else:
+            assert x.grad is None
+        if w_grad:
+            reference = (x.data.swapaxes(-1, -2) @ upstream).sum(axis=0)
+            assert w.grad.shape == w.shape
+            assert _relative_error(w.grad, reference) <= 1e-12
+        else:
+            assert w.grad is None
+
+    def test_matrix_times_matrix_keeps_its_result(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        upstream = rng.normal(size=(5, 3))
+        (x @ w).backward(upstream)
+        assert np.array_equal(x.grad, upstream @ w.data.swapaxes(-1, -2))
+        assert np.array_equal(w.grad, x.data.swapaxes(-1, -2) @ upstream)
+
+    def test_stack_times_stack_keeps_its_result(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+        upstream = rng.normal(size=(3, 5, 2))
+        (x @ w).backward(upstream)
+        assert np.array_equal(x.grad, upstream @ w.data.swapaxes(-1, -2))
+        assert np.array_equal(w.grad, x.data.swapaxes(-1, -2) @ upstream)
+
+    def test_matrix_times_stack_keeps_its_result(self):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
+        h = Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
+        upstream = rng.normal(size=(3, 5, 2))
+        (a @ h).backward(upstream)
+        expected = (upstream @ h.data.swapaxes(-1, -2)).sum(axis=0)
+        assert np.array_equal(a.grad, expected)
+        assert np.array_equal(h.grad, a.data.swapaxes(-1, -2) @ upstream)
+
+
+def _graph_nodes(root: Tensor) -> list[Tensor]:
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestGradientLifetime:
+    def test_seed_array_is_not_written(self):
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        seed = np.array([0.5, 3.0])
+        kept = seed.copy()
+        (a + a).backward(seed)  # a's first gradient is the seed itself
+        assert np.array_equal(seed, kept)
+        assert np.array_equal(a.grad, 2 * kept)
+
+    def test_backward_calls_on_fresh_graphs_add_up(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        (a * 3.0).sum().backward()
+        (a * 4.0).sum().backward()
+        assert a.grad.tolist() == [7.0, 7.0]
+
+    def test_propagated_gradients_are_freed_and_leaves_keep_theirs(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+        a = Tensor(rng.normal(size=(4, 4)))  # a constant leaf
+        hidden = (a @ (x @ w)).relu()
+        mixed = concat([hidden, hidden.transpose().reshape(3, 4, 2)], axis=-1)
+        loss = (mixed.exp() * mixed).sum(axis=1).sum()
+        loss.backward()
+        nodes = _graph_nodes(loss)
+        inner = [node for node in nodes if node._backward is not None]
+        assert len(inner) > 5
+        assert all(node.grad is None for node in inner)
+        assert x.grad is not None and w.grad is not None
+        assert a.grad is None  # needs no gradient: never accumulated

@@ -1,12 +1,16 @@
 """Tests for the PPO trainer (Eq. 6–7)."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
 from repro.errors import TrainingError
-from repro.rl import PPOTrainer
+from repro.graphs import generate_query_set
+from repro.rl import PPOTrainer, collect_trajectory
+from repro.rl.rollout import stack_steps
 
 ENCODERS = ["gcn", "gat", "sage", "graphnn", "asap", "mlp"]
 
@@ -160,6 +164,41 @@ class TestPasses:
         # The diagnostics are the last pass's; the first pass ran at θ = θ′.
         assert (stats.passes, stats.first_pass_ratio) == (3, 1.0)
         assert stats.mean_ratio != 1.0
+
+
+class TestPassMemory:
+    def test_one_pass_peak_stays_under_its_bound(self, data_graph, data_stats):
+        # One pass over a stacked (S, n, ·) batch at the default width
+        # peaks at ≈ 13.7 units of S·n·h float64s.  Building a stack of
+        # per-step weight gradients and summing it read ≈ 17.7, keeping
+        # every propagated gradient to the end of the pass ≈ 19.9, and
+        # both together with copied first gradients ≈ 23.8.
+        n = 16
+        config = RLQVOConfig(seed=0)
+        policy = PolicyNetwork(config)
+        builder = FeatureBuilder(data_graph, config, data_stats)
+        rng = np.random.default_rng(1234)
+        trajectories = []
+        for i, query in enumerate(generate_query_set(data_graph, n, 12, seed=21)):
+            trajectory = collect_trajectory(policy, query, builder, rng)
+            trajectory.rewards = [
+                1.0 if (i + t) % 3 else -0.5 for t in range(len(trajectory.steps))
+            ]
+            trajectories.append(trajectory)
+        batches = stack_steps(trajectories, False)
+        steps = sum(batch.weight.size for batch in batches)
+        assert steps >= 100
+        trainer = PPOTrainer(policy)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            trainer._one_pass(batches)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        units = peak / (steps * n * config.hidden_dim * 8)
+        assert units < 16.0, f"one pass peaked at {units:.1f} units"
 
 
 class TestValidation:
