@@ -33,7 +33,7 @@ def test_fig5_enumeration_time_by_query_size(benchmark, harness, record):
         # Reduced-scale shape: RL-QVO's Σ#enum, over the queries both
         # solved, stays within a geometric-mean factor of Hybrid's across
         # sizes (per-size wins need the paper's training budget; see
-        # EXPERIMENTS.md).  A size where the two share no solved query
+        # README *Reproduction status*).  A size where the two share no solved query
         # compares nothing, so it is left out, and at least one must remain.
         joint = [
             joint_enum(per_method["rlqvo"][s], per_method["hybrid"][s])

@@ -2,7 +2,7 @@
 
 Paper shape: Opt ≤ RL-QVO ≤ Hybrid in enumeration effort on Q8 queries of
 Citeseer/Yeast/DBLP, with RL-QVO close to optimal.  We assert the hard
-half (Opt lower-bounds both) and record the spectrum for EXPERIMENTS.md.
+half (Opt lower-bounds both) and record the spectrum in ``results/fig6.txt``.
 """
 
 from repro.bench.experiments import fig6
@@ -18,7 +18,7 @@ def test_fig6_spectrum_vs_optimal(benchmark, harness, record):
             ("citeseer", "yeast"),
             4,      # queries per dataset
             8,      # query size (paper: Q8)
-            600,    # permutation cap (paper: exhaustive; see EXPERIMENTS.md)
+            600,    # permutation cap (paper: exhaustive)
             500,    # match limit per permutation probe
         ),
         rounds=1,

@@ -3,8 +3,8 @@
 Every function takes a :class:`~repro.bench.harness.Harness`, runs the
 experiment at the harness's scale, prints rows shaped like the paper's
 table/figure, and returns a structured payload that the benchmark
-wrappers (and tests) can assert on.  EXPERIMENTS.md records the
-paper-vs-measured comparison produced by these functions.
+wrappers (and tests) can assert on.  The committed ``results/*.txt``
+are the tables these functions print at full benchmark size.
 
 Each evaluated cell (one method on one query set) is a :func:`summarize`
 dict: its times beside its counts — ``Σ#enum`` and solved / unsolved

@@ -43,9 +43,9 @@ __all__ = [
 class DatasetSpec:
     """Recipe for one synthetic stand-in dataset.
 
-    ``paper_num_vertices`` / ``paper_num_edges`` record Table II for the
-    EXPERIMENTS.md comparison; ``num_vertices`` / ``avg_degree`` define
-    the synthesized graph.
+    ``paper_num_vertices`` / ``paper_num_edges`` record Table II (the
+    "paper" columns of ``results/table2.txt``); ``num_vertices`` /
+    ``avg_degree`` define the synthesized graph.
     """
 
     name: str
@@ -65,11 +65,6 @@ class DatasetSpec:
     #: Queries denser than this average degree are sparsified (see
     #: repro.graphs.query_gen.sparsify_to_degree).
     query_target_degree: float
-
-    @property
-    def scale_factor(self) -> float:
-        """|V(paper)| / |V(ours)| — recorded in EXPERIMENTS.md."""
-        return self.paper_num_vertices / self.num_vertices
 
 
 DATASETS: dict[str, DatasetSpec] = {

@@ -156,10 +156,6 @@ class CanonicalForm:
     mapping: tuple[int, ...]
     fingerprint: str
 
-    def to_canonical(self, match: Sequence[int]) -> tuple[int, ...]:
-        """Re-index an original-vertex-indexed tuple by canonical ids."""
-        return tuple(match[self.order[i]] for i in range(len(self.order)))
-
     def to_original(self, match: Sequence[int]) -> tuple[int, ...]:
         """Re-index a canonical-vertex-indexed tuple by original ids.
 

@@ -273,13 +273,6 @@ class Graph:
             return 0.0
         return 2.0 * self._num_edges / self.num_vertices
 
-    @property
-    def max_degree(self) -> int:
-        """Largest vertex degree (0 for the empty graph)."""
-        if self.num_vertices == 0:
-            return 0
-        return int(self._degrees.max())
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

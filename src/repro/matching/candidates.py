@@ -97,10 +97,6 @@ class CandidateSets:
         """All candidate set sizes indexed by query vertex."""
         return [int(arr.size) for arr in self._arrays]
 
-    def total_size(self) -> int:
-        """Sum of all candidate set sizes."""
-        return sum(int(arr.size) for arr in self._arrays)
-
     def has_empty(self) -> bool:
         """Whether any ``C(u)`` is empty (query has no match)."""
         return any(arr.size == 0 for arr in self._arrays)

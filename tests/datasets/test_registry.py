@@ -21,11 +21,11 @@ class TestSpecs:
         for name in ("citeseer", "yeast"):
             spec = DATASETS[name]
             assert spec.num_vertices == spec.paper_num_vertices
-            assert spec.scale_factor == 1.0
 
     def test_large_graphs_scaled_down(self):
         for name in ("dblp", "youtube", "wordnet", "eu2005"):
-            assert DATASETS[name].scale_factor > 1.0
+            spec = DATASETS[name]
+            assert spec.paper_num_vertices > spec.num_vertices
 
     def test_wordnet_query_sizes_capped_at_16(self):
         assert DATASETS["wordnet"].query_sizes == (4, 8, 16)

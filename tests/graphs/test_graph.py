@@ -42,7 +42,7 @@ class TestConstruction:
         assert g.num_vertices == 0
         assert g.num_edges == 0
         assert g.average_degree == 0.0
-        assert g.max_degree == 0
+        assert g.degrees.size == 0
         assert g.is_connected()
 
     def test_edgeless_graph(self):
@@ -56,7 +56,7 @@ class TestAccessors:
         g = triangle()
         assert [g.label(v) for v in g.vertices()] == [0, 1, 2]
         assert [g.degree(v) for v in g.vertices()] == [2, 2, 2]
-        assert g.max_degree == 2
+        assert g.degrees.max() == 2
         assert g.average_degree == pytest.approx(2.0)
 
     def test_neighbors_sorted_and_consistent(self):

@@ -2,8 +2,11 @@
 
 A filter is complete when every data vertex participating in a true
 embedding survives in the corresponding candidate set (Def. II.2).  The
-oracle embeddings come from networkx monomorphism search.
+oracle embeddings come from networkx monomorphism search.  LDF and NLF
+are also held to their definitions exactly, set by set.
 """
+
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FilterError
-from repro.graphs import Graph, GraphStats, erdos_renyi, extract_query
+from repro.graphs import Graph, GraphStats, chung_lu, erdos_renyi, extract_query
 from repro.matching import (
     CandidateSets,
     DPisoFilter,
@@ -54,6 +57,42 @@ def small_instance():
     return query, data, GraphStats(data)
 
 
+def ldf_by_definition(query: Graph, data: Graph) -> list[list[int]]:
+    """``C(u) = {v : L(v) = L(u) and d(v) >= d(u)}``, vertex by vertex."""
+    return [
+        [
+            v
+            for v in data.vertices()
+            if data.label(v) == query.label(u) and data.degree(v) >= query.degree(u)
+        ]
+        for u in query.vertices()
+    ]
+
+
+def nlf_by_definition(query: Graph, data: Graph) -> list[list[int]]:
+    """LDF's sets, kept where ``v``'s neighbour-label multiset dominates
+    ``u``'s: at least as many ``l``-labelled neighbours for every ``l``."""
+    sets = []
+    for u, ldf in zip(query.vertices(), ldf_by_definition(query, data)):
+        need = Counter(query.neighbor_labels(u))
+        sets.append([v for v in ldf if not need - Counter(data.neighbor_labels(v))])
+    return sets
+
+
+def as_lists(candidates: CandidateSets) -> list[list[int]]:
+    return [candidates.array(u).tolist() for u in range(candidates.num_query_vertices)]
+
+
+@pytest.fixture(scope="module")
+def definition_instances(small_instance):
+    """Queries on a skewed power-law graph (where NLF prunes beyond LDF)
+    and the small uniform instance."""
+    data = chung_lu(600, 8.0, 6, seed=11)
+    rng = np.random.default_rng(17)
+    query, small, _ = small_instance
+    return [(extract_query(data, 8, rng), data) for _ in range(4)] + [(query, small)]
+
+
 class TestCompleteness:
     @pytest.mark.parametrize("filter_cls", ALL_FILTERS)
     def test_every_embedding_survives(self, filter_cls, small_instance):
@@ -91,15 +130,23 @@ class TestPruningPower:
         query, data, stats = small_instance
         nlf = NLFFilter().filter(query, data, stats)
         gql = GQLFilter().filter(query, data, stats)
-        assert gql.total_size() <= nlf.total_size()
+        assert sum(gql.sizes()) <= sum(nlf.sizes())
 
-    def test_label_degree_semantics_of_ldf(self, small_instance):
-        query, data, stats = small_instance
-        candidates = LDFFilter().filter(query, data, stats)
-        for u in query.vertices():
-            for v in candidates.get(u):
-                assert data.label(v) == query.label(u)
-                assert data.degree(v) >= query.degree(u)
+    def test_label_degree_semantics_of_ldf(self, definition_instances):
+        for query, data in definition_instances:
+            got = LDFFilter().filter(query, data)
+            assert as_lists(got) == ldf_by_definition(query, data)
+
+    def test_neighbor_label_semantics_of_nlf(self, definition_instances):
+        pruned_beyond_ldf = False
+        for query, data in definition_instances:
+            got = NLFFilter().filter(query, data, GraphStats(data))
+            expected = nlf_by_definition(query, data)
+            assert as_lists(got) == expected
+            pruned_beyond_ldf |= expected != ldf_by_definition(query, data)
+        # The neighbour-label rule must bind somewhere, or this test
+        # could not tell NLF from LDF.
+        assert pruned_beyond_ldf
 
     def test_impossible_label_yields_empty_set(self, small_instance):
         _, data, stats = small_instance
@@ -114,8 +161,6 @@ class TestCandidateSets:
         query, data, stats = small_instance
         candidates = GQLFilter().filter(query, data, stats)
         assert candidates.num_query_vertices == query.num_vertices
-        sizes = candidates.sizes()
-        assert candidates.total_size() == sum(sizes)
         u = 0
         assert candidates.size(u) == len(candidates.get(u))
         assert list(candidates.array(u)) == sorted(candidates.get(u))

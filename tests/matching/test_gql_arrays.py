@@ -124,7 +124,7 @@ def test_hopcroft_karp_sees_only_undecided_pairs(sparse_few_labels, monkeypatch)
     stats = GraphStats(sparse_few_labels)
     pairs = 0
     for query in generate_query_set(sparse_few_labels, 8, 8, seed=2):
-        pairs += GQLFilter().filter(query, sparse_few_labels, stats).total_size()
+        pairs += sum(GQLFilter().filter(query, sparse_few_labels, stats).sizes())
     assert 0 < len(calls) < pairs // 10
     assert True in verdicts and False in verdicts
     for adjacency in calls:

@@ -65,7 +65,7 @@ class TestRI:
     def test_starts_at_max_degree(self, instance):
         query, data, candidates, stats = instance
         order = RIOrderer().order(query, data, candidates, stats)
-        assert query.degree(order[0]) == query.max_degree
+        assert query.degree(order[0]) == query.degrees.max()
 
     def test_structure_only_no_data_needed(self, instance):
         query, *_ = instance

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import Matcher
 from repro.graphs import erdos_renyi, extract_query
-from repro.graphs.canonical import canonical_form
+from repro.graphs.canonical import canonical_form, relabel_graph
 from repro.service.cache import ENTRY_OVERHEAD_BYTES, PlanCache
 
 import numpy as np
@@ -48,6 +48,27 @@ class TestCounters:
         # The hit is literally the same frozen object: Phases (1)-(2)
         # were skipped, not replayed.
         assert plan_again is plan_cached(matcher, queries[0])[0]
+
+    def test_relabeled_isomorphs_are_all_hits(self, data, queries):
+        # The serving regime the cache exists for: the same queries
+        # recur under other vertex numberings.  Canonicalization maps
+        # each isomorph to the key and query its original was cached
+        # under, so waves of isomorphs plan nothing new.
+        distinct = list({canonical_form(q).fingerprint: q for q in queries}.values())
+        cache = PlanCache(max_bytes=1 << 24)
+        matcher = Matcher(data, plan_cache=cache, cache_scope="d")
+        cold = [plan_cached(matcher, q) for q in distinct]
+        assert not any(hit for _, hit in cold)
+        rng = np.random.default_rng(11)
+        waves = 3
+        for _ in range(waves):
+            for query, (plan, _) in zip(distinct, cold):
+                isomorph = relabel_graph(query, rng.permutation(query.num_vertices))
+                warm, hit = plan_cached(matcher, isomorph)
+                assert hit and warm is plan
+        stats = cache.stats()
+        n = len(distinct)
+        assert (stats.hits, stats.misses, stats.plans) == (waves * n, n, n)
 
     def test_exact_query_guard_rejects_key_collisions(self, data, queries):
         cache = PlanCache(max_bytes=1 << 24)
