@@ -14,6 +14,13 @@ Eq. 5).  We run gradient *ascent* by minimizing ``−J`` with Adam.
 evaluation ``π_θ'`` was sampled through (the policy has one mode), so
 ``ρ_t = 1`` exactly on the first pass over a batch (θ = θ′) and moves
 only with the gradient steps after it.
+
+A pass takes one gradient step over the whole batch but builds its
+autograd graph one :class:`~repro.rl.rollout.StepBatch` chunk at a time
+(at most ``rollout.CHUNK_ROWS`` rows): each chunk's share of ``−J`` is
+back-propagated on its own, the gradients add up in the parameters, and
+the graph is dropped before the next chunk.  Only the order of the
+gradient sum changes against one whole-batch backward.
 """
 
 from __future__ import annotations
@@ -98,31 +105,20 @@ class PPOTrainer:
         )
 
     def _one_pass(self, batches: list[StepBatch]) -> PPOStats:
+        """One gradient step over every chunk of the batch."""
         low, high = 1.0 - self.clip_epsilon, 1.0 + self.clip_epsilon
         num_steps = sum(batch.weight.size for batch in batches)
-        terms, ratios, entropies = [], [], []
-        for batch in batches:
-            out = self.policy.forward(batch.features, batch.ctx, batch.action_mask)
-            # A true division: x / x is exactly 1.0, x * (1 / x) is not.
-            ratio = batch.chosen_prob(out.probs) / np.maximum(batch.old_prob, 1e-12)
-            surrogate = (ratio * batch.weight).minimum(
-                ratio.clip(low, high) * batch.weight
-            )
-            terms.append(surrogate.sum())
-            ratios.append(ratio.data)
-            entropies.append(out.entropy.data)
-        # Normalize by step count so the learning rate is insensitive to
-        # batch size; ascent on J == descent on -J.
-        loss = -(sum(terms) * (1.0 / num_steps))
-
         self.optimizer.zero_grad()
-        loss.backward()
+        # Normalize by step count so the learning rate is insensitive to
+        # batch size.
+        chunks = [self._backward_chunk(batch, 1.0 / num_steps) for batch in batches]
         grad_norm = clip_grad_norm(self.optimizer.parameters, self.max_grad_norm)
         self.optimizer.step()
 
+        losses, ratios, entropies = zip(*chunks)
         ratios = np.concatenate(ratios)
         return PPOStats(
-            loss=float(loss.data),
+            loss=sum(losses),
             mean_ratio=float(np.mean(ratios)),
             clip_fraction=float(np.mean((ratios < low) | (ratios > high))),
             num_steps=num_steps,
@@ -130,3 +126,22 @@ class PPOTrainer:
             entropy=float(np.mean(np.concatenate(entropies))),
             grad_norm=grad_norm,
         )
+
+    def _backward_chunk(
+        self, batch: StepBatch, scale: float
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Back-propagate one chunk's share of ``−J`` (``scale`` is one
+        over the pass's step count); the gradients add up in the
+        parameters.  Returns the chunk's loss, ratios and entropies as
+        bare values, so its graph is gone once this returns."""
+        low, high = 1.0 - self.clip_epsilon, 1.0 + self.clip_epsilon
+        out = self.policy.forward(batch.features, batch.ctx, batch.action_mask)
+        # A true division: x / x is exactly 1.0, x * (1 / x) is not.
+        ratio = batch.chosen_prob(out.probs) / np.maximum(batch.old_prob, 1e-12)
+        surrogate = (ratio * batch.weight).minimum(
+            ratio.clip(low, high) * batch.weight
+        )
+        # Ascent on J == descent on -J.
+        loss = -(surrogate.sum() * scale)
+        loss.backward()
+        return float(loss.data), ratio.data, out.entropy.data

@@ -16,12 +16,14 @@ samples (and the orderer's decisions) come from
 ``forward``, which computes the same bits where θ = θ′
 (``tests/core/test_array_evaluation.py``).
 
-**One forward per pass.**  An update does not visit steps one by one:
-:func:`stack_steps` turns its trajectories' policy steps into
-:class:`StepBatch` arrays once per ``update`` call — one batch per
-query size ``n``, since ``PolicyNetwork.forward`` takes a leading step
-axis but not ragged vertices — and every pass scores a batch with one
-``forward`` and one ``backward``.
+**One bounded chunk at a time.**  An update does not visit steps one
+by one: :func:`stack_steps` turns its trajectories' policy steps into
+:class:`StepBatch` arrays once per ``update`` call — grouped by query
+size ``n``, since ``PolicyNetwork.forward`` takes a leading step axis but
+not ragged vertices, and each group cut into consecutive chunks of at
+most :data:`CHUNK_ROWS` rows (steps × ``n``).  A pass scores each chunk
+with one ``forward`` and one ``backward`` and drops its graph before the
+next, so the memory a pass holds is bounded by the chunk, not the batch.
 """
 
 from __future__ import annotations
@@ -37,7 +39,17 @@ from repro.nn.gnn import GraphContext
 from repro.nn.tensor import Tensor
 from repro.rl.env import OrderingEnv
 
+#: Rows (steps × query vertices) one :class:`StepBatch` holds at most.  A
+#: pass holds one chunk's autograd graph at a time, and each chunk costs
+#: about 0.3 ms of per-call overhead.  256 rows keep a pass's traced peak
+#: near 2 MiB at every query size; 1,024 / 2,048 / 4,096 rows peak at 7 /
+#: 14 / 27 MiB and gain at most about a quarter of the pass time (README,
+#: *What the update keeps*, has the sweep).  A constant of the
+#: implementation, not a setting: only tests change it.
+CHUNK_ROWS = 256
+
 __all__ = [
+    "CHUNK_ROWS",
     "TrajectoryStep",
     "Trajectory",
     "StepBatch",
@@ -134,8 +146,9 @@ def collect_trajectory(
 
 @dataclass(frozen=True)
 class StepBatch:
-    """The ``S`` policy steps an update holds for ``n``-vertex queries,
-    stacked along a leading step axis (trajectory order, then step order)."""
+    """``S`` consecutive policy steps of ``n``-vertex queries, stacked
+    along a leading step axis (trajectory order, then step order); ``S``
+    is at most ``max(1, CHUNK_ROWS // n)``."""
 
     features: np.ndarray  # (S, n, FEATURE_DIM)
     ctx: GraphContext  # four (S, n, n) fields: each step's query, repeated
@@ -153,12 +166,14 @@ class StepBatch:
 def stack_steps(
     trajectories: list[Trajectory], normalize_weights: bool = False
 ) -> list[StepBatch]:
-    """Stack the policy steps of ``trajectories``, one batch per query size.
+    """Stack the policy steps of ``trajectories`` into bounded chunks.
 
-    Forced steps (``computed=False``) carry no gradient and are left out;
-    no policy step at all gives an empty list.  ``normalize_weights``
-    centres and scales the decayed rewards over *all* the steps, across
-    sizes (the standard advantage normalization).
+    Steps are grouped by query size (first-seen order), and each group is
+    cut into consecutive chunks of at most ``max(1, CHUNK_ROWS // n)``
+    steps.  Forced steps (``computed=False``) carry no gradient and are
+    left out; no policy step at all gives an empty list.
+    ``normalize_weights`` centres and scales the decayed rewards over
+    *all* the steps, across sizes (the standard advantage normalization).
     """
     groups: dict[int, list[tuple[GraphContext, float, TrajectoryStep]]] = {}
     for trajectory in trajectories:
@@ -180,15 +195,17 @@ def stack_steps(
         weights = [(w - mean) * scale for w in weights]
     batches = []
     for (n, rows), weight in zip(groups.items(), weights):
-        contexts, _, steps = zip(*rows)
-        batches.append(
-            StepBatch(
-                features=np.stack([step.features for step in steps]),
-                ctx=GraphContext.stack(contexts),
-                action_mask=np.stack([step.action_mask for step in steps]),
-                chosen=np.eye(n)[[step.action for step in steps]],
-                old_prob=np.array([step.old_prob for step in steps]),
-                weight=weight,
+        size = max(1, CHUNK_ROWS // n)
+        for start in range(0, len(rows), size):
+            contexts, _, steps = zip(*rows[start : start + size])
+            batches.append(
+                StepBatch(
+                    features=np.stack([step.features for step in steps]),
+                    ctx=GraphContext.stack(contexts),
+                    action_mask=np.stack([step.action_mask for step in steps]),
+                    chosen=np.eye(n)[[step.action for step in steps]],
+                    old_prob=np.array([step.old_prob for step in steps]),
+                    weight=weight[start : start + size],
+                )
             )
-        )
     return batches

@@ -9,7 +9,7 @@ import pytest
 from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
 from repro.errors import TrainingError
 from repro.graphs import generate_query_set
-from repro.rl import PPOTrainer, collect_trajectory
+from repro.rl import PPOTrainer, collect_trajectory, rollout
 from repro.rl.rollout import stack_steps
 
 ENCODERS = ["gcn", "gat", "sage", "graphnn", "asap", "mlp"]
@@ -167,38 +167,44 @@ class TestPasses:
 
 
 class TestPassMemory:
-    def test_one_pass_peak_stays_under_its_bound(self, data_graph, data_stats):
-        # One pass over a stacked (S, n, ·) batch at the default width
-        # peaks at ≈ 13.7 units of S·n·h float64s.  Building a stack of
-        # per-step weight gradients and summing it read ≈ 17.7, keeping
-        # every propagated gradient to the end of the pass ≈ 19.9, and
-        # both together with copied first gradients ≈ 23.8.
-        n = 16
+    @staticmethod
+    def _pass_peak(data_graph, data_stats, num_queries: int) -> int:
+        """Traced peak of one pass over ``num_queries`` seeded Q16 rollouts
+        at the default width."""
         config = RLQVOConfig(seed=0)
         policy = PolicyNetwork(config)
         builder = FeatureBuilder(data_graph, config, data_stats)
         rng = np.random.default_rng(1234)
         trajectories = []
-        for i, query in enumerate(generate_query_set(data_graph, n, 12, seed=21)):
+        queries = generate_query_set(data_graph, 16, num_queries, seed=21)
+        for i, query in enumerate(queries):
             trajectory = collect_trajectory(policy, query, builder, rng)
             trajectory.rewards = [
                 1.0 if (i + t) % 3 else -0.5 for t in range(len(trajectory.steps))
             ]
             trajectories.append(trajectory)
         batches = stack_steps(trajectories, False)
-        steps = sum(batch.weight.size for batch in batches)
-        assert steps >= 100
+        assert sum(batch.weight.size for batch in batches) >= 8 * num_queries
         trainer = PPOTrainer(policy)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             trainer._one_pass(batches)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        units = peak / (steps * n * config.hidden_dim * 8)
-        assert units < 16.0, f"one pass peaked at {units:.1f} units"
+
+    def test_one_pass_peak_does_not_grow_with_the_batch(self, data_graph, data_stats):
+        # A pass holds one chunk's graph at a time, so four times the
+        # trajectories (≈ 700 steps against ≈ 175) leave its peak where it
+        # was: ≈ 15 units of R·h float64s, R = CHUNK_ROWS.  The whole
+        # stacked batch at once grew it about 4x (≈ 150 → 600 units).
+        small = self._pass_peak(data_graph, data_stats, 12)
+        large = self._pass_peak(data_graph, data_stats, 48)
+        unit = rollout.CHUNK_ROWS * RLQVOConfig().hidden_dim * 8
+        assert large < 1.25 * small, f"peak grew {large / small:.2f}x"
+        assert large / unit < 20.0, f"one pass peaked at {large / unit:.1f} units"
 
 
 class TestValidation:

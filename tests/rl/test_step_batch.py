@@ -1,11 +1,14 @@
-"""The stacked update against the per-step loops it replaced.
+"""The chunked stacked update against the per-step loops it replaced.
 
-``stack_steps`` turns an update's policy steps into ``(S, n, ·)`` arrays
-and PPO scores them with one ``forward`` / ``backward`` per pass;
-``per_step_oracle`` is the old one-step-at-a-time code.  Same loss, same
-gradient for every parameter (1e-9: the sums run in another order), for
-every encoder, on a batch that mixes two
-query sizes, forced steps and a trajectory the policy never acted in.
+``stack_steps`` turns an update's policy steps into ``(S, n, ·)`` chunks
+of at most ``CHUNK_ROWS`` rows and PPO scores each with one ``forward`` /
+``backward``, one gradient step per pass; ``per_step_oracle`` is the old
+one-step-at-a-time code.  Same loss, same gradient for every parameter
+(1e-9: the sums run in another order), and a first-pass ratio of exactly
+1.0, for every encoder and under three row budgets — one step per chunk,
+three steps of the larger query per chunk, and the shipped budget — on a
+batch that mixes two query sizes, forced steps and a trajectory the
+policy never acted in.
 """
 
 import numpy as np
@@ -14,10 +17,21 @@ from per_step_oracle import per_step_loss
 
 from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
 from repro.graphs import Graph, generate_query_set
-from repro.rl import PPOTrainer, collect_trajectory
+from repro.rl import PPOTrainer, collect_trajectory, rollout
 from repro.rl.rollout import stack_steps
 
 ENCODERS = ["gcn", "gat", "sage", "graphnn", "asap", "mlp"]
+#: Row budgets for the 6- and 4-vertex batch below: one step per chunk at
+#: both sizes, three 6-vertex (four 4-vertex) steps, and the shipped one.
+ROW_BUDGETS = {"one-step": 6, "three-steps": 18, "shipped": rollout.CHUNK_ROWS}
+
+
+@pytest.fixture(params=list(ROW_BUDGETS))
+def row_budget(request, monkeypatch) -> int:
+    """Run the test under each row budget of :data:`ROW_BUDGETS`."""
+    rows = ROW_BUDGETS[request.param]
+    monkeypatch.setattr(rollout, "CHUNK_ROWS", rows)
+    return rows
 
 
 @pytest.fixture()
@@ -43,13 +57,19 @@ def mixed_batch(data_graph, data_stats, queries, rng):
     return make
 
 
-def test_the_batch_is_the_one_the_docstring_promises(mixed_batch):
+def test_the_batch_is_the_one_the_docstring_promises(mixed_batch, row_budget):
     _, trajectories = mixed_batch("gcn")
     assert {len(t.steps) for t in trajectories} == {6, 4, 1}
     assert trajectories[2].policy_steps() == []
     assert any(not s.computed for s in trajectories[4].steps[:-1])
     batches = stack_steps(trajectories)
-    assert [b.features.shape[1] for b in batches] == [6, 4]
+    sizes = [b.features.shape[1] for b in batches]
+    # Each size's chunks are consecutive and full but for the last.
+    assert sizes == sorted(sizes, reverse=True) and set(sizes) == {6, 4}
+    for n in (6, 4):
+        counts = [b.weight.size for b in batches if b.features.shape[1] == n]
+        cap = max(1, row_budget // n)
+        assert all(c == cap for c in counts[:-1]) and 0 < counts[-1] <= cap
     for batch in batches:
         steps, n = batch.action_mask.shape
         assert batch.features.shape == (steps, n, 7)
@@ -57,28 +77,36 @@ def test_the_batch_is_the_one_the_docstring_promises(mixed_batch):
         assert batch.ctx.attention_mask.shape == (steps, n, n)
         assert batch.chosen.sum(axis=-1).tolist() == [1.0] * steps
         assert batch.old_prob.shape == batch.weight.shape == (steps,)
-    assert sum(b.weight.size for b in batches) == sum(
-        len(t.policy_steps()) for t in trajectories
-    )
+    num_steps = sum(len(t.policy_steps()) for t in trajectories)
+    assert sum(b.weight.size for b in batches) == num_steps
+    if row_budget == ROW_BUDGETS["one-step"]:
+        assert len(batches) == num_steps
+    if row_budget == ROW_BUDGETS["shipped"]:
+        assert sizes == [6, 4]
 
 
 @pytest.mark.parametrize("gnn_kind", ENCODERS)
-def test_stacked_forward_rows_equal_single_step_forwards(mixed_batch, gnn_kind):
+def test_stacked_forward_rows_equal_single_step_forwards(
+    mixed_batch, gnn_kind, row_budget
+):
     policy, trajectories = mixed_batch(gnn_kind)
     steps = {
-        size: [
-            (trajectory.ctx, step)
-            for trajectory in trajectories
-            for _, step in trajectory.policy_steps()
-            if len(step.action_mask) == size
-        ]
+        size: iter(
+            [
+                (trajectory.ctx, step)
+                for trajectory in trajectories
+                for _, step in trajectory.policy_steps()
+                if len(step.action_mask) == size
+            ]
+        )
         for size in (6, 4)
     }
     for batch in stack_steps(trajectories):
         stacked = policy.forward(batch.features, batch.ctx, batch.action_mask)
         rows = steps[batch.action_mask.shape[1]]
-        assert stacked.entropy.shape == (len(rows),)
-        for row, (ctx, step) in enumerate(rows):
+        assert stacked.entropy.shape == batch.weight.shape
+        for row in range(batch.weight.size):
+            ctx, step = next(rows)
             single = policy.forward(step.features, ctx, step.action_mask)
             for name in ("probs", "scores", "entropy"):
                 np.testing.assert_allclose(
@@ -89,6 +117,17 @@ def test_stacked_forward_rows_equal_single_step_forwards(mixed_batch, gnn_kind):
             assert batch.chosen_prob(stacked.probs).data[row] == (
                 stacked.probs.data[row, step.action]
             )
+    assert all(next(rows, None) is None for rows in steps.values())
+
+
+@pytest.mark.parametrize("gnn_kind", ENCODERS)
+def test_first_pass_ratio_is_one_across_chunks(mixed_batch, gnn_kind, row_budget):
+    policy, trajectories = mixed_batch(gnn_kind)
+    stats = PPOTrainer(policy, updates_per_batch=1).update(trajectories)
+    assert stats.mean_ratio == 1.0
+    assert stats.clip_fraction == 0.0
+    assert stats.approx_kl == 0.0
+    assert stats.first_pass_ratio == 1.0
 
 
 def assert_update_matches_oracle(trainer, trajectories):
@@ -109,7 +148,9 @@ def assert_update_matches_oracle(trainer, trajectories):
 
 
 @pytest.mark.parametrize("gnn_kind", ENCODERS)
-def test_loss_and_gradients_match_the_per_step_oracle(mixed_batch, gnn_kind):
+def test_loss_and_gradients_match_the_per_step_oracle(
+    mixed_batch, gnn_kind, row_budget
+):
     policy, trajectories = mixed_batch(gnn_kind)
     # No clipping, so the gradients left behind are the raw ones; a large
     # step, so the second round's ratios leave 1 (and some the clip range).
@@ -120,7 +161,9 @@ def test_loss_and_gradients_match_the_per_step_oracle(mixed_batch, gnn_kind):
 
 
 @pytest.mark.parametrize("gnn_kind", ENCODERS)
-def test_normalized_weights_match_the_per_step_oracle(mixed_batch, gnn_kind):
+def test_normalized_weights_match_the_per_step_oracle(
+    mixed_batch, gnn_kind, row_budget
+):
     policy, trajectories = mixed_batch(gnn_kind)
     trainer = PPOTrainer(
         policy, learning_rate=5e-2, updates_per_batch=1, max_grad_norm=None,
