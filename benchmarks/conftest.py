@@ -8,10 +8,12 @@ Scale is the smoke size below, so the suite stays a small part of the
 tier-1 run.  The ``REPRO_BENCH_*`` variables read by
 :meth:`BenchSettings.from_env` override it; CI runs the figure tests a
 second time at full size (``REPRO_BENCH_QUERIES=8 REPRO_BENCH_EPOCHS=10
-REPRO_BENCH_TIME_LIMIT=1.0``) under the same asserts.  The asserts compare counts
-(``#enum``, solved / unsolved queries), never two timings.  For
-paper-scale runs use the ``repro-bench`` CLI with larger ``--queries`` /
-``--epochs`` / ``--time-limit``.
+REPRO_BENCH_ENUM_LIMIT=1000000``) under the same asserts.  The asserts
+compare counts (``#enum``, solved / unsolved queries), never two
+timings, and every run is bounded by an ``#enum`` budget, never a
+deadline, so the counts are the same on every host and under any load.
+For paper-scale runs use the ``repro-bench`` CLI with larger
+``--queries`` / ``--epochs`` / ``--enum-limit``.
 
 Each experiment's printed tables are also written to ``<id>.txt`` so the
 regenerated figures survive pytest's output capture — into a pytest temp
@@ -33,12 +35,12 @@ from repro.bench import BenchSettings, Harness
 
 _DEFAULTS = {
     "query_count": 4,
-    "time_limit": 0.25,
+    "enum_limit": 300_000,
     "match_limit": 5_000,
     "train_epochs": 3,
     "incremental_epochs": 3,
     "train_match_limit": 1_500,
-    "train_time_limit": 0.4,
+    "train_enum_limit": 400_000,
     "rollouts_per_query": 2,
     "hidden_dim": 32,
     "seed": 0,

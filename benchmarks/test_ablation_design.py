@@ -34,7 +34,8 @@ def test_reward_squashing_ablation(benchmark, harness, record):
         workload = harness.workload(dataset, 16)
         enumerator = Enumerator(
             match_limit=harness.settings.match_limit,
-            time_limit=harness.settings.time_limit,
+            time_limit=None,
+            enum_limit=harness.settings.enum_limit,
         )
         variants = {
             "ppo-log": {},

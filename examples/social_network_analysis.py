@@ -51,7 +51,6 @@ def main() -> None:
             rollouts_per_query=2,
             hidden_dim=32,
             train_match_limit=2000,
-            train_time_limit=1.0,
             seed=1,
         ),
         stats=stats,

@@ -55,7 +55,6 @@ def main() -> None:
         incremental_epochs=3,
         hidden_dim=32,
         train_match_limit=2000,
-        train_time_limit=1.0,
         seed=2,
     )
     trainer = RLQVOTrainer(data, config, stats=stats)

@@ -69,7 +69,7 @@ class Matcher:
         An already-configured
         :class:`~repro.matching.enumeration.Enumerator` to run Phase (3) on,
         or the one engine's name (nothing to select — the default).
-    match_limit / time_limit / record_matches / check_every:
+    match_limit / time_limit / record_matches:
         Enumerator settings, used to build the engine when
         ``enumerator`` is not an instance (an instance keeps its own
         settings).  Defaults mirror the paper's caps (10^5 matches,
@@ -111,7 +111,6 @@ class Matcher:
         match_limit: int | None = 100_000,
         time_limit: float | None = DEFAULT_TIME_LIMIT,
         record_matches: bool = False,
-        check_every: int = 2048,
         stats: GraphStats | None = None,
         model=None,
         plan_cache: "PlanCache | None" = None,
@@ -129,7 +128,6 @@ class Matcher:
             match_limit=match_limit,
             time_limit=time_limit,
             record_matches=record_matches,
-            check_every=check_every,
         )
         self.filter_name = getattr(
             self.candidate_filter, "name", type(self.candidate_filter).__name__

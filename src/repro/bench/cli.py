@@ -6,7 +6,7 @@ Examples
 
     repro-bench table2
     repro-bench fig3 --queries 8 --epochs 6
-    repro-bench all --time-limit 1.0
+    repro-bench all --enum-limit 1000000
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--queries", type=int, help="queries per workload")
     parser.add_argument("--epochs", type=int, help="RL-QVO training epochs")
     parser.add_argument(
-        "--time-limit", type=float,
-        help="per-query deadline (s); the paper charges unsolved queries 500",
+        "--enum-limit", type=int,
+        help="per-query #enum budget; a query that needs more steps is "
+        "unsolved (the count form of the paper's 500 s cap)",
     )
     parser.add_argument("--match-limit", type=str, help="match cap or 'none'")
     parser.add_argument("--seed", type=int, help="workload / training seed")
@@ -49,8 +50,8 @@ def _settings_from_args(args: argparse.Namespace) -> BenchSettings:
         updates["query_count"] = args.queries
     if args.epochs is not None:
         updates["train_epochs"] = args.epochs
-    if args.time_limit is not None:
-        updates["time_limit"] = args.time_limit
+    if args.enum_limit is not None:
+        updates["enum_limit"] = args.enum_limit
     if args.match_limit is not None:
         updates["match_limit"] = (
             None if args.match_limit.lower() == "none" else int(args.match_limit)

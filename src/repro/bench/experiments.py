@@ -10,7 +10,10 @@ Each evaluated cell (one method on one query set) is a :func:`summarize`
 dict: its times beside its counts — ``Σ#enum`` and solved / unsolved
 queries.  All methods share one enumerator (Sec. IV-C), so ``#enum``
 isolates order quality and, unlike the times, depends on the commit
-alone; :func:`joint_enum` compares two cells on the queries both solved.
+alone: a query is solved when it finishes within the harness's
+``#enum`` budget, so which queries those are does not depend on the
+host either.  :func:`joint_enum` compares two cells on the queries both
+solved.
 """
 
 from __future__ import annotations
@@ -59,16 +62,16 @@ _FIG4_METHODS = ("rlqvo", "hybrid", "qsi", "ri", "vf2pp")
 
 
 def summarize(outcomes: list[QueryOutcome]) -> dict:
-    """One cell: mean charged / enumeration time, ``Σ#enum``, solved counts.
+    """One cell: mean query / enumeration time, ``Σ#enum``, solved counts.
 
-    ``solved_enum`` keeps each query's ``#enum``, ``None`` where the query
-    hit the deadline, for :func:`joint_enum`.
+    Times are as measured.  ``solved_enum`` keeps each query's ``#enum``,
+    ``None`` where the query ran out of budget, for :func:`joint_enum`.
     """
-    charged = [o.charged_time for o in outcomes]
+    times = [o.total_time for o in outcomes]
     enum_times = [o.enum_time for o in outcomes]
     solved = sum(o.solved for o in outcomes)
     return {
-        "time": float(np.mean(charged)) if outcomes else float("nan"),
+        "time": float(np.mean(times)) if outcomes else float("nan"),
         "enum_time": float(np.mean(enum_times)) if outcomes else float("nan"),
         "enum": sum(o.num_enumerations for o in outcomes),
         "queries": len(outcomes),
@@ -196,8 +199,9 @@ def fig3(
 ) -> dict:
     """Fig. 3: average query processing time, 7 methods × 6 datasets.
 
-    Time is ``t_filter + t_order + t_enum`` with unsolved queries charged
-    the full limit, on each dataset's default query set.  Each cell is a
+    Time is ``t_filter + t_order + t_enum`` as measured, on each dataset's
+    default query set; a query that runs out of ``#enum`` budget is
+    unsolved and its time is that of the steps it took.  Each cell is a
     :func:`summarize` dict.
     """
     payload: dict[str, dict[str, dict]] = defaultdict(dict)
@@ -220,8 +224,10 @@ def fig4(
     """Fig. 4: cumulative query-time distribution (find-all) + unsolved.
 
     The paper's curves use the time to find *all* matches; we therefore
-    drop the match limit and keep only the wall-clock deadline.  Each cell
-    is a :func:`summarize` dict plus its ``percentiles`` series.  A second
+    drop the match limit and keep only the ``#enum`` budget, so no run
+    waits out a deadline and the unsolved counts do not depend on the
+    host or its load.  The percentiles are of measured query times.  Each
+    cell is a :func:`summarize` dict plus its ``percentiles`` series.  A second
     table per dataset sets RL-QVO's ``Σ#enum`` beside each baseline's,
     over the queries both solved (:func:`joint_enum`).
     """
@@ -232,7 +238,7 @@ def fig4(
             outcomes = harness.evaluate(method, dataset, match_limit=None)
             cell = summarize(outcomes)
             cell["percentiles"] = percentile_series(
-                [o.charged_time for o in outcomes], percentiles
+                [o.total_time for o in outcomes], percentiles
             )
             payload[dataset][method] = cell
             rows.append(
@@ -307,12 +313,14 @@ def fig6(
 
     The optimal order enumerates (capped) all connected permutations and
     keeps the one with minimum ``#enum`` — the paper's spectrum analysis
-    at reduced permutation budget.
+    at reduced permutation budget.  Every run is bounded by the
+    harness's ``#enum`` budget, not a deadline.
     """
     settings = harness.settings
     enumerator = Enumerator(
         match_limit=match_limit,
-        time_limit=settings.time_limit,
+        time_limit=None,
+        enum_limit=settings.enum_limit,
     )
     payload: dict[str, dict] = {}
     for dataset in datasets:
@@ -326,7 +334,7 @@ def fig6(
         # orders so "Opt" lower-bounds them even under the cap.
         optimal = OptimalOrderer(
             match_limit=match_limit,
-            time_limit=min(0.2, settings.time_limit),
+            enum_limit=settings.enum_limit,
             max_permutations=max_permutations,
             seed_orderers=[hybrid, rlqvo],
         )

@@ -23,7 +23,7 @@ import sys
 import time
 from functools import partial
 
-from repro.core.config import RLQVOConfig
+from repro.core.config import DEFAULT_TRAIN_ENUM_LIMIT, RLQVOConfig
 from repro.core.model_io import save_model
 from repro.core.trainer import RLQVOTrainer
 from repro.datasets.registry import DATASETS, dataset_stats, load_dataset
@@ -50,9 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--train-match-limit", type=int, default=2000)
     parser.add_argument(
-        "--train-time-limit", type=float, default=1.0,
-        help="per-rollout enumeration deadline (s); the paper's full-scale "
-        "runs use 500",
+        "--train-enum-limit", type=int, default=DEFAULT_TRAIN_ENUM_LIMIT,
+        help="#enum budget of each training run (RI baseline, rollout, "
+        "greedy evaluation); a run over it is skipped, standing in for the "
+        "paper's 500 s cap",
     )
     parser.add_argument(
         "--eval-queries", type=int, default=0, metavar="N",
@@ -87,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         epochs=args.epochs,
         rollouts_per_query=args.rollouts,
         train_match_limit=args.train_match_limit,
-        train_time_limit=args.train_time_limit,
+        train_enum_limit=args.train_enum_limit,
         seed=args.seed,
     )
     data = load_dataset(args.dataset)

@@ -5,8 +5,10 @@ Per epoch:
 1. freeze a copy of the policy as the PPO sampling policy ``π_θ'``;
 2. roll ``π_θ'`` through every training query to get orders;
 3. run the (shared) enumeration procedure on each learned order and on
-   the cached RI baseline order to obtain ``Δ#enum`` (queries whose
-   enumeration exceeds the time limit are skipped, as in Sec. IV-A);
+   the cached RI baseline order to obtain ``Δ#enum`` (runs that need
+   more than ``train_enum_limit`` steps are skipped, the count form of
+   Sec. IV-A's time limit, so which rollouts train the policy does not
+   depend on the host);
 4. attach decayed step rewards (Eq. 1–2) and run the clipped PPO update.
 
 **Mode contract.**  The policy is a deterministic function of θ wherever
@@ -166,6 +168,7 @@ class RLQVOTrainer:
         self._enumerator = Enumerator(
             match_limit=self.config.train_match_limit,
             time_limit=self.config.train_time_limit,
+            enum_limit=self.config.train_enum_limit,
             record_matches=False,
         )
         # One facade instance for all reward rollouts: data-graph-side
@@ -203,7 +206,7 @@ class RLQVOTrainer:
                 self._baseline_enum[key] = 0
             else:
                 base = self._matcher.execute(plan)
-                # A timed-out baseline makes Δ#enum meaningless; mark the
+                # A stopped baseline makes Δ#enum meaningless; mark the
                 # query as unusable for reward computation and drop the
                 # space the baseline run built — no rollout will ever
                 # reach this query's release point.

@@ -49,5 +49,6 @@ class MatchResult:
 
     @property
     def solved(self) -> bool:
-        """Whether the run finished without hitting the deadline."""
+        """Whether the run finished without hitting the deadline or the
+        ``#enum`` budget."""
         return not self.enumeration.timed_out

@@ -46,9 +46,12 @@ convenience that wraps a fresh context.
 ``#enum`` counts the extension steps of the procedure (the recursive
 calls of Algorithm 2) — the paper's order-quality metric (Def. II.6).
 The enumerator honours a match limit (the paper caps runs at the first
-10^5 matches) and a wall-clock deadline
+10^5 matches), an ``#enum`` budget and a wall-clock deadline
 (:data:`DEFAULT_TIME_LIMIT`, the paper's 500 s cap, unless overridden),
-reporting both in the result.
+reporting them in the result.  The budget is the deterministic form of
+the paper's cap: a run that would need more than ``enum_limit`` steps
+stops with exactly ``enum_limit`` counted, whatever the host's speed, so
+every count decided under it is a function of the inputs alone.
 """
 
 from __future__ import annotations
@@ -90,7 +93,9 @@ class EnumerationResult:
     elapsed:
         Wall-clock seconds spent inside the procedure.
     timed_out:
-        Whether the deadline fired before the search space was exhausted.
+        Whether the run stopped before the search space was exhausted
+        because it hit the deadline or needed more than ``enum_limit``
+        steps (then ``num_enumerations == enum_limit``).
     limit_reached:
         Whether the match limit fired.
     matches:
@@ -129,11 +134,16 @@ class Enumerator:
         Stop after this many embeddings (``None`` = find all).
     time_limit:
         Wall-clock budget in seconds; defaults to the paper's 500 s cap
-        (:data:`DEFAULT_TIME_LIMIT`), ``None`` = unlimited.
+        (:data:`DEFAULT_TIME_LIMIT`), ``None`` = unlimited.  Checked
+        every :data:`~repro.matching.enumeration_batch.CHECK_EVERY`
+        steps, so where it stops a run depends on the host.
+    enum_limit:
+        ``#enum`` budget (``None`` = unlimited): a run that would take
+        step ``enum_limit + 1`` stops before it, reporting ``timed_out``
+        with ``num_enumerations == enum_limit`` — the same on every host.
+        A run that finishes within the budget is complete.
     record_matches:
         Whether to materialize embeddings (off for pure counting runs).
-    check_every:
-        Deadline check cadence, in extension steps (a positive int).
 
     There is no engine to select: the one explicit-stack DFS decides per
     frame, from the frame's own width, whether to call the bulk frontier
@@ -148,23 +158,23 @@ class Enumerator:
         self,
         match_limit: int | None = 100_000,
         time_limit: float | None = DEFAULT_TIME_LIMIT,
+        enum_limit: int | None = None,
         record_matches: bool = False,
-        check_every: int = 2048,
     ):
         if match_limit is not None and match_limit < 1:
             raise EnumerationError("match_limit must be >= 1 or None")
         if time_limit is not None and time_limit <= 0:
             raise EnumerationError("time_limit must be positive or None")
-        if (
-            not isinstance(check_every, int)
-            or isinstance(check_every, bool)
-            or check_every < 1
+        if enum_limit is not None and (
+            not isinstance(enum_limit, int)
+            or isinstance(enum_limit, bool)
+            or enum_limit < 1
         ):
-            raise EnumerationError("check_every must be a positive int")
+            raise EnumerationError("enum_limit must be a positive int or None")
         self.match_limit = match_limit
         self.time_limit = time_limit
+        self.enum_limit = enum_limit
         self.record_matches = record_matches
-        self.check_every = check_every
 
     def run(
         self,
@@ -220,8 +230,8 @@ class Enumerator:
             order,
             backward,
             self.match_limit,
+            self.enum_limit,
             deadline,
-            self.check_every,
             self.record_matches,
         )
         return EnumerationResult(

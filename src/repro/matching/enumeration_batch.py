@@ -8,7 +8,8 @@ limit raises :class:`RecursionError` before the search gets going.
 cursors into sorted candidate lists, in the style of LIVE's and NeuSO's
 index-driven enumeration loops.  It binds every position of the order,
 counts ``#enum`` and the matches, records the matches, and stops at the
-match limit and at the deadline — one loop with no suspension point.
+match limit, the ``#enum`` budget and the deadline — one loop with no
+suspension point.
 
 **The memo.**  Local candidates at depth ``i`` (Line 6) depend only on
 the images of ``φ[i]``'s backward neighbours, and the DFS reopens a
@@ -57,9 +58,13 @@ flat index ``r`` whose parent has index ``i``, carries ``enum_start +
 ``match_limit`` cuts inside a chunk, are therefore the same whichever
 frames are taken, and the recursive oracle under ``tests/``
 (``recursive_oracle.py``) pins that with every frame taken, none, and
-the default.  The frontier checks the deadline at chunk granularity at
-the walk's cadence; where a timeout truncates is wall-clock dependent
-everywhere, so only the flag is comparable.
+the default.  The ``#enum`` budget cuts the same way: a frame whose
+steps run past it is cut inside the chunk at the budget, keeping the
+matches whose step lies within it, so a budget-stopped run is
+bit-identical too.  The frontier checks the deadline at chunk
+granularity at the walk's cadence (:data:`CHECK_EVERY`); where a
+deadline truncates is wall-clock dependent everywhere, so only the flag
+is comparable.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ import numpy as np
 from repro.matching.context import MatchingContext
 
 __all__ = [
+    "CHECK_EVERY",
     "FRONTIER_CHUNK",
     "FRONTIER_MIN_STEPS",
     "intersect_sorted",
@@ -97,6 +103,13 @@ FRONTIER_CHUNK = 1 << 16
 #: implementation, not a setting: only tests ever change it, to force
 #: every frame one way.
 FRONTIER_MIN_STEPS = 64
+
+#: Deadline check cadence, in ``#enum`` steps: the walk reads the clock
+#: whenever ``#enum`` reaches a multiple of it (the frontier, at the first
+#: chunk boundary past one).  A constant of the implementation, not a
+#: setting: only tests change it, to make an expired deadline fire at a
+#: chosen point.
+CHECK_EVERY = 2048
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -245,6 +258,20 @@ def _prefix_list(
     return arr[~search.used[arr]]
 
 
+def _next_stop(enum: int, enum_limit: int | None, deadline: float | None) -> int:
+    """The first ``#enum`` above ``enum`` at which the walk must stop and
+    look: the step past the budget, or the next multiple of
+    :data:`CHECK_EVERY` when there is a deadline to read — whichever
+    comes first; ``0``, which a counted step never equals, when there is
+    neither."""
+    stop = 0 if enum_limit is None else enum_limit + 1
+    if deadline is not None:
+        check = (enum // CHECK_EVERY + 1) * CHECK_EVERY
+        if not stop or check < stop:
+            stop = check
+    return stop
+
+
 def _frontier(
     search: _Search,
     backward: Sequence[Sequence[int]],
@@ -252,8 +279,8 @@ def _frontier(
     enum: int,
     found: int,
     match_limit: int | None,
+    enum_limit: int | None,
     deadline: float | None,
-    check_every: int,
     parts: list[np.ndarray] | None,
 ) -> tuple[int, int, bool, bool]:
     """Bulk-expand levels ``n-3``, ``n-2`` and ``n-1`` under the prefix
@@ -261,9 +288,10 @@ def _frontier(
     candidates, not yet filtered by ``used``); ``enum`` and ``found``
     are the walk's counts on entry.  Appends one ``(s, n)`` int64 block
     of images by position per non-empty leaf chunk to ``parts`` (when
-    recording) and returns ``(enum, found, timed_out, limited)``, with
+    recording) and returns ``(enum, found, stopped, limited)``, with
     ``enum`` the exact DFS count where the frame was left: exhausted,
-    timed out, or cut right after the ``match_limit``-th match.
+    cut right after the ``match_limit``-th match, cut at ``enum_limit``
+    (the frame needed a step past the budget), or timed out.
     """
     n = len(backward)
     pa = n - 3
@@ -277,7 +305,7 @@ def _frontier(
     rows = _prefix_list(search, backward, n - 2)
     leaves = _prefix_list(search, backward, n - 1)
     enum_start = enum
-    next_check = (enum // check_every + 1) * check_every
+    next_check = (enum // CHECK_EVERY + 1) * CHECK_EVERY
     parents_done = rows_done = survs_done = 0
     per_group = max(1, FRONTIER_CHUNK // max(rows.size, 1))
     row_step = max(1, FRONTIER_CHUNK // max(leaves.size, 1))
@@ -301,43 +329,56 @@ def _frontier(
             r_of_s, leaf_col = np.nonzero(
                 (leaves != wimg[r0:r1, None]) & (leaves != v_flat[r0:r1, None])
             )
+            r_of_s += r0
             s = r_of_s.size
-            if s:
-                r_of_s += r0
-                limited = match_limit is not None and found + s >= match_limit
-                if limited:
-                    s = match_limit - found
-                    r_of_s, leaf_col = r_of_s[:s], leaf_col[:s]
-                if parts is not None:
-                    block = np.empty((s, n), dtype=np.int64)
-                    block[:, :pa] = images[:pa]
-                    block[:, pa] = wimg[r_of_s]
-                    block[:, pa + 1] = v_flat[r_of_s]
-                    block[:, pa + 2] = leaves[leaf_col]
-                    parts.append(block)
-                found += s
-                survs_done += s
-                if limited:
-                    # The cut match charges its row's steps and every
-                    # survivor up to and including itself.
-                    enum = enum_start + survs_done + int(row_charge[r_of_s[-1]])
-                    return enum, found, False, True
-
             # Consistent DFS position after this chunk: all parents up
             # to the last touched row, all rows up to r1, all survivors
             # so far.
             parents_part = parents_done + int(parent_flat[r1 - 1]) + 1
-            enum = enum_start + parents_part + (rows_done + r1) + survs_done
+            enum = enum_start + parents_part + (rows_done + r1) + survs_done + s
+            over_budget = enum_limit is not None and enum > enum_limit
+            if over_budget:
+                # The walk stops before step enum_limit + 1, which lies
+                # in this chunk: keep the survivors whose own step (its
+                # row's charge plus the survivors up to and including
+                # it) is within the budget.
+                steps = row_charge[r_of_s] + np.arange(
+                    enum_start + survs_done + 1, enum_start + survs_done + s + 1
+                )
+                s = int(np.searchsorted(steps, enum_limit, side="right"))
+            limited = match_limit is not None and found + s >= match_limit
+            if limited:
+                s = match_limit - found
+            if s and parts is not None:
+                r_of_s, leaf_col = r_of_s[:s], leaf_col[:s]
+                block = np.empty((s, n), dtype=np.int64)
+                block[:, :pa] = images[:pa]
+                block[:, pa] = wimg[r_of_s]
+                block[:, pa + 1] = v_flat[r_of_s]
+                block[:, pa + 2] = leaves[leaf_col]
+                parts.append(block)
+            found += s
+            survs_done += s
+            if limited:
+                # The cut match charges its row's steps and every
+                # survivor up to and including itself.
+                enum = enum_start + survs_done + int(row_charge[r_of_s[s - 1]])
+                return enum, found, False, True
+            if over_budget:
+                return enum_limit, found, True, False
             if deadline is not None and enum >= next_check:
-                next_check = (enum // check_every + 1) * check_every
+                next_check = (enum // CHECK_EVERY + 1) * CHECK_EVERY
                 if perf_counter() > deadline:
                     return enum, found, True, False
 
         parents_done += W_grp.size
         rows_done += k
         enum = enum_start + parents_done + rows_done + survs_done
+        if enum_limit is not None and enum > enum_limit:
+            # Only row-less parents follow the last chunk: no match to keep.
+            return enum_limit, found, True, False
         if deadline is not None and enum >= next_check:
-            next_check = (enum // check_every + 1) * check_every
+            next_check = (enum // CHECK_EVERY + 1) * CHECK_EVERY
             if perf_counter() > deadline:
                 return enum, found, True, False
     return enum, found, False, False
@@ -348,8 +389,8 @@ def walk(
     order: Sequence[int],
     backward: Sequence[Sequence[int]],
     match_limit: int | None,
+    enum_limit: int | None,
     deadline: float | None,
-    check_every: int,
     record: bool,
 ) -> tuple[int, int, bool, bool, np.ndarray]:
     """The explicit-stack DFS over every position of ``order``.
@@ -360,15 +401,19 @@ def walk(
     runs standalone; ``Matcher.plan`` pre-builds it in Phase (1)),
     ``backward`` lists backward-neighbour *positions* per position, and
     ``deadline`` is absolute ``time.perf_counter`` time, checked
-    whenever ``#enum`` reaches a multiple of ``check_every``.
+    whenever ``#enum`` reaches a multiple of :data:`CHECK_EVERY`.
     Everything a run allocates is its own, so concurrent runs share
     nothing.
 
     ``#enum`` is counted exactly as Algorithm 2's recursion counts
     calls: one for the root plus one per extension attempt.
     ``match_limit`` stops right after the k-th match, so ``#enum`` is the
-    search explored up to it, whoever found that match.  Returns
-    ``(num_matches, num_enumerations, timed_out, limit_reached,
+    search explored up to it, whoever found that match.  ``enum_limit``
+    stops the walk before its ``enum_limit + 1``-th step: ``#enum`` reads
+    ``enum_limit`` and ``timed_out`` is set, as when the deadline fires;
+    a search that ends within the budget is not stopped.  The per-step
+    test is one comparison with the next stop point (:func:`_next_stop`).
+    Returns ``(num_matches, num_enumerations, timed_out, limit_reached,
     matches)``: ``matches`` is one ``(k, n)`` int64 array indexed
     ``[match, query vertex]`` (``k = 0`` unless ``record``).  Matches
     found per node are buffered by position in one flat list, which
@@ -392,19 +437,23 @@ def walk(
     parts: list[np.ndarray] = []
     perf_counter = time.perf_counter
     enum = found = 0
+    next_stop = _next_stop(enum, enum_limit, deadline)
     timed_out = limited = False
     depth = -1
     while True:
         # One "call" of Algorithm 2's recursion: the root (depth -1) or
         # the extension attempt that just bound images[depth].
         enum += 1
-        if (
-            deadline is not None
-            and enum % check_every == 0
-            and perf_counter() > deadline
-        ):
-            timed_out = True
-            break
+        if enum == next_stop:
+            if enum_limit is not None and enum > enum_limit:
+                # The budget is spent: this step is not taken.
+                enum = enum_limit
+                timed_out = True
+                break
+            if perf_counter() > deadline:
+                timed_out = True
+                break
+            next_stop = _next_stop(enum, enum_limit, deadline)
         if depth == last:
             found += 1
             if record:
@@ -439,12 +488,13 @@ def walk(
                     enum,
                     found,
                     match_limit,
+                    enum_limit,
                     deadline,
-                    check_every,
                     parts if record else None,
                 )
                 if timed_out or limited:
                     break
+                next_stop = _next_stop(enum, enum_limit, deadline)
                 cand = ()
             cursors[depth] = iter(cand)
         # Advance to the next unused candidate, backtracking out of

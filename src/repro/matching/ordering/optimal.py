@@ -7,6 +7,11 @@ the minimum enumeration number.  Restricting the search to connected
 orders is safe: for a connected query, any order can be rearranged into a
 connected one whose enumeration tree is no larger (a disconnected prefix
 only inserts Cartesian products).
+
+Every permutation after the first runs under an ``#enum`` budget of the
+best count so far: one that would need more steps stops there and
+cannot win, so a permutation wins only on a run that finished, and the
+sweep's result is a function of its inputs, never of the host's speed.
 """
 
 from __future__ import annotations
@@ -66,9 +71,13 @@ class OptimalOrderer(Orderer):
 
     Parameters
     ----------
-    match_limit / time_limit:
-        Limits applied to each candidate permutation's enumeration run
+    match_limit:
+        Match cap of each candidate permutation's enumeration run
         (mirrors the evaluation pipeline the order will be used in).
+    enum_limit:
+        ``#enum`` budget of the first run (``None`` = unlimited); each
+        later run gets the best count so far, or this budget while no
+        run has finished.  A run that stops on the budget never wins.
     max_permutations:
         Safety cap; permutations beyond it are skipped (the best order
         found so far is returned).  ``None`` = no cap.
@@ -84,15 +93,17 @@ class OptimalOrderer(Orderer):
     def __init__(
         self,
         match_limit: int | None = 100_000,
-        time_limit: float | None = None,
+        enum_limit: int | None = None,
         max_permutations: int | None = None,
         seed_orderers: list[Orderer] | None = None,
     ):
         self.match_limit = match_limit
-        self.time_limit = time_limit
+        self.enum_limit = enum_limit
         self.max_permutations = max_permutations
         self.seed_orderers = seed_orderers if seed_orderers is not None else []
-        #: ``#enum`` of the best order found by the last :meth:`order` call.
+        #: ``#enum`` of the best order found by the last :meth:`order`
+        #: call: the count of a finished run, or ``None`` when every run
+        #: ran out of budget.
         self.last_best_enum: int | None = None
 
     def order(
@@ -121,17 +132,22 @@ class OptimalOrderer(Orderer):
         the whole sweep rather than once per permutation.
         """
         query = context.query
-        enumerator = Enumerator(
-            match_limit=self.match_limit,
-            time_limit=self.time_limit,
-            record_matches=False,
-        )
+        first: list[int] | None = None
         best_order: list[int] | None = None
         best_enum: int | None = None
 
         def consider(phi: list[int]) -> None:
-            nonlocal best_order, best_enum
-            result = enumerator.run_context(context, phi)
+            nonlocal first, best_order, best_enum
+            if first is None:
+                first = phi
+            # A tie with the best so far finishes within its budget and
+            # loses to the earlier order.
+            budget = self.enum_limit if best_enum is None else best_enum
+            result = Enumerator(
+                match_limit=self.match_limit, time_limit=None, enum_limit=budget
+            ).run_context(context, phi)
+            if result.timed_out:
+                return
             if best_enum is None or result.num_enumerations < best_enum:
                 best_enum = result.num_enumerations
                 best_order = phi
@@ -142,8 +158,9 @@ class OptimalOrderer(Orderer):
             if self.max_permutations is not None and count >= self.max_permutations:
                 break
             consider(phi)
-        if best_order is None:  # pragma: no cover - empty query only
-            best_order = list(range(query.num_vertices))
-            best_enum = 0
+        if best_order is None:
+            # Every run ran out of budget, or none was allowed: no order
+            # is known best, so the first one considered is kept.
+            best_order = first or list(range(query.num_vertices))
         self.last_best_enum = best_enum
         return best_order

@@ -296,8 +296,8 @@ class MatchService:
         return Enumerator(
             match_limit=match_limit,
             time_limit=time_limit,
+            enum_limit=base.enum_limit,
             record_matches=record,
-            check_every=base.check_every,
         )
 
     @staticmethod

@@ -263,8 +263,7 @@ class TestRLIntegration:
         from repro import RLQVOConfig, RLQVOTrainer, save_model
 
         data, queries = _instances(21, 4)
-        config = RLQVOConfig(epochs=1, hidden_dim=8, train_match_limit=200,
-                             train_time_limit=0.5, seed=0)
+        config = RLQVOConfig(epochs=1, hidden_dim=8, train_match_limit=200, seed=0)
         trainer = RLQVOTrainer(data, config)
         trainer.train(queries[:2])
         save_model(trainer.policy, tmp_path / "model")

@@ -28,11 +28,11 @@ def harness():
     return Harness(
         BenchSettings(
             query_count=4,
-            time_limit=0.4,
+            enum_limit=400_000,
             match_limit=200,
             train_epochs=1,
             train_match_limit=200,
-            train_time_limit=0.3,
+            train_enum_limit=300_000,
             hidden_dim=8,
             seed=0,
         )
@@ -132,18 +132,19 @@ def test_registry_covers_every_table_and_figure():
     }
 
 
-def _outcome(num_enumerations, solved, charged_time=0.5):
+def _outcome(num_enumerations, solved, enum_time=0.5):
     return QueryOutcome(
         method="m", dataset="d", size=4, query_index=0,
-        filter_time=0.0, order_time=0.0, enum_time=charged_time,
+        filter_time=0.1, order_time=0.0, enum_time=enum_time,
         num_matches=0, num_enumerations=num_enumerations, solved=solved,
-        charged_time=charged_time,
     )
 
 
 def test_summarize_counts_beside_times():
+    # Times are as measured: an unsolved query is not charged a limit.
     cell = summarize([_outcome(10, True, 0.2), _outcome(7, False, 1.0)])
-    assert cell["time"] == pytest.approx(0.6)
+    assert cell["time"] == pytest.approx(0.7)
+    assert cell["enum_time"] == pytest.approx(0.6)
     assert cell["enum"] == 17
     assert (cell["queries"], cell["solved"], cell["unsolved"]) == (2, 1, 1)
     assert cell["solved_enum"] == (10, None)

@@ -12,11 +12,11 @@ from repro.matching.ordering import QSIOrderer
 def tiny_settings() -> BenchSettings:
     return BenchSettings(
         query_count=4,
-        time_limit=0.5,
+        enum_limit=500_000,
         match_limit=200,
         train_epochs=1,
         train_match_limit=200,
-        train_time_limit=0.3,
+        train_enum_limit=300_000,
         hidden_dim=8,
         seed=0,
     )
@@ -25,12 +25,12 @@ def tiny_settings() -> BenchSettings:
 class TestBenchSettings:
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_QUERIES", "6")
-        monkeypatch.setenv("REPRO_BENCH_TIME_LIMIT", "0.7")
+        monkeypatch.setenv("REPRO_BENCH_ENUM_LIMIT", "70000")
         monkeypatch.setenv("REPRO_BENCH_MATCH_LIMIT", "none")
         monkeypatch.setenv("REPRO_BENCH_EPOCHS", "3")
         settings = BenchSettings.from_env()
         assert settings.query_count == 6
-        assert settings.time_limit == 0.7
+        assert settings.enum_limit == 70_000
         assert settings.match_limit is None
         assert settings.train_epochs == 3
 
@@ -39,16 +39,16 @@ class TestBenchSettings:
         # base that holds another value.
         base = tiny_settings()
         monkeypatch.setenv("REPRO_BENCH_EPOCHS", str(BenchSettings().train_epochs))
-        monkeypatch.setenv("REPRO_BENCH_TIME_LIMIT", str(BenchSettings().time_limit))
+        monkeypatch.setenv("REPRO_BENCH_ENUM_LIMIT", str(BenchSettings().enum_limit))
         settings = BenchSettings.from_env(base)
         assert settings.train_epochs == BenchSettings().train_epochs
-        assert settings.time_limit == BenchSettings().time_limit
+        assert settings.enum_limit == BenchSettings().enum_limit
         assert settings.query_count == base.query_count
         assert settings.hidden_dim == base.hidden_dim
 
     def test_no_variables_leave_the_base(self, monkeypatch):
         for name in (
-            "REPRO_BENCH_QUERIES", "REPRO_BENCH_TIME_LIMIT",
+            "REPRO_BENCH_QUERIES", "REPRO_BENCH_ENUM_LIMIT",
             "REPRO_BENCH_MATCH_LIMIT", "REPRO_BENCH_EPOCHS", "REPRO_BENCH_SEED",
         ):
             monkeypatch.delenv(name, raising=False)
@@ -60,6 +60,8 @@ class TestBenchSettings:
         config = settings.rlqvo_config()
         assert config.epochs == 1
         assert config.hidden_dim == 8
+        assert config.train_enum_limit == 300_000
+        assert config.train_time_limit is None
         config2 = settings.rlqvo_config(hidden_dim=32)
         assert config2.hidden_dim == 32
 
@@ -108,10 +110,10 @@ class TestHarnessEvaluate:
         assert len(outcomes) == 2  # eval half of query_count=4
         for outcome in outcomes:
             assert outcome.method == "ri"
-            assert outcome.charged_time > 0
+            assert outcome.total_time > 0
             assert outcome.num_enumerations >= 0
             if not outcome.solved:
-                assert outcome.charged_time >= harness.settings.time_limit
+                assert outcome.num_enumerations == harness.settings.enum_limit
 
     def test_trained_orderer_cached(self, harness):
         a, hist_a = harness.trained_orderer("citeseer", 4)

@@ -16,7 +16,7 @@ class TestBestCheckpoint:
     def test_disabled_by_default(self, setup):
         data, stats, queries = setup
         config = RLQVOConfig(
-            epochs=2, hidden_dim=16, train_match_limit=300, train_time_limit=2.0
+            epochs=2, hidden_dim=16, train_match_limit=300
         )
         trainer = RLQVOTrainer(data, config, stats=stats)
         history = trainer.train(queries)
@@ -28,7 +28,6 @@ class TestBestCheckpoint:
             epochs=3,
             hidden_dim=16,
             train_match_limit=300,
-            train_time_limit=2.0,
             track_best_policy=True,
         )
         trainer = RLQVOTrainer(data, config, stats=stats)
@@ -41,7 +40,6 @@ class TestBestCheckpoint:
             epochs=4,
             hidden_dim=16,
             train_match_limit=300,
-            train_time_limit=2.0,
             track_best_policy=True,
             seed=3,
         )
@@ -61,7 +59,7 @@ class TestBestCheckpoint:
         def losses(track):
             config = RLQVOConfig(
                 epochs=3, hidden_dim=16, train_match_limit=300,
-                train_time_limit=2.0, track_best_policy=track,
+                track_best_policy=track,
             )
             history = RLQVOTrainer(data, config, stats=stats).train(queries)
             return [e.loss for e in history.epochs]
@@ -73,7 +71,7 @@ class TestBestCheckpoint:
         held_out = generate_query_set(data, 5, 4, seed=56)
         config = RLQVOConfig(
             epochs=4, hidden_dim=16, train_match_limit=300,
-            train_time_limit=2.0, track_best_policy=True, seed=3,
+            track_best_policy=True, seed=3,
         )
         trainer = RLQVOTrainer(data, config, stats=stats)
         history = trainer.train(queries, eval_queries=held_out)

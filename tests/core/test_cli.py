@@ -20,13 +20,15 @@ class TestTrainCLI:
                 "--rollouts", "1",
                 "--hidden-dim", "8",
                 "--train-match-limit", "100",
-                "--train-time-limit", "0.3",
+                "--train-enum-limit", "300000",
                 "--out", str(out),
             ]
         )
         assert code == 0
         policy = load_model(out)
         assert policy.config.hidden_dim == 8
+        assert policy.config.train_enum_limit == 300_000
+        assert policy.config.train_time_limit is None
         captured = capsys.readouterr().out
         assert "saved model" in captured
         assert "epoch   0" in captured
@@ -52,6 +54,19 @@ class TestTrainCLI:
         assert "--algorithm" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_time_limit_flag_is_retired(self, tmp_path, capsys):
+        # The #enum budget replaced the per-run deadline: the old flag is
+        # a usage error and nothing is trained or saved.
+        out = tmp_path / "model"
+        with pytest.raises(SystemExit) as exc_info:
+            train_main(
+                ["citeseer", "--size", "4", "--train-time-limit", "1.0",
+                 "--out", str(out)]
+            )
+        assert exc_info.value.code == 2
+        assert "--train-time-limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_held_out_evaluation_and_jsonl_log(self, tmp_path, capsys):
         log = tmp_path / "train.jsonl"
         code = train_main(
@@ -62,7 +77,7 @@ class TestTrainCLI:
                 "--epochs", "2",
                 "--hidden-dim", "8",
                 "--train-match-limit", "100",
-                "--train-time-limit", "0.3",
+                "--train-enum-limit", "300000",
                 "--eval-queries", "2",
                 "--log-jsonl", str(log),
                 "--out", str(tmp_path / "model"),
@@ -92,7 +107,7 @@ class TestTrainCLI:
             [
                 "citeseer", "--size", "8", "--incremental-from", "4",
                 "--queries", "4", "--epochs", "2", "--hidden-dim", "8",
-                "--train-match-limit", "100", "--train-time-limit", "0.3",
+                "--train-match-limit", "100", "--train-enum-limit", "300000",
                 "--log-jsonl", str(log), "--out", str(tmp_path / "model"),
             ]
         )
@@ -146,9 +161,11 @@ class TestBenchCLI:
         from repro.bench.cli import _build_parser, _settings_from_args
 
         args = _build_parser().parse_args(
-            ["table2", "--queries", "6", "--match-limit", "none", "--seed", "7"]
+            ["table2", "--queries", "6", "--match-limit", "none", "--seed", "7",
+             "--enum-limit", "50000"]
         )
         settings = _settings_from_args(args)
         assert settings.query_count == 6
+        assert settings.enum_limit == 50_000
         assert settings.match_limit is None
         assert settings.seed == 7

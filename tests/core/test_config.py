@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import RLQVOConfig
+from repro.core.config import DEFAULT_TRAIN_ENUM_LIMIT
 from repro.errors import ModelError
 from repro.rl import RewardConfig
 
@@ -17,7 +18,9 @@ class TestDefaults:
         assert config.epochs == 100
         assert config.incremental_epochs == 10
         assert config.train_match_limit == 100_000
-        assert config.train_time_limit == 500.0
+        # The paper's 500 s skip rule, as a count: no deadline by default.
+        assert config.train_enum_limit == DEFAULT_TRAIN_ENUM_LIMIT
+        assert config.train_time_limit is None
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -13,6 +13,7 @@ from repro.core import (
     load_model,
     save_model,
 )
+from repro.core.config import DEFAULT_TRAIN_ENUM_LIMIT
 from repro.errors import ModelError
 from repro.graphs import GraphStats, erdos_renyi, generate_query_set
 from repro.nn import GraphContext
@@ -85,6 +86,24 @@ class TestSaveLoad:
         )
         loaded = load_model(tmp_path / "m")
         assert loaded.config == policy.config
+        saved, restored = policy.state_dict(), loaded.state_dict()
+        assert all(np.array_equal(saved[k], restored[k]) for k in saved)
+
+    def test_config_saved_before_the_enum_budget_loads(self, tmp_path):
+        # A config.json written while training runs were bounded by a
+        # deadline carries "train_time_limit": 500.0 and no
+        # "train_enum_limit": it loads, with the default budget and the
+        # deadline it was saved with, and its weights bit-equal.
+        policy = PolicyNetwork(RLQVOConfig(hidden_dim=8))
+        save_model(policy, tmp_path / "m")
+        path = tmp_path / "m" / "config.json"
+        raw = json.loads(path.read_text())
+        del raw["train_enum_limit"]
+        raw["train_time_limit"] = 500.0
+        path.write_text(json.dumps(raw, indent=2))
+        loaded = load_model(tmp_path / "m")
+        assert loaded.config.train_enum_limit == DEFAULT_TRAIN_ENUM_LIMIT
+        assert loaded.config.train_time_limit == 500.0
         saved, restored = policy.state_dict(), loaded.state_dict()
         assert all(np.array_equal(saved[k], restored[k]) for k in saved)
 

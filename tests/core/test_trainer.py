@@ -18,7 +18,6 @@ def trainer(data_graph, data_stats):
         epochs=2,
         hidden_dim=16,
         train_match_limit=500,
-        train_time_limit=2.0,
         seed=5,
     )
     return RLQVOTrainer(data_graph, config, stats=data_stats)
@@ -86,7 +85,7 @@ class TestTraining:
         # sampled (ROADMAP D(i)), whichever encoder the policy carries.
         config = RLQVOConfig(
             gnn_kind=gnn_kind, hidden_dim=16, train_match_limit=500,
-            train_time_limit=2.0, seed=5, updates_per_epoch=1,
+            seed=5, updates_per_epoch=1,
         )
         trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
         for stats in trainer.train(train_queries, epochs=3).epochs:
@@ -100,7 +99,7 @@ class TestTraining:
     def epoch_and_update(self, data_graph, data_stats, train_queries):
         """One epoch's stats and the PPOStats its update returned."""
         config = RLQVOConfig(
-            hidden_dim=8, train_match_limit=200, train_time_limit=2.0, seed=5
+            hidden_dim=8, train_match_limit=200, seed=5
         )
         trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
         returned = []
@@ -138,7 +137,7 @@ class TestHeldOutEvaluation:
 
     def _run(self, data_graph, data_stats, train_queries, **kwargs):
         config = RLQVOConfig(
-            hidden_dim=16, train_match_limit=500, train_time_limit=2.0, seed=5
+            hidden_dim=16, train_match_limit=500, seed=5
         )
         trainer = RLQVOTrainer(data_graph, config, stats=data_stats)
         history = trainer.train(train_queries, epochs=3, **kwargs)
@@ -182,7 +181,7 @@ class TestHeldOutEvaluation:
         # [] must not select on a total of 0 (which epoch 0 would win).
         def run(eval_queries):
             config = RLQVOConfig(
-                hidden_dim=16, train_match_limit=500, train_time_limit=2.0,
+                hidden_dim=16, train_match_limit=500,
                 seed=5, track_best_policy=True,
             )
             trainer = RLQVOTrainer(data_graph, config, stats=data_stats)

@@ -14,7 +14,8 @@ keep those names here (and in the parametrized test ids).
 
 ``tests/conftest.py`` puts this directory on ``sys.path``, so any test
 module can ``from frontier_modes import MODES, frontier_mode``.  The
-frontier's chunk size can be forced the same way (``frontier_chunk``).
+frontier's chunk size can be forced the same way (``frontier_chunk``),
+and so can the deadline check cadence (``check_every``).
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ def frontier_chunk(chunk: int):
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration_batch, "FRONTIER_CHUNK", chunk)
+        yield
+
+
+@contextmanager
+def check_every(steps: int):
+    """Run the block with the walk reading the clock every ``steps``
+    ``#enum`` steps (``enumeration_batch.CHECK_EVERY``), so an expired
+    deadline fires at a chosen point instead of the 2048th step."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration_batch, "CHECK_EVERY", steps)
         yield
 
 

@@ -25,7 +25,6 @@ def world():
         epochs=15,
         hidden_dim=24,
         train_match_limit=1500,
-        train_time_limit=2.0,
         seed=7,
     )
     trainer = RLQVOTrainer(data, config, stats=stats)

@@ -64,7 +64,7 @@ class TestOrderingOverhead:
         numpy policy should be well under that for small queries."""
         data, stats, queries = world
         config = RLQVOConfig(
-            epochs=1, hidden_dim=16, train_match_limit=200, train_time_limit=1.0
+            epochs=1, hidden_dim=16, train_match_limit=200
         )
         trainer = RLQVOTrainer(data, config, stats=stats)
         trainer.train(queries[:2], epochs=1)
@@ -104,7 +104,7 @@ class TestTrainingHelps:
             return sum(matcher.match(q).num_enumerations for q in held_out)
 
         config = RLQVOConfig(
-            epochs=10, train_match_limit=200, train_time_limit=2.0, seed=seed
+            epochs=10, train_match_limit=200, seed=seed
         )
         trainer = RLQVOTrainer(data, config, stats=stats)
         untrained = held_out_enum(trainer.make_orderer())

@@ -3,8 +3,8 @@
 import networkx as nx
 import numpy as np
 import pytest
+from frontier_modes import check_every
 
-from repro import Matcher
 from repro.errors import EnumerationError
 from repro.graphs import Graph, erdos_renyi, extract_query
 from repro.matching import Enumerator, GQLFilter, LDFFilter, RIOrderer
@@ -114,11 +114,31 @@ class TestLimits:
         query = extract_query(data, 8, np.random.default_rng(1))
         candidates = LDFFilter().filter(query, data)
         order = RIOrderer().order(query, data, candidates)
-        result = Enumerator(
-            match_limit=None, time_limit=0.05, check_every=64
-        ).run(query, data, candidates, order)
+        with check_every(64):
+            result = Enumerator(match_limit=None, time_limit=0.05).run(
+                query, data, candidates, order
+            )
         assert result.timed_out
         assert result.elapsed < 2.0
+
+    def test_enum_limit_stops_at_exactly_the_budget(self, instance):
+        # A budget below the full count stops the run with exactly the
+        # budget counted; the full count itself is no stop at all.
+        query, data, candidates, order = instance
+        full = Enumerator(match_limit=None).run(query, data, candidates, order)
+        assert full.num_enumerations > 2
+        for budget in (1, full.num_enumerations // 2, full.num_enumerations - 1):
+            cut = Enumerator(match_limit=None, enum_limit=budget).run(
+                query, data, candidates, order
+            )
+            assert cut.num_enumerations == budget
+            assert cut.timed_out and not cut.complete
+            assert cut.num_matches <= full.num_matches
+        whole = Enumerator(match_limit=None, enum_limit=full.num_enumerations).run(
+            query, data, candidates, order
+        )
+        assert whole.complete
+        assert whole.num_enumerations == full.num_enumerations
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(EnumerationError):
@@ -126,14 +146,12 @@ class TestLimits:
         with pytest.raises(EnumerationError):
             Enumerator(time_limit=-1.0)
 
-    @pytest.mark.parametrize("check_every", [0, -1, 2.5, 64.0, True, "64", None])
-    def test_invalid_check_every_rejected(self, check_every):
-        # Only a positive int is a cadence: nothing is clamped or
-        # truncated into one, on the engine or through the facade.
+    @pytest.mark.parametrize("enum_limit", [0, -1, 2.5, 64.0, True, "64"])
+    def test_invalid_enum_limit_rejected(self, enum_limit):
+        # Only a positive int (or None) is a budget: nothing is clamped
+        # or truncated into one.
         with pytest.raises(EnumerationError):
-            Enumerator(check_every=check_every)
-        with pytest.raises(EnumerationError):
-            Matcher(Graph([0], []), check_every=check_every)
+            Enumerator(enum_limit=enum_limit)
 
 
 class TestEdgeCases:

@@ -8,9 +8,10 @@ sequences, ``#enum``, ``timed_out`` and ``limit_reached`` are pinned to
 the recursive oracle with every frame taken, with none taken, and at
 the shipped threshold (``MODES``, see ``frontier_modes.py``) — plus
 runs that provably mix both paths, the only place the recorded order
-could break.  The suite also pins which orders hand frames over at all,
-and that one engine shared by threads or reused across queries keeps
-no state between runs.
+could break, cut at every ``match_limit`` and every ``enum_limit``.
+The suite also pins which orders hand frames over at all, and that one
+engine shared by threads or reused across queries keeps no state
+between runs.
 """
 
 import sys
@@ -18,7 +19,14 @@ import threading
 
 import numpy as np
 import pytest
-from frontier_modes import CHUNKS, MODES, frames_seen, frontier_chunk, frontier_mode
+from frontier_modes import (
+    CHUNKS,
+    MODES,
+    check_every,
+    frames_seen,
+    frontier_chunk,
+    frontier_mode,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from recursive_oracle import RecursiveOracle
@@ -47,8 +55,10 @@ def _random_instance(seed: int):
     return query, data, candidates, order
 
 
-def _oracle(instance, match_limit=None):
-    return RecursiveOracle(match_limit=match_limit, record_matches=True).run(*instance)
+def _oracle(instance, match_limit=None, enum_limit=None):
+    return RecursiveOracle(
+        match_limit=match_limit, record_matches=True, enum_limit=enum_limit
+    ).run(*instance)
 
 
 def _run(mode, instance, **kwargs):
@@ -59,12 +69,13 @@ def _run(mode, instance, **kwargs):
         return Enumerator(**kwargs).run(*instance)
 
 
-def _assert_equals_oracle(instance, match_limit=None, modes=MODES):
+def _assert_equals_oracle(instance, match_limit=None, modes=MODES, enum_limit=None):
     """Recorded and count-only, under every mode, against the oracle."""
-    oracle = _oracle(instance, match_limit)
+    oracle = _oracle(instance, match_limit, enum_limit)
+    limits = dict(match_limit=match_limit, enum_limit=enum_limit)
     for mode in modes:
-        recorded = _run(mode, instance, match_limit=match_limit)
-        counted = _run(mode, instance, match_limit=match_limit, record_matches=False)
+        recorded = _run(mode, instance, **limits)
+        counted = _run(mode, instance, **limits, record_matches=False)
         # Sequences, not merely sets: candidates are visited in
         # ascending vertex order whoever expands them.
         assert recorded.matches == oracle.matches, mode
@@ -73,7 +84,7 @@ def _assert_equals_oracle(instance, match_limit=None, modes=MODES):
             assert result.num_matches == oracle.num_matches, mode
             assert result.num_enumerations == oracle.num_enumerations, mode
             assert result.limit_reached == oracle.limit_reached, mode
-            assert not result.timed_out
+            assert result.timed_out == oracle.timed_out, mode
     return oracle
 
 
@@ -127,10 +138,10 @@ def _prefix_bound(instance) -> bool:
     return n >= 3 and max(backward[-2] + backward[-1], default=-1) < n - 3
 
 
-def _mixed_instance(seed: int):
+def _mixed_instance(seed: int, vertices: int = 30, edges: int = 75):
     """One label, a few hundred embeddings, prefix-bound ``n-3`` frames
     of very different widths."""
-    data = erdos_renyi(30, 75, 1, seed=seed)
+    data = erdos_renyi(vertices, edges, 1, seed=seed)
     query = Graph([0] * 5, STAR_LIKE_EDGES)
     candidates = GQLFilter().filter(query, data)
     order = RIOrderer().order(query, data, candidates)
@@ -223,6 +234,73 @@ def test_match_limit_at_every_position_of_a_mixed_run(chunk):
             assert cut.matches == full.matches[:limit] and cut.limit_reached
 
 
+def _small_mixed_instance():
+    """A mixed instance of 239 steps (58 matches, two frames taken under
+    its mixing threshold): every budget costs a run, so the budget
+    sweeps take the smallest instance that still mixes both paths."""
+    return _mixed_instance(3, vertices=22, edges=50)
+
+
+#: Oracle runs of the small mixed instance under every budget, shared by
+#: the chunk sizes of the sweeps below: the oracle recurses from the
+#: root on every call, so a sweep would otherwise pay it per chunk size.
+_BUDGET_ORACLE: dict[tuple[int, int | None], object] = {}
+
+
+def _budget_oracle(instance, enum_limit, match_limit=None):
+    key = (enum_limit, match_limit)
+    if key not in _BUDGET_ORACLE:
+        _BUDGET_ORACLE[key] = _oracle(instance, match_limit, enum_limit)
+    return _BUDGET_ORACLE[key]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_every_enum_limit_equals_the_oracle(chunk):
+    # Every budget from 1 to the full count: the cut falls on a parent,
+    # a row and a leaf step, between two per-node steps, inside a frame,
+    # on a frame's last step and on the first step after one.  A small
+    # chunk also cuts inside a leaf chunk of a later row group and
+    # after a chunk that found nothing.  At the full count the run is
+    # complete; below it, it is stopped with exactly the budget counted
+    # and the matches found up to it.
+    instance = _small_mixed_instance()
+    threshold, _ = _mixing_threshold(instance)
+    full = _oracle(instance)
+    with frontier_chunk(chunk):
+        for limit in range(1, full.num_enumerations + 1):
+            oracle = _budget_oracle(instance, limit)
+            assert oracle.timed_out == (limit < full.num_enumerations)
+            assert oracle.num_enumerations == limit
+            assert oracle.matches == full.matches[: oracle.num_matches]
+            _assert_equals_oracle(
+                instance, enum_limit=limit, modes=MODES + (threshold,)
+            )
+
+
+@pytest.mark.parametrize("chunk", (1, 7, enumeration_batch.FRONTIER_CHUNK))
+def test_match_limit_and_budget_in_one_chunk(chunk):
+    # Both limits set, the k-th match one step either side of the
+    # budget: at or below it the match limit stops the run, above it
+    # the budget does.  Every frame is taken, and at the shipped chunk
+    # size a frame is one leaf chunk, so both cuts fall in the same one.
+    instance = _small_mixed_instance()
+    full = _oracle(instance)
+    seen = set()
+    with frontier_chunk(chunk):
+        for limit in range(1, full.num_enumerations):
+            found = _budget_oracle(instance, limit).num_matches
+            for match_limit in (found, found + 1):
+                if match_limit < 1:
+                    continue
+                oracle = _budget_oracle(instance, limit, match_limit)
+                seen.add((oracle.limit_reached, oracle.timed_out))
+                _assert_equals_oracle(
+                    instance, match_limit=match_limit, enum_limit=limit,
+                    modes=("vectorized",),
+                )
+    assert seen == {(True, False), (False, True)}
+
+
 # ----------------------------------------------------------------------
 # Limits, degenerate shapes
 # ----------------------------------------------------------------------
@@ -241,11 +319,10 @@ def test_time_limit_expiry_reported(chunk):
     order = RIOrderer().order(query, data, candidates)
     instances = [((query, data, candidates, order), 1), (_mixed_instance(0), 16)]
     with frontier_chunk(chunk):
-        for instance, check_every in instances:
+        for instance, steps in instances:
             for mode in MODES:
-                result = _run(
-                    mode, instance, time_limit=1e-9, check_every=check_every
-                )
+                with check_every(steps):
+                    result = _run(mode, instance, time_limit=1e-9)
                 assert result.timed_out, mode
                 assert not result.complete, mode
 
@@ -256,8 +333,8 @@ def test_expired_deadline_is_reported_at_the_root(mode, n):
     data = erdos_renyi(40, 500, 1, seed=0)
     query = extract_query(data, n, np.random.default_rng(0))
     candidates = GQLFilter().filter(query, data)
-    with frontier_mode(mode):
-        result = Enumerator(match_limit=None, time_limit=1e-9, check_every=1).run(
+    with frontier_mode(mode), check_every(1):
+        result = Enumerator(match_limit=None, time_limit=1e-9).run(
             query, data, candidates, list(range(n))
         )
     assert result.timed_out

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import FilterError
 from repro.graphs import Graph, check_order, erdos_renyi, extract_query
-from repro.matching import Enumerator, GQLFilter, OptimalOrderer
+from repro.matching import Enumerator, GQLFilter, MatchingContext, OptimalOrderer
 from repro.matching.ordering import ORDERERS, connected_permutations
 
 
@@ -64,6 +64,44 @@ class TestOptimalOrderer:
         order = capped.order(query, data, candidates)
         check_order(query, order)
         assert capped.last_best_enum is not None
+
+    @pytest.mark.parametrize("match_limit", [None, 7])
+    def test_bounded_sweep_equals_an_unbounded_one(self, instance, match_limit):
+        # Each later permutation runs under the best count so far, which
+        # can only stop runs that would have lost: the sweep picks the
+        # order, and reports the count, that running every permutation
+        # to the end and keeping the first minimum does — and that count
+        # is a complete run's of the order returned.
+        query, data, candidates = instance
+        context = MatchingContext(query, data, candidates)
+        seeds = [ORDERERS["ri"](), ORDERERS["gql"]()]
+        optimal = OptimalOrderer(match_limit=match_limit, seed_orderers=seeds)
+        order = optimal.order_context(context)
+        orders = [seed.order_context(context) for seed in seeds]
+        orders += list(connected_permutations(query))
+        unbounded = Enumerator(match_limit=match_limit, time_limit=None)
+        counts = [
+            unbounded.run_context(context, phi).num_enumerations for phi in orders
+        ]
+        assert order == orders[counts.index(min(counts))]
+        assert optimal.last_best_enum == min(counts)
+        rerun = unbounded.run_context(context, order)
+        assert not rerun.timed_out
+        assert rerun.num_enumerations == optimal.last_best_enum
+
+    def test_a_stopped_run_never_wins(self, instance):
+        # A first budget at or above the optimum changes nothing; below
+        # it, every run stops, none wins, and no count is reported.
+        query, data, candidates = instance
+        unbounded = OptimalOrderer(match_limit=None)
+        order = unbounded.order(query, data, candidates)
+        best = unbounded.last_best_enum
+        at_best = OptimalOrderer(match_limit=None, enum_limit=best)
+        assert at_best.order(query, data, candidates) == order
+        assert at_best.last_best_enum == best
+        below = OptimalOrderer(match_limit=None, enum_limit=best - 1)
+        check_order(query, below.order(query, data, candidates))
+        assert below.last_best_enum is None
 
     def test_requires_data_and_candidates(self, instance):
         query, *_ = instance

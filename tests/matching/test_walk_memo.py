@@ -20,7 +20,7 @@ import threading
 from contextlib import contextmanager
 
 import pytest
-from frontier_modes import MODES, frontier_mode
+from frontier_modes import MODES, check_every, frontier_mode
 from recursive_oracle import RecursiveOracle
 
 from repro import Matcher
@@ -165,7 +165,8 @@ def test_every_match_limit_equals_the_oracle(instance):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_expired_deadline_stops_at_the_root(instance, mode):
-    result = _run(mode, instance, time_limit=1e-9, check_every=1)
+    with check_every(1):
+        result = _run(mode, instance, time_limit=1e-9)
     assert result.timed_out and not result.limit_reached
     assert (result.num_matches, result.num_enumerations) == (0, 1)
 

@@ -8,7 +8,9 @@ and injectivity (Line 6).  It never touches
 candidate memo, which is what makes it an independent oracle for the production
 engines: candidates are visited in ascending vertex order, so match
 sequences and ``#enum`` (one per recursive call, root included) must
-agree bit-for-bit — including under ``match_limit`` truncation.
+agree bit-for-bit — including under ``match_limit`` truncation and an
+``enum_limit`` budget (the call that would be step ``enum_limit + 1`` is
+never made; the run reports ``timed_out``).
 
 Test-only by design: depth is bounded by ``sys.getrecursionlimit()`` and
 there is no deadline.  ``tests/conftest.py`` puts this directory on
@@ -23,15 +25,21 @@ from repro.matching import EnumerationResult
 
 
 class _Stop(Exception):
-    """Unwinds the recursion when the match limit fires."""
+    """Unwinds the recursion when the match limit or the budget fires."""
 
 
 class RecursiveOracle:
     """Drop-in for ``Enumerator`` on the ``run`` / ``run_context`` surface."""
 
-    def __init__(self, match_limit: int | None = 100_000, record_matches: bool = False):
+    def __init__(
+        self,
+        match_limit: int | None = 100_000,
+        record_matches: bool = False,
+        enum_limit: int | None = None,
+    ):
         self.match_limit = match_limit
         self.record_matches = record_matches
+        self.enum_limit = enum_limit
 
     def run_context(self, context, order) -> EnumerationResult:
         return self.run(context.query, context.data, context.candidates, order)
@@ -51,10 +59,13 @@ class RecursiveOracle:
         used: set[int] = set()
         matches: list[tuple[int, ...]] = []
         enum = found = 0
-        limited = False
+        limited = stopped = False
 
         def recurse(i: int) -> None:
-            nonlocal enum, found, limited
+            nonlocal enum, found, limited, stopped
+            if enum == self.enum_limit:
+                stopped = True
+                raise _Stop
             enum += 1
             if i == n:
                 found += 1
@@ -90,4 +101,4 @@ class RecursiveOracle:
             recurse(0)
         except _Stop:
             pass
-        return EnumerationResult(found, enum, 0.0, False, limited, tuple(matches))
+        return EnumerationResult(found, enum, 0.0, stopped, limited, tuple(matches))

@@ -132,7 +132,7 @@ class TestAgainstTensorSampling:
         self, data_graph, data_stats, monkeypatch
     ):
         config = RLQVOConfig(
-            epochs=2, hidden_dim=16, train_match_limit=500, train_time_limit=2.0,
+            epochs=2, hidden_dim=16, train_match_limit=500,
             seed=5,
         )
         train_queries = generate_query_set(data_graph, 5, 4, seed=77)

@@ -8,14 +8,18 @@ cached entry point, the catalog is fixed at construction, batches always
 capture failures, the latency window is a constant, shutdown always
 drains, admission always reads the plan's own cost estimate, greedy
 decisions are the orderer's (rollouts always sample), the engine keeps
-no per-thread scratch to report a peak of, and ``Tensor`` has only the
-operations training and ordering reach.
+no per-thread scratch to report a peak of, ``Tensor`` has only the
+operations training and ordering reach, the deadline check cadence is
+the constant ``enumeration_batch.CHECK_EVERY``, and the bench harness
+and the optimal sweep bound their runs by an ``#enum`` budget, not a
+deadline.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import Matcher
+from repro.bench import BenchSettings
 from repro.core import (
     FeatureBuilder,
     PolicyNetwork,
@@ -24,7 +28,7 @@ from repro.core import (
     RLQVOTrainer,
 )
 from repro.graphs import erdos_renyi, extract_query
-from repro.matching import Enumerator
+from repro.matching import Enumerator, OptimalOrderer
 from repro.nn import Tensor
 from repro.rl import collect_trajectory
 from repro.service import (
@@ -73,6 +77,23 @@ def _greedy_rollout(data):
 #: (what was retired, the call that still passes it, text the error names)
 RETIRED = [
     ("Matcher(seed=)", lambda d: Matcher(d, seed=0), "seed"),
+    ("Matcher(check_every=)", lambda d: Matcher(d, check_every=64), "check_every"),
+    ("Enumerator(check_every=)", lambda d: Enumerator(check_every=64), "check_every"),
+    (
+        "OptimalOrderer(time_limit=)",
+        lambda d: OptimalOrderer(time_limit=0.2),
+        "time_limit",
+    ),
+    (
+        "BenchSettings(time_limit=)",
+        lambda d: BenchSettings(time_limit=1.0),
+        "time_limit",
+    ),
+    (
+        "BenchSettings(train_time_limit=)",
+        lambda d: BenchSettings(train_time_limit=1.0),
+        "train_time_limit",
+    ),
     (
         "RLQVOOrderer(sample=)",
         lambda d: RLQVOOrderer(*_orderer_args(d), sample=True),
