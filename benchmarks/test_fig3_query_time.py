@@ -10,14 +10,12 @@ printed and checked finite and positive, never compared.
 
 import math
 
-from repro.bench.experiments import fig3, joint_enum
+from repro.bench.experiments import joint_enum
 from repro.bench.reporting import geometric_mean
 
 
-def test_fig3_average_query_processing_time(benchmark, harness, record):
-    payload = benchmark.pedantic(
-        lambda: record("fig3", fig3, harness), rounds=1, iterations=1
-    )
+def test_fig3_average_query_processing_time(benchmark, record):
+    payload = benchmark.pedantic(lambda: record("fig3"), rounds=1, iterations=1)
     assert len(payload) == 6
     for dataset, per_method in payload.items():
         assert len(per_method) == 7

@@ -12,17 +12,10 @@ bench scale (ROADMAP L), on citeseer at the smoke size and on yeast at
 full size.
 """
 
-from repro.bench.experiments import fig4
 
-
-def test_fig4_percentile_distribution(benchmark, harness, record):
-    payload = benchmark.pedantic(
-        lambda: record(
-            "fig4", fig4, harness, ("citeseer", "yeast", "wordnet")
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig4_percentile_distribution(benchmark, record):
+    payload = benchmark.pedantic(lambda: record("fig4"), rounds=1, iterations=1)
+    assert payload
     for dataset, per_method in payload.items():
         for method, cell in per_method.items():
             values = [v for _, v in cell["percentiles"]]

@@ -5,25 +5,12 @@ Citeseer/Yeast/DBLP, with RL-QVO close to optimal.  We assert the hard
 half (Opt lower-bounds both) and record the spectrum in ``results/fig6.txt``.
 """
 
-from repro.bench.experiments import fig6
 from repro.bench.reporting import geometric_mean
 
 
-def test_fig6_spectrum_vs_optimal(benchmark, harness, record):
-    payload = benchmark.pedantic(
-        lambda: record(
-            "fig6",
-            fig6,
-            harness,
-            ("citeseer", "yeast"),
-            4,      # queries per dataset
-            8,      # query size (paper: Q8)
-            600,    # permutation cap (paper: exhaustive)
-            500,    # match limit per permutation probe
-        ),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_spectrum_vs_optimal(benchmark, record):
+    payload = benchmark.pedantic(lambda: record("fig6"), rounds=1, iterations=1)
+    assert payload
     for dataset, info in payload.items():
         assert info["queries"], dataset
         for entry in info["queries"]:

@@ -1,12 +1,8 @@
 """Table II — dataset properties (paper vs synthesized)."""
 
-from repro.bench.experiments import table2
 
-
-def test_table2_dataset_properties(benchmark, harness, record):
-    payload = benchmark.pedantic(
-        lambda: record("table2", table2, harness), rounds=1, iterations=1
-    )
+def test_table2_dataset_properties(benchmark, record):
+    payload = benchmark.pedantic(lambda: record("table2"), rounds=1, iterations=1)
     assert len(payload) == 6
     # Small graphs at paper scale; large graphs scaled but non-trivial.
     assert payload["citeseer"]["num_vertices"] == 3327

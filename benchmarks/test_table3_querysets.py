@@ -1,12 +1,8 @@
 """Table III — query sets per dataset."""
 
-from repro.bench.experiments import table3
 
-
-def test_table3_query_sets(benchmark, harness, record):
-    payload = benchmark.pedantic(
-        lambda: record("table3", table3, harness), rounds=1, iterations=1
-    )
+def test_table3_query_sets(benchmark, record):
+    payload = benchmark.pedantic(lambda: record("table3"), rounds=1, iterations=1)
     assert payload["wordnet"]["sizes"] == (4, 8, 16)
     assert payload["wordnet"]["default"] == 16
     for name in ("citeseer", "yeast", "dblp", "youtube", "eu2005"):

@@ -6,15 +6,12 @@ We assert the constancy and that the model stays far smaller than the
 largest dataset.
 """
 
-from repro.bench.experiments import table4
 from repro.core import PolicyNetwork, RLQVOConfig
 from repro.nn.serialization import model_nbytes
 
 
-def test_table4_space_evaluation(benchmark, harness, record):
-    payload = benchmark.pedantic(
-        lambda: record("table4", table4, harness), rounds=1, iterations=1
-    )
+def test_table4_space_evaluation(benchmark, record):
+    payload = benchmark.pedantic(lambda: record("table4"), rounds=1, iterations=1)
     assert payload["model_bytes"] > 0
     sizes = payload["datasets"]
     assert len(sizes) == 6

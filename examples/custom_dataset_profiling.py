@@ -53,7 +53,7 @@ def main() -> None:
     workload = query_workload("my-graph", 8, count=10, seed=0)
     queries = deduplicate_queries(list(workload.all_queries))
     print(f"workload Q8: {len(workload.all_queries)} queries, "
-          f"{len(queries)} after WL-hash de-duplication\n")
+          f"{len(queries)} after isomorphism de-duplication\n")
 
     # Prepare once; plan each query once.  The plan *is* the profile:
     # counts, estimated cost, candidate-space bytes and build time all

@@ -1,6 +1,6 @@
 """Experiment harness regenerating every table and figure of the paper."""
 
-from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.bench.harness import (
     FIG3_METHODS,
     METHODS,
@@ -15,6 +15,7 @@ from repro.bench.reporting import (
     geometric_mean,
     percentile_series,
     print_table,
+    results_dir,
 )
 
 __all__ = [
@@ -30,4 +31,6 @@ __all__ = [
     "method_matcher",
     "percentile_series",
     "print_table",
+    "results_dir",
+    "run_experiment",
 ]

@@ -3,8 +3,11 @@
 Every function takes a :class:`~repro.bench.harness.Harness`, runs the
 experiment at the harness's scale, prints rows shaped like the paper's
 table/figure, and returns a structured payload that the benchmark
-wrappers (and tests) can assert on.  The committed ``results/*.txt``
-are the tables these functions print at full benchmark size.
+wrappers (and tests) can assert on.  Each experiment's arguments are
+its defaults here, and each docstring says where they depart from the
+paper's sweep.  :func:`run_experiment` is how ``repro-bench`` and the
+figure tests run one; at ``BenchSettings()`` it regenerates the
+committed ``results/<id>.txt`` tables and ``results/counts.json``.
 
 Each evaluated cell (one method on one query set) is a :func:`summarize`
 dict: its times beside its counts — ``Σ#enum`` and solved / unsolved
@@ -18,8 +21,10 @@ solved.
 
 from __future__ import annotations
 
-
+import contextlib
+import io
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from repro.bench.reporting import (
     geometric_mean,
     percentile_series,
     print_table,
+    record_counts,
 )
 from repro.core.orderer import RLQVOOrderer
 from repro.core.trainer import RLQVOTrainer
@@ -38,6 +44,7 @@ from repro.matching.enumeration import Enumerator
 from repro.matching.filters import GQLFilter
 from repro.matching.ordering import OptimalOrderer, RIOrderer
 from repro.nn.serialization import model_nbytes
+from repro.rl.reward import RewardConfig
 
 __all__ = [
     "table2",
@@ -52,7 +59,9 @@ __all__ = [
     "fig10",
     "fig11",
     "table4",
+    "ablation_design",
     "ALL_EXPERIMENTS",
+    "run_experiment",
     "summarize",
     "joint_enum",
 ]
@@ -217,7 +226,7 @@ def fig3(
 # ---------------------------------------------------------------------------
 def fig4(
     harness: Harness,
-    datasets: tuple[str, ...] = _ALL_DATASETS,
+    datasets: tuple[str, ...] = ("citeseer", "yeast", "wordnet"),
     methods: tuple[str, ...] = _FIG4_METHODS,
     percentiles: tuple[float, ...] = (50, 75, 90, 95, 100),
 ) -> dict:
@@ -229,7 +238,8 @@ def fig4(
     host or its load.  The percentiles are of measured query times.  Each
     cell is a :func:`summarize` dict plus its ``percentiles`` series.  A second
     table per dataset sets RL-QVO's ``Σ#enum`` beside each baseline's,
-    over the queries both solved (:func:`joint_enum`).
+    over the queries both solved (:func:`joint_enum`).  Departs from the
+    paper's sweep: three of its six datasets.
     """
     payload: dict[str, dict[str, dict]] = defaultdict(dict)
     for dataset in datasets:
@@ -272,14 +282,15 @@ def fig4(
 # ---------------------------------------------------------------------------
 def fig5(
     harness: Harness,
-    datasets: tuple[str, ...] = _ALL_DATASETS,
+    datasets: tuple[str, ...] = ("citeseer", "yeast", "wordnet"),
     methods: tuple[str, ...] = FIG3_METHODS,
 ) -> dict:
-    """Fig. 5: average enumeration time for Q4…Q32 on every dataset.
+    """Fig. 5: average enumeration time for Q4…Q32 on each dataset.
 
     All methods share the enumerator, so enumeration time — and, free of
     the host, ``#enum`` — isolates order quality (Sec. IV-C).  Cells are
-    ``payload[dataset][method][size]`` :func:`summarize` dicts.
+    ``payload[dataset][method][size]`` :func:`summarize` dicts.  Departs
+    from the paper's sweep: three of its six datasets.
     """
     payload: dict[str, dict[str, dict[int, dict]]] = {}
     for dataset in datasets:
@@ -303,18 +314,21 @@ def fig5(
 # ---------------------------------------------------------------------------
 def fig6(
     harness: Harness,
-    datasets: tuple[str, ...] = ("citeseer", "yeast", "dblp"),
-    num_queries: int = 5,
+    datasets: tuple[str, ...] = ("citeseer", "yeast"),
+    num_queries: int = 4,
     query_size: int = 8,
-    max_permutations: int = 800,
-    match_limit: int = 1000,
+    max_permutations: int = 600,
+    match_limit: int = 500,
 ) -> dict:
     """Fig. 6: enumeration time of Opt vs RL-QVO vs Hybrid on Q8 queries.
 
     The optimal order enumerates (capped) all connected permutations and
     keeps the one with minimum ``#enum`` — the paper's spectrum analysis
     at reduced permutation budget.  Every run is bounded by the
-    harness's ``#enum`` budget, not a deadline.
+    harness's ``#enum`` budget, not a deadline.  Departs from the
+    paper's sweep: citeseer and yeast (not DBLP), four queries each, at
+    most ``max_permutations`` orders (not all), each probe capped at
+    ``match_limit`` matches.
     """
     settings = harness.settings
     enumerator = Enumerator(
@@ -410,17 +424,17 @@ def _ablation_configs(settings: BenchSettings) -> dict[str, dict]:
 def fig7(
     harness: Harness,
     dataset: str = "eu2005",
-    sizes: tuple[int, ...] | None = None,
+    sizes: tuple[int, ...] = (4, 8, 16),
     train_size: int = 8,
 ) -> dict:
     """Fig. 7: query/enumeration time and ``#enum`` of RL-QVO ablation variants.
 
     Each variant is trained once on the ``Q<train_size>`` training half
     (incremental-style transfer, keeping the budget tractable) and
-    evaluated on every query size of the dataset.  Cells are
-    ``payload[variant][size]`` :func:`summarize` dicts.
+    evaluated on each of ``sizes``.  Cells are ``payload[variant][size]``
+    :func:`summarize` dicts.  Departs from the paper's sweep: no Q32 set,
+    and one training size for every evaluated size.
     """
-    sizes = DATASETS[dataset].query_sizes if sizes is None else sizes
     payload: dict[str, dict[int, dict]] = {}
     for variant, overrides in _ablation_configs(harness.settings).items():
         config = harness.settings.rlqvo_config(**overrides)
@@ -443,16 +457,17 @@ def fig7(
 # ---------------------------------------------------------------------------
 def fig8(
     harness: Harness,
-    datasets: tuple[str, ...] = ("dblp", "eu2005", "wordnet"),
-    dims: tuple[int, ...] = (16, 32, 64, 128, 256),
-    train_size: int | None = None,
+    datasets: tuple[str, ...] = ("wordnet", "citeseer"),
+    dims: tuple[int, ...] = (16, 32, 64, 128),
+    train_size: int | None = 16,
 ) -> dict:
     """Fig. 8: average query processing time vs GCN output dimension.
 
-    ``train_size`` optionally trains on a cheaper query size and applies
-    the model to the default evaluation set (incremental-style transfer,
-    used by the reduced-scale benchmark suite).  Cells are
-    ``payload[dataset][dim]`` :func:`summarize` dicts.
+    ``train_size`` trains on a cheaper query size and applies the model
+    to the default evaluation set (incremental-style transfer; ``None``
+    trains on the default size).  Cells are ``payload[dataset][dim]``
+    :func:`summarize` dicts.  Departs from the paper's sweep: wordnet and
+    citeseer (not DBLP and EU2005), no 256 dimension, Q16 training.
     """
     payload: dict[str, dict[int, dict]] = defaultdict(dict)
     for dataset in datasets:
@@ -471,8 +486,8 @@ def fig8(
 # ---------------------------------------------------------------------------
 def fig9(
     harness: Harness,
-    datasets: tuple[str, ...] = ("dblp", "eu2005", "youtube"),
-    pretrain_size: int = 16,
+    datasets: tuple[str, ...] = ("citeseer", "wordnet"),
+    pretrain_size: int = 8,
 ) -> dict:
     """Fig. 9: full vs incremental vs pretrained-only training.
 
@@ -482,7 +497,9 @@ def fig9(
     Reports both query processing time and training time, and beside
     them the counts that do not depend on the host: epochs trained and
     each regime's :func:`summarize` counts.  The full regime is the
-    harness's cached default-config model.
+    harness's cached default-config model.  Departs from the paper's
+    sweep: citeseer and wordnet (not DBLP, EU2005 and YouTube), and Q8
+    pretraining.
     """
     settings = harness.settings
     payload: dict[str, dict] = {}
@@ -559,13 +576,15 @@ def fig9(
 # ---------------------------------------------------------------------------
 def fig10(
     harness: Harness,
-    datasets: tuple[str, ...] = ("dblp", "eu2005", "wordnet"),
-    layer_counts: tuple[int, ...] = (1, 2, 3, 4),
-    train_size: int | None = None,
+    datasets: tuple[str, ...] = ("citeseer", "wordnet"),
+    layer_counts: tuple[int, ...] = (1, 2, 3),
+    train_size: int | None = 16,
 ) -> dict:
     """Fig. 10: average query processing time vs number of GNN layers.
 
-    Cells are ``payload[dataset][layers]`` :func:`summarize` dicts.
+    ``train_size`` is :func:`fig8`'s.  Cells are ``payload[dataset][layers]``
+    :func:`summarize` dicts.  Departs from the paper's sweep: citeseer and
+    wordnet (not DBLP and EU2005), no fourth layer, Q16 training.
     """
     payload: dict[str, dict[int, dict]] = defaultdict(dict)
     for dataset in datasets:
@@ -589,13 +608,14 @@ def fig11(
     harness: Harness,
     dataset: str = "youtube",
     size: int = 16,
-    limits: tuple[int | None, ...] = (1_000, 10_000, 100_000, None),
+    limits: tuple[int | None, ...] = (100, 1_000, 10_000, None),
 ) -> dict:
     """Fig. 11: RL-QVO vs Hybrid enumeration time as the match cap grows.
 
     ``None`` is the paper's "ALL" setting.  The gap should widen with the
     cap: better orders help most on large search spaces.  Cells are
-    ``payload[cap label][method]`` :func:`summarize` dicts.
+    ``payload[cap label][method]`` :func:`summarize` dicts.  Departs from
+    the paper's sweep: caps 10^2–10^4 and ALL (not 10^3–10^5 and ALL).
     """
     methods = ("rlqvo", "hybrid")
     payload: dict[str, dict[str, dict]] = defaultdict(dict)
@@ -649,7 +669,49 @@ def _format_bytes(n: int) -> str:
     return f"{n / 1024**2:.1f} MB"
 
 
-#: Experiment registry for the CLI.
+# ---------------------------------------------------------------------------
+# A design-choice ablation beyond the paper's Fig. 7
+# ---------------------------------------------------------------------------
+def ablation_design(harness: Harness, dataset: str = "yeast", size: int = 16) -> dict:
+    """The reward squashing ``f_enum`` (log-gap vs log-ratio) against RI.
+
+    Each variant's total ``#enum`` over the evaluation queries, GQL's
+    candidates ordered by the variant (a query with an empty candidate set
+    is skipped), under the harness's match cap and ``#enum`` budget.
+    """
+    data = load_dataset(dataset)
+    stats = dataset_stats(dataset)
+    enumerator = Enumerator(
+        match_limit=harness.settings.match_limit,
+        time_limit=None,
+        enum_limit=harness.settings.enum_limit,
+    )
+    orderers = {"ri": RIOrderer()}
+    for name, overrides in (
+        ("ppo-log", {}),
+        ("ppo-logratio", {"reward": RewardConfig(fenum="log_ratio")}),
+    ):
+        config = harness.settings.rlqvo_config(**overrides)
+        orderers[name], _ = harness.trained_orderer(dataset, size, config=config)
+    payload = dict.fromkeys(orderers, 0)
+    gql = GQLFilter()
+    for query in harness.workload(dataset, size).eval:
+        candidates = gql.filter(query, data, stats)
+        if candidates.has_empty():
+            continue
+        for name, orderer in orderers.items():
+            order = orderer.order(query, data, candidates, stats)
+            run = enumerator.run(query, data, candidates, order)
+            payload[name] += run.num_enumerations
+    print_table(
+        ["variant", "total eval #enum"],
+        [[name, value] for name, value in payload.items()],
+        title=f"Ablation — reward squashing ({dataset} Q{size})",
+    )
+    return payload
+
+
+#: Experiment registry: what ``repro-bench`` and the figure tests run.
 ALL_EXPERIMENTS = {
     "table2": table2,
     "table3": table3,
@@ -663,4 +725,24 @@ ALL_EXPERIMENTS = {
     "fig10": fig10,
     "fig11": fig11,
     "table4": table4,
+    "ablation_design": ablation_design,
 }
+
+
+def run_experiment(name: str, harness: Harness, directory: Path | None = None) -> dict:
+    """Run one experiment, echo its printed tables, and return its payload.
+
+    Given a ``directory``, the tables also go to ``<name>.txt`` there and
+    the payload's counts into its ``counts.json``
+    (:func:`~repro.bench.reporting.record_counts`).
+    """
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        payload = ALL_EXPERIMENTS[name](harness)
+    text = buffer.getvalue()
+    print(text)
+    if directory is not None:
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.txt").write_text(text)
+        record_counts(directory, harness.settings, name, payload)
+    return payload

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.api.matcher import Matcher
-from repro.core.config import DEFAULT_TRAIN_ENUM_LIMIT, RLQVOConfig
+from repro.core.config import RLQVOConfig
 from repro.core.orderer import RLQVOOrderer
 from repro.core.trainer import RLQVOTrainer, TrainingHistory
 from repro.datasets.registry import DATASETS, dataset_stats, load_dataset
@@ -72,23 +72,25 @@ FIG3_METHODS = ("rlqvo", "veq", "hybrid", "ri", "qsi", "vf2pp", "gql")
 class BenchSettings:
     """Scale settings for the experiment suite.
 
+    The defaults are the size the committed ``results/`` are made at.
     ``enum_limit`` is each evaluated query's ``#enum`` budget and
     ``train_enum_limit`` each training run's (:class:`RLQVOConfig`'s
     ``train_enum_limit``).  Environment overrides (read by
-    :meth:`from_env`): ``REPRO_BENCH_QUERIES``,
-    ``REPRO_BENCH_ENUM_LIMIT``, ``REPRO_BENCH_MATCH_LIMIT``,
-    ``REPRO_BENCH_EPOCHS``, ``REPRO_BENCH_SEED``.
+    :meth:`from_env`, the one way to set them from ``repro-bench``):
+    ``REPRO_BENCH_QUERIES``, ``REPRO_BENCH_ENUM_LIMIT``,
+    ``REPRO_BENCH_MATCH_LIMIT``, ``REPRO_BENCH_EPOCHS``,
+    ``REPRO_BENCH_SEED``.
     """
 
-    query_count: int = 16
-    enum_limit: int = 4_000_000
-    match_limit: int | None = 10_000
-    train_epochs: int = 20
-    incremental_epochs: int = 5
-    train_match_limit: int = 2_000
-    train_enum_limit: int = DEFAULT_TRAIN_ENUM_LIMIT
+    query_count: int = 8
+    enum_limit: int = 1_000_000
+    match_limit: int | None = 5_000
+    train_epochs: int = 10
+    incremental_epochs: int = 3
+    train_match_limit: int = 1_500
+    train_enum_limit: int = 400_000
     rollouts_per_query: int = 2
-    hidden_dim: int = 64
+    hidden_dim: int = 32
     num_gnn_layers: int = 2
     seed: int = 0
 

@@ -1,22 +1,14 @@
-"""Canonical forms and isomorphism-invariant hashing for query graphs.
+"""Canonical forms of query graphs.
 
-Two layers, two guarantees:
-
-* :func:`wl_hash` computes a 1-WL colour-refinement hash that is
-  invariant under isomorphism (equal for isomorphic graphs, and distinct
-  for most non-isomorphic ones — 1-WL cannot separate certain regular
-  graphs, so it may over-merge in rare cases);
-  :func:`deduplicate_queries` keeps one representative per hash class.
-  Cheap, approximate — right for de-duplicating random workloads.
-* :func:`canonical_form` computes an *exact* label-aware canonical
-  labeling: every graph in an isomorphism class maps to the same
-  canonical vertex numbering, so the relabeled :attr:`CanonicalForm.graph`
-  and the stable :attr:`CanonicalForm.fingerprint` are equal **iff** the
-  graphs are isomorphic (up to hash collisions of the 128-bit digest).
-  This is what the :mod:`repro.service` plan cache keys on: isomorphic
-  queries — the recurring-workload case — collapse onto one cache entry,
-  and the canonical relabeling is exact, so reusing a cached plan is
-  sound, not heuristic.
+:func:`canonical_form` computes an *exact* label-aware canonical
+labeling: every graph in an isomorphism class maps to the same canonical
+vertex numbering, so the relabeled :attr:`CanonicalForm.graph` and the
+stable :attr:`CanonicalForm.fingerprint` are equal **iff** the graphs are
+isomorphic (up to hash collisions of the 128-bit digest).  This is what
+the :mod:`repro.service` plan cache keys on: isomorphic queries — the
+recurring-workload case — collapse onto one cache entry, and the
+canonical relabeling is exact, so reusing a cached plan is sound, not
+heuristic.  :func:`deduplicate_queries` keeps one query per fingerprint.
 
 The canonical labeling is a certificate search: vertices are first
 partitioned by 1-WL refinement of their labels (isomorphism-invariant,
@@ -52,7 +44,6 @@ __all__ = [
     "deduplicate_queries",
     "relabel_graph",
     "reset_canonicalization_cache",
-    "wl_hash",
 ]
 
 
@@ -76,37 +67,21 @@ def relabel_graph(graph: Graph, permutation: Sequence[int]) -> Graph:
     return Graph(labels, edges)
 
 
-def _digest(value: str) -> str:
-    return hashlib.blake2b(value.encode(), digest_size=8).hexdigest()
+def deduplicate_queries(queries: Sequence[Graph]) -> list[Graph]:
+    """One query per isomorphism class, in input order.
 
-
-def wl_hash(graph: Graph, iterations: int = 3) -> str:
-    """Isomorphism-invariant hash via 1-WL colour refinement.
-
-    Starts from vertex labels, iteratively replaces each colour with a
-    digest of (own colour, sorted multiset of neighbour colours), and
-    hashes the sorted colour multiset after each round.
+    Keyed on :func:`canonical_fingerprint`, so only isomorphic queries
+    merge; a query whose canonical search exceeds its budget
+    (:class:`~repro.errors.CanonicalizationError`) is always kept.
     """
-    colors = [str(graph.label(v)) for v in graph.vertices()]
-    signature = [",".join(sorted(colors))]
-    for _ in range(max(iterations, 0)):
-        new_colors = []
-        for v in graph.vertices():
-            neighbourhood = sorted(colors[int(u)] for u in graph.neighbors(v))
-            new_colors.append(_digest(colors[v] + "|" + ".".join(neighbourhood)))
-        colors = new_colors
-        signature.append(",".join(sorted(colors)))
-    return _digest(";".join(signature))
-
-
-def deduplicate_queries(
-    queries: Sequence[Graph], iterations: int = 3
-) -> list[Graph]:
-    """One representative per WL-hash class, preserving input order."""
     seen: set[str] = set()
     unique: list[Graph] = []
     for query in queries:
-        key = wl_hash(query, iterations)
+        try:
+            key = canonical_fingerprint(query)
+        except CanonicalizationError:
+            unique.append(query)
+            continue
         if key not in seen:
             seen.add(key)
             unique.append(query)
@@ -292,7 +267,18 @@ _NEGATIVE_CACHE_LIMIT = 1024
 #: instead of re-burning the full budget — a hostile client cannot use
 #: the same query (or relabelings of it) as a CPU amplifier.
 _uncanonicalizable_graphs: dict[Graph, None] = {}
-_uncanonicalizable_wl: set[str] = set()
+_uncanonicalizable_wl: set[tuple] = set()
+
+
+def _wl_class(graph: Graph, colors: list[int]) -> tuple:
+    """The 1-WL class of ``graph`` given its :func:`_refined_colors`: the
+    multiset of (colour, label, neighbours' colours), equal on isomorphs."""
+    labels = graph.labels.tolist()
+    rows = []
+    for v in graph.vertices():
+        around = sorted(colors[w] for w in graph.neighbors(v).tolist())
+        rows.append((colors[v], labels[v], tuple(around)))
+    return tuple(sorted(rows))
 
 
 def reset_canonicalization_cache() -> None:
@@ -326,20 +312,21 @@ def canonical_form(graph: Graph) -> CanonicalForm:
     if n > MAX_CANONICAL_VERTICES:
         raise InvalidGraphError(
             f"canonical_form is for query graphs (n={n} > "
-            f"{MAX_CANONICAL_VERTICES}); use wl_hash for large graphs"
+            f"{MAX_CANONICAL_VERTICES})"
         )
     # WL over-approximates the bad class: a canonicalizable WL-twin of a
     # known-bad graph merely loses caching (served uncanonicalized),
-    # never correctness.  wl_hash is only paid once some class is bad.
+    # never correctness.  The class is only built once some class is bad.
+    colors = _refined_colors(graph)
     if graph in _uncanonicalizable_graphs or (
-        _uncanonicalizable_wl and wl_hash(graph) in _uncanonicalizable_wl
+        _uncanonicalizable_wl and _wl_class(graph, colors) in _uncanonicalizable_wl
     ):
         raise CanonicalizationError(
             f"canonical labeling of this {n}-vertex graph is known to "
             "exceed the search budget; handle it uncanonicalized"
         )
     try:
-        order, cert = _canonical_order(graph, _refined_colors(graph))
+        order, cert = _canonical_order(graph, colors)
     except CanonicalizationError:
         if (
             len(_uncanonicalizable_graphs) >= _NEGATIVE_CACHE_LIMIT
@@ -347,7 +334,7 @@ def canonical_form(graph: Graph) -> CanonicalForm:
         ):
             reset_canonicalization_cache()
         _uncanonicalizable_graphs[graph] = None
-        _uncanonicalizable_wl.add(wl_hash(graph))
+        _uncanonicalizable_wl.add(_wl_class(graph, colors))
         raise
     mapping = [0] * n
     for position, v in enumerate(order):

@@ -5,6 +5,8 @@ exercised end-to-end with tiny workloads so regressions in the harness
 are caught by the unit suite.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.bench.experiments import (
     fig9,
     fig11,
     joint_enum,
+    run_experiment,
     summarize,
     table2,
     table3,
@@ -129,7 +132,29 @@ def test_registry_covers_every_table_and_figure():
     assert set(ALL_EXPERIMENTS) == {
         "table2", "table3", "table4",
         "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+        "ablation_design",
     }
+
+
+def test_run_experiment_records_tables_and_counts(harness, tmp_path, capsys):
+    payload = run_experiment("table3", harness, tmp_path)
+    text = capsys.readouterr().out
+    assert "Table III" in text
+    assert (tmp_path / "table3.txt").read_text() + "\n" == text
+    counts = json.loads((tmp_path / "counts.json").read_text())
+    assert counts["settings"]["query_count"] == harness.settings.query_count
+    assert counts["table3/wordnet"] == {
+        "sizes": [4, 8, 16], "default": 16, "count_per_set": 4,
+    }
+    assert set(counts) == {"settings"} | {f"table3/{name}" for name in payload}
+
+
+def test_run_experiment_without_a_directory_writes_nothing(
+    harness, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    run_experiment("table3", harness)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _outcome(num_enumerations, solved, enum_time=0.5):

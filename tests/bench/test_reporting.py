@@ -1,10 +1,18 @@
 """Tests for reporting helpers."""
 
+import json
 import math
 
 import pytest
 
-from repro.bench import format_seconds, format_table, geometric_mean, percentile_series
+from repro.bench import (
+    BenchSettings,
+    format_seconds,
+    format_table,
+    geometric_mean,
+    percentile_series,
+)
+from repro.bench.reporting import count_entries, record_counts
 
 
 class TestFormatSeconds:
@@ -55,3 +63,42 @@ class TestPercentileSeries:
     def test_empty_values(self):
         series = percentile_series([], (50,))
         assert math.isnan(series[0][1])
+
+
+class TestCounts:
+    def test_entries_keep_integers_only(self):
+        payload = {
+            "citeseer": {
+                "rlqvo": {
+                    "time": 0.5, "enum": 12, "solved_enum": (4, None),
+                    "percentiles": [(50, 0.1)],
+                },
+            },
+            "queries": [{"opt": {"num_enumerations": 3, "enum_time": 0.1}}],
+            "geomean": {"opt": 0.2},
+            "avg_degree": 3.1,
+        }
+        assert count_entries("fig", payload) == {
+            "fig/citeseer/rlqvo": {"enum": 12, "solved_enum": [4, None]},
+            "fig/queries/0/opt": {"num_enumerations": 3},
+        }
+
+    def test_one_file_holds_one_setting(self, tmp_path):
+        small = BenchSettings(query_count=2)
+        record_counts(tmp_path, small, "fig1", {"a": {"enum": 1}})
+        record_counts(tmp_path, small, "fig10", {"a": {"enum": 2}})
+        record_counts(tmp_path, small, "fig1", {"b": {"enum": 3}})
+        text = (tmp_path / "counts.json").read_text()
+        assert text.endswith("}\n")
+        counts = json.loads(text)
+        assert list(counts) == sorted(counts)
+        assert counts == {
+            "fig1/b": {"enum": 3},
+            "fig10/a": {"enum": 2},
+            "settings": counts["settings"],
+        }
+        assert counts["settings"]["query_count"] == 2
+        record_counts(tmp_path, BenchSettings(), "fig10", {"a": {"enum": 2}})
+        counts = json.loads((tmp_path / "counts.json").read_text())
+        assert set(counts) == {"settings", "fig10/a"}
+        assert counts["settings"]["query_count"] == BenchSettings().query_count

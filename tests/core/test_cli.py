@@ -157,15 +157,30 @@ class TestBenchCLI:
         with pytest.raises(SystemExit):
             bench_main(["fig99"])
 
-    def test_settings_flags_applied(self, capsys):
-        from repro.bench.cli import _build_parser, _settings_from_args
+    def test_settings_and_directory_come_from_the_environment(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.bench import cli
 
-        args = _build_parser().parse_args(
-            ["table2", "--queries", "6", "--match-limit", "none", "--seed", "7",
-             "--enum-limit", "50000"]
+        runs = []
+        monkeypatch.setattr(
+            cli, "run_experiment",
+            lambda name, harness, directory: runs.append(
+                (name, harness.settings, directory)
+            ),
         )
-        settings = _settings_from_args(args)
+        monkeypatch.setenv("REPRO_BENCH_QUERIES", "6")
+        monkeypatch.setenv("REPRO_BENCH_MATCH_LIMIT", "none")
+        monkeypatch.setenv("REPRO_BENCH_SEED", "7")
+        monkeypatch.setenv("REPRO_BENCH_ENUM_LIMIT", "50000")
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        assert cli.main(["table2"]) == 0
+        monkeypatch.delenv("REPRO_RESULTS_DIR")
+        assert cli.main(["table3"]) == 0
+        (first, settings, directory), (second, _, no_directory) = runs
+        assert (first, second) == ("table2", "table3")
         assert settings.query_count == 6
         assert settings.enum_limit == 50_000
         assert settings.match_limit is None
         assert settings.seed == 7
+        assert directory == tmp_path and no_directory is None

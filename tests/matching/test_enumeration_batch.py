@@ -217,6 +217,13 @@ def test_the_frontier_gets_exactly_the_widest_frames(seed):
     assert split
 
 
+def _small_mixed_instance():
+    """A mixed instance of 239 steps (58 matches, two frames taken under
+    its mixing threshold): every limit costs a run, so the limit sweeps
+    take the smallest instance that still mixes both paths."""
+    return _mixed_instance(3, vertices=22, edges=50)
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_match_limit_at_every_position_of_a_mixed_run(chunk):
     # Every limit from 1 to the total: the sweep cuts between two
@@ -224,7 +231,7 @@ def test_match_limit_at_every_position_of_a_mixed_run(chunk):
     # and on the first match after one.  A small chunk also cuts inside
     # a leaf chunk of a later row group, on a chunk's last survivor and
     # after a chunk that found none.
-    instance = _mixed_instance(0)
+    instance = _small_mixed_instance()
     threshold, frames = _mixing_threshold(instance)
     full = _oracle(instance)
     assert max(frames) >= 3 and sum(frames) <= full.num_matches - 2
@@ -232,13 +239,6 @@ def test_match_limit_at_every_position_of_a_mixed_run(chunk):
         for limit in range(1, full.num_matches + 1):
             cut = _assert_equals_oracle(instance, limit, modes=MODES + (threshold,))
             assert cut.matches == full.matches[:limit] and cut.limit_reached
-
-
-def _small_mixed_instance():
-    """A mixed instance of 239 steps (58 matches, two frames taken under
-    its mixing threshold): every budget costs a run, so the budget
-    sweeps take the smallest instance that still mixes both paths."""
-    return _mixed_instance(3, vertices=22, edges=50)
 
 
 #: Oracle runs of the small mixed instance under every budget, shared by

@@ -10,9 +10,10 @@ drains, admission always reads the plan's own cost estimate, greedy
 decisions are the orderer's (rollouts always sample), the engine keeps
 no per-thread scratch to report a peak of, ``Tensor`` has only the
 operations training and ordering reach, the deadline check cadence is
-the constant ``enumeration_batch.CHECK_EVERY``, and the bench harness
+the constant ``enumeration_batch.CHECK_EVERY``, the bench harness
 and the optimal sweep bound their runs by an ``#enum`` budget, not a
-deadline.
+deadline, and ``repro-bench`` takes its settings from the
+``REPRO_BENCH_*`` variables alone (a retired flag exits 2).
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from repro.api import Matcher
 from repro.bench import BenchSettings
+from repro.bench.cli import main as bench_main
 from repro.core import (
     FeatureBuilder,
     PolicyNetwork,
@@ -176,3 +178,20 @@ def test_retired_option_is_a_type_error(data, call, name):
 )
 def test_retired_method_is_gone(owner, method):
     assert not hasattr(owner, method)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--queries", "6"),
+        ("--epochs", "2"),
+        ("--enum-limit", "50000"),
+        ("--match-limit", "none"),
+        ("--seed", "7"),
+    ],
+)
+def test_retired_bench_flag_exits_2(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        bench_main(["table3", flag, value])
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
