@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.config import RLQVOConfig
 from repro.core.features import FEATURE_DIM
 from repro.errors import ModelError
+from repro.graphs.graph import Graph
 from repro.nn.functional import (
     entropy,
     masked_softmax,
@@ -88,6 +89,11 @@ class PolicyNetwork(Module):
             self._encoder_layers.append(layer)
             self._modules[f"encoder{i}"] = layer
             in_dim = hidden
+        self._context_fields = frozenset(
+            layer.reads
+            for layer in self._encoder_layers
+            if not isinstance(layer, Linear)
+        )
 
         self.head1 = Linear(hidden, hidden, rng=rng)
         self.head2 = Linear(hidden, 1, rng=rng)
@@ -142,16 +148,45 @@ class PolicyNetwork(Module):
             )
         if not action_mask.any(axis=-1).all():
             raise ModelError("evaluate() with empty action space")
-        h = np.asarray(features, dtype=np.float64)
-        for layer in self._encoder_layers:
-            if isinstance(layer, Linear):
-                h = relu_array(layer.evaluate(h))
-            else:
-                h = layer.evaluate(h, ctx)
-        scores = self.head2.evaluate(relu_array(self.head1.evaluate(h))).reshape(
+        scores = self._head(self._encode_array(features, ctx)).reshape(
             action_mask.shape
         )
         return masked_softmax_array(scores, action_mask), scores
+
+    def scores(
+        self, features: np.ndarray, ctx: GraphContext, rows: np.ndarray
+    ) -> np.ndarray:
+        """Raw scores of the vertices ``rows`` of one decision point.
+
+        The encoder runs on every vertex (message passing reads them
+        all), the scoring head on ``rows`` only, and no softmax is taken:
+        a greedy pick needs the top score, not a distribution
+        (:class:`repro.core.orderer.RLQVOOrderer`).  The values are
+        ``evaluate``'s scores up to the rounding of a GEMM over fewer
+        rows; training never reads them.
+        """
+        return self._head(self._encode_array(features, ctx)[rows]).reshape(-1)
+
+    def _encode_array(self, features: np.ndarray, ctx: GraphContext) -> np.ndarray:
+        """:meth:`encode` on bare arrays."""
+        h = np.asarray(features, dtype=np.float64)
+        for layer in self._encoder_layers:
+            if isinstance(layer, Linear):
+                h = layer.evaluate(h)
+                relu_array(h, out=h)
+            else:
+                h = layer.evaluate(h, ctx)
+        return h
+
+    def _head(self, h: np.ndarray) -> np.ndarray:
+        """``W2 · σ(W1 h)`` on bare arrays, one score per row of ``h``."""
+        hidden = self.head1.evaluate(h)
+        return self.head2.evaluate(relu_array(hidden, out=hidden))
+
+    def context(self, graph: Graph) -> GraphContext:
+        """``graph``'s :class:`GraphContext` with only the fields this
+        encoder reads (none for the ``"mlp"`` encoder)."""
+        return GraphContext.from_graph(graph, self._context_fields)
 
     def clone(self) -> "PolicyNetwork":
         """Deep copy (used for the frozen PPO sampling policy θ')."""

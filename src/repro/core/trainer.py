@@ -201,7 +201,7 @@ class RLQVOTrainer:
         if key not in self._plans:
             plan = self._matcher.plan(query)
             self._plans[key] = plan
-            self._contexts[key] = GraphContext.from_graph(query)
+            self._contexts[key] = self.policy.context(query)
             if not plan.matchable:
                 self._baseline_enum[key] = 0
             else:

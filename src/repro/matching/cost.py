@@ -54,16 +54,20 @@ def estimate_order_cost(
     # specific data vertex (uniform edge model).
     edge_prob = min(1.0, data.average_degree / nv)
 
-    position = {u: i for i, u in enumerate(order)}
+    # Plain lists: a plan's cost is a few dozen scalar steps, which cost
+    # less in Python than one numpy call each.
+    indptr = query.indptr.tolist()
+    indices = query.indices.tolist()
+    sizes = candidates.sizes()
+    position = [0] * len(order)
+    for i, u in enumerate(order):
+        position[u] = i
     total = 0.0
     prefix_count = 1.0
     for i, u in enumerate(order):
         backward = sum(
-            1 for v in query.neighbors(u) if position[int(v)] < i
+            1 for v in indices[indptr[u] : indptr[u + 1]] if position[v] < i
         )
-        expansion = candidates.size(u) * (edge_prob**backward) if backward else (
-            candidates.size(u)
-        )
-        prefix_count *= max(expansion, 1e-12)
+        prefix_count *= max(sizes[u] * edge_prob**backward, 1e-12)
         total += prefix_count
     return total

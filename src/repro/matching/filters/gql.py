@@ -26,9 +26,10 @@ the loop.  A verdict on ``(u, v)`` reads ``C(u')`` for ``u' ∈ N(u)``
 only, so a vertex none of whose neighbours' sets changed since its last
 sweep is skipped — re-sweeping it could not remove anything.
 
-One sweep of ``u`` gathers the neighbour lists of all of ``C(u)`` from
-the data CSR in one fancy index, tests them against the boolean
-membership masks of every ``u' ∈ N(u)`` at once, and ``np.add.reduceat``
+One sweep of ``u`` derives the segments of ``C(u)``'s neighbour lists
+once (lengths, ends, starts), gathers the lists from the data CSR in one
+fancy index, tests them against the boolean membership masks of every
+``u' ∈ N(u)`` at once, and ``np.add.reduceat`` over the same starts
 turns that into ``|N(v) ∩ C(u')|`` for all ``(v, u')``.
 
 **When Hopcroft–Karp still runs.**  Candidates of differently-labeled
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.graph import Graph, gather_neighbors
+from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
 from repro.matching.bipartite import has_semi_perfect_matching
 from repro.matching.candidates import CandidateFilter, CandidateSets
@@ -128,6 +129,7 @@ class GQLFilter(CandidateFilter):
         candidates: list[np.ndarray],
     ) -> None:
         """Global refinement in place, on the schedule the module docstring fixes."""
+        indptr, indices, degrees = data.indptr, data.indices, data.degrees
         member = np.zeros((len(rows), data.num_vertices), dtype=bool)
         for u, cand in enumerate(candidates):
             member[u, cand] = True
@@ -145,10 +147,13 @@ class GQLFilter(CandidateFilter):
                 stale[u] = False
                 if cand.size == 0:
                     continue
-                nbr_lists = gather_neighbors(data.indptr, data.indices, cand)
-                lens = data.degrees[cand]
+                # C(u)'s neighbour lists, concatenated: list j fills
+                # [starts[j], ends[j]) and reads CSR from indptr[cand[j]].
+                lens = degrees[cand]
                 ends = lens.cumsum()
                 starts = ends - lens
+                shifts = np.repeat(indptr[cand] - starts, lens)
+                nbr_lists = indices[np.arange(shifts.size) + shifts]
                 hits = member[row_index[u], nbr_lists]
                 counts = np.add.reduceat(hits, starts, axis=1, dtype=np.intp)
                 keep = counts.all(axis=0)

@@ -80,9 +80,10 @@ def entropy_array(probs: np.ndarray, axis: int = -1) -> np.ndarray:
     return -(probs * logp).sum(axis=axis)
 
 
-def relu_array(x: np.ndarray) -> np.ndarray:
-    """``Tensor.relu`` on a bare array: a multiply by the positive mask."""
-    return x * (x > 0)
+def relu_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``Tensor.relu`` on a bare array: one ``maximum`` with zero, written
+    into ``out`` when given (``out=x`` on a temporary saves the copy)."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

@@ -10,8 +10,8 @@ and cheap).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from collections.abc import Collection, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.nn.layers import Linear, Module
 from repro.nn.tensor import Tensor
 
 __all__ = [
+    "CONTEXT_FIELDS",
     "GraphContext",
     "GCNLayer",
     "SAGELayer",
@@ -37,6 +38,9 @@ __all__ = [
     "GNN_LAYERS",
 ]
 
+#: The :class:`GraphContext` fields, in declaration order.
+CONTEXT_FIELDS = ("norm_adj", "mean_adj", "adj", "attention_mask")
+
 
 @dataclass(frozen=True)
 class GraphContext:
@@ -44,7 +48,10 @@ class GraphContext:
 
     Every field is ``(n, n)`` for one graph or ``(S, n, n)`` for a stack
     of ``S`` graphs (:meth:`stack`); the layers only touch the last two
-    axes, so one call encodes the whole stack.
+    axes, so one call encodes the whole stack.  A field no layer of an
+    encoder reads may be left ``None`` (each layer class names the one it
+    reads as ``reads``; :meth:`repro.core.policy.PolicyNetwork.context`
+    builds only those).
 
     Attributes
     ----------
@@ -59,39 +66,50 @@ class GraphContext:
         Boolean ``A + I`` — GAT attends over neighbours and self.
     """
 
-    norm_adj: np.ndarray
-    mean_adj: np.ndarray
-    adj: np.ndarray
-    attention_mask: np.ndarray
+    norm_adj: np.ndarray | None = None
+    mean_adj: np.ndarray | None = None
+    adj: np.ndarray | None = None
+    attention_mask: np.ndarray | None = None
 
     @staticmethod
-    def from_graph(graph: Graph) -> "GraphContext":
-        """Build the dense context for a (small) query graph."""
+    def from_graph(
+        graph: Graph, fields: Collection[str] = CONTEXT_FIELDS
+    ) -> "GraphContext":
+        """Build the dense context for a (small) query graph: the named
+        ``fields``, every field by default."""
         n = graph.num_vertices
-        adj = np.zeros((n, n))
-        # One scatter of the CSR slots (each edge is stored both ways).
-        adj[np.repeat(np.arange(n), graph.degrees), graph.indices] = 1.0
-        degrees = adj.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            inv_deg = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1e-12), 0.0)
-        mean_adj = adj * inv_deg[:, None]
-        norm_adj = graph.normalized_adjacency() if n > 0 else np.zeros((0, 0))
-        attention_mask = (adj + np.eye(n)) > 0
-        return GraphContext(
-            norm_adj=norm_adj,
-            mean_adj=mean_adj,
-            adj=adj,
-            attention_mask=attention_mask,
-        )
+        built: dict[str, np.ndarray] = {}
+        if "norm_adj" in fields:
+            built["norm_adj"] = (
+                graph.normalized_adjacency() if n > 0 else np.zeros((0, 0))
+            )
+        if any(name != "norm_adj" for name in fields):
+            adj = np.zeros((n, n))
+            # One scatter of the CSR slots (each edge is stored both ways).
+            adj[np.repeat(np.arange(n), graph.degrees), graph.indices] = 1.0
+            if "mean_adj" in fields:
+                degrees = adj.sum(axis=1)
+                with np.errstate(divide="ignore"):
+                    inv_deg = np.where(
+                        degrees > 0, 1.0 / np.maximum(degrees, 1e-12), 0.0
+                    )
+                built["mean_adj"] = adj * inv_deg[:, None]
+            if "adj" in fields:
+                built["adj"] = adj
+            if "attention_mask" in fields:
+                built["attention_mask"] = (adj + np.eye(n)) > 0
+        return GraphContext(**built)
 
     @staticmethod
     def stack(contexts: Sequence["GraphContext"]) -> "GraphContext":
-        """The contexts of ``S`` same-sized graphs as ``(S, n, n)`` fields."""
+        """The contexts of ``S`` same-sized graphs as ``(S, n, n)`` fields
+        (the fields the first context holds)."""
         return GraphContext(
-            *(
-                np.stack([getattr(ctx, f.name) for ctx in contexts])
-                for f in fields(GraphContext)
-            )
+            **{
+                name: np.stack([getattr(ctx, name) for ctx in contexts])
+                for name in CONTEXT_FIELDS
+                if getattr(contexts[0], name) is not None
+            }
         )
 
 
@@ -99,6 +117,7 @@ class GCNLayer(Module):
     """Graph convolution ``H' = σ(Â H W)`` (Kipf & Welling, Eq. 3)."""
 
     name = "gcn"
+    reads = "norm_adj"
 
     def __init__(
         self, in_features: int, out_features: int, rng: np.random.Generator | None = None
@@ -112,13 +131,15 @@ class GCNLayer(Module):
 
     def evaluate(self, h: np.ndarray, ctx: GraphContext) -> np.ndarray:
         """:meth:`forward` on a bare array (no graph, the same bits)."""
-        return relu_array(ctx.norm_adj @ self.linear.evaluate(h))
+        out = ctx.norm_adj @ self.linear.evaluate(h)
+        return relu_array(out, out=out)
 
 
 class SAGELayer(Module):
     """GraphSAGE with mean aggregation: ``H' = σ([H ‖ D^-1 A H] W)``."""
 
     name = "sage"
+    reads = "mean_adj"
 
     def __init__(
         self, in_features: int, out_features: int, rng: np.random.Generator | None = None
@@ -134,9 +155,8 @@ class SAGELayer(Module):
     def evaluate(self, h: np.ndarray, ctx: GraphContext) -> np.ndarray:
         """:meth:`forward` on a bare array (no graph, the same bits)."""
         aggregated = ctx.mean_adj @ h
-        return relu_array(
-            self.linear.evaluate(np.concatenate([h, aggregated], axis=-1))
-        )
+        out = self.linear.evaluate(np.concatenate([h, aggregated], axis=-1))
+        return relu_array(out, out=out)
 
 
 class GATLayer(Module):
@@ -147,6 +167,7 @@ class GATLayer(Module):
     """
 
     name = "gat"
+    reads = "attention_mask"
 
     def __init__(
         self, in_features: int, out_features: int, rng: np.random.Generator | None = None
@@ -177,7 +198,8 @@ class GATLayer(Module):
         logits = src + dst.swapaxes(-1, -2)
         logits = logits * np.where(logits > 0, 1.0, 0.2)  # Tensor.leaky_relu
         alpha = masked_softmax_array(logits, ctx.attention_mask, axis=-1)
-        return relu_array(alpha @ wh)
+        out = alpha @ wh
+        return relu_array(out, out=out)
 
 
 class GraphConvLayer(Module):
@@ -187,6 +209,7 @@ class GraphConvLayer(Module):
     """
 
     name = "graphnn"
+    reads = "adj"
 
     def __init__(
         self, in_features: int, out_features: int, rng: np.random.Generator | None = None
@@ -201,9 +224,8 @@ class GraphConvLayer(Module):
 
     def evaluate(self, h: np.ndarray, ctx: GraphContext) -> np.ndarray:
         """:meth:`forward` on a bare array (no graph, the same bits)."""
-        return relu_array(
-            self.root.evaluate(h) + ctx.adj @ self.neighbor.evaluate(h)
-        )
+        out = self.root.evaluate(h) + ctx.adj @ self.neighbor.evaluate(h)
+        return relu_array(out, out=out)
 
 
 class LEConvLayer(Module):
@@ -214,6 +236,7 @@ class LEConvLayer(Module):
     """
 
     name = "asap"
+    reads = "adj"
 
     def __init__(
         self, in_features: int, out_features: int, rng: np.random.Generator | None = None
@@ -234,7 +257,8 @@ class LEConvLayer(Module):
         degrees = ctx.adj.sum(axis=-1, keepdims=True)
         # ``a - b`` on Tensors is ``a + (-b)``.
         local = self.w2.evaluate(h) * degrees + (-(ctx.adj @ self.w3.evaluate(h)))
-        return relu_array(self.w1.evaluate(h) + local)
+        out = self.w1.evaluate(h) + local
+        return relu_array(out, out=out)
 
 
 GNN_LAYERS: dict[str, type[Module]] = {

@@ -145,5 +145,5 @@ class Linear(Module):
         """:meth:`forward` on a bare array (no graph, the same bits)."""
         out = x @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data  # ``out`` is this call's own temporary
         return out

@@ -16,7 +16,7 @@ There is no switch that turns graph recording off: an op records its
 parents whenever one of them requires a gradient.  A caller that needs
 no gradient — ordering a query, sampling a rollout — builds no
 ``Tensor`` at all and evaluates the policy on bare arrays
-(``PolicyNetwork.evaluate``).
+(``PolicyNetwork.evaluate`` / ``scores``).
 
 The backward pass keeps no gradient it is done with:
 
@@ -226,7 +226,7 @@ class Tensor:
     def relu(self) -> "Tensor":
         """Rectified linear unit."""
         mask = self.data > 0
-        out_data = self.data * mask
+        out_data = np.maximum(self.data, 0.0)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -18,7 +18,30 @@ import numpy as np
 from repro.errors import TrainingError
 from repro.graphs.graph import Graph
 
-__all__ = ["OrderingState", "OrderingEnv"]
+__all__ = ["OrderingState", "OrderingEnv", "place"]
+
+
+def place(
+    query: Graph,
+    action: int,
+    ordered: np.ndarray,
+    frontier: np.ndarray,
+    action_mask: np.ndarray,
+) -> None:
+    """Append ``action`` to the order: the action-space update, in place.
+
+    ``ordered`` gains ``action``, ``frontier`` (every vertex adjacent to
+    an ordered one) gains its CSR row, and ``action_mask`` becomes the
+    unordered part of the frontier — or, on a disconnected query whose
+    ordered part has no unordered neighbour left, every unordered vertex,
+    so the episode can always finish.  :meth:`OrderingEnv.step` and
+    :class:`repro.core.orderer.RLQVOOrderer` both take their steps here.
+    """
+    ordered[action] = True
+    frontier[query.neighbors(action)] = True
+    np.greater(frontier, ordered, out=action_mask)  # frontier & ~ordered
+    if not action_mask.any():
+        np.logical_not(ordered, out=action_mask)
 
 
 class OrderingState:
@@ -109,18 +132,9 @@ class OrderingEnv:
 
         self._order.append(action)
         ordered = self._ordered_mask.copy()
-        ordered[action] = True
+        mask = np.empty_like(ordered)
+        place(self.query, action, ordered, self._frontier, mask)
+        self._done = len(self._order) == ordered.size
         self._ordered_mask = _frozen(ordered)
-
-        if len(self._order) == ordered.size:
-            self._done = True
-            mask = np.zeros(ordered.size, dtype=bool)
-        else:
-            self._frontier[self.query.neighbors(action)] = True
-            mask = self._frontier & ~ordered
-            if not mask.any():
-                # Disconnected query: fall back to all unordered vertices so
-                # the episode can always finish.
-                mask = ~ordered
         self._action_mask = _frozen(mask)
         return self.state()

@@ -10,9 +10,8 @@ collection time from the sampling policy's outputs.
 an update recomputes for it must be the same function of θ, or the
 probability ratio is noise before any gradient step.  The policy has one
 mode — no layer draws a random mask — so this holds by construction:
-samples (and the orderer's decisions) come from
-``PolicyNetwork.evaluate``, the array evaluation, which builds no
-``Tensor``; PPO's update (:mod:`repro.rl.ppo`) scores steps with
+samples come from ``PolicyNetwork.evaluate``, the array evaluation,
+which builds no ``Tensor``; PPO's update (:mod:`repro.rl.ppo`) scores steps with
 ``forward``, which computes the same bits where θ = θ′
 (``tests/core/test_array_evaluation.py``).
 
@@ -151,7 +150,7 @@ class StepBatch:
     is at most ``max(1, CHUNK_ROWS // n)``."""
 
     features: np.ndarray  # (S, n, FEATURE_DIM)
-    ctx: GraphContext  # four (S, n, n) fields: each step's query, repeated
+    ctx: GraphContext  # (S, n, n) fields, the ones the trajectories carry
     action_mask: np.ndarray  # (S, n) bool
     chosen: np.ndarray  # (S, n) one-hot of the sampled action
     old_prob: np.ndarray  # (S,)

@@ -1,13 +1,23 @@
-"""Tests for the static order-cost estimator."""
+"""Tests for the static order-cost estimator.
 
+``cost_oracle`` is the loop the list-based estimate replaced; the two
+must return the same double on every valid order, connected or not.
+"""
+
+import cost_oracle
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.datasets import load_dataset, query_workload
 from repro.errors import InvalidOrderError
-from repro.graphs import erdos_renyi, extract_query
+from repro.graphs import Graph, erdos_renyi, extract_query
 from repro.matching import (
+    CandidateSets,
     Enumerator,
     GQLFilter,
+    RIOrderer,
     estimate_order_cost,
 )
 from repro.matching.ordering import connected_permutations
@@ -67,3 +77,68 @@ class TestEstimate:
         act_ranks = np.argsort(np.argsort(actuals))
         correlation = np.corrcoef(est_ranks, act_ranks)[0, 1]
         assert correlation > 0.2
+
+
+@st.composite
+def costed_orders(draw):
+    """Any small query — disconnected and one-vertex ones included — any
+    candidate sets (empty ones too) and any permutation as the order."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    query = Graph([0] * n, edges)
+    nv = draw(st.integers(1, 40))
+    data = erdos_renyi(
+        nv, draw(st.integers(0, min(80, nv * (nv - 1) // 2))), 2,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    ids = st.integers(0, data.num_vertices - 1)
+    candidates = CandidateSets.from_arrays(
+        [sorted(draw(st.sets(ids, max_size=12))) for _ in range(n)]
+    )
+    order = draw(st.permutations(range(n)))
+    return query, data, candidates, order
+
+
+class TestAgainstOracle:
+    @given(costed_orders())
+    def test_same_double_on_any_order(self, instance):
+        query, data, candidates, order = instance
+        got = estimate_order_cost(query, data, candidates, order)
+        want = cost_oracle.estimate_order_cost(query, data, candidates, order)
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("dataset", ["yeast", "citeseer"])
+    def test_same_double_on_planned_orders(self, dataset):
+        data = load_dataset(dataset)
+        rng = np.random.default_rng(0)
+        for size in (4, 8, 16):
+            workload = query_workload(dataset, size, count=8, seed=0, data=data)
+            for query in workload.all_queries[:8]:
+                candidates = GQLFilter().filter(query, data)
+                for order in (
+                    RIOrderer().order(query, data),
+                    rng.permutation(size).tolist(),
+                ):
+                    got = estimate_order_cost(query, data, candidates, order)
+                    want = cost_oracle.estimate_order_cost(
+                        query, data, candidates, order
+                    )
+                    assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "order", [[0, 1, 2, 3], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 5], [-1, 0, 1, 2, 3]]
+    )
+    def test_invalid_orders_raise_like_the_oracle(self, instance, order):
+        query, data, candidates = instance
+        for estimate in (estimate_order_cost, cost_oracle.estimate_order_cost):
+            with pytest.raises(InvalidOrderError):
+                estimate(query, data, candidates, order)
+
+    def test_uncovered_query_raises(self, instance):
+        query, data, candidates = instance
+        short = CandidateSets.from_arrays(
+            [candidates.array(u) for u in range(query.num_vertices - 1)]
+        )
+        with pytest.raises(InvalidOrderError):
+            estimate_order_cost(query, data, short, list(range(query.num_vertices)))

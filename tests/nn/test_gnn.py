@@ -16,6 +16,7 @@ from repro.nn import (
     Tensor,
     make_gnn_layer,
 )
+from repro.nn.gnn import CONTEXT_FIELDS
 
 ALL_LAYERS = [GCNLayer, SAGELayer, GATLayer, GraphConvLayer, LEConvLayer]
 
@@ -56,6 +57,17 @@ class TestGraphContext:
 
     def test_attention_mask_includes_self(self, graph, ctx):
         assert ctx.attention_mask.diagonal().all()
+
+    @pytest.mark.parametrize("name", CONTEXT_FIELDS)
+    def test_one_field_is_the_full_contexts_field(self, graph, ctx, name):
+        alone = GraphContext.from_graph(graph, [name])
+        for other in CONTEXT_FIELDS:
+            got = getattr(alone, other)
+            if other == name:
+                assert np.array_equal(got, getattr(ctx, name))
+                assert got.dtype == getattr(ctx, name).dtype
+            else:
+                assert got is None
 
     def test_isolated_vertex_handled(self):
         g = Graph([0, 0, 0], [(0, 1)])

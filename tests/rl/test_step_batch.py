@@ -17,6 +17,7 @@ from per_step_oracle import per_step_loss
 
 from repro.core import FeatureBuilder, PolicyNetwork, RLQVOConfig
 from repro.graphs import Graph, generate_query_set
+from repro.nn.gnn import CONTEXT_FIELDS, GNN_LAYERS
 from repro.rl import PPOTrainer, collect_trajectory, rollout
 from repro.rl.rollout import stack_steps
 
@@ -118,6 +119,40 @@ def test_stacked_forward_rows_equal_single_step_forwards(
                 stacked.probs.data[row, step.action]
             )
     assert all(next(rows, None) is None for rows in steps.values())
+
+
+@pytest.mark.parametrize("gnn_kind", ENCODERS)
+def test_the_trainers_contexts_stack_only_the_encoders_field(
+    data_graph, data_stats, queries, gnn_kind
+):
+    # The trainer builds each query's context with PolicyNetwork.context:
+    # the batch stacks that field alone and scores like a full context.
+    config = RLQVOConfig(gnn_kind=gnn_kind, hidden_dim=8, seed=3)
+    policy = PolicyNetwork(config)
+    builder = FeatureBuilder(data_graph, config, data_stats)
+    lean, full = [], []
+    for query in queries[:3]:
+        rng = np.random.default_rng(0)
+        trajectory = collect_trajectory(
+            policy, query, builder, rng, policy.context(query)
+        )
+        trajectory.rewards = [1.0] * len(trajectory.steps)
+        lean.append(trajectory)
+        twin = collect_trajectory(policy, query, builder, np.random.default_rng(0))
+        twin.rewards = trajectory.rewards
+        full.append(twin)
+    reads = {
+        layer.reads for layer in GNN_LAYERS.values() if layer.name == gnn_kind
+    }
+    for small, big in zip(stack_steps(lean), stack_steps(full)):
+        held = {
+            name for name in CONTEXT_FIELDS if getattr(small.ctx, name) is not None
+        }
+        assert held == reads
+        assert np.array_equal(small.features, big.features)
+        a = policy.forward(small.features, small.ctx, small.action_mask)
+        b = policy.forward(big.features, big.ctx, big.action_mask)
+        assert np.array_equal(a.probs.data, b.probs.data)
 
 
 @pytest.mark.parametrize("gnn_kind", ENCODERS)
