@@ -18,9 +18,8 @@ Usage::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import Enumerator, Graph, Matcher, dataset_stats, load_dataset
+from repro.matching import RandomOrderer
 
 
 def motif_catalogue(data: Graph) -> dict[str, Graph]:
@@ -59,10 +58,9 @@ def main() -> None:
     first_three = Enumerator(match_limit=3, time_limit=10.0, record_matches=True)
 
     for motif_name, motif in motif_catalogue(data).items():
-        rng = np.random.default_rng(0)
         # One plan per motif: all compared orders re-plan over the same
         # Phase (1) artifacts, sharing a single CandidateSpace build.
-        plan = matcher.plan(motif, rng)
+        plan = matcher.plan(motif)
         if not plan.matchable:
             print(f"{motif_name:>16}: no candidates — motif absent")
             continue
@@ -70,7 +68,10 @@ def main() -> None:
               f"|E|={motif.num_edges} "
               f"candidate sizes={list(plan.candidate_counts)}")
         for name in compared_orderers:
-            replanned = plan if name == "ri" else matcher.replan(plan, name, rng)
+            # A freshly seeded random baseline per motif: its rows repeat
+            # from run to run.
+            orderer = RandomOrderer(seed=0) if name == "random" else name
+            replanned = plan if name == "ri" else matcher.replan(plan, orderer)
             result = matcher.execute(replanned)
             status = "" if result.solved and not result.enumeration.limit_reached \
                 else " (truncated)"

@@ -27,8 +27,6 @@ import time
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.api.plan import QueryPlan
 from repro.api.registry import (
     ORDERER_ALIASES,
@@ -193,17 +191,14 @@ class Matcher:
             fingerprint,
         )
 
-    def plan(
-        self, query: Graph, rng: np.random.Generator | None = None
-    ) -> QueryPlan:
+    def plan(self, query: Graph) -> QueryPlan:
         """Run filtering and ordering; return a frozen :class:`QueryPlan`.
 
         Phase accounting: the per-edge candidate index is built here,
         exactly once per query, and billed to ``filter_time`` like every
         other Phase (1) artifact; a query with an empty candidate set
         short-circuits to the identity order without running (or
-        billing) the ordering phase.  ``rng`` reaches the orderer (the
-        random orderer and RI's tie-break read it).
+        billing) the ordering phase.
         """
         t0 = time.perf_counter()
         candidates = self.candidate_filter.filter(query, self.data, self.stats)
@@ -230,7 +225,7 @@ class Matcher:
         # then shared by the orderer and the enumerator.
         context.ensure_space()
         t1 = time.perf_counter()
-        order = self.orderer.order_context(context, rng)
+        order = self.orderer.order_context(context)
         t2 = time.perf_counter()
         estimated = estimate_order_cost(query, self.data, candidates, order)
         return QueryPlan(
@@ -271,12 +266,7 @@ class Matcher:
         self.plan_cache.put(key, plan)
         return plan, False
 
-    def replan(
-        self,
-        plan: QueryPlan,
-        orderer,
-        rng: np.random.Generator | None = None,
-    ) -> QueryPlan:
+    def replan(self, plan: QueryPlan, orderer) -> QueryPlan:
         """Re-run Phase (2) on a plan's Phase (1) artifacts.
 
         ``orderer`` is an orderer name or instance.  The returned plan
@@ -290,7 +280,7 @@ class Matcher:
             return plan
         context = self._context(plan)
         t0 = time.perf_counter()
-        order = orderer.order_context(context, rng)
+        order = orderer.order_context(context)
         order_time = time.perf_counter() - t0
         estimated = estimate_order_cost(
             plan.query, self.data, context.candidates, order
@@ -333,17 +323,11 @@ class Matcher:
         enumeration = engine.run_context(context, plan.order)
         return MatchResult(plan.order, enumeration, plan.filter_time, plan.order_time)
 
-    def match(
-        self, query: Graph, rng: np.random.Generator | None = None
-    ) -> MatchResult:
+    def match(self, query: Graph) -> MatchResult:
         """Full pipeline on one query: :meth:`plan` then :meth:`execute`."""
-        return self.execute(self.plan(query, rng))
+        return self.execute(self.plan(query))
 
-    def match_many(
-        self,
-        queries: Iterable[Graph],
-        rng: np.random.Generator | None = None,
-    ) -> list[MatchResult]:
+    def match_many(self, queries: Iterable[Graph]) -> list[MatchResult]:
         """Answer a workload, reusing this matcher's prepared state.
 
         Data-graph-side setup (stats, label indices, loaded model) was
@@ -351,7 +335,7 @@ class Matcher:
         filter/order/enumerate work.  Results are ordered like the
         input.
         """
-        return [self.match(query, rng) for query in queries]
+        return [self.match(query) for query in queries]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

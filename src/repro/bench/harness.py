@@ -32,8 +32,6 @@ import os
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.api.matcher import Matcher
 from repro.core.config import RLQVOConfig
 from repro.core.orderer import RLQVOOrderer
@@ -271,11 +269,10 @@ class Harness:
         # and the method's components are bound once, per Algorithm 1's
         # prepare-once/query-many deployment shape.
         matcher = method_matcher(method, data, enumerator, orderer, stats)
-        rng = np.random.default_rng(self.settings.seed + 1)
 
         outcomes = []
         for index, query in enumerate(queries):
-            result = matcher.match(query, rng)
+            result = matcher.match(query)
             outcomes.append(
                 self._outcome(method, dataset, size, index, result)
             )

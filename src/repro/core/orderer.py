@@ -75,7 +75,6 @@ class RLQVOOrderer(Orderer):
         data: Graph | None = None,
         candidates: CandidateSets | None = None,
         stats: GraphStats | None = None,
-        rng: np.random.Generator | None = None,
     ) -> list[int]:
         if data is not None and data is not self.feature_builder.data:
             raise ModelError(

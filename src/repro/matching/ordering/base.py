@@ -13,8 +13,6 @@ from __future__ import annotations
 import abc
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
 from repro.matching.candidates import CandidateSets
@@ -36,15 +34,10 @@ class Orderer(abc.ABC):
         data: Graph | None = None,
         candidates: CandidateSets | None = None,
         stats: GraphStats | None = None,
-        rng: np.random.Generator | None = None,
     ) -> list[int]:
         """Return a matching order ``φ`` for ``query``."""
 
-    def order_context(
-        self,
-        context: MatchingContext,
-        rng: np.random.Generator | None = None,
-    ) -> list[int]:
+    def order_context(self, context: MatchingContext) -> list[int]:
         """:meth:`order` over shared Phase (1) artifacts.
 
         The matching engine calls this with the run's
@@ -54,7 +47,7 @@ class Orderer(abc.ABC):
         context into the positional :meth:`order` signature.
         """
         return self.order(
-            context.query, context.data, context.candidates, context.stats, rng
+            context.query, context.data, context.candidates, context.stats
         )
 
 

@@ -7,8 +7,6 @@ left-deep join ordering over candidate cardinalities).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import FilterError
 from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
@@ -29,7 +27,6 @@ class GQLOrderer(Orderer):
         data: Graph | None = None,
         candidates: CandidateSets | None = None,
         stats: GraphStats | None = None,
-        rng: np.random.Generator | None = None,
     ) -> list[int]:
         n = query.num_vertices
         if n == 0:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-import numpy as np
-
 from repro.errors import FilterError
 from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
@@ -112,19 +110,12 @@ class OptimalOrderer(Orderer):
         data: Graph | None = None,
         candidates: CandidateSets | None = None,
         stats: GraphStats | None = None,
-        rng: np.random.Generator | None = None,
     ) -> list[int]:
         if data is None or candidates is None:
             raise FilterError("optimal ordering needs the data graph and candidates")
-        return self.order_context(
-            MatchingContext(query, data, candidates, stats), rng
-        )
+        return self.order_context(MatchingContext(query, data, candidates, stats))
 
-    def order_context(
-        self,
-        context: MatchingContext,
-        rng: np.random.Generator | None = None,
-    ) -> list[int]:
+    def order_context(self, context: MatchingContext) -> list[int]:
         """Sweep permutations reusing the context's shared candidate space.
 
         Every candidate permutation is enumerated against the same
@@ -153,7 +144,7 @@ class OptimalOrderer(Orderer):
                 best_order = phi
 
         for orderer in self.seed_orderers:
-            consider(orderer.order_context(context, rng))
+            consider(orderer.order_context(context))
         for count, phi in enumerate(connected_permutations(query)):
             if self.max_permutations is not None and count >= self.max_permutations:
                 break

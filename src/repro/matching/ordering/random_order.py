@@ -29,18 +29,16 @@ class RandomOrderer(Orderer):
         data: Graph | None = None,
         candidates: CandidateSets | None = None,
         stats: GraphStats | None = None,
-        rng: np.random.Generator | None = None,
     ) -> list[int]:
-        rng = rng if rng is not None else self._rng
         n = query.num_vertices
         if n == 0:
             return []
-        start = int(rng.integers(0, n))
+        start = int(self._rng.integers(0, n))
         phi = [start]
         remaining = set(range(n)) - {start}
         while remaining:
             frontier = connected_extension(query, phi, remaining)
-            nxt = frontier[int(rng.integers(0, len(frontier)))]
+            nxt = frontier[int(self._rng.integers(0, len(frontier)))]
             phi.append(nxt)
             remaining.discard(nxt)
         return phi

@@ -9,13 +9,12 @@ RI uses only the structure of the query graph (Sec. II-C):
   adjacent to ``u`` *and* have a neighbour outside ``φ_t``; then (2)
   ``|u_unv|`` — the number of ``u``'s neighbours that are unordered and not
   adjacent to any ordered vertex; remaining ties are broken arbitrarily
-  (here: by vertex id for determinism, or uniformly when an ``rng`` is
-  supplied, matching the paper's observation that RI "selects randomly").
+  (the paper's RI "selects randomly"; here the lowest vertex id wins on
+  every path, so a query's order depends on its numbering alone, never
+  on the queries ordered before it).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
@@ -36,7 +35,6 @@ class RIOrderer(Orderer):
         data: Graph | None = None,
         candidates: CandidateSets | None = None,
         stats: GraphStats | None = None,
-        rng: np.random.Generator | None = None,
     ) -> list[int]:
         n = query.num_vertices
         if n == 0:
@@ -45,10 +43,7 @@ class RIOrderer(Orderer):
 
         def pick(choices: list[int], keys: list[tuple]) -> int:
             best = max(keys)
-            tied = [c for c, k in zip(choices, keys) if k == best]
-            if len(tied) > 1 and rng is not None:
-                return int(tied[rng.integers(0, len(tied))])
-            return min(tied)
+            return min(c for c, k in zip(choices, keys) if k == best)
 
         nbrs = [query.neighbor_set(u) for u in range(n)]
         first_choices = list(range(n))

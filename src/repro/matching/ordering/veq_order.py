@@ -13,8 +13,6 @@ NEC class (1 for non-leaf vertices), with leaf classes kept adjacent.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import FilterError
 from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
@@ -49,7 +47,6 @@ class VEQOrderer(Orderer):
         data: Graph | None = None,
         candidates: CandidateSets | None = None,
         stats: GraphStats | None = None,
-        rng: np.random.Generator | None = None,
     ) -> list[int]:
         n = query.num_vertices
         if n == 0:

@@ -8,8 +8,6 @@ frequency (ties: max degree).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import FilterError
 from repro.graphs.graph import Graph
 from repro.graphs.stats import GraphStats
@@ -30,7 +28,6 @@ class VF2PPOrderer(Orderer):
         data: Graph | None = None,
         candidates: CandidateSets | None = None,
         stats: GraphStats | None = None,
-        rng: np.random.Generator | None = None,
     ) -> list[int]:
         n = query.num_vertices
         if n == 0:

@@ -29,3 +29,10 @@ def test_committed_entries_equal_a_recomputation(counts, name, capsys):
     }
     assert recorded
     assert count_entries(name, ALL_EXPERIMENTS[name](harness)) == recorded
+
+
+def test_one_ri_across_the_record(counts):
+    # Both cells are GQL + RI over yeast's Q16 eval queries: fig5 through
+    # the harness's Matcher, the ablation through ``RIOrderer`` directly.
+    # They agree only if every path breaks RI's ties the same way.
+    assert counts["fig5/yeast/hybrid/16"]["enum"] == counts["ablation_design"]["ri"]

@@ -1,10 +1,10 @@
 """``RIOrderer`` against the rescanning RI oracle (``tests/ri_oracle.py``).
 
 The orderer keeps its ``untouched`` set per step instead of rescanning
-neighbourhoods per candidate; the order, and with an ``rng``
-every draw, must be the oracle's.  Disconnected queries (where the
-orderer falls back to unconnected candidates) and ``n`` in ``{0, 1}`` are
-covered explicitly.
+neighbourhoods per candidate; the order must be the oracle's.
+Disconnected queries (where the orderer falls back to unconnected
+candidates) and ``n`` in ``{0, 1}`` are covered explicitly, each under
+several vertex numberings.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from ri_oracle import ri_order
 
 from repro.datasets import load_dataset, query_workload
 from repro.graphs import Graph
+from repro.graphs.canonical import relabel_graph
 from repro.matching.ordering.ri import RIOrderer
 
 
@@ -44,27 +45,25 @@ def unions(draw) -> Graph:
     return Graph([0] * n, edges)
 
 
-def same_orders(query: Graph, seed: int | None) -> None:
-    mine_rng = None if seed is None else np.random.default_rng(seed)
-    oracle_rng = None if seed is None else np.random.default_rng(seed)
-    assert RIOrderer().order(query, rng=mine_rng) == ri_order(query, rng=oracle_rng)
-    if seed is not None:  # the same number of draws were taken
-        assert mine_rng.random() == oracle_rng.random()
+def same_orders(query: Graph) -> None:
+    assert RIOrderer().order(query) == ri_order(query)
 
 
 @settings(max_examples=300)
-@given(queries(), st.one_of(st.none(), st.integers(0, 3)))
-def test_matches_the_oracle(query, seed):
-    same_orders(query, seed)
+@given(queries())
+def test_matches_the_oracle(query):
+    same_orders(query)
 
 
 @settings(max_examples=300)
-@given(unions(), st.one_of(st.none(), st.integers(0, 3)))
-def test_disconnected_queries_match_the_oracle(query, seed):
-    same_orders(query, seed)
+@given(unions())
+def test_disconnected_queries_match_the_oracle(query):
+    same_orders(query)
 
 
-@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+# ``None`` keeps each shape's numbering; a seed renumbers its vertices,
+# which moves the ties the lowest-id rule settles.
+@pytest.mark.parametrize("numbering", [None, 0, 1, 2])
 @pytest.mark.parametrize(
     "query",
     [
@@ -76,13 +75,15 @@ def test_disconnected_queries_match_the_oracle(query, seed):
     ],
     ids=["n0", "n1", "two-isolated", "two-edges-one-isolated", "two-triangles"],
 )
-def test_edge_shapes(query, seed):
-    same_orders(query, seed)
+def test_edge_shapes(query, numbering):
+    if numbering is not None:
+        permutation = np.random.default_rng(numbering).permutation(query.num_vertices)
+        query = relabel_graph(query, permutation)
+    same_orders(query)
 
 
 @pytest.mark.parametrize("size", [8, 16])
 def test_yeast_pool_queries(size):
     data = load_dataset("yeast")
     for query in query_workload("yeast", size, count=20, seed=0, data=data).all_queries:
-        for seed in (None, 0):
-            same_orders(query, seed)
+        same_orders(query)

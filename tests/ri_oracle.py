@@ -5,9 +5,8 @@ stood before its tie-break keys were computed from per-step sets, moved
 here: for every unordered candidate at every step it rescans the
 neighbour set of each ordered vertex (``|u_neig|``) and of each of the
 candidate's neighbours (``|u_unv|``).  The production orderer must return
-the same order for every query, with and without an ``rng`` (the
-``rng`` is drawn from only on a tie, so equal orders also mean equal
-draws).
+the same order for every query; the last ties go to the lowest vertex
+id in both.
 
 Test-only by design.  ``tests/conftest.py`` puts this directory on
 ``sys.path``, so any test module can ``from ri_oracle import ri_order``.
@@ -15,13 +14,11 @@ Test-only by design.  ``tests/conftest.py`` puts this directory on
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.graphs.graph import Graph
 
 
-def ri_order(query: Graph, rng: np.random.Generator | None = None) -> list[int]:
-    """RI's greedy order of ``query``, ties broken by id or by ``rng``."""
+def ri_order(query: Graph) -> list[int]:
+    """RI's greedy order of ``query``, the last ties broken by vertex id."""
     n = query.num_vertices
     if n == 0:
         return []
@@ -29,10 +26,7 @@ def ri_order(query: Graph, rng: np.random.Generator | None = None) -> list[int]:
 
     def pick(choices: list[int], keys: list[tuple]) -> int:
         best = max(keys)
-        tied = [c for c, k in zip(choices, keys) if k == best]
-        if len(tied) > 1 and rng is not None:
-            return int(tied[rng.integers(0, len(tied))])
-        return min(tied)
+        return min(c for c, k in zip(choices, keys) if k == best)
 
     first_choices = list(range(n))
     first_keys = [(int(degrees[u]),) for u in first_choices]

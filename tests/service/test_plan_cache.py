@@ -198,13 +198,11 @@ class TestMatcherIntegration:
         assert cross.enumeration.matches == same.enumeration.matches
         assert cross.num_enumerations == same.num_enumerations
 
-    def test_explicit_rng_bypasses_cache(self, data, queries):
-        # ``plan`` is the cold pipeline: with or without an rng it never
-        # reads or fills the cache.
+    def test_cold_plan_bypasses_cache(self, data, queries):
+        # ``plan`` is the cold pipeline: it never reads or fills the cache.
         cache = PlanCache(max_bytes=1 << 24)
         matcher = Matcher(data, orderer="random", plan_cache=cache, cache_scope="d")
-        rng = np.random.default_rng(3)
-        matcher.plan(queries[0], rng)
+        matcher.plan(queries[0])
         matcher.plan(queries[0])
         assert cache.stats().hits == 0 and cache.stats().misses == 0
         assert len(cache) == 0

@@ -12,15 +12,17 @@ no per-thread scratch to report a peak of, ``Tensor`` has only the
 operations training and ordering reach, the deadline check cadence is
 the constant ``enumeration_batch.CHECK_EVERY``, the bench harness
 and the optimal sweep bound their runs by an ``#enum`` budget, not a
-deadline, and ``repro-bench`` takes its settings from the
-``REPRO_BENCH_*`` variables alone (a retired flag exits 2).
+deadline, ``repro-bench`` takes its settings from the
+``REPRO_BENCH_*`` variables alone (a retired flag exits 2), and RI
+breaks its last ties by vertex id on every path (no entry point takes
+an ``rng``).
 """
 
 import numpy as np
 import pytest
 
 from repro.api import Matcher
-from repro.bench import BenchSettings
+from repro.bench import BenchSettings, Harness
 from repro.bench.cli import main as bench_main
 from repro.core import (
     FeatureBuilder,
@@ -30,7 +32,7 @@ from repro.core import (
     RLQVOTrainer,
 )
 from repro.graphs import erdos_renyi, extract_query
-from repro.matching import Enumerator, OptimalOrderer
+from repro.matching import Enumerator, OptimalOrderer, RIOrderer
 from repro.nn import Tensor
 from repro.rl import collect_trajectory
 from repro.service import (
@@ -195,3 +197,34 @@ def test_retired_bench_flag_exits_2(flag, value, capsys):
         bench_main(["table3", flag, value])
     assert exc_info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+#: Each entry point that once passed an ``rng`` on to the orderer, called
+#: with ``(matcher, plan, rng)``.
+RNG_ENTRY_POINTS = {
+    "RIOrderer.order": lambda m, p, rng: RIOrderer().order(p.query, rng=rng),
+    "Orderer.order_context": lambda m, p, rng: RIOrderer().order_context(
+        p.context, rng=rng
+    ),
+    "OptimalOrderer.order": lambda m, p, rng: OptimalOrderer().order(
+        p.query, m.data, p.context.candidates, rng=rng
+    ),
+    "OptimalOrderer.order_context": lambda m, p, rng: (
+        OptimalOrderer().order_context(p.context, rng=rng)
+    ),
+    "Matcher.plan": lambda m, p, rng: m.plan(p.query, rng=rng),
+    "Matcher.replan": lambda m, p, rng: m.replan(p, "ri", rng=rng),
+    "Matcher.match": lambda m, p, rng: m.match(p.query, rng=rng),
+    "Matcher.match_many": lambda m, p, rng: m.match_many([p.query], rng=rng),
+    "Harness.evaluate": lambda m, p, rng: Harness(BenchSettings()).evaluate(
+        "hybrid", "yeast", rng=rng
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(RNG_ENTRY_POINTS))
+def test_rng_is_gone(data, entry_point):
+    matcher = Matcher(data)
+    plan = matcher.plan(extract_query(data, 3, np.random.default_rng(0)))
+    with pytest.raises(TypeError, match="rng"):
+        RNG_ENTRY_POINTS[entry_point](matcher, plan, np.random.default_rng(0))
