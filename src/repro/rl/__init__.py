@@ -1,6 +1,10 @@
-"""Reinforcement learning substrate: ordering MDP, rewards, rollouts, PPO."""
+"""Reinforcement learning substrate: ordering MDP, rewards, rollouts, PPO.
 
-from repro.rl.env import OrderingEnv, OrderingState
+The ordering MDP is one transition, :func:`repro.rl.env.place`, on
+masks its caller owns; :func:`collect_trajectory` steps through it and
+records each step's features and action mask for PPO.
+"""
+
 from repro.rl.ppo import PPOStats, PPOTrainer
 from repro.rl.reward import (
     RewardConfig,
@@ -16,8 +20,6 @@ from repro.rl.rollout import (
 )
 
 __all__ = [
-    "OrderingEnv",
-    "OrderingState",
     "PPOStats",
     "PPOTrainer",
     "RewardConfig",

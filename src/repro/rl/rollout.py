@@ -36,7 +36,7 @@ from repro.graphs.graph import Graph
 from repro.nn.functional import entropy_array
 from repro.nn.gnn import GraphContext
 from repro.nn.tensor import Tensor
-from repro.rl.env import OrderingEnv
+from repro.rl.env import place
 
 #: Rows (steps × query vertices) one :class:`StepBatch` holds at most.  A
 #: pass holds one chunk's autograd graph at a time, and each chunk costs
@@ -103,43 +103,42 @@ def collect_trajectory(
     the only candidate").
     """
     ctx = ctx if ctx is not None else GraphContext.from_graph(query)
-    env = OrderingEnv(query)
-    state = env.reset()
+    n = query.num_vertices
     static = feature_builder.static_features(query)
+    ordered = np.zeros(n, dtype=bool)
+    frontier = np.zeros(n, dtype=bool)
+    action_mask = np.ones(n, dtype=bool)
     trajectory = Trajectory(query=query, ctx=ctx)
 
-    while not env.done:
-        features = feature_builder.step_features(
-            query, static, state.step, state.ordered_mask
-        )
-        actions = state.action_space
-        if actions.size == 1:
-            action = int(actions[0])
-            step = TrajectoryStep(
-                features=features,
-                action_mask=state.action_mask,
-                action=action,
-                old_prob=1.0,
-                entropy=0.0,
-                valid=True,
-                computed=False,
-            )
-        else:
-            p, scores = policy.evaluate(features, ctx, state.action_mask)
+    for t in range(n):
+        features = feature_builder.step_features(query, static, t, ordered)
+        actions = np.flatnonzero(action_mask)
+        computed = actions.size > 1
+        if computed:
+            p, scores = policy.evaluate(features, ctx, action_mask)
             action = int(rng.choice(p.size, p=p / p.sum()))
-            step = TrajectoryStep(
+            old_prob, entropy = float(p[action]), float(entropy_array(p))
+            # Valid: the unmasked argmax is inside the action space.
+            valid = bool(p[int(np.argmax(scores))] > 0.0)
+        else:
+            action, old_prob, entropy, valid = int(actions[0]), 1.0, 0.0, True
+        # PPO replays the step every epoch: nothing may write into it.
+        features.flags.writeable = action_mask.flags.writeable = False
+        trajectory.steps.append(
+            TrajectoryStep(
                 features=features,
-                action_mask=state.action_mask,
+                action_mask=action_mask,
                 action=action,
-                old_prob=float(p[action]),
-                entropy=float(entropy_array(p)),
-                # Valid: the unmasked argmax is inside the action space.
-                valid=bool(p[int(np.argmax(scores))] > 0.0),
-                computed=True,
+                old_prob=old_prob,
+                entropy=entropy,
+                valid=valid,
+                computed=computed,
             )
-        trajectory.steps.append(step)
-        trajectory.order.append(step.action)
-        state = env.step(step.action)
+        )
+        trajectory.order.append(action)
+        # The step keeps its mask: the next one is a fresh array.
+        action_mask = np.empty(n, dtype=bool)
+        place(query, action, ordered, frontier, action_mask)
     return trajectory
 
 

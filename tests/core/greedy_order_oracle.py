@@ -1,8 +1,9 @@
 """The greedy ordering loop ``RLQVOOrderer`` replaced — a test oracle.
 
-Every decision walks :class:`repro.rl.OrderingEnv` and takes
-``argmax(probs)`` of :meth:`PolicyNetwork.evaluate`: the masked softmax
-over every vertex's score, first index on ties.  The production orderer
+Every step recomputes the action space from scratch
+(``tests/action_space_oracle.py``, not ``rl.env.place``), and every
+decision takes ``argmax(probs)`` of :meth:`PolicyNetwork.evaluate`: the
+masked softmax over every vertex's score, first index on ties.  The production orderer
 picks from the raw scores of the action rows and hands only near-ties to
 this softmax; ``tests/core/test_orderer.py`` holds the two to equal
 orders.
@@ -11,9 +12,9 @@ orders.
 from __future__ import annotations
 
 import numpy as np
+from action_space_oracle import masks_from_scratch
 
 from repro.nn.gnn import GraphContext
-from repro.rl import OrderingEnv
 
 
 def greedy_order(policy, feature_builder, query, decisions=None) -> list[int]:
@@ -24,20 +25,20 @@ def greedy_order(policy, feature_builder, query, decisions=None) -> list[int]:
     every step the policy was consulted on.
     """
     ctx = GraphContext.from_graph(query)
-    env = OrderingEnv(query)
-    state = env.reset()
     static = feature_builder.static_features(query)
     features = None
-    while not env.done:
-        actions = state.action_space
+    order: list[int] = []
+    while len(order) < query.num_vertices:
+        ordered, action_mask = masks_from_scratch(query, order)
+        actions = np.flatnonzero(action_mask)
         if actions.size == 1:
-            state = env.step(int(actions[0]))
+            order.append(int(actions[0]))
             continue
         features = feature_builder.step_features(
-            query, static, state.step, state.ordered_mask, out=features
+            query, static, len(order), ordered, out=features
         )
-        p, scores = policy.evaluate(features, ctx, state.action_mask)
+        p, scores = policy.evaluate(features, ctx, action_mask)
         if decisions is not None:
             decisions.append(scores[actions])
-        state = env.step(int(np.argmax(p)))
-    return env.order
+        order.append(int(np.argmax(p)))
+    return order

@@ -2,8 +2,8 @@
 
 The orderer picks each greedy decision from the raw scores of the action
 rows and asks the softmax only on near-ties; ``greedy_order_oracle`` is
-the env-driven ``argmax(evaluate(...)[0])`` loop it replaced, and the two
-must give equal orders.
+the ``argmax(evaluate(...)[0])`` loop it replaced, on action spaces
+recomputed from scratch, and the two must give equal orders.
 """
 
 import gc

@@ -7,6 +7,9 @@ autograd graph is thrown away, entropy and validity read off the
 independent spelling it must reproduce — the same actions from the same
 ``rng`` draws, the same ``old_prob`` / ``entropy`` / ``valid`` bits, and
 therefore the same trained weights (``tests/rl/test_rollout.py``).
+Its episode recomputes each step's action space from scratch
+(``tests/action_space_oracle.py``) instead of stepping through
+``rl.env.place``.
 
 Test-only by design, like ``per_step_oracle.py`` beside it.
 """
@@ -14,9 +17,9 @@ Test-only by design, like ``per_step_oracle.py`` beside it.
 from __future__ import annotations
 
 import numpy as np
+from action_space_oracle import masks_from_scratch
 
 from repro.nn.gnn import GraphContext
-from repro.rl import OrderingEnv
 from repro.rl.rollout import Trajectory, TrajectoryStep
 
 
@@ -25,21 +28,20 @@ def collect_trajectory_tensor(
 ) -> Trajectory:
     """One ordering episode, every consultation through ``forward``."""
     ctx = ctx if ctx is not None else GraphContext.from_graph(query)
-    env = OrderingEnv(query)
-    state = env.reset()
     static = feature_builder.static_features(query)
     trajectory = Trajectory(query=query, ctx=ctx)
 
-    while not env.done:
+    while len(trajectory.order) < query.num_vertices:
+        ordered, action_mask = masks_from_scratch(query, trajectory.order)
         features = feature_builder.step_features(
-            query, static, state.step, state.ordered_mask
+            query, static, len(trajectory.order), ordered
         )
-        actions = state.action_space
+        actions = np.flatnonzero(action_mask)
         if actions.size == 1:
             action = int(actions[0])
             step = TrajectoryStep(
                 features=features,
-                action_mask=state.action_mask,
+                action_mask=action_mask,
                 action=action,
                 old_prob=1.0,
                 entropy=0.0,
@@ -47,7 +49,7 @@ def collect_trajectory_tensor(
                 computed=False,
             )
         else:
-            out = policy.forward(features, ctx, state.action_mask)
+            out = policy.forward(features, ctx, action_mask)
             p = out.probs.data
             if greedy:
                 action = int(np.argmax(p))
@@ -55,7 +57,7 @@ def collect_trajectory_tensor(
                 action = int(rng.choice(p.size, p=p / p.sum()))
             step = TrajectoryStep(
                 features=features,
-                action_mask=state.action_mask,
+                action_mask=action_mask,
                 action=action,
                 old_prob=float(p[action]),
                 entropy=float(out.entropy.data),
@@ -64,5 +66,4 @@ def collect_trajectory_tensor(
             )
         trajectory.steps.append(step)
         trajectory.order.append(step.action)
-        state = env.step(step.action)
     return trajectory

@@ -1,124 +1,102 @@
-"""Tests for the ordering MDP environment."""
+"""Tests for the ordering MDP's one transition, ``rl.env.place``."""
 
 import numpy as np
 import pytest
+from action_space_oracle import masks_from_scratch
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import TrainingError
+from repro.core import FeatureBuilder, RLQVOConfig
 from repro.graphs import Graph, check_order
-from repro.rl import OrderingEnv
+from repro.rl import collect_trajectory
+from repro.rl.env import place
 
 
 def path4() -> Graph:
     return Graph([0] * 4, [(0, 1), (1, 2), (2, 3)])
 
 
+def start(query: Graph):
+    """An episode's first state: nothing ordered, every vertex selectable."""
+    n = query.num_vertices
+    return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+
+
+def play(query: Graph, actions) -> tuple[np.ndarray, np.ndarray]:
+    """``(ordered, action_mask)`` after placing ``actions`` from the start."""
+    ordered, frontier, action_mask = start(query)
+    for action in actions:
+        place(query, action, ordered, frontier, action_mask)
+    return ordered, action_mask
+
+
+class UniformPolicy:
+    """Samples uniformly over the action space (``evaluate``'s contract)."""
+
+    def evaluate(self, features, ctx, mask):
+        probs = mask / mask.sum()
+        return probs, np.zeros(mask.size)
+
+
+def rollout(data_graph, data_stats, query: Graph):
+    builder = FeatureBuilder(data_graph, RLQVOConfig(), data_stats)
+    return collect_trajectory(
+        UniformPolicy(), query, builder, np.random.default_rng(0)
+    )
+
+
 class TestLifecycle:
-    def test_initial_state_allows_all_vertices(self):
-        env = OrderingEnv(path4())
-        state = env.reset()
-        assert state.step == 0
-        assert state.action_mask.all()
-        assert not env.done
+    def test_initial_state_allows_all_vertices(self, data_graph, data_stats):
+        first = rollout(data_graph, data_stats, path4()).steps[0]
+        assert first.action_mask.all()
+        assert not first.features[:, 6].any()  # nothing ordered yet
 
     def test_action_space_is_unordered_neighbourhood(self):
-        env = OrderingEnv(path4())
-        env.reset()
-        state = env.step(1)
-        assert set(state.action_space) == {0, 2}
-        state = env.step(2)
-        assert set(state.action_space) == {0, 3}
+        _, action_mask = play(path4(), [1])
+        assert set(np.flatnonzero(action_mask)) == {0, 2}
+        _, action_mask = play(path4(), [1, 2])
+        assert set(np.flatnonzero(action_mask)) == {0, 3}
 
     def test_episode_completes_with_connected_order(self):
-        env = OrderingEnv(path4())
-        env.reset()
-        for action in (1, 0, 2, 3):
-            env.step(action)
-        assert env.done
-        check_order(path4(), env.order)
+        ordered, action_mask = play(path4(), [1, 0, 2, 3])
+        assert ordered.all() and not action_mask.any()
+        check_order(path4(), [1, 0, 2, 3])
 
     def test_final_action_mask_empty(self):
-        g = Graph([0, 0], [(0, 1)])
-        env = OrderingEnv(g)
-        env.reset()
-        env.step(0)
-        state = env.step(1)
-        assert not state.action_mask.any()
+        ordered, action_mask = play(Graph([0, 0], [(0, 1)]), [0, 1])
+        assert ordered.all()
+        assert not action_mask.any()
 
-    def test_reset_clears_progress(self):
-        env = OrderingEnv(path4())
-        env.reset()
-        env.step(0)
-        state = env.reset()
-        assert env.order == []
-        assert state.action_mask.all()
+    def test_one_vertex_query_takes_one_step(self, data_graph, data_stats):
+        ordered, action_mask = play(Graph([0], []), [0])
+        assert ordered.all() and not action_mask.any()
+        trajectory = rollout(data_graph, data_stats, Graph([0], []))
+        assert trajectory.order == [0]
+        assert not trajectory.steps[0].computed  # a singleton: forced
 
-    def test_empty_query_starts_done(self):
-        env = OrderingEnv(Graph([], []))
-        assert env.done
+    def test_empty_query_starts_done(self, data_graph, data_stats):
+        trajectory = rollout(data_graph, data_stats, Graph([], []))
+        assert trajectory.order == [] and trajectory.steps == []
 
 
-class TestValidation:
-    def test_invalid_action_rejected(self):
-        env = OrderingEnv(path4())
-        env.reset()
-        env.step(0)
-        with pytest.raises(TrainingError, match="not in the action space"):
-            env.step(3)  # not adjacent to vertex 0
-
-    def test_repeated_action_rejected(self):
-        env = OrderingEnv(path4())
-        env.reset()
-        env.step(0)
-        with pytest.raises(TrainingError):
-            env.step(0)
-
-    def test_step_after_done_rejected(self):
-        g = Graph([0], [])
-        env = OrderingEnv(g)
-        env.reset()
-        env.step(0)
-        with pytest.raises(TrainingError, match="finished"):
-            env.step(0)
+class TestStateSnapshot:
+    def test_state_is_immutable_snapshot(self, data_graph, data_stats):
+        # The state a step was decided on stays as it was after every
+        # later step has run: its mask and its ordered column.
+        query = Graph([0] * 5, [(0, 1), (1, 2), (3, 4)])
+        trajectory = rollout(data_graph, data_stats, query)
+        for t, step in enumerate(trajectory.steps):
+            ordered, action_mask = masks_from_scratch(query, trajectory.order[:t])
+            assert np.array_equal(step.action_mask, action_mask)
+            assert np.array_equal(step.features[:, 6], ordered)
 
 
 class TestDisconnectedQueries:
     def test_fallback_opens_all_unordered(self):
         g = Graph([0] * 4, [(0, 1), (2, 3)])
-        env = OrderingEnv(g)
-        env.reset()
-        env.step(0)
-        state = env.step(1)
         # Component exhausted: the other component becomes reachable.
-        assert set(state.action_space) == {2, 3}
-
-
-class TestStateSnapshot:
-    def test_state_is_immutable_snapshot(self):
-        env = OrderingEnv(path4())
-        state = env.reset()
-        env.step(0)
-        # The earlier snapshot must not have changed.
-        assert state.action_mask.all()
-        assert state.order == ()
-
-
-def masks_from_scratch(query: Graph, order: list[int]):
-    """The state after ``order``, recomputed from nothing: the action
-    space is every unordered neighbour of an ordered vertex, or every
-    unordered vertex when there is none (start, exhausted component)."""
-    n = query.num_vertices
-    ordered = np.zeros(n, dtype=bool)
-    ordered[order] = True
-    action = np.zeros(n, dtype=bool)
-    for u in order:
-        for v in query.neighbors(u):
-            if not ordered[int(v)]:
-                action[int(v)] = True
-    if not action.any() and len(order) < n:
-        action = ~ordered
-    return ordered, action
+        _, action_mask = play(g, [0, 1])
+        assert set(np.flatnonzero(action_mask)) == {2, 3}
 
 
 @st.composite
@@ -137,32 +115,22 @@ class TestIncrementalMasks:
     def test_every_step_equals_a_recomputation(self, drawn):
         query, picks = drawn
         n = query.num_vertices
-        env = OrderingEnv(query)
-        state = env.reset()
+        ordered, frontier, action_mask = start(query)
         order: list[int] = []
         for pick in picks:
-            ordered, action = masks_from_scratch(query, order)
-            assert np.array_equal(state.ordered_mask, ordered)
-            assert np.array_equal(state.action_mask, action)
-            assert state.order == tuple(order) and state.step == len(order)
-            assert env.order == order and not env.done
-            illegal = np.flatnonzero(~action)
-            if illegal.size:
-                with pytest.raises(TrainingError, match="not in the action space"):
-                    env.step(int(illegal[pick % illegal.size]))
-            legal = state.action_space
+            expected_ordered, expected_action = masks_from_scratch(query, order)
+            assert np.array_equal(ordered, expected_ordered)
+            assert np.array_equal(action_mask, expected_action)
+            legal = np.flatnonzero(action_mask)
             order.append(int(legal[pick % legal.size]))
-            state = env.step(order[-1])
-        assert env.done and sorted(order) == list(range(n))
-        assert state.ordered_mask.all() and not state.action_mask.any()
-        with pytest.raises(TrainingError, match="finished"):
-            env.step(order[0])
-        # A rejected step changed nothing.
-        assert env.order == order
+            place(query, order[-1], ordered, frontier, action_mask)
+        assert sorted(order) == list(range(n))
+        assert ordered.all() and not action_mask.any()
 
-    def test_snapshot_masks_are_read_only(self):
-        env = OrderingEnv(path4())
-        state = env.step(1)
-        for mask in (state.action_mask, state.ordered_mask):
-            with pytest.raises(ValueError):
-                mask[0] = True
+    def test_snapshot_masks_are_read_only(self, data_graph, data_stats):
+        # A recorded step's mask and features (its ordered column
+        # included) refuse writes.
+        for step in rollout(data_graph, data_stats, path4()).steps:
+            for array in (step.action_mask, step.features):
+                with pytest.raises(ValueError):
+                    array[0] = True

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from action_space_oracle import masks_from_scratch
 from tensor_sampling_oracle import collect_trajectory_tensor
 
 from repro.core import (
@@ -82,6 +83,22 @@ class TestCollectTrajectory:
             assert step.features[0, 5] == n - t
             # Column 7: ordered indicator sums to t
             assert step.features[:, 6].sum() == t
+
+    def test_recorded_steps_own_their_arrays(self, setup, queries, rng):
+        # Every step keeps the mask and features it was decided on: no
+        # later step writes into an array an earlier one recorded.
+        policy, builder = setup
+        disconnected = Graph([0] * 5, [(0, 1), (1, 2), (3, 4)])
+        for query in [*queries, disconnected]:
+            trajectory = collect_trajectory(policy, query, builder, rng)
+            steps = trajectory.steps
+            for t, step in enumerate(steps):
+                _, action_mask = masks_from_scratch(query, trajectory.order[:t])
+                assert np.array_equal(step.action_mask, action_mask)
+                assert step.action_mask[step.action]
+                for later in steps[t + 1 :]:
+                    assert not np.shares_memory(step.action_mask, later.action_mask)
+                    assert not np.shares_memory(step.features, later.features)
 
     def test_rewards_start_empty(self, setup, queries, rng):
         policy, builder = setup
